@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race cover recovery protect determinism fuzz bench bench-diff soak kv kv-large
+.PHONY: check vet build test race cover recovery protect determinism fuzz bench bench-diff ab soak kv kv-large
 
 # check is the everyday gate: build plus the full -race suite, which
 # includes the sharded determinism tests (TestSharded* in
@@ -120,16 +120,18 @@ soak:
 	$(GO) run ./cmd/stromtail -allow 'out-discards|retry-storm|kv-heartbeat|torn-read|qp-errors|remote-access|watchdog|pfc-pause|ecn-marked|op-latency-p99|fcs-err' -require 'torn-read|kv-heartbeat' SOAK_kvlarge.jsonl
 
 # bench runs the microbenchmarks (macro benches plus the scheduler,
-# telemetry, packet and roce hot paths), then records bench snapshots:
-# BENCH_quick.json (quick suite — the bench-diff gate) and
-# BENCH_pr6.json (default suite — the committed per-PR trajectory),
-# both sharded. Snapshot wall times are host dependent; figure values
-# are deterministic.
+# telemetry, packet, crc, pcie, roce and NIC hot paths), then records
+# bench snapshots: BENCH_quick.json (quick suite — the bench-diff gate)
+# and BENCH_pr$(PR).json (default suite — the per-PR trajectory; pass
+# PR=<n>, the default rewrites the committed PR 6 snapshot), both
+# sharded. Snapshot wall times are host dependent; figure values are
+# deterministic.
+PR ?= 6
 BENCHNOTE = figure values are deterministic at seed 1; wall_ms series depend on the host (see gomaxprocs/num_cpu) -- a single-core host serializes the shard workers, so sharded wall time there measures barrier overhead, not speedup
 bench:
-	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/packet ./internal/roce
+	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/packet ./internal/crc ./internal/pcie ./internal/roce ./internal/core
 	$(GO) run ./cmd/strombench -quick -shards 4 -bench BENCH_quick.json -benchnote "$(BENCHNOTE)" > /dev/null
-	$(GO) run ./cmd/strombench -shards 4 -bench BENCH_pr6.json -benchnote "$(BENCHNOTE)" > /dev/null
+	$(GO) run ./cmd/strombench -shards 4 -bench BENCH_pr$(PR).json -benchnote "$(BENCHNOTE)" > /dev/null
 	$(GO) run ./cmd/strombench -quick -chaos chaos-recovery > /dev/null
 
 # bench-diff reruns the quick suite and gates against the committed
@@ -141,3 +143,25 @@ bench:
 bench-diff:
 	$(GO) run ./cmd/strombench -quick -shards 4 -bench BENCH_head.json > /dev/null
 	$(GO) run ./cmd/stromres diff BENCH_quick.json BENCH_head.json
+
+# ab measures a claimed gain the way choosing-metrics §8 asks: PAIRS
+# alternating runs of the two-clock benchmark on BASE (built in a
+# throwaway git worktree) and on this tree, pair i on seed i, the order
+# flipped every pair so slow periods of the host fall on both sides,
+# then `benchmark -compare` over the two result sets. Each run takes
+# the benchmark's own ~20 s.
+#   make ab BASE=HEAD~1 WORKLOAD=verbs-bulk PAIRS=10
+BASE ?= HEAD
+WORKLOAD ?= verbs-bulk
+PAIRS ?= 10
+AB_DIR ?= $(CURDIR)/ab.out
+ab:
+	rm -rf $(AB_DIR) && mkdir -p $(AB_DIR) && git worktree prune
+	git worktree add --detach $(AB_DIR)/base $(BASE)
+	set -e; trap 'git worktree remove --force $(AB_DIR)/base' EXIT; \
+	run_base() { (cd $(AB_DIR)/base && $(GO) run ./benchmark -workload $(WORKLOAD) -seed $$1 -out $(AB_DIR)/base.json); }; \
+	run_head() { $(GO) run ./benchmark -workload $(WORKLOAD) -seed $$1 -out $(AB_DIR)/head.json; }; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then run_base $$i; run_head $$i; else run_head $$i; run_base $$i; fi; \
+	done
+	$(GO) run ./benchmark -compare $(AB_DIR)/base.json $(AB_DIR)/head.json

@@ -142,7 +142,7 @@ func (n *NIC) PostRPCWriteDeadline(qpn uint32, rpcOp uint64, localVA uint64, nby
 	}
 	n.ringDoorbell(func() {
 		n.observeDMA(mr.AccessLocal, localVA, nbytes)
-		n.dma.ReadHost(hostmem.Addr(localVA), nbytes, func(data []byte, err error) {
+		n.dma.ReadHostBorrowed(hostmem.Addr(localVA), nbytes, func(data []byte, err error) {
 			if err != nil {
 				n.completeErr(done, err)
 				return

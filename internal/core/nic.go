@@ -91,7 +91,9 @@ type NIC struct {
 	fallback RPCFallback
 	doorbell *sim.Serializer
 	stats    NICStats
-	tel      *nicTelemetry // nil when telemetry is disabled
+	// writeLanded is onWriteLanded as a func value, made once.
+	writeLanded func(error)
+	tel         *nicTelemetry // nil when telemetry is disabled
 
 	// Memory protection (see protect.go): the region table the responder
 	// validates RETHs against, the per-buffer region index, the DMA-issue
@@ -121,6 +123,7 @@ func NewNIC(eng *sim.Engine, cfg Config, id roce.Identity) *NIC {
 		mrt:      mr.NewTable(),
 		regions:  make(map[uint64]*mr.Region),
 	}
+	n.writeLanded = n.onWriteLanded
 	n.dma = pcie.NewEngine(eng, n.mem, n.tlb, cfg.PCIe)
 	// A crashed NIC puts nothing on the wire: frames already queued in
 	// the TX pipeline die at the port.
@@ -251,17 +254,25 @@ func (n *NIC) KernelResources() fpga.Resources {
 // targets registered memory — the observer hook re-checks that invariant.
 func (n *NIC) HandleWrite(qpn uint32, va uint64, data []byte, last bool) {
 	n.observeDMA(mr.AccessRemoteWrite, va, len(data))
-	n.dma.WriteHost(hostmem.Addr(va), data, func(err error) {
-		if err != nil {
-			n.logf("dma-fail", "nic: write DMA failed: %v", err)
-		}
-	})
+	n.dma.WriteHost(hostmem.Addr(va), data, n.writeLanded)
+}
+
+// onWriteLanded is the completion of every responder-side WRITE DMA
+// (bound once as n.writeLanded: this runs per packet). The requester
+// was acknowledged when the packet arrived; a failure can only be
+// logged.
+func (n *NIC) onWriteLanded(err error) {
+	if err != nil {
+		n.logf("dma-fail", "nic: write DMA failed: %v", err)
+	}
 }
 
 // HandleReadRequest implements the direct DMA→RoCE path for RDMA READs.
+// The data is borrowed from the DMA engine: the stack has encoded every
+// response frame when deliver returns.
 func (n *NIC) HandleReadRequest(qpn uint32, va uint64, nbytes int, deliver func([]byte, error)) {
 	n.observeDMA(mr.AccessRemoteRead, va, nbytes)
-	n.dma.ReadHost(hostmem.Addr(va), nbytes, deliver)
+	n.dma.ReadHostBorrowed(hostmem.Addr(va), nbytes, deliver)
 }
 
 // HandleRPCParams matches the RPC op-code against deployed kernels and

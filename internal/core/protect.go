@@ -157,7 +157,8 @@ func (n *NIC) PostWriteKeyDeadline(qpn uint32, localVA, remoteVA uint64, rkey ui
 	}
 	n.ringDoorbell(func() {
 		n.observeDMA(mr.AccessLocal, localVA, nbytes)
-		n.dma.ReadHost(hostmem.Addr(localVA), nbytes, func(data []byte, err error) {
+		// Borrowed: the stack encodes every frame before returning.
+		n.dma.ReadHostBorrowed(hostmem.Addr(localVA), nbytes, func(data []byte, err error) {
 			if err != nil {
 				n.completeErr(done, err)
 				return

@@ -1,7 +1,6 @@
 package crc
 
 import (
-	"hash/crc32"
 	"hash/crc64"
 	"math/rand"
 	"testing"
@@ -35,9 +34,21 @@ func TestChecksum64Property(t *testing.T) {
 	}
 }
 
-func TestChecksum32MatchesStdlib(t *testing.T) {
+// TestChecksum32KnownAnswer is the CRC-32/ISO-HDLC check value: an
+// anchor outside both this package and the standard library.
+func TestChecksum32KnownAnswer(t *testing.T) {
+	if got := Checksum32([]byte("123456789")); got != 0xCBF43926 {
+		t.Errorf("Checksum32(\"123456789\") = %#x, want 0xCBF43926", got)
+	}
+}
+
+// TestChecksum32Property holds the fast path (now the standard library)
+// and the byte-at-a-time walk on a fresh table to the bitwise reference.
+func TestChecksum32Property(t *testing.T) {
+	generic := MakeTable32(Poly32)
 	f := func(data []byte) bool {
-		return Checksum32(data) == crc32.ChecksumIEEE(data)
+		want := bitwise32(Poly32, data)
+		return Checksum32(data) == want && Update32(0, generic, data) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

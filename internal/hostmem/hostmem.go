@@ -163,10 +163,16 @@ func (m *Memory) ReadPhys(pa Addr, n int) ([]byte, error) {
 		return nil, ErrBadLength
 	}
 	out := make([]byte, n)
-	if err := m.accessPhys(pa, out, false); err != nil {
+	if err := m.ReadPhysInto(pa, out); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// ReadPhysInto fills dst from physical address pa: ReadPhys without the
+// allocation, for callers assembling several segments into one buffer.
+func (m *Memory) ReadPhysInto(pa Addr, dst []byte) error {
+	return m.accessPhys(pa, dst, false)
 }
 
 // WritePhys copies data to physical address pa.

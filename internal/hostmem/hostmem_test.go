@@ -127,6 +127,10 @@ func TestVirtPhysAgree(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Error("virtual write invisible through physical read")
 	}
+	into := make([]byte, len(want))
+	if err := m.ReadPhysInto(pa, into); err != nil || !bytes.Equal(into, want) {
+		t.Errorf("ReadPhysInto = %q, %v", into, err)
+	}
 }
 
 func TestPhysAccessCrossingPages(t *testing.T) {

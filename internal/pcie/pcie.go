@@ -110,6 +110,9 @@ type Engine struct {
 	stall   StallFn // nil when no stall injection is attached
 	offline bool    // true while the hosting machine is crashed
 
+	// Recycled command records, one list per stream (see command).
+	freeReads, freeWrites []*command
+
 	// Structured tracing (nil when telemetry is disabled).
 	tb  *telemetry.TraceBuffer
 	pid uint32
@@ -199,50 +202,157 @@ func (e *Engine) SetOffline(off bool) { e.offline = off }
 // Offline reports whether the device is offline.
 func (e *Engine) Offline() bool { return e.offline }
 
+// command is one in-flight DMA command: everything its commit event
+// needs — the physical segments, the staged bytes, the caller's
+// callback — in a single record the engine recycles, so a command in
+// steady state allocates nothing but the result of an owned read.
+//
+// Ownership: a record is taken in ReadHost/WriteHost, is referenced only
+// by its own scheduled commit event, and goes back to its free list at
+// the end of that event, after the callback has returned. segs and
+// stage keep their capacity across uses. stage holds a write's payload
+// between WriteHost returning and the commit, and a borrowed read's
+// result for the length of its callback; it is never handed out
+// otherwise.
+type command struct {
+	e         *Engine
+	home      *[]*command // the free list this record lives on
+	segs      []tlb.Segment
+	stage     []byte
+	n         int  // read: result length
+	borrowed  bool // read: the result is stage, valid only inside readDone
+	readDone  func([]byte, error)
+	writeDone func(error)
+	commit    func() // c.run, bound once so scheduling never allocates
+}
+
+// maxFreeCommands bounds each free list and maxStageBytes the staging
+// buffer a listed record may keep; beyond either, memory falls to the
+// collector. In practice a list never outgrows the peak number of
+// commands in flight on its stream.
+const (
+	maxFreeCommands = 1 << 12
+	maxStageBytes   = 256 << 10
+)
+
+// newCommand takes a record from list. Reads and writes recycle
+// separately, like the two streams they ride on: a read's staging
+// buffer is a whole message, a write's one packet, and mixing them
+// would grow every record to message size.
+func (e *Engine) newCommand(list *[]*command) *command {
+	if n := len(*list); n > 0 {
+		c := (*list)[n-1]
+		(*list)[n-1] = nil
+		*list = (*list)[:n-1]
+		return c
+	}
+	c := &command{e: e, home: list}
+	c.commit = c.run
+	return c
+}
+
+func (c *command) release() {
+	c.readDone, c.writeDone = nil, nil
+	if cap(c.stage) > maxStageBytes {
+		c.stage = nil
+	}
+	if len(*c.home) < maxFreeCommands {
+		*c.home = append(*c.home, c)
+	}
+}
+
+// reserve books every segment of c on stream and returns the command's
+// completion time after latency and any injected stall.
+func (e *Engine) reserve(c *command, stream *sim.Serializer, latency sim.Duration) sim.Time {
+	var finish sim.Time
+	for _, s := range c.segs {
+		finish = stream.Reserve(e.cfg.CommandOverhead + sim.BytesAt(s.Len, e.cfg.BandwidthGbps))
+	}
+	return e.stalled(finish.Add(latency))
+}
+
+// run is the commit event: the bytes move between host memory and the
+// card at the instant the command completes.
+func (c *command) run() {
+	mem := c.e.mem
+	var err error
+	if c.readDone != nil {
+		var out []byte
+		if !c.borrowed {
+			out = make([]byte, c.n)
+		} else {
+			if cap(c.stage) < c.n {
+				c.stage = make([]byte, c.n)
+			}
+			out = c.stage[:c.n]
+		}
+		for off, i := 0, 0; i < len(c.segs) && err == nil; i++ {
+			s := c.segs[i]
+			err = mem.ReadPhysInto(s.PA, out[off:off+s.Len])
+			off += s.Len
+		}
+		if err != nil {
+			out = nil
+		}
+		c.readDone(out, err)
+	} else {
+		for off, i := 0, 0; i < len(c.segs) && err == nil; i++ {
+			s := c.segs[i]
+			err = mem.WritePhys(s.PA, c.stage[off:off+s.Len])
+			off += s.Len
+		}
+		c.writeDone(err)
+	}
+	c.release()
+}
+
 // ReadHost DMA-reads n bytes at virtual address va and delivers them to
 // done when the transfer completes. The TLB splits page-crossing commands;
-// each resulting segment pays the per-command overhead.
+// each resulting segment pays the per-command overhead. The result is a
+// fresh buffer that done owns.
 func (e *Engine) ReadHost(va hostmem.Addr, n int, done func([]byte, error)) {
+	e.readHost(va, n, done, false)
+}
+
+// ReadHostBorrowed is ReadHost for a caller that has finished with the
+// bytes when done returns — the NIC's own data path, which encodes every
+// frame of the message before returning. The result is the command's
+// staging buffer and is overwritten by a later command: done must not
+// retain it.
+func (e *Engine) ReadHostBorrowed(va hostmem.Addr, n int, done func([]byte, error)) {
+	e.readHost(va, n, done, true)
+}
+
+func (e *Engine) readHost(va hostmem.Addr, n int, done func([]byte, error), borrowed bool) {
 	if e.offline {
 		e.eng.Schedule(e.cfg.ReadLatency, func() { done(nil, ErrOffline) })
 		return
 	}
-	segs, err := e.tlb.Split(va, n)
+	c := e.newCommand(&e.freeReads)
+	segs, err := e.tlb.Split(c.segs[:0], va, n)
 	if err != nil {
+		c.release()
 		e.eng.Schedule(e.cfg.ReadLatency, func() { done(nil, err) })
 		return
 	}
+	c.segs, c.n, c.borrowed, c.readDone = segs, n, borrowed, done
 	e.st.ReadCommands++
 	e.st.SplitSegments += uint64(len(segs) - 1)
 	e.st.ReadBytes += uint64(n)
-	var finish sim.Time
-	for _, s := range segs {
-		d := e.cfg.CommandOverhead + sim.BytesAt(s.Len, e.cfg.BandwidthGbps)
-		finish = e.h2c.Reserve(d)
-	}
 	// Data lands after the request round trip plus streaming time.
-	at := e.stalled(finish.Add(e.cfg.ReadLatency))
+	at := e.reserve(c, e.h2c, e.cfg.ReadLatency)
 	if e.tb != nil {
 		now := e.eng.Now()
 		e.tb.Complete(e.pid, traceTidH2C, "dma", "DMA_READ", now, at.Sub(now), fmt.Sprintf("va=%#x n=%d segs=%d", uint64(va), n, len(segs)))
 	}
-	e.eng.ScheduleAt(at, func() {
-		out := make([]byte, 0, n)
-		for _, s := range segs {
-			chunk, err := e.mem.ReadPhys(s.PA, s.Len)
-			if err != nil {
-				done(nil, err)
-				return
-			}
-			out = append(out, chunk...)
-		}
-		done(out, nil)
-	})
+	e.eng.ScheduleAt(at, c.commit)
 }
 
 // WriteHost DMA-writes data to virtual address va and calls done once the
 // write is globally visible in host memory (when a polling CPU can see
-// it). Posted writes complete without a round trip.
+// it). Posted writes complete without a round trip. data is copied
+// before WriteHost returns — it usually aliases an RX frame that is
+// recycled long before the commit — into the command's staging buffer.
 func (e *Engine) WriteHost(va hostmem.Addr, data []byte, done func(error)) {
 	if e.offline {
 		e.eng.Schedule(e.cfg.WriteLatency, func() { done(ErrOffline) })
@@ -253,36 +363,24 @@ func (e *Engine) WriteHost(va hostmem.Addr, data []byte, done func(error)) {
 		e.eng.Schedule(e.cfg.WriteLatency, func() { done(nil) })
 		return
 	}
-	segs, err := e.tlb.Split(va, n)
+	c := e.newCommand(&e.freeWrites)
+	segs, err := e.tlb.Split(c.segs[:0], va, n)
 	if err != nil {
+		c.release()
 		e.eng.Schedule(e.cfg.WriteLatency, func() { done(err) })
 		return
 	}
+	c.segs, c.writeDone = segs, done
+	c.stage = append(c.stage[:0], data...)
 	e.st.WriteCommands++
 	e.st.SplitSegments += uint64(len(segs) - 1)
 	e.st.WriteBytes += uint64(n)
-	buf := append([]byte(nil), data...)
-	var finish sim.Time
-	for _, s := range segs {
-		d := e.cfg.CommandOverhead + sim.BytesAt(s.Len, e.cfg.BandwidthGbps)
-		finish = e.c2h.Reserve(d)
-	}
-	at := e.stalled(finish.Add(e.cfg.WriteLatency))
+	at := e.reserve(c, e.c2h, e.cfg.WriteLatency)
 	if e.tb != nil {
 		now := e.eng.Now()
 		e.tb.Complete(e.pid, traceTidC2H, "dma", "DMA_WRITE", now, at.Sub(now), fmt.Sprintf("va=%#x n=%d segs=%d", uint64(va), n, len(segs)))
 	}
-	e.eng.ScheduleAt(at, func() {
-		off := 0
-		for _, s := range segs {
-			if err := e.mem.WritePhys(s.PA, buf[off:off+s.Len]); err != nil {
-				done(err)
-				return
-			}
-			off += s.Len
-		}
-		done(nil)
-	})
+	e.eng.ScheduleAt(at, c.commit)
 }
 
 // MMIOWrite models one posted register write from the host (a doorbell:

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"strom/internal/hostmem"
+	"strom/internal/raceflag"
 	"strom/internal/sim"
 	"strom/internal/tlb"
 )
 
-func testRig(t *testing.T, cfg Config, pages int) (*sim.Engine, *Engine, *hostmem.Memory, *hostmem.Buffer) {
+func testRig(t testing.TB, cfg Config, pages int) (*sim.Engine, *Engine, *hostmem.Memory, *hostmem.Buffer) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	mem := hostmem.New(pages + 2)
@@ -252,4 +253,182 @@ func TestConfigPresets(t *testing.T) {
 	if r := x16.BandwidthGbps / 100; r < 0.9 || r > 1.4 {
 		t.Errorf("x16:100G ratio = %.2f", r)
 	}
+}
+
+// TestDMAWriteStagesPayload pins WriteHost's copy: the payload usually
+// aliases an RX frame that is recycled before the commit event, so what
+// lands in host memory must be the bytes as they were at the call.
+func TestDMAWriteStagesPayload(t *testing.T) {
+	eng, dma, mem, buf := testRig(t, Gen3x8(), 1)
+	frame := []byte("payload as posted")
+	want := append([]byte(nil), frame...)
+	dma.WriteHost(buf.Base(), frame, func(error) {})
+	for i := range frame {
+		frame[i] = 0xEE // the frame buffer is reused
+	}
+	eng.Run()
+	got, err := mem.ReadVirt(buf.Base(), len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("host memory holds %q, want %q", got, want)
+	}
+}
+
+// TestDMACommandRecycling drives many overlapping commands of mixed
+// size, some page-crossing, through the recycled command records: every
+// write must land intact, every read must return its own range, and the
+// counters must match a count made beside the engine. A record handed
+// out twice, or a staging buffer or segment list shared by two commands
+// in flight, shows up as a byte mismatch.
+func TestDMACommandRecycling(t *testing.T) {
+	eng, dma, mem, buf := testRig(t, Gen3x16(), 4)
+	const slot = 8192
+	sizes := []int{1, 64, 1408, 4096, 3000, 8192}
+	var want Stats
+	image := make(map[hostmem.Addr][]byte)
+	issue := func(round int) {
+		for k, n := range sizes {
+			// Sizes 3 and 4 straddle the 2 MB boundaries after pages 1
+			// and 2; the rest get a slot of their own in page 0.
+			va := buf.Base() + hostmem.Addr(round*len(sizes)*slot+k*slot)
+			if k == 3 || k == 4 {
+				va = buf.Base() + hostmem.Addr((k-1)*hostmem.HugePageSize-n/2)
+			}
+			data := make([]byte, n)
+			for i := range data {
+				data[i] = byte(round*31 + k*7 + i)
+			}
+			image[va] = data
+			want.WriteCommands++
+			want.WriteBytes += uint64(n)
+			if int(va.PageOffset())+n > hostmem.HugePageSize {
+				want.SplitSegments++
+			}
+			scratch := append([]byte(nil), data...)
+			dma.WriteHost(va, scratch, func(err error) {
+				if err != nil {
+					t.Errorf("write %#x: %v", uint64(va), err)
+					return
+				}
+				want.ReadCommands++
+				want.ReadBytes += uint64(n)
+				if int(va.PageOffset())+n > hostmem.HugePageSize {
+					want.SplitSegments++
+				}
+				// Issued from inside a completion, so the records recycle
+				// as fast as they can; owned and borrowed results alternate.
+				read := dma.ReadHost
+				if k%2 == 1 {
+					read = dma.ReadHostBorrowed
+				}
+				read(va, n, func(got []byte, err error) {
+					if err != nil || !bytes.Equal(got, image[va]) {
+						t.Errorf("read %#x n=%d: err=%v, mismatch=%v", uint64(va), n, err, err == nil)
+					}
+				})
+			})
+			for i := range scratch {
+				scratch[i] = 0xEE
+			}
+		}
+	}
+	// The page-crossing slots are reused by every round, so a round runs
+	// to completion; within it 6 writes, then 6 reads, are in flight
+	// together.
+	for round := 0; round < 20; round++ {
+		eng.Schedule(0, func() { issue(round) })
+		eng.Run()
+		for va, data := range image {
+			got, err := mem.ReadVirt(va, len(data))
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("round %d: host memory at %#x differs (err=%v)", round, uint64(va), err)
+			}
+		}
+		image = make(map[hostmem.Addr][]byte)
+	}
+	if got := dma.Stats(); got != want {
+		t.Errorf("stats = %+v, want %+v", got, want)
+	}
+}
+
+// TestAllocsDMACommand guards the steady-state cost of a DMA command: a
+// write and a borrowed read allocate nothing (record, segments and
+// staging buffer are recycled), an owned read only its result.
+func TestAllocsDMACommand(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race-runtime instrumentation allocates; AllocsPerRun is only meaningful without -race")
+	}
+	eng, dma, _, buf := testRig(t, Gen3x16(), 1)
+	payload := make([]byte, 1408)
+	wrote := func(error) {}
+	read := func([]byte, error) {}
+	write4 := func() {
+		for i := 0; i < 4; i++ {
+			dma.WriteHost(buf.Base()+hostmem.Addr(i*2048), payload, wrote)
+		}
+		eng.Run()
+	}
+	read4 := func() {
+		for i := 0; i < 4; i++ {
+			dma.ReadHost(buf.Base()+hostmem.Addr(i*2048), 1408, read)
+		}
+		eng.Run()
+	}
+	borrow4 := func() {
+		for i := 0; i < 4; i++ {
+			dma.ReadHostBorrowed(buf.Base()+hostmem.Addr(i*2048), 1408, read)
+		}
+		eng.Run()
+	}
+	write4()
+	read4()
+	borrow4()
+	if n := testing.AllocsPerRun(100, write4); n != 0 {
+		t.Errorf("4 DMA writes allocate %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, borrow4); n != 0 {
+		t.Errorf("4 borrowed DMA reads allocate %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, read4); n > 4 {
+		t.Errorf("4 DMA reads allocate %.1f times, want 4 (the results)", n)
+	}
+}
+
+// BenchmarkDMARead4K is the host cost of one 4 KiB DMA read command:
+// TLB split, stream reservation, commit event, the copy out of host
+// memory.
+func BenchmarkDMARead4K(b *testing.B) {
+	eng, dma, _, buf := testRig(b, Gen3x16(), 1)
+	done := func([]byte, error) {}
+	b.SetBytes(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dma.ReadHost(buf.Base()+hostmem.Addr(i%256*4096), 4096, done)
+		if i%64 == 63 {
+			eng.Run()
+		}
+	}
+	eng.Run()
+}
+
+// BenchmarkDMAWrite1408 is the host cost of one MTU-payload DMA write
+// command — what the responder pays per WRITE packet and the requester
+// per READ response.
+func BenchmarkDMAWrite1408(b *testing.B) {
+	eng, dma, _, buf := testRig(b, Gen3x16(), 1)
+	payload := make([]byte, 1408)
+	done := func(error) {}
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dma.WriteHost(buf.Base()+hostmem.Addr(i%256*2048), payload, done)
+		if i%64 == 63 {
+			eng.Run()
+		}
+	}
+	eng.Run()
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"strom/internal/fabric"
+	"strom/internal/raceflag"
 )
 
 // writeAllocs measures heap allocations per completed write of size
@@ -32,15 +33,23 @@ func writeAllocs(t *testing.T, size, rounds int) float64 {
 
 // TestAllocsWritePathPerPacket guards the zero-alloc packet path: the
 // marginal cost of an extra packet in a message must be at most the one
-// retained requester frame (kept off the pool because a scheduled
-// retransmission may still reference it after the ACK frees the
-// pending entry). Everything else — segmentation, encode, fabric hop,
+// retained requester frame. That frame stays off the pool, for two
+// reasons. Inside the stack, the pending entry is not its only holder:
+// a retransmission queued in the TX pipeline, or a DCQCN-paced dispatch
+// closure, can still reference it after the ACK frees the entry, so
+// returning it on ACK needs a count of in-flight dispatches per frame.
+// Outside the stack, the contract "transmit copies the frame" is not
+// kept by every caller: benchmark/layers.go wires two bare stacks
+// through a closure that hands the peer the very buffer the sender
+// still holds, and the peer recycles it after RX — reusing the buffer
+// on the sending side as well would let two live frames share memory.
+// Everything else — segmentation, encode, fabric hop,
 // decode, DMA hand-off, ACK generation, completion — is allocation-free
 // per packet, so a 45-packet message may cost at most ~45 allocations
 // more than a 1-packet one. A regression that adds even one allocation
 // per packet doubles the slope and fails loudly.
 func TestAllocsWritePathPerPacket(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race-runtime instrumentation allocates; AllocsPerRun is only meaningful without -race")
 	}
 	mtu := Config10G().MTUPayload

@@ -18,7 +18,9 @@ type Handler interface {
 	// message arrive in order; last marks the final segment.
 	HandleWrite(qpn uint32, va uint64, data []byte, last bool)
 	// HandleReadRequest serves an RDMA READ: the handler fetches n bytes
-	// at va (normally via DMA) and calls deliver exactly once.
+	// at va (normally via DMA) and calls deliver exactly once. The stack
+	// is done with data when deliver returns (every response frame is
+	// encoded by then), so the handler may reuse the buffer afterwards.
 	HandleReadRequest(qpn uint32, va uint64, n int, deliver func(data []byte, err error))
 	// HandleRPCParams delivers an RDMA RPC invocation. A non-nil error
 	// NAKs the request ("an error code is written back", §5.1).
@@ -345,7 +347,10 @@ func (s *Stack) instrumentMsg(qpn uint32, opID uint64, kind string, msg *outMess
 // --- requester verbs ------------------------------------------------------
 
 // PostWrite issues an RDMA WRITE of data to remoteVA. done fires when the
-// remote NIC acknowledges the last packet.
+// remote NIC acknowledges the last packet. Every frame is encoded before
+// PostWrite returns (retransmissions resend the stored frames), so the
+// caller may reuse data as soon as it does; the same holds for every
+// segmented post below.
 func (s *Stack) PostWrite(qpn uint32, remoteVA uint64, data []byte, done func(error)) error {
 	return s.postSegmented(qpn, packet.KindWrite, packet.RETH{VirtualAddress: remoteVA, DMALength: uint32(len(data))}, data, 0, done)
 }
@@ -529,6 +534,10 @@ func (s *Stack) postRead(qpn uint32, reth packet.RETH, deadline sim.Time, sink R
 	})
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrTooManyReads, err)
+	}
+	elem.ack = func() {
+		elem.inFlight--
+		s.maybeCompleteRead(elem)
 	}
 	s.stats.OpsPosted++
 	s.instrumentMsg(qpn, opID, "READ", msg)
@@ -913,10 +922,7 @@ func (s *Stack) handleReadResponse(qpn uint32, st *qpState, pkt *packet.Packet) 
 	elem := head
 	elem.inFlight++
 	if elem.Sink != nil {
-		elem.Sink(off, chunk, func() {
-			elem.inFlight--
-			s.maybeCompleteRead(elem)
-		})
+		elem.Sink(off, chunk, elem.ack)
 	} else {
 		elem.inFlight--
 	}

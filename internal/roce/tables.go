@@ -172,6 +172,7 @@ type mqElement struct {
 	nextPSN  uint32 // next expected response PSN
 	offset   int    // next payload offset
 	inFlight int    // sink deliveries not yet acknowledged
+	ack      func() // handed to Sink with every chunk; made once per read, not per packet
 	sawLast  bool
 	next     int // pool index of next element, -1 at tail
 }

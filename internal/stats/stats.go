@@ -313,39 +313,3 @@ func csvEscape(s string) string {
 	}
 	return s
 }
-
-// Histogram is a fixed-width bucket counter for distribution sanity checks.
-type Histogram struct {
-	Lo, Width float64
-	Counts    []uint64
-	Under     uint64
-	Over      uint64
-}
-
-// NewHistogram creates a histogram covering [lo, lo+width*buckets).
-func NewHistogram(lo, width float64, buckets int) *Histogram {
-	return &Histogram{Lo: lo, Width: width, Counts: make([]uint64, buckets)}
-}
-
-// Add records a value.
-func (h *Histogram) Add(v float64) {
-	if v < h.Lo {
-		h.Under++
-		return
-	}
-	i := int((v - h.Lo) / h.Width)
-	if i >= len(h.Counts) {
-		h.Over++
-		return
-	}
-	h.Counts[i]++
-}
-
-// Total reports the number of recorded values, including out-of-range.
-func (h *Histogram) Total() uint64 {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}

@@ -180,26 +180,3 @@ func TestFigureCSV(t *testing.T) {
 		t.Errorf("row = %s", lines[2])
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5) // [0,50)
-	h.Add(-1)
-	h.Add(0)
-	h.Add(9.99)
-	h.Add(10)
-	h.Add(49)
-	h.Add(50)
-	h.Add(1000)
-	if h.Under != 1 {
-		t.Errorf("under = %d", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("over = %d", h.Over)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
-	}
-}

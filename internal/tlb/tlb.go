@@ -77,19 +77,21 @@ type Segment struct {
 }
 
 // Split translates the command [va, va+n) into physically contiguous
-// segments, none crossing a 2 MB page boundary (§4.2). It returns a
-// typed error for empty or negative lengths (ErrBadLength), for ranges
-// whose VA+length wraps the 64-bit address space (ErrWrap — previously
-// the per-page walk would silently march through the wrap), and for any
+// segments, none crossing a 2 MB page boundary (§4.2), appended to dst
+// (nil is fine; the DMA engine passes a command record's own storage so
+// the one-segment common case allocates nothing). It returns a typed
+// error for empty or negative lengths (ErrBadLength), for ranges whose
+// VA+length wraps the 64-bit address space (ErrWrap — previously the
+// per-page walk would silently march through the wrap), and for any
 // unpopulated page in the range (ErrMiss).
-func (t *TLB) Split(va hostmem.Addr, n int) ([]Segment, error) {
+func (t *TLB) Split(dst []Segment, va hostmem.Addr, n int) ([]Segment, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadLength, n)
 	}
 	if uint64(va)+uint64(n) < uint64(va) {
 		return nil, fmt.Errorf("%w: VA %#x + %d", ErrWrap, uint64(va), n)
 	}
-	var segs []Segment
+	segs := dst
 	for n > 0 {
 		pa, err := t.Lookup(va)
 		if err != nil {
@@ -103,7 +105,7 @@ func (t *TLB) Split(va hostmem.Addr, n int) ([]Segment, error) {
 		va += hostmem.Addr(chunk)
 		n -= chunk
 	}
-	if len(segs) > 1 {
+	if len(segs)-len(dst) > 1 {
 		t.Splits++
 	}
 	return segs, nil

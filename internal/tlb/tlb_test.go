@@ -97,7 +97,7 @@ func TestPopulateCapacity(t *testing.T) {
 
 func TestSplitWithinPage(t *testing.T) {
 	tl, _, buf := populated(t, 2)
-	segs, err := tl.Split(buf.Base()+100, 1000)
+	segs, err := tl.Split(nil, buf.Base()+100, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSplitWithinPage(t *testing.T) {
 func TestSplitAcrossPages(t *testing.T) {
 	tl, mem, buf := populated(t, 3)
 	va := buf.Base() + hostmem.Addr(page-100)
-	segs, err := tl.Split(va, 100+page+50)
+	segs, err := tl.Split(nil, va, 100+page+50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,17 +134,30 @@ func TestSplitAcrossPages(t *testing.T) {
 	if tl.Splits != 1 {
 		t.Errorf("splits = %d", tl.Splits)
 	}
+	// The DMA engine passes a recycled record's storage as dst: the
+	// result must land in it, and whatever dst already held neither be
+	// disturbed nor counted as a split.
+	again, err := tl.Split(segs[:1], va, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != 2 || &again[0] != &segs[0] || again[0].Len != 100 || again[1].Len != 10 {
+		t.Errorf("append into dst = %v (reused storage: %v)", again, &again[0] == &segs[0])
+	}
+	if tl.Splits != 1 {
+		t.Errorf("splits after a one-segment append = %d, want 1", tl.Splits)
+	}
 }
 
 func TestSplitErrors(t *testing.T) {
 	tl, _, buf := populated(t, 1)
-	if _, err := tl.Split(buf.Base(), 0); !errors.Is(err, ErrBadLength) {
+	if _, err := tl.Split(nil, buf.Base(), 0); !errors.Is(err, ErrBadLength) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := tl.Split(buf.Base(), -1); !errors.Is(err, ErrBadLength) {
+	if _, err := tl.Split(nil, buf.Base(), -1); !errors.Is(err, ErrBadLength) {
 		t.Errorf("negative length: err = %v", err)
 	}
-	if _, err := tl.Split(buf.Base(), page+1); !errors.Is(err, ErrMiss) {
+	if _, err := tl.Split(nil, buf.Base(), page+1); !errors.Is(err, ErrMiss) {
 		t.Errorf("split past mapping: err = %v", err)
 	}
 }
@@ -154,7 +167,7 @@ func TestSplitErrors(t *testing.T) {
 func TestSplitRegionEdges(t *testing.T) {
 	tl, _, buf := populated(t, 2)
 	end := buf.Base() + hostmem.Addr(2*page)
-	segs, err := tl.Split(end-64, 64)
+	segs, err := tl.Split(nil, end-64, 64)
 	if err != nil {
 		t.Fatalf("split ending at region edge: %v", err)
 	}
@@ -165,10 +178,10 @@ func TestSplitRegionEdges(t *testing.T) {
 	if total != 64 {
 		t.Fatalf("edge split covered %d bytes, want 64", total)
 	}
-	if _, err := tl.Split(end-63, 64); !errors.Is(err, ErrMiss) {
+	if _, err := tl.Split(nil, end-63, 64); !errors.Is(err, ErrMiss) {
 		t.Fatalf("split crossing region edge: err = %v, want ErrMiss", err)
 	}
-	if _, err := tl.Split(end, 1); !errors.Is(err, ErrMiss) {
+	if _, err := tl.Split(nil, end, 1); !errors.Is(err, ErrMiss) {
 		t.Fatalf("split starting past region: err = %v, want ErrMiss", err)
 	}
 }
@@ -183,16 +196,16 @@ func TestSplitWrapBoundary(t *testing.T) {
 	if err := tl.Populate(top, hostmem.Addr(page)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tl.Split(hostmem.Addr(math.MaxUint64-8), 64); !errors.Is(err, ErrWrap) {
+	if _, err := tl.Split(nil, hostmem.Addr(math.MaxUint64-8), 64); !errors.Is(err, ErrWrap) {
 		t.Fatalf("wrapping split: err = %v, want ErrWrap", err)
 	}
 	// The degenerate wrap where VA+n == 0 exactly must be caught too.
-	if _, err := tl.Split(hostmem.Addr(math.MaxUint64-63), 64); !errors.Is(err, ErrWrap) {
+	if _, err := tl.Split(nil, hostmem.Addr(math.MaxUint64-63), 64); !errors.Is(err, ErrWrap) {
 		t.Fatalf("wrap-to-zero split: err = %v, want ErrWrap", err)
 	}
 	// A command ending exactly at the top of the address space does not
 	// wrap and must pass the wrap check (it fails later only if unmapped).
-	if _, err := tl.Split(hostmem.Addr(math.MaxUint64-64), 64); errors.Is(err, ErrWrap) {
+	if _, err := tl.Split(nil, hostmem.Addr(math.MaxUint64-64), 64); errors.Is(err, ErrWrap) {
 		t.Fatal("non-wrapping split at top of address space rejected as wrap")
 	}
 }
@@ -203,7 +216,7 @@ func TestSplitPropertyExactCoverNoCrossing(t *testing.T) {
 		o := int(off % uint32(5*page))
 		n := int(ln%uint32(page*2)) + 1 // o+n <= 7*page+1, inside the 8-page mapping
 		va := buf.Base() + hostmem.Addr(o)
-		segs, err := tl.Split(va, n)
+		segs, err := tl.Split(nil, va, n)
 		if err != nil {
 			return false
 		}
@@ -225,7 +238,7 @@ func TestSplitPropertyExactCoverNoCrossing(t *testing.T) {
 func TestLookupCounter(t *testing.T) {
 	tl, _, buf := populated(t, 2)
 	before := tl.Lookups
-	if _, err := tl.Split(buf.Base(), 10); err != nil {
+	if _, err := tl.Split(nil, buf.Base(), 10); err != nil {
 		t.Fatal(err)
 	}
 	if tl.Lookups != before+1 {
