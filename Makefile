@@ -73,7 +73,8 @@ kv-large:
 # validation never-false-accept, shard window scheduling never reorders
 # same-timestamp cross-shard events, switch arbitration conservation
 # under random arrival interleavings, extent codec round-trip with any
-# single-bit flip detected as torn).
+# single-bit flip detected as torn, the health-payload encoder byte for
+# byte against encoding/json).
 fuzz:
 	$(GO) test ./internal/packet -fuzz=FuzzHeaderRoundTrip -fuzztime=10s
 	$(GO) test ./internal/crc -fuzz=FuzzCRCSlicingEquivalence -fuzztime=10s
@@ -81,6 +82,7 @@ fuzz:
 	$(GO) test ./internal/roce -fuzz=FuzzRETHValidation -fuzztime=10s
 	$(GO) test ./internal/sim -fuzz=FuzzShardSchedule -fuzztime=10s
 	$(GO) test ./internal/telemetry/export -fuzz=FuzzEnvelopeRoundTrip -fuzztime=10s
+	$(GO) test ./internal/telemetry/export -fuzz=FuzzHealthEncodeMatchesJSON -fuzztime=10s
 	$(GO) test ./internal/fabric -fuzz=FuzzSwitchArbitration -fuzztime=10s
 	$(GO) test ./internal/kvserve -fuzz=FuzzExtentCodec -fuzztime=10s
 
@@ -119,8 +121,9 @@ soak:
 	$(GO) run ./cmd/strombench -quick -kvlarge -jsonl SOAK_kvlarge.jsonl > /dev/null
 	$(GO) run ./cmd/stromtail -allow 'out-discards|retry-storm|kv-heartbeat|torn-read|qp-errors|remote-access|watchdog|pfc-pause|ecn-marked|op-latency-p99|fcs-err' -require 'torn-read|kv-heartbeat' SOAK_kvlarge.jsonl
 
-# bench runs the microbenchmarks (macro benches plus the scheduler,
-# telemetry, packet, crc, pcie, roce and NIC hot paths), then records
+# bench runs the microbenchmarks (macro benches plus the scheduler and
+# process switch, telemetry, the scrape tick, the completion poll, packet,
+# crc, pcie, roce and NIC hot paths), then records
 # bench snapshots: BENCH_quick.json (quick suite — the bench-diff gate)
 # and BENCH_pr$(PR).json (default suite — the per-PR trajectory; pass
 # PR=<n>, the default rewrites the committed PR 6 snapshot), both
@@ -129,7 +132,7 @@ soak:
 PR ?= 6
 BENCHNOTE = figure values are deterministic at seed 1; wall_ms series depend on the host (see gomaxprocs/num_cpu) -- a single-core host serializes the shard workers, so sharded wall time there measures barrier overhead, not speedup
 bench:
-	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/packet ./internal/crc ./internal/pcie ./internal/roce ./internal/core
+	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/telemetry/export ./internal/cpu ./internal/packet ./internal/crc ./internal/pcie ./internal/roce ./internal/core
 	$(GO) run ./cmd/strombench -quick -shards 4 -bench BENCH_quick.json -benchnote "$(BENCHNOTE)" > /dev/null
 	$(GO) run ./cmd/strombench -shards 4 -bench BENCH_pr$(PR).json -benchnote "$(BENCHNOTE)" > /dev/null
 	$(GO) run ./cmd/strombench -quick -chaos chaos-recovery > /dev/null

@@ -31,7 +31,9 @@ type Kernel interface {
 	Name() string
 	// Invoke handles an RDMA RPC Params message addressed to this kernel.
 	Invoke(ctx *Context, qpn uint32, params []byte)
-	// Stream consumes one RDMA RPC WRITE payload segment.
+	// Stream consumes one RDMA RPC WRITE payload segment. data is only
+	// valid during the call: a kernel that needs it later copies it
+	// (Context.DMAWrite and Context.RDMAWrite copy before they return).
 	Stream(ctx *Context, qpn uint32, data []byte, last bool)
 	// Resources estimates the kernel's FPGA footprint, used by the
 	// resource report alongside the base NIC usage.
@@ -51,6 +53,62 @@ type Context struct {
 	// occupancy signal sampled by probes.
 	tid      uint32
 	inflight int
+
+	freeOps []*dmaOp // recycled DMA completion guards
+}
+
+// dmaOp is the guard around one kernel DMA completion: it settles the
+// in-flight count and drops the completion if the machine crashed while
+// the command was in flight (epoch guard), so the kernel FSM aborts
+// instead of resuming on a powered-off device. The DMA engine calls a
+// completion exactly once, which returns the record to its Context; the
+// callbacks are bound once per record, so a command allocates no closure.
+type dmaOp struct {
+	c       *Context
+	epoch   uint64
+	read    func([]byte, error)
+	write   func(error)
+	readFn  func([]byte, error)
+	writeFn func(error)
+}
+
+func (c *Context) newOp() *dmaOp {
+	c.inflight++
+	if n := len(c.freeOps); n > 0 {
+		op := c.freeOps[n-1]
+		c.freeOps = c.freeOps[:n-1]
+		op.epoch = c.nic.epoch
+		return op
+	}
+	op := &dmaOp{c: c, epoch: c.nic.epoch}
+	op.readFn, op.writeFn = op.readDone, op.writeDone
+	return op
+}
+
+// settle recycles the record and reports whether the completion is still
+// wanted.
+func (op *dmaOp) settle() bool {
+	c := op.c
+	op.read, op.write = nil, nil
+	c.freeOps = append(c.freeOps, op)
+	c.inflight--
+	if c.nic.epoch != op.epoch {
+		c.nic.stats.KernelAborts++
+		return false
+	}
+	return true
+}
+
+func (op *dmaOp) readDone(data []byte, err error) {
+	if done := op.read; op.settle() {
+		done(data, err)
+	}
+}
+
+func (op *dmaOp) writeDone(err error) {
+	if done := op.write; op.settle() && done != nil {
+		done(err)
+	}
 }
 
 // Engine exposes the simulation engine (for kernels that keep timers).
@@ -95,7 +153,10 @@ func (c *Context) failDMA(deliver func()) {
 // sandboxed against the MR table first — a kernel chasing a pointer out
 // of registered memory gets a typed mr.ErrAccess completion, never a DMA.
 // If the machine crashes while the command is in flight, the completion
-// is dropped and the kernel FSM aborts (epoch guard).
+// is dropped and the kernel FSM aborts (epoch guard). The data is the DMA
+// engine's staging buffer, valid only until done returns: a kernel is a
+// streaming pipeline and passes it on (RDMAWrite and DMAWrite copy before
+// they return) or copies what it keeps.
 func (c *Context) DMARead(va uint64, n int, done func([]byte, error)) {
 	if err := c.nic.checkKernelDMA(va, n); err != nil {
 		c.failDMA(func() { done(nil, err) })
@@ -103,22 +164,15 @@ func (c *Context) DMARead(va uint64, n int, done func([]byte, error)) {
 	}
 	c.nic.stats.KernelDMAReads++
 	c.nic.observeDMA(mr.AccessKernel, va, n)
-	epoch := c.nic.epoch
-	inner := done
-	done = func(data []byte, err error) {
-		c.inflight--
-		if c.nic.epoch != epoch {
-			c.nic.stats.KernelAborts++
-			return
-		}
-		inner(data, err)
-	}
-	c.inflight++
-	c.nic.dma.ReadHost(hostmem.Addr(va), n, done)
+	op := c.newOp()
+	op.read = done
+	c.nic.dma.ReadHostBorrowed(hostmem.Addr(va), n, op.readFn)
 }
 
 // DMAWrite issues a write to host memory over dmaCmdOut/dmaDataOut,
 // sandboxed like DMARead. The completion is epoch-guarded like DMARead's.
+// data is copied before DMAWrite returns (pcie.Engine.WriteHost), so the
+// kernel may refill its buffer at once.
 func (c *Context) DMAWrite(va uint64, data []byte, done func(error)) {
 	if err := c.nic.checkKernelDMA(va, len(data)); err != nil {
 		c.failDMA(func() {
@@ -130,20 +184,9 @@ func (c *Context) DMAWrite(va uint64, data []byte, done func(error)) {
 	}
 	c.nic.stats.KernelDMAWrites++
 	c.nic.observeDMA(mr.AccessKernel, va, len(data))
-	epoch := c.nic.epoch
-	inner := done
-	done = func(err error) {
-		c.inflight--
-		if c.nic.epoch != epoch {
-			c.nic.stats.KernelAborts++
-			return
-		}
-		if inner != nil {
-			inner(err)
-		}
-	}
-	c.inflight++
-	c.nic.dma.WriteHost(hostmem.Addr(va), data, done)
+	op := c.newOp()
+	op.write = done
+	c.nic.dma.WriteHost(hostmem.Addr(va), data, op.writeFn)
 }
 
 // RDMAWrite transmits data to the remote memory of the peer connected on

@@ -316,7 +316,10 @@ func (n *NIC) HandleRPCWrite(qpn uint32, rpcOp uint64, data []byte, last bool) e
 		return fmt.Errorf("%w: %#x", ErrNoKernel, rpcOp)
 	}
 	n.stats.StreamSegments++
-	buf := append([]byte(nil), data...)
+	// data is the caller's frame, recycled when this returns: the segment
+	// waits out the pipeline in a pooled buffer of its own, which Stream
+	// may not keep (see Kernel).
+	buf := packet.CloneFrame(data)
 	epoch := n.epoch
 	n.eng.Schedule(n.cfg.Roce.Cycles(kernelPipelineCycles), func() {
 		if n.epoch != epoch {
@@ -324,6 +327,7 @@ func (n *NIC) HandleRPCWrite(qpn uint32, rpcOp uint64, data []byte, last bool) e
 			return
 		}
 		d.kernel.Stream(d.ctx, qpn, buf, last)
+		packet.PutBuf(buf)
 	})
 	return nil
 }

@@ -126,9 +126,14 @@ func (m Model) Poll(p *sim.Process, mem *hostmem.Memory, va hostmem.Addr, n int,
 	if m.PollInterval > 0 {
 		p.Sleep(sim.Duration(p.Engine().Rand().Int63n(int64(m.PollInterval))))
 	}
+	if n < 0 {
+		return nil, hostmem.ErrBadLength
+	}
+	// One buffer serves every iteration (pred must not keep it); it is the
+	// caller's on return.
+	data := make([]byte, n)
 	for {
-		data, err := mem.ReadVirt(va, n)
-		if err != nil {
+		if err := mem.ReadVirtInto(va, data); err != nil {
 			return nil, err
 		}
 		if pred(data) {

@@ -186,3 +186,37 @@ func TestPartitionDuration(t *testing.T) {
 		t.Errorf("partition(1GB) = %v", d)
 	}
 }
+
+// BenchmarkPoll is one completion poll of the kind a spilled KV Get or a
+// kernel RPC ends with: the word turns non-zero 2 µs after the poll
+// starts, about twenty PollInterval iterations later. The poll reads into
+// one buffer however long it spins.
+func BenchmarkPoll(b *testing.B) {
+	eng := sim.NewEngine(1)
+	mem := hostmem.New(4)
+	buf, err := mem.Allocate(hostmem.HugePageSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := Platform10G()
+	set, clear := []byte{1}, []byte{0}
+	complete := func() {
+		if err := mem.WriteVirt(buf.Base(), set); err != nil {
+			b.Error(err)
+		}
+	}
+	eng.Go("poller", func(p *sim.Process) {
+		for i := 0; i < b.N; i++ {
+			if err := mem.WriteVirt(buf.Base(), clear); err != nil {
+				b.Error(err)
+			}
+			eng.Schedule(2*sim.Microsecond, complete)
+			if err := m.PollNonZero(p, mem, buf.Base(), 0); err != nil {
+				b.Error(err)
+			}
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+}

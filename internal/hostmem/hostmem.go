@@ -212,27 +212,38 @@ func (m *Memory) ReadVirt(va Addr, n int) ([]byte, error) {
 	if n < 0 {
 		return nil, ErrBadLength
 	}
-	if uint64(va)+uint64(n) < uint64(va) {
-		return nil, fmt.Errorf("%w: VA %#x + %d", ErrWrap, uint64(va), n)
-	}
 	out := make([]byte, n)
+	if err := m.ReadVirtInto(va, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadVirtInto fills dst from virtual address va: ReadVirt without the
+// allocation, for callers that read the same range repeatedly (a poll
+// loop). On an error dst may be partly filled.
+func (m *Memory) ReadVirtInto(va Addr, dst []byte) error {
+	n := len(dst)
+	if uint64(va)+uint64(n) < uint64(va) {
+		return fmt.Errorf("%w: VA %#x + %d", ErrWrap, uint64(va), n)
+	}
 	off := 0
 	for off < n {
 		pa, err := m.Translate(va)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		chunk := n - off
 		if int(va.PageOffset())+chunk > HugePageSize {
 			chunk = HugePageSize - int(va.PageOffset())
 		}
-		if err := m.accessPhys(pa, out[off:off+chunk], false); err != nil {
-			return nil, err
+		if err := m.accessPhys(pa, dst[off:off+chunk], false); err != nil {
+			return err
 		}
 		off += chunk
 		va += Addr(chunk)
 	}
-	return out, nil
+	return nil
 }
 
 // WriteVirt copies data to virtual address va.

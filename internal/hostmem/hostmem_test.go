@@ -69,6 +69,18 @@ func TestVirtReadWriteRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Error("round trip mismatch across page boundary")
 	}
+	// ReadVirtInto refills a caller's buffer with the same bytes, and
+	// reports the same errors without allocating one.
+	into := bytes.Repeat([]byte{0xEE}, len(data))
+	if err := m.ReadVirtInto(va, into); err != nil || !bytes.Equal(into, data) {
+		t.Errorf("ReadVirtInto across the page boundary: err = %v, equal = %v", err, bytes.Equal(into, data))
+	}
+	if err := m.ReadVirtInto(Addr(math.MaxUint64-8), into[:64]); !errors.Is(err, ErrWrap) {
+		t.Errorf("ReadVirtInto wrap: err = %v, want ErrWrap", err)
+	}
+	if err := m.ReadVirtInto(b.Base()+Addr(b.Size()), into[:8]); err == nil {
+		t.Error("ReadVirtInto past the buffer's last page succeeded")
+	}
 }
 
 func TestPhysicalPagesScattered(t *testing.T) {

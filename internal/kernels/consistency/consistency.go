@@ -75,6 +75,7 @@ type Stats struct {
 type Kernel struct {
 	defaultRetries int
 	stats          Stats
+	resp           []byte // response staging, reused (see respond)
 }
 
 // New creates a consistency kernel; maxRetries bounds re-reads (default
@@ -143,9 +144,15 @@ func (k *Kernel) attempt(ctx *core.Context, qpn uint32, p Params, retriesLeft in
 
 func (k *Kernel) respond(ctx *core.Context, qpn uint32, p Params, obj []byte, status uint64) {
 	ctx.State(qpn, "RESPOND")
-	resp := make([]byte, int(p.ObjectSize)+8)
-	copy(resp, obj)
-	binary.LittleEndian.PutUint64(resp[int(p.ObjectSize):], status)
+	// One response buffer serves every invocation: RDMAWrite has encoded
+	// it into frames by the time it returns.
+	size := int(p.ObjectSize)
+	if cap(k.resp) < size+8 {
+		k.resp = make([]byte, size+8)
+	}
+	resp := k.resp[:size+8]
+	clear(resp[copy(resp[:size], obj):size]) // a failed read answers with a zeroed object
+	binary.LittleEndian.PutUint64(resp[size:], status)
 	ctx.RDMAWrite(qpn, p.ResponseAddress, resp, nil)
 }
 

@@ -93,9 +93,10 @@ type session struct {
 	offsets []uint64 // running write offset per partition
 	bufs    [][]byte // on-chip buffers
 	tuples  uint64
-	pending int  // outstanding DMA writes
-	ended   bool // session complete (all tuples seen)
-	ready   bool // descriptor table loaded
+	pending int         // outstanding DMA writes
+	flushed func(error) // completion of every partition flush, bound once
+	ended   bool        // session complete (all tuples seen)
+	ready   bool        // descriptor table loaded
 	backlog []segment
 	lastQPN uint32
 }
@@ -143,10 +144,34 @@ func (k *Kernel) Invoke(ctx *core.Context, qpn uint32, raw []byte) {
 		ctx.Tracef("bad partition count %d", p.NumPartitions)
 		return
 	}
-	s := &session{
-		params:  p,
-		offsets: make([]uint64, p.NumPartitions),
-		bufs:    make([][]byte, p.NumPartitions),
+	s := &session{params: p}
+	s.flushed = func(err error) {
+		if err != nil {
+			k.stats.Errors++
+			ctx.Tracef("partition flush failed: %v", err)
+		}
+		s.pending--
+		k.maybeComplete(ctx, s)
+	}
+	// The on-chip buffers are fixed storage: one array, a full buffer's
+	// capacity per partition, refilled in place after every flush. A
+	// session that completed has no DMA outstanding and takes no more
+	// input, so the next one of the same shape inherits its storage.
+	if prev := k.sess; prev != nil && prev.done() && len(prev.bufs) == int(p.NumPartitions) {
+		s.bases, s.offsets, s.bufs = prev.bases, prev.offsets, prev.bufs
+		clear(s.offsets)
+		for i := range s.bufs {
+			s.bufs[i] = s.bufs[i][:0]
+		}
+	} else {
+		const bufBytes = BufferValues * TupleSize
+		store := make([]byte, int(p.NumPartitions)*bufBytes)
+		s.bases = make([]uint64, p.NumPartitions)
+		s.offsets = make([]uint64, p.NumPartitions)
+		s.bufs = make([][]byte, p.NumPartitions)
+		for i := range s.bufs {
+			s.bufs[i] = store[i*bufBytes : i*bufBytes : (i+1)*bufBytes]
+		}
 	}
 	k.sess = s
 	ctx.State(qpn, "LOAD_HISTOGRAM")
@@ -156,7 +181,6 @@ func (k *Kernel) Invoke(ctx *core.Context, qpn uint32, raw []byte) {
 			ctx.Tracef("descriptor table read failed: %v", err)
 			return
 		}
-		s.bases = make([]uint64, p.NumPartitions)
 		for i := range s.bases {
 			s.bases[i] = binary.LittleEndian.Uint64(table[i*DescriptorSize:])
 		}
@@ -216,20 +240,13 @@ func (k *Kernel) consume(ctx *core.Context, s *session, data []byte, last bool) 
 // flush writes one partition buffer to its host-memory region.
 func (k *Kernel) flush(ctx *core.Context, s *session, pid uint32) {
 	buf := s.bufs[pid]
-	s.bufs[pid] = nil
+	s.bufs[pid] = buf[:0] // DMAWrite copies buf before it returns
 	dst := s.bases[pid] + s.offsets[pid]
 	s.offsets[pid] += uint64(len(buf))
 	s.pending++
 	k.stats.Flushes++
 	ctx.State(s.lastQPN, "FLUSH_PARTITION")
-	ctx.DMAWrite(dst, buf, func(err error) {
-		if err != nil {
-			k.stats.Errors++
-			ctx.Tracef("partition %d flush failed: %v", pid, err)
-		}
-		s.pending--
-		k.maybeComplete(ctx, s)
-	})
+	ctx.DMAWrite(dst, buf, s.flushed)
 }
 
 // maybeComplete posts the completion count once the stream ended and all

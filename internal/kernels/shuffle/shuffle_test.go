@@ -3,12 +3,14 @@ package shuffle_test
 import (
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"strom/internal/hostmem"
 	"strom/internal/kernels/shuffle"
+	"strom/internal/raceflag"
 	"strom/internal/sim"
 	"strom/internal/testrig"
 )
@@ -403,6 +405,138 @@ func TestShuffleSessionAcrossMessages(t *testing.T) {
 	p.Eng.Run()
 	if bed.k.Stats().Tuples != tuples {
 		t.Errorf("kernel tuples = %d", bed.k.Stats().Tuples)
+	}
+}
+
+// TestShuffleBackToBackSessions runs several sessions through one kernel:
+// a completed session hands its partition buffers to the next, which must
+// start empty at offset zero, with a tuple count that leaves a partial
+// buffer behind in every partition each time.
+func TestShuffleBackToBackSessions(t *testing.T) {
+	const nParts = 8
+	const tuples = 1000 // 125 per partition: seven full buffers and a partial one
+	bed := newShuffleBed(t, 9, nParts, tuples*8)
+	p := bed.p
+	p.Eng.Go("sender", func(pr *sim.Process) {
+		for sess := uint64(0); sess < 3; sess++ {
+			data := make([]byte, tuples*8)
+			for i := 0; i < tuples; i++ {
+				binary.LittleEndian.PutUint64(data[i*8:], sess<<32|uint64(i))
+			}
+			if err := p.A.Memory().WriteVirt(p.BufA.Base(), data); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := p.B.Memory().WriteVirt(bed.completion, make([]byte, 8)); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := p.A.RPCSync(pr, testrig.QPA, rpcOp, bed.params.Encode()); err != nil {
+				t.Errorf("session %d params: %v", sess, err)
+				return
+			}
+			if err := p.A.RPCWriteSync(pr, testrig.QPA, rpcOp, uint64(p.BufA.Base()), len(data)); err != nil {
+				t.Errorf("session %d write: %v", sess, err)
+				return
+			}
+			raw, err := p.B.Host().Poll(pr, p.B.Memory(), bed.completion, 8, func(b []byte) bool {
+				return binary.LittleEndian.Uint64(b) != 0
+			}, 0)
+			if err != nil {
+				t.Errorf("session %d poll: %v", sess, err)
+				return
+			}
+			if got := binary.LittleEndian.Uint64(raw); got != tuples {
+				t.Errorf("session %d counted %d tuples, want %d", sess, got, tuples)
+			}
+			for pid := 0; pid < nParts; pid++ {
+				got, err := p.B.Memory().ReadVirt(bed.partBase[pid], tuples/nParts*8)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j := 0; j < tuples/nParts; j++ {
+					want := sess<<32 | uint64(j*nParts+pid)
+					if v := binary.LittleEndian.Uint64(got[j*8:]); v != want {
+						t.Errorf("session %d partition %d tuple %d = %#x, want %#x", sess, pid, j, v, want)
+						return
+					}
+				}
+			}
+		}
+	})
+	p.Eng.Run()
+	if st := bed.k.Stats(); st.Tuples != 3*tuples || st.Errors != 0 {
+		t.Errorf("kernel stats %+v", st)
+	}
+}
+
+// TestAllocsShuffleSessionPerByte guards the host cost of a session on
+// the whole kernel path — RPC WRITE segments into the kernel, one DMA
+// write per 128 B partition flush, the completion word — after the first
+// session has sized every free list. Bytes: the retained requester
+// frames of the stream (~1.1x the payload) and little else; the segment
+// buffers, DMA records and partition buffers are all recycled. Objects:
+// per session, not per flush.
+func TestAllocsShuffleSessionPerByte(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race-runtime instrumentation allocates; allocation counts are only meaningful without -race")
+	}
+	const nParts = 64
+	const streamBytes = 16 << 10
+	const flushes = streamBytes / (shuffle.BufferValues * shuffle.TupleSize)
+	bed := newShuffleBed(t, 11, nParts, streamBytes)
+	p := bed.p
+	data := make([]byte, streamBytes)
+	rand.New(rand.NewSource(3)).Read(data)
+	if err := p.A.Memory().WriteVirt(p.BufA.Base(), data); err != nil {
+		t.Fatal(err)
+	}
+	params := bed.params.Encode()
+	zero := make([]byte, 8)
+	sessions := func(n int) {
+		p.Eng.Go("sender", func(pr *sim.Process) {
+			for i := 0; i < n; i++ {
+				if err := p.B.Memory().WriteVirt(bed.completion, zero); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := p.A.RPCSync(pr, testrig.QPA, rpcOp, params); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := p.A.RPCWriteSync(pr, testrig.QPA, rpcOp, uint64(p.BufA.Base()), streamBytes); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := p.B.Host().Poll(pr, p.B.Memory(), bed.completion, 8, func(b []byte) bool {
+					return binary.LittleEndian.Uint64(b) != 0
+				}, 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		})
+		p.Eng.Run()
+	}
+	sessions(8)
+	const n = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sessions(n)
+	runtime.ReadMemStats(&after)
+	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / n
+	objsPer := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("16 KiB session, %d flushes: %.0f B (%.2fx payload), %.1f objects (%.2f per flush)",
+		flushes, bytesPer, bytesPer/streamBytes, objsPer, objsPer/flushes)
+	if bytesPer > 1.5*streamBytes {
+		t.Errorf("a session allocates %.2fx its payload in bytes, want <= 1.5x", bytesPer/streamBytes)
+	}
+	if objsPer > flushes/2 {
+		t.Errorf("a session allocates %.1f objects for %d flushes: something allocates per flush again", objsPer, flushes)
+	}
+	if st := bed.k.Stats(); st.Errors != 0 || st.Tuples != (8+n)*streamBytes/shuffle.TupleSize {
+		t.Errorf("kernel stats %+v", st)
 	}
 }
 

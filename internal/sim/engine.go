@@ -79,9 +79,10 @@ const maxFreeEvents = 1 << 16
 //
 // The zero value is not usable; create engines with NewEngine. Engines
 // are not safe for concurrent use: all scheduling must happen from event
-// callbacks or from process goroutines that hold the run token (see
-// Process). Distinct engines are fully independent, so concurrent
-// simulations on separate engines (one per goroutine) stay deterministic.
+// callbacks or from processes, which run only while the engine resumes
+// them (see Process). Distinct engines are fully independent, so
+// concurrent simulations on separate engines (one per goroutine) stay
+// deterministic.
 type Engine struct {
 	now     Time
 	seq     uint64

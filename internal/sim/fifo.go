@@ -9,29 +9,52 @@ package sim
 // constant latency, as in the NIC TX/RX pipelines and fabric wires):
 // the engine then fires the drain events in exactly push order.
 //
+// The queue is a ring that doubles when full, so its backing array stays
+// within twice the peak length however long the queue runs without
+// emptying, and nothing is ever moved except on growth.
+//
 // The zero FIFO is ready to use. Not safe for concurrent use; each
 // FIFO belongs to one engine, like every simulated component.
 type FIFO[T any] struct {
-	buf  []T
-	head int
+	buf  []T // ring; its length is zero or a power of two
+	head int // index of the oldest item
+	n    int // items queued
 }
 
 // Push appends v to the tail.
-func (f *FIFO[T]) Push(v T) { f.buf = append(f.buf, v) }
+func (f *FIFO[T]) Push(v T) {
+	if f.n == len(f.buf) {
+		f.grow()
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
+	f.n++
+}
+
+// grow doubles the ring, unwrapping the items to its start.
+func (f *FIFO[T]) grow() {
+	size := 2 * len(f.buf)
+	if size == 0 {
+		size = 8
+	}
+	buf := make([]T, size)
+	k := copy(buf, f.buf[f.head:])
+	copy(buf[k:], f.buf[:f.head])
+	f.buf, f.head = buf, 0
+}
 
 // Pop removes and returns the head item. It panics on an empty FIFO —
 // a drain callback firing without a matching push is a scheduling bug.
 func (f *FIFO[T]) Pop() T {
+	if f.n == 0 {
+		panic("sim: Pop on an empty FIFO")
+	}
 	v := f.buf[f.head]
 	var zero T
 	f.buf[f.head] = zero // release for GC
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	}
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
 	return v
 }
 
 // Len reports the number of queued items.
-func (f *FIFO[T]) Len() int { return len(f.buf) - f.head }
+func (f *FIFO[T]) Len() int { return f.n }

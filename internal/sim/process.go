@@ -1,60 +1,95 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
-// Process is a coroutine-style simulated thread of control. Application
-// code (host software in the simulated machines) is most naturally written
-// as straight-line code that sleeps and waits; Process provides that on
-// top of the event loop.
+// Process is a simulated thread of control. Application code (host
+// software in the simulated machines) is most naturally written as
+// straight-line code that sleeps and waits; Process provides that on top
+// of the event loop.
 //
-// Exactly one goroutine — either the engine or a single process — runs at
-// any time, handed off through unbuffered channels, so simulations remain
-// deterministic despite using goroutines.
+// A process is a runtime coroutine (iter.Pull): the engine resumes it
+// from an event callback and it runs on the engine's own thread until it
+// parks or returns, so control passes by a direct coroutine switch and
+// never through the Go scheduler. Consequences callers can rely on:
+//
+//   - Exactly one of the engine and its processes runs at any time
+//     (Engine.running names the process, nil for the engine), so
+//     simulations stay deterministic.
+//   - Whoever runs the engine resumes its processes. Under a ShardGroup
+//     that is a different worker goroutine from one window to the next,
+//     never two at once: an engine is run by one worker per window, and
+//     the window barrier orders one window's worker before the next's.
+//   - A panic inside a process unwinds through Engine.Run on the
+//     caller's goroutine, as a string naming the process and carrying the
+//     process's own stack; runtime.Goexit (t.Fatal) in a process ends the
+//     goroutine that called Run.
+//   - A process still parked when the simulation ends stays parked; its
+//     coroutine is never released.
 type Process struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	yield  chan struct{}
+	eng   *Engine
+	name  string
+	next  func() (struct{}, bool) // resume the coroutine until it parks or returns
+	yield func(struct{}) bool     // park: switch back to whoever called next
+	// stepFn and wakeFn are the method values step and wake, bound once so
+	// that scheduling them allocates nothing per switch.
+	stepFn func()
+	wakeFn func()
+	waking bool // a step event is queued and has not run yet
 	done   bool
 }
 
 // Go starts fn as a new simulated process at the current time.
 func (e *Engine) Go(name string, fn func(p *Process)) *Process {
-	p := &Process{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	go func() {
-		<-p.resume
+	p := &Process{eng: e, name: name}
+	p.stepFn, p.wakeFn = p.step, p.wake
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				panic(fmt.Sprintf("sim: process %q panicked: %v\n\n%s", name, r, debug.Stack()))
+			}
+		}()
+		p.yield = yield
 		fn(p)
-		p.done = true
-		p.yield <- struct{}{}
-	}()
-	e.Schedule(0, func() { e.step(p) })
+	})
+	p.wake()
 	return p
 }
 
-// step transfers control to p until it yields or finishes.
-func (e *Engine) step(p *Process) {
+// step is the event that runs p until it parks or returns.
+func (p *Process) step() {
+	e := p.eng
 	prev := e.running
 	e.running = p
-	p.resume <- struct{}{}
-	<-p.yield
+	p.waking = false
+	_, parked := p.next()
+	p.done = !parked
 	e.running = prev
 }
 
 // park yields control back to the engine; the process stays blocked until
 // some event calls wake.
 func (p *Process) park() {
-	p.yield <- struct{}{}
-	<-p.resume
+	if p.eng.running != p {
+		panic(fmt.Sprintf("sim: process %q blocked from outside its own run", p.name))
+	}
+	p.yield(struct{}{})
 }
 
 // wake schedules the process to continue at the current simulated time.
+// Every blocking primitive registers wakeFn in exactly one place and
+// removes it when it fires, so a second wake before the process has run
+// is a bug in the primitive: it would resume the process at some later,
+// unrelated wait.
 func (p *Process) wake() {
-	p.eng.Schedule(0, func() { p.eng.step(p) })
+	if p.waking {
+		panic(fmt.Sprintf("sim: process %q woken twice", p.name))
+	}
+	p.waking = true
+	p.eng.Schedule(0, p.stepFn)
 }
 
 // Engine returns the engine this process runs on.
@@ -71,31 +106,8 @@ func (p *Process) Done() bool { return p.done }
 
 // Sleep blocks the process for d of simulated time.
 func (p *Process) Sleep(d Duration) {
-	if p.eng.running != p {
-		panic("sim: Sleep called from outside the running process")
-	}
-	p.eng.Schedule(d, p.wake)
+	p.eng.Schedule(d, p.wakeFn)
 	p.park()
-}
-
-// WaitEvent blocks until fired is called exactly once by some event
-// callback. It returns a function to pass to that callback.
-func (p *Process) waitPoint() (block func(), fire func()) {
-	armed := false
-	fired := false
-	return func() {
-			if fired {
-				return
-			}
-			armed = true
-			p.park()
-		}, func() {
-			fired = true
-			if armed {
-				armed = false
-				p.wake()
-			}
-		}
 }
 
 // Signal is a broadcast wake-up point for processes.
@@ -105,9 +117,8 @@ type Signal struct {
 
 // Wait blocks p until the next Broadcast.
 func (s *Signal) Wait(p *Process) {
-	block, fire := p.waitPoint()
-	s.waiters = append(s.waiters, fire)
-	block()
+	s.waiters = append(s.waiters, p.wakeFn)
+	p.park()
 }
 
 // Broadcast wakes every currently waiting process.
@@ -125,53 +136,50 @@ func (s *Signal) Waiters() int { return len(s.waiters) }
 // Mailbox is an unbounded FIFO queue with blocking receive, for passing
 // messages between simulated processes and event-driven components.
 type Mailbox[T any] struct {
-	items   []T
-	waiters []func()
+	items   FIFO[T]
+	waiters FIFO[func()]
 }
 
 // Send enqueues v and wakes one waiting receiver, if any. Send never
 // blocks and may be called from event callbacks.
 func (m *Mailbox[T]) Send(v T) {
-	m.items = append(m.items, v)
-	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		w()
+	m.items.Push(v)
+	if m.waiters.Len() > 0 {
+		m.waiters.Pop()()
 	}
 }
 
 // Recv blocks p until an item is available and returns it.
 func (m *Mailbox[T]) Recv(p *Process) T {
-	for len(m.items) == 0 {
-		block, fire := p.waitPoint()
-		m.waiters = append(m.waiters, fire)
-		block()
+	for m.items.Len() == 0 {
+		m.waiters.Push(p.wakeFn)
+		p.park()
 	}
-	v := m.items[0]
-	m.items = m.items[1:]
-	return v
+	return m.items.Pop()
 }
 
 // TryRecv returns the next item without blocking.
 func (m *Mailbox[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(m.items) == 0 {
+	if m.items.Len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := m.items[0]
-	m.items = m.items[1:]
-	return v, true
+	return m.items.Pop(), true
 }
 
 // Len reports the number of queued items.
-func (m *Mailbox[T]) Len() int { return len(m.items) }
+func (m *Mailbox[T]) Len() int { return m.items.Len() }
 
 // Completion is a one-shot future: an event-driven component completes it
 // and a process can wait for it.
 type Completion[T any] struct {
-	done   bool
-	val    T
-	err    error
+	done bool
+	val  T
+	err  error
+	// first is the first registered callback and fires the rest, in
+	// registration order. The usual completion has one waiter, which the
+	// inline slot holds without allocating a list.
+	first  func()
 	fires  []func()
 	String string
 }
@@ -192,11 +200,23 @@ func (c *Completion[T]) resolve(v T, err error) {
 	c.done = true
 	c.val = v
 	c.err = err
-	fires := c.fires
-	c.fires = nil
+	first, fires := c.first, c.fires
+	c.first, c.fires = nil, nil
+	if first != nil {
+		first()
+	}
 	for _, f := range fires {
 		f()
 	}
+}
+
+// onResolve registers f to run when the completion resolves.
+func (c *Completion[T]) onResolve(f func()) {
+	if c.first == nil {
+		c.first = f
+		return
+	}
+	c.fires = append(c.fires, f)
 }
 
 // IsDone reports whether the completion has resolved.
@@ -205,9 +225,8 @@ func (c *Completion[T]) IsDone() bool { return c.done }
 // Wait blocks p until the completion resolves and returns its result.
 func (c *Completion[T]) Wait(p *Process) (T, error) {
 	if !c.done {
-		block, fire := p.waitPoint()
-		c.fires = append(c.fires, fire)
-		block()
+		c.onResolve(p.wakeFn)
+		p.park()
 	}
 	return c.val, c.err
 }
@@ -219,5 +238,5 @@ func (c *Completion[T]) OnDone(fn func(T, error)) {
 		fn(c.val, c.err)
 		return
 	}
-	c.fires = append(c.fires, func() { fn(c.val, c.err) })
+	c.onResolve(func() { fn(c.val, c.err) })
 }

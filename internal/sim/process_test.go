@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"strom/internal/raceflag"
+)
 
 func TestProcessSleep(t *testing.T) {
 	e := NewEngine(1)
@@ -199,6 +204,92 @@ func TestCompletionOnDone(t *testing.T) {
 	if got != 5 {
 		t.Errorf("got = %d", got)
 	}
+}
+
+// A panic inside a process unwinds through Engine.Run on the caller's
+// goroutine, where it can be recovered, and says which process it was.
+func TestProcessPanicSurfacesFromRun(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("bystander", func(p *Process) { p.Sleep(Microsecond) })
+	e.Go("worker-7", func(p *Process) {
+		p.Sleep(Nanosecond)
+		panic("boom")
+	})
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{`process "worker-7"`, "boom", "TestProcessPanicSurfacesFromRun"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic message lacks %q:\n%s", want, msg)
+			}
+		}
+	}()
+	e.Run()
+	t.Fatal("Run returned past a panicking process")
+}
+
+// A primitive that wakes a process twice would resume it at whatever it
+// blocks on next; the process refuses the second wake.
+func TestProcessDoubleWakePanics(t *testing.T) {
+	e := NewEngine(1)
+	p := e.Go("p", func(p *Process) { p.Sleep(Microsecond) })
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "woken twice") {
+			t.Errorf("recovered %q, want a double-wake panic", msg)
+		}
+	}()
+	p.wake()
+	t.Fatal("second wake accepted")
+}
+
+// One park/wake costs the two events it schedules — recycled structs —
+// and nothing else: no closure per Sleep, no waiter list per Wait.
+func TestProcessSwitchAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	t.Run("Sleep", func(t *testing.T) {
+		e := NewEngine(1)
+		stop := false
+		e.Go("sleeper", func(p *Process) {
+			for !stop {
+				p.Sleep(Nanosecond)
+			}
+		})
+		allocs := testing.AllocsPerRun(1000, func() { e.RunUntil(e.Now().Add(Nanosecond)) })
+		stop = true
+		e.Run()
+		if allocs != 0 {
+			t.Errorf("Process.Sleep: %v allocs per switch, want 0", allocs)
+		}
+	})
+	t.Run("CompletionWait", func(t *testing.T) {
+		const runs = 1000
+		e := NewEngine(1)
+		comps := make([]Completion[int], runs+1) // AllocsPerRun warms up once
+		e.Go("waiter", func(p *Process) {
+			for i := range comps {
+				if v, _ := comps[i].Wait(p); v != i {
+					t.Errorf("completion %d resolved with %d", i, v)
+				}
+			}
+		})
+		e.Run() // parked on comps[0]
+		next := 0
+		complete := func() {
+			comps[next].Complete(next)
+			next++
+		}
+		allocs := testing.AllocsPerRun(runs, func() {
+			e.Schedule(Nanosecond, complete)
+			e.Run()
+		})
+		if allocs != 0 {
+			t.Errorf("Completion.Wait: %v allocs per switch, want 0", allocs)
+		}
+		if next != len(comps) {
+			t.Fatalf("completed %d of %d", next, len(comps))
+		}
+	})
 }
 
 type testError string

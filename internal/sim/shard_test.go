@@ -156,6 +156,42 @@ func TestShardGroupProcessesOnShards(t *testing.T) {
 	}
 }
 
+// A process is resumed by whichever worker runs its shard's window: a
+// different goroutine from one window to the next, never two at once.
+// Each process here keeps state on its own stack and in its own slice
+// across a few hundred windows; under -race this is the check that the
+// window barrier orders one worker's resume before the next worker's.
+func TestShardGroupProcessResumedAcrossWorkers(t *testing.T) {
+	run := func(workers int) [4][]Time {
+		g := NewShardGroup(5, 4, 100*Nanosecond)
+		g.SetWorkers(workers)
+		var marks [4][]Time
+		for i := 0; i < 4; i++ {
+			g.Shard(i).Go(fmt.Sprintf("p%d", i), func(p *Process) {
+				sum := Duration(0)
+				for k := 0; k < 300; k++ {
+					d := Duration(50+p.Engine().Rand().Intn(200)) * Nanosecond
+					p.Sleep(d)
+					sum += d
+					marks[i] = append(marks[i], p.Now())
+				}
+				if p.Now() != Time(sum) {
+					t.Errorf("p%d: woke at %v after sleeping %v", i, p.Now(), sum)
+				}
+			})
+		}
+		g.Run()
+		return marks
+	}
+	one, four := run(1), run(4)
+	if !reflect.DeepEqual(one, four) {
+		t.Fatal("process wake times differ between 1 and 4 workers")
+	}
+	if len(one[3]) != 300 {
+		t.Fatalf("process 3 woke %d times, want 300", len(one[3]))
+	}
+}
+
 func TestShardGroupUnshardedCrossScheduleDegenerates(t *testing.T) {
 	// CrossScheduleAt between two standalone engines (or pre-run) is a
 	// plain ScheduleAt on the destination.

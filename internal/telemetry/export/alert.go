@@ -208,17 +208,6 @@ func newAlerter(rules []Rule) *alerter {
 	}
 }
 
-// lookup finds a metric in a report: counters first, then gauges.
-func lookup(name string, counters map[string]uint64, gauges map[string]float64) (float64, bool) {
-	if v, ok := counters[name]; ok {
-		return float64(v), true
-	}
-	if v, ok := gauges[name]; ok {
-		return v, true
-	}
-	return 0, false
-}
-
 // metricMatch reports whether name matches pattern; a single '*' in the
 // pattern matches any (possibly empty) substring.
 func metricMatch(pattern, name string) bool {
@@ -232,18 +221,17 @@ func metricMatch(pattern, name string) bool {
 }
 
 // matchedMetrics returns the report's metric names matching a glob
-// pattern, in sorted order (map iteration must never leak into the
-// event stream).
-func matchedMetrics(pattern string, counters map[string]uint64, gauges map[string]float64) []string {
+// pattern, in sorted order.
+func matchedMetrics(pattern string, r *report) []string {
 	var out []string
-	for k := range counters {
-		if metricMatch(pattern, k) {
-			out = append(out, k)
+	for _, c := range r.counters {
+		if metricMatch(pattern, c.key) {
+			out = append(out, c.key)
 		}
 	}
-	for k := range gauges {
-		if _, dup := counters[k]; !dup && metricMatch(pattern, k) {
-			out = append(out, k)
+	for _, g := range r.gauges {
+		if _, dup := findKV(r.counters, g.key); !dup && metricMatch(pattern, g.key) {
+			out = append(out, g.key)
 		}
 	}
 	sort.Strings(out)
@@ -264,38 +252,75 @@ func (a *alerter) state(i int, object, metric string) *alertState {
 	return st
 }
 
-// eval runs every matching rule against one source's scrape and
-// reports fire/resolve transitions via emit. Quantile rules are
-// registry-scrape concerns (evalQuantile) and never match here.
-func (a *alerter) eval(now sim.Time, object string, counters map[string]uint64, gauges map[string]float64, emit func(typ string, p alertPayload)) {
+// boundRule is one (rule, metric) match of a source's report, resolved
+// to the state it advances and to where its inputs sit in the report, so
+// that a steady-state scrape evaluates its rules without a map lookup.
+type boundRule struct {
+	st     *alertState
+	metric string
+	val    metricRef
+	// gate is the rule's While metric; gated is false when the rule has
+	// a While the report does not carry (the watchdog stays disarmed).
+	gate  metricRef
+	gated bool
+}
+
+// bind resolves which rules src's current report matches, in evaluation
+// order. Quantile rules are registry-scrape concerns (evalQuantile) and
+// never match here.
+func (a *alerter) bind(src *source) {
+	src.bound = src.bound[:0]
+	add := func(i int, metric string) {
+		b := boundRule{st: a.state(i, src.object, metric), metric: metric}
+		b.val, _ = src.cur.find(metric)
+		if w := a.rules[i].While; w != "" {
+			b.gate, b.gated = src.cur.find(w)
+		}
+		src.bound = append(src.bound, b)
+	}
 	for i := range a.rules {
 		r := &a.rules[i]
-		if r.Object != "" && r.Object != object {
+		if r.Object != "" && r.Object != src.object {
 			continue
 		}
 		if r.Kind == Quantile {
 			continue
 		}
 		if strings.IndexByte(r.Metric, '*') >= 0 {
-			for _, m := range matchedMetrics(r.Metric, counters, gauges) {
-				v, _ := lookup(m, counters, gauges)
-				a.evalOne(now, i, object, m, v, counters, gauges, emit)
+			for _, m := range matchedMetrics(r.Metric, &src.cur) {
+				add(i, m)
 			}
 			continue
 		}
-		v, ok := lookup(r.Metric, counters, gauges)
-		if !ok {
-			continue
+		if _, ok := src.cur.find(r.Metric); ok {
+			add(i, r.Metric)
 		}
-		a.evalOne(now, i, object, r.Metric, v, counters, gauges, emit)
+	}
+	src.isBound = true
+}
+
+// eval runs every matching rule against src's current report and reports
+// fire/resolve transitions via emit. The rules are matched against the
+// report once and again only when its metric names change (source.load).
+func (a *alerter) eval(now sim.Time, src *source, emit func(typ string, p alertPayload)) {
+	if !src.isBound {
+		a.bind(src)
+	}
+	for i := range src.bound {
+		b := &src.bound[i]
+		gate := true
+		if b.st.rule.While != "" {
+			gate = b.gated && src.cur.value(b.gate) > 0
+		}
+		b.st.advance(now, src.object, b.metric, src.cur.value(b.val), gate, emit)
 	}
 }
 
-// evalOne advances one (rule, object, metric) state with the metric's
-// fresh value and emits the fire/resolve transition.
-func (a *alerter) evalOne(now sim.Time, i int, object, metric string, v float64, counters map[string]uint64, gauges map[string]float64, emit func(typ string, p alertPayload)) {
-	r := &a.rules[i]
-	st := a.state(i, object, metric)
+// advance moves one (rule, object, metric) state on with the metric's
+// fresh value and emits the fire/resolve transition. gate is the
+// NoProgress rule's While condition.
+func (st *alertState) advance(now sim.Time, object, metric string, v float64, gate bool, emit func(typ string, p alertPayload)) {
+	r := st.rule
 	var cond bool
 	val := v
 	switch r.Kind {
@@ -310,26 +335,26 @@ func (a *alerter) evalOne(now sim.Time, i int, object, metric string, v float64,
 		cond = cond && now.Sub(st.pendingSince) >= r.For
 	case Rate:
 		cv := uint64(v)
-		// Trim the window to the trailing For horizon, keeping one
-		// sample at or beyond the boundary as the rate base.
-		for len(st.window) >= 2 && st.window[1].at <= now-sim.Time(r.For) {
-			st.window = st.window[1:]
+		// Trim the window in place to the trailing For horizon, keeping
+		// one sample at or beyond the boundary as the rate base.
+		w := st.window
+		drop := 0
+		for len(w)-drop >= 2 && w[drop+1].at <= now-sim.Time(r.For) {
+			drop++
 		}
-		if len(st.window) > 0 {
-			span := now.Sub(st.window[0].at)
+		if drop > 0 {
+			w = w[:copy(w, w[drop:])]
+		}
+		if len(w) > 0 {
+			span := now.Sub(w[0].at)
 			if span >= r.For && span > 0 {
-				val = float64(cv-st.window[0].v) / (float64(span) / float64(sim.Millisecond))
+				val = float64(cv-w[0].v) / (float64(span) / float64(sim.Millisecond))
 				cond = r.compare(val)
 			}
 		}
-		st.window = append(st.window, rateSample{at: now, v: cv})
+		st.window = append(w, rateSample{at: now, v: cv})
 	case NoProgress:
 		cv := uint64(v)
-		gate := true
-		if r.While != "" {
-			g, gok := lookup(r.While, counters, gauges)
-			gate = gok && g > 0
-		}
 		if !st.seen || cv != st.lastValue || !gate {
 			st.lastValue, st.lastChange = cv, now
 		}
@@ -360,7 +385,7 @@ func (a *alerter) evalQuantile(now sim.Time, object, key string, q func(float64)
 		if r.Object != "" && r.Object != object {
 			continue
 		}
-		a.evalOne(now, i, object, key, q(r.Q), nil, nil, emit)
+		a.state(i, object, key).advance(now, object, key, q(r.Q), true, emit)
 	}
 }
 

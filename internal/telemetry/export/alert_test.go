@@ -16,13 +16,21 @@ func evalSeries(t *testing.T, rule Rule, scrapes []struct {
 }) []string {
 	t.Helper()
 	a := newAlerter([]Rule{rule})
+	src := &source{object: "obj"}
 	var out []string
 	for _, s := range scrapes {
-		a.eval(s.at, "obj", s.c, s.g, func(typ string, p alertPayload) {
+		scrape(a, src, s.at, s.c, s.g, func(typ string, p alertPayload) {
 			out = append(out, typ)
 		})
 	}
 	return out
+}
+
+// scrape feeds one report of src through the alerter, as scrapeSource
+// does.
+func scrape(a *alerter, src *source, at sim.Time, c map[string]uint64, g map[string]float64, emit func(typ string, p alertPayload)) {
+	src.load(c, g)
+	a.eval(at, src, emit)
 }
 
 func TestThresholdFiresAfterHold(t *testing.T) {
@@ -137,9 +145,10 @@ func TestRuleObjectFilterAndMissingMetric(t *testing.T) {
 	})
 	var fired []string
 	emit := func(typ string, p alertPayload) { fired = append(fired, p.Object) }
-	a.eval(0, "a", map[string]uint64{"x": 5}, nil, emit) // wrong object
-	a.eval(0, "b", map[string]uint64{"y": 5}, nil, emit) // metric missing
-	a.eval(0, "b", map[string]uint64{"x": 5}, nil, emit) // fires
+	srcA, srcB := &source{object: "a"}, &source{object: "b"}
+	scrape(a, srcA, 0, map[string]uint64{"x": 5}, nil, emit) // wrong object
+	scrape(a, srcB, 0, map[string]uint64{"y": 5}, nil, emit) // metric missing
+	scrape(a, srcB, 0, map[string]uint64{"x": 5}, nil, emit) // fires
 	if len(fired) != 1 || fired[0] != "b" {
 		t.Fatalf("fired %v, want exactly [b]", fired)
 	}
@@ -161,9 +170,10 @@ func TestGlobRulePerMetricState(t *testing.T) {
 	a := newAlerter([]Rule{rule})
 	us := func(n int64) sim.Time { return sim.Time(sim.Duration(n) * sim.Microsecond) }
 	var events []string
-	emit := func(typ string, p alertPayload) { events = append(events, typ + ":" + p.Metric) }
+	emit := func(typ string, p alertPayload) { events = append(events, typ+":"+p.Metric) }
+	src := &source{object: "nic:A"}
 	scr := func(at sim.Time, qp1, qp2 uint64) {
-		a.eval(at, "nic:A", map[string]uint64{
+		scrape(a, src, at, map[string]uint64{
 			"qp1_retransmissions": qp1,
 			"qp2_retransmissions": qp2,
 			"out_frames":          999, // must not match the glob
@@ -199,7 +209,7 @@ func TestQuantileRuleFiresAndResolves(t *testing.T) {
 	rule := Rule{Name: "op-latency-p99", Metric: "kv_op_latency_ps*", Kind: Quantile, Q: 0.99, Op: "gt", Value: 1000}
 	a := newAlerter([]Rule{rule})
 	var events []string
-	emit := func(typ string, p alertPayload) { events = append(events, typ + ":" + p.Metric) }
+	emit := func(typ string, p alertPayload) { events = append(events, typ+":"+p.Metric) }
 	q := func(v float64) func(float64) float64 {
 		return func(qq float64) float64 {
 			if qq != 0.99 {
@@ -209,10 +219,10 @@ func TestQuantileRuleFiresAndResolves(t *testing.T) {
 		}
 	}
 	key := "kv_op_latency_ps{op=put}"
-	a.evalQuantile(0, "testbed", key, q(500), emit)               // under: silent
-	a.evalQuantile(100, "testbed", key, q(1500), emit)            // over: fire (For=0)
-	a.evalQuantile(200, "testbed", "other_hist", q(9999), emit)   // no glob match
-	a.evalQuantile(300, "testbed", key, q(800), emit)             // back under: resolve
+	a.evalQuantile(0, "testbed", key, q(500), emit)             // under: silent
+	a.evalQuantile(100, "testbed", key, q(1500), emit)          // over: fire (For=0)
+	a.evalQuantile(200, "testbed", "other_hist", q(9999), emit) // no glob match
+	a.evalQuantile(300, "testbed", key, q(800), emit)           // back under: resolve
 	want := []string{"alert:" + key, "resolve:" + key}
 	if len(events) != len(want) || events[0] != want[0] || events[1] != want[1] {
 		t.Fatalf("events %v, want %v", events, want)

@@ -10,7 +10,7 @@ import (
 func TestEnvelopeRoundTrip(t *testing.T) {
 	ev := Event{
 		TS: 1234567, Seq: 9, Host: "A", Subsystem: "port", Type: "health",
-		Data: marshalData(map[string]any{"object": "nic:A", "counters": map[string]uint64{"fcs_err": 3}}),
+		Data: json.RawMessage(`{"counters":{"fcs_err":3},"object":"nic:A"}`),
 	}
 	line, err := Encode(ev)
 	if err != nil {
@@ -43,8 +43,10 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestEnvelopeEncodeDeterministic(t *testing.T) {
+	src := &source{object: "a-to-b"}
+	src.load(map[string]uint64{"z": 1, "a": 2, "m": 3}, nil)
 	ev := Event{TS: 5, Host: "B", Subsystem: "link", Type: "health",
-		Data: marshalData(map[string]uint64{"z": 1, "a": 2, "m": 3})}
+		Data: appendHealth(nil, src.object, &src.cur, nil)}
 	first, err := Encode(ev)
 	if err != nil {
 		t.Fatal(err)

@@ -90,16 +90,3 @@ func Decode(line []byte) (Event, error) {
 	}
 	return ev, nil
 }
-
-// marshalData renders a payload as canonical JSON: encoding/json sorts
-// map keys and emits struct fields in declaration order, which is all
-// the determinism the stream needs.
-func marshalData(v any) json.RawMessage {
-	out, err := json.Marshal(v)
-	if err != nil {
-		// Payloads are maps/structs of plain values built by this
-		// package; a marshal failure is a programming error.
-		panic(fmt.Sprintf("export: payload marshal: %v", err))
-	}
-	return out
-}

@@ -53,20 +53,90 @@ func (s *MemorySink) Emit(line []byte) error {
 	return nil
 }
 
-// source is one registered health source.
-type source struct {
-	host      string
-	subsystem string
-	object    string
-	scrape    ScrapeFunc
-	last      map[string]uint64 // previous scrape, for deltas
+// report is one scrape of a health source, key-sorted (see kv).
+type report struct {
+	counters    []kv[uint64]
+	gauges      []kv[float64]
+	nilCounters bool // the source returned a nil counters map (JSON null)
 }
 
-// segEvent is an event plus its merge rank within the recorder.
+// metricRef locates one metric in a report.
+type metricRef struct {
+	idx   int
+	gauge bool
+}
+
+// find looks a metric up by name: counters first, then gauges.
+func (r *report) find(name string) (metricRef, bool) {
+	if i, ok := findKV(r.counters, name); ok {
+		return metricRef{idx: i}, true
+	}
+	if i, ok := findKV(r.gauges, name); ok {
+		return metricRef{idx: i, gauge: true}, true
+	}
+	return metricRef{}, false
+}
+
+// value reads the metric at ref.
+func (r *report) value(ref metricRef) float64 {
+	if ref.gauge {
+		return r.gauges[ref.idx].val
+	}
+	return float64(r.counters[ref.idx].val)
+}
+
+// source is one registered health source.
+type source struct {
+	org    origin // host, subsystem, "health"
+	object string
+	scrape ScrapeFunc
+
+	// cur is the latest scrape and prev the one before it (the delta
+	// base); the two swap every scrape so their slices are reused.
+	cur, prev report
+	// bound is the alert rules cur's metrics match (alerter.bind), valid
+	// for as long as the source keeps reporting the same metric names.
+	bound   []boundRule
+	isBound bool
+}
+
+// load takes a fresh scrape: the previous one becomes the delta base, and
+// the rule bindings are dropped if the metric names changed.
+func (src *source) load(counters map[string]uint64, gauges map[string]float64) {
+	src.cur, src.prev = src.prev, src.cur
+	r := &src.cur
+	r.nilCounters = counters == nil
+	r.counters = r.counters[:0]
+	for k, v := range counters {
+		r.counters = append(r.counters, kv[uint64]{k, v})
+	}
+	sortKVs(r.counters)
+	r.gauges = r.gauges[:0]
+	for k, v := range gauges {
+		r.gauges = append(r.gauges, kv[float64]{k, v})
+	}
+	sortKVs(r.gauges)
+	if !sameKeys(r.counters, src.prev.counters) || !sameKeys(r.gauges, src.prev.gauges) {
+		src.isBound = false
+	}
+}
+
+// origin is where an event comes from and what it is: the envelope's
+// host, subsystem and type. A health source emits every scrape from one
+// origin, so retained events point at theirs instead of carrying three
+// strings each.
+type origin struct {
+	host, subsystem, typ string
+}
+
+// segEvent is one retained event of a segment, in the compact form it
+// is held in until Drain: its sequence number is its position in the
+// segment.
 type segEvent struct {
-	ev  Event
-	fin bool // end-of-run event: sorts after same-timestamp scrapes
-	seg int
+	ts   sim.Time
+	org  *origin
+	data []byte // canonical JSON payload, a slice of a payload chunk
+	fin  bool   // end-of-run event: sorts after same-timestamp scrapes
 }
 
 // regEntry is one registered registry (or registry scope) scraped by a
@@ -74,7 +144,9 @@ type segEvent struct {
 type regEntry struct {
 	host string
 	reg  *telemetry.Registry
-	last map[string]uint64 // previous counter values, for deltas
+	// cur and prev are this scrape's counters and the previous scrape's
+	// (the delta base), key-sorted; they swap every scrape.
+	cur, prev []kv[uint64]
 }
 
 // scraper drives the sources living on one engine: one probe per
@@ -87,9 +159,28 @@ type scraper struct {
 	sources []*source
 	regs    []*regEntry // optional registry scrapes, in registration order
 	alerts  *alerter
-	seq     uint64
-	events  []segEvent
+	nevents int
+	// events holds the segment's events in blocks of eventBlock, so a
+	// stream retained until Drain is never copied by a regrowth.
+	events [][]segEvent
+	// chunk is the payload buffer: every event's Data is a slice of a
+	// chunk, encoded in place. A full chunk is left to the events that
+	// alias it and a fresh one started, so retained payloads are never
+	// copied again.
+	chunk []byte
+	delta []kv[uint64] // scratch: one scrape's counter deltas
 }
+
+const (
+	// eventBlock is the number of events in one block of a segment.
+	eventBlock = 256
+	// payloadChunk is the size of a fresh payload chunk.
+	payloadChunk = 64 << 10
+	// payloadRoom is the free space below which a chunk counts as full.
+	// A payload that outgrows its chunk is still correct: append moves the
+	// chunk, earlier events keep the old array.
+	payloadRoom = 1 << 10
+)
 
 // Recorder assembles the stream: per-engine scrapers (segments), the
 // shared rule set, and the deterministic merge. Zero-value construction
@@ -168,7 +259,7 @@ func (r *Recorder) scraperFor(eng *sim.Engine) *scraper {
 // "nic:A", "fabric"/"link"/"a-to-b", ...).
 func (r *Recorder) Source(eng *sim.Engine, host, subsystem, object string, scrape ScrapeFunc) {
 	s := r.scraperFor(eng)
-	s.sources = append(s.sources, &source{host: host, subsystem: subsystem, object: object, scrape: scrape})
+	s.sources = append(s.sources, &source{org: origin{host, subsystem, "health"}, object: object, scrape: scrape})
 }
 
 // Registry additionally scrapes a whole metrics registry on eng every
@@ -194,7 +285,7 @@ func (r *Recorder) Registry(eng *sim.Engine, host string, reg *telemetry.Registr
 		return
 	}
 	s := r.scraperFor(eng)
-	s.regs = append(s.regs, &regEntry{host: host, reg: reg, last: make(map[string]uint64)})
+	s.regs = append(s.regs, &regEntry{host: host, reg: reg})
 }
 
 // Start installs one scrape probe per engine. The probes are daemon
@@ -209,17 +300,31 @@ func (r *Recorder) Start(every sim.Duration) {
 	}
 }
 
-// emit appends one event to the segment.
-func (s *scraper) emit(now sim.Time, fin bool, host, subsystem, typ string, data any) {
-	s.events = append(s.events, segEvent{
-		ev: Event{
-			TS: int64(now), Seq: s.seq, Host: host, Subsystem: subsystem,
-			Type: typ, Data: marshalData(data),
-		},
-		fin: fin,
-		seg: s.seg,
-	})
-	s.seq++
+// payload returns the chunk to encode the next payload onto.
+func (s *scraper) payload() []byte {
+	if cap(s.chunk)-len(s.chunk) < payloadRoom {
+		s.chunk = make([]byte, 0, payloadChunk)
+	}
+	return s.chunk
+}
+
+// emit appends one event to the segment. b is the chunk with the event's
+// payload encoded onto its end.
+func (s *scraper) emit(now sim.Time, fin bool, org *origin, b []byte) {
+	data := b[len(s.chunk):len(b):len(b)]
+	s.chunk = b
+	if s.nevents%eventBlock == 0 {
+		s.events = append(s.events, make([]segEvent, 0, eventBlock))
+	}
+	blk := &s.events[len(s.events)-1]
+	*blk = append(*blk, segEvent{ts: now, org: org, data: data, fin: fin})
+	s.nevents++
+}
+
+// emitAlert emits one fire/resolve transition and tells the observers.
+func (s *scraper) emitAlert(now sim.Time, fin bool, host, typ string, p alertPayload) {
+	s.emit(now, fin, &origin{host, "alert", typ}, appendAlert(s.payload(), p))
+	s.rec.notify(now, typ, p)
 }
 
 // tick is one scrape point: health sources in order, then the
@@ -236,42 +341,18 @@ func (s *scraper) tick(now sim.Time) {
 // scrapeSource scrapes one source, emits its health event and runs the
 // alert rules over the fresh report.
 func (s *scraper) scrapeSource(now sim.Time, fin bool, src *source) {
-	counters, gauges := src.scrape()
-	delta := make(map[string]uint64, len(counters))
-	for k, v := range counters {
-		if d := v - src.last[k]; d != 0 {
-			delta[k] = d
-		}
-	}
-	src.last = counters
-	s.emit(now, fin, src.host, src.subsystem, "health", healthPayload{
-		Object: src.object, Counters: counters, Delta: delta, Gauges: gauges,
+	src.load(src.scrape())
+	s.delta = appendDeltas(s.delta[:0], src.cur.counters, src.prev.counters)
+	s.emit(now, fin, &src.org, appendHealth(s.payload(), src.object, &src.cur, s.delta))
+	s.alerts.eval(now, src, func(typ string, p alertPayload) {
+		s.emitAlert(now, fin, src.org.host, typ, p)
 	})
-	s.alerts.eval(now, src.object, counters, gauges, func(typ string, p alertPayload) {
-		s.emit(now, fin, src.host, "alert", typ, p)
-		s.rec.notify(now, typ, p)
-	})
-}
-
-// metricsPayload is the JSON payload of one registry-subsystem event.
-type metricsPayload struct {
-	Counters   map[string]uint64     `json:"counters,omitempty"`
-	Delta      map[string]uint64     `json:"delta,omitempty"`
-	Gauges     map[string]float64    `json:"gauges,omitempty"`
-	Histograms map[string]histDigest `json:"histograms,omitempty"`
-}
-
-// histDigest is the per-scrape digest of one histogram.
-type histDigest struct {
-	Count uint64  `json:"count"`
-	Sum   int64   `json:"sum"`
-	P50   float64 `json:"p50"`
-	P99   float64 `json:"p99"`
 }
 
 // scrapeRegistry collects one registry and emits one "metrics" event
 // per subsystem, in sorted subsystem order, then runs the Quantile
-// rules over its histograms.
+// rules over its histograms. The registry iterates in key order, so each
+// subsystem's lists come out key-sorted.
 func (s *scraper) scrapeRegistry(now sim.Time, fin bool, e *regEntry) {
 	e.reg.Collect()
 	bySub := make(map[string]*metricsPayload)
@@ -284,41 +365,31 @@ func (s *scraper) scrapeRegistry(now sim.Time, fin bool, e *regEntry) {
 		}
 		return p
 	}
+	e.cur, e.prev = e.prev[:0], e.cur
 	e.reg.EachCounter(func(key string, v uint64) {
+		e.cur = append(e.cur, kv[uint64]{key, v})
 		p := get(key)
-		if p.Counters == nil {
-			p.Counters = make(map[string]uint64)
-		}
-		p.Counters[key] = v
-		if d := v - e.last[key]; d != 0 {
-			if p.Delta == nil {
-				p.Delta = make(map[string]uint64)
-			}
-			p.Delta[key] = d
-		}
-		e.last[key] = v
+		p.counters = append(p.counters, kv[uint64]{key, v})
 	})
+	s.delta = appendDeltas(s.delta[:0], e.cur, e.prev)
+	for _, d := range s.delta {
+		p := get(d.key)
+		p.delta = append(p.delta, d)
+	}
 	e.reg.EachGauge(func(key string, v float64) {
 		p := get(key)
-		if p.Gauges == nil {
-			p.Gauges = make(map[string]float64)
-		}
-		p.Gauges[key] = v
+		p.gauges = append(p.gauges, kv[float64]{key, v})
 	})
 	quantiles := s.alerts.hasQuantile()
 	e.reg.EachHistogram(func(key string, h *telemetry.Histogram) {
 		p := get(key)
-		if p.Histograms == nil {
-			p.Histograms = make(map[string]histDigest)
-		}
-		p.Histograms[key] = histDigest{
+		p.hists = append(p.hists, kv[histDigest]{key, histDigest{
 			Count: h.Count(), Sum: h.Sum(),
 			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
-		}
+		}})
 		if quantiles && h.Count() > 0 {
 			s.alerts.evalQuantile(now, e.host, key, h.Quantile, func(typ string, p alertPayload) {
-				s.emit(now, fin, e.host, "alert", typ, p)
-				s.rec.notify(now, typ, p)
+				s.emitAlert(now, fin, e.host, typ, p)
 			})
 		}
 	})
@@ -328,7 +399,7 @@ func (s *scraper) scrapeRegistry(now sim.Time, fin bool, e *regEntry) {
 	}
 	sort.Strings(subs)
 	for _, sub := range subs {
-		s.emit(now, fin, e.host, sub, "metrics", bySub[sub])
+		s.emit(now, fin, &origin{e.host, sub, "metrics"}, appendMetrics(s.payload(), bySub[sub]))
 	}
 }
 
@@ -373,8 +444,9 @@ func (r *Recorder) Finish() {
 		for _, e := range s.regs {
 			s.scrapeRegistry(now, true, e)
 		}
+		summary := &origin{"testbed", "alert", "summary"}
 		for _, sum := range s.alerts.summaries(s.objects()) {
-			s.emit(now, true, "testbed", "alert", "summary", sum)
+			s.emit(now, true, summary, appendSummary(s.payload(), sum))
 		}
 	}
 }
@@ -406,14 +478,25 @@ func (s *scraper) objects() []string {
 // byte-identical at every worker count.
 func (r *Recorder) Drain(sink Sink) error {
 	r.Finish()
-	var all []segEvent
+	type ranked struct {
+		segEvent
+		seg int
+		seq uint64
+	}
+	var all []ranked
 	for _, s := range r.scrapers {
-		all = append(all, s.events...)
+		seq := uint64(0)
+		for _, blk := range s.events {
+			for _, e := range blk {
+				all = append(all, ranked{e, s.seg, seq})
+				seq++
+			}
+		}
 	}
 	sort.SliceStable(all, func(a, b int) bool {
-		x, y := all[a], all[b]
-		if x.ev.TS != y.ev.TS {
-			return x.ev.TS < y.ev.TS
+		x, y := &all[a], &all[b]
+		if x.ts != y.ts {
+			return x.ts < y.ts
 		}
 		if x.fin != y.fin {
 			return !x.fin
@@ -421,10 +504,13 @@ func (r *Recorder) Drain(sink Sink) error {
 		if x.seg != y.seg {
 			return x.seg < y.seg
 		}
-		return x.ev.Seq < y.ev.Seq
+		return x.seq < y.seq
 	})
 	for _, e := range all {
-		line, err := Encode(e.ev)
+		line, err := Encode(Event{
+			TS: int64(e.ts), Seq: e.seq, Host: e.org.host, Subsystem: e.org.subsystem,
+			Type: e.org.typ, Data: e.data,
+		})
 		if err != nil {
 			return err
 		}
