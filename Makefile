@@ -123,7 +123,8 @@ soak:
 
 # bench runs the microbenchmarks (macro benches plus the scheduler and
 # process switch, telemetry, the scrape tick, the completion poll, packet,
-# crc, pcie, roce and NIC hot paths), then records
+# crc, pcie, roce and NIC hot paths, and the KV client's Put/PutLarge/Get
+# with their simulated latency as sim-us/op), then records
 # bench snapshots: BENCH_quick.json (quick suite — the bench-diff gate)
 # and BENCH_pr$(PR).json (default suite — the per-PR trajectory; pass
 # PR=<n>, the default rewrites the committed PR 6 snapshot), both
@@ -132,7 +133,7 @@ soak:
 PR ?= 6
 BENCHNOTE = figure values are deterministic at seed 1; wall_ms series depend on the host (see gomaxprocs/num_cpu) -- a single-core host serializes the shard workers, so sharded wall time there measures barrier overhead, not speedup
 bench:
-	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/telemetry/export ./internal/cpu ./internal/packet ./internal/crc ./internal/pcie ./internal/roce ./internal/core
+	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/telemetry/export ./internal/cpu ./internal/packet ./internal/crc ./internal/pcie ./internal/roce ./internal/core ./internal/kvserve
 	$(GO) run ./cmd/strombench -quick -shards 4 -bench BENCH_quick.json -benchnote "$(BENCHNOTE)" > /dev/null
 	$(GO) run ./cmd/strombench -shards 4 -bench BENCH_pr$(PR).json -benchnote "$(BENCHNOTE)" > /dev/null
 	$(GO) run ./cmd/strombench -quick -chaos chaos-recovery > /dev/null

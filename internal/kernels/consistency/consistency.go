@@ -178,9 +178,12 @@ func ReadDeadline(p *sim.Process, nic *core.NIC, qpn uint32, rpcOp uint64, param
 	return read(p, nic, qpn, rpcOp, params, deadline)
 }
 
+// zeroStatus clears the status word before every read; never written.
+var zeroStatus [8]byte
+
 func read(p *sim.Process, nic *core.NIC, qpn uint32, rpcOp uint64, params Params, deadline sim.Time) ([]byte, error) {
 	statusVA := hostmem.Addr(params.ResponseAddress + uint64(params.ObjectSize))
-	if err := nic.Memory().WriteVirt(statusVA, make([]byte, 8)); err != nil {
+	if err := nic.Memory().WriteVirt(statusVA, zeroStatus[:]); err != nil {
 		return nil, err
 	}
 	var timeout sim.Duration

@@ -74,10 +74,44 @@ type session struct {
 	slot hostmem.Addr // SlotSize staging for slot writes
 	ext  hostmem.Addr // ExtentSize staging for extent writes
 	read hostmem.Addr // ExtentSize+16 landing area for reads and kernel responses
+
+	// buf is the session's host-side scratch: a write encodes its value
+	// and images here on the way to the staging areas, a read copies the
+	// landing area out into it. Slices of it die with the op. Sized for
+	// the largest tenant, a large value followed by its extent image.
+	buf  [LargeValCap + ExtentSize]byte
+	join join
 }
 
 // sessionBytes is the client-buffer footprint of one session.
 const sessionBytes = SlotSize + ExtentSize + ExtentSize + 16
+
+// join collects the completions of the WRITEs one attempt stage posts
+// together. It lives in the session with its callbacks built once, so a
+// stage allocates nothing. That is sound because a posted verb completes
+// exactly once (the NIC's deadline guard swallows a late transport
+// completion) and a stage waits for all its posts before the next
+// begins.
+type join struct {
+	pending int
+	errs    [2]error
+	cb      [2]func(error)
+	done    sim.Completion[struct{}]
+}
+
+func newSession(base hostmem.Addr) *session {
+	s := &session{slot: base, ext: base + SlotSize, read: base + SlotSize + ExtentSize}
+	j := &s.join
+	for i := range j.cb {
+		j.cb[i] = func(err error) {
+			j.errs[i] = err
+			if j.pending--; j.pending == 0 {
+				j.done.Complete(struct{}{})
+			}
+		}
+	}
+	return s
+}
 
 // opKind discriminates the put body's three shapes.
 type opKind int
@@ -153,8 +187,8 @@ type Client struct {
 	histPut   *telemetry.Histogram
 	histGet   *telemetry.Histogram
 	histLarge *telemetry.Histogram // lazily registered on first PutLarge
-	PutLat    []sim.Duration // per-acked-Put latency samples
-	GetLat    []sim.Duration // per-successful-Get latency samples
+	PutLat    []sim.Duration       // per-acked-Put latency samples
+	GetLat    []sim.Duration       // per-successful-Get latency samples
 
 	Stats Stats
 }
@@ -275,27 +309,15 @@ func (c *Client) recover(p *sim.Process, server, attempt int) error {
 	return nil
 }
 
-// writeSlot pushes the session's staged slot image to one replica slot.
-func (c *Client) writeSlot(p *sim.Process, sess *session, server int, va hostmem.Addr) error {
-	cn := &c.conns[server]
-	return c.m.NIC.WriteKeySyncDeadline(p, cn.qpc, uint64(sess.slot), uint64(va), cn.rkey, SlotSize, p.Now().Add(c.deadline))
-}
-
-// writeExtent pushes the session's staged extent image to one replica
-// arena slot.
-func (c *Client) writeExtent(p *sim.Process, sess *session, server int, va hostmem.Addr) error {
-	cn := &c.conns[server]
-	return c.m.NIC.WriteKeySyncDeadline(p, cn.qpc, uint64(sess.ext), uint64(va), cn.rkey, ExtentSize, p.Now().Add(c.deadline))
-}
-
 // readRemote pulls nbytes at va from one replica into the session's
-// landing area and returns them.
+// landing area and returns them in the session scratch.
 func (c *Client) readRemote(p *sim.Process, sess *session, server int, va hostmem.Addr, nbytes int) ([]byte, error) {
 	cn := &c.conns[server]
 	if err := c.m.NIC.ReadKeySyncDeadline(p, cn.qpc, uint64(va), uint64(sess.read), cn.rkey, nbytes, p.Now().Add(c.deadline)); err != nil {
 		return nil, err
 	}
-	return c.m.NIC.Memory().ReadVirt(sess.read, nbytes)
+	b := sess.buf[:nbytes]
+	return b, c.m.NIC.Memory().ReadVirtInto(sess.read, b)
 }
 
 // stagedWrite describes what stageVersion put in the session buffers.
@@ -309,8 +331,9 @@ type stagedWrite struct {
 // image for (key, ver) into the session staging areas.
 func (c *Client) stageVersion(sess *session, key, ver uint64) (stagedWrite, error) {
 	sw := stagedWrite{key: key, ver: ver}
+	mem := c.m.NIC.Memory()
 	var flags uint32
-	var payload []byte
+	payload := sess.buf[:0] // each image is encoded right behind its payload
 	switch {
 	case c.wasDelete(key, ver):
 		flags = FlagTombstone
@@ -319,80 +342,127 @@ func (c *Client) stageVersion(sess *session, key, ver uint64) (stagedWrite, erro
 		if ref == nil {
 			return sw, fmt.Errorf("kvserve: key %d ver %d spilled but has no extent", key, ver)
 		}
-		val := LargeValueFor(key, ver)
-		img, err := EncodeExtent(key, ver, val)
+		val := appendLargeValue(payload, key, ver)
+		img, err := AppendExtent(val, key, ver, val)
 		if err != nil {
 			return sw, err
 		}
-		if err := c.m.NIC.Memory().WriteVirt(sess.ext, img); err != nil {
+		if err := mem.WriteVirt(sess.ext, img[len(val):]); err != nil {
 			return sw, err
 		}
 		sw.spilled, sw.off = true, ref.off
 		flags = FlagSpilled
-		payload = EncodeSpillRef(ref.off, len(val))
+		payload = AppendSpillRef(payload, ref.off, len(val))
 	default:
-		payload = ValueFor(key, ver)
+		payload = appendValue(payload, key, ver)
 	}
-	slot, err := EncodeSlot(key, ver, payload, flags)
+	img, err := AppendSlot(payload, key, ver, payload, flags)
 	if err != nil {
 		return sw, err
 	}
-	return sw, c.m.NIC.Memory().WriteVirt(sess.slot, slot)
+	return sw, mem.WriteVirt(sess.slot, img[len(payload):])
 }
 
-// putReplica drives one replica write to completion: bounded retries
-// with backoff, reconnect and rkey refetch, and the duplicate-
-// suppression probe before every retry of an ambiguous failure. A
-// spilled write applies the publish ordering: extent first, slot
-// second, on the same QP, each awaited — the slot can never be visible
-// before its extent.
-func (c *Client) putReplica(p *sim.Process, sess *session, server int, sw stagedWrite) error {
-	if c.down[server] {
-		return fmt.Errorf("%w: server %d marked down", ErrUnavailable, server)
+// writeStage posts one staged image of sw — the extent, or else the
+// slot — to every listed replica whose errs entry is still nil, all at
+// once, and parks until each of them completed or hit its deadline. A
+// failure lands in the replica's errs entry.
+func (c *Client) writeStage(p *sim.Process, sess *session, sw stagedWrite, extent bool, servers []int, errs []error) {
+	j := &sess.join
+	j.pending = 0
+	for i := range servers {
+		if errs[i] == nil {
+			j.pending++
+		}
 	}
+	if j.pending == 0 {
+		return
+	}
+	j.done = sim.Completion[struct{}]{}
 	sh := c.lay.ShardOf(sw.key)
-	srv := c.servers[server]
-	slotVA := c.lay.SlotAddr(srv.TableFor(c.lay, sh), sw.key)
-	var lastErr error
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
-		if attempt > 0 {
-			c.Stats.Retries++
-			if err := c.recover(p, server, attempt-1); err != nil {
-				c.MarkDown(server)
-				return err
+	local, nbytes := sess.slot, SlotSize
+	if extent {
+		local, nbytes = sess.ext, ExtentSize
+	}
+	deadline := p.Now().Add(c.deadline)
+	for i, server := range servers {
+		if errs[i] != nil {
+			continue
+		}
+		srv, cn := c.servers[server], &c.conns[server]
+		va := c.lay.SlotAddr(srv.TableFor(c.lay, sh), sw.key)
+		if extent {
+			va = c.lay.ExtentAddr(srv.ArenaFor(c.lay, sh), sw.off)
+		}
+		c.m.NIC.PostWriteKeyDeadline(cn.qpc, uint64(local), uint64(va), cn.rkey, nbytes, deadline, j.cb[i])
+	}
+	j.done.Wait(p) // resolves without a value: the errors are in j.errs
+	for i := range servers {
+		if errs[i] == nil {
+			errs[i] = j.errs[i]
+		}
+	}
+}
+
+// attempt makes one attempt at the staged write on every listed replica
+// (one or two) whose errs entry is nil, overlapped: the replicas' WRITEs
+// go out together and cost one round trip, not one each. A spilled write
+// runs its two stages in lock-step — extents everywhere, wait, slots
+// everywhere — so the publish ordering holds per replica: a slot is only
+// posted once that replica's own extent write completed, on the same QP.
+// A replica that fails a stage takes no further part; its error is left
+// in errs.
+func (c *Client) attempt(p *sim.Process, sess *session, sw stagedWrite, servers []int, errs []error) {
+	if sw.spilled {
+		c.writeStage(p, sess, sw, true, servers, errs)
+		for i, server := range servers {
+			if errs[i] != nil {
+				continue
 			}
-			// The failed attempt may have landed before its deadline
-			// expired — or, with a second writer process racing this key
-			// (the chaos regime's overwriter), a newer version may have
-			// been published while we backed off. Probe the slot's version
-			// field and suppress the retry if this or a newer write is
-			// already applied: rewriting would regress the slot.
-			if b, err := c.readRemote(p, sess, server, slotVA+slotVerOff, 8); err == nil {
-				if got := binary.LittleEndian.Uint64(b); got >= sw.ver {
-					c.Stats.DupSuppressed++
-					c.notePublished(server, sw)
-					return nil
-				}
+			c.noteExtentWritten(server, sw)
+			if h := c.testAfterExtentWrite; h != nil {
+				h(p, server, sw.key, sw.ver)
 			}
 		}
-		var err error
-		if sw.spilled {
-			extVA := c.lay.ExtentAddr(srv.ArenaFor(c.lay, sh), sw.off)
-			if err = c.writeExtent(p, sess, server, extVA); err == nil {
-				c.noteExtentWritten(server, sw)
-				if h := c.testAfterExtentWrite; h != nil {
-					h(p, server, sw.key, sw.ver)
-				}
-				err = c.writeSlot(p, sess, server, slotVA)
-			}
-		} else {
-			err = c.writeSlot(p, sess, server, slotVA)
-		}
-		if err == nil {
+	}
+	c.writeStage(p, sess, sw, false, servers, errs)
+	for i, server := range servers {
+		if errs[i] == nil {
 			c.notePublished(server, sw)
-			return nil
 		}
-		lastErr = err
+	}
+}
+
+// putReplicas drives the staged write to completion on the listed
+// replicas (a Put's two, a repair's one): one overlapped attempt on all
+// that are up, then each replica that failed it goes through the retry
+// loop on its own, in turn — the session has one landing area for the
+// version probe. errs reports, per replica, nil once the write is
+// applied there.
+func (c *Client) putReplicas(p *sim.Process, sess *session, sw stagedWrite, servers []int, errs []error) {
+	for i, server := range servers {
+		errs[i] = nil
+		if c.down[server] {
+			errs[i] = fmt.Errorf("%w: server %d marked down", ErrUnavailable, server)
+		}
+	}
+	c.attempt(p, sess, sw, servers, errs)
+	for i, server := range servers {
+		if errs[i] != nil {
+			errs[i] = c.retryReplica(p, sess, server, sw, errs[i])
+		}
+	}
+}
+
+// retryReplica takes one replica whose first attempt failed with err
+// through the rest of its bounded retry budget: backoff, reconnect and
+// rkey refetch, and the duplicate-suppression probe before every
+// rewrite of an ambiguous failure. An error no retry can cure (the
+// replica is marked down) is returned as it came.
+func (c *Client) retryReplica(p *sim.Process, sess *session, server int, sw stagedWrite, err error) error {
+	slotVA := c.lay.SlotAddr(c.servers[server].TableFor(c.lay, c.lay.ShardOf(sw.key)), sw.key)
+	one, errs := [1]int{server}, [1]error{}
+	for attempt := 1; ; attempt++ {
 		switch {
 		case errors.Is(err, roce.ErrRemoteAccess):
 			// NAK'd by the MR check: nothing was applied, but the cached
@@ -403,8 +473,33 @@ func (c *Client) putReplica(p *sim.Process, sess *session, server int, sw staged
 		default:
 			return err
 		}
+		if attempt >= c.maxAttempts {
+			return err
+		}
+		c.Stats.Retries++
+		if rerr := c.recover(p, server, attempt-1); rerr != nil {
+			c.MarkDown(server)
+			return rerr
+		}
+		// The failed attempt may have landed before its deadline
+		// expired — or, with a second writer process racing this key
+		// (the chaos regime's overwriter), a newer version may have
+		// been published while we backed off. Probe the slot's version
+		// field and suppress the retry if this or a newer write is
+		// already applied: rewriting would regress the slot.
+		if b, rerr := c.readRemote(p, sess, server, slotVA+slotVerOff, 8); rerr == nil {
+			if got := binary.LittleEndian.Uint64(b); got >= sw.ver {
+				c.Stats.DupSuppressed++
+				c.notePublished(server, sw)
+				return nil
+			}
+		}
+		errs[0] = nil
+		c.attempt(p, sess, sw, one[:], errs[:])
+		if err = errs[0]; err == nil {
+			return nil
+		}
 	}
-	return lastErr
 }
 
 // noteExtentWritten records that replica server's extent for sw.key now
@@ -500,9 +595,12 @@ func (c *Client) put(p *sim.Process, key uint64, kind opKind) error {
 		return err
 	}
 	sh := c.lay.ShardOf(key)
+	servers := [2]int{c.lay.PrimaryServer(sh), c.lay.BackupServer(sh)}
+	var errs [2]error
+	c.putReplicas(p, sess, sw, servers[:], errs[:])
 	ackedAny := false
-	for _, server := range []int{c.lay.PrimaryServer(sh), c.lay.BackupServer(sh)} {
-		if err := c.putReplica(p, sess, server, sw); err == nil {
+	for i, server := range servers {
+		if errs[i] == nil {
 			ackedAny = true
 			delete(c.deficits[server], key)
 		} else {
@@ -531,12 +629,12 @@ func (c *Client) put(p *sim.Process, key uint64, kind opKind) error {
 }
 
 // Put writes the deterministic value for the key's next version to both
-// replicas, acking once at least one holds it.
+// replicas at once — one round trip — acking once at least one holds it.
 func (c *Client) Put(p *sim.Process, key uint64) error { return c.put(p, key, opInline) }
 
 // PutLarge writes the deterministic large value (25..96 B) for the
 // key's next version: extent first, version-stamped pointer slot
-// second, to both replicas.
+// second, each stage to both replicas at once — two round trips.
 func (c *Client) PutLarge(p *sim.Process, key uint64) error { return c.put(p, key, opLarge) }
 
 // Delete writes a tombstone version — ordered, versioned and replicated
@@ -544,7 +642,8 @@ func (c *Client) PutLarge(p *sim.Process, key uint64) error { return c.put(p, ke
 func (c *Client) Delete(p *sim.Process, key uint64) error { return c.put(p, key, opDelete) }
 
 // getReplica reads one replica's slot with bounded retries (reads are
-// idempotent, so no duplicate suppression is needed).
+// idempotent, so no duplicate suppression is needed). The slot's value
+// aliases the session scratch: it is good until the session's next read.
 func (c *Client) getReplica(p *sim.Process, sess *session, server int, va hostmem.Addr) (Slot, error) {
 	if c.down[server] {
 		return Slot{}, fmt.Errorf("%w: server %d marked down", ErrUnavailable, server)
@@ -560,9 +659,7 @@ func (c *Client) getReplica(p *sim.Process, sess *session, server int, va hostme
 		}
 		b, err := c.readRemote(p, sess, server, va, SlotSize)
 		if err == nil {
-			s := DecodeSlot(b)
-			s.Val = append([]byte(nil), s.Val...)
-			return s, nil
+			return DecodeSlot(b), nil
 		}
 		lastErr = err
 		switch {
@@ -629,12 +726,14 @@ func (c *Client) Get(p *sim.Process, key uint64) (slot Slot, found bool, err err
 			if slot.Flags&FlagSpilled != 0 {
 				slot.Val = val
 				c.checkLarge(key, slot)
-			} else {
-				// The key went back inline while we chased the extent.
-				c.checkSlot(key, slot)
 			}
-		} else {
+		}
+		if slot.Flags&FlagSpilled == 0 {
+			// Inline from the start, or the key went back inline while we
+			// chased the extent. The one copy of a served value: out of the
+			// session scratch, which the next op on this session overwrites.
 			c.checkSlot(key, slot)
+			slot.Val = append([]byte(nil), slot.Val...)
 		}
 		if server != prim {
 			c.Stats.Failovers++
@@ -774,18 +873,31 @@ func (c *Client) repairServer(p *sim.Process, server int) {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	one, errs := [1]int{server}, [1]error{}
 	for _, key := range keys {
-		ver := defic[key]
+		// keys is a snapshot and every write below parks: read the ledger
+		// again. A Put from another client process that reached this
+		// server meanwhile has settled the debt, and one still in flight
+		// (a debt older than the issued version) will either deliver or
+		// re-record it — writing the old version now would regress the
+		// slot under that Put.
+		ver, owed := defic[key]
+		if !owed || ver < c.issued[key] {
+			continue
+		}
 		sw, err := c.stageVersion(sess, key, ver)
 		if err != nil {
 			return
 		}
-		if err := c.putReplica(p, sess, server, sw); err != nil {
+		c.putReplicas(p, sess, sw, one[:], errs[:])
+		if errs[0] != nil {
 			// Server went away again mid-repair; MarkUp will re-flag us.
 			c.repairDue[server] = len(defic) > 0
 			return
 		}
-		delete(defic, key)
+		if defic[key] == ver {
+			delete(defic, key)
+		}
 		c.Stats.Repairs++
 	}
 }

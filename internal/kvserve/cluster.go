@@ -149,12 +149,7 @@ func New(net *testrig.Net, cfg Config) (*Cluster, error) {
 		histGet:     cfg.Registry.Histogram("kv_op_latency_ps", "ps", telemetry.L("op", "get")),
 	}
 	for i := 0; i < cfg.Sessions; i++ {
-		base := cm.Buf.Base() + hostmem.Addr(i*sessionBytes)
-		c.pool = append(c.pool, &session{
-			slot: base,
-			ext:  base + SlotSize,
-			read: base + SlotSize + ExtentSize,
-		})
+		c.pool = append(c.pool, newSession(cm.Buf.Base()+hostmem.Addr(i*sessionBytes)))
 	}
 	for sh := 0; sh < s; sh++ {
 		c.arenas = append(c.arenas, kvstore.NewFixedArena(ExtentSize, lay.ExtentsPerShard()))

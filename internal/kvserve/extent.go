@@ -67,10 +67,13 @@ type Extent struct {
 
 // EncodeSpillRef renders the slot-value payload for a spilled slot.
 func EncodeSpillRef(off int, vlen int) []byte {
-	b := make([]byte, SpillRefLen)
-	binary.LittleEndian.PutUint64(b, uint64(off))
-	binary.LittleEndian.PutUint32(b[8:], uint32(vlen))
-	return b
+	return AppendSpillRef(make([]byte, 0, SpillRefLen), off, vlen)
+}
+
+// AppendSpillRef appends the SpillRefLen-byte spill reference to dst.
+func AppendSpillRef(dst []byte, off int, vlen int) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(off))
+	return binary.LittleEndian.AppendUint32(dst, uint32(vlen))
 }
 
 // DecodeSpillRef parses a spilled slot's value payload.
@@ -90,16 +93,22 @@ func DecodeSpillRef(b []byte) (off int, vlen int, ok bool) {
 // frame (key|ver|vlen|pad|value|crc — the trailing-8-byte convention the
 // consistency kernel verifies NIC-side).
 func EncodeExtent(key, ver uint64, val []byte) ([]byte, error) {
+	return AppendExtent(make([]byte, 0, ExtentSize), key, ver, val)
+}
+
+// AppendExtent appends the ExtentSize-byte extent image to dst:
+// EncodeExtent for a caller that owns the buffer.
+func AppendExtent(dst []byte, key, ver uint64, val []byte) ([]byte, error) {
 	if len(val) > LargeValCap {
-		return nil, fmt.Errorf("%w: %d > %d", ErrValueTooLong, len(val), LargeValCap)
+		return dst, fmt.Errorf("%w: %d > %d", ErrValueTooLong, len(val), LargeValCap)
 	}
-	b := make([]byte, ExtentSize)
+	dst, b := grow(dst, ExtentSize)
 	binary.LittleEndian.PutUint64(b[extKeyOff:], key)
 	binary.LittleEndian.PutUint64(b[extVerOff:], ver)
 	binary.LittleEndian.PutUint32(b[extLenOff:], uint32(len(val)))
 	copy(b[extValOff:], val)
 	cpu.StampCRC64(b)
-	return b, nil
+	return dst, nil
 }
 
 // DecodeExtent parses an extent image. A CRC mismatch or an impossible
@@ -124,20 +133,13 @@ func DecodeExtent(b []byte) Extent {
 // 25..96 bytes for (key, version), so audits and Get self-checks can
 // recompute expected large values from headers alone. A distinct mix
 // constant keeps it from ever colliding with ValueFor's stream.
-func LargeValueFor(key, ver uint64) []byte {
+func LargeValueFor(key, ver uint64) []byte { return appendLargeValue(nil, key, ver) }
+
+// appendLargeValue appends LargeValueFor(key, ver) to dst.
+func appendLargeValue(dst []byte, key, ver uint64) []byte {
 	n := ValCap + 1 + int((key*0xD6E8FEB86659FD93^ver)%(LargeValCap-ValCap))
-	out := make([]byte, n)
 	x := key*0xBF58476D1CE4E5B9 + ver*0x94D049BB133111EB + 0x2545F4914F6CDD1D
-	for i := 0; i < n; i += 8 {
-		z := x + uint64(i)*0x9E3779B97F4A7C15
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
-		var blk [8]byte
-		binary.LittleEndian.PutUint64(blk[:], z)
-		copy(out[i:], blk[:])
-	}
-	return out
+	return appendMix(dst, n, x)
 }
 
 // ExtentsPerShard returns the arena capacity every shard allocates: one

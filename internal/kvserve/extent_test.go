@@ -47,8 +47,8 @@ func TestSpillRefCodec(t *testing.T) {
 	bad := [][]byte{
 		nil,
 		ref[:8],
-		EncodeSpillRef(ExtentSize+1, 80),          // unaligned offset
-		EncodeSpillRef(ExtentSize, ValCap),        // inline-sized: not a spill
+		EncodeSpillRef(ExtentSize+1, 80),   // unaligned offset
+		EncodeSpillRef(ExtentSize, ValCap), // inline-sized: not a spill
 		EncodeSpillRef(ExtentSize, LargeValCap+1), // over cap
 	}
 	for i, b := range bad {

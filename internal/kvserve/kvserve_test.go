@@ -78,12 +78,12 @@ func kvSwitchConfig() fabric.SwitchConfig {
 }
 
 // newTestCluster builds a 1-client + 3-server cluster on one engine.
-func newTestCluster(t *testing.T, seed int64) (*testrig.Net, *Cluster) {
+func newTestCluster(t testing.TB, seed int64) (*testrig.Net, *Cluster) {
 	return newTestClusterCfg(t, seed, nil)
 }
 
 // newTestClusterCfg is newTestCluster with a config hook.
-func newTestClusterCfg(t *testing.T, seed int64, mod func(*Config)) (*testrig.Net, *Cluster) {
+func newTestClusterCfg(t testing.TB, seed int64, mod func(*Config)) (*testrig.Net, *Cluster) {
 	t.Helper()
 	net, err := testrig.NewNet(seed, 4, core.Profile10G(), kvSwitchConfig(), 1<<20)
 	if err != nil {

@@ -103,7 +103,8 @@ func (c *Client) getSpilled(p *sim.Process, sess *session, server int, key uint6
 				if len(ext.Val) != vlen {
 					c.Stats.Misapplied++
 				}
-				return slot, append([]byte(nil), ext.Val...), nil
+				// ext.Val aliases obj, the kernel read's own copy.
+				return slot, ext.Val, nil
 			}
 		}
 		c.Stats.TornDetected++

@@ -73,16 +73,29 @@ func (s Slot) Tombstone() bool { return s.Flags&FlagTombstone != 0 }
 
 // EncodeSlot renders a slot into its wire/memory form.
 func EncodeSlot(key, ver uint64, val []byte, flags uint32) ([]byte, error) {
+	return AppendSlot(make([]byte, 0, SlotSize), key, ver, val, flags)
+}
+
+// AppendSlot appends a slot's SlotSize-byte image to dst: EncodeSlot
+// for a caller that owns the buffer (the put path's session scratch).
+func AppendSlot(dst []byte, key, ver uint64, val []byte, flags uint32) ([]byte, error) {
 	if len(val) > ValCap {
-		return nil, fmt.Errorf("%w: %d > %d", ErrValueTooLong, len(val), ValCap)
+		return dst, fmt.Errorf("%w: %d > %d", ErrValueTooLong, len(val), ValCap)
 	}
-	b := make([]byte, SlotSize)
+	dst, b := grow(dst, SlotSize)
 	binary.LittleEndian.PutUint64(b[slotKeyOff:], key)
 	binary.LittleEndian.PutUint64(b[slotVerOff:], ver)
 	binary.LittleEndian.PutUint32(b[slotLenOff:], uint32(len(val)))
 	binary.LittleEndian.PutUint32(b[slotFlgOff:], flags)
 	copy(b[slotValOff:], val)
-	return b, nil
+	return dst, nil
+}
+
+// grow extends dst by n zero bytes and returns the new slice and its
+// n-byte tail.
+func grow(dst []byte, n int) (all, tail []byte) {
+	dst = append(dst, make([]byte, n)...)
+	return dst, dst[len(dst)-n:]
 }
 
 // DecodeSlot parses a slot image. The value slice aliases b.
@@ -104,12 +117,20 @@ func DecodeSlot(b []byte) Slot {
 // audit, a Get's self-check — can recompute the expected value from the
 // slot header alone and detect a misapplied or torn write without
 // keeping a log.
-func ValueFor(key, ver uint64) []byte {
+func ValueFor(key, ver uint64) []byte { return appendValue(nil, key, ver) }
+
+// appendValue appends ValueFor(key, ver) to dst.
+func appendValue(dst []byte, key, ver uint64) []byte {
 	n := 8 + int((key^ver)%(ValCap-8+1))
-	out := make([]byte, n)
 	x := key*0x9E3779B97F4A7C15 + ver*0xBF58476D1CE4E5B9 + 0x94D049BB133111EB
+	return appendMix(dst, n, x)
+}
+
+// appendMix appends n bytes of the splitmix64 stream seeded by x: full
+// avalanche per 8-byte block.
+func appendMix(dst []byte, n int, x uint64) []byte {
+	dst, out := grow(dst, n)
 	for i := 0; i < n; i += 8 {
-		// splitmix64 finalizer: full avalanche per 8-byte block.
 		z := x + uint64(i)*0x9E3779B97F4A7C15
 		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
@@ -118,7 +139,7 @@ func ValueFor(key, ver uint64) []byte {
 		binary.LittleEndian.PutUint64(blk[:], z)
 		copy(out[i:], blk[:])
 	}
-	return out
+	return dst
 }
 
 // Layout is the cluster's shard map: pure arithmetic shared by client

@@ -172,14 +172,14 @@ type txDone struct {
 func NewStack(eng *sim.Engine, cfg Config, id Identity, handler Handler, transmit func([]byte)) *Stack {
 	valid, _ := handler.(AccessValidator)
 	s := &Stack{
-		eng:      eng,
-		cfg:      cfg,
-		id:       id,
-		handler:  handler,
-		valid:    valid,
-		transmit: transmit,
-		st:       newStateTable(cfg.NumQPs),
-		mq:       newMultiQueue(cfg.NumQPs, cfg.MultiQueuePool, cfg.ReadDepthPerQP),
+		eng:       eng,
+		cfg:       cfg,
+		id:        id,
+		handler:   handler,
+		valid:     valid,
+		transmit:  transmit,
+		st:        newStateTable(cfg.NumQPs),
+		mq:        newMultiQueue(cfg.NumQPs, cfg.MultiQueuePool, cfg.ReadDepthPerQP),
 		rxPath:    sim.NewSerializer(eng),
 		txPath:    sim.NewSerializer(eng),
 		timers:    make([]sim.Event, cfg.NumQPs),
