@@ -123,8 +123,10 @@ soak:
 
 # bench runs the microbenchmarks (macro benches plus the scheduler and
 # process switch, telemetry, the scrape tick, the completion poll, packet,
-# crc, pcie, roce and NIC hot paths, and the KV client's Put/PutLarge/Get
-# with their simulated latency as sim-us/op), then records
+# crc, pcie (incl. the 47-chunk streamed read), roce and NIC hot paths,
+# and, with their simulated latency as sim-us/op beside ns/op, the 64 KiB
+# bulk WRITE/READ on the 100 G pair and the KV client's Put/PutLarge/Get),
+# then records
 # bench snapshots: BENCH_quick.json (quick suite — the bench-diff gate)
 # and BENCH_pr$(PR).json (default suite — the per-PR trajectory; pass
 # PR=<n>, the default rewrites the committed PR 6 snapshot), both

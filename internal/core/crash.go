@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"strom/internal/hostmem"
-	"strom/internal/mr"
 	"strom/internal/roce"
 	"strom/internal/sim"
 )
@@ -141,16 +139,7 @@ func (n *NIC) PostRPCWriteDeadline(qpn uint32, rpcOp uint64, localVA uint64, nby
 		return
 	}
 	n.ringDoorbell(func() {
-		n.observeDMA(mr.AccessLocal, localVA, nbytes)
-		n.dma.ReadHostBorrowed(hostmem.Addr(localVA), nbytes, func(data []byte, err error) {
-			if err != nil {
-				n.completeErr(done, err)
-				return
-			}
-			if err := n.stack.PostRPCWriteDeadline(qpn, rpcOp, data, deadline, done); err != nil {
-				n.completeErr(done, err)
-			}
-		})
+		n.fetchPayload(true, qpn, localVA, rpcOp, 0, nbytes, deadline, done)
 	})
 }
 

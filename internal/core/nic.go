@@ -93,6 +93,7 @@ type NIC struct {
 	stats    NICStats
 	// writeLanded is onWriteLanded as a func value, made once.
 	writeLanded func(error)
+	fetchFree   []*fetch      // recycled payload fetches (see fetch)
 	tel         *nicTelemetry // nil when telemetry is disabled
 
 	// Memory protection (see protect.go): the region table the responder
@@ -267,12 +268,15 @@ func (n *NIC) onWriteLanded(err error) {
 	}
 }
 
-// HandleReadRequest implements the direct DMA→RoCE path for RDMA READs.
-// The data is borrowed from the DMA engine: the stack has encoded every
-// response frame when deliver returns.
+// HandleReadRequest implements the direct DMA→RoCE path for RDMA READs,
+// cut-through: one DMA command, delivered to the stack an MTU payload at
+// a time as the bytes cross PCIe, so the first response frame leaves
+// while the rest of the data is still in host memory. Each chunk is
+// borrowed from the DMA engine: the stack has encoded its frame when
+// deliver returns.
 func (n *NIC) HandleReadRequest(qpn uint32, va uint64, nbytes int, deliver func([]byte, error)) {
 	n.observeDMA(mr.AccessRemoteRead, va, nbytes)
-	n.dma.ReadHostBorrowed(hostmem.Addr(va), nbytes, deliver)
+	n.dma.ReadHostStream(hostmem.Addr(va), nbytes, n.cfg.Roce.MTUPayload, deliver)
 }
 
 // HandleRPCParams matches the RPC op-code against deployed kernels and
@@ -342,9 +346,74 @@ func (n *NIC) ringDoorbell(fn func()) {
 	n.eng.ScheduleAt(end.Add(n.cfg.PCIe.MMIOWriteLatency), fn)
 }
 
+// fetch is the payload of one WRITE or RPC WRITE on its way from host
+// memory to the wire. The request handler fetches it with one DMA command
+// (§4.1) that delivers an MTU payload at a time: the first chunk posts
+// the message, which reserves its PSNs, and every later one is fed to it
+// (roce.WriteStream), so a segment leaves as soon as its bytes have
+// crossed PCIe. Nothing in the data path holds a whole message. Records
+// are recycled, their chunk callback bound once.
+type fetch struct {
+	n        *NIC
+	rpc      bool // RPC WRITE: target is the op-code
+	qpn      uint32
+	rkey     uint32
+	target   uint64 // remote VA, or the RPC op-code
+	nbytes   int
+	got      int // bytes the DMA engine has delivered
+	deadline sim.Time
+	done     func(error)
+	ws       *roce.WriteStream // the posted message; nil before the first chunk, and if the post failed
+	onChunk  func([]byte, error)
+}
+
+// fetchPayload starts the DMA read behind a posted WRITE or RPC WRITE.
+func (n *NIC) fetchPayload(rpc bool, qpn uint32, localVA, target uint64, rkey uint32, nbytes int, deadline sim.Time, done func(error)) {
+	var f *fetch
+	if k := len(n.fetchFree); k > 0 {
+		f, n.fetchFree = n.fetchFree[k-1], n.fetchFree[:k-1]
+	} else {
+		f = &fetch{n: n}
+		f.onChunk = f.chunk
+	}
+	f.rpc, f.qpn, f.target, f.rkey, f.nbytes, f.deadline, f.done = rpc, qpn, target, rkey, nbytes, deadline, done
+	n.observeDMA(mr.AccessLocal, localVA, nbytes)
+	n.dma.ReadHostStream(hostmem.Addr(localVA), nbytes, n.cfg.Roce.MTUPayload, f.onChunk)
+}
+
+// chunk receives the next MTU payload of the fetch, borrowed from the
+// DMA engine: the stack has encoded it into a frame when Feed returns.
+func (f *fetch) chunk(data []byte, err error) {
+	n := f.n
+	switch {
+	case err != nil:
+		if f.ws != nil {
+			f.ws.Abort(err)
+		} else if f.got == 0 {
+			n.completeErr(f.done, err)
+		}
+		f.got = f.nbytes // the engine ends a failed stream
+	case f.got == 0:
+		if f.rpc {
+			f.ws, err = n.stack.PostRPCWriteStream(f.qpn, f.target, f.nbytes, data, f.deadline, f.done)
+		} else {
+			f.ws, err = n.stack.PostWriteStream(f.qpn, f.target, f.rkey, f.nbytes, data, f.deadline, f.done)
+		}
+		if err != nil {
+			n.completeErr(f.done, err)
+		}
+	case f.ws != nil:
+		f.ws.Feed(data)
+	}
+	if f.got += len(data); f.got >= f.nbytes {
+		f.done, f.ws, f.got = nil, nil, 0
+		n.fetchFree = append(n.fetchFree, f)
+	}
+}
+
 // PostWrite issues an RDMA WRITE of n bytes from local memory at localVA
 // to the remote address remoteVA. The request handler fetches the payload
-// over DMA before transmission (§4.1).
+// over DMA and transmits each segment as it arrives (§4.1).
 func (n *NIC) PostWrite(qpn uint32, localVA, remoteVA uint64, nbytes int, done func(error)) {
 	n.PostWriteDeadline(qpn, localVA, remoteVA, nbytes, 0, done)
 }
@@ -402,7 +471,8 @@ func (n *NIC) InvokeLocal(rpcOp uint64, qpn uint32, params []byte, done func(err
 
 // StreamLocal runs local data through a kernel as a send-side
 // bump-in-the-wire: payload is DMA-fetched and streamed segment by
-// segment (a send kernel, §3.5).
+// segment (a send kernel, §3.5), each as it arrives over PCIe and
+// borrowed from the DMA engine like any Kernel.Stream data.
 func (n *NIC) StreamLocal(rpcOp uint64, qpn uint32, localVA uint64, nbytes int, done func(error)) {
 	n.ringDoorbell(func() {
 		if n.crashed {
@@ -415,26 +485,17 @@ func (n *NIC) StreamLocal(rpcOp uint64, qpn uint32, localVA uint64, nbytes int, 
 			return
 		}
 		n.observeDMA(mr.AccessLocal, localVA, nbytes)
-		n.dma.ReadHost(hostmem.Addr(localVA), nbytes, func(data []byte, err error) {
+		got := 0
+		n.dma.ReadHostStream(hostmem.Addr(localVA), nbytes, n.cfg.Roce.MTUPayload, func(chunk []byte, err error) {
 			if err != nil {
 				n.completeErr(done, err)
 				return
 			}
-			mtu := n.cfg.Roce.MTUPayload
-			for off := 0; off < len(data) || off == 0; off += mtu {
-				end := off + mtu
-				if end > len(data) {
-					end = len(data)
-				}
-				last := end == len(data)
-				chunk := data[off:end]
-				n.stats.StreamSegments++
-				d.kernel.Stream(d.ctx, qpn, chunk, last)
-				if last {
-					break
-				}
-			}
-			if done != nil {
+			got += len(chunk)
+			last := got == nbytes
+			n.stats.StreamSegments++
+			d.kernel.Stream(d.ctx, qpn, chunk, last)
+			if last && done != nil {
 				done(nil)
 			}
 		})

@@ -156,17 +156,7 @@ func (n *NIC) PostWriteKeyDeadline(qpn uint32, localVA, remoteVA uint64, rkey ui
 		return
 	}
 	n.ringDoorbell(func() {
-		n.observeDMA(mr.AccessLocal, localVA, nbytes)
-		// Borrowed: the stack encodes every frame before returning.
-		n.dma.ReadHostBorrowed(hostmem.Addr(localVA), nbytes, func(data []byte, err error) {
-			if err != nil {
-				n.completeErr(done, err)
-				return
-			}
-			if err := n.stack.PostWriteKeyDeadline(qpn, remoteVA, rkey, data, deadline, done); err != nil {
-				n.completeErr(done, err)
-			}
-		})
+		n.fetchPayload(false, qpn, localVA, remoteVA, rkey, nbytes, deadline, done)
 	})
 }
 

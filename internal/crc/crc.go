@@ -122,6 +122,10 @@ func update64Slicing(crc uint64, t *[8]Table64, data []byte) uint64 {
 // Checksum64 computes the ECMA CRC64 of data.
 func Checksum64(data []byte) uint64 { return Update64(0, ecmaTable, data) }
 
+// Append64 continues an ECMA CRC64 over data: Append64(Checksum64(a), b)
+// is Checksum64 of a followed by b.
+func Append64(sum uint64, data []byte) uint64 { return Update64(sum, ecmaTable, data) }
+
 // Update32 continues a CRC32 over data. Start with crc == 0. The package
 // IEEE table (the ICRC) takes the standard library's hardware path;
 // any other table walks byte at a time.

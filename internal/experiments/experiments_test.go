@@ -20,6 +20,31 @@ func lookup(t *testing.T, f interface {
 	return v
 }
 
+// bulkLabels are the payload sizes over which the paper's throughput
+// curves are flat at the line rate (Fig. 5b, Fig. 12b).
+var bulkLabels = []string{"4KB", "16KB", "64KB", "256KB", "1MB"}
+
+// assertPlateau checks that a write-throughput series does not fall from
+// 4 KiB to 1 MiB and ends at or above floor: a data path that stores and
+// forwards whole messages bends the curve down at large sizes (9.22 and
+// 84.6 Gbit/s at 1 MiB before the payload fetch was cut-through).
+func assertPlateau(t *testing.T, fig interface {
+	Lookup(string, string) (float64, bool)
+}, series string, floor float64) {
+	t.Helper()
+	prev := 0.0
+	for _, label := range bulkLabels {
+		v := lookup(t, fig, series, label)
+		if v < prev {
+			t.Errorf("%s falls at %s: %.2f after %.2f Gbit/s", series, label, v, prev)
+		}
+		prev = v
+	}
+	if prev < floor {
+		t.Errorf("%s at 1MB = %.2f Gbit/s, want >= %.1f", series, prev, floor)
+	}
+}
+
 func TestFig5aShape(t *testing.T) {
 	fig, err := Fig5aLatency10G(Quick())
 	if err != nil {
@@ -44,9 +69,10 @@ func TestFig5bShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertPlateau(t, fig, "StRoM: Write", 9.4)
 	peak := lookup(t, fig, "StRoM: Write", "1MB")
-	if peak < 9.0 || peak > 9.6 {
-		t.Errorf("peak write throughput = %.2f Gbit/s, want ~9.4", peak)
+	if peak > 9.6 {
+		t.Errorf("peak write throughput = %.2f Gbit/s, above the 9.4 ideal goodput", peak)
 	}
 	small := lookup(t, fig, "StRoM: Write", "64B")
 	if small >= peak/2 {
@@ -113,15 +139,15 @@ func TestFig8Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, label := range []string{"64B", "1KB", "4KB"} {
+	for _, label := range []string{"64B", "128B", "256B", "512B", "1KB", "2KB", "4KB"} {
 		read := lookup(t, fig, "RDMA READ", label)
 		strom := lookup(t, fig, "StRoM", label)
 		tcp := lookup(t, fig, "TCP-based RPC", label)
 		if strom >= read {
 			t.Errorf("%s: StRoM %.1f not below READ %.1f", label, strom, read)
 		}
-		if tcp <= strom {
-			t.Errorf("%s: TCP %.1f not above StRoM %.1f", label, tcp, strom)
+		if tcp <= read {
+			t.Errorf("%s: TCP %.1f not above READ %.1f", label, tcp, read)
 		}
 	}
 	// Saving one round trip is worth a few microseconds.
@@ -145,11 +171,13 @@ func TestFig9Shape(t *testing.T) {
 	if swOverhead < 0.05 {
 		t.Errorf("software overhead at 4KB = %.0f%%, want noticeable", swOverhead*100)
 	}
-	if stromOverhead > 0.10 {
-		t.Errorf("StRoM overhead at 4KB = %.0f%%, want < 8%%-ish", stromOverhead*100)
+	// The kernel stores and forwards the object for its CRC; the plain
+	// READ streams. That costs about 1 us, under 8 % at 4 KB (§6.3).
+	if stromOverhead <= 0 || stromOverhead >= 0.08 {
+		t.Errorf("StRoM overhead at 4KB = %.1f%%, want between 0 and 8%%", stromOverhead*100)
 	}
-	if stromOverhead >= swOverhead {
-		t.Errorf("StRoM overhead %.2f not below software %.2f", stromOverhead, swOverhead)
+	if sw4k <= strom4k {
+		t.Errorf("READ+SW (%.2f) not above StRoM (%.2f) at 4KB", sw4k, strom4k)
 	}
 	// At small sizes both overheads are marginal.
 	read64 := lookup(t, fig, "READ", "64B")
@@ -234,10 +262,9 @@ func TestFig12Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Quick options stream only a few MB, so the pipeline-fill time eats
-	// a few percent; the committed full run lands around 90 Gbit/s.
-	if peak := lookup(t, thr, "StRoM: Write", "1MB"); peak < 78 || peak > 95 {
-		t.Errorf("100G peak = %.1f Gbit/s", peak)
+	assertPlateau(t, thr, "StRoM: Write", 93)
+	if peak := lookup(t, thr, "StRoM: Write", "1MB"); peak > 95 {
+		t.Errorf("100G peak = %.1f Gbit/s, above the wire's goodput", peak)
 	}
 	mr, err := Fig12cMessageRate100G(o)
 	if err != nil {

@@ -175,6 +175,26 @@ func (m *Memory) ReadPhysInto(pa Addr, dst []byte) error {
 	return m.accessPhys(pa, dst, false)
 }
 
+// ViewPhys returns the n bytes at physical address pa as a slice of host
+// memory itself, not a copy, for a reader that has finished with them
+// before anything else can run (the DMA engine handing a chunk to the TX
+// pipeline, which copies it into a frame). The range must lie inside one
+// huge page. The caller must not write through the slice nor keep it.
+func (m *Memory) ViewPhys(pa Addr, n int) ([]byte, error) {
+	page, ok := m.pages[pa.PageNumber()]
+	if !ok {
+		return nil, fmt.Errorf("%w: PA %#x", ErrOutOfRange, uint64(pa))
+	}
+	if !m.pinned[pa.PageNumber()] {
+		return nil, ErrNotPinned
+	}
+	po := int(pa.PageOffset())
+	if n < 0 || po+n > HugePageSize {
+		return nil, ErrBadLength
+	}
+	return page[po : po+n : po+n], nil
+}
+
 // WritePhys copies data to physical address pa.
 func (m *Memory) WritePhys(pa Addr, data []byte) error {
 	return m.accessPhys(pa, data, true)

@@ -159,6 +159,40 @@ func TestPhysAccessCrossingPages(t *testing.T) {
 	}
 }
 
+// TestViewPhysAliasesHostMemory: a view is the memory itself — it shows
+// a later write — is capped at its length, stays inside one page, and
+// fails like any access on a freed or unknown page.
+func TestViewPhysAliasesHostMemory(t *testing.T) {
+	m := New(16)
+	b, _ := m.Allocate(2 * HugePageSize)
+	pas, _ := b.PhysicalPages()
+	if err := m.WriteVirt(b.Base()+100, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	v, err := m.ViewPhys(pas[0]+100, 6)
+	if err != nil || string(v) != "before" || cap(v) != 6 {
+		t.Fatalf("view = %q (cap %d), %v", v, cap(v), err)
+	}
+	if err := m.WriteVirt(b.Base()+100, []byte("after!")); err != nil {
+		t.Fatal(err)
+	}
+	if string(v) != "after!" {
+		t.Errorf("view did not follow host memory: %q", v)
+	}
+	if _, err := m.ViewPhys(pas[0]+Addr(HugePageSize-10), 20); err != ErrBadLength {
+		t.Errorf("view across a page end: err = %v, want ErrBadLength", err)
+	}
+	if _, err := m.ViewPhys(Addr(1)<<40, 8); err == nil {
+		t.Error("view of an unknown page succeeded")
+	}
+	if err := b.Free(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ViewPhys(pas[0], 8); err == nil {
+		t.Error("view of a freed page succeeded")
+	}
+}
+
 func TestFree(t *testing.T) {
 	m := New(4)
 	b, _ := m.Allocate(HugePageSize)

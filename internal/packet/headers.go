@@ -416,16 +416,21 @@ func FrameECN(frame []byte) uint8 {
 	return frame[EthHeaderLen+1] & 3
 }
 
-// ipChecksum computes the 16-bit one's-complement IPv4 header checksum.
-// Computing it over a header with the checksum field filled in yields 0.
+// ipChecksum computes the 16-bit one's-complement checksum of the 20-byte
+// IPv4 header h. Computing it over a header with the checksum field
+// filled in yields 0. The header is summed as five 32-bit words: 2^16 is
+// congruent to 1 modulo 2^16-1, so folding that sum down gives what
+// adding the ten 16-bit words does, in half the loads.
 func ipChecksum(h []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(h); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(h[i : i+2]))
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xFFFF + sum>>16
-	}
+	_ = h[IPv4HeaderLen-1]
+	sum := uint64(binary.BigEndian.Uint32(h[0:4])) +
+		uint64(binary.BigEndian.Uint32(h[4:8])) +
+		uint64(binary.BigEndian.Uint32(h[8:12])) +
+		uint64(binary.BigEndian.Uint32(h[12:16])) +
+		uint64(binary.BigEndian.Uint32(h[16:20]))
+	sum = sum&0xFFFF + sum>>16&0xFFFF + sum>>32
+	sum = sum&0xFFFF + sum>>16
+	sum = sum&0xFFFF + sum>>16
 	return ^uint16(sum)
 }
 

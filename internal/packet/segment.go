@@ -40,19 +40,24 @@ func ValidateSegmentation(kind MessageKind, mtuPayload int) error {
 }
 
 // FillSegment builds segment i of n (n = NumSegments(len(payload),
-// mtuPayload)) into scratch, reusing its inline RETH storage: the
-// allocation-free core of the TX segmentation path. Arguments must
-// have passed ValidateSegmentation. The RETH travels on the first
-// packet only; the PSN increments per segment; the payload slice
-// aliases the message payload. The scratch packet is only valid until
-// the next FillSegment on it — the TX pipeline encodes it immediately.
+// mtuPayload)) of a message held whole into scratch: FillSegmentAt on
+// the i-th MTU payload of it, the PSN incrementing per segment.
 func FillSegment(scratch *Packet, kind MessageKind, destQP uint32, psn uint32, reth RETH, payload []byte, mtuPayload, i, n int) *Packet {
-	first, middle, last, only, _ := segOpcodes(kind)
 	lo := i * mtuPayload
-	hi := lo + mtuPayload
-	if hi > len(payload) {
-		hi = len(payload)
-	}
+	hi := min(lo+mtuPayload, len(payload))
+	return FillSegmentAt(scratch, kind, destQP, (psn+uint32(i))&0xFFFFFF, reth, payload[lo:hi], i, n)
+}
+
+// FillSegmentAt builds segment i of an n-segment message into scratch,
+// reusing its inline RETH storage: the allocation-free core of the TX
+// segmentation path, for a sender that holds the message one segment at
+// a time (the rest is still crossing PCIe). psn and seg are segment i's
+// own PSN and payload. Arguments must have passed ValidateSegmentation.
+// The RETH travels on the first packet only: reth is read for segment 0.
+// The payload aliases seg; the scratch packet is only valid until the
+// next fill on it — the TX pipeline encodes it immediately.
+func FillSegmentAt(scratch *Packet, kind MessageKind, destQP uint32, psn uint32, reth RETH, seg []byte, i, n int) *Packet {
+	first, middle, last, only, _ := segOpcodes(kind)
 	var op Opcode
 	switch {
 	case n == 1:
@@ -65,8 +70,8 @@ func FillSegment(scratch *Packet, kind MessageKind, destQP uint32, psn uint32, r
 		op = middle
 	}
 	scratch.Reset()
-	scratch.BTH = BTH{Opcode: op, DestQP: destQP, PSN: (psn + uint32(i)) & 0xFFFFFF, AckReq: i == n-1}
-	scratch.Payload = payload[lo:hi]
+	scratch.BTH = BTH{Opcode: op, DestQP: destQP, PSN: psn, AckReq: i == n-1}
+	scratch.Payload = seg
 	if op.HasRETH() {
 		scratch.rethStore = reth
 		scratch.RETH = &scratch.rethStore
@@ -79,7 +84,7 @@ func FillSegment(scratch *Packet, kind MessageKind, destQP uint32, psn uint32, r
 // single Only packet. The RETH travels on the first packet only; the PSN
 // increments per packet. Returned packets share the payload's backing
 // array (the caller encodes them immediately). Hot paths use
-// FillSegment with a scratch packet instead; this allocating form
+// FillSegmentAt with a scratch packet instead; this allocating form
 // remains for tests and the trace tooling.
 func Segment(kind MessageKind, destQP uint32, psn uint32, reth RETH, payload []byte, mtuPayload int) ([]*Packet, error) {
 	if err := ValidateSegmentation(kind, mtuPayload); err != nil {
@@ -125,17 +130,21 @@ func Ack(destQP, psn uint32, syndrome uint8, msn uint32) *Packet {
 }
 
 // FillReadResponse builds READ-response segment i of n (n =
-// NumSegments(len(payload), mtuPayload)) into scratch, reusing its
-// inline AETH storage — the allocation-free core of the responder read
-// path. The payload slice aliases the read data; the scratch packet is
-// only valid until the next fill on it (the responder encodes it
-// immediately).
+// NumSegments(len(payload), mtuPayload)) of data held whole into
+// scratch: FillReadResponseAt on the i-th MTU payload of it.
 func FillReadResponse(scratch *Packet, destQP, psn uint32, msn uint32, payload []byte, mtuPayload, i, n int) *Packet {
 	lo := i * mtuPayload
-	hi := lo + mtuPayload
-	if hi > len(payload) {
-		hi = len(payload)
-	}
+	hi := min(lo+mtuPayload, len(payload))
+	return FillReadResponseAt(scratch, destQP, (psn+uint32(i))&0xFFFFFF, msn, payload[lo:hi], i, n)
+}
+
+// FillReadResponseAt builds READ-response segment i of n into scratch,
+// reusing its inline AETH storage — the allocation-free core of the
+// responder read path, which holds the data one segment at a time. psn
+// and seg are segment i's own. The payload aliases seg; the scratch
+// packet is only valid until the next fill on it (the responder encodes
+// it immediately).
+func FillReadResponseAt(scratch *Packet, destQP, psn uint32, msn uint32, seg []byte, i, n int) *Packet {
 	var op Opcode
 	switch {
 	case n == 1:
@@ -148,8 +157,8 @@ func FillReadResponse(scratch *Packet, destQP, psn uint32, msn uint32, payload [
 		op = OpReadRespMiddle
 	}
 	scratch.Reset()
-	scratch.BTH = BTH{Opcode: op, DestQP: destQP, PSN: (psn + uint32(i)) & 0xFFFFFF}
-	scratch.Payload = payload[lo:hi]
+	scratch.BTH = BTH{Opcode: op, DestQP: destQP, PSN: psn}
+	scratch.Payload = seg
 	if op.HasAETH() {
 		scratch.aethStore = AETH{Syndrome: SynACK, MSN: msn}
 		scratch.AETH = &scratch.aethStore
@@ -158,7 +167,7 @@ func FillReadResponse(scratch *Packet, destQP, psn uint32, msn uint32, payload [
 }
 
 // ReadResponse segments READ response data into response packets. Hot
-// paths use FillReadResponse with a scratch packet instead; this
+// paths use FillReadResponseAt with a scratch packet instead; this
 // allocating form remains for tests.
 func ReadResponse(destQP, psn uint32, msn uint32, payload []byte, mtuPayload int) []*Packet {
 	n := NumSegments(len(payload), mtuPayload)

@@ -207,24 +207,46 @@ func (e *Engine) Offline() bool { return e.offline }
 // callback — in a single record the engine recycles, so a command in
 // steady state allocates nothing but the result of an owned read.
 //
-// Ownership: a record is taken in ReadHost/WriteHost, is referenced only
-// by its own scheduled commit event, and goes back to its free list at
-// the end of that event, after the callback has returned. segs and
-// stage keep their capacity across uses. stage holds a write's payload
-// between WriteHost returning and the commit, and a borrowed read's
-// result for the length of its callback; it is never handed out
-// otherwise.
+// Ownership: a record is taken in a Read*/WriteHost call, is referenced
+// only by its own scheduled commit event, and goes back to its free list
+// at the end of its last commit event, after the callback has returned.
+// A read delivers its result in chunks (one chunk for ReadHost and
+// ReadHostBorrowed): each commit event delivers one and re-arms the same
+// bound commit for the next, so a chunk costs one event and no
+// allocation. segs and stage keep their capacity across uses. stage
+// holds a write's payload between WriteHost returning and the commit,
+// and a borrowed read's current chunk for the length of its callback; it
+// is never handed out otherwise.
 type command struct {
 	e         *Engine
 	home      *[]*command // the free list this record lives on
 	segs      []tlb.Segment
 	stage     []byte
-	n         int  // read: result length
-	borrowed  bool // read: the result is stage, valid only inside readDone
+	n         int      // read: result length
+	chunk     int      // read: bytes per delivery (n unless streamed)
+	off       int      // read: bytes delivered so far
+	seg       int      // read: segment holding byte off ...
+	segOff    int      // ... and off's position inside it
+	finish    sim.Time // read: when the last byte has crossed the link
+	mode      readMode // read: who owns a delivered chunk
 	readDone  func([]byte, error)
 	writeDone func(error)
 	commit    func() // c.run, bound once so scheduling never allocates
 }
+
+// readMode says what a read's callback is handed.
+type readMode uint8
+
+const (
+	readOwned    readMode = iota // a fresh buffer the callback keeps
+	readBorrowed                 // stage, valid only inside the callback
+	// readStreamed is borrowed too, and where a chunk lies inside one
+	// physical segment it is host memory itself rather than a copy of it
+	// in stage: the consumer of a stream copies the chunk into a frame
+	// before it returns, and staging first would be a second copy of every
+	// payload byte.
+	readStreamed
+)
 
 // maxFreeCommands bounds each free list and maxStageBytes the staging
 // buffer a listed record may keep; beyond either, memory falls to the
@@ -236,9 +258,9 @@ const (
 )
 
 // newCommand takes a record from list. Reads and writes recycle
-// separately, like the two streams they ride on: a read's staging
-// buffer is a whole message, a write's one packet, and mixing them
-// would grow every record to message size.
+// separately, like the two streams they ride on: a kernel read's staging
+// buffer is a whole object, a write's one packet, and mixing them would
+// grow every record to object size.
 func (e *Engine) newCommand(list *[]*command) *command {
 	if n := len(*list); n > 0 {
 		c := (*list)[n-1]
@@ -272,30 +294,17 @@ func (e *Engine) reserve(c *command, stream *sim.Serializer, latency sim.Duratio
 }
 
 // run is the commit event: the bytes move between host memory and the
-// card at the instant the command completes.
+// card at the instant they have crossed the link — for a write and a
+// one-chunk read that is the command's completion, for a streamed read
+// each chunk's own arrival.
 func (c *command) run() {
-	mem := c.e.mem
-	var err error
 	if c.readDone != nil {
-		var out []byte
-		if !c.borrowed {
-			out = make([]byte, c.n)
-		} else {
-			if cap(c.stage) < c.n {
-				c.stage = make([]byte, c.n)
-			}
-			out = c.stage[:c.n]
+		if c.readChunk() {
+			return // re-armed for the next chunk
 		}
-		for off, i := 0, 0; i < len(c.segs) && err == nil; i++ {
-			s := c.segs[i]
-			err = mem.ReadPhysInto(s.PA, out[off:off+s.Len])
-			off += s.Len
-		}
-		if err != nil {
-			out = nil
-		}
-		c.readDone(out, err)
 	} else {
+		mem := c.e.mem
+		var err error
 		for off, i := 0, 0; i < len(c.segs) && err == nil; i++ {
 			s := c.segs[i]
 			err = mem.WritePhys(s.PA, c.stage[off:off+s.Len])
@@ -306,24 +315,106 @@ func (c *command) run() {
 	c.release()
 }
 
+// readChunk delivers the next chunk of a read and reports whether the
+// command re-armed itself for another.
+func (c *command) readChunk() bool {
+	m := min(c.chunk, c.n-c.off)
+	out, err := c.next(m)
+	if err != nil {
+		c.readDone(nil, err)
+		return false
+	}
+	c.off += m
+	c.readDone(out, nil)
+	if c.off == c.n {
+		return false
+	}
+	c.e.eng.ScheduleAt(c.due(), c.commit)
+	return true
+}
+
+// due is when the next chunk has arrived: the command's completion time
+// minus the streaming time of the bytes still behind that chunk (none
+// behind the last, which falls on the completion itself).
+func (c *command) due() sim.Time {
+	rest := c.n - c.off
+	behind := rest - min(c.chunk, rest)
+	return c.finish.Add(-sim.BytesAt(behind, c.e.cfg.BandwidthGbps))
+}
+
+// next returns the next m bytes of the read, as c.mode says.
+func (c *command) next(m int) ([]byte, error) {
+	mem := c.e.mem
+	if s := c.segs[c.seg]; c.mode == readStreamed && s.Len-c.segOff >= m {
+		out, err := mem.ViewPhys(s.PA+hostmem.Addr(c.segOff), m)
+		c.advance(m)
+		return out, err
+	}
+	var out []byte
+	if c.mode == readOwned {
+		out = make([]byte, m)
+	} else {
+		if cap(c.stage) < m {
+			c.stage = make([]byte, m)
+		}
+		out = c.stage[:m]
+	}
+	// A chunk may straddle the physical segments of a page-crossing read.
+	for got := 0; got < m; {
+		s := c.segs[c.seg]
+		k := min(s.Len-c.segOff, m-got)
+		if err := mem.ReadPhysInto(s.PA+hostmem.Addr(c.segOff), out[got:got+k]); err != nil {
+			return nil, err
+		}
+		got += k
+		c.advance(k)
+	}
+	return out, nil
+}
+
+// advance moves the read position k bytes on, inside the current segment.
+func (c *command) advance(k int) {
+	if c.segOff += k; c.segOff == c.segs[c.seg].Len {
+		c.seg, c.segOff = c.seg+1, 0
+	}
+}
+
 // ReadHost DMA-reads n bytes at virtual address va and delivers them to
 // done when the transfer completes. The TLB splits page-crossing commands;
 // each resulting segment pays the per-command overhead. The result is a
 // fresh buffer that done owns.
 func (e *Engine) ReadHost(va hostmem.Addr, n int, done func([]byte, error)) {
-	e.readHost(va, n, done, false)
+	e.readHost(va, n, n, done, readOwned)
 }
 
 // ReadHostBorrowed is ReadHost for a caller that has finished with the
-// bytes when done returns — the NIC's own data path, which encodes every
-// frame of the message before returning. The result is the command's
-// staging buffer and is overwritten by a later command: done must not
-// retain it.
+// bytes when done returns — a kernel, which parses or forwards the object
+// inside its completion. The result is the command's staging buffer and
+// is overwritten by a later command: done must not retain it.
 func (e *Engine) ReadHostBorrowed(va hostmem.Addr, n int, done func([]byte, error)) {
-	e.readHost(va, n, done, true)
+	e.readHost(va, n, n, done, readBorrowed)
 }
 
-func (e *Engine) readHost(va hostmem.Addr, n int, done func([]byte, error), borrowed bool) {
+// ReadHostStream is the cut-through form of ReadHostBorrowed, for a
+// consumer that forwards the bytes as they cross the link — the NIC's own
+// data path. It is the same command: one descriptor, the same
+// reservation of the host-to-card stream, the same Stats. Only the
+// delivery differs: done is called once per chunk bytes (the last call
+// carries the remainder), in address order, each call at the instant its
+// bytes have arrived — the command's completion time minus the streaming
+// time of the bytes still behind it — so the last call falls exactly
+// where ReadHostBorrowed's single one does. A chunk is valid only inside
+// its callback and read-only: it is the staging buffer or, more often,
+// the host memory it was read from. An error ends the stream: done
+// receives it once, with nil data, and is not called again.
+func (e *Engine) ReadHostStream(va hostmem.Addr, n, chunk int, done func([]byte, error)) {
+	if chunk <= 0 {
+		panic("pcie: ReadHostStream: chunk must be positive")
+	}
+	e.readHost(va, n, chunk, done, readStreamed)
+}
+
+func (e *Engine) readHost(va hostmem.Addr, n, chunk int, done func([]byte, error), mode readMode) {
 	if e.offline {
 		e.eng.Schedule(e.cfg.ReadLatency, func() { done(nil, ErrOffline) })
 		return
@@ -335,17 +426,18 @@ func (e *Engine) readHost(va hostmem.Addr, n int, done func([]byte, error), borr
 		e.eng.Schedule(e.cfg.ReadLatency, func() { done(nil, err) })
 		return
 	}
-	c.segs, c.n, c.borrowed, c.readDone = segs, n, borrowed, done
+	c.segs, c.n, c.chunk, c.mode, c.readDone = segs, n, chunk, mode, done
+	c.off, c.seg, c.segOff = 0, 0, 0
 	e.st.ReadCommands++
 	e.st.SplitSegments += uint64(len(segs) - 1)
 	e.st.ReadBytes += uint64(n)
 	// Data lands after the request round trip plus streaming time.
-	at := e.reserve(c, e.h2c, e.cfg.ReadLatency)
+	c.finish = e.reserve(c, e.h2c, e.cfg.ReadLatency)
 	if e.tb != nil {
 		now := e.eng.Now()
-		e.tb.Complete(e.pid, traceTidH2C, "dma", "DMA_READ", now, at.Sub(now), fmt.Sprintf("va=%#x n=%d segs=%d", uint64(va), n, len(segs)))
+		e.tb.Complete(e.pid, traceTidH2C, "dma", "DMA_READ", now, c.finish.Sub(now), fmt.Sprintf("va=%#x n=%d segs=%d", uint64(va), n, len(segs)))
 	}
-	e.eng.ScheduleAt(at, c.commit)
+	e.eng.ScheduleAt(c.due(), c.commit)
 }
 
 // WriteHost DMA-writes data to virtual address va and calls done once the

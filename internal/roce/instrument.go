@@ -88,8 +88,9 @@ func (s *Stack) EachActiveQP(fn func(qpn uint32)) {
 	}
 }
 
-// PendingPackets reports the number of requester packets awaiting
-// acknowledgement on a QP (zero for unknown QPs).
+// PendingPackets reports the number of requester packets posted and not
+// yet acknowledged on a QP — on the wire, or still waiting for their
+// payload to cross PCIe (zero for unknown QPs).
 func (s *Stack) PendingPackets(qpn uint32) int {
 	st, err := s.st.get(qpn)
 	if err != nil {
@@ -124,9 +125,11 @@ type Observer interface {
 	// re-execution in the duplicate PSN region (legal only for READs,
 	// with npsn 0).
 	RespExec(qpn uint32, psn, npsn uint32, op packet.Opcode, dup bool)
-	// RespReadData records the payload the responder serves for the READ
+	// RespReadData records the payload the responder served for the READ
 	// anchored at psn, as a CRC64 digest: duplicate servings of the same
-	// PSN must be bit-identical.
+	// PSN must be bit-identical. The data leaves piece by piece, so the
+	// digest is a running one, reported once, after the last response
+	// frame has been encoded; a serving that fails midway reports none.
 	RespReadData(qpn uint32, psn uint32, sum uint64, n int)
 	// Timeout records a retransmission-timer expiry that found no
 	// progress. retries is the incremented retry counter; outstanding is

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"strom/internal/packet"
 	"strom/internal/sim"
 )
 
@@ -109,7 +108,7 @@ func (s *Stack) flushQP(qpn uint32, st *qpState, err error) {
 	for _, p := range st.pending {
 		p.msg.finish(err)
 	}
-	st.pending = st.pending[:0]
+	st.pending, st.sent = st.pending[:0], 0
 	for s.mq.len(qpn) > 0 {
 		e, _ := s.mq.popHead(qpn)
 		e.Msg.finish(err)
@@ -250,10 +249,11 @@ func (s *Stack) armDeadline(msg *outMessage, deadline sim.Time) {
 // (zero means none): if the remote acknowledgement has not arrived by
 // then, done fires with an error wrapping sim.ErrDeadlineExceeded.
 func (s *Stack) PostWriteDeadline(qpn uint32, remoteVA uint64, data []byte, deadline sim.Time, done func(error)) error {
-	return s.postSegmented(qpn, packet.KindWrite, packet.RETH{VirtualAddress: remoteVA, DMALength: uint32(len(data))}, data, deadline, done)
+	return s.PostWriteKeyDeadline(qpn, remoteVA, 0, data, deadline, done)
 }
 
 // PostRPCWriteDeadline is PostRPCWrite with an absolute deadline.
 func (s *Stack) PostRPCWriteDeadline(qpn uint32, rpcOp uint64, data []byte, deadline sim.Time, done func(error)) error {
-	return s.postSegmented(qpn, packet.KindRPCWrite, packet.RETH{VirtualAddress: rpcOp, DMALength: uint32(len(data))}, data, deadline, done)
+	_, err := s.PostRPCWriteStream(qpn, rpcOp, len(data), data, deadline, done)
+	return err
 }

@@ -18,9 +18,13 @@ type Handler interface {
 	// message arrive in order; last marks the final segment.
 	HandleWrite(qpn uint32, va uint64, data []byte, last bool)
 	// HandleReadRequest serves an RDMA READ: the handler fetches n bytes
-	// at va (normally via DMA) and calls deliver exactly once. The stack
-	// is done with data when deliver returns (every response frame is
+	// at va (normally via DMA) and hands them to deliver, either in one
+	// call or as consecutive pieces while they arrive; every piece but
+	// the last must be a whole number of MTU payloads, and the stack
+	// sends a response frame for each MTU payload as it gets it. The
+	// stack is done with a piece when deliver returns (its frames are
 	// encoded by then), so the handler may reuse the buffer afterwards.
+	// An error ends the serving: deliver(nil, err), once, NAKs the rest.
 	HandleReadRequest(qpn uint32, va uint64, n int, deliver func(data []byte, err error))
 	// HandleRPCParams delivers an RDMA RPC invocation. A non-nil error
 	// NAKs the request ("an error code is written back", §5.1).
@@ -151,8 +155,10 @@ type Stack struct {
 	rxDrainFn func()
 
 	// Free list for pendingPacket bookkeeping entries, recycled when the
-	// cumulative-ACK path retires them.
+	// cumulative-ACK path retires them, and for the responder's READ
+	// servings, recycled when their last piece has been sent.
 	ppFree []*pendingPacket
+	rsFree []*readServing
 
 	// Per-QP retransmission counters, kept beside (not inside) qpState so
 	// they survive ResetQP/ReconnectQP: the retry-storm alert rule watches
@@ -220,14 +226,47 @@ func (s *Stack) CreateQP(qpn uint32, remote Identity, remoteQPN uint32) error {
 
 // --- transmit path -------------------------------------------------------
 
-// send runs a packet through the TX pipeline and returns the encoded
-// frame (retained by callers that may need to retransmit it, so the
-// buffer is heap-allocated, never pooled).
-func (s *Stack) send(st *qpState, pkt *packet.Packet) []byte {
+// enqueue encodes a requester packet into the next entry of the QP's
+// pending list and lets pump put it on the wire. The frame is retained
+// for retransmission, so its buffer is heap-allocated, never pooled.
+func (s *Stack) enqueue(qpn uint32, st *qpState, pkt *packet.Packet, npsn uint32, msg *outMessage) *pendingPacket {
+	pp := s.newPending()
+	pp.psn, pp.npsn, pp.msg, pp.isRead, pp.lastOf = pkt.BTH.PSN, npsn, msg, msg.isRead, !msg.isRead
+	st.pending = append(st.pending, pp)
+	s.fill(st, pp, pkt)
+	s.pump(qpn, st)
+	return pp
+}
+
+// fill encodes pkt as the frame of pending entry pp.
+func (s *Stack) fill(st *qpState, pp *pendingPacket, pkt *packet.Packet) {
 	s.address(st, pkt)
-	frame := pkt.Encode()
-	s.sendFrame(st, frame, pkt.Words(s.cfg.DataPathBytes), false)
-	return frame
+	pp.frame, pp.op = pkt.Encode(), pkt.BTH.Opcode
+}
+
+// pump moves the QP's encoded request frames into the TX pipeline in PSN
+// order, stopping at the first whose payload has not arrived yet: the
+// segments of a streamed message are posted before they are fetched, and
+// whatever is posted behind them (a READ request, a kernel's RDMA WRITE,
+// the next message) waits its turn instead of overtaking — the responder
+// would NAK the gap.
+func (s *Stack) pump(qpn uint32, st *qpState) {
+	for st.sent < len(st.pending) {
+		p := st.pending[st.sent]
+		if p.frame == nil {
+			return
+		}
+		st.sent++
+		if s.obs != nil {
+			s.obs.TxRequest(qpn, p.psn, p.npsn, p.op, false)
+		}
+		s.sendFrame(st, p.frame, s.words(p.frame), false)
+	}
+}
+
+// words is the number of data-path words a frame occupies in a pipeline.
+func (s *Stack) words(frame []byte) int {
+	return (len(frame) + s.cfg.DataPathBytes - 1) / s.cfg.DataPathBytes
 }
 
 // sendTransient transmits a packet whose frame is never retained for
@@ -300,7 +339,6 @@ func (s *Stack) retransmitFrame(qpn uint32, st *qpState, frame []byte) {
 		// silently discarded.
 		return
 	}
-	words := (len(frame) + s.cfg.DataPathBytes - 1) / s.cfg.DataPathBytes
 	s.stats.Retransmissions++
 	if int(qpn) < len(s.qpRetrans) {
 		s.qpRetrans[qpn]++
@@ -313,7 +351,7 @@ func (s *Stack) retransmitFrame(qpn uint32, st *qpState, frame []byte) {
 			s.obs.TxRequest(qpn, pkt.BTH.PSN, 0, pkt.BTH.Opcode, true)
 		}
 	}
-	s.sendFrame(st, frame, words, false)
+	s.sendFrame(st, frame, s.words(frame), false)
 }
 
 // newOp assigns the next verb id and applies the PSN-skip debug fault.
@@ -334,14 +372,13 @@ func kindName(kind packet.MessageKind) string {
 }
 
 // instrumentMsg binds a message to the observer for completion tracking.
-func (s *Stack) instrumentMsg(qpn uint32, opID uint64, kind string, msg *outMessage) {
+func (s *Stack) instrumentMsg(opID uint64, kind string, msg *outMessage) {
 	if s.obs == nil {
 		return
 	}
 	msg.obs = s.obs
-	msg.obsQPN = qpn
 	msg.obsID = opID
-	s.obs.PostedOp(qpn, opID, kind)
+	s.obs.PostedOp(msg.qpn, opID, kind)
 }
 
 // --- requester verbs ------------------------------------------------------
@@ -350,24 +387,69 @@ func (s *Stack) instrumentMsg(qpn uint32, opID uint64, kind string, msg *outMess
 // remote NIC acknowledges the last packet. Every frame is encoded before
 // PostWrite returns (retransmissions resend the stored frames), so the
 // caller may reuse data as soon as it does; the same holds for every
-// segmented post below.
+// segmented post below and for WriteStream.Feed.
 func (s *Stack) PostWrite(qpn uint32, remoteVA uint64, data []byte, done func(error)) error {
-	return s.postSegmented(qpn, packet.KindWrite, packet.RETH{VirtualAddress: remoteVA, DMALength: uint32(len(data))}, data, 0, done)
+	return s.PostWriteKeyDeadline(qpn, remoteVA, 0, data, 0, done)
 }
 
 // PostRPCWrite issues an RDMA RPC WRITE: payload streamed to the remote
 // kernel selected by rpcOp (§5.1).
 func (s *Stack) PostRPCWrite(qpn uint32, rpcOp uint64, data []byte, done func(error)) error {
-	return s.postSegmented(qpn, packet.KindRPCWrite, packet.RETH{VirtualAddress: rpcOp, DMALength: uint32(len(data))}, data, 0, done)
+	return s.PostRPCWriteDeadline(qpn, rpcOp, data, 0, done)
 }
 
-func (s *Stack) postSegmented(qpn uint32, kind packet.MessageKind, reth packet.RETH, data []byte, deadline sim.Time, done func(error)) error {
+// WriteStream is a posted WRITE or RPC WRITE whose payload is still
+// arriving (see PostWriteStream). The message owns its PSNs from the
+// post on; Feed turns each further piece into frames.
+type WriteStream outMessage
+
+// PostWriteStream is PostWriteKeyDeadline for a payload of n bytes that
+// is still crossing PCIe: first holds the bytes that have arrived, the
+// rest follows through Feed, in order. The message reserves its n-byte
+// PSN range now and each segment leaves when its bytes are there, so the
+// first frame is on the wire while the last is still in host memory.
+// Every piece but the last must be a whole number of MTU payloads.
+// Posting the whole payload as first is PostWriteKeyDeadline.
+func (s *Stack) PostWriteStream(qpn uint32, remoteVA uint64, rkey uint32, n int, first []byte, deadline sim.Time, done func(error)) (*WriteStream, error) {
+	return s.postSegmented(qpn, packet.KindWrite, packet.RETH{VirtualAddress: remoteVA, RKey: rkey, DMALength: uint32(n)}, first, deadline, done)
+}
+
+// PostRPCWriteStream is PostRPCWriteDeadline fed like PostWriteStream.
+func (s *Stack) PostRPCWriteStream(qpn uint32, rpcOp uint64, n int, first []byte, deadline sim.Time, done func(error)) (*WriteStream, error) {
+	return s.postSegmented(qpn, packet.KindRPCWrite, packet.RETH{VirtualAddress: rpcOp, DMALength: uint32(n)}, first, deadline, done)
+}
+
+// Feed hands the stream its next piece. A piece for a message the QP has
+// flushed meanwhile (reset, error, crash) is dropped: nothing of a
+// flushed message leaves. One whose verb merely timed out is still sent,
+// like the frames a deadline leaves on the wire, to keep the PSN space
+// whole.
+func (w *WriteStream) Feed(data []byte) {
+	m := (*outMessage)(w)
+	m.owner.feed(&m.owner.st.qps[m.qpn], m, packet.RETH{}, data)
+}
+
+// Abort ends a stream whose source failed (the DMA fetch returned an
+// error mid-message). The PSNs of the missing segments cannot be taken
+// back, so this is the IB local-access error: the QP moves to ERROR and
+// every outstanding verb on it, this one included, completes with
+// ErrQPError wrapping cause. A no-op once the message is flushed or
+// fully fed.
+func (w *WriteStream) Abort(cause error) {
+	m := (*outMessage)(w)
+	s, st := m.owner, &m.owner.st.qps[m.qpn]
+	if s.unfed(st, m) < len(st.pending) {
+		s.moveToError(m.qpn, st, fmt.Errorf("payload fetch failed: %w", cause))
+	}
+}
+
+func (s *Stack) postSegmented(qpn uint32, kind packet.MessageKind, reth packet.RETH, first []byte, deadline sim.Time, done func(error)) (*WriteStream, error) {
 	st, err := s.st.get(qpn)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := s.sendable(st); err != nil {
-		return err
+		return nil, err
 	}
 	if kind == packet.KindWrite && reth.RKey == 0 {
 		// Default to the QP's exchanged remote key; RPC writes carry the
@@ -377,27 +459,65 @@ func (s *Stack) postSegmented(qpn uint32, kind packet.MessageKind, reth packet.R
 	// Validate before creating any message state so invalid segmentation
 	// parameters leave no observer or deadline state behind.
 	if err := packet.ValidateSegmentation(kind, s.cfg.MTUPayload); err != nil {
-		return err
+		return nil, err
 	}
 	opID := s.newOp(st)
-	nseg := packet.NumSegments(len(data), s.cfg.MTUPayload)
-	msg := &outMessage{kind: kind, owner: s, complete: done}
+	nseg := packet.NumSegments(int(reth.DMALength), s.cfg.MTUPayload)
+	msg := &outMessage{kind: kind, owner: s, complete: done, qpn: qpn, nseg: uint32(nseg)}
 	s.stats.OpsPosted++
-	s.instrumentMsg(qpn, opID, kindName(kind), msg)
+	s.instrumentMsg(opID, kindName(kind), msg)
 	s.armDeadline(msg, deadline)
+	// The message takes its place in the PSN order now, one entry per
+	// segment; feed fills the entries in as the payload arrives.
 	for i := 0; i < nseg; i++ {
-		pkt := packet.FillSegment(&s.txPkt, kind, st.remoteQPN, st.nextPSN, reth, data, s.cfg.MTUPayload, i, nseg)
-		if s.obs != nil {
-			s.obs.TxRequest(qpn, pkt.BTH.PSN, 1, pkt.BTH.Opcode, false)
-		}
-		frame := s.send(st, pkt)
 		pp := s.newPending()
-		pp.psn, pp.npsn, pp.frame, pp.msg, pp.lastOf = pkt.BTH.PSN, 1, frame, msg, i == nseg-1
+		pp.psn, pp.npsn, pp.msg, pp.lastOf = psnAdd(st.nextPSN, uint32(i)), 1, msg, i == nseg-1
 		st.pending = append(st.pending, pp)
 	}
 	st.nextPSN = psnAdd(st.nextPSN, uint32(nseg))
+	s.feed(st, msg, reth, first)
 	s.armTimer(qpn, st)
-	return nil
+	return (*WriteStream)(msg), nil
+}
+
+// unfed returns the index in st.pending of m's first segment still
+// waiting for its payload, len(st.pending) when there is none. Entries
+// are filled in order and nothing ahead of the send cursor is unfilled,
+// so for the oldest message in flight this is the cursor itself.
+func (s *Stack) unfed(st *qpState, m *outMessage) int {
+	i := st.sent
+	for i < len(st.pending) && (st.pending[i].msg != m || st.pending[i].frame != nil) {
+		i++
+	}
+	return i
+}
+
+// feed encodes the next piece of m's payload into its pending entries,
+// one segment per MTU payload, and pumps each out. reth is read for
+// segment 0 only.
+func (s *Stack) feed(st *qpState, m *outMessage, reth packet.RETH, data []byte) {
+	i := s.unfed(st, m)
+	if i == len(st.pending) && m.seg < m.nseg {
+		return // flushed
+	}
+	mtu := s.cfg.MTUPayload
+	for ; ; i++ {
+		if m.seg == m.nseg {
+			panic("roce: WriteStream fed past its posted length")
+		}
+		seg := data[:min(mtu, len(data))]
+		data = data[len(seg):]
+		p := st.pending[i]
+		s.fill(st, p, packet.FillSegmentAt(&s.txPkt, m.kind, st.remoteQPN, p.psn, reth, seg, int(m.seg), int(m.nseg)))
+		m.seg++
+		s.pump(m.qpn, st)
+		if len(data) == 0 {
+			if len(seg) < mtu && m.seg < m.nseg {
+				panic("roce: a piece before the last must be a whole number of MTU payloads")
+			}
+			return
+		}
+	}
 }
 
 // newPending takes a pendingPacket from the free list (see freePending).
@@ -441,18 +561,12 @@ func (s *Stack) PostRPCDeadline(qpn uint32, rpcOp uint64, params []byte, deadlin
 	if err != nil {
 		return err
 	}
-	msg := &outMessage{owner: s, complete: done}
+	msg := &outMessage{owner: s, complete: done, qpn: qpn}
 	s.stats.OpsPosted++
-	s.instrumentMsg(qpn, opID, "RPC", msg)
+	s.instrumentMsg(opID, "RPC", msg)
 	s.armDeadline(msg, deadline)
-	if s.obs != nil {
-		s.obs.TxRequest(qpn, pkt.BTH.PSN, 1, pkt.BTH.Opcode, false)
-	}
-	frame := s.send(st, pkt)
-	pp := s.newPending()
-	pp.psn, pp.npsn, pp.frame, pp.msg, pp.lastOf = pkt.BTH.PSN, 1, frame, msg, true
-	st.pending = append(st.pending, pp)
 	st.nextPSN = psnAdd(st.nextPSN, 1)
+	s.enqueue(qpn, st, pkt, 1, msg)
 	s.armTimer(qpn, st)
 	return nil
 }
@@ -477,7 +591,8 @@ func (s *Stack) PostReadDeadline(qpn uint32, remoteVA uint64, n int, deadline si
 // RETH. RKey 0 falls back to the QP's exchanged key (SetRemoteRKey), which
 // is itself 0 — the wildcard key — unless one was exchanged.
 func (s *Stack) PostWriteKeyDeadline(qpn uint32, remoteVA uint64, rkey uint32, data []byte, deadline sim.Time, done func(error)) error {
-	return s.postSegmented(qpn, packet.KindWrite, packet.RETH{VirtualAddress: remoteVA, RKey: rkey, DMALength: uint32(len(data))}, data, deadline, done)
+	_, err := s.PostWriteStream(qpn, remoteVA, rkey, len(data), data, deadline, done)
+	return err
 }
 
 // PostReadKeyDeadline is PostReadDeadline with an explicit rkey (see
@@ -523,7 +638,7 @@ func (s *Stack) postRead(qpn uint32, reth packet.RETH, deadline sim.Time, sink R
 	n := int(reth.DMALength)
 	opID := s.newOp(st)
 	npsn := uint32(packet.NumSegments(n, s.cfg.MTUPayload))
-	msg := &outMessage{isRead: true, owner: s, complete: done}
+	msg := &outMessage{isRead: true, owner: s, complete: done, qpn: qpn}
 	elem, err := s.mq.push(qpn, mqElement{
 		FirstPSN: st.nextPSN,
 		LastPSN:  psnAdd(st.nextPSN, npsn-1),
@@ -540,18 +655,11 @@ func (s *Stack) postRead(qpn uint32, reth packet.RETH, deadline sim.Time, sink R
 		s.maybeCompleteRead(elem)
 	}
 	s.stats.OpsPosted++
-	s.instrumentMsg(qpn, opID, "READ", msg)
+	s.instrumentMsg(opID, "READ", msg)
 	s.armDeadline(msg, deadline)
 	pkt := packet.ReadRequest(st.remoteQPN, st.nextPSN, reth)
-	if s.obs != nil {
-		s.obs.TxRequest(qpn, pkt.BTH.PSN, npsn, pkt.BTH.Opcode, false)
-	}
-	frame := s.send(st, pkt)
-	elem.ReqFrame = frame
-	pp := s.newPending()
-	pp.psn, pp.npsn, pp.frame, pp.msg, pp.isRead = st.nextPSN, npsn, frame, msg, true
-	st.pending = append(st.pending, pp)
 	st.nextPSN = psnAdd(st.nextPSN, npsn)
+	elem.ReqFrame = s.enqueue(qpn, st, pkt, npsn, msg).frame
 	s.armTimer(qpn, st)
 	return nil
 }
@@ -563,8 +671,7 @@ func (s *Stack) postRead(qpn uint32, reth packet.RETH, deadline sim.Time, sink R
 // word per cycle, then the parsing/PSN-check stages). The stack takes
 // ownership of the frame and recycles its buffer after processing.
 func (s *Stack) DeliverFrame(frame []byte) {
-	words := (len(frame) + s.cfg.DataPathBytes - 1) / s.cfg.DataPathBytes
-	end := s.rxPath.Reserve(s.cfg.Cycles(words))
+	end := s.rxPath.Reserve(s.cfg.Cycles(s.words(frame)))
 	s.rxq.Push(frame)
 	s.eng.ScheduleAt(end.Add(s.cfg.Cycles(s.cfg.RxFixedCycles)), s.rxDrainFn)
 }
@@ -791,27 +898,76 @@ func (s *Stack) execRPCParams(qpn uint32, st *qpState, pkt *packet.Packet) {
 	s.sendTransient(st, s.ackPkt.SetAck(st.remoteQPN, pkt.BTH.PSN, packet.SynACK, st.msn))
 }
 
+// readServing is one READ being served: deliver is called with the data
+// in consecutive pieces and a response frame leaves for every MTU
+// payload of them. Records are recycled, their deliver bound once, so a
+// serving allocates nothing however many pieces it takes.
+type readServing struct {
+	s         *Stack
+	st        *qpState
+	qpn       uint32
+	respPSN   uint32
+	seg, nseg int
+	n         int    // bytes served so far
+	sum       uint64 // running CRC64 of them, for the observer
+	dup       bool
+	deliver   func([]byte, error)
+}
+
 func (s *Stack) executeRead(qpn uint32, st *qpState, va uint64, n int, respPSN uint32, dup bool) {
-	s.handler.HandleReadRequest(qpn, va, n, func(data []byte, err error) {
-		if err != nil {
-			s.stats.NaksSent++
-			s.sendTransient(st, s.ackPkt.SetAck(st.remoteQPN, respPSN, packet.SynNAKInvalid, st.msn))
-			return
+	var r *readServing
+	if k := len(s.rsFree); k > 0 {
+		r, s.rsFree = s.rsFree[k-1], s.rsFree[:k-1]
+	} else {
+		r = &readServing{s: s}
+		r.deliver = r.piece
+	}
+	r.st, r.qpn, r.respPSN, r.dup = st, qpn, respPSN, dup
+	r.seg, r.nseg, r.n, r.sum = 0, packet.NumSegments(n, s.cfg.MTUPayload), 0, 0
+	s.handler.HandleReadRequest(qpn, va, n, r.deliver)
+}
+
+// piece sends the response frames of the next piece of a READ's data.
+func (r *readServing) piece(data []byte, err error) {
+	s, st := r.s, r.st
+	if err != nil {
+		s.stats.NaksSent++
+		s.sendTransient(st, s.ackPkt.SetAck(st.remoteQPN, psnAdd(r.respPSN, uint32(r.seg)), packet.SynNAKInvalid, st.msn))
+		s.rsFree = append(s.rsFree, r)
+		return
+	}
+	if r.dup && s.dbg.CorruptDupRead && r.n == 0 && len(data) > 0 {
+		// Deliberate protocol bug (checker validation): the duplicate
+		// serving is no longer bit-identical to the original.
+		data = append([]byte(nil), data...)
+		data[0] ^= 0x01
+	}
+	if s.obs != nil {
+		r.sum = crc.Append64(r.sum, data)
+	}
+	r.n += len(data)
+	mtu := s.cfg.MTUPayload
+	for {
+		seg := data[:min(mtu, len(data))]
+		data = data[len(seg):]
+		s.sendTransient(st, packet.FillReadResponseAt(&s.txPkt, st.remoteQPN, psnAdd(r.respPSN, uint32(r.seg)), st.msn, seg, r.seg, r.nseg))
+		r.seg++
+		if len(data) == 0 {
+			if len(seg) < mtu && r.seg < r.nseg {
+				panic("roce: a piece before the last must be a whole number of MTU payloads")
+			}
+			break
 		}
-		if dup && s.dbg.CorruptDupRead && len(data) > 0 {
-			// Deliberate protocol bug (checker validation): the duplicate
-			// serving is no longer bit-identical to the original.
-			data = append([]byte(nil), data...)
-			data[0] ^= 0x01
+		if r.seg == r.nseg {
+			panic("roce: READ handler delivered more than was requested")
 		}
+	}
+	if r.seg == r.nseg {
 		if s.obs != nil {
-			s.obs.RespReadData(qpn, respPSN, crc.Checksum64(data), len(data))
+			s.obs.RespReadData(r.qpn, r.respPSN, r.sum, r.n)
 		}
-		n := packet.NumSegments(len(data), s.cfg.MTUPayload)
-		for i := 0; i < n; i++ {
-			s.sendTransient(st, packet.FillReadResponse(&s.txPkt, st.remoteQPN, respPSN, st.msn, data, s.cfg.MTUPayload, i, n))
-		}
-	})
+		s.rsFree = append(s.rsFree, r)
+	}
 }
 
 // --- requester completion -------------------------------------------------
@@ -827,7 +983,7 @@ func (s *Stack) handleAck(qpn uint32, st *qpState, pkt *packet.Packet) {
 		// implicitly acknowledged; retransmit the rest (go-back-N).
 		s.stats.NaksReceived++
 		s.ackUpTo(qpn, st, psnAdd(pkt.BTH.PSN, psnMask))
-		for _, p := range st.pending {
+		for _, p := range st.pending[:st.sent] {
 			s.retransmitFrame(qpn, st, p.frame)
 		}
 		s.armTimer(qpn, st)
@@ -844,14 +1000,14 @@ func (s *Stack) handleAck(qpn uint32, st *qpState, pkt *packet.Packet) {
 	}
 }
 
-// ackUpTo completes pending request packets with end PSN <= psn. The
+// ackUpTo completes sent request packets with end PSN <= psn. The
 // pending list is a FIFO in PSN order (posts only ever append increasing
 // PSNs), so a cumulative acknowledgement removes a prefix; popping just
 // that prefix keeps ACK processing O(1) amortised even with hundreds of
 // thousands of packets in flight.
 func (s *Stack) ackUpTo(qpn uint32, st *qpState, psn uint32) {
 	k := 0
-	for k < len(st.pending) && psnGE(psn, st.pending[k].endPSN()) {
+	for k < st.sent && psnGE(psn, st.pending[k].endPSN()) {
 		p := st.pending[k]
 		if p.lastOf && !p.isRead {
 			p.msg.finish(nil)
@@ -862,6 +1018,7 @@ func (s *Stack) ackUpTo(qpn uint32, st *qpState, psn uint32) {
 	}
 	if k > 0 {
 		st.pending = st.pending[k:]
+		st.sent -= k
 	}
 	st.retries = 0
 	s.armTimer(qpn, st)
@@ -880,8 +1037,12 @@ func (s *Stack) failPSN(qpn uint32, st *qpState, psn uint32) {
 			return
 		}
 	}
+	// Only what has been sent can have been refused or accepted; segments
+	// still waiting for their payload stay, the failed message's too —
+	// their PSNs are taken and must reach the wire.
+	unsent := st.pending[st.sent:]
 	keep := st.pending[:0]
-	for _, p := range st.pending {
+	for _, p := range st.pending[:st.sent] {
 		covers := psnGE(psn, p.psn) && psnGE(p.endPSN(), psn)
 		if covers || p.msg.done {
 			p.msg.finish(ErrRemoteInvalid)
@@ -896,7 +1057,8 @@ func (s *Stack) failPSN(qpn uint32, st *qpState, psn uint32) {
 		}
 		keep = append(keep, p)
 	}
-	st.pending = keep
+	st.sent = len(keep)
+	st.pending = append(keep, unsent...)
 	s.armTimer(qpn, st)
 }
 
@@ -948,8 +1110,11 @@ func (s *Stack) maybeCompleteRead(e *mqElement) {
 
 func (s *Stack) removeReadPending(st *qpState, firstPSN uint32) {
 	keep := st.pending[:0]
-	for _, p := range st.pending {
+	for i, p := range st.pending {
 		if p.isRead && p.psn == firstPSN {
+			if i < st.sent {
+				st.sent--
+			}
 			continue
 		}
 		keep = append(keep, p)
@@ -1005,7 +1170,7 @@ func (s *Stack) onTimeout(qpn uint32, st *qpState, snap uint64) {
 	// Go-back-N: resend every unacknowledged request packet; incomplete
 	// reads are re-requested (the responder re-executes them and the
 	// requester discards already-received response PSNs).
-	for _, p := range st.pending {
+	for _, p := range st.pending[:st.sent] {
 		s.retransmitFrame(qpn, st, p.frame)
 	}
 	s.mq.each(qpn, func(e *mqElement) {

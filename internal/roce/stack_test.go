@@ -18,6 +18,12 @@ type memHandler struct {
 	eng       *sim.Engine
 	buf       []byte
 	readDelay sim.Duration
+	// With pieceGap set, a READ's data is delivered an MTU payload
+	// (pieceLen) at a time, one piece every pieceGap, and the serving
+	// fails after failAfter pieces (0: never).
+	pieceGap  sim.Duration
+	pieceLen  int
+	failAfter int
 	writeSegs int
 	writeMsgs int
 	rpcParams []string // "op:params"
@@ -40,7 +46,18 @@ func (h *memHandler) HandleWrite(qpn uint32, va uint64, data []byte, last bool) 
 
 func (h *memHandler) HandleReadRequest(qpn uint32, va uint64, n int, deliver func([]byte, error)) {
 	data := append([]byte(nil), h.buf[va:va+uint64(n)]...)
-	h.eng.Schedule(h.readDelay, func() { deliver(data, nil) })
+	if h.pieceGap == 0 {
+		h.eng.Schedule(h.readDelay, func() { deliver(data, nil) })
+		return
+	}
+	for i, off := 0, 0; off < n; i, off = i+1, off+h.pieceLen {
+		at := h.readDelay + sim.Duration(i)*h.pieceGap
+		if h.failAfter > 0 && i == h.failAfter {
+			h.eng.Schedule(at, func() { deliver(nil, errors.New("page gone")) })
+			return
+		}
+		h.eng.Schedule(at, func() { deliver(data[off:min(off+h.pieceLen, n)], nil) })
+	}
 }
 
 func (h *memHandler) HandleRPCParams(qpn uint32, rpcOp uint64, params []byte) error {

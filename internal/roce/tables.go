@@ -53,7 +53,8 @@ type qpState struct {
 
 	// Requester state.
 	nextPSN    uint32
-	pending    []*pendingPacket // sent, not yet acknowledged (FIFO by PSN)
+	pending    []*pendingPacket // posted, not yet acknowledged (FIFO by PSN)
+	sent       int              // pending[:sent] are on the wire; the rest wait for pump
 	retries    int
 	progress   uint64 // bumped on any QP activity; defers the retransmission timer
 	remoteRKey uint32 // default rkey stamped on posts that pass RKey 0
@@ -73,12 +74,14 @@ type recentRead struct {
 }
 
 // pendingPacket is a requester-side packet awaiting acknowledgement,
-// retained for go-back-N retransmission.
+// retained for go-back-N retransmission. A segment of a streamed message
+// is posted before its payload has arrived: its frame is nil until then.
 type pendingPacket struct {
 	psn    uint32 // first PSN consumed
 	npsn   uint32 // PSNs consumed (reads consume one per response packet)
 	frame  []byte // encoded frame for retransmission
 	msg    *outMessage
+	op     packet.Opcode
 	lastOf bool // completes msg when acknowledged
 	isRead bool
 }
@@ -97,11 +100,15 @@ type outMessage struct {
 	// verb was posted without a deadline; see Stack.armDeadline).
 	deadline sim.Event
 
+	qpn uint32
+	// Segmented messages: how many of the nseg segments have been fed
+	// their payload (see Stack.feed).
+	seg, nseg uint32
+
 	// Observer binding (nil unless the stack has an observer; see
 	// instrument.go). The lifecycle invariant is checked on opID.
-	obs    Observer
-	obsQPN uint32
-	obsID  uint64
+	obs   Observer
+	obsID uint64
 }
 
 func (m *outMessage) finish(err error) {
@@ -114,7 +121,7 @@ func (m *outMessage) finish(err error) {
 		m.owner.stats.OpsCompleted++
 	}
 	if m.obs != nil {
-		m.obs.CompletedOp(m.obsQPN, m.obsID, err)
+		m.obs.CompletedOp(m.qpn, m.obsID, err)
 	}
 	if m.complete != nil {
 		m.complete(err)
