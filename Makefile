@@ -44,28 +44,27 @@ protect:
 
 # determinism runs the sharded-engine determinism suite on its own under
 # the race detector: worker-count invariance of every figure generator,
-# the telemetry/trace exports (including the chaos-kv stream), the chaos
-# schedule digest, the sharded KV stream, and the ShardGroup
-# window/barrier machinery.
+# every scenario's exports (TestScenarios), the chaos schedule digest,
+# the sharded KV stream, and the ShardGroup window/barrier machinery.
 determinism:
-	$(GO) test -race -count=1 -run 'Shard|Deterministic|ByteIdentical' ./internal/sim ./internal/testrig ./internal/experiments ./internal/kvserve
+	$(GO) test -race -count=1 -run 'Shard|Deterministic|ByteIdentical|Scenarios' ./internal/sim ./internal/testrig ./internal/experiments ./internal/kvserve
 
 # kv runs the replicated-KV suite on its own under the race detector:
 # slot codec and layout, clean protocol semantics, failover edge cases,
 # the sharded streaming cluster, the Pilaf-table tombstone machinery,
-# and the chaos-kv sweep with its JSONL alert assertions.
+# and the chaos-kv sweep with the kv (and kvlarge) scenario exports.
 kv:
 	$(GO) test -race ./internal/kvserve ./internal/kvstore
-	$(GO) test -race -run 'KV' ./internal/experiments
+	$(GO) test -race -run 'KV|Scenarios/kv' ./internal/experiments
 
 # kv-large runs the large-value torn-read suite on its own under the
 # race detector: extent codec and spill refs, the consistency-kernel
 # read path, torn-read detection/classification/retry, orphan reaping,
 # the failover edge cases around the extent-then-publish window, and
-# the chaos-kv-large sweep with its JSONL alert assertions.
+# the chaos-kv-large sweep with the kvlarge scenario export.
 kv-large:
 	$(GO) test -race -run 'Extent|Large|Torn|Spill|MidRepair' ./internal/kvserve
-	$(GO) test -race -run 'KVLarge' ./internal/experiments
+	$(GO) test -race -run 'KVLarge|Scenarios/kvlarge' ./internal/experiments
 
 # fuzz smoke-runs the checked-in fuzzers for 10s each on top of their
 # seed corpora (packet header round-trip, CRC slicing equivalence, QP
@@ -86,59 +85,32 @@ fuzz:
 	$(GO) test ./internal/fabric -fuzz=FuzzSwitchArbitration -fuzztime=10s
 	$(GO) test ./internal/kvserve -fuzz=FuzzExtentCodec -fuzztime=10s
 
-# soak runs the monitoring gate (DESIGN.md §14): the clean instrumented
-# scenario and the full quick chaos suite (sweeps + chaos scenario),
-# each streaming JSONL telemetry that stromtail then gates on. The
-# clean stream may only trip the loss-phase rules (out-discards,
-# fcs-err, and their per-QP retransmission view retry-storm) and must
-# trip out-discards (the 4% phase is deliberate); the chaos stream must
-# trip out-discards, remote-access, qp-errors and link-flap (the flap
-# phases are scheduled, so a silent flap rule means the drop-cause
-# breakdown went dark), and may additionally trip fcs-err, retry-storm
-# and the no-progress watchdog. The incast
-# stream puts the PFC/ECN switch in the path (4→1 storm, DCQCN enabled
-# mid-run) and must trip the pfc-pause and ecn-marked rules;
-# resume-burst pool overflows may additionally trip out-discards and,
-# through the retransmissions those discards force, retry-storm. The
-# kv stream runs the replicated-KV storm regime (loss + crash cycles +
-# incast blast + rogue) and must trip kv-heartbeat — that alert IS the
-# failure detector the failover controller runs on — and retry-storm;
-# the rest of its allowlist is the chaos fallout (crash-flushed QPs,
-# rogue NAKs, discarded in-flight frames, failover latency tails). The
-# kvlarge stream runs the large-value full-fault regime (racing
-# overwriter + loss + crash cycles) and must trip torn-read — that
-# alert IS the torn-read detection surface — and kv-heartbeat. Any
-# other alert fails the target.
+# soak runs the monitoring gate: every scenario of the registry
+# (experiments.Scenarios; README.md "Scenarios" has the table) streams
+# its instrumented run as JSONL and strombench gates the stream on the
+# scenario's own alert contract — a required alert that stayed silent or
+# one outside the allowlist fails the target. clean and incast name a
+# table so that only the stream is generated, not their sweep.
 soak:
-	$(GO) run ./cmd/strombench -quick -jsonl SOAK_clean.jsonl table1 > /dev/null
-	$(GO) run ./cmd/stromtail -allow 'out-discards|fcs-err|retry-storm' -require 'out-discards' SOAK_clean.jsonl
-	$(GO) run ./cmd/strombench -quick -chaos -jsonl SOAK_chaos.jsonl > /dev/null
-	$(GO) run ./cmd/stromtail -allow 'out-discards|fcs-err|link-flap|remote-access|qp-errors|watchdog|retry-storm' -require 'out-discards|link-flap|remote-access|qp-errors' SOAK_chaos.jsonl
-	$(GO) run ./cmd/strombench -quick -incast -jsonl SOAK_incast.jsonl table1 > /dev/null
-	$(GO) run ./cmd/stromtail -allow 'pfc-pause|ecn-marked|out-discards|retry-storm' -require 'pfc-pause|ecn-marked' SOAK_incast.jsonl
-	$(GO) run ./cmd/strombench -quick -kv -jsonl SOAK_kv.jsonl > /dev/null
-	$(GO) run ./cmd/stromtail -allow 'out-discards|retry-storm|kv-heartbeat|qp-errors|remote-access|watchdog|pfc-pause|ecn-marked|op-latency-p99|fcs-err' -require 'kv-heartbeat|retry-storm' SOAK_kv.jsonl
-	$(GO) run ./cmd/strombench -quick -kvlarge -jsonl SOAK_kvlarge.jsonl > /dev/null
-	$(GO) run ./cmd/stromtail -allow 'out-discards|retry-storm|kv-heartbeat|torn-read|qp-errors|remote-access|watchdog|pfc-pause|ecn-marked|op-latency-p99|fcs-err' -require 'torn-read|kv-heartbeat' SOAK_kvlarge.jsonl
+	$(GO) run ./cmd/strombench -quick -scenario clean -jsonl SOAK_clean.jsonl table1 > /dev/null
+	$(GO) run ./cmd/strombench -quick -scenario chaos -jsonl SOAK_chaos.jsonl > /dev/null
+	$(GO) run ./cmd/strombench -quick -scenario incast -jsonl SOAK_incast.jsonl table1 > /dev/null
+	$(GO) run ./cmd/strombench -quick -scenario kv -jsonl SOAK_kv.jsonl > /dev/null
+	$(GO) run ./cmd/strombench -quick -scenario kvlarge -jsonl SOAK_kvlarge.jsonl > /dev/null
 
 # bench runs the microbenchmarks (macro benches plus the scheduler and
 # process switch, telemetry, the scrape tick, the completion poll, packet,
 # crc, pcie (incl. the 47-chunk streamed read), roce and NIC hot paths,
 # and, with their simulated latency as sim-us/op beside ns/op, the 64 KiB
 # bulk WRITE/READ on the 100 G pair and the KV client's Put/PutLarge/Get),
-# then records
-# bench snapshots: BENCH_quick.json (quick suite — the bench-diff gate)
-# and BENCH_pr$(PR).json (default suite — the per-PR trajectory; pass
-# PR=<n>, the default rewrites the committed PR 6 snapshot), both
-# sharded. Snapshot wall times are host dependent; figure values are
-# deterministic.
-PR ?= 6
+# then records the quick suite's bench snapshot, BENCH_quick.json (the
+# bench-diff gate), sharded. Snapshot wall times are host dependent;
+# figure values are deterministic.
 BENCHNOTE = figure values are deterministic at seed 1; wall_ms series depend on the host (see gomaxprocs/num_cpu) -- a single-core host serializes the shard workers, so sharded wall time there measures barrier overhead, not speedup
 bench:
 	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/telemetry/export ./internal/cpu ./internal/packet ./internal/crc ./internal/pcie ./internal/roce ./internal/core ./internal/kvserve
 	$(GO) run ./cmd/strombench -quick -shards 4 -bench BENCH_quick.json -benchnote "$(BENCHNOTE)" > /dev/null
-	$(GO) run ./cmd/strombench -shards 4 -bench BENCH_pr$(PR).json -benchnote "$(BENCHNOTE)" > /dev/null
-	$(GO) run ./cmd/strombench -quick -chaos chaos-recovery > /dev/null
+	$(GO) run ./cmd/strombench -quick chaos-recovery > /dev/null
 
 # bench-diff reruns the quick suite and gates against the committed
 # snapshot: non-zero exit when a deterministic figure value drifted by

@@ -4,59 +4,38 @@
 // Usage:
 //
 //	strombench -list
-//	strombench [-quick|-full] [-chaos] [-incast] [-kv] [-kvlarge] [-seed N] [-j N] [-shards N]
+//	strombench [-quick|-full] [-scenario NAME] [-seed N] [-j N] [-shards N]
 //	           [-csv DIR] [-metrics FILE] [-trace FILE] [-jsonl FILE]
 //	           [-bench FILE] [-cpuprofile FILE] [-memprofile FILE] [exp ...]
 //
-// With no experiment names, everything runs in paper order followed by
-// the ablations. Experiment names are table1, table2, table3, resources,
-// fig5a...fig13b, abl-*, and chaos-*.
+// Experiment names are table1, table2, table3, resources, fig5a...fig13b,
+// abl-*, and chaos-*. -scenario picks one entry of the scenario registry
+// (experiments.Scenarios; README.md "Scenarios" tabulates topology,
+// faults, sweep and alert contract of each):
 //
-// -incast swaps the telemetry scenario for the switched incast storm
-// (experiments.WriteIncastTelemetryExports): four senders converge on
-// one switch port with a victim flow riding along, PFC and ECN engage,
-// and DCQCN is enabled mid-run — the scenario the pfc-pause and
-// ecn-marked alert rules are proven against.
+//	clean    (default) the paper's two-machine test bed; sweeps every
+//	         table, figure and ablation in paper order
+//	chaos    the fault-injection suite: loss, flap, recovery, protection,
+//	         incast and KV sweeps with the invariant checker attached
+//	incast   4→1 storm through the PFC/ECN switch, DCQCN enabled mid-run
+//	kv       replicated KV under loss, crash cycles, incast blast and rogue
+//	kvlarge  large-value KV under a racing overwriter, loss and crash cycles
 //
-// -kv selects the replicated-KV robustness gate: with no names it runs
-// the chaos-kv sweep (sharded primary-backup KV cluster under loss,
-// crash cycles and an incast storm, failing on any exactly-once
-// violation), and -metrics/-trace/-jsonl export the storm-regime KV
-// scenario — the stream the kv-heartbeat failure detector and the
-// retry-storm rule are proven against.
-//
-// -kvlarge selects the large-value torn-read gate: with no names it runs
-// the chaos-kv-large sweep (out-of-line CRC-guarded extents under a
-// racing overwriter, bursty loss and crash cycles, failing on any torn
-// value served), and -metrics/-trace/-jsonl export the full-fault
-// regime — the stream the torn-read rate rule is proven against.
-//
-// -chaos selects the fault-injection suite instead: with no names it
-// runs the chaos generators (bursty loss and link-flap sweeps, plus the
-// chaos-recovery crash/restart sweep, each with the protocol invariant
-// checker attached), and -metrics/-trace export the chaos scenario
-// (experiments.WriteChaosTelemetry) instead of the clean one. Chaos runs
-// are driven entirely off the engine RNG, so re-running with the same
-// -seed replays the identical fault schedule — including the recovery
-// sweep's crash times, verb deadlines and reconnect backoff jitter.
+// With no experiment names the scenario's sweep runs; -metrics, -trace
+// and -jsonl export the scenario's own instrumented run — on its own
+// engine seeded from -seed, so every file is byte-identical at every -j
+// and -shards value — and the -jsonl stream is then gated against the
+// scenario's alert contract: a required alert that stayed silent, or one
+// outside the allowlist that fired, fails the run. Chaos runs are driven
+// entirely off the engine RNG, so re-running with the same -seed replays
+// the identical fault schedule. Load the trace file in ui.perfetto.dev
+// or chrome://tracing; pipe the JSONL file through stromtail for a
+// rollup and the alert timeline.
 //
 // Figure generators are independent simulations, so -j runs them on a
 // worker pool. Results are printed in request order and each generator
 // is a pure function of (options, seed), so stdout is byte-identical at
 // every -j value; per-experiment timing goes to stderr.
-//
-// -metrics and -trace additionally run the canonical instrumented
-// scenario (experiments.WriteTelemetry) and write its metrics registry
-// and Perfetto-compatible trace as JSON. The scenario runs on its own
-// engine seeded from -seed, so both files are byte-identical at every
-// -j value; load the trace file in ui.perfetto.dev or chrome://tracing.
-//
-// -jsonl streams the same scenario's telemetry as JSON Lines: periodic
-// health scrapes of both NIC ports and both link directions, registry
-// snapshots with deltas, and the sim-time alert engine's fire/resolve
-// events and final summaries — one envelope per line, byte-identical
-// at every -j and -shards value. Pipe the file through stromtail for a
-// rollup and the alert timeline.
 //
 // -shards N runs each testbed sharded: the two machines on separate
 // event-engine shards executed by up to N worker goroutines under
@@ -88,24 +67,31 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "reduced iteration counts (smoke test)")
 	full := flag.Bool("full", false, "paper-scale inputs (Fig. 11 runs the real 128-1024 MB)")
-	chaosSuite := flag.Bool("chaos", false, "run the fault-injection suite; -metrics/-trace export the chaos scenario")
-	incastScenario := flag.Bool("incast", false, "export the switched incast-storm scenario from -metrics/-trace/-jsonl instead of the clean one")
-	kvScenario := flag.Bool("kv", false, "run the chaos-kv sweep; -metrics/-trace/-jsonl export the replicated-KV storm scenario")
-	kvLargeScenario := flag.Bool("kvlarge", false, "run the chaos-kv-large sweep; -metrics/-trace/-jsonl export the large-value torn-read scenario")
+	var scenarios []string
+	for _, s := range experiments.Scenarios() {
+		scenarios = append(scenarios, s.Name)
+	}
+	scenarioName := flag.String("scenario", scenarios[0], "one of "+strings.Join(scenarios, ", ")+": the sweep run when no experiment is named, and the run -metrics/-trace/-jsonl export")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	jobs := flag.Int("j", experiments.DefaultParallelism(), "experiment generators to run in parallel")
 	shards := flag.Int("shards", 0, "sharded testbed worker count (0 = single engine; output is byte-identical for every value >= 1)")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	csvDir := flag.String("csv", "", "also write each figure as CSV into this directory")
-	metricsOut := flag.String("metrics", "", "write instrumented-scenario metrics JSON to this file")
-	traceOut := flag.String("trace", "", "write instrumented-scenario Perfetto trace JSON to this file")
-	jsonlOut := flag.String("jsonl", "", "stream instrumented-scenario telemetry (health scrapes, alerts) as JSON Lines to this file")
+	metricsOut := flag.String("metrics", "", "write the scenario's metrics JSON to this file")
+	traceOut := flag.String("trace", "", "write the scenario's Perfetto trace JSON to this file")
+	jsonlOut := flag.String("jsonl", "", "stream the scenario's telemetry (health scrapes, alerts) as JSON Lines to this file, then gate it on the scenario's alert contract")
 	benchOut := flag.String("bench", "", "write a bench snapshot (wall clock + figure values) JSON to this file")
 	benchLabel := flag.String("benchlabel", "", "label stored in the -bench snapshot (default: snapshot file base name)")
 	benchNote := flag.String("benchnote", "", "free-form note stored in the -bench snapshot")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	flag.Parse()
+
+	sc, names, err := resolve(*scenarioName, flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "strombench:", err)
+		os.Exit(1)
+	}
 
 	// Registered first so it runs last: the profile writers below must
 	// flush before the process exits on a failure.
@@ -164,45 +150,16 @@ func main() {
 	opts.Seed = *seed
 	opts.Shards = *shards
 
-	names := flag.Args()
-	preamble := false
-	if len(names) == 0 {
-		if *kvLargeScenario {
-			names = append(names, "chaos-kv-large")
-		} else if *kvScenario {
-			names = append(names, "chaos-kv")
-		} else if *chaosSuite {
-			for _, g := range experiments.Chaos() {
-				names = append(names, g.Name)
-			}
-		} else {
-			preamble = true // whole suite: lead with the static tables
-			for _, g := range append(experiments.Figures(), experiments.Ablations()...) {
-				names = append(names, g.Name)
-			}
-		}
-	}
-
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "strombench:", err)
 		exitCode = 1
 	}
-	results, err := run(names, opts, *jobs, *csvDir, preamble)
+	results, err := run(names, opts, *jobs, *csvDir)
 	if err != nil {
 		fail(err)
 		return
 	}
-	scenarios := 0
-	for _, b := range []bool{*chaosSuite, *incastScenario, *kvScenario, *kvLargeScenario} {
-		if b {
-			scenarios++
-		}
-	}
-	if scenarios > 1 {
-		fail(fmt.Errorf("-chaos, -incast, -kv and -kvlarge select different telemetry scenarios; pick one"))
-		return
-	}
-	if err := writeTelemetry(opts, *chaosSuite, *incastScenario, *kvScenario, *kvLargeScenario, *metricsOut, *traceOut, *jsonlOut); err != nil {
+	if err := export(sc, opts, *metricsOut, *traceOut, *jsonlOut); err != nil {
 		fail(err)
 		return
 	}
@@ -249,67 +206,64 @@ func allGenerators() []experiments.Generator {
 	return append(gens, experiments.Chaos()...)
 }
 
-// writeTelemetry runs the instrumented scenario once (the chaos one when
-// chaosSuite is set, the switched incast storm when incast is set, the
-// replicated-KV storm when kv is set, the large-value torn-read regime
-// when kvLarge is set) and writes the requested exports. A no-op when no
-// export flag was given.
-func writeTelemetry(opts experiments.Options, chaosSuite, incast, kv, kvLarge bool, metricsPath, tracePath, jsonlPath string) error {
+// resolve maps -scenario and the positional arguments to the scenario
+// and the experiments to run: the named ones, or the scenario's sweep.
+func resolve(scenario string, args []string) (experiments.Scenario, []string, error) {
+	sc, err := experiments.ScenarioByName(scenario)
+	if err != nil {
+		return sc, nil, err
+	}
+	if len(args) == 0 {
+		args = sc.Sweep
+	}
+	return sc, args, nil
+}
+
+// export runs the scenario's instrumented run once, writes the requested
+// files and, when a JSONL stream was one of them, gates what was written
+// against the scenario's alert contract. A no-op when no export flag was
+// given.
+func export(sc experiments.Scenario, opts experiments.Options, metricsPath, tracePath, jsonlPath string) error {
 	if metricsPath == "" && tracePath == "" && jsonlPath == "" {
 		return nil
 	}
-	var metricsW, traceW, jsonlW io.Writer
 	var files []*os.File
-	open := func(path string) (io.Writer, error) {
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
+	var err error
+	open := func(path string) io.Writer {
+		if path == "" || err != nil {
+			return nil
+		}
+		var f *os.File
+		if f, err = os.Create(path); err != nil {
+			return nil
 		}
 		files = append(files, f)
-		return f, nil
+		return f
 	}
-	var err error
-	if metricsPath != "" {
-		if metricsW, err = open(metricsPath); err != nil {
-			return err
-		}
+	ex := experiments.Exports{Metrics: open(metricsPath), Trace: open(tracePath), JSONL: open(jsonlPath)}
+	if err == nil {
+		err = sc.Export(opts, ex)
 	}
-	if tracePath != "" {
-		if traceW, err = open(tracePath); err != nil {
-			return err
-		}
-	}
-	if jsonlPath != "" {
-		if jsonlW, err = open(jsonlPath); err != nil {
-			return err
-		}
-	}
-	scenario := experiments.WriteTelemetryExports
-	if chaosSuite {
-		scenario = experiments.WriteChaosTelemetryExports
-	}
-	if incast {
-		scenario = experiments.WriteIncastTelemetryExports
-	}
-	if kv {
-		scenario = experiments.WriteKVTelemetryExports
-	}
-	if kvLarge {
-		scenario = experiments.WriteKVLargeTelemetryExports
-	}
-	err = scenario(opts, metricsW, traceW, jsonlW)
 	for _, f := range files {
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 	}
-	return err
+	if err != nil || jsonlPath == "" {
+		return err
+	}
+	stream, err := os.Open(jsonlPath)
+	if err != nil {
+		return err
+	}
+	defer stream.Close()
+	return sc.GateStream(stream)
 }
 
 // run resolves names into tables (rendered inline) and generators
 // (executed on the worker pool), prints everything in request order and
 // returns the generator results (for the -bench snapshot).
-func run(names []string, opts experiments.Options, jobs int, csvDir string, preamble bool) ([]experiments.Result, error) {
+func run(names []string, opts experiments.Options, jobs int, csvDir string) ([]experiments.Result, error) {
 	byName := make(map[string]experiments.Generator)
 	for _, g := range allGenerators() {
 		byName[g.Name] = g
@@ -342,11 +296,6 @@ func run(names []string, opts experiments.Options, jobs int, csvDir string, prea
 		results[r.Name] = r
 	}
 
-	if preamble {
-		fmt.Println(experiments.Table1())
-		fmt.Println(experiments.Table2())
-		fmt.Println(experiments.ResourceReport())
-	}
 	for _, name := range names {
 		if render, ok := tables[name]; ok {
 			fmt.Println(render())

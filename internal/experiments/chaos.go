@@ -3,8 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
-	"strings"
 
 	"strom/internal/chaos"
 	"strom/internal/hostmem"
@@ -12,7 +10,6 @@ import (
 	"strom/internal/mr"
 	"strom/internal/sim"
 	"strom/internal/stats"
-	"strom/internal/telemetry/export"
 	"strom/internal/testrig"
 )
 
@@ -24,14 +21,14 @@ import (
 // than plotting garbage) if any transport invariant is violated.
 
 // chaosLossPoints is the loss sweep's x axis: stationary loss rate in
-// percent, up to the 4% regime WriteTelemetry already exercises.
+// percent, up to the 4% regime the clean scenario's loss phase exercises.
 var chaosLossPoints = []float64{0, 0.5, 1, 2, 4}
 
 // chaosFlapPoints is the flap sweep's x axis: outage length in µs
 // (RetransTimeout at 10 G is 500 µs, so the sweep crosses the timer).
 var chaosFlapPoints = []sim.Duration{0, 100 * sim.Microsecond, 250 * sim.Microsecond, 500 * sim.Microsecond, 1000 * sim.Microsecond}
 
-// Chaos lists the chaos suite generators (run by strombench -chaos).
+// Chaos lists the chaos suite generators (the chaos scenario's sweep).
 func Chaos() []Generator {
 	return []Generator{
 		{"chaos-loss", ChaosLossSweep},
@@ -54,56 +51,145 @@ type chaosMeasure struct {
 	violations int
 }
 
-// runChaosPoint drives the chaos workload — alternating WRITEs into the
-// first half of B's buffer and READs of a static region in the second
-// half — under the plan, with invariant checkers on both stacks.
-func runChaosPoint(o Options, plan chaos.Plan) (chaosMeasure, error) {
+// chaosRegions lays out what the chaos, recovery and protection
+// workloads move xfer bytes between: A's buffer, a WRITE target at the
+// start of B's buffer, and a READ source of static random bytes in its
+// second half.
+func chaosRegions(pair *testrig.Pair, xfer int) (localA, writeB, readB uint64, err error) {
+	read := pair.BufB.Base() + hostmem.Addr(pair.BufB.Size()/2)
+	static := make([]byte, xfer)
+	pair.Eng.Rand().Read(static)
+	err = pair.B.Memory().WriteVirt(read, static)
+	return uint64(pair.BufA.Base()), uint64(pair.BufB.Base()), uint64(read), err
+}
+
+// The rogue requester's channel: a second QP pair beside QPA/QPB.
+const (
+	rogueQPA uint32 = 3
+	rogueQPB uint32 = 4
+)
+
+// startPairRogue starts a rogue requester on machine A forging accesses
+// into B's buffer and into roBuf, a read-only region on B (its key is
+// perfectly valid, only the access class is wrong for a WRITE). cfg
+// carries the attack budget and pacing.
+func startPairRogue(pair *testrig.Pair, roBuf *hostmem.Buffer, cfg chaos.RogueConfig) (*chaos.Rogue, error) {
+	if err := pair.AddQueuePair(rogueQPA, rogueQPB); err != nil {
+		return nil, err
+	}
+	cfg.QPN = rogueQPA
+	cfg.LocalVA = uint64(pair.BufA.Base()) + uint64(pair.BufA.Size()/2)
+	cfg.Target = chaos.RogueTarget{
+		Base:   uint64(pair.BufB.Base()),
+		Size:   uint64(pair.BufB.Size()),
+		Key:    func() uint32 { return pair.B.RegionFor(uint64(pair.BufB.Base())).RKey() },
+		ROBase: uint64(roBuf.Base()),
+		ROSize: uint64(roBuf.Size()),
+		ROKey:  func() uint32 { return pair.B.RegionFor(uint64(roBuf.Base())).RKey() },
+	}
+	cfg.Reconnect = func() error { return pair.ReconnectPair(rogueQPA, rogueQPB) }
+	rogue, err := chaos.NewRogue(pair.A, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	rogue.Start()
+	return rogue, nil
+}
+
+// runChaosPoint drives the chaos workload — rounds of a WRITE into the
+// first half of B's buffer and a READ of a static region in the second
+// half — under the plan, with invariant checkers on both stacks, and
+// writes the exports ex asks for.
+//
+// With protect set the run exercises the whole memory-protection
+// surface beside the legitimate workload, so every protection counter
+// exports with a real value: a rogue requester forges bad accesses on a
+// second QP pair (roce_nak_remote_access, mr_validation_fail), and one
+// traversal RPC is sent chasing a pointer into unregistered memory so
+// the kernel sandbox fires (kernel_mr_fault).
+func runChaosPoint(o Options, plan chaos.Plan, rounds int, protect bool, ex Exports) (chaosMeasure, error) {
+	var m chaosMeasure
 	pair, err := newPair(o.unsharded(), profile10G(), 8<<20)
 	if err != nil {
-		return chaosMeasure{}, err
+		return m, err
 	}
+	var roBuf *hostmem.Buffer
+	if protect {
+		// Read-only region on B: the rogue's permission-attack target.
+		if roBuf, err = pair.B.AllocBufferFlags(1<<20, mr.AccessRemoteRead); err != nil {
+			return m, err
+		}
+		if err := pair.B.DeployKernel(traversalOp, traversal.New(0)); err != nil {
+			return m, err
+		}
+	}
+	taps := tapPair(pair, ex)
 	inj, ca, cb := pair.ApplyChaos(plan)
+	if taps.tel != nil {
+		inj.AttachTelemetry(taps.tel.Registry)
+	}
+	var rogue *chaos.Rogue
+	if protect {
+		if err := pair.ExchangeRKeys(testrig.QPA, testrig.QPB); err != nil {
+			return m, err
+		}
+		rogue, err = startPairRogue(pair, roBuf, chaos.RogueConfig{Ops: 6, OpDeadline: 500 * sim.Microsecond, Backoff: 20 * sim.Microsecond})
+		if err != nil {
+			return m, err
+		}
+	}
 
 	const xfer = 32 << 10
-	localA := uint64(pair.BufA.Base())
-	writeB := uint64(pair.BufB.Base())
-	readB := pair.BufB.Base() + hostmem.Addr(pair.BufB.Size()/2)
-	static := make([]byte, xfer)
-	rng := pair.Eng.Rand()
-	rng.Read(static)
-	if err := pair.B.Memory().WriteVirt(readB, static); err != nil {
-		return chaosMeasure{}, err
+	localA, writeB, readB, err := chaosRegions(pair, xfer)
+	if err != nil {
+		return m, err
 	}
 
-	var m chaosMeasure
 	var runErr error
 	pair.Eng.Go("chaos-client", func(p *sim.Process) {
-		for i := 0; i < o.Iterations; i++ {
+		for i := 0; i < rounds; i++ {
 			if runErr = pair.A.WriteSync(p, testrig.QPA, localA, writeB, xfer); runErr != nil {
 				return
 			}
-			if runErr = pair.A.ReadSync(p, testrig.QPA, uint64(readB), localA, xfer); runErr != nil {
+			if runErr = pair.A.ReadSync(p, testrig.QPA, readB, localA, xfer); runErr != nil {
 				return
 			}
 		}
 		m.elapsed = pair.Eng.Now().Sub(0)
+		if !protect {
+			return
+		}
+		// Kernel-sandbox phase: chase a pointer into unregistered memory.
+		// The kernel's first element fetch faults, the RPC completes with
+		// StatusFault, and kernel_mr_fault exports as 1.
+		params := traversal.Params{
+			RemoteAddress:   1 << 40,
+			ResponseAddress: uint64(pair.BufA.Base()) + 1<<20,
+			ValueSize:       64,
+		}
+		if _, lerr := traversal.Lookup(p, pair.A, testrig.QPA, traversalOp, params); !errors.Is(lerr, traversal.ErrFault) {
+			runErr = fmt.Errorf("sandboxed lookup: got %v, want %v", lerr, traversal.ErrFault)
+		}
 	})
-	pair.Run()
+	taps.run()
 	if runErr != nil {
-		return chaosMeasure{}, fmt.Errorf("chaos workload: %w", runErr)
+		return m, fmt.Errorf("chaos workload: %w", runErr)
 	}
 
-	violations := append(ca.Finish(), cb.Finish()...)
-	m.violations = len(violations)
-	if m.violations > 0 {
-		return m, fmt.Errorf("chaos: %d invariant violations, first: %s", m.violations, violations[0])
+	vio := append(ca.Finish(), cb.Finish()...)
+	if rogue != nil && rogue.Stats().Unexpected > 0 {
+		vio = append(vio, fmt.Sprintf("rogue: %d forged requests completed (protection failed)", rogue.Stats().Unexpected))
+	}
+	m.violations = len(vio)
+	if err := violationError("chaos", vio); err != nil {
+		return m, err
 	}
 	sa, sb := pair.A.Stack().Stats(), pair.B.Stack().Stats()
 	m.retrans = sa.Retransmissions + sb.Retransmissions
 	m.timeouts = sa.Timeouts + sb.Timeouts
 	m.dupHits = sa.DupReadCacheHits + sb.DupReadCacheHits
 	m.faults = inj.Stats().Total()
-	return m, nil
+	return m, taps.export()
 }
 
 // chaosFigure renders one sweep: workload completion time plus the
@@ -148,7 +234,7 @@ func ChaosLossSweep(o Options) (*stats.Figure, error) {
 	o = o.normalized()
 	fig, series := chaosFigure("Chaos: bursty loss sweep (10G, Gilbert-Elliott)", "avg loss %")
 	for _, loss := range chaosLossPoints {
-		m, err := runChaosPoint(o, chaosLossPlan(loss/100))
+		m, err := runChaosPoint(o, chaosLossPlan(loss/100), o.Iterations, false, Exports{})
 		if err != nil {
 			return nil, fmt.Errorf("loss %.1f%%: %w", loss, err)
 		}
@@ -181,7 +267,7 @@ func ChaosFlapSweep(o Options) (*stats.Figure, error) {
 	o = o.normalized()
 	fig, series := chaosFigure("Chaos: link flap sweep (10G, outages every 2ms)", "outage us")
 	for _, outage := range chaosFlapPoints {
-		m, err := runChaosPoint(o, chaosFlapPlan(outage))
+		m, err := runChaosPoint(o, chaosFlapPlan(outage), o.Iterations, false, Exports{})
 		if err != nil {
 			return nil, fmt.Errorf("outage %v: %w", outage, err)
 		}
@@ -218,143 +304,12 @@ func chaosTelemetryPlan() chaos.Plan {
 	return plan
 }
 
-// WriteChaosTelemetry runs the canonical chaos scenario — the workload
-// cmd/strombench exports when -chaos is combined with -metrics/-trace —
-// and writes the metrics registry (including the chaos fault counters)
-// and the Perfetto trace as JSON. Like WriteTelemetry it runs on its own
-// engine seeded from o.Seed, so the output is byte-identical regardless
-// of -j; the invariant checkers on both stacks must stay silent or the
-// scenario fails.
-//
-// Beside the legitimate workload the scenario exercises the whole
-// memory-protection surface, so every protection counter exports with a
-// real value: a rogue requester forges bad accesses on a second QP pair
-// (roce_nak_remote_access, mr_validation_fail), and one traversal RPC is
-// sent chasing a pointer into unregistered memory so the kernel sandbox
-// fires (kernel_mr_fault).
-func WriteChaosTelemetry(o Options, metricsW, traceW io.Writer) error {
-	return WriteChaosTelemetryExports(o, metricsW, traceW, nil)
-}
-
-// WriteChaosTelemetryExports is WriteChaosTelemetry plus the streaming
-// JSONL export (see WriteTelemetryExports). On this scenario the alert
-// engine is expected to fire: the chaos plan's loss bursts and flaps
-// trip out-discards (and usually fcs-err), the rogue requester trips
-// remote-access and qp-errors, and on seeds where loss bursts, DMA
-// stalls and rogue reconnects line up the no-progress watchdog
-// legitimately fires too (the workload can stall past the 2 ms hold).
-// A monitoring consumer (make soak, stromtail) allowlists exactly
-// those rules; anything else firing is a scenario regression.
-func WriteChaosTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error {
-	o = o.normalized()
-	pair, err := newPair(o.unsharded(), profile10G(), 8<<20)
-	if err != nil {
-		return err
-	}
-	// Read-only region on B: the rogue's permission-attack target.
-	roBuf, err := pair.B.AllocBufferFlags(1<<20, mr.AccessRemoteRead)
-	if err != nil {
-		return err
-	}
-	kern := traversal.New(0)
-	if err := pair.B.DeployKernel(traversalOp, kern); err != nil {
-		return err
-	}
-	tel := pair.Instrument()
-	var rec *export.Recorder
-	if jsonlW != nil {
-		rec = export.NewRecorder(export.DefaultRules())
-		pair.RecordJSONL(rec, tel)
-	}
-	inj, ca, cb := pair.ApplyChaos(chaosTelemetryPlan())
-	inj.AttachTelemetry(tel.Registry)
-	if err := pair.ExchangeRKeys(testrig.QPA, testrig.QPB); err != nil {
-		return err
-	}
-	if err := pair.AddQueuePair(3, 4); err != nil {
-		return err
-	}
-	rogue, err := chaos.NewRogue(pair.A, chaos.RogueConfig{
-		QPN:     3,
-		LocalVA: uint64(pair.BufA.Base()) + uint64(pair.BufA.Size()/2),
-		Target: chaos.RogueTarget{
-			Base:   uint64(pair.BufB.Base()),
-			Size:   uint64(pair.BufB.Size()),
-			Key:    func() uint32 { return pair.B.RegionFor(uint64(pair.BufB.Base())).RKey() },
-			ROBase: uint64(roBuf.Base()),
-			ROSize: uint64(roBuf.Size()),
-			ROKey:  func() uint32 { return pair.B.RegionFor(uint64(roBuf.Base())).RKey() },
-		},
-		Ops:        6,
-		OpDeadline: 500 * sim.Microsecond,
-		Backoff:    20 * sim.Microsecond,
-		Reconnect:  func() error { return pair.ReconnectPair(3, 4) },
-	}, nil)
-	if err != nil {
-		return err
-	}
-	rogue.Start()
-
-	const xfer = 32 << 10
-	localA := uint64(pair.BufA.Base())
-	writeB := uint64(pair.BufB.Base())
-	readB := pair.BufB.Base() + hostmem.Addr(pair.BufB.Size()/2)
-	static := make([]byte, xfer)
-	pair.Eng.Rand().Read(static)
-	if err := pair.B.Memory().WriteVirt(readB, static); err != nil {
-		return err
-	}
-
-	var runErr error
-	pair.Eng.Go("chaos-telemetry-client", func(p *sim.Process) {
-		for i := 0; i < 16 && runErr == nil; i++ {
-			if runErr = pair.A.WriteSync(p, testrig.QPA, localA, writeB, xfer); runErr != nil {
-				return
-			}
-			if runErr = pair.A.ReadSync(p, testrig.QPA, uint64(readB), localA, xfer); runErr != nil {
-				return
-			}
-		}
-		// Kernel-sandbox phase: chase a pointer into unregistered memory.
-		// The kernel's first element fetch faults, the RPC completes with
-		// StatusFault, and kernel_mr_fault exports as 1.
-		params := traversal.Params{
-			RemoteAddress:   1 << 40,
-			ResponseAddress: uint64(pair.BufA.Base()) + 1<<20,
-			ValueSize:       64,
-		}
-		if _, lerr := traversal.Lookup(p, pair.A, testrig.QPA, traversalOp, params); !errors.Is(lerr, traversal.ErrFault) {
-			runErr = fmt.Errorf("sandboxed lookup: got %v, want %v", lerr, traversal.ErrFault)
-		}
-	})
-	pair.StartProbes(tel, 2*sim.Microsecond)
-	if rec != nil {
-		rec.Start(2 * sim.Microsecond)
-	}
-	pair.Run()
-	if runErr == nil && rogue.Stats().Unexpected > 0 {
-		runErr = fmt.Errorf("rogue requester: %d forged requests completed (protection failed)", rogue.Stats().Unexpected)
-	}
-	if runErr != nil {
-		return fmt.Errorf("chaos telemetry scenario: %w", runErr)
-	}
-	if v := append(ca.Finish(), cb.Finish()...); len(v) > 0 {
-		return fmt.Errorf("chaos telemetry scenario: %d invariant violations:\n%s", len(v), strings.Join(v, "\n"))
-	}
-	if metricsW != nil {
-		if err := tel.Registry.WriteJSON(metricsW); err != nil {
-			return err
-		}
-	}
-	if traceW != nil {
-		if err := tel.Trace.WriteJSON(traceW); err != nil {
-			return err
-		}
-	}
-	if rec != nil {
-		if err := rec.WriteJSONL(jsonlW); err != nil {
-			return err
-		}
-	}
-	return nil
+// exportChaos is the chaos scenario's export: sixteen rounds of the
+// chaos workload under every fault class at once, with the protection
+// phases riding along. On seeds where loss bursts, DMA stalls and rogue
+// reconnects line up the workload stalls past the no-progress
+// watchdog's 2 ms hold, which is why the scenario allows that alert.
+func exportChaos(o Options, ex Exports) error {
+	_, err := runChaosPoint(o.normalized(), chaosTelemetryPlan(), 16, true, ex)
+	return err
 }

@@ -32,7 +32,9 @@ type Options struct {
 	// for every value >= 1 — worker count never affects simulation output
 	// — while 0 and >= 1 are distinct (different RNG partitioning).
 	// Generators whose control flow mutates both machines from one
-	// process (chaos, recovery, protection) pin themselves to 0.
+	// process pin themselves to 0 (unsharded below); the KV runs and
+	// every scenario export that streams JSONL are built unsharded
+	// outright. Only the incast sweep shards the switched bed.
 	Shards int
 }
 

@@ -2,17 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"strings"
 
-	"strom/internal/core"
 	"strom/internal/fabric"
 	"strom/internal/roce"
 	"strom/internal/sim"
 	"strom/internal/stats"
-	"strom/internal/telemetry"
-	"strom/internal/telemetry/export"
-	"strom/internal/testrig"
 )
 
 // The incast experiment stresses the switched fabric the paper's
@@ -67,108 +61,57 @@ func (m IncastMeasure) VictimGbps() float64 {
 	return float64(m.VictimBytes) * 8 / (us * 1000)
 }
 
-// RunIncast drives one K→1 incast with the victim flow riding along,
-// on the switched testbed (sharded per o.Shards), and returns the
-// measured outcome. Flow sizes scale with o.Iterations.
-func RunIncast(o Options, k int, dcqcn bool) (IncastMeasure, error) {
-	o = o.normalized()
-	n := k + 2 // senders 0..k-1, receiver k, idle victim target k+1
-	var (
-		net *testrig.Net
-		err error
-	)
-	if o.Shards > 0 {
-		net, err = testrig.NewNetSharded(o.Seed, n, core.Profile10G(), IncastSwitchConfig(), 1<<20, o.Shards)
-	} else {
-		net, err = testrig.NewNet(o.Seed, n, core.Profile10G(), IncastSwitchConfig(), 1<<20)
-	}
+// incastStorm is one K→1 incast with the victim flow riding along:
+// senders 0..k-1 converge on receiver k while sender 0 also writes to
+// the idle machine k+1.
+type incastStorm struct {
+	k                          int
+	incastWrites, victimWrites int          // per flow
+	dcqcn                      bool         // DCQCN on every stack…
+	dcqcnAfter                 sim.Duration // …switched on this far into the storm (0 = from the start)
+}
+
+// run drives the storm on the switched bed and writes the exports ex
+// asks for. The invariant checkers on every stack must stay silent.
+func (s incastStorm) run(seed int64, shards int, ex Exports) (IncastMeasure, error) {
+	label := fmt.Sprintf("incast k=%d", s.k)
+	recv, idle := s.k, s.k+1
+	m := IncastMeasure{VictimBytes: s.victimWrites * incastXfer}
+	b, err := newBed(seed, s.k+2, shards, ex)
 	if err != nil {
-		return IncastMeasure{}, err
+		return m, err
 	}
-	if dcqcn {
-		net.EnableDCQCN(roce.DefaultDCQCN())
-	}
-	checkers := net.AttachCheckers()
+	net := b.net
 
-	recv, idle := k, k+1
-	incastWrites := 8 * o.Iterations
-	victimWrites := 4 * o.Iterations
-	m := IncastMeasure{VictimBytes: victimWrites * incastXfer}
-
-	// Per-machine error and progress slots: each is written only from
-	// that machine's engine (its own shard when sharded) and read after
-	// the run's join.
-	errs := make([]error, n)
-	left := make([]int, k)
-	// Every flow posts its whole write train upfront, so each sender
-	// pushes at line rate and the incast genuinely congests the
-	// receiver's egress port (a chained stop-and-wait flow would be
-	// latency-bound and never build a queue).
-	startFlow := func(i int, qp uint32, localVA, remoteVA uint64, writes int, done func()) {
-		src := net.Machines[i]
-		remaining := writes
-		src.Eng.Schedule(0, func() {
-			for w := 0; w < writes; w++ {
-				src.NIC.PostWrite(qp, localVA, remoteVA, incastXfer, func(err error) {
-					if err != nil {
-						if errs[i] == nil {
-							errs[i] = err
-						}
-						return
-					}
-					remaining--
-					if i < k {
-						left[i] = remaining
-					}
-					if remaining == 0 && done != nil {
-						done()
-					}
-				})
-			}
-		})
-	}
-
-	for i := 0; i < k; i++ {
+	base := func(i int) uint64 { return uint64(net.Machines[i].Buf.Base()) }
+	for i := 0; i < s.k; i++ {
 		qp, _, err := net.Connect(i, recv)
 		if err != nil {
 			return m, err
 		}
-		left[i] = incastWrites
-		dst := uint64(net.Machines[recv].Buf.Base()) + uint64(i)*incastXfer
-		startFlow(i, qp, uint64(net.Machines[i].Buf.Base()), dst, incastWrites, nil)
+		b.writeTrain(i, qp, base(i), base(recv)+uint64(i)*incastXfer, s.incastWrites, 0, nil)
 	}
 	vqp, _, err := net.Connect(0, idle)
 	if err != nil {
 		return m, err
 	}
 	victim := net.Machines[0]
-	startFlow(0, vqp,
-		uint64(victim.Buf.Base())+incastXfer,
-		uint64(net.Machines[idle].Buf.Base()),
-		victimWrites,
+	b.writeTrain(0, vqp, base(0)+incastXfer, base(idle), s.victimWrites, 0,
 		func() { m.VictimElapsed = victim.Eng.Now().Sub(0) })
+	switch {
+	case s.dcqcn && s.dcqcnAfter == 0:
+		net.EnableDCQCN(roce.DefaultDCQCN())
+	case s.dcqcn:
+		// The senders' first CNPs arrive moments later and the
+		// pause/resume churn dies out — visible in the jsonl stream as
+		// the pfc-pause alert resolving while cnps_tx climbs.
+		net.SwEng.Schedule(s.dcqcnAfter, func() { net.EnableDCQCN(roce.DefaultDCQCN()) })
+	}
+	b.probe()
+	b.record(2 * sim.Microsecond)
+	m.TotalElapsed = net.Run().Sub(0)
 
-	end := net.Run()
-	m.TotalElapsed = end.Sub(0)
-
-	for i, e := range errs {
-		if e != nil {
-			return m, fmt.Errorf("incast k=%d machine %d: %w", k, i, e)
-		}
-	}
-	for i, l := range left {
-		if l != 0 {
-			return m, fmt.Errorf("incast k=%d: sender %d stalled with %d writes left", k, i, l)
-		}
-	}
-	if m.VictimElapsed <= 0 {
-		return m, fmt.Errorf("incast k=%d: victim flow never completed", k)
-	}
-	var vio []string
-	for _, c := range checkers {
-		vio = append(vio, c.Finish()...)
-	}
-	m.Violations = len(vio)
+	m.Violations, err = b.gate(label)
 	for i := 0; i < net.Sw.NumPorts(); i++ {
 		st := net.Sw.PortStats(i)
 		m.PFCPauses += st.PauseTx
@@ -178,10 +121,19 @@ func RunIncast(o Options, k int, dcqcn bool) (IncastMeasure, error) {
 	for _, mm := range net.Machines {
 		m.CNPsSent += mm.NIC.Stack().Stats().CnpsSent
 	}
-	if m.Violations > 0 {
-		return m, fmt.Errorf("incast k=%d: %d invariant violations, first: %s", k, m.Violations, vio[0])
+	if err != nil {
+		return m, err
 	}
-	return m, nil
+	return m, b.export()
+}
+
+// RunIncast drives one K→1 incast with the victim flow riding along,
+// on the switched testbed (sharded per o.Shards), and returns the
+// measured outcome. Flow sizes scale with o.Iterations.
+func RunIncast(o Options, k int, dcqcn bool) (IncastMeasure, error) {
+	o = o.normalized()
+	s := incastStorm{k: k, incastWrites: 8 * o.Iterations, victimWrites: 4 * o.Iterations, dcqcn: dcqcn}
+	return s.run(o.Seed, o.Shards, Exports{})
 }
 
 // ChaosIncastSweep sweeps K∈{2,4,8} senders into one port with and
@@ -219,138 +171,15 @@ func ChaosIncastSweep(o Options) (*stats.Figure, error) {
 	return fig, nil
 }
 
-// WriteIncastTelemetryExports runs the canonical incast storm — the
-// scenario cmd/strombench exports when -incast is combined with
-// -metrics/-trace/-jsonl — and writes the requested exports. The storm
-// has two phases on one 4→1 incast: DCQCN starts disabled, so PFC
-// pause/resume cycles and ECN marks accumulate (the pfc-pause and
-// ecn-marked alert rules must fire); halfway through the flows every
-// stack enables DCQCN mid-run, so the CNP/pacing counters export real
-// values and the pauses die out. Like the other scenarios it pins
-// itself unsharded and is byte-identical at every -j and -shards value;
-// the invariant checkers on every stack must stay silent.
-func WriteIncastTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error {
+// exportIncast is the incast scenario's export: one 4→1 storm in two
+// phases. DCQCN starts disabled, so PFC pause/resume cycles and ECN
+// marks accumulate; halfway through the flows every stack enables it,
+// so the CNP/pacing counters export real values and the pauses die out.
+func exportIncast(o Options, ex Exports) error {
 	o = o.normalized()
-	const k = 4
-	n := k + 2
-	net, err := testrig.NewNet(o.Seed, n, core.Profile10G(), IncastSwitchConfig(), 1<<20)
-	if err != nil {
-		return err
-	}
-	checkers := net.AttachCheckers()
-
-	var reg *telemetry.Registry
-	var tb *telemetry.TraceBuffer
-	if metricsW != nil || traceW != nil {
-		reg = telemetry.NewRegistry()
-		tb = telemetry.NewTrace(net.SwEng)
-		for i, m := range net.Machines {
-			m.NIC.AttachTelemetry(reg, tb, uint32(i+1), fmt.Sprintf("m%d", i))
-		}
-	}
-	var rec *export.Recorder
-	if jsonlW != nil {
-		rec = export.NewRecorder(export.DefaultRules())
-		net.RecordJSONL(rec)
-		if reg != nil {
-			rec.Registry(net.SwEng, "testbed", reg)
-		}
-	}
-
-	recv, idle := k, k+1
-	incastWrites := 24 * o.Iterations
-	victimWrites := 8 * o.Iterations
-	errs := make([]error, n)
-	left := make([]int, n)
-	startFlow := func(i int, qp uint32, localVA, remoteVA uint64, writes int) {
-		src := net.Machines[i]
-		remaining := writes
-		src.Eng.Schedule(0, func() {
-			for w := 0; w < writes; w++ {
-				src.NIC.PostWrite(qp, localVA, remoteVA, incastXfer, func(err error) {
-					if err != nil {
-						if errs[i] == nil {
-							errs[i] = err
-						}
-						return
-					}
-					remaining--
-					left[i] = remaining
-				})
-			}
-		})
-	}
-	for i := 0; i < k; i++ {
-		qp, _, err := net.Connect(i, recv)
-		if err != nil {
-			return err
-		}
-		left[i] = incastWrites
-		dst := uint64(net.Machines[recv].Buf.Base()) + uint64(i)*incastXfer
-		startFlow(i, qp, uint64(net.Machines[i].Buf.Base()), dst, incastWrites)
-	}
-	vqp, _, err := net.Connect(0, idle)
-	if err != nil {
-		return err
-	}
-	startFlow(0, vqp,
-		uint64(net.Machines[0].Buf.Base())+incastXfer,
-		uint64(net.Machines[idle].Buf.Base()),
-		victimWrites)
-
-	// Phase 2: flip DCQCN on mid-storm. The senders' first CNPs arrive
-	// moments later and the pause/resume churn dies out — visible in the
-	// jsonl stream as the pfc-pause alert resolving while cnps_tx climbs.
-	phase2 := sim.Duration(incastWrites) * 8 * sim.Microsecond
-	net.SwEng.Schedule(phase2, func() {
-		for _, m := range net.Machines {
-			m.NIC.Stack().EnableDCQCN(roce.DefaultDCQCN())
-		}
-	})
-
-	if reg != nil {
-		telemetry.Probe(net.SwEng, 2*sim.Microsecond, func(sim.Time) {
-			for _, m := range net.Machines {
-				m.NIC.TelemetrySample()
-			}
-		})
-	}
-	if rec != nil {
-		rec.Start(2 * sim.Microsecond)
-	}
-	net.Run()
-
-	for i, e := range errs {
-		if e != nil {
-			return fmt.Errorf("incast telemetry scenario: machine %d: %w", i, e)
-		}
-	}
-	for i := 0; i < k; i++ {
-		if left[i] != 0 {
-			return fmt.Errorf("incast telemetry scenario: sender %d stalled with %d writes left", i, left[i])
-		}
-	}
-	var vio []string
-	for _, c := range checkers {
-		vio = append(vio, c.Finish()...)
-	}
-	if len(vio) > 0 {
-		return fmt.Errorf("incast telemetry scenario: %d invariant violations:\n%s", len(vio), strings.Join(vio, "\n"))
-	}
-	if metricsW != nil {
-		if err := reg.WriteJSON(metricsW); err != nil {
-			return err
-		}
-	}
-	if traceW != nil {
-		if err := tb.WriteJSON(traceW); err != nil {
-			return err
-		}
-	}
-	if rec != nil {
-		if err := rec.WriteJSONL(jsonlW); err != nil {
-			return err
-		}
-	}
-	return nil
+	writes := 24 * o.Iterations
+	s := incastStorm{k: 4, incastWrites: writes, victimWrites: 8 * o.Iterations,
+		dcqcn: true, dcqcnAfter: sim.Duration(writes) * 8 * sim.Microsecond}
+	_, err := s.run(o.Seed, 0, ex)
+	return err
 }

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // incastOptions sizes the incast runs for the test battery: long enough
 // flows that PFC engages and DCQCN's rate cuts have room to matter.
@@ -94,35 +91,5 @@ func TestIncastSweepIdenticalAcrossJobs(t *testing.T) {
 	}
 	if seq, par := render(1), render(4); seq != par {
 		t.Errorf("chaos-incast differs between -j1 and -j4:\n--- j1 ---\n%s\n--- j4 ---\n%s", seq, par)
-	}
-}
-
-// TestIncastTelemetryExportsDeterministic runs the incast telemetry
-// scenario twice — once with opts pinned unsharded, once with a sharded
-// opts value the scenario must ignore — and checks all three export
-// streams are byte-identical.
-func TestIncastTelemetryExportsDeterministic(t *testing.T) {
-	export := func(shards int) (string, string, string) {
-		var m, tr, jl bytes.Buffer
-		o := Quick()
-		o.Shards = shards
-		if err := WriteIncastTelemetryExports(o, &m, &tr, &jl); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return m.String(), tr.String(), jl.String()
-	}
-	m1, t1, j1 := export(0)
-	m2, t2, j2 := export(4)
-	if m1 != m2 {
-		t.Error("incast metrics JSON differs across opts.Shards")
-	}
-	if t1 != t2 {
-		t.Error("incast trace JSON differs across opts.Shards")
-	}
-	if j1 != j2 {
-		t.Error("incast JSONL stream differs across opts.Shards")
-	}
-	if len(j1) == 0 {
-		t.Error("incast JSONL stream empty")
 	}
 }

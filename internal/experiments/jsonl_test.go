@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"regexp"
 	"sync"
 	"testing"
 
@@ -13,23 +12,12 @@ import (
 	"strom/internal/testrig"
 )
 
-// The alert rules each canonical scenario is allowed (and in part
-// required) to trip — anything else firing is a regression. These are
-// the same allowlists the soak flow passes to stromtail. retry-storm is
-// the per-QP view of the same loss phases that trip out-discards: a 4%
-// burst regime pushes go-back-N well past 20 retransmissions per
-// window, so both scenarios legitimately trip it.
-var (
-	scenarioAllow = regexp.MustCompile(`^(out-discards|fcs-err|retry-storm)$`)
-	chaosAllow    = regexp.MustCompile(`^(out-discards|fcs-err|link-flap|remote-access|qp-errors|watchdog|retry-storm)$`)
-)
-
-// runJSONL runs the instrumented scenario's streaming export.
+// runJSONL runs the clean scenario's streaming export.
 func runJSONL(t *testing.T, o Options) []byte {
 	t.Helper()
 	var w bytes.Buffer
-	if err := WriteTelemetryExports(o, nil, nil, &w); err != nil {
-		t.Fatalf("WriteTelemetryExports: %v", err)
+	if err := exportClean(o, Exports{JSONL: &w}); err != nil {
+		t.Fatalf("exportClean: %v", err)
 	}
 	return w.Bytes()
 }
@@ -57,7 +45,7 @@ func TestJSONLByteIdentical(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var w bytes.Buffer
-			errs[i] = WriteTelemetryExports(Quick(), nil, nil, &w)
+			errs[i] = exportClean(Quick(), Exports{JSONL: &w})
 			outs[i] = w.Bytes()
 		}(i)
 	}
@@ -72,26 +60,21 @@ func TestJSONLByteIdentical(t *testing.T) {
 	}
 }
 
-// The canonical scenario's stream must parse, cover every health
-// surface, and carry the expected alerts: the 4% loss phase trips the
-// out-discards rate rule; nothing else may fire (the workload always
-// completes, so the watchdog in particular must stay silent).
+// The clean scenario's stream must cover every health surface and
+// account for the whole workload (TestScenarios holds it to its alert
+// contract: the 4% loss phase trips out-discards, and the workload
+// always completes, so the watchdog in particular stays silent).
 func TestJSONLScenarioContent(t *testing.T) {
-	tail, err := export.ReadAll(bytes.NewReader(runJSONL(t, Quick())))
-	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+	run := runScenario(t, "clean")
+	if run.err != nil {
+		t.Fatal(run.err)
 	}
+	tail := run.tail
 	if len(tail.Objects) != 4 {
 		t.Fatalf("stream has %d objects, want 4 (two ports, two link directions)", len(tail.Objects))
 	}
 	if tail.Metrics == 0 {
 		t.Fatal("no registry metrics events in the stream")
-	}
-	if tail.Fired("out-discards") == 0 {
-		t.Fatal("out-discards did not fire during the loss phase")
-	}
-	if got := tail.UnexpectedAlerts(scenarioAllow); len(got) != 0 {
-		t.Fatalf("unexpected alerts fired: %v", got)
 	}
 	for _, o := range tail.Objects {
 		if o.Scrapes < 2 {
@@ -113,28 +96,16 @@ func TestJSONLScenarioContent(t *testing.T) {
 	}
 }
 
-// The chaos scenario must provably drive the alert engine: loss bursts
-// and flaps trip out-discards, the rogue requester trips remote-access
-// and qp-errors. The no-progress watchdog is allowed (not required) to
-// fire: when loss bursts, DMA stalls and rogue reconnects line up, the
-// workload genuinely stalls past the 2 ms hold on some seeds.
+// The chaos scenario's drop causes must be attributed (TestScenarios
+// proves it drives the alert engine: loss bursts and flaps trip
+// out-discards and link-flap, the rogue requester remote-access and
+// qp-errors).
 func TestJSONLChaosAlertsFire(t *testing.T) {
-	var w bytes.Buffer
-	if err := WriteChaosTelemetryExports(Quick(), nil, nil, &w); err != nil {
-		t.Fatalf("WriteChaosTelemetryExports: %v", err)
+	run := runScenario(t, "chaos")
+	if run.err != nil {
+		t.Fatal(run.err)
 	}
-	tail, err := export.ReadAll(bytes.NewReader(w.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
-	}
-	for _, rule := range []string{"out-discards", "link-flap", "remote-access", "qp-errors"} {
-		if tail.Fired(rule) == 0 {
-			t.Errorf("rule %q did not fire under chaos", rule)
-		}
-	}
-	if got := tail.UnexpectedAlerts(chaosAllow); len(got) != 0 {
-		t.Errorf("alerts outside the chaos allowlist fired: %v", got)
-	}
+	tail := run.tail
 	// Drop causes must be attributed: the plan has both GE loss and
 	// flap windows, and the per-cause counters must sum to the total.
 	for _, o := range tail.Objects {

@@ -3,18 +3,13 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
-	"strings"
 
 	"strom/internal/chaos"
-	"strom/internal/core"
 	"strom/internal/kvserve"
 	"strom/internal/sim"
 	"strom/internal/stats"
 	"strom/internal/telemetry"
-	"strom/internal/telemetry/export"
-	"strom/internal/testrig"
 	"strom/internal/workload"
 )
 
@@ -29,17 +24,16 @@ import (
 //	m4-m5 incast blasters hammering a server's blast region
 //	m6    rogue requester forging accesses into a server's KV memory
 //
-// Failure detection runs the production path even when no JSONL export
-// is requested: every server's heartbeat is scraped by a recorder whose
-// rule set includes the kv-heartbeat no-progress watchdog, and the
-// resulting alerts drive the client's shard map through
-// Cluster.AttachController.
+// Checker invariants, rogue containment, shard convergence, the
+// client's online violation counters and a host-side ground-truth audit
+// gate every point.
 
-// Machine roles in the chaos-kv topology.
+// Machine roles in the chaos-kv topology; every kvBed has the first two.
 const (
-	kvClientM   = 0
-	kvServerM   = 1 // machines 1..3 carry shards 0..2
-	kvServers   = 3
+	kvClientM = 0
+	kvServerM = 1 // machines 1..3 carry shards 0..2
+	kvServers = 3
+
 	kvBlasterAM = 4
 	kvBlasterBM = 5
 	kvRogueM    = 6
@@ -71,20 +65,13 @@ func (f kvFaults) label() string {
 	return "clean"
 }
 
-// kvMeasure is one chaos-kv point's outcome.
+// kvMeasure is one KV point's outcome: the client's counters at the
+// end of the run, its op-latency quantiles, and the harness's own.
 type kvMeasure struct {
+	kvserve.Stats
 	putP50, putP99, putP999 sim.Duration
 	getP50, getP99, getP999 sim.Duration
 
-	acked         uint64
-	unacked       uint64
-	gets          uint64
-	retries       uint64
-	failovers     uint64
-	dupSuppressed uint64
-	staleRerouted uint64
-	rkeyRefetches uint64
-	repairs       uint64
 	detectorFires uint64
 	faults        uint64
 	violations    int
@@ -115,85 +102,30 @@ func kvLinkFaults() chaos.LinkFaults {
 	}
 }
 
-// runKV drives one chaos-kv point and (optionally) writes the telemetry
-// exports. The run fails — rather than producing a measurement — on any
-// lost acked write, duplicate-applied Put, stale read past an acked
-// version, protocol invariant violation, rogue success, or
-// non-convergent deficit.
-func runKV(o Options, f kvFaults, metricsW, traceW, jsonlW io.Writer) (kvMeasure, error) {
+// runKV drives one chaos-kv point and writes the exports ex asks for.
+// The run fails — rather than producing a measurement — on any lost
+// acked write, duplicate-applied Put, stale read past an acked version,
+// protocol invariant violation, rogue success, or non-convergent
+// deficit.
+func runKV(o Options, f kvFaults, ex Exports) (kvMeasure, error) {
 	o = o.normalized()
-	net, err := testrig.NewNet(o.Seed, kvMachines, core.Profile10G(), IncastSwitchConfig(), 1<<20)
+	label := "chaos-kv " + f.label()
+	k, err := newKVBed(o, kvMachines, ex, kvserve.Config{NumKeys: kvKeys, BlastBytes: 256 << 10})
 	if err != nil {
 		return kvMeasure{}, err
 	}
-	checkers := net.AttachCheckers()
-
-	// The client's op-latency histograms always live in a registry (the
-	// sweep reads quantiles from raw samples; the registry feeds the
-	// op-latency-p99 alert rule when the point streams JSONL).
-	reg := telemetry.NewRegistry()
-	var tb *telemetry.TraceBuffer
-	if metricsW != nil || traceW != nil {
-		tb = telemetry.NewTrace(net.SwEng)
-		for i, m := range net.Machines {
-			m.NIC.AttachTelemetry(reg, tb, uint32(i+1), fmt.Sprintf("m%d", i))
-		}
-	}
-
-	servers := make([]int, kvServers)
-	for i := range servers {
-		servers[i] = kvServerM + i
-	}
-	cl, err := kvserve.New(net, kvserve.Config{
-		ClientMachine:  kvClientM,
-		ServerMachines: servers,
-		NumKeys:        kvKeys,
-		BlastBytes:     256 << 10,
-		OpDeadline:     600 * sim.Microsecond,
-		Backoff:        sim.Backoff{Base: 50 * sim.Microsecond, Max: 800 * sim.Microsecond, Factor: 2, Jitter: 0.5},
-		MaxAttempts:    4,
-		HeartbeatEvery: 50 * sim.Microsecond,
-		Registry:       reg,
-	})
-	if err != nil {
-		return kvMeasure{}, err
-	}
-
-	// Failure detection and failover always run through the telemetry
-	// machinery: heartbeat sources, the kv-heartbeat watchdog, and the
-	// alert-driven shard-map controller.
-	rec := export.NewRecorder(append(export.DefaultRules(), kvserve.HeartbeatRule()))
-	cl.RegisterHealth(rec)
-	cl.AttachController(rec)
-	if jsonlW != nil {
-		net.RecordJSONL(rec)
-		rec.Registry(net.SwEng, "testbed", reg)
-	}
-	rec.Start(20 * sim.Microsecond)
-
-	// Fault regime: bursty loss on every server link, both directions
-	// (the NIC-side uplink carries requests and ACKs toward the switch,
-	// the switch egress carries them toward the server).
-	var sites []*chaos.FaultSite
+	net, cl := k.net, k.cl
 	if f.loss {
-		for _, mi := range servers {
-			m := net.Machines[mi]
-			up := chaos.NewFaultSite(m.Eng, fmt.Sprintf("m%d-up", mi), kvLinkFaults(), nil, 0)
-			down := chaos.NewFaultSite(net.SwEng, fmt.Sprintf("m%d-down", mi), kvLinkFaults(), nil, 0)
-			m.Port.SetFaults(up)
-			net.Sw.SetEgressFaults(mi, down)
-			sites = append(sites, up, down)
-		}
+		k.lossOnServerLinks()
 	}
 
 	// Crash cycles: shard 0's server dies early, shard 2's mid-run; the
 	// cycles are staggered so the cluster never loses both replicas of
 	// any shard and every acked write survives.
-	var barrier sim.Time
 	if f.crashes {
 		cl.CrashCycle(0, sim.Time(600*sim.Microsecond), 1200*sim.Microsecond)
 		cl.CrashCycle(2, sim.Time(2200*sim.Microsecond), 1200*sim.Microsecond)
-		barrier = sim.Time(4 * sim.Millisecond)
+		k.barrier = sim.Time(4 * sim.Millisecond)
 	}
 
 	// Storm: two blasters pour 4 KB write trains into shard 1's blast
@@ -201,36 +133,20 @@ func runKV(o Options, f kvFaults, metricsW, traceW, jsonlW io.Writer) (kvMeasure
 	// waves that congest the server's switch port mid-workload; a rogue
 	// forges accesses into the same server's registered buffer, which
 	// must all be NAK'd.
-	blastErrs := make([]error, kvMachines)
-	blastLeft := make([]int, kvMachines)
 	var rogue *chaos.Rogue
 	if f.storm {
 		blastVA, blastLen, _ := cl.BlastTarget(1)
-		victim := servers[1]
+		victim := k.servers[1]
 		wave := 6 * o.Iterations
 		for bi, mi := range []int{kvBlasterAM, kvBlasterBM} {
 			qp, _, cerr := net.Connect(mi, victim)
 			if cerr != nil {
 				return kvMeasure{}, cerr
 			}
-			src := net.Machines[mi]
+			src := uint64(net.Machines[mi].Buf.Base())
 			dst := uint64(blastVA) + uint64(bi)*uint64(blastLen/2)
-			blastLeft[mi] = 2 * wave
-			post := func() {
-				for w := 0; w < wave; w++ {
-					src.NIC.PostWrite(qp, uint64(src.Buf.Base()), dst, incastXfer, func(err error) {
-						if err != nil {
-							if blastErrs[mi] == nil {
-								blastErrs[mi] = err
-							}
-							return
-						}
-						blastLeft[mi]--
-					})
-				}
-			}
-			src.Eng.ScheduleAt(sim.Time(500*sim.Microsecond), post)
-			src.Eng.ScheduleAt(sim.Time(2500*sim.Microsecond), post)
+			k.writeTrain(mi, qp, src, dst, wave, sim.Time(500*sim.Microsecond), nil)
+			k.writeTrain(mi, qp, src, dst, wave, sim.Time(2500*sim.Microsecond), nil)
 		}
 
 		vm := net.Machines[victim]
@@ -298,102 +214,26 @@ func runKV(o Options, f kvFaults, metricsW, traceW, jsonlW io.Writer) (kvMeasure
 				return
 			}
 		}
-		if now := p.Now(); now < barrier {
-			p.Sleep(barrier.Sub(now))
-		}
-		for tries := 0; tries < 5 && (c.RepairDue() || c.Deficits() > 0); tries++ {
-			c.RepairAll(p)
-		}
+		k.converge(p)
 	})
-
-	if tb != nil {
-		telemetry.Probe(net.SwEng, 2*sim.Microsecond, func(sim.Time) {
-			for _, m := range net.Machines {
-				m.NIC.TelemetrySample()
-			}
-		})
-	}
+	k.probe()
 	net.Run()
 
 	if runErr != nil {
-		return kvMeasure{}, fmt.Errorf("chaos-kv %s: %w", f.label(), runErr)
+		return kvMeasure{}, fmt.Errorf("%s: %w", label, runErr)
 	}
-	for mi, e := range blastErrs {
-		if e != nil {
-			return kvMeasure{}, fmt.Errorf("chaos-kv %s: blaster m%d: %w", f.label(), mi, e)
-		}
-	}
-	for mi, l := range blastLeft {
-		if l != 0 {
-			return kvMeasure{}, fmt.Errorf("chaos-kv %s: blaster m%d stalled with %d writes left", f.label(), mi, l)
-		}
-	}
-
-	// The guarantee gate: checker invariants, rogue containment, shard
-	// convergence, the client's online violation counters, and the
-	// host-side ground-truth audit of every slot ever written.
-	var vio []string
-	for _, ck := range checkers {
-		vio = append(vio, ck.Finish()...)
-	}
+	var own []string
 	if rogue != nil && rogue.Stats().Unexpected > 0 {
-		vio = append(vio, fmt.Sprintf("rogue: %d forged requests completed (protection failed)", rogue.Stats().Unexpected))
+		own = append(own, fmt.Sprintf("rogue: %d forged requests completed (protection failed)", rogue.Stats().Unexpected))
 	}
-	if d := c.Deficits(); d != 0 {
-		vio = append(vio, fmt.Sprintf("convergence: %d replica writes still owed after RepairAll", d))
+	m, err := k.measure(label, own...)
+	if err != nil {
+		return m, err
 	}
-	if c.Stats.StaleServed != 0 {
-		vio = append(vio, fmt.Sprintf("guarantee: %d Gets served stale past an acked version", c.Stats.StaleServed))
+	if f.crashes && (m.detectorFires == 0 || m.Failovers == 0 || m.Repairs == 0) {
+		return m, fmt.Errorf("%s: crash regime never exercised detection/failover/repair: %+v", label, m.Stats)
 	}
-	if c.Stats.Misapplied != 0 {
-		vio = append(vio, fmt.Sprintf("guarantee: %d slots observed with misapplied bytes", c.Stats.Misapplied))
-	}
-	vio = append(vio, cl.Audit()...)
-	m := kvMeasure{
-		putP50:        latQuantile(c.PutLat, 0.50),
-		putP99:        latQuantile(c.PutLat, 0.99),
-		putP999:       latQuantile(c.PutLat, 0.999),
-		getP50:        latQuantile(c.GetLat, 0.50),
-		getP99:        latQuantile(c.GetLat, 0.99),
-		getP999:       latQuantile(c.GetLat, 0.999),
-		acked:         c.Stats.AckedPuts,
-		unacked:       c.Stats.UnackedPuts,
-		gets:          c.Stats.Gets,
-		retries:       c.Stats.Retries,
-		failovers:     c.Stats.Failovers,
-		dupSuppressed: c.Stats.DupSuppressed,
-		staleRerouted: c.Stats.StaleRerouted,
-		rkeyRefetches: c.Stats.RKeyRefetches,
-		repairs:       c.Stats.Repairs,
-		detectorFires: rec.Fired(kvserve.HeartbeatRule().Name),
-		violations:    len(vio),
-	}
-	for _, s := range sites {
-		m.faults += s.Stats().Total()
-	}
-	if len(vio) > 0 {
-		return m, fmt.Errorf("chaos-kv %s: %d violations:\n%s", f.label(), len(vio), strings.Join(vio, "\n"))
-	}
-	if f.crashes && (m.detectorFires == 0 || m.failovers == 0 || m.repairs == 0) {
-		return m, fmt.Errorf("chaos-kv %s: crash regime never exercised detection/failover/repair: %+v", f.label(), c.Stats)
-	}
-
-	if metricsW != nil {
-		if err := reg.WriteJSON(metricsW); err != nil {
-			return m, err
-		}
-	}
-	if traceW != nil {
-		if err := tb.WriteJSON(traceW); err != nil {
-			return m, err
-		}
-	}
-	if jsonlW != nil {
-		if err := rec.WriteJSONL(jsonlW); err != nil {
-			return m, err
-		}
-	}
-	return m, nil
+	return m, k.export()
 }
 
 // kvSweepPoints is the chaos-kv sweep's x axis: escalating fault
@@ -405,66 +245,182 @@ var kvSweepPoints = []kvFaults{
 	{loss: true, crashes: true, storm: true},
 }
 
-// ChaosKVSweep runs the replicated KV dataplane through the four fault
-// regimes and reports op latency next to the protocol's work counters.
-// Any exactly-once violation fails the sweep instead of plotting.
-func ChaosKVSweep(o Options) (*stats.Figure, error) {
-	o = o.normalized()
-	fig := stats.NewFigure("Chaos: replicated KV under loss, crashes and storms", "fault regime", "see series")
-	series := []*stats.Series{
-		fig.NewSeries("put p50 (us)"),
-		fig.NewSeries("put p99 (us)"),
-		fig.NewSeries("put p999 (us)"),
-		fig.NewSeries("get p50 (us)"),
-		fig.NewSeries("get p99 (us)"),
-		fig.NewSeries("get p999 (us)"),
-		fig.NewSeries("acked puts"),
-		fig.NewSeries("get ops"),
-		fig.NewSeries("retries"),
-		fig.NewSeries("failovers"),
-		fig.NewSeries("dup suppressed"),
-		fig.NewSeries("stale rerouted"),
-		fig.NewSeries("rkey refetches"),
-		fig.NewSeries("repairs"),
-		fig.NewSeries("detector fires"),
-		fig.NewSeries("faults injected"),
-		fig.NewSeries("violations"),
+// kvColumns is every series a KV sweep can plot, by name.
+var kvColumns = map[string]func(kvMeasure) float64{
+	"put p50 (us)":    func(m kvMeasure) float64 { return m.putP50.Microseconds() },
+	"put p99 (us)":    func(m kvMeasure) float64 { return m.putP99.Microseconds() },
+	"put p999 (us)":   func(m kvMeasure) float64 { return m.putP999.Microseconds() },
+	"get p50 (us)":    func(m kvMeasure) float64 { return m.getP50.Microseconds() },
+	"get p99 (us)":    func(m kvMeasure) float64 { return m.getP99.Microseconds() },
+	"get p999 (us)":   func(m kvMeasure) float64 { return m.getP999.Microseconds() },
+	"acked puts":      func(m kvMeasure) float64 { return float64(m.AckedPuts) },
+	"large puts":      func(m kvMeasure) float64 { return float64(m.LargePuts) },
+	"get ops":         func(m kvMeasure) float64 { return float64(m.Gets) },
+	"spilled reads":   func(m kvMeasure) float64 { return float64(m.SpilledReads) },
+	"torn detected":   func(m kvMeasure) float64 { return float64(m.TornDetected) },
+	"torn retries":    func(m kvMeasure) float64 { return float64(m.TornRetries) },
+	"torn failovers":  func(m kvMeasure) float64 { return float64(m.TornFailovers) },
+	"orphans reaped":  func(m kvMeasure) float64 { return float64(m.OrphansReaped) },
+	"retries":         func(m kvMeasure) float64 { return float64(m.Retries) },
+	"failovers":       func(m kvMeasure) float64 { return float64(m.Failovers) },
+	"dup suppressed":  func(m kvMeasure) float64 { return float64(m.DupSuppressed) },
+	"stale rerouted":  func(m kvMeasure) float64 { return float64(m.StaleRerouted) },
+	"rkey refetches":  func(m kvMeasure) float64 { return float64(m.RKeyRefetches) },
+	"repairs":         func(m kvMeasure) float64 { return float64(m.Repairs) },
+	"detector fires":  func(m kvMeasure) float64 { return float64(m.detectorFires) },
+	"faults injected": func(m kvMeasure) float64 { return float64(m.faults) },
+	"violations":      func(m kvMeasure) float64 { return float64(m.violations) },
+}
+
+// kvSweep runs every point and plots the named columns.
+func kvSweep[F interface{ label() string }](title string, columns []string, points []F, run func(F) (kvMeasure, error)) (*stats.Figure, error) {
+	fig := stats.NewFigure(title, "fault regime", "see series")
+	series := make([]*stats.Series, len(columns))
+	for si, name := range columns {
+		series[si] = fig.NewSeries(name)
 	}
-	for i, f := range kvSweepPoints {
-		m, err := runKV(o, f, nil, nil, nil)
+	for i, f := range points {
+		m, err := run(f)
 		if err != nil {
 			return nil, err
 		}
-		x, label := float64(i), f.label()
-		vals := []float64{
-			m.putP50.Microseconds(), m.putP99.Microseconds(), m.putP999.Microseconds(),
-			m.getP50.Microseconds(), m.getP99.Microseconds(), m.getP999.Microseconds(),
-			float64(m.acked), float64(m.gets), float64(m.retries), float64(m.failovers),
-			float64(m.dupSuppressed), float64(m.staleRerouted), float64(m.rkeyRefetches),
-			float64(m.repairs), float64(m.detectorFires), float64(m.faults), float64(m.violations),
-		}
-		for si, v := range vals {
-			series[si].Add(x, label, v)
+		for si, name := range columns {
+			series[si].Add(float64(i), f.label(), kvColumns[name](m))
 		}
 	}
 	return fig, nil
 }
 
-// WriteKVTelemetry runs the full chaos-kv storm and writes the metrics
-// registry and Perfetto trace (the -kv strombench scenario).
-func WriteKVTelemetry(o Options, metricsW, traceW io.Writer) error {
-	return WriteKVTelemetryExports(o, metricsW, traceW, nil)
+// ChaosKVSweep runs the replicated KV dataplane through the four fault
+// regimes and reports op latency next to the protocol's work counters.
+// Any exactly-once violation fails the sweep instead of plotting.
+func ChaosKVSweep(o Options) (*stats.Figure, error) {
+	return kvSweep("Chaos: replicated KV under loss, crashes and storms",
+		[]string{"put p50 (us)", "put p99 (us)", "put p999 (us)", "get p50 (us)", "get p99 (us)", "get p999 (us)",
+			"acked puts", "get ops", "retries", "failovers", "dup suppressed", "stale rerouted", "rkey refetches",
+			"repairs", "detector fires", "faults injected", "violations"},
+		kvSweepPoints, func(f kvFaults) (kvMeasure, error) { return runKV(o, f, Exports{}) })
 }
 
-// WriteKVTelemetryExports is the exportable chaos-kv scenario: the storm
-// regime (loss + crashes + incast + rogue) streamed through the JSONL
-// recorder with the kv-heartbeat watchdog in the rule set. The
-// kv-heartbeat alert must fire (the crash cycles guarantee frozen
-// heartbeats) and retry-storm fires on seeds where a loss burst lands in
-// a retransmission train; a monitoring consumer (make soak, stromtail)
-// requires the former. Like every export scenario it pins itself to the
-// single-engine testbed, so the output is byte-identical at any -j.
-func WriteKVTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error {
-	_, err := runKV(o.unsharded(), kvFaults{loss: true, crashes: true, storm: true}, metricsW, traceW, jsonlW)
+// exportKV is the kv scenario's export: the storm regime (loss + crashes
+// + incast + rogue).
+func exportKV(o Options, ex Exports) error {
+	_, err := runKV(o, kvFaults{loss: true, crashes: true, storm: true}, ex)
 	return err
+}
+
+// kvBed is the replicated-KV cluster on the bed: m0 the client, m1–m3
+// the servers (primary of shard i-1, backup of its predecessor), any
+// further machines the scenario's own. Failure detection runs the
+// production path whether or not anything is exported: every server's
+// heartbeat is scraped by the recorder, whose kv-heartbeat watchdog
+// drives the client's shard map through Cluster.AttachController.
+type kvBed struct {
+	*bed
+	cl      *kvserve.Cluster
+	servers []int
+	sites   []*chaos.FaultSite
+	barrier sim.Time // converge waits for it: the last scheduled restart is past
+}
+
+// newKVBed builds the cluster; cfg carries what differs between regimes
+// (key space, blast region, torn budget, sessions). The recorder is
+// running on return, ahead of any fault the scenario schedules.
+func newKVBed(o Options, machines int, ex Exports, cfg kvserve.Config) (*kvBed, error) {
+	// Unsharded: the client process crashes and repairs the servers.
+	b, err := newBed(o.Seed, machines, 0, ex, kvserve.HeartbeatRule())
+	if err != nil {
+		return nil, err
+	}
+	// The client's op-latency histograms always live in a registry: it
+	// feeds the op-latency-p99 rule when the run streams JSONL.
+	if b.reg == nil {
+		b.reg = telemetry.NewRegistry()
+	}
+	k := &kvBed{bed: b, servers: make([]int, kvServers)}
+	for i := range k.servers {
+		k.servers[i] = kvServerM + i
+	}
+	cfg.ClientMachine = kvClientM
+	cfg.ServerMachines = k.servers
+	cfg.OpDeadline = 600 * sim.Microsecond
+	cfg.Backoff = sim.Backoff{Base: 50 * sim.Microsecond, Max: 800 * sim.Microsecond, Factor: 2, Jitter: 0.5}
+	cfg.MaxAttempts = 4
+	cfg.HeartbeatEvery = 50 * sim.Microsecond
+	cfg.Registry = b.reg
+	if k.cl, err = kvserve.New(b.net, cfg); err != nil {
+		return nil, err
+	}
+	k.cl.RegisterHealth(b.rec)
+	k.cl.AttachController(b.rec)
+	b.record(20 * sim.Microsecond)
+	return k, nil
+}
+
+// lossOnServerLinks puts the loss regimes' fault mix on both directions
+// of every server link: the NIC-side uplink carries requests and ACKs
+// toward the switch, the switch egress carries them toward the server.
+func (k *kvBed) lossOnServerLinks() {
+	for _, mi := range k.servers {
+		m := k.net.Machines[mi]
+		up := chaos.NewFaultSite(m.Eng, fmt.Sprintf("m%d-up", mi), kvLinkFaults(), nil, 0)
+		down := chaos.NewFaultSite(k.net.SwEng, fmt.Sprintf("m%d-down", mi), kvLinkFaults(), nil, 0)
+		m.Port.SetFaults(up)
+		k.net.Sw.SetEgressFaults(mi, down)
+		k.sites = append(k.sites, up, down)
+	}
+}
+
+// faults is the number of faults the link sites injected.
+func (k *kvBed) faults() uint64 {
+	var n uint64
+	for _, s := range k.sites {
+		n += s.Stats().Total()
+	}
+	return n
+}
+
+// converge ends a client process: wait out the crash schedule, then
+// repair until no replica write is owed.
+func (k *kvBed) converge(p *sim.Process) {
+	if now := p.Now(); now < k.barrier {
+		p.Sleep(k.barrier.Sub(now))
+	}
+	c := k.cl.Client
+	for tries := 0; tries < 5 && (c.RepairDue() || c.Deficits() > 0); tries++ {
+		c.RepairAll(p)
+	}
+}
+
+// measure gates the finished run — checker invariants, own (the
+// scenario's findings), shard convergence, the client's online
+// violation counters and the host-side ground-truth audit of every slot
+// and extent ever written — and reads out the measurement.
+func (k *kvBed) measure(label string, own ...string) (kvMeasure, error) {
+	c := k.cl.Client
+	if d := c.Deficits(); d != 0 {
+		own = append(own, fmt.Sprintf("convergence: %d replica writes still owed after RepairAll", d))
+	}
+	if c.Stats.StaleServed != 0 {
+		own = append(own, fmt.Sprintf("guarantee: %d Gets served stale past an acked version", c.Stats.StaleServed))
+	}
+	if c.Stats.Misapplied != 0 {
+		own = append(own, fmt.Sprintf("guarantee: %d slots observed with misapplied bytes", c.Stats.Misapplied))
+	}
+	if c.Stats.TornServed != 0 {
+		own = append(own, fmt.Sprintf("guarantee: %d torn large values crossed the serve boundary", c.Stats.TornServed))
+	}
+	n, err := k.gate(label, append(own, k.cl.Audit()...)...)
+	return kvMeasure{
+		Stats:         c.Stats,
+		putP50:        latQuantile(c.PutLat, 0.50),
+		putP99:        latQuantile(c.PutLat, 0.99),
+		putP999:       latQuantile(c.PutLat, 0.999),
+		getP50:        latQuantile(c.GetLat, 0.50),
+		getP99:        latQuantile(c.GetLat, 0.99),
+		getP999:       latQuantile(c.GetLat, 0.999),
+		detectorFires: k.rec.Fired(kvserve.HeartbeatRule().Name),
+		faults:        k.faults(),
+		violations:    n,
+	}, err
 }

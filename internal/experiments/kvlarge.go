@@ -3,17 +3,11 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 
-	"strom/internal/chaos"
-	"strom/internal/core"
 	"strom/internal/kvserve"
 	"strom/internal/roce"
 	"strom/internal/sim"
 	"strom/internal/stats"
-	"strom/internal/telemetry"
-	"strom/internal/telemetry/export"
-	"strom/internal/testrig"
 	"strom/internal/workload"
 )
 
@@ -30,15 +24,8 @@ import (
 // any torn value served, and the crash points must prove orphan
 // extents (written but never published) are reaped, never served.
 //
-// The topology is four machines on the PFC/ECN switch: m0 runs the
-// client (two sessions: workload + racer), m1-m3 the servers.
-
-const (
-	kvlClientM  = 0
-	kvlServerM  = 1
-	kvlServers  = 3
-	kvlMachines = 4
-)
+// The topology is the bare kvBed, four machines on the PFC/ECN switch:
+// m0 runs the client (two sessions: workload + racer), m1-m3 the servers.
 
 // kvlKeys keeps the key space small enough that the zipfian head keys
 // see many versions; the hot keys live outside the zipfian draw.
@@ -69,97 +56,32 @@ func (f kvlFaults) label() string {
 	return "clean"
 }
 
-// kvlMeasure is one chaos-kv-large point's outcome.
-type kvlMeasure struct {
-	acked         uint64
-	largePuts     uint64
-	gets          uint64
-	spilledReads  uint64
-	tornDetected  uint64
-	tornRetries   uint64
-	tornFailovers uint64
-	orphansReaped uint64
-	retries       uint64
-	failovers     uint64
-	repairs       uint64
-	detectorFires uint64
-	faults        uint64
-	violations    int
-}
-
-// runKVLarge drives one chaos-kv-large point and (optionally) writes
-// the telemetry exports. The run fails — rather than producing a
-// measurement — on any torn value served, lost acked write, misapplied
-// slot or extent, arena leak, or non-convergent deficit; the racing
-// points additionally fail if no torn read was detected and retried,
-// and the crash points if no orphan extent was reaped.
-func runKVLarge(o Options, f kvlFaults, metricsW, traceW, jsonlW io.Writer) (kvlMeasure, error) {
+// runKVLarge drives one chaos-kv-large point and writes the exports ex
+// asks for. The run fails — rather than producing a measurement — on
+// any torn value served, lost acked write, misapplied slot or extent,
+// arena leak, or non-convergent deficit; the racing points additionally
+// fail if no torn read was detected and retried, and the crash points if
+// no orphan extent was reaped.
+func runKVLarge(o Options, f kvlFaults, ex Exports) (kvMeasure, error) {
 	o = o.normalized()
-	net, err := testrig.NewNet(o.Seed, kvlMachines, core.Profile10G(), IncastSwitchConfig(), 1<<20)
+	label := "chaos-kv-large " + f.label()
+	// The torn-read rate rule ships in DefaultRules and watches the
+	// client's kv_torn_detected surface. Sessions: workload + racer.
+	k, err := newKVBed(o, kvServerM+kvServers, ex, kvserve.Config{NumKeys: kvlKeys, TornBudget: 3, Sessions: 2})
 	if err != nil {
-		return kvlMeasure{}, err
+		return kvMeasure{}, err
 	}
-	checkers := net.AttachCheckers()
+	net, cl := k.net, k.cl
 	if f.racing {
 		// The racer overwrites slots and extents its own reads are
 		// in flight against, so a chaos-duplicated READ replayed by the
 		// responder can legitimately serve post-overwrite bytes.
-		for _, ck := range checkers {
+		for _, ck := range k.checkers {
 			ck.SetVolatileReads(true)
 		}
 	}
-
-	reg := telemetry.NewRegistry()
-	var tb *telemetry.TraceBuffer
-	if metricsW != nil || traceW != nil {
-		tb = telemetry.NewTrace(net.SwEng)
-		for i, m := range net.Machines {
-			m.NIC.AttachTelemetry(reg, tb, uint32(i+1), fmt.Sprintf("m%d", i))
-		}
-	}
-
-	servers := make([]int, kvlServers)
-	for i := range servers {
-		servers[i] = kvlServerM + i
-	}
-	cl, err := kvserve.New(net, kvserve.Config{
-		ClientMachine:  kvlClientM,
-		ServerMachines: servers,
-		NumKeys:        kvlKeys,
-		OpDeadline:     600 * sim.Microsecond,
-		Backoff:        sim.Backoff{Base: 50 * sim.Microsecond, Max: 800 * sim.Microsecond, Factor: 2, Jitter: 0.5},
-		MaxAttempts:    4,
-		TornBudget:     3,
-		Sessions:       2, // workload + racer
-		HeartbeatEvery: 50 * sim.Microsecond,
-		Registry:       reg,
-	})
-	if err != nil {
-		return kvlMeasure{}, err
-	}
-
-	// Failure detection runs the production path: heartbeat watchdog,
-	// alert-driven shard map. The torn-read rate rule ships in
-	// DefaultRules and watches the client's kv_torn_detected surface.
-	rec := export.NewRecorder(append(export.DefaultRules(), kvserve.HeartbeatRule()))
-	cl.RegisterHealth(rec)
-	cl.AttachController(rec)
-	if jsonlW != nil {
-		net.RecordJSONL(rec)
-		rec.Registry(net.SwEng, "testbed", reg)
-	}
-	rec.Start(20 * sim.Microsecond)
-
-	var sites []*chaos.FaultSite
 	if f.loss {
-		for _, mi := range servers {
-			m := net.Machines[mi]
-			up := chaos.NewFaultSite(m.Eng, fmt.Sprintf("m%d-up", mi), kvLinkFaults(), nil, 0)
-			down := chaos.NewFaultSite(net.SwEng, fmt.Sprintf("m%d-down", mi), kvLinkFaults(), nil, 0)
-			m.Port.SetFaults(up)
-			net.Sw.SetEgressFaults(mi, down)
-			sites = append(sites, up, down)
-		}
+		k.lossOnServerLinks()
 	}
 
 	// Crash cycles land on the hot keys' shards: every racer op caught
@@ -167,35 +89,34 @@ func runKVLarge(o Options, f kvlFaults, metricsW, traceW, jsonlW io.Writer) (kvl
 	// image the post-restart repair or the next overwrite must reap.
 	// The four cycles never overlap, so no shard ever loses both
 	// replicas and every acked write survives.
-	var barrier sim.Time
 	if f.crashes {
 		cl.CrashCycle(0, sim.Time(600*sim.Microsecond), 800*sim.Microsecond)
 		cl.CrashCycle(2, sim.Time(1600*sim.Microsecond), 800*sim.Microsecond)
 		cl.CrashCycle(0, sim.Time(2600*sim.Microsecond), 800*sim.Microsecond)
 		cl.CrashCycle(2, sim.Time(3600*sim.Microsecond), 800*sim.Microsecond)
-		barrier = sim.Time(5500 * sim.Microsecond)
+		k.barrier = sim.Time(5500 * sim.Microsecond)
 	}
 
 	zipf, err := workload.NewZipfian(kvlKeys, 0.9, o.Seed, true)
 	if err != nil {
-		return kvlMeasure{}, err
+		return kvMeasure{}, err
 	}
 	// coldKey remaps zipfian draws off the hot keys: cold keys have a
 	// single writer process, so inline puts and deletes never race a
 	// spill on the same key (the hot keys are exclusively PutLarge/Get —
 	// an in-place extent overwrite race, never a free/realloc race).
 	coldKey := func() uint64 {
-		k := uint64(zipf.Next()) + 1
+		key := uint64(zipf.Next()) + 1
 		for _, h := range kvlHotKeys {
-			if k == h {
-				return k + uint64(len(kvlHotKeys))
+			if key == h {
+				return key + uint64(len(kvlHotKeys))
 			}
 		}
-		return k
+		return key
 	}
 
 	c := cl.Client
-	eng := net.Machines[kvlClientM].Eng
+	eng := net.Machines[kvClientM].Eng
 	rng := eng.Rand()
 	// ErrPeerCrashed rides along with the crash cycles: an op can reach
 	// a just-crashed server before the heartbeat watchdog marks it down,
@@ -270,104 +191,37 @@ func runKVLarge(o Options, f kvlFaults, metricsW, traceW, jsonlW io.Writer) (kvl
 		for !racerDone {
 			p.Sleep(50 * sim.Microsecond)
 		}
-		if now := p.Now(); now < barrier {
-			p.Sleep(barrier.Sub(now))
-		}
-		for tries := 0; tries < 5 && (c.RepairDue() || c.Deficits() > 0); tries++ {
-			c.RepairAll(p)
-		}
+		k.converge(p)
 	})
-
-	if tb != nil {
-		telemetry.Probe(net.SwEng, 2*sim.Microsecond, func(sim.Time) {
-			for _, m := range net.Machines {
-				m.NIC.TelemetrySample()
-			}
-		})
-	}
+	k.probe()
 	net.Run()
 
 	if runErr != nil {
-		return kvlMeasure{}, fmt.Errorf("chaos-kv-large %s: %w", f.label(), runErr)
+		return kvMeasure{}, fmt.Errorf("%s: %w", label, runErr)
 	}
 	if racerErr != nil {
-		return kvlMeasure{}, fmt.Errorf("chaos-kv-large %s: %w", f.label(), racerErr)
+		return kvMeasure{}, fmt.Errorf("%s: %w", label, racerErr)
 	}
-
-	// The guarantee gate: checker invariants, convergence, the online
-	// violation counters (torn-served above all), and the host-side
-	// ground-truth audit of every slot and extent ever written.
-	var vio []string
-	for _, ck := range checkers {
-		vio = append(vio, ck.Finish()...)
+	m, err := k.measure(label)
+	if err != nil {
+		return m, err
 	}
-	if d := c.Deficits(); d != 0 {
-		vio = append(vio, fmt.Sprintf("convergence: %d replica writes still owed after RepairAll", d))
+	if m.SpilledReads == 0 {
+		return m, fmt.Errorf("%s: no Get went through the consistency kernel: %+v", label, m.Stats)
 	}
-	if c.Stats.StaleServed != 0 {
-		vio = append(vio, fmt.Sprintf("guarantee: %d Gets served stale past an acked version", c.Stats.StaleServed))
+	if f.racing && (m.TornDetected == 0 || m.TornRetries == 0) {
+		return m, fmt.Errorf("%s: racing phase produced no detected+retried torn read: %+v", label, m.Stats)
 	}
-	if c.Stats.Misapplied != 0 {
-		vio = append(vio, fmt.Sprintf("guarantee: %d slots observed with misapplied bytes", c.Stats.Misapplied))
+	if !f.racing && m.TornDetected != 0 {
+		return m, fmt.Errorf("%s: torn reads without a racer: %+v", label, m.Stats)
 	}
-	if c.Stats.TornServed != 0 {
-		vio = append(vio, fmt.Sprintf("guarantee: %d torn large values crossed the serve boundary", c.Stats.TornServed))
+	if f.crashes && m.OrphansReaped == 0 {
+		return m, fmt.Errorf("%s: crash cycles left no orphan to reap: %+v", label, m.Stats)
 	}
-	vio = append(vio, cl.Audit()...)
-
-	m := kvlMeasure{
-		acked:         c.Stats.AckedPuts,
-		largePuts:     c.Stats.LargePuts,
-		gets:          c.Stats.Gets,
-		spilledReads:  c.Stats.SpilledReads,
-		tornDetected:  c.Stats.TornDetected,
-		tornRetries:   c.Stats.TornRetries,
-		tornFailovers: c.Stats.TornFailovers,
-		orphansReaped: c.Stats.OrphansReaped,
-		retries:       c.Stats.Retries,
-		failovers:     c.Stats.Failovers,
-		repairs:       c.Stats.Repairs,
-		detectorFires: rec.Fired(kvserve.HeartbeatRule().Name),
-		violations:    len(vio),
+	if f.crashes && (m.detectorFires == 0 || m.Repairs == 0) {
+		return m, fmt.Errorf("%s: crash regime never exercised detection/repair: %+v", label, m.Stats)
 	}
-	for _, s := range sites {
-		m.faults += s.Stats().Total()
-	}
-	if len(vio) > 0 {
-		return m, fmt.Errorf("chaos-kv-large %s: %d violations:\n%s", f.label(), len(vio), vio[0])
-	}
-	if m.spilledReads == 0 {
-		return m, fmt.Errorf("chaos-kv-large %s: no Get went through the consistency kernel: %+v", f.label(), c.Stats)
-	}
-	if f.racing && (m.tornDetected == 0 || m.tornRetries == 0) {
-		return m, fmt.Errorf("chaos-kv-large %s: racing phase produced no detected+retried torn read: %+v", f.label(), c.Stats)
-	}
-	if !f.racing && m.tornDetected != 0 {
-		return m, fmt.Errorf("chaos-kv-large %s: torn reads without a racer: %+v", f.label(), c.Stats)
-	}
-	if f.crashes && m.orphansReaped == 0 {
-		return m, fmt.Errorf("chaos-kv-large %s: crash cycles left no orphan to reap: %+v", f.label(), c.Stats)
-	}
-	if f.crashes && (m.detectorFires == 0 || m.repairs == 0) {
-		return m, fmt.Errorf("chaos-kv-large %s: crash regime never exercised detection/repair: %+v", f.label(), c.Stats)
-	}
-
-	if metricsW != nil {
-		if err := reg.WriteJSON(metricsW); err != nil {
-			return m, err
-		}
-	}
-	if traceW != nil {
-		if err := tb.WriteJSON(traceW); err != nil {
-			return m, err
-		}
-	}
-	if jsonlW != nil {
-		if err := rec.WriteJSONL(jsonlW); err != nil {
-			return m, err
-		}
-	}
-	return m, nil
+	return m, k.export()
 }
 
 // kvlSweepPoints is the chaos-kv-large sweep's x axis: the bare
@@ -383,51 +237,16 @@ var kvlSweepPoints = []kvlFaults{
 // regimes and reports the torn-read pipeline's work next to the op
 // counters. Any torn value served fails the sweep instead of plotting.
 func ChaosKVLargeSweep(o Options) (*stats.Figure, error) {
-	o = o.normalized()
-	fig := stats.NewFigure("Chaos: large-value KV under racing overwrites, loss and crashes", "fault regime", "see series")
-	series := []*stats.Series{
-		fig.NewSeries("acked puts"),
-		fig.NewSeries("large puts"),
-		fig.NewSeries("get ops"),
-		fig.NewSeries("spilled reads"),
-		fig.NewSeries("torn detected"),
-		fig.NewSeries("torn retries"),
-		fig.NewSeries("torn failovers"),
-		fig.NewSeries("orphans reaped"),
-		fig.NewSeries("retries"),
-		fig.NewSeries("failovers"),
-		fig.NewSeries("repairs"),
-		fig.NewSeries("detector fires"),
-		fig.NewSeries("faults injected"),
-		fig.NewSeries("violations"),
-	}
-	for i, f := range kvlSweepPoints {
-		m, err := runKVLarge(o, f, nil, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		x, label := float64(i), f.label()
-		vals := []float64{
-			float64(m.acked), float64(m.largePuts), float64(m.gets), float64(m.spilledReads),
-			float64(m.tornDetected), float64(m.tornRetries), float64(m.tornFailovers),
-			float64(m.orphansReaped), float64(m.retries), float64(m.failovers),
-			float64(m.repairs), float64(m.detectorFires), float64(m.faults), float64(m.violations),
-		}
-		for si, v := range vals {
-			series[si].Add(x, label, v)
-		}
-	}
-	return fig, nil
+	return kvSweep("Chaos: large-value KV under racing overwrites, loss and crashes",
+		[]string{"acked puts", "large puts", "get ops", "spilled reads", "torn detected", "torn retries",
+			"torn failovers", "orphans reaped", "retries", "failovers", "repairs", "detector fires",
+			"faults injected", "violations"},
+		kvlSweepPoints, func(f kvlFaults) (kvMeasure, error) { return runKVLarge(o, f, Exports{}) })
 }
 
-// WriteKVLargeTelemetryExports is the exportable chaos-kv-large
-// scenario: the full regime (racing + loss + crashes) streamed through
-// the JSONL recorder. The torn-read rate rule must fire — the racing
-// phases guarantee detections — and a monitoring consumer (make soak,
-// stromtail) requires it alongside kv-heartbeat. Like every export
-// scenario it pins itself to the single-engine testbed, so the output
-// is byte-identical at any -j and any Shards setting.
-func WriteKVLargeTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error {
-	_, err := runKVLarge(o.unsharded(), kvlFaults{racing: true, loss: true, crashes: true}, metricsW, traceW, jsonlW)
+// exportKVLarge is the kvlarge scenario's export: the full regime
+// (racing + loss + crashes).
+func exportKVLarge(o Options, ex Exports) error {
+	_, err := runKVLarge(o, kvlFaults{racing: true, loss: true, crashes: true}, ex)
 	return err
 }

@@ -1,21 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"regexp"
-	"testing"
-
-	"strom/internal/telemetry/export"
-)
-
-// kvlargeAllow is the chaos-kv-large stream's alert allowlist — the
-// same set the soak flow passes to stromtail. The racing phases trip
-// torn-read (required: that alert IS the detection surface), loss
-// bursts trip out-discards and retry-storm, crash cycles trip
-// kv-heartbeat and qp-errors plus remote-access from stale-rkey NAKs
-// after a restart, and the recovery tails may push op-latency-p99,
-// pfc-pause/ecn-marked or the watchdog over.
-var kvlargeAllow = regexp.MustCompile(`^(out-discards|retry-storm|kv-heartbeat|torn-read|qp-errors|remote-access|watchdog|pfc-pause|ecn-marked|op-latency-p99|fcs-err)$`)
+import "testing"
 
 // The chaos-kv-large sweep is the torn-read gate: all four regimes must
 // complete with a clean audit and zero torn values served (runKVLarge
@@ -23,38 +8,38 @@ var kvlargeAllow = regexp.MustCompile(`^(out-discards|retry-storm|kv-heartbeat|t
 // every racing point must prove the detect→retry pipeline ran. The
 // crash point's orphan-reap and detection gates live in runKVLarge.
 func TestChaosKVLargeSweepRegimes(t *testing.T) {
-	clean, err := runKVLarge(Quick(), kvlFaults{}, nil, nil, nil)
+	clean, err := runKVLarge(Quick(), kvlFaults{}, Exports{})
 	if err != nil {
 		t.Fatalf("clean: %v", err)
 	}
-	if clean.tornDetected != 0 || clean.tornFailovers != 0 {
+	if clean.TornDetected != 0 || clean.TornFailovers != 0 {
 		t.Errorf("clean point saw torn reads: %+v", clean)
 	}
-	if clean.spilledReads == 0 || clean.largePuts == 0 || clean.acked == 0 {
+	if clean.SpilledReads == 0 || clean.LargePuts == 0 || clean.AckedPuts == 0 {
 		t.Errorf("clean point never exercised the large-value path: %+v", clean)
 	}
-	racing, err := runKVLarge(Quick(), kvlFaults{racing: true}, nil, nil, nil)
+	racing, err := runKVLarge(Quick(), kvlFaults{racing: true}, Exports{})
 	if err != nil {
 		t.Fatalf("racing: %v", err)
 	}
-	if racing.tornDetected == 0 || racing.tornRetries == 0 {
+	if racing.TornDetected == 0 || racing.TornRetries == 0 {
 		t.Errorf("racing point never detected+retried a torn read: %+v", racing)
 	}
-	loss, err := runKVLarge(Quick(), kvlFaults{racing: true, loss: true}, nil, nil, nil)
+	loss, err := runKVLarge(Quick(), kvlFaults{racing: true, loss: true}, Exports{})
 	if err != nil {
 		t.Fatalf("loss: %v", err)
 	}
-	if loss.tornDetected == 0 || loss.faults == 0 {
+	if loss.TornDetected == 0 || loss.faults == 0 {
 		t.Errorf("loss point never detected a torn read under faults: %+v", loss)
 	}
-	crash, err := runKVLarge(Quick(), kvlFaults{racing: true, loss: true, crashes: true}, nil, nil, nil)
+	crash, err := runKVLarge(Quick(), kvlFaults{racing: true, loss: true, crashes: true}, Exports{})
 	if err != nil {
 		t.Fatalf("crash: %v", err)
 	}
-	if crash.tornDetected == 0 || crash.tornRetries == 0 {
+	if crash.TornDetected == 0 || crash.TornRetries == 0 {
 		t.Errorf("crash point never detected+retried a torn read: %+v", crash)
 	}
-	if crash.orphansReaped == 0 || crash.detectorFires == 0 || crash.repairs == 0 {
+	if crash.OrphansReaped == 0 || crash.detectorFires == 0 || crash.Repairs == 0 {
 		t.Errorf("crash point never exercised orphan reaping or repair: %+v", crash)
 	}
 	if crash.faults == 0 {
@@ -62,26 +47,15 @@ func TestChaosKVLargeSweepRegimes(t *testing.T) {
 	}
 }
 
-// The chaos-kv-large JSONL stream must carry the torn-read alert (the
-// detection surface the monitoring side watches) and the kv-heartbeat
-// failure detector, with nothing outside the allowlist.
+// The kvlarge scenario's stream must carry the client's torn-read
+// surface (TestScenarios holds it to its alert contract: torn-read, the
+// detection surface the monitoring side watches, and kv-heartbeat).
 func TestKVLargeJSONLAlerts(t *testing.T) {
-	var w bytes.Buffer
-	if err := WriteKVLargeTelemetryExports(Quick(), nil, nil, &w); err != nil {
-		t.Fatalf("WriteKVLargeTelemetryExports: %v", err)
+	run := runScenario(t, "kvlarge")
+	if run.err != nil {
+		t.Fatal(run.err)
 	}
-	tail, err := export.ReadAll(bytes.NewReader(w.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
-	}
-	for _, rule := range []string{"torn-read", "kv-heartbeat"} {
-		if tail.Fired(rule) == 0 {
-			t.Errorf("rule %q did not fire in the chaos-kv-large stream (fired: %v)", rule, tail.FiredAlerts())
-		}
-	}
-	if got := tail.UnexpectedAlerts(kvlargeAllow); len(got) != 0 {
-		t.Errorf("alerts outside the chaos-kv-large allowlist fired: %v", got)
-	}
+	tail := run.tail
 	// The client's torn-read surface must be in the stream with the
 	// final counters the audit gated on.
 	seen := false
@@ -96,29 +70,5 @@ func TestKVLargeJSONLAlerts(t *testing.T) {
 	}
 	if !seen {
 		t.Error("stream has no kvclient health object")
-	}
-}
-
-// The chaos-kv-large exports are pure functions of Options:
-// byte-identical across repeated runs and across the Shards setting
-// (the scenario pins itself to the single-engine testbed).
-func TestKVLargeTelemetryByteIdentical(t *testing.T) {
-	run := func(o Options) (string, string, string) {
-		var m, tr, j bytes.Buffer
-		if err := WriteKVLargeTelemetryExports(o, &m, &tr, &j); err != nil {
-			t.Fatalf("WriteKVLargeTelemetryExports: %v", err)
-		}
-		return m.String(), tr.String(), j.String()
-	}
-	m1, tr1, j1 := run(Quick())
-	m2, tr2, j2 := run(Quick())
-	if m1 != m2 || tr1 != tr2 || j1 != j2 {
-		t.Error("repeated same-seed runs differ")
-	}
-	sharded := Quick()
-	sharded.Shards = 4
-	m3, tr3, j3 := run(sharded)
-	if m1 != m3 || tr1 != tr3 || j1 != j3 {
-		t.Error("Shards=4 run differs from Shards=0 (unsharded pin not honored)")
 	}
 }

@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"strom/internal/chaos"
-	"strom/internal/hostmem"
 	"strom/internal/mr"
-	"strom/internal/roce"
 	"strom/internal/sim"
 	"strom/internal/stats"
 	"strom/internal/testrig"
@@ -36,22 +33,15 @@ const (
 	protectCrashFirst  = 400 * sim.Microsecond
 	protectCadence     = 3 * sim.Millisecond
 	protectDowntime    = 1200 * sim.Microsecond
-	// Rogue QPs beside the testbed's QPA/QPB pair.
-	protectRogueQPA uint32 = 3
-	protectRogueQPB uint32 = 4
 )
 
 // protectMeasure is one protection point's outcome.
 type protectMeasure struct {
-	elapsed      sim.Duration
-	successes    uint64
-	deadlineErrs uint64
-	qpErrs       uint64
-	reconnects   uint64
-	rogue        chaos.RogueStats
-	naks         uint64 // SynNAKRemoteAccess sent by B
-	valFails     uint64 // MR-table validation failures on B, all classes
-	violations   int
+	deadlineClient
+	rogue      chaos.RogueStats
+	naks       uint64 // SynNAKRemoteAccess sent by B
+	valFails   uint64 // MR-table validation failures on B, all classes
+	violations int
 }
 
 // protectPlan is the ambient chaos: the 4% bursty-loss regime with light
@@ -75,8 +65,7 @@ func runProtectPoint(o Options, rogueOps int) (protectMeasure, error) {
 	if err != nil {
 		return protectMeasure{}, err
 	}
-	// A read-only region on B for the rogue's permission attacks: its key
-	// is perfectly valid, only the access class is wrong for a WRITE.
+	// A read-only region on B for the rogue's permission attacks.
 	roBuf, err := pair.B.AllocBufferFlags(1<<20, mr.AccessRemoteRead)
 	if err != nil {
 		return protectMeasure{}, err
@@ -96,92 +85,23 @@ func runProtectPoint(o Options, rogueOps int) (protectMeasure, error) {
 		return protectMeasure{}, err
 	}
 
-	var m protectMeasure
+	m := protectMeasure{deadlineClient: deadlineClient{ops: o.Iterations, deadline: protectOpDeadline, rekey: true}}
 	var rogue *chaos.Rogue
 	if rogueOps > 0 {
-		if err := pair.AddQueuePair(protectRogueQPA, protectRogueQPB); err != nil {
+		if rogue, err = startPairRogue(pair, roBuf, chaos.RogueConfig{Ops: rogueOps}); err != nil {
 			return protectMeasure{}, err
 		}
-		rogue, err = chaos.NewRogue(pair.A, chaos.RogueConfig{
-			QPN:     protectRogueQPA,
-			LocalVA: uint64(pair.BufA.Base()) + uint64(pair.BufA.Size()/2),
-			Target: chaos.RogueTarget{
-				Base: uint64(pair.BufB.Base()),
-				Size: uint64(pair.BufB.Size()),
-				Key: func() uint32 {
-					return pair.B.RegionFor(uint64(pair.BufB.Base())).RKey()
-				},
-				ROBase: uint64(roBuf.Base()),
-				ROSize: uint64(roBuf.Size()),
-				ROKey: func() uint32 {
-					return pair.B.RegionFor(uint64(roBuf.Base())).RKey()
-				},
-			},
-			Ops:       rogueOps,
-			Reconnect: func() error { return pair.ReconnectPair(protectRogueQPA, protectRogueQPB) },
-		}, nil)
-		if err != nil {
-			return protectMeasure{}, err
-		}
-		rogue.Start()
 	}
 
 	const xfer = 16 << 10
-	localA := uint64(pair.BufA.Base())
-	writeB := uint64(pair.BufB.Base())
-	readB := pair.BufB.Base() + hostmem.Addr(pair.BufB.Size()/2)
-	static := make([]byte, xfer)
-	pair.Eng.Rand().Read(static)
-	if err := pair.B.Memory().WriteVirt(readB, static); err != nil {
+	localA, writeB, readB, err := chaosRegions(pair, xfer)
+	if err != nil {
 		return protectMeasure{}, err
 	}
 
 	var runErr error
 	pair.Eng.Go("protect-client", func(p *sim.Process) {
-		bo := sim.Backoff{Base: 200 * sim.Microsecond, Max: 2 * sim.Millisecond, Factor: 2, Jitter: 0.5}
-		for i := 0; i < o.Iterations; i++ {
-			err := pair.A.WriteSyncDeadline(p, testrig.QPA, localA, writeB, xfer, p.Now().Add(protectOpDeadline))
-			if err == nil {
-				err = pair.A.ReadSyncDeadline(p, testrig.QPA, uint64(readB), localA, xfer, p.Now().Add(protectOpDeadline))
-			}
-			if err == nil {
-				m.successes++
-				continue
-			}
-			switch {
-			case errors.Is(err, sim.ErrDeadlineExceeded):
-				m.deadlineErrs++
-			case errors.Is(err, roce.ErrQPError):
-				// Includes ErrRemoteAccess: B's restart rotated every rkey,
-				// so the client's cached key is stale and the first verb
-				// after the restart is NAK'd.
-				m.qpErrs++
-			default:
-				runErr = fmt.Errorf("op %d: unexpected error class: %w", i, err)
-				return
-			}
-			for attempt := 0; ; attempt++ {
-				if attempt >= 64 {
-					runErr = fmt.Errorf("op %d: recovery gave up after %d attempts: %w", i, attempt, err)
-					return
-				}
-				p.Sleep(bo.Delay(attempt, p.Engine().Rand()))
-				if rerr := pair.Reconnect(); rerr == nil {
-					m.reconnects++
-					break
-				} else if !errors.Is(rerr, roce.ErrPeerCrashed) {
-					runErr = fmt.Errorf("op %d: reconnect: %w", i, rerr)
-					return
-				}
-			}
-			// Re-fetch the peer's current rkeys: a restart rotated them and
-			// the reconnect alone does not refresh the cached default.
-			if kerr := pair.ExchangeRKeys(testrig.QPA, testrig.QPB); kerr != nil {
-				runErr = fmt.Errorf("op %d: rkey exchange: %w", i, kerr)
-				return
-			}
-		}
-		m.elapsed = pair.Eng.Now().Sub(0)
+		runErr = m.run(p, pair, localA, writeB, readB, xfer)
 	})
 	pair.Run()
 	if runErr != nil {
@@ -190,8 +110,8 @@ func runProtectPoint(o Options, rogueOps int) (protectMeasure, error) {
 
 	violations := append(ca.Finish(), cb.Finish()...)
 	m.violations = len(violations)
-	if m.violations > 0 {
-		return m, fmt.Errorf("protect: %d invariant violations, first: %s", m.violations, violations[0])
+	if err := violationError("protect", violations); err != nil {
+		return m, err
 	}
 	if rogue != nil {
 		m.rogue = rogue.Stats()

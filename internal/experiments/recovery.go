@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"strom/internal/chaos"
-	"strom/internal/hostmem"
 	"strom/internal/roce"
 	"strom/internal/sim"
 	"strom/internal/stats"
@@ -35,13 +34,83 @@ const (
 
 // recoveryMeasure is one recovery point's outcome.
 type recoveryMeasure struct {
+	deadlineClient
+	faults     uint64
+	violations int
+}
+
+// deadlineClient is the recovery and protection sweeps' legitimate
+// client, configuration and outcome: ops rounds of a WRITE then a READ
+// of xfer bytes, each bounded by deadline. A failed verb is classified
+// by its typed error, then the client backs off and re-establishes
+// QPA/QPB, spinning on ErrPeerCrashed until B is back up.
+type deadlineClient struct {
+	ops      int
+	deadline sim.Duration
+	// transient: a failure that left both QPs in RTS on live machines (a
+	// loss-induced deadline miss) needs no reconnect.
+	transient bool
+	// rekey: re-fetch the peer's rkeys after a reconnect — B's restart
+	// rotated them and the reconnect alone does not refresh the cached
+	// default. Without it the pair runs on the wildcard key 0.
+	rekey bool
+
 	elapsed      sim.Duration
 	successes    uint64
 	deadlineErrs uint64
-	qpErrs       uint64
+	qpErrs       uint64 // includes ErrRemoteAccess from a stale rkey after a restart
 	reconnects   uint64
-	faults       uint64
-	violations   int
+}
+
+func (c *deadlineClient) run(p *sim.Process, pair *testrig.Pair, localA, writeB, readB uint64, xfer int) error {
+	bo := sim.Backoff{Base: 200 * sim.Microsecond, Max: 2 * sim.Millisecond, Factor: 2, Jitter: 0.5}
+	for i := 0; i < c.ops; i++ {
+		err := pair.A.WriteSyncDeadline(p, testrig.QPA, localA, writeB, xfer, p.Now().Add(c.deadline))
+		if err == nil {
+			err = pair.A.ReadSyncDeadline(p, testrig.QPA, readB, localA, xfer, p.Now().Add(c.deadline))
+		}
+		if err == nil {
+			c.successes++
+			continue
+		}
+		switch {
+		case errors.Is(err, sim.ErrDeadlineExceeded):
+			c.deadlineErrs++
+		case errors.Is(err, roce.ErrQPError):
+			c.qpErrs++
+		default:
+			return fmt.Errorf("op %d: unexpected error class: %w", i, err)
+		}
+		for attempt := 0; ; attempt++ {
+			if attempt >= 64 {
+				return fmt.Errorf("op %d: recovery gave up after %d attempts: %w", i, attempt, err)
+			}
+			p.Sleep(bo.Delay(attempt, p.Engine().Rand()))
+			if c.transient {
+				stA, serr := pair.A.Stack().QPStateOf(testrig.QPA)
+				if serr != nil {
+					return serr
+				}
+				stB, _ := pair.B.Stack().QPStateOf(testrig.QPB)
+				if stA == roce.QPStateRTS && stB == roce.QPStateRTS && !pair.A.Crashed() && !pair.B.Crashed() {
+					break
+				}
+			}
+			if rerr := pair.Reconnect(); rerr == nil {
+				c.reconnects++
+				break
+			} else if !errors.Is(rerr, roce.ErrPeerCrashed) {
+				return fmt.Errorf("op %d: reconnect: %w", i, rerr)
+			}
+		}
+		if c.rekey {
+			if kerr := pair.ExchangeRKeys(testrig.QPA, testrig.QPB); kerr != nil {
+				return fmt.Errorf("op %d: rkey exchange: %w", i, kerr)
+			}
+		}
+	}
+	c.elapsed = pair.Eng.Now().Sub(0)
+	return nil
 }
 
 // recoveryPlan is the ambient network chaos the recovery story plays out
@@ -78,68 +147,15 @@ func runRecoveryPoint(o Options, cycles int) (recoveryMeasure, error) {
 	}
 
 	const xfer = 16 << 10
-	localA := uint64(pair.BufA.Base())
-	writeB := uint64(pair.BufB.Base())
-	readB := pair.BufB.Base() + hostmem.Addr(pair.BufB.Size()/2)
-	static := make([]byte, xfer)
-	pair.Eng.Rand().Read(static)
-	if err := pair.B.Memory().WriteVirt(readB, static); err != nil {
+	localA, writeB, readB, err := chaosRegions(pair, xfer)
+	if err != nil {
 		return recoveryMeasure{}, err
 	}
 
-	var m recoveryMeasure
+	m := recoveryMeasure{deadlineClient: deadlineClient{ops: o.Iterations * 2, deadline: recoveryOpDeadline, transient: true}}
 	var runErr error
-	iters := o.Iterations * 2
 	pair.Eng.Go("recovery-client", func(p *sim.Process) {
-		bo := sim.Backoff{Base: 200 * sim.Microsecond, Max: 2 * sim.Millisecond, Factor: 2, Jitter: 0.5}
-		for i := 0; i < iters; i++ {
-			err := pair.A.WriteSyncDeadline(p, testrig.QPA, localA, writeB, xfer, p.Now().Add(recoveryOpDeadline))
-			if err == nil {
-				err = pair.A.ReadSyncDeadline(p, testrig.QPA, uint64(readB), localA, xfer, p.Now().Add(recoveryOpDeadline))
-			}
-			if err == nil {
-				m.successes++
-				continue
-			}
-			switch {
-			case errors.Is(err, sim.ErrDeadlineExceeded):
-				m.deadlineErrs++
-			case errors.Is(err, roce.ErrQPError):
-				m.qpErrs++
-			default:
-				runErr = fmt.Errorf("op %d: unexpected error class: %w", i, err)
-				return
-			}
-			// Recovery loop: back off, then either conclude the failure was
-			// transient (both QPs still RTS — a loss-induced deadline miss)
-			// or re-establish the connection. ErrPeerCrashed while B is
-			// down keeps the loop spinning until the restart.
-			for attempt := 0; ; attempt++ {
-				if attempt >= 64 {
-					runErr = fmt.Errorf("op %d: recovery gave up after %d attempts: %w", i, attempt, err)
-					return
-				}
-				p.Sleep(bo.Delay(attempt, p.Engine().Rand()))
-				stA, serr := pair.A.Stack().QPStateOf(testrig.QPA)
-				if serr != nil {
-					runErr = serr
-					return
-				}
-				if stA == roce.QPStateRTS && !pair.A.Crashed() && !pair.B.Crashed() {
-					if stB, _ := pair.B.Stack().QPStateOf(testrig.QPB); stB == roce.QPStateRTS {
-						break
-					}
-				}
-				if rerr := pair.Reconnect(); rerr == nil {
-					m.reconnects++
-					break
-				} else if !errors.Is(rerr, roce.ErrPeerCrashed) {
-					runErr = fmt.Errorf("op %d: reconnect: %w", i, rerr)
-					return
-				}
-			}
-		}
-		m.elapsed = pair.Eng.Now().Sub(0)
+		runErr = m.run(p, pair, localA, writeB, readB, xfer)
 	})
 	pair.Run()
 	if runErr != nil {
@@ -148,8 +164,8 @@ func runRecoveryPoint(o Options, cycles int) (recoveryMeasure, error) {
 
 	violations := append(ca.Finish(), cb.Finish()...)
 	m.violations = len(violations)
-	if m.violations > 0 {
-		return m, fmt.Errorf("recovery: %d invariant violations, first: %s", m.violations, violations[0])
+	if err := violationError("recovery", violations); err != nil {
+		return m, err
 	}
 	m.faults = inj.Stats().Total()
 	return m, nil

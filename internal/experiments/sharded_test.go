@@ -59,8 +59,8 @@ func TestShardedTelemetryIdenticalAcrossWorkers(t *testing.T) {
 		var m, tr bytes.Buffer
 		o := Quick()
 		o.Shards = shards
-		if err := WriteTelemetry(o, &m, &tr); err != nil {
-			t.Fatalf("WriteTelemetry (shards=%d): %v", shards, err)
+		if err := exportClean(o, Exports{Metrics: &m, Trace: &tr}); err != nil {
+			t.Fatalf("exportClean (shards=%d): %v", shards, err)
 		}
 		return m.String(), tr.String()
 	}

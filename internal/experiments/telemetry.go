@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"strom/internal/fabric"
@@ -10,7 +9,6 @@ import (
 	"strom/internal/kernels/traversal"
 	"strom/internal/kvstore"
 	"strom/internal/sim"
-	"strom/internal/telemetry/export"
 	"strom/internal/testrig"
 )
 
@@ -18,40 +16,24 @@ import (
 // under on machine B.
 const telemetryRPCOp = 0x01
 
-// WriteTelemetry runs the canonical instrumented scenario — the workload
-// cmd/strombench exports when -metrics/-trace are given — and writes the
-// metrics registry and the Perfetto trace as JSON. The scenario runs on
-// its own engine seeded from o.Seed, independent of the figure
-// generators, so its output is byte-identical regardless of -j:
+// exportClean is the clean scenario's export — the canonical
+// instrumented run of the two-machine test bed:
 //
 //  1. one-sided WRITE and READ on a clean 10 G link,
 //  2. hash-table GETs through the traversal kernel on B (postRpc →
 //     kernel FSM → DMA → RDMA write-back, the full §5 path),
-//  3. the same WRITE/READ under 30% frame loss in both directions —
-//     exercising retransmission, NAK and duplicate-READ-cache machinery,
+//  3. the same WRITE/READ under 4% frame loss in both directions —
+//     exercising retransmission, NAK and duplicate-READ-cache machinery
+//     (and deliberately tripping the out-discards rate rule),
 //  4. a clean WRITE confirming recovery,
 //
 // with occupancy probes sampling both NICs and the link every 2 µs.
-// Either writer may be nil to skip that export.
-func WriteTelemetry(o Options, metricsW, traceW io.Writer) error {
-	return WriteTelemetryExports(o, metricsW, traceW, nil)
-}
-
-// WriteTelemetryExports is WriteTelemetry plus the streaming JSONL
-// export: when jsonlW is non-nil every health surface (both NIC ports,
-// both link directions) and the whole metrics registry are scraped
-// every 2 µs of simulated time, the default alert rules are evaluated
-// at each scrape, and the merged event stream is written to jsonlW —
-// one JSON object per line, byte-identical for any -j and Shards
-// setting (the scenario pins itself to the single-engine testbed when
-// streaming: mid-run registry collection is only sound there, and the
-// pin makes sharded and unsharded invocations emit the same stream).
-// The 4% loss phase deliberately trips the out-discards rate rule, so a
-// consumer of this scenario's stream must expect out-discards (and on
-// some seeds fcs-err) alerts; anything else is a scenario regression.
-func WriteTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error {
+// Metrics and trace alone run sharded when o.Shards asks for it; the
+// JSONL stream pins the run to the single-engine bed, where mid-run
+// registry collection is sound.
+func exportClean(o Options, ex Exports) error {
 	o = o.normalized()
-	if jsonlW != nil {
+	if ex.JSONL != nil {
 		o = o.unsharded()
 	}
 	pair, err := newPair(o, profile10G(), 32<<20)
@@ -61,12 +43,7 @@ func WriteTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error 
 	if err := pair.B.DeployKernel(telemetryRPCOp, traversal.New(0)); err != nil {
 		return err
 	}
-	tel := pair.Instrument()
-	var rec *export.Recorder
-	if jsonlW != nil {
-		rec = export.NewRecorder(export.DefaultRules())
-		pair.RecordJSONL(rec, tel)
-	}
+	taps := tapPair(pair, ex)
 
 	// B hosts a small key-value store; A keeps the write source, read
 	// destination and GET response regions in its one registered buffer.
@@ -150,28 +127,9 @@ func WriteTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error 
 		// Phase 4: recovery.
 		fail("final write", pair.A.WriteSync(p, testrig.QPA, localA, remoteB, xfer))
 	})
-	pair.StartProbes(tel, 2*sim.Microsecond)
-	if rec != nil {
-		rec.Start(2 * sim.Microsecond)
-	}
-	pair.Run()
+	taps.run()
 	if runErr != nil {
 		return runErr
 	}
-	if metricsW != nil {
-		if err := tel.Registry.WriteJSON(metricsW); err != nil {
-			return err
-		}
-	}
-	if traceW != nil {
-		if err := tel.Trace.WriteJSON(traceW); err != nil {
-			return err
-		}
-	}
-	if rec != nil {
-		if err := rec.WriteJSONL(jsonlW); err != nil {
-			return err
-		}
-	}
-	return nil
+	return taps.export()
 }

@@ -8,12 +8,12 @@ import (
 	"testing"
 )
 
-// runTelemetry runs the instrumented scenario and returns both exports.
+// runTelemetry runs the clean scenario and returns its metrics and trace.
 func runTelemetry(t *testing.T) (metrics, trace string) {
 	t.Helper()
 	var m, tr bytes.Buffer
-	if err := WriteTelemetry(Quick(), &m, &tr); err != nil {
-		t.Fatalf("WriteTelemetry: %v", err)
+	if err := exportClean(Quick(), Exports{Metrics: &m, Trace: &tr}); err != nil {
+		t.Fatalf("exportClean: %v", err)
 	}
 	return m.String(), tr.String()
 }
@@ -33,7 +33,7 @@ func TestTelemetryDeterministic(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var m, tr bytes.Buffer
-			errs[i] = WriteTelemetry(Quick(), &m, &tr)
+			errs[i] = exportClean(Quick(), Exports{Metrics: &m, Trace: &tr})
 			ms[i], trs[i] = m.String(), tr.String()
 		}(i)
 	}
@@ -141,8 +141,8 @@ func TestTelemetryMetricsContent(t *testing.T) {
 // metrics).
 func TestChaosTelemetryDeterministic(t *testing.T) {
 	var m0, tr0 bytes.Buffer
-	if err := WriteChaosTelemetry(Quick(), &m0, &tr0); err != nil {
-		t.Fatalf("WriteChaosTelemetry: %v", err)
+	if err := exportChaos(Quick(), Exports{Metrics: &m0, Trace: &tr0}); err != nil {
+		t.Fatalf("exportChaos: %v", err)
 	}
 	const workers = 4
 	var wg sync.WaitGroup
@@ -154,7 +154,7 @@ func TestChaosTelemetryDeterministic(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var m, tr bytes.Buffer
-			errs[i] = WriteChaosTelemetry(Quick(), &m, &tr)
+			errs[i] = exportChaos(Quick(), Exports{Metrics: &m, Trace: &tr})
 			ms[i], trs[i] = m.String(), tr.String()
 		}(i)
 	}
@@ -175,14 +175,14 @@ func TestChaosTelemetryDeterministic(t *testing.T) {
 // The chaos scenario's metrics must show both the injected faults and
 // the reliability machinery they exercised.
 func TestChaosTelemetryMetricsContent(t *testing.T) {
-	var m, tr bytes.Buffer
-	if err := WriteChaosTelemetry(Quick(), &m, &tr); err != nil {
-		t.Fatalf("WriteChaosTelemetry: %v", err)
+	run := runScenario(t, "chaos")
+	if run.err != nil {
+		t.Fatal(run.err)
 	}
 	var snap struct {
 		Counters map[string]uint64 `json:"counters"`
 	}
-	if err := json.Unmarshal(m.Bytes(), &snap); err != nil {
+	if err := json.Unmarshal(run.metrics, &snap); err != nil {
 		t.Fatalf("metrics JSON: %v", err)
 	}
 	for _, key := range []string{
