@@ -60,10 +60,11 @@ kv:
 # kv-large runs the large-value torn-read suite on its own under the
 # race detector: extent codec and spill refs, the consistency-kernel
 # read path, torn-read detection/classification/retry, orphan reaping,
-# the failover edge cases around the extent-then-publish window, and
-# the chaos-kv-large sweep with the kvlarge scenario export.
+# the failover edge cases around the extent-then-publish window, the
+# server-side publish-order witness with its fire drill, and the
+# chaos-kv-large sweep with the kvlarge scenario export.
 kv-large:
-	$(GO) test -race -run 'Extent|Large|Torn|Spill|MidRepair' ./internal/kvserve
+	$(GO) test -race -run 'Extent|Large|Torn|Spill|MidRepair|HeldSlot|Publish' ./internal/kvserve
 	$(GO) test -race -run 'KVLarge|Scenarios/kvlarge' ./internal/experiments
 
 # fuzz smoke-runs the checked-in fuzzers for 10s each on top of their
@@ -124,21 +125,23 @@ bench-diff:
 
 # ab measures a claimed gain the way choosing-metrics §8 asks: PAIRS
 # alternating runs of the two-clock benchmark on BASE (built in a
-# throwaway git worktree) and on this tree, pair i on seed i, the order
-# flipped every pair so slow periods of the host fall on both sides,
-# then `benchmark -compare` over the two result sets. Each run takes
-# the benchmark's own ~20 s.
+# throwaway shared clone: the sandbox forbids git worktree) and on this
+# tree, pair i on seed i, the order flipped every pair so slow periods of
+# the host fall on both sides, then `benchmark -compare` over the two
+# result sets. Each run takes the benchmark's own ~20 s.
 #   make ab BASE=HEAD~1 WORKLOAD=verbs-bulk PAIRS=10
 BASE ?= HEAD
 WORKLOAD ?= verbs-bulk
 PAIRS ?= 10
 AB_DIR ?= $(CURDIR)/ab.out
 ab:
-	rm -rf $(AB_DIR) && mkdir -p $(AB_DIR) && git worktree prune
-	git worktree add --detach $(AB_DIR)/base $(BASE)
-	set -e; trap 'git worktree remove --force $(AB_DIR)/base' EXIT; \
-	run_base() { (cd $(AB_DIR)/base && $(GO) run ./benchmark -workload $(WORKLOAD) -seed $$1 -out $(AB_DIR)/base.json); }; \
-	run_head() { $(GO) run ./benchmark -workload $(WORKLOAD) -seed $$1 -out $(AB_DIR)/head.json; }; \
+	rm -rf $(AB_DIR) && mkdir -p $(AB_DIR)
+	git clone --quiet --shared --no-checkout . $(AB_DIR)/base && git -C $(AB_DIR)/base checkout --quiet --detach $$(git rev-parse $(BASE))
+	set -e; \
+	(cd $(AB_DIR)/base && $(GO) build -o $(AB_DIR)/bench.base ./benchmark); \
+	$(GO) build -o $(AB_DIR)/bench.head ./benchmark; \
+	run_base() { (cd $(AB_DIR)/base && $(AB_DIR)/bench.base -workload $(WORKLOAD) -seed $$1 -out $(AB_DIR)/base.json); }; \
+	run_head() { $(AB_DIR)/bench.head -workload $(WORKLOAD) -seed $$1 -out $(AB_DIR)/head.json; }; \
 	for i in $$(seq 1 $(PAIRS)); do \
 		if [ $$((i % 2)) -eq 1 ]; then run_base $$i; run_head $$i; else run_head $$i; run_base $$i; fi; \
 	done

@@ -158,18 +158,6 @@ func TestScheduleReplayDeterminism(t *testing.T) {
 	}
 }
 
-// dropNth is a deterministic injector: it drops exactly the n-th frame
-// (1-based) seen in its direction.
-type dropNth struct {
-	n    int
-	seen int
-}
-
-func (d *dropNth) Judge(now sim.Time, frameLen int) fabric.Verdict {
-	d.seen++
-	return fabric.Verdict{Drop: d.seen == d.n}
-}
-
 // TestCheckerFlagsSkippedPSN: a requester that silently consumes an extra
 // PSN (the SkipPSNAt debug fault) must be caught as a PSN gap.
 func TestCheckerFlagsSkippedPSN(t *testing.T) {
@@ -207,7 +195,7 @@ func TestCheckerFlagsCorruptDupRead(t *testing.T) {
 	pair.B.Stack().SetDebugFaults(roce.DebugFaults{CorruptDupRead: true})
 	// Drop the first B→A frame: the READ response. A times out and
 	// re-requests; B answers from the duplicate-READ cache — corrupted.
-	pair.Link.SetFaultsBtoA(&dropNth{n: 1})
+	pair.Link.SetFaultsBtoA(fabric.DropFrame(0))
 	const xfer = 1 << 10
 	localA := uint64(pair.BufA.Base())
 	remoteB := uint64(pair.BufB.Base())
@@ -233,7 +221,7 @@ func TestCheckerFlagsSuppressedRetransmit(t *testing.T) {
 	}
 	ca := chaos.AttachChecker(pair.A.Stack(), "A", pair.Eng)
 	pair.A.Stack().SetDebugFaults(roce.DebugFaults{SuppressRetransmit: true})
-	pair.Link.SetFaultsAtoB(&dropNth{n: 3})
+	pair.Link.SetFaultsAtoB(fabric.DropFrame(2))
 	const xfer = 16 << 10
 	localA := uint64(pair.BufA.Base())
 	remoteB := uint64(pair.BufB.Base())

@@ -42,24 +42,6 @@ func atB(t *testing.T, pair *testrig.Pair, off, n int) []byte {
 	return got
 }
 
-// dropNth drops the n-th frame entering a link direction and records how
-// many frames the sender had put on the wire by then.
-type dropNth struct {
-	n, seen  int
-	sender   *roce.Stack
-	txAtDrop uint64
-}
-
-func (d *dropNth) Judge(now sim.Time, frameLen int) fabric.Verdict {
-	i := d.seen
-	d.seen++
-	if i == d.n {
-		d.txAtDrop = d.sender.Stats().TxPackets
-		return fabric.Verdict{Drop: true}
-	}
-	return fabric.Verdict{}
-}
-
 // TestWriteCutsThrough: the first segments of a 64 KiB WRITE are in remote
 // memory before its last bytes have crossed PCIe, and the verb completes
 // well inside the store-and-forward time (DMA, then wire).
@@ -142,8 +124,12 @@ func TestFrameLostWhileTailUnfetched(t *testing.T) {
 	data := fillA(t, pair, bulkSize)
 	ca := chaos.AttachChecker(pair.A.Stack(), "A", pair.Eng)
 	cb := chaos.AttachChecker(pair.B.Stack(), "B", pair.Eng)
-	drop := &dropNth{n: 10, sender: pair.A.Stack()}
-	pair.Link.SetFaultsAtoB(drop)
+	// Drop frame 10 and record how many frames A had sent by then.
+	var txAtDrop uint64
+	pair.Link.SetFaultsAtoB(&fabric.FrameScript{Steps: []fabric.FrameStep{{
+		Nth: 10, Verdict: fabric.Verdict{Drop: true},
+		Do: func() { txAtDrop = pair.A.Stack().Stats().TxPackets },
+	}}})
 	completions := 0
 	pair.Eng.Schedule(0, func() {
 		pair.A.PostWrite(testrig.QPA, uint64(pair.BufA.Base()), uint64(pair.BufB.Base()), bulkSize, func(err error) {
@@ -157,8 +143,8 @@ func TestFrameLostWhileTailUnfetched(t *testing.T) {
 	if completions != 1 {
 		t.Fatalf("%d completions, want exactly one", completions)
 	}
-	if drop.txAtDrop == 0 || drop.txAtDrop > 20 {
-		t.Errorf("%d frames had left when frame 10 was lost: the tail was not unfetched", drop.txAtDrop)
+	if txAtDrop == 0 || txAtDrop > 20 {
+		t.Errorf("%d frames had left when frame 10 was lost: the tail was not unfetched", txAtDrop)
 	}
 	if !bytes.Equal(atB(t, pair, 0, bulkSize), data) {
 		t.Error("remote bytes differ")

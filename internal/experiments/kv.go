@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"strom/internal/chaos"
+	"strom/internal/fabric"
 	"strom/internal/kvserve"
 	"strom/internal/sim"
 	"strom/internal/stats"
@@ -320,7 +321,12 @@ type kvBed struct {
 	cl      *kvserve.Cluster
 	servers []int
 	sites   []*chaos.FaultSite
-	barrier sim.Time // converge waits for it: the last scheduled restart is past
+	down    map[int]fabric.FaultInjector // by machine: the loss site on the switch egress toward it
+	barrier sim.Time                     // converge waits for it: the last scheduled restart is past
+
+	// The crash cycle waiting for its publish window (crashInPublishWindows).
+	window     *fabric.FrameScript
+	converging bool
 }
 
 // newKVBed builds the cluster; cfg carries what differs between regimes
@@ -337,7 +343,7 @@ func newKVBed(o Options, machines int, ex Exports, cfg kvserve.Config) (*kvBed, 
 	if b.reg == nil {
 		b.reg = telemetry.NewRegistry()
 	}
-	k := &kvBed{bed: b, servers: make([]int, kvServers)}
+	k := &kvBed{bed: b, servers: make([]int, kvServers), down: map[int]fabric.FaultInjector{}}
 	for i := range k.servers {
 		k.servers[i] = kvServerM + i
 	}
@@ -368,6 +374,7 @@ func (k *kvBed) lossOnServerLinks() {
 		m.Port.SetFaults(up)
 		k.net.Sw.SetEgressFaults(mi, down)
 		k.sites = append(k.sites, up, down)
+		k.down[mi] = down
 	}
 }
 
@@ -383,6 +390,9 @@ func (k *kvBed) faults() uint64 {
 // converge ends a client process: wait out the crash schedule, then
 // repair until no replica write is owed.
 func (k *kvBed) converge(p *sim.Process) {
+	if k.converging = true; k.window != nil {
+		k.window.Steps = nil
+	}
 	if now := p.Now(); now < k.barrier {
 		p.Sleep(k.barrier.Sub(now))
 	}

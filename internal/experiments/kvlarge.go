@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"strom/internal/fabric"
 	"strom/internal/kvserve"
+	"strom/internal/packet"
 	"strom/internal/roce"
 	"strom/internal/sim"
 	"strom/internal/stats"
@@ -84,17 +86,13 @@ func runKVLarge(o Options, f kvlFaults, ex Exports) (kvMeasure, error) {
 		k.lossOnServerLinks()
 	}
 
-	// Crash cycles land on the hot keys' shards: every racer op caught
-	// between its extent write and its slot publish leaves an orphan
-	// image the post-restart repair or the next overwrite must reap.
-	// The four cycles never overlap, so no shard ever loses both
-	// replicas and every acked write survives.
+	// Crash cycles land on the hot keys' shards, each inside a publish
+	// window (crashInPublishWindows): a spilled write caught between its
+	// extent and its slot leaves an orphan image the post-restart repair
+	// or the next overwrite must reap. The cycles run one after the other,
+	// so no shard ever loses both replicas and every acked write survives.
 	if f.crashes {
-		cl.CrashCycle(0, sim.Time(600*sim.Microsecond), 800*sim.Microsecond)
-		cl.CrashCycle(2, sim.Time(1600*sim.Microsecond), 800*sim.Microsecond)
-		cl.CrashCycle(0, sim.Time(2600*sim.Microsecond), 800*sim.Microsecond)
-		cl.CrashCycle(2, sim.Time(3600*sim.Microsecond), 800*sim.Microsecond)
-		k.barrier = sim.Time(5500 * sim.Microsecond)
+		k.crashInPublishWindows([]int{0, 2, 0, 2}, sim.Time(600*sim.Microsecond), 800*sim.Microsecond, 200*sim.Microsecond)
 	}
 
 	zipf, err := workload.NewZipfian(kvlKeys, 0.9, o.Seed, true)
@@ -222,6 +220,42 @@ func runKVLarge(o Options, f kvlFaults, ex Exports) (kvMeasure, error) {
 		return m, fmt.Errorf("%s: crash regime never exercised detection/repair: %+v", label, m.Stats)
 	}
 	return m, k.export()
+}
+
+// crashInPublishWindows runs one crash/restart cycle per listed server,
+// in turn, each landing inside a publish window. The first cycle arms at
+// first, each next one gap after the previous restart. Once a cycle is
+// armed, the switch egress toward its server lets the next extent frame
+// through and drops the slot frame behind it, and the NIC dies as soon as
+// that extent has landed — holding bytes no slot names — to return
+// downtime later. With extent and slot posted back to back the window is
+// the gap between two frames, so only a frame script can put a crash
+// inside it; every other frame stays with the egress's loss site. A cycle
+// still waiting for a spilled write when the workload converges never
+// fires (kvBed.converge disarms it).
+func (k *kvBed) crashInPublishWindows(shards []int, first sim.Time, downtime, gap sim.Duration) {
+	if len(shards) == 0 {
+		return
+	}
+	m := k.cl.Servers[shards[0]].M
+	// The extent frame is a propagation delay ahead of the slot frame.
+	const landed = 2 * sim.Microsecond
+	k.net.SwEng.ScheduleAt(first, func() {
+		if k.converging {
+			return
+		}
+		k.window = &fabric.FrameScript{Next: k.down[m.Index], Steps: []fabric.FrameStep{
+			{Len: packet.WriteFrameLen(kvserve.ExtentSize)},
+			{Len: packet.WriteFrameLen(kvserve.SlotSize), Verdict: fabric.Verdict{Drop: true}, Do: func() {
+				restart := k.net.SwEng.Now().Add(landed + downtime)
+				m.Eng.Schedule(landed, m.NIC.Crash)
+				m.Eng.ScheduleAt(restart, m.NIC.Restart)
+				k.barrier = restart.Add(gap)
+				k.crashInPublishWindows(shards[1:], k.barrier, downtime, gap)
+			}},
+		}}
+		k.net.Sw.SetEgressFaults(m.Index, k.window)
+	})
 }
 
 // kvlSweepPoints is the chaos-kv-large sweep's x axis: the bare

@@ -1,14 +1,32 @@
 package experiments
 
-import "testing"
+import (
+	"fmt"
+	"io"
+	"testing"
+
+	"strom/internal/raceflag"
+)
 
 // The chaos-kv-large sweep is the torn-read gate: all four regimes must
 // complete with a clean audit and zero torn values served (runKVLarge
 // fails otherwise), the clean point must see no torn reads at all, and
 // every racing point must prove the detect→retry pipeline ran. The
 // crash point's orphan-reap and detection gates live in runKVLarge.
+// Seeds 1–8: the crash cycles land inside publish windows by
+// construction (crashInPublishWindows), not by what seed 1 happens to do.
 func TestChaosKVLargeSweepRegimes(t *testing.T) {
-	clean, err := runKVLarge(Quick(), kvlFaults{}, Exports{})
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			o := Quick()
+			o.Seed = seed
+			kvLargeSweepRegimes(t, o)
+		})
+	}
+}
+
+func kvLargeSweepRegimes(t *testing.T, o Options) {
+	clean, err := runKVLarge(o, kvlFaults{}, Exports{})
 	if err != nil {
 		t.Fatalf("clean: %v", err)
 	}
@@ -18,21 +36,21 @@ func TestChaosKVLargeSweepRegimes(t *testing.T) {
 	if clean.SpilledReads == 0 || clean.LargePuts == 0 || clean.AckedPuts == 0 {
 		t.Errorf("clean point never exercised the large-value path: %+v", clean)
 	}
-	racing, err := runKVLarge(Quick(), kvlFaults{racing: true}, Exports{})
+	racing, err := runKVLarge(o, kvlFaults{racing: true}, Exports{})
 	if err != nil {
 		t.Fatalf("racing: %v", err)
 	}
 	if racing.TornDetected == 0 || racing.TornRetries == 0 {
 		t.Errorf("racing point never detected+retried a torn read: %+v", racing)
 	}
-	loss, err := runKVLarge(Quick(), kvlFaults{racing: true, loss: true}, Exports{})
+	loss, err := runKVLarge(o, kvlFaults{racing: true, loss: true}, Exports{})
 	if err != nil {
 		t.Fatalf("loss: %v", err)
 	}
 	if loss.TornDetected == 0 || loss.faults == 0 {
 		t.Errorf("loss point never detected a torn read under faults: %+v", loss)
 	}
-	crash, err := runKVLarge(Quick(), kvlFaults{racing: true, loss: true, crashes: true}, Exports{})
+	crash, err := runKVLarge(o, kvlFaults{racing: true, loss: true, crashes: true}, Exports{})
 	if err != nil {
 		t.Fatalf("crash: %v", err)
 	}
@@ -70,5 +88,28 @@ func TestKVLargeJSONLAlerts(t *testing.T) {
 	}
 	if !seen {
 		t.Error("stream has no kvclient health object")
+	}
+}
+
+// The kvlarge stream keeps its alert contract at seeds 2–8 as well
+// (TestScenarios holds seed 1 to it): the four crash cycles all fire, so
+// kv-heartbeat does, and the racer keeps torn-read moving.
+func TestKVLargeStreamGateOverSeeds(t *testing.T) {
+	if testing.Short() || raceflag.Enabled {
+		t.Skip("seven 33 MB streams, each from a single-goroutine run: 9 s, 90 s under -race")
+	}
+	sc, err := ScenarioByName("kvlarge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(2); seed <= 8; seed++ {
+		o := Quick()
+		o.Seed = seed
+		pr, pw := io.Pipe()
+		go func() { pw.CloseWithError(sc.Export(o, Exports{JSONL: pw})) }()
+		if err := sc.GateStream(pr); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+		pr.Close()
 	}
 }

@@ -81,8 +81,8 @@ type Verdict struct {
 // direction. It is consulted once per frame, at the simulated time the
 // frame is handed to the wire, and must be deterministic (draw
 // randomness from the owning engine's RNG only). internal/chaos provides
-// the full bursty-loss/reorder/duplication/flap implementation; tests
-// install small deterministic schedules ("drop exactly frame k").
+// the full bursty-loss/reorder/duplication/flap implementation;
+// FrameScript is the deterministic one ("drop exactly frame k").
 type FaultInjector interface {
 	Judge(now sim.Time, frameLen int) Verdict
 }

@@ -294,31 +294,15 @@ func TestEndpointFunc(t *testing.T) {
 	}
 }
 
-// scheduleVerdicts installs a FaultInjector returning a fixed verdict
-// sequence, one per frame.
-type verdictSeq struct {
-	vs []Verdict
-	i  int
-}
-
-func (s *verdictSeq) Judge(now sim.Time, frameLen int) Verdict {
-	if s.i >= len(s.vs) {
-		return Verdict{}
-	}
-	v := s.vs[s.i]
-	s.i++
-	return v
-}
-
 func TestLinkDropCauseBreakdown(t *testing.T) {
 	eng := sim.NewEngine(1)
 	a, b := &sink{eng: eng}, &sink{eng: eng}
 	l := NewLink(eng, DirectCable10G(), a, b)
-	l.SetFaultsAtoB(&verdictSeq{vs: []Verdict{
-		{Drop: true},                   // zero cause: chaos bucket
-		{Drop: true, Cause: DropFlap},  // explicit flap
-		{},                             // delivered
-		{Drop: true, Cause: DropChaos}, // explicit chaos
+	l.SetFaultsAtoB(&FrameScript{Steps: []FrameStep{
+		{Verdict: Verdict{Drop: true}},                  // zero cause: chaos bucket
+		{Verdict: Verdict{Drop: true, Cause: DropFlap}}, // explicit flap
+		{}, // delivered
+		{Verdict: Verdict{Drop: true, Cause: DropChaos}}, // explicit chaos
 	}})
 	frame := make([]byte, 100)
 	for i := 0; i < 4; i++ {
@@ -364,5 +348,44 @@ func TestLinkImpairDropCause(t *testing.T) {
 	st := l.StatsAtoB()
 	if st.Dropped != 1 || st.DroppedImpair != 1 {
 		t.Fatalf("impair drop not attributed: %+v", st)
+	}
+}
+
+// A FrameScript's steps fire once each and in order, each on the Nth
+// frame of its length after the previous step fired; Do runs at that
+// instant; every frame no step claims goes to Next.
+func TestFrameScript(t *testing.T) {
+	var fired []int
+	do := func(i int) func() { return func() { fired = append(fired, i) } }
+	s := &FrameScript{
+		Steps: []FrameStep{
+			{Len: 200, Do: do(0)},
+			{Len: 100, Nth: 1, Verdict: Verdict{Drop: true}, Do: do(1)},
+			{Verdict: Verdict{Delay: sim.Microsecond}},
+		},
+		Next: DropFrame(3),
+	}
+	var got []Verdict
+	for _, n := range []int{100, 200, 100, 100, 300, 300} {
+		got = append(got, s.Judge(0, n))
+	}
+	want := []Verdict{
+		{},                       // a 100 before the 200: Next's frame 0
+		{},                       // step 0
+		{},                       // the first 100 behind it: Next's frame 1
+		{Drop: true},             // step 1
+		{Delay: sim.Microsecond}, // step 2 takes whatever comes
+		{},                       // script spent: Next's frame 2
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("frame %d: verdict %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if len(fired) != 2 || fired[0] != 0 || fired[1] != 1 || !s.Done() {
+		t.Errorf("Do calls %v, done=%v", fired, s.Done())
+	}
+	if v := s.Judge(0, 64); !v.Drop {
+		t.Errorf("Next's frame 3 got %+v, want its drop", v)
 	}
 }

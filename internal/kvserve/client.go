@@ -86,16 +86,16 @@ type session struct {
 // sessionBytes is the client-buffer footprint of one session.
 const sessionBytes = SlotSize + ExtentSize + ExtentSize + 16
 
-// join collects the completions of the WRITEs one attempt stage posts
-// together. It lives in the session with its callbacks built once, so a
-// stage allocates nothing. That is sound because a posted verb completes
-// exactly once (the NIC's deadline guard swallows a late transport
-// completion) and a stage waits for all its posts before the next
-// begins.
+// join collects the completions of the WRITEs one attempt posts together:
+// per replica i the extent's in slot 2i and the slot's in 2i+1. It lives
+// in the session with its callbacks built once, so an attempt allocates
+// nothing. That is sound because a posted verb completes exactly once
+// (the NIC's deadline guard swallows a late transport completion) and an
+// attempt waits for all its posts before the next begins.
 type join struct {
 	pending int
-	errs    [2]error
-	cb      [2]func(error)
+	errs    [4]error
+	cb      [4]func(error)
 	done    sim.Completion[struct{}]
 }
 
@@ -177,11 +177,6 @@ type Client struct {
 	deadline    sim.Duration
 	maxAttempts int
 	tornBudget  int
-
-	// testAfterExtentWrite, when set, runs after a replica's extent write
-	// completes and before its slot publish — the window the failover
-	// edge-case tests crash servers in.
-	testAfterExtentWrite func(p *sim.Process, server int, key, ver uint64)
 
 	reg       *telemetry.Registry
 	histPut   *telemetry.Histogram
@@ -363,16 +358,25 @@ func (c *Client) stageVersion(sess *session, key, ver uint64) (stagedWrite, erro
 	return sw, mem.WriteVirt(sess.slot, img[len(payload):])
 }
 
-// writeStage posts one staged image of sw — the extent, or else the
-// slot — to every listed replica whose errs entry is still nil, all at
-// once, and parks until each of them completed or hit its deadline. A
-// failure lands in the replica's errs entry.
-func (c *Client) writeStage(p *sim.Process, sess *session, sw stagedWrite, extent bool, servers []int, errs []error) {
+// attempt makes one attempt at the staged write on every listed replica
+// (one or two) whose errs entry is nil, in one posting stage: all the
+// WRITEs go out together under one deadline and the client parks once,
+// so the write costs one round trip whatever the replica count. A spilled
+// write posts each replica's extent and then its slot back to back on
+// that replica's QP: PSN order applies them in that order at the
+// responder, so the slot is never published ahead of its extent's bytes
+// (DESIGN §17.2). A replica's failure is left in errs — the extent's if
+// it has one: a NAK there is the cause, the slot's error only the flush
+// of what was queued behind it.
+func (c *Client) attempt(p *sim.Process, sess *session, sw stagedWrite, servers []int, errs []error) {
 	j := &sess.join
 	j.pending = 0
 	for i := range servers {
 		if errs[i] == nil {
 			j.pending++
+			if sw.spilled {
+				j.pending++
+			}
 		}
 	}
 	if j.pending == 0 {
@@ -380,54 +384,37 @@ func (c *Client) writeStage(p *sim.Process, sess *session, sw stagedWrite, exten
 	}
 	j.done = sim.Completion[struct{}]{}
 	sh := c.lay.ShardOf(sw.key)
-	local, nbytes := sess.slot, SlotSize
-	if extent {
-		local, nbytes = sess.ext, ExtentSize
-	}
 	deadline := p.Now().Add(c.deadline)
 	for i, server := range servers {
 		if errs[i] != nil {
 			continue
 		}
 		srv, cn := c.servers[server], &c.conns[server]
-		va := c.lay.SlotAddr(srv.TableFor(c.lay, sh), sw.key)
-		if extent {
-			va = c.lay.ExtentAddr(srv.ArenaFor(c.lay, sh), sw.off)
+		if sw.spilled {
+			va := c.lay.ExtentAddr(srv.ArenaFor(c.lay, sh), sw.off)
+			c.m.NIC.PostWriteKeyDeadline(cn.qpc, uint64(sess.ext), uint64(va), cn.rkey, ExtentSize, deadline, j.cb[2*i])
 		}
-		c.m.NIC.PostWriteKeyDeadline(cn.qpc, uint64(local), uint64(va), cn.rkey, nbytes, deadline, j.cb[i])
+		va := c.lay.SlotAddr(srv.TableFor(c.lay, sh), sw.key)
+		c.m.NIC.PostWriteKeyDeadline(cn.qpc, uint64(sess.slot), uint64(va), cn.rkey, SlotSize, deadline, j.cb[2*i+1])
 	}
 	j.done.Wait(p) // resolves without a value: the errors are in j.errs
-	for i := range servers {
-		if errs[i] == nil {
-			errs[i] = j.errs[i]
-		}
-	}
-}
-
-// attempt makes one attempt at the staged write on every listed replica
-// (one or two) whose errs entry is nil, overlapped: the replicas' WRITEs
-// go out together and cost one round trip, not one each. A spilled write
-// runs its two stages in lock-step — extents everywhere, wait, slots
-// everywhere — so the publish ordering holds per replica: a slot is only
-// posted once that replica's own extent write completed, on the same QP.
-// A replica that fails a stage takes no further part; its error is left
-// in errs.
-func (c *Client) attempt(p *sim.Process, sess *session, sw stagedWrite, servers []int, errs []error) {
-	if sw.spilled {
-		c.writeStage(p, sess, sw, true, servers, errs)
-		for i, server := range servers {
-			if errs[i] != nil {
-				continue
-			}
-			c.noteExtentWritten(server, sw)
-			if h := c.testAfterExtentWrite; h != nil {
-				h(p, server, sw.key, sw.ver)
-			}
-		}
-	}
-	c.writeStage(p, sess, sw, false, servers, errs)
 	for i, server := range servers {
-		if errs[i] == nil {
+		if errs[i] != nil {
+			continue
+		}
+		err := j.errs[2*i+1]
+		if sw.spilled {
+			// Anything but a clean NAK may have applied the extent: the
+			// ledger then holds it as a possible orphan (DESIGN §17.3).
+			ext := j.errs[2*i]
+			if !errors.Is(ext, roce.ErrRemoteAccess) {
+				c.noteExtentWritten(server, sw)
+			}
+			if ext != nil {
+				err = ext
+			}
+		}
+		if errs[i] = err; err == nil {
 			c.notePublished(server, sw)
 		}
 	}
@@ -503,8 +490,9 @@ func (c *Client) retryReplica(p *sim.Process, sess *session, server int, sw stag
 }
 
 // noteExtentWritten records that replica server's extent for sw.key now
-// holds sw.ver. If the image it overwrote was never published there,
-// that orphan is now reaped — destroyed without ever being servable.
+// holds sw.ver, or may (the WRITE ended ambiguously). If the image it
+// overwrote was never published there, that orphan is now reaped —
+// destroyed without ever being servable.
 func (c *Client) noteExtentWritten(server int, sw stagedWrite) {
 	ref := c.ext[sw.key]
 	if ref == nil || ref.off != sw.off {
@@ -633,8 +621,8 @@ func (c *Client) put(p *sim.Process, key uint64, kind opKind) error {
 func (c *Client) Put(p *sim.Process, key uint64) error { return c.put(p, key, opInline) }
 
 // PutLarge writes the deterministic large value (25..96 B) for the
-// key's next version: extent first, version-stamped pointer slot
-// second, each stage to both replicas at once — two round trips.
+// key's next version: extent first, version-stamped pointer slot right
+// behind it on the same QP, to both replicas at once — one round trip.
 func (c *Client) PutLarge(p *sim.Process, key uint64) error { return c.put(p, key, opLarge) }
 
 // Delete writes a tombstone version — ordered, versioned and replicated

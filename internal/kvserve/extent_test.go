@@ -73,8 +73,8 @@ func TestLargeValueForDeterministic(t *testing.T) {
 	}
 }
 
-// newLargeTestCluster is newTestCluster with two sessions, so tests can
-// interleave a second client operation inside the test hook.
+// newLargeTestCluster is newTestCluster with two sessions, so a second
+// client process can have an operation in flight beside the first's.
 func newLargeTestCluster(t *testing.T, seed int64) (*testrig.Net, *Cluster) {
 	t.Helper()
 	net, cl := newTestClusterCfg(t, seed, func(cfg *Config) { cfg.Sessions = 2 })

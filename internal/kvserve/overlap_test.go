@@ -4,16 +4,18 @@ import (
 	"testing"
 
 	"strom/internal/chaos"
+	"strom/internal/mr"
 	"strom/internal/raceflag"
 	"strom/internal/sim"
 	"strom/internal/testrig"
 )
 
 // The overlapped-attempt battery (DESIGN.md §16.2, §17.2): a write's
-// first attempt goes to both replicas at once, so a Put costs one round
-// trip and a PutLarge two; a replica that fails it retries alone. Key 4
-// throughout unless stated: shard 1, primary server 1 (machine 2),
-// backup server 2 (machine 3).
+// first attempt is one posting stage — every replica's WRITEs, a spilled
+// value's extent and slot back to back, go out at once — so a Put and a
+// PutLarge each cost one round trip; a replica that fails it retries
+// alone. Key 4 throughout unless stated: shard 1, primary server 1
+// (machine 2), backup server 2 (machine 3).
 
 // replicaVer reads key's slot version straight out of a server's memory.
 func replicaVer(t *testing.T, cl *Cluster, server int, key uint64) uint64 {
@@ -28,50 +30,44 @@ func replicaVer(t *testing.T, cl *Cluster, server int, key uint64) uint64 {
 }
 
 // On a clean cluster a Put takes one slot WRITE's round trip and a
-// PutLarge an extent WRITE's plus a slot WRITE's, whichever replica
-// count — measured against the bare verbs on the same bed, after a
-// warm-up so both sides run on warm TLBs and resolved neighbours.
+// PutLarge one extent WRITE's — the slot rides right behind it —
+// whichever replica count: measured against the one bare verb on the
+// same bed, after a warm-up so both sides run on warm TLBs and resolved
+// neighbours. The verbs are all still there: 2 per Put, 4 per PutLarge.
 func TestOverlappedPutCostsOneRoundTrip(t *testing.T) {
 	net, cl := newTestClusterCfg(t, 1, func(cfg *Config) { cfg.BlastBytes = 4096 })
 	c := cl.Client
 	const key = 4
 	blastVA, _, _ := cl.BlastTarget(1)
-	verb := func(p *sim.Process, nbytes int) (sim.Duration, error) {
-		cn := &c.conns[1]
-		start := p.Now()
-		err := c.m.NIC.WriteKeySyncDeadline(p, cn.qpc, uint64(c.pool[0].ext), uint64(blastVA), cn.rkey, nbytes, start.Add(c.deadline))
-		return p.Now().Sub(start), err
-	}
 	var runErr error
 	net.Machines[0].Eng.Go("kv-client", func(p *sim.Process) {
-		for _, large := range []bool{false, true} {
-			put, budget := c.Put, []int{SlotSize}
-			if large {
-				put, budget = c.PutLarge, []int{ExtentSize, SlotSize}
-			}
-			if runErr = put(p, key); runErr != nil { // warm-up
+		for _, tc := range []struct {
+			put           func(*sim.Process, uint64) error
+			nbytes, verbs int
+		}{{c.Put, SlotSize, 2}, {c.PutLarge, ExtentSize, 4}} {
+			if runErr = tc.put(p, key); runErr != nil { // warm-up
 				return
 			}
-			var ref sim.Duration
-			for _, nbytes := range budget {
-				d, err := verb(p, nbytes)
-				if err != nil {
-					runErr = err
-					return
-				}
-				ref += d
-			}
+			cn := &c.conns[1]
 			start := p.Now()
-			if runErr = put(p, key); runErr != nil {
+			if runErr = c.m.NIC.WriteKeySyncDeadline(p, cn.qpc, uint64(c.pool[0].ext), uint64(blastVA), cn.rkey, tc.nbytes, start.Add(c.deadline)); runErr != nil {
+				return
+			}
+			ref := p.Now().Sub(start)
+			start, posted := p.Now(), c.m.NIC.Stack().Stats().OpsPosted
+			if runErr = tc.put(p, key); runErr != nil {
 				return
 			}
 			got := p.Now().Sub(start)
 			if limit := ref + ref/5; got >= limit {
-				t.Errorf("large=%v: put took %v, want < 1.2 x %v of bare verbs", large, got, ref)
+				t.Errorf("%d B: put took %v, want < 1.2 x %v of one bare WRITE", tc.nbytes, got, ref)
+			}
+			if n := c.m.NIC.Stack().Stats().OpsPosted - posted; n != uint64(tc.verbs) {
+				t.Errorf("%d B: put posted %d verbs, want %d", tc.nbytes, n, tc.verbs)
 			}
 			for _, server := range []int{1, 2} {
 				if v := replicaVer(t, cl, server, key); v != c.Issued(key) {
-					t.Errorf("large=%v: server %d at ver %d on return, want %d", large, server, v, c.Issued(key))
+					t.Errorf("%d B: server %d at ver %d on return, want %d", tc.nbytes, server, v, c.Issued(key))
 				}
 			}
 		}
@@ -205,12 +201,12 @@ func TestOverlappedPutAmbiguousFirstAttempt(t *testing.T) {
 func TestOverlappedPutsKeepSessionsApart(t *testing.T) {
 	net, cl := newLargeTestCluster(t, 1)
 	c := cl.Client
-	bothOut := 0 // publish windows entered while both sessions were held
-	c.testAfterExtentWrite = func(*sim.Process, int, uint64, uint64) {
+	bothOut := 0 // staged images fetched while both sessions were held
+	c.m.NIC.SetDMAObserver(func(mr.Access, uint64, int) {
 		if len(c.pool) == 0 {
 			bothOut++
 		}
-	}
+	})
 	errs := make([]error, 2)
 	for cli := range errs {
 		net.Machines[0].Eng.Go("kv-client", func(p *sim.Process) {
@@ -412,7 +408,8 @@ func getOp(c *Client, p *sim.Process, key uint64) error {
 // and allocs/op next to the simulated latency.
 func BenchmarkPut(b *testing.B) { benchOp(b, (*Client).Put, (*Client).Put) }
 
-// BenchmarkPutLarge is one spilled Put: extent stage, then slot stage.
+// BenchmarkPutLarge is one spilled Put: extent and slot to both replicas
+// in one posting stage.
 func BenchmarkPutLarge(b *testing.B) { benchOp(b, (*Client).PutLarge, (*Client).PutLarge) }
 
 // BenchmarkGet is one inline Get served by the primary.

@@ -171,6 +171,12 @@ func (p *Packet) BufferLen() int {
 	return n
 }
 
+// WriteFrameLen returns the BufferLen of a single-packet RDMA WRITE of n
+// payload bytes — the length a fabric.FaultInjector sees it by.
+func WriteFrameLen(n int) int {
+	return (&Packet{RETH: &RETH{}}).BufferLen() + n // the headers alone exceed MinFrameLen
+}
+
 // WireBytes returns the number of byte times the frame occupies on the
 // wire, including preamble, FCS and inter-frame gap. This is what
 // determines serialization delay and hence line-rate goodput.

@@ -218,30 +218,11 @@ func TestOutstandingReadsReported(t *testing.T) {
 	}
 }
 
-// frameSchedule is a deterministic fabric.FaultInjector: it drops or
-// corrupts exactly the scheduled frame indices (0-based, counting every
-// frame entering the direction, retransmissions included). Tests use it
-// to kill precisely packet k of n and assert exact recovery counts.
-type frameSchedule struct {
-	seen    int
-	drop    map[int]bool
-	corrupt map[int]bool
-}
-
-func (f *frameSchedule) Judge(now sim.Time, frameLen int) fabric.Verdict {
-	i := f.seen
-	f.seen++
-	return fabric.Verdict{Drop: f.drop[i], Corrupt: f.corrupt[i]}
-}
-
-func killNth(idx int, corrupt bool) *frameSchedule {
-	f := &frameSchedule{drop: map[int]bool{}, corrupt: map[int]bool{}}
-	if corrupt {
-		f.corrupt[idx] = true
-	} else {
-		f.drop[idx] = true
-	}
-	return f
+// killNth drops or corrupts exactly frame idx (0-based, counting every
+// frame entering the direction, retransmissions included), so a test can
+// kill precisely packet k of n and assert exact recovery counts.
+func killNth(idx int, corrupt bool) *fabric.FrameScript {
+	return &fabric.FrameScript{Steps: []fabric.FrameStep{{Nth: idx, Verdict: fabric.Verdict{Drop: !corrupt, Corrupt: corrupt}}}}
 }
 
 // TestGoBackNDropSchedule kills exactly segment k of an n-segment WRITE
