@@ -46,8 +46,10 @@ protect:
 # the race detector: worker-count invariance of every figure generator,
 # every scenario's exports (TestScenarios), the chaos schedule digest,
 # the sharded KV stream, and the ShardGroup window/barrier machinery.
+# internal/experiments takes 580-600 s of it on a two-core host, hence
+# the explicit -timeout (go test's default is 600 s per package).
 determinism:
-	$(GO) test -race -count=1 -run 'Shard|Deterministic|ByteIdentical|Scenarios' ./internal/sim ./internal/testrig ./internal/experiments ./internal/kvserve
+	$(GO) test -race -count=1 -timeout 1800s -run 'Shard|Deterministic|ByteIdentical|Scenarios' ./internal/sim ./internal/testrig ./internal/experiments ./internal/kvserve
 
 # kv runs the replicated-KV suite on its own under the race detector:
 # slot codec and layout, clean protocol semantics, failover edge cases,
@@ -123,15 +125,17 @@ bench-diff:
 	$(GO) run ./cmd/strombench -quick -shards 4 -bench BENCH_head.json > /dev/null
 	$(GO) run ./cmd/stromres diff BENCH_quick.json BENCH_head.json
 
-# ab measures a claimed gain the way choosing-metrics §8 asks: PAIRS
-# alternating runs of the two-clock benchmark on BASE (built in a
-# throwaway shared clone: the sandbox forbids git worktree) and on this
-# tree, pair i on seed i, the order flipped every pair so slow periods of
-# the host fall on both sides, then `benchmark -compare` over the two
-# result sets. Each run takes the benchmark's own ~20 s.
-#   make ab BASE=HEAD~1 WORKLOAD=verbs-bulk PAIRS=10
+# ab measures a claimed gain — or shows that nothing moved — the way
+# choosing-metrics §8 asks: for every workload in WORKLOAD (default: the
+# five BENCHMARK.json names), PAIRS alternating runs of the two-clock
+# benchmark on BASE (built in a throwaway shared clone: the sandbox
+# forbids git worktree) and on this tree, pair i on seed i, the order
+# flipped every pair so slow periods of the host fall on both sides, then
+# one `benchmark -compare` per workload over its two result sets. Each run
+# takes the benchmark's own ~20 s; the target fails if any compare does.
+#   make ab BASE=HEAD~1 WORKLOAD="verbs-small kernel-rpc" PAIRS=10
 BASE ?= HEAD
-WORKLOAD ?= verbs-bulk
+WORKLOAD ?= $(shell sed -n 's/^ *"name": "\([a-z]*-[a-z]*\)",$$/\1/p' BENCHMARK.json)
 PAIRS ?= 10
 AB_DIR ?= $(CURDIR)/ab.out
 ab:
@@ -140,9 +144,13 @@ ab:
 	set -e; \
 	(cd $(AB_DIR)/base && $(GO) build -o $(AB_DIR)/bench.base ./benchmark); \
 	$(GO) build -o $(AB_DIR)/bench.head ./benchmark; \
-	run_base() { (cd $(AB_DIR)/base && $(AB_DIR)/bench.base -workload $(WORKLOAD) -seed $$1 -out $(AB_DIR)/base.json); }; \
-	run_head() { $(AB_DIR)/bench.head -workload $(WORKLOAD) -seed $$1 -out $(AB_DIR)/head.json; }; \
-	for i in $$(seq 1 $(PAIRS)); do \
-		if [ $$((i % 2)) -eq 1 ]; then run_base $$i; run_head $$i; else run_head $$i; run_base $$i; fi; \
-	done
-	$(GO) run ./benchmark -compare $(AB_DIR)/base.json $(AB_DIR)/head.json
+	status=0; \
+	for w in $(WORKLOAD); do \
+		run_base() { (cd $(AB_DIR)/base && $(AB_DIR)/bench.base -workload $$w -seed $$1 -out $(AB_DIR)/base.$$w.json); }; \
+		run_head() { $(AB_DIR)/bench.head -workload $$w -seed $$1 -out $(AB_DIR)/head.$$w.json; }; \
+		for i in $$(seq 1 $(PAIRS)); do \
+			if [ $$((i % 2)) -eq 1 ]; then run_base $$i; run_head $$i; else run_head $$i; run_base $$i; fi; \
+		done; \
+		$(AB_DIR)/bench.head -compare $(AB_DIR)/base.$$w.json $(AB_DIR)/head.$$w.json || status=1; \
+	done; \
+	exit $$status

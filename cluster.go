@@ -7,7 +7,6 @@ import (
 
 	"strom/internal/core"
 	"strom/internal/fabric"
-	"strom/internal/packet"
 	"strom/internal/roce"
 	"strom/internal/sim"
 )
@@ -16,6 +15,8 @@ import (
 var (
 	ErrDuplicateMachine = errors.New("strom: machine name already used")
 	ErrNotConnected     = errors.New("strom: machines not connected")
+	// ErrTooManyMachines: a cluster numbers at most 254 machines.
+	ErrTooManyMachines = core.ErrTooManyMachines
 )
 
 // Cluster is a set of simulated StRoM machines sharing one deterministic
@@ -23,7 +24,6 @@ var (
 type Cluster struct {
 	eng      *sim.Engine
 	machines map[string]*Machine
-	nextIP   byte
 	nextQPN  uint32
 }
 
@@ -32,7 +32,6 @@ func NewCluster(seed int64) *Cluster {
 	return &Cluster{
 		eng:      sim.NewEngine(seed),
 		machines: make(map[string]*Machine),
-		nextIP:   1,
 		nextQPN:  1,
 	}
 }
@@ -50,11 +49,9 @@ func (c *Cluster) AddMachine(name string, profile Profile) (*Machine, error) {
 	if _, ok := c.machines[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateMachine, name)
 	}
-	n := c.nextIP
-	c.nextIP++
-	id := roce.Identity{
-		MAC: packet.MAC{0x02, 0, 0, 0, 0, n},
-		IP:  packet.AddrOf(10, 0, 0, n),
+	id, err := core.MachineIdentity(len(c.machines) + 1)
+	if err != nil {
+		return nil, err
 	}
 	m := &Machine{
 		name:    name,
@@ -97,9 +94,9 @@ type SwitchConfig = fabric.SwitchConfig
 
 // AddSwitch creates a switch whose ports run at the cable's bandwidth
 // and add the given forwarding delay per frame: unbounded buffering, no
-// PFC, no ECN — the historical lossless configuration.
+// PFC, no ECN — lossless.
 func (c *Cluster) AddSwitch(cable Cable, forwarding Duration) *Switch {
-	return &Switch{sw: fabric.NewSwitch(c.eng, cable, forwarding)}
+	return c.AddSwitchCfg(SwitchConfig{Link: cable, Forwarding: forwarding})
 }
 
 // AddSwitchCfg creates a switch from a full SwitchConfig, enabling the
@@ -114,12 +111,8 @@ func (s *Switch) Attach(m *Machine) {
 	m.nic.SetTransmit(port.Send)
 }
 
-// SetEgressQueue bounds every egress queue to capFrames; zero restores
-// unbounded queues, the default. Incast beyond the queue bound
-// tail-drops and relies on RoCE retransmission.
-func (s *Switch) SetEgressQueue(capFrames int) { s.sw.SetEgressQueue(capFrames) }
-
-// Dropped reports frames discarded at the port attached to a machine.
+// Dropped reports frames the switch discarded at the port attached to a
+// machine; a discard is counted where the frame came in.
 func (s *Switch) Dropped(m *Machine) uint64 { return s.sw.Dropped(m.id.MAC) }
 
 // Fabric exposes the underlying fabric switch (port counters, health
@@ -198,15 +191,9 @@ func (m *Machine) InvokeLocal(rpcOp uint64, qpn uint32, params []byte, done func
 
 // InvokeLocalSync is InvokeLocal blocking the calling process.
 func (m *Machine) InvokeLocalSync(p *Process, rpcOp uint64, qpn uint32, params []byte) error {
-	c := &sim.Completion[struct{}]{}
-	m.nic.InvokeLocal(rpcOp, qpn, params, func(err error) {
-		if err != nil {
-			c.Fail(err)
-		} else {
-			c.Complete(struct{}{})
-		}
-	})
-	_, err := c.Wait(p)
+	var done sim.Completion[error] // resolves with the kernel's error as its value
+	m.nic.InvokeLocal(rpcOp, qpn, params, done.Complete)
+	err, _ := done.Wait(p)
 	return err
 }
 
@@ -214,15 +201,9 @@ func (m *Machine) InvokeLocalSync(p *Process, rpcOp uint64, qpn uint32, params [
 // kernel as a send-side bump-in-the-wire (§3.5's send kernels), blocking
 // until the data has been handed to the kernel.
 func (m *Machine) StreamLocalSync(p *Process, rpcOp uint64, qpn uint32, localVA uint64, n int) error {
-	c := &sim.Completion[struct{}]{}
-	m.nic.StreamLocal(rpcOp, qpn, localVA, n, func(err error) {
-		if err != nil {
-			c.Fail(err)
-		} else {
-			c.Complete(struct{}{})
-		}
-	})
-	_, err := c.Wait(p)
+	var done sim.Completion[error]
+	m.nic.StreamLocal(rpcOp, qpn, localVA, n, done.Complete)
+	err, _ := done.Wait(p)
 	return err
 }
 
@@ -259,6 +240,32 @@ func (mem *Memory) PollNonZeroWord(p *Process, va Addr) (uint64, error) {
 }
 
 // --- QueuePair verbs ---------------------------------------------------------
+
+// Verb is one work request: the verb (Op), its addresses and length or
+// RPC op-code and parameters, and the two optional fields RKey (zero:
+// the key installed with SetRemoteKey) and Deadline (absolute simulated
+// time; zero: none). A verb not acknowledged by its deadline completes
+// with an error wrapping ErrDeadlineExceeded.
+type Verb = core.Verb
+
+// The four verbs of the host interface (§5.1, Listing 5).
+const (
+	OpWrite    = core.OpWrite
+	OpRead     = core.OpRead
+	OpRPC      = core.OpRPC
+	OpRPCWrite = core.OpRPCWrite
+)
+
+// ErrUnknownOp completes a Verb whose Op is none of the four.
+var ErrUnknownOp = core.ErrUnknownOp
+
+// Post issues v from A toward B; done fires once, on acknowledgement
+// or failure.
+func (qp *QueuePair) Post(v Verb, done func(error)) { qp.A.nic.Post(qp.QPNA, v, done) }
+
+// Do is Post blocking the calling process. The eight methods below are
+// Do and Post with the QP's key and no deadline.
+func (qp *QueuePair) Do(p *Process, v Verb) error { return qp.A.nic.Do(p, qp.QPNA, v) }
 
 // WriteSync issues an RDMA WRITE from A's local memory to B's remote
 // memory and blocks the process until the remote NIC acknowledges.

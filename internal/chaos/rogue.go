@@ -159,8 +159,8 @@ func (r *Rogue) attack(left int) {
 	class := mr.Class(r.eng.Rand().Intn(int(mr.NumClasses)))
 	va, rkey, n := r.forge(class)
 	r.stats.Issued[class]++
-	deadline := r.eng.Now().Add(r.cfg.OpDeadline)
-	r.nic.PostWriteKeyDeadline(r.cfg.QPN, r.cfg.LocalVA, va, rkey, n, deadline, func(err error) {
+	forged := core.Verb{Op: core.OpWrite, LocalVA: r.cfg.LocalVA, RemoteVA: va, Len: n, RKey: rkey, Deadline: r.eng.Now().Add(r.cfg.OpDeadline)}
+	r.nic.Post(r.cfg.QPN, forged, func(err error) {
 		switch {
 		case err == nil:
 			// The victim ACKed a forged request: its NIC issued the DMA.

@@ -4,15 +4,14 @@ import (
 	"fmt"
 
 	"strom/internal/roce"
-	"strom/internal/sim"
 )
 
 // This file models machine failure and the verb-level deadlines that let
 // surviving peers detect it quickly: Crash freezes every component of the
 // NIC (RoCE stack, DMA engine, kernels) and drops all traffic; Restart
 // re-initialises NIC state, leaving queue pairs in RESET for the
-// application to reconnect; the *Deadline verb variants bound how long a
-// caller waits on a possibly-dead peer.
+// application to reconnect (Reconnect). Verb.Deadline (verb.go) bounds
+// how long a caller waits on a possibly-dead peer.
 
 // ErrMachineDown reports an operation rejected because the local machine
 // is crashed. It wraps roce.ErrQPError so one errors.Is check covers
@@ -70,118 +69,27 @@ func (n *NIC) Restart() {
 // Crashed reports whether the machine is currently down.
 func (n *NIC) Crashed() bool { return n.crashed }
 
-// withDeadline bounds a completion callback with an absolute sim-time
-// deadline (zero disables): if done has not fired by then, it fires with
-// an error wrapping sim.ErrDeadlineExceeded, and the late transport
-// completion is swallowed. This NIC-level guard covers the doorbell and
-// DMA stages that run before the stack's own deadline event exists, so a
-// verb posted against a stalled interconnect still times out.
-func (n *NIC) withDeadline(deadline sim.Time, done func(error)) func(error) {
-	if deadline == 0 {
-		return done
-	}
-	fired := false
-	deliver := func(err error) {
-		if fired {
-			return
-		}
-		fired = true
-		if done != nil {
-			done(err)
+// Reconnect re-establishes the connection between qpa on a and qpb on b
+// after a failure on either end: both queue pairs are reset — flushing
+// anything still outstanding with roce.ErrQPError — and reconnected with
+// fresh PSNs, b's side first. While either machine is down it fails with
+// an error wrapping roce.ErrPeerCrashed that names the machine by its IP;
+// callers retry under backoff until it restarts. Rkeys rotate on restart:
+// re-exchange them after a successful reconnect.
+func Reconnect(a *NIC, qpa uint32, b *NIC, qpb uint32) error {
+	for _, n := range [...]*NIC{a, b} {
+		if n.crashed {
+			return fmt.Errorf("%w: %v is down", roce.ErrPeerCrashed, n.Identity().IP)
 		}
 	}
-	ev := n.eng.ScheduleAt(deadline, func() {
-		deliver(fmt.Errorf("strom: verb canceled: %w", sim.ErrDeadlineExceeded))
-	})
-	return func(err error) {
-		ev.Cancel()
-		deliver(err)
+	if err := b.stack.ResetQP(qpb); err != nil {
+		return err
 	}
-}
-
-// PostWriteDeadline is PostWrite with an absolute sim-time deadline (zero
-// means none): if the write has not been acknowledged by then, done fires
-// with an error wrapping sim.ErrDeadlineExceeded. The frames already on
-// the wire keep draining through go-back-N — cancellation decouples the
-// application from the transport without disturbing the PSN space.
-func (n *NIC) PostWriteDeadline(qpn uint32, localVA, remoteVA uint64, nbytes int, deadline sim.Time, done func(error)) {
-	n.PostWriteKeyDeadline(qpn, localVA, remoteVA, 0, nbytes, deadline, done)
-}
-
-// PostReadDeadline is PostRead with an absolute sim-time deadline (zero
-// means none; see PostWriteDeadline).
-func (n *NIC) PostReadDeadline(qpn uint32, remoteVA, localVA uint64, nbytes int, deadline sim.Time, done func(error)) {
-	n.PostReadKeyDeadline(qpn, remoteVA, localVA, 0, nbytes, deadline, done)
-}
-
-// PostRPCDeadline is PostRPC with an absolute sim-time deadline (zero
-// means none; see PostWriteDeadline).
-func (n *NIC) PostRPCDeadline(qpn uint32, rpcOp uint64, params []byte, deadline sim.Time, done func(error)) {
-	done = n.withDeadline(deadline, n.instrumentOp("RPC", qpn, done))
-	if n.crashed {
-		n.completeErr(done, ErrMachineDown)
-		return
+	if err := a.stack.ResetQP(qpa); err != nil {
+		return err
 	}
-	p := append([]byte(nil), params...)
-	n.ringDoorbell(func() {
-		if err := n.stack.PostRPCDeadline(qpn, rpcOp, p, deadline, done); err != nil {
-			n.completeErr(done, err)
-		}
-	})
-}
-
-// PostRPCWriteDeadline is PostRPCWrite with an absolute sim-time deadline
-// (zero means none; see PostWriteDeadline).
-func (n *NIC) PostRPCWriteDeadline(qpn uint32, rpcOp uint64, localVA uint64, nbytes int, deadline sim.Time, done func(error)) {
-	done = n.withDeadline(deadline, n.instrumentOp("RPC_WRITE", qpn, done))
-	if n.crashed {
-		n.completeErr(done, ErrMachineDown)
-		return
+	if err := b.stack.ReconnectQP(qpb); err != nil {
+		return err
 	}
-	n.ringDoorbell(func() {
-		n.fetchPayload(true, qpn, localVA, rpcOp, 0, nbytes, deadline, done)
-	})
-}
-
-// await blocks the process on a posted verb's completion.
-func await(p *sim.Process, post func(done func(error))) error {
-	c := &sim.Completion[struct{}]{}
-	post(func(err error) {
-		if err != nil {
-			c.Fail(err)
-		} else {
-			c.Complete(struct{}{})
-		}
-	})
-	_, err := c.Wait(p)
-	return err
-}
-
-// WriteSyncDeadline performs PostWriteDeadline and blocks the process.
-func (n *NIC) WriteSyncDeadline(p *sim.Process, qpn uint32, localVA, remoteVA uint64, nbytes int, deadline sim.Time) error {
-	return await(p, func(done func(error)) {
-		n.PostWriteDeadline(qpn, localVA, remoteVA, nbytes, deadline, done)
-	})
-}
-
-// ReadSyncDeadline performs PostReadDeadline and blocks the process.
-func (n *NIC) ReadSyncDeadline(p *sim.Process, qpn uint32, remoteVA, localVA uint64, nbytes int, deadline sim.Time) error {
-	return await(p, func(done func(error)) {
-		n.PostReadDeadline(qpn, remoteVA, localVA, nbytes, deadline, done)
-	})
-}
-
-// RPCSyncDeadline performs PostRPCDeadline and blocks the process.
-func (n *NIC) RPCSyncDeadline(p *sim.Process, qpn uint32, rpcOp uint64, params []byte, deadline sim.Time) error {
-	return await(p, func(done func(error)) {
-		n.PostRPCDeadline(qpn, rpcOp, params, deadline, done)
-	})
-}
-
-// RPCWriteSyncDeadline performs PostRPCWriteDeadline and blocks the
-// process.
-func (n *NIC) RPCWriteSyncDeadline(p *sim.Process, qpn uint32, rpcOp uint64, localVA uint64, nbytes int, deadline sim.Time) error {
-	return await(p, func(done func(error)) {
-		n.PostRPCWriteDeadline(qpn, rpcOp, localVA, nbytes, deadline, done)
-	})
+	return a.stack.ReconnectQP(qpa)
 }

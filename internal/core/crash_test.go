@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"strom/internal/fabric"
@@ -91,12 +92,12 @@ func TestPeerCrashDetectedByDeadline(t *testing.T) {
 	var at sim.Time
 	count := 0
 	r.eng.Schedule(0, func() {
-		r.a.PostWriteDeadline(1, uint64(r.bufA.Base()), uint64(r.bufB.Base()), 512,
-			sim.Time(deadline), func(err error) {
-				got = err
-				at = r.eng.Now()
-				count++
-			})
+		r.a.Post(1, Verb{Op: OpWrite, LocalVA: uint64(r.bufA.Base()), RemoteVA: uint64(r.bufB.Base()), Len: 512,
+			Deadline: sim.Time(deadline)}, func(err error) {
+			got = err
+			at = r.eng.Now()
+			count++
+		})
 	})
 	r.eng.Run()
 	if count != 1 {
@@ -133,22 +134,7 @@ func crashCycle(t *testing.T, seed int64, crashAt sim.Duration) (NICStats, NICSt
 	r.eng.ScheduleAt(sim.Time(crashAt), r.b.Crash)
 	r.eng.ScheduleAt(sim.Time(crashAt+300*sim.Microsecond), r.b.Restart)
 
-	reconnect := func() error {
-		if r.a.Crashed() || r.b.Crashed() {
-			return roce.ErrPeerCrashed
-		}
-		for _, step := range []func() error{
-			func() error { return r.b.Stack().ResetQP(2) },
-			func() error { return r.a.Stack().ResetQP(1) },
-			func() error { return r.b.Stack().ReconnectQP(2) },
-			func() error { return r.a.Stack().ReconnectQP(1) },
-		} {
-			if err := step(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	reconnect := func() error { return Reconnect(r.a, 1, r.b, 2) }
 
 	var failures, successes int
 	r.eng.Go("client", func(p *sim.Process) {
@@ -156,8 +142,8 @@ func crashCycle(t *testing.T, seed int64, crashAt sim.Duration) (NICStats, NICSt
 		// table lands mid-workload (and at least a dozen ops regardless).
 		horizon := sim.Time(crashAt + 600*sim.Microsecond)
 		for i := 0; p.Now() < horizon || i < 12; i++ {
-			err := r.a.WriteSyncDeadline(p, 1, uint64(r.bufA.Base()), uint64(r.bufB.Base()), len(payload),
-				p.Now().Add(100*sim.Microsecond))
+			err := r.a.Do(p, 1, Verb{Op: OpWrite, LocalVA: uint64(r.bufA.Base()), RemoteVA: uint64(r.bufB.Base()),
+				Len: len(payload), Deadline: p.Now().Add(100 * sim.Microsecond)})
 			if err == nil {
 				successes++
 				continue
@@ -226,5 +212,20 @@ func TestCrashRestartRecovery(t *testing.T) {
 				t.Errorf("stack stats diverged across identical runs:\nA: %+v\nvs %+v\nB: %+v\nvs %+v", sa1, sa2, sb1, sb2)
 			}
 		})
+	}
+}
+
+// Reconnect refuses while either end is down, with an error that wraps
+// roce.ErrPeerCrashed and says which machine it is waiting for.
+func TestReconnectNamesTheCrashedMachine(t *testing.T) {
+	r := newRig(t, 1, Profile10G(), fabric.DirectCable10G())
+	r.b.Crash()
+	err := Reconnect(r.a, 1, r.b, 2)
+	if !errors.Is(err, roce.ErrPeerCrashed) || !strings.Contains(err.Error(), r.b.Identity().IP.String()) {
+		t.Errorf("Reconnect with B down = %v, want ErrPeerCrashed naming %v", err, r.b.Identity().IP)
+	}
+	r.b.Restart()
+	if err := Reconnect(r.a, 1, r.b, 2); err != nil {
+		t.Errorf("Reconnect with both up: %v", err)
 	}
 }

@@ -21,7 +21,25 @@ var (
 	ErrNoKernel       = errors.New("strom: no kernel matches RPC op-code")
 	ErrKernelDeployed = errors.New("strom: RPC op-code already bound")
 	ErrNotRegistered  = errors.New("strom: address range not registered with the NIC")
+	// ErrTooManyMachines reports a testbed asking for more machines than
+	// its 10.0.0.0/24 can number.
+	ErrTooManyMachines = errors.New("strom: more than 254 machines")
 )
+
+// MaxMachines is the most machines one testbed can number.
+const MaxMachines = 254
+
+// MachineIdentity returns the identity of a testbed's i-th machine,
+// counting from 1: MAC 02:00:00:00:00:i, IP 10.0.0.i.
+func MachineIdentity(i int) (roce.Identity, error) {
+	if i < 1 || i > MaxMachines {
+		return roce.Identity{}, fmt.Errorf("%w: no identity for machine %d", ErrTooManyMachines, i)
+	}
+	return roce.Identity{
+		MAC: packet.MAC{2, 0, 0, 0, 0, byte(i)},
+		IP:  packet.AddrOf(10, 0, 0, byte(i)),
+	}, nil
+}
 
 // kernelPipelineCycles is the latency a kernel adds on the data path —
 // "negligible latency while not impacting throughput" (§3.2).
@@ -204,14 +222,7 @@ func (n *NIC) CreateQP(qpn uint32, remote roce.Identity, remoteQPN uint32) error
 // NIC's TLB (the driver path of §4.3: pin every page, return physical
 // addresses, populate the TLB once).
 func (n *NIC) AllocBuffer(size int) (*hostmem.Buffer, error) {
-	buf, err := n.mem.Allocate(size)
-	if err != nil {
-		return nil, err
-	}
-	if err := n.RegisterMemory(buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return n.AllocBufferFlags(size, mr.AccessFull)
 }
 
 // RegisterMemory populates the TLB for an already-allocated buffer and
@@ -411,32 +422,6 @@ func (f *fetch) chunk(data []byte, err error) {
 	}
 }
 
-// PostWrite issues an RDMA WRITE of n bytes from local memory at localVA
-// to the remote address remoteVA. The request handler fetches the payload
-// over DMA and transmits each segment as it arrives (§4.1).
-func (n *NIC) PostWrite(qpn uint32, localVA, remoteVA uint64, nbytes int, done func(error)) {
-	n.PostWriteDeadline(qpn, localVA, remoteVA, nbytes, 0, done)
-}
-
-// PostRead issues an RDMA READ of n bytes from remoteVA into local memory
-// at localVA. Response chunks are DMA-written as they arrive; done fires
-// when the final chunk is visible to a polling CPU.
-func (n *NIC) PostRead(qpn uint32, remoteVA, localVA uint64, nbytes int, done func(error)) {
-	n.PostReadDeadline(qpn, remoteVA, localVA, nbytes, 0, done)
-}
-
-// PostRPC issues an RDMA RPC: op-code plus parameters, all carried in the
-// doorbell write (Listing 5's postRpc).
-func (n *NIC) PostRPC(qpn uint32, rpcOp uint64, params []byte, done func(error)) {
-	n.PostRPCDeadline(qpn, rpcOp, params, 0, done)
-}
-
-// PostRPCWrite issues an RDMA RPC WRITE: n bytes at localVA are fetched
-// over DMA and streamed to the remote kernel (Listing 5's postRpcWrite).
-func (n *NIC) PostRPCWrite(qpn uint32, rpcOp uint64, localVA uint64, nbytes int, done func(error)) {
-	n.PostRPCWriteDeadline(qpn, rpcOp, localVA, nbytes, 0, done)
-}
-
 // InvokeLocal posts an RPC to the local NIC ("StRoM kernels can also be
 // invoked by the local host by posting an RPC to the local network card",
 // §5.2). The kernel runs on this NIC with qpn naming the QP it may
@@ -508,62 +493,4 @@ func (n *NIC) completeErr(done func(error), err error) {
 	} else {
 		n.logf("dropped-error", "nic: dropped error (no completion): %v", err)
 	}
-}
-
-// --- process-context helpers -----------------------------------------------
-
-// WriteSync performs PostWrite and blocks the calling process.
-func (n *NIC) WriteSync(p *sim.Process, qpn uint32, localVA, remoteVA uint64, nbytes int) error {
-	c := &sim.Completion[struct{}]{}
-	n.PostWrite(qpn, localVA, remoteVA, nbytes, func(err error) {
-		if err != nil {
-			c.Fail(err)
-		} else {
-			c.Complete(struct{}{})
-		}
-	})
-	_, err := c.Wait(p)
-	return err
-}
-
-// ReadSync performs PostRead and blocks the calling process.
-func (n *NIC) ReadSync(p *sim.Process, qpn uint32, remoteVA, localVA uint64, nbytes int) error {
-	c := &sim.Completion[struct{}]{}
-	n.PostRead(qpn, remoteVA, localVA, nbytes, func(err error) {
-		if err != nil {
-			c.Fail(err)
-		} else {
-			c.Complete(struct{}{})
-		}
-	})
-	_, err := c.Wait(p)
-	return err
-}
-
-// RPCSync performs PostRPC and blocks until the remote NIC acknowledges.
-func (n *NIC) RPCSync(p *sim.Process, qpn uint32, rpcOp uint64, params []byte) error {
-	c := &sim.Completion[struct{}]{}
-	n.PostRPC(qpn, rpcOp, params, func(err error) {
-		if err != nil {
-			c.Fail(err)
-		} else {
-			c.Complete(struct{}{})
-		}
-	})
-	_, err := c.Wait(p)
-	return err
-}
-
-// RPCWriteSync performs PostRPCWrite and blocks until acknowledged.
-func (n *NIC) RPCWriteSync(p *sim.Process, qpn uint32, rpcOp uint64, localVA uint64, nbytes int) error {
-	c := &sim.Completion[struct{}]{}
-	n.PostRPCWrite(qpn, rpcOp, localVA, nbytes, func(err error) {
-		if err != nil {
-			c.Fail(err)
-		} else {
-			c.Complete(struct{}{})
-		}
-	})
-	_, err := c.Wait(p)
-	return err
 }

@@ -6,15 +6,14 @@ import (
 	"strom/internal/hostmem"
 	"strom/internal/mr"
 	"strom/internal/packet"
-	"strom/internal/sim"
 )
 
 // This file implements the NIC's memory protection domain: the region
 // table validated on the responder path (roce.AccessValidator), the
-// kernel-side DMA sandbox, the explicit-rkey verb variants, and the
-// DMA-issue observer hook that lets the chaos checker assert invariant 9
-// (no DMA ever touches bytes outside a registered region with the right
-// permission) independently of the validation logic itself.
+// kernel-side DMA sandbox, and the DMA-issue observer hook that lets the
+// chaos checker assert invariant 9 (no DMA ever touches bytes outside a
+// registered region with the right permission) independently of the
+// validation logic itself.
 
 // DebugFaults are deliberate protection bugs for checker validation: the
 // chaos layer arms one and asserts the corresponding invariant trips.
@@ -144,57 +143,4 @@ func (n *NIC) checkKernelDMA(va uint64, nbytes int) error {
 		return f
 	}
 	return nil
-}
-
-// PostWriteKeyDeadline is PostWriteDeadline with an explicit rkey for the
-// remote region. RKey 0 falls back to the QP's SetRemoteRKey default (the
-// wildcard key when none was exchanged).
-func (n *NIC) PostWriteKeyDeadline(qpn uint32, localVA, remoteVA uint64, rkey uint32, nbytes int, deadline sim.Time, done func(error)) {
-	done = n.withDeadline(deadline, n.instrumentOp("WRITE", qpn, done))
-	if n.crashed {
-		n.completeErr(done, ErrMachineDown)
-		return
-	}
-	n.ringDoorbell(func() {
-		n.fetchPayload(false, qpn, localVA, remoteVA, rkey, nbytes, deadline, done)
-	})
-}
-
-// PostReadKeyDeadline is PostReadDeadline with an explicit rkey (see
-// PostWriteKeyDeadline).
-func (n *NIC) PostReadKeyDeadline(qpn uint32, remoteVA, localVA uint64, rkey uint32, nbytes int, deadline sim.Time, done func(error)) {
-	done = n.withDeadline(deadline, n.instrumentOp("READ", qpn, done))
-	if n.crashed {
-		n.completeErr(done, ErrMachineDown)
-		return
-	}
-	n.ringDoorbell(func() {
-		sink := func(off int, chunk []byte, ack func()) {
-			n.observeDMA(mr.AccessLocal, localVA+uint64(off), len(chunk))
-			n.dma.WriteHost(hostmem.Addr(localVA)+hostmem.Addr(off), chunk, func(err error) {
-				if err != nil {
-					n.logf("dma-fail", "nic: read sink DMA failed: %v", err)
-				}
-				ack()
-			})
-		}
-		if err := n.stack.PostReadKeyDeadline(qpn, remoteVA, rkey, nbytes, deadline, sink, done); err != nil {
-			n.completeErr(done, err)
-		}
-	})
-}
-
-// WriteKeySyncDeadline performs PostWriteKeyDeadline and blocks the
-// process.
-func (n *NIC) WriteKeySyncDeadline(p *sim.Process, qpn uint32, localVA, remoteVA uint64, rkey uint32, nbytes int, deadline sim.Time) error {
-	return await(p, func(done func(error)) {
-		n.PostWriteKeyDeadline(qpn, localVA, remoteVA, rkey, nbytes, deadline, done)
-	})
-}
-
-// ReadKeySyncDeadline performs PostReadKeyDeadline and blocks the process.
-func (n *NIC) ReadKeySyncDeadline(p *sim.Process, qpn uint32, remoteVA, localVA uint64, rkey uint32, nbytes int, deadline sim.Time) error {
-	return await(p, func(done func(error)) {
-		n.PostReadKeyDeadline(qpn, remoteVA, localVA, rkey, nbytes, deadline, done)
-	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"strom/internal/chaos"
+	"strom/internal/core"
 	"strom/internal/fabric"
 	"strom/internal/hostmem"
 	"strom/internal/pcie"
@@ -186,7 +187,7 @@ func TestFlushWhileChunksInFlight(t *testing.T) {
 			ca := chaos.AttachChecker(pair.A.Stack(), "A", pair.Eng)
 			var errs []error
 			pair.Eng.Schedule(0, func() {
-				pair.A.PostWriteDeadline(testrig.QPA, uint64(pair.BufA.Base()), uint64(pair.BufB.Base()), bulkSize, tc.deadline,
+				pair.A.Post(testrig.QPA, core.Verb{Op: core.OpWrite, LocalVA: uint64(pair.BufA.Base()), RemoteVA: uint64(pair.BufB.Base()), Len: bulkSize, Deadline: tc.deadline},
 					func(err error) { errs = append(errs, err) })
 			})
 			var txAfter uint64

@@ -176,7 +176,7 @@ func AblationLoss(o Options) (*stats.Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		pair.Link.ImpairAtoB(fabricImpairment(loss))
+		pair.Link.SetFaultsAtoB(fabric.Coin{Rand: pair.Eng.Rand(), DropProb: loss})
 		const size = 64 << 10
 		msgs := o.StreamBytes / size
 		if msgs < 8 {
@@ -220,11 +220,6 @@ func Ablations() []Generator {
 		{"abl-loss", AblationLoss},
 		{"abl-getops", AblationGetOps},
 	}
-}
-
-// fabricImpairment builds a drop-only impairment.
-func fabricImpairment(p float64) fabric.Impairment {
-	return fabric.Impairment{DropProb: p}
 }
 
 // AblationGetOps drives closed-loop KV GET clients with a YCSB-style

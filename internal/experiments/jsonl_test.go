@@ -112,8 +112,7 @@ func TestJSONLChaosAlertsFire(t *testing.T) {
 		if o.Subsystem != "link" {
 			continue
 		}
-		sum := o.Final["out_discards_chaos"] + o.Final["out_discards_flap"] +
-			o.Final["out_discards_offline"] + o.Final["out_discards_impair"]
+		sum := o.Final["out_discards_chaos"] + o.Final["out_discards_flap"] + o.Final["out_discards_offline"]
 		if sum != o.Final["out_discards"] {
 			t.Errorf("%s: drop causes sum to %d, aggregate is %d", o.Object, sum, o.Final["out_discards"])
 		}

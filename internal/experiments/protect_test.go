@@ -62,7 +62,7 @@ func TestNICNAKMatrix(t *testing.T) {
 			va, rkey, n := tc.forge(pair, uint64(roBuf.Base()), pair.B.RegionFor(uint64(roBuf.Base())).RKey())
 			var opErr error
 			pair.Eng.Go("attacker", func(p *sim.Process) {
-				opErr = pair.A.WriteKeySyncDeadline(p, testrig.QPA, uint64(pair.BufA.Base()), va, rkey, n, p.Now().Add(2*sim.Millisecond))
+				opErr = pair.A.Do(p, testrig.QPA, core.Verb{Op: core.OpWrite, LocalVA: uint64(pair.BufA.Base()), RemoteVA: va, Len: n, RKey: rkey, Deadline: p.Now().Add(2 * sim.Millisecond)})
 			})
 			pair.Run()
 
@@ -112,7 +112,7 @@ func TestSkipMRValidationTripsInvariant9(t *testing.T) {
 		// The deadline bounds the run: past the buffer's last hugepage the
 		// TLB has no mapping, so the illegal DMA itself errors out and the
 		// requester may never see an ACK.
-		pair.A.WriteSyncDeadline(p, testrig.QPA, uint64(pair.BufA.Base()), oob, 1<<12, p.Now().Add(2*sim.Millisecond))
+		pair.A.Do(p, testrig.QPA, core.Verb{Op: core.OpWrite, LocalVA: uint64(pair.BufA.Base()), RemoteVA: oob, Len: 1 << 12, Deadline: p.Now().Add(2 * sim.Millisecond)})
 	})
 	pair.Run()
 

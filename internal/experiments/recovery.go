@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"strom/internal/chaos"
+	"strom/internal/core"
 	"strom/internal/roce"
 	"strom/internal/sim"
 	"strom/internal/stats"
@@ -65,9 +66,9 @@ type deadlineClient struct {
 func (c *deadlineClient) run(p *sim.Process, pair *testrig.Pair, localA, writeB, readB uint64, xfer int) error {
 	bo := sim.Backoff{Base: 200 * sim.Microsecond, Max: 2 * sim.Millisecond, Factor: 2, Jitter: 0.5}
 	for i := 0; i < c.ops; i++ {
-		err := pair.A.WriteSyncDeadline(p, testrig.QPA, localA, writeB, xfer, p.Now().Add(c.deadline))
+		err := pair.A.Do(p, testrig.QPA, core.Verb{Op: core.OpWrite, LocalVA: localA, RemoteVA: writeB, Len: xfer, Deadline: p.Now().Add(c.deadline)})
 		if err == nil {
-			err = pair.A.ReadSyncDeadline(p, testrig.QPA, readB, localA, xfer, p.Now().Add(c.deadline))
+			err = pair.A.Do(p, testrig.QPA, core.Verb{Op: core.OpRead, LocalVA: localA, RemoteVA: readB, Len: xfer, Deadline: p.Now().Add(c.deadline)})
 		}
 		if err == nil {
 			c.successes++

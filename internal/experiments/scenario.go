@@ -263,7 +263,6 @@ func newBed(seed int64, machines, shards int, ex Exports, rules ...export.Rule) 
 }
 
 // probe samples every NIC's occupancy signals each 2 µs when traced.
-// Install after the workload is scheduled: the probe stops with it.
 func (b *bed) probe() {
 	if b.trace == nil {
 		return

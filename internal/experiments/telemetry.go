@@ -81,19 +81,21 @@ func exportClean(o Options, ex Exports) error {
 		}
 		return err != nil
 	}
-	// setLoss flips both directions' impairment. The A→B side belongs to
-	// this shard and flips immediately; the B→A side belongs to machine
-	// B's shard, so the flip crosses via the group's outbox and lands one
-	// lookahead later (immediately when unsharded). The sleep puts the
-	// client past both flip points before the next verb — at a simulated
-	// time that does not depend on the worker count.
-	setLoss := func(p *sim.Process, imp fabric.Impairment) {
-		pair.Link.ImpairAtoB(imp)
+	// setLoss flips both directions' drop probability. The A→B side
+	// belongs to this shard and flips immediately; the B→A side belongs
+	// to machine B's shard, so the flip crosses via the group's outbox
+	// and lands one lookahead later (immediately when unsharded). The
+	// sleep puts the client past both flip points before the next verb —
+	// at a simulated time that does not depend on the worker count.
+	setLoss := func(p *sim.Process, drop float64) {
+		pair.Link.SetFaultsAtoB(fabric.Coin{Rand: pair.Eng.Rand(), DropProb: drop})
 		var d sim.Duration
 		if pair.Group != nil {
 			d = pair.Group.Lookahead()
 		}
-		pair.Eng.CrossSchedule(pair.EngB, d, func() { pair.Link.ImpairBtoA(imp) })
+		pair.Eng.CrossSchedule(pair.EngB, d, func() {
+			pair.Link.SetFaultsBtoA(fabric.Coin{Rand: pair.EngB.Rand(), DropProb: drop})
+		})
 		p.Sleep(d)
 	}
 	pair.Eng.Go("telemetry-client", func(p *sim.Process) {
@@ -116,14 +118,14 @@ func exportClean(o Options, ex Exports) error {
 		// timeouts and retransmissions; dropped READ responses make A
 		// repeat the request, hitting B's duplicate-READ cache. The drop
 		// probability stays well inside the transport retry budget.
-		setLoss(p, fabric.Impairment{DropProb: 0.04})
+		setLoss(p, 0.04)
 		if fail("lossy write", pair.A.WriteSync(p, testrig.QPA, localA, remoteB, xfer)) {
 			return
 		}
 		if fail("lossy read", pair.A.ReadSync(p, testrig.QPA, remoteB, localA, xfer)) {
 			return
 		}
-		setLoss(p, fabric.Impairment{})
+		setLoss(p, 0)
 		// Phase 4: recovery.
 		fail("final write", pair.A.WriteSync(p, testrig.QPA, localA, remoteB, xfer))
 	})

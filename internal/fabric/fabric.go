@@ -28,12 +28,6 @@ type EndpointFunc func(frame []byte)
 // DeliverFrame calls f.
 func (f EndpointFunc) DeliverFrame(frame []byte) { f(frame) }
 
-// Impairment injects faults into a link direction.
-type Impairment struct {
-	DropProb    float64 // probability a frame is silently dropped
-	CorruptProb float64 // probability one bit of the frame is flipped
-}
-
 // DropCause classifies why a frame was discarded on the wire, so link
 // telemetry can break out_discards down the way switch error counters
 // do instead of reporting one aggregate.
@@ -48,8 +42,6 @@ const (
 	// DropOffline is a frame sent while the direction was
 	// administratively taken offline (SetOfflineAtoB/BtoA).
 	DropOffline
-	// DropImpair is the legacy biased-coin Impairment drop.
-	DropImpair
 )
 
 // String names the cause with the label used in telemetry exports.
@@ -61,8 +53,6 @@ func (c DropCause) String() string {
 		return "flap"
 	case DropOffline:
 		return "offline"
-	case DropImpair:
-		return "impair"
 	}
 	return fmt.Sprintf("cause(%d)", uint8(c))
 }
@@ -82,7 +72,8 @@ type Verdict struct {
 // frame is handed to the wire, and must be deterministic (draw
 // randomness from the owning engine's RNG only). internal/chaos provides
 // the full bursty-loss/reorder/duplication/flap implementation;
-// FrameScript is the deterministic one ("drop exactly frame k").
+// FrameScript is the deterministic one ("drop exactly frame k") and Coin
+// the memoryless one (script.go).
 type FaultInjector interface {
 	Judge(now sim.Time, frameLen int) Verdict
 }
@@ -96,7 +87,6 @@ type Stats struct {
 	DroppedChaos   uint64 // injected loss (chaos model / fault injectors)
 	DroppedFlap    uint64 // frames sent into a link-down window
 	DroppedOffline uint64 // direction administratively offline
-	DroppedImpair  uint64 // legacy biased-coin impairment
 	Corrupted      uint64
 	Duplicated     uint64 // extra copies delivered by a FaultInjector
 	Delayed        uint64 // frames held back by a FaultInjector (reordering)
@@ -110,8 +100,6 @@ func (st *Stats) countDrop(c DropCause) {
 		st.DroppedFlap++
 	case DropOffline:
 		st.DroppedOffline++
-	case DropImpair:
-		st.DroppedImpair++
 	default:
 		st.DroppedChaos++
 	}
@@ -129,7 +117,6 @@ type direction struct {
 	wire    *sim.Serializer
 	gbps    float64
 	prop    sim.Duration
-	imp     Impairment
 	faults  FaultInjector
 	offline bool // administratively down: every frame is discarded
 	dst     Endpoint
@@ -176,28 +163,21 @@ func (d *direction) send(frame []byte) {
 	wireBytes := len(frame) + packet.EthFramingOverhead
 	d.stats.Bytes += uint64(wireBytes)
 	end := d.wire.Reserve(sim.BytesAt(wireBytes, d.gbps))
-	// The fault injector (if any) rules first; the legacy biased-coin
-	// Impairment applies on top, drawing from the engine RNG exactly as
-	// before so injector-free runs stay byte-identical.
 	var v Verdict
 	if d.faults != nil {
 		v = d.faults.Judge(d.eng.Now(), len(frame))
 	}
-	if v.Drop || (d.imp.DropProb > 0 && d.eng.Rand().Float64() < d.imp.DropProb) {
-		cause := v.Cause
-		if !v.Drop {
-			cause = DropImpair
-		}
-		d.stats.countDrop(cause)
+	if v.Drop {
+		d.stats.countDrop(v.Cause)
 		if d.tb != nil {
-			d.tb.Instant(d.pid, d.tid, "wire", "drop:"+cause.String(), fmt.Sprintf("%d bytes", len(frame)))
+			d.tb.Instant(d.pid, d.tid, "wire", "drop:"+v.Cause.String(), fmt.Sprintf("%d bytes", len(frame)))
 		}
 		return
 	}
 	// Senders may retain (and retransmit) their frame buffer, so each
 	// hop travels in its own pooled copy, owned by the receiver.
 	buf := packet.CloneFrame(frame)
-	if v.Corrupt || (d.imp.CorruptProb > 0 && d.eng.Rand().Float64() < d.imp.CorruptProb) {
+	if v.Corrupt {
 		d.stats.Corrupted++
 		pos := d.eng.Rand().Intn(len(buf))
 		buf[pos] ^= 1 << d.eng.Rand().Intn(8)
@@ -304,7 +284,6 @@ func (l *Link) AttachTelemetry(reg *telemetry.Registry, tb *telemetry.TraceBuffe
 			reg.Counter("link_dropped_by_cause", lbl, telemetry.L("cause", "chaos")).Set(d.stats.DroppedChaos)
 			reg.Counter("link_dropped_by_cause", lbl, telemetry.L("cause", "flap")).Set(d.stats.DroppedFlap)
 			reg.Counter("link_dropped_by_cause", lbl, telemetry.L("cause", "offline")).Set(d.stats.DroppedOffline)
-			reg.Counter("link_dropped_by_cause", lbl, telemetry.L("cause", "impair")).Set(d.stats.DroppedImpair)
 			reg.Counter("link_corrupted", lbl).Set(d.stats.Corrupted)
 			reg.Counter("link_duplicated", lbl).Set(d.stats.Duplicated)
 			reg.Counter("link_delayed", lbl).Set(d.stats.Delayed)
@@ -339,14 +318,8 @@ func (l *Link) SendFromA(frame []byte) { l.a.send(frame) }
 // SendFromB transmits a frame from endpoint b toward endpoint a.
 func (l *Link) SendFromB(frame []byte) { l.b.send(frame) }
 
-// ImpairAtoB sets fault injection on the a→b direction.
-func (l *Link) ImpairAtoB(imp Impairment) { l.a.imp = imp }
-
-// ImpairBtoA sets fault injection on the b→a direction.
-func (l *Link) ImpairBtoA(imp Impairment) { l.b.imp = imp }
-
-// SetFaultsAtoB installs a fault injector on the a→b direction (nil
-// removes it). Composes with ImpairAtoB: the injector rules first.
+// SetFaultsAtoB installs the a→b direction's fault injector (nil
+// removes it).
 func (l *Link) SetFaultsAtoB(f FaultInjector) { l.a.faults = f }
 
 // SetFaultsBtoA installs a fault injector on the b→a direction.
@@ -383,7 +356,6 @@ func (d *direction) health() (map[string]uint64, map[string]float64) {
 			"out_discards_chaos":   st.DroppedChaos,
 			"out_discards_flap":    st.DroppedFlap,
 			"out_discards_offline": st.DroppedOffline,
-			"out_discards_impair":  st.DroppedImpair,
 			"fcs_err":              st.Corrupted,
 			"dup_frames":           st.Duplicated,
 			"delayed_frames":       st.Delayed,

@@ -102,7 +102,7 @@ func TestLinkDropInjection(t *testing.T) {
 	eng := sim.NewEngine(7)
 	a, b := &sink{eng: eng}, &sink{eng: eng}
 	l := NewLink(eng, DirectCable10G(), a, b)
-	l.ImpairAtoB(Impairment{DropProb: 0.5})
+	l.SetFaultsAtoB(Coin{Rand: eng.Rand(), DropProb: 0.5})
 	const n = 1000
 	eng.Schedule(0, func() {
 		for i := 0; i < n; i++ {
@@ -126,7 +126,7 @@ func TestLinkCorruptionInjection(t *testing.T) {
 	eng := sim.NewEngine(8)
 	a, b := &sink{eng: eng}, &sink{eng: eng}
 	l := NewLink(eng, DirectCable10G(), a, b)
-	l.ImpairAtoB(Impairment{CorruptProb: 1.0})
+	l.SetFaultsAtoB(Coin{Rand: eng.Rand(), CorruptProb: 1.0})
 	orig := make([]byte, 100)
 	eng.Schedule(0, func() { l.SendFromA(orig) })
 	eng.Run()
@@ -170,7 +170,7 @@ func TestLinkUtilisation(t *testing.T) {
 
 func TestSwitchRouting(t *testing.T) {
 	eng := sim.NewEngine(1)
-	sw := NewSwitch(eng, DirectCable10G(), 500*sim.Nanosecond)
+	sw := NewSwitchCfg(eng, SwitchConfig{Link: DirectCable10G(), Forwarding: 500 * sim.Nanosecond})
 	macA := packet.MAC{2, 0, 0, 0, 0, 1}
 	macB := packet.MAC{2, 0, 0, 0, 0, 2}
 	macC := packet.MAC{2, 0, 0, 0, 0, 3}
@@ -190,7 +190,7 @@ func TestSwitchRouting(t *testing.T) {
 func TestSwitchAddsForwardingLatency(t *testing.T) {
 	eng := sim.NewEngine(1)
 	fw := 2 * sim.Microsecond
-	sw := NewSwitch(eng, DirectCable10G(), fw)
+	sw := NewSwitchCfg(eng, SwitchConfig{Link: DirectCable10G(), Forwarding: fw})
 	macA := packet.MAC{2, 0, 0, 0, 0, 1}
 	macB := packet.MAC{2, 0, 0, 0, 0, 2}
 	b := &sink{eng: eng}
@@ -210,7 +210,7 @@ func TestSwitchAddsForwardingLatency(t *testing.T) {
 
 func TestSwitchDropsUnknownMAC(t *testing.T) {
 	eng := sim.NewEngine(1)
-	sw := NewSwitch(eng, DirectCable10G(), 0)
+	sw := NewSwitchCfg(eng, SwitchConfig{Link: DirectCable10G()})
 	macA := packet.MAC{2, 0, 0, 0, 0, 1}
 	txA := sw.AttachPort(macA, &sink{eng: eng})
 	frame := make([]byte, 100) // dst MAC all-zero: unknown
@@ -223,7 +223,7 @@ func TestSwitchLosslessByDefault(t *testing.T) {
 	// PFC mode (unbounded queues): a burst far beyond line rate is
 	// delivered in full, just late.
 	eng := sim.NewEngine(1)
-	sw := NewSwitch(eng, DirectCable10G(), 0)
+	sw := NewSwitchCfg(eng, SwitchConfig{Link: DirectCable10G()})
 	macA := packet.MAC{2, 0, 0, 0, 0, 1}
 	macB := packet.MAC{2, 0, 0, 0, 0, 2}
 	b := &sink{eng: eng}
@@ -247,12 +247,12 @@ func TestSwitchLosslessByDefault(t *testing.T) {
 }
 
 func TestSwitchIncastTailDrop(t *testing.T) {
-	// Two senders converge on one egress at full rate: with a bounded
-	// queue the switch must tail-drop, and the drop count plus deliveries
-	// must account for every frame.
+	// Two senders converge on one egress at full rate: with a buffer of
+	// 16 frames the switch must tail-drop, and the drop count plus
+	// deliveries must account for every frame. A discard is counted at the
+	// port the frame came in on.
 	eng := sim.NewEngine(2)
-	sw := NewSwitch(eng, DirectCable10G(), 0)
-	sw.SetEgressQueue(16)
+	sw := NewSwitchCfg(eng, SwitchConfig{Link: DirectCable10G(), BufferBytes: 16 * 1200})
 	macA := packet.MAC{2, 0, 0, 0, 0, 1}
 	macB := packet.MAC{2, 0, 0, 0, 0, 2}
 	macC := packet.MAC{2, 0, 0, 0, 0, 3}
@@ -270,15 +270,15 @@ func TestSwitchIncastTailDrop(t *testing.T) {
 		}
 	})
 	eng.Run()
-	dropped := sw.Dropped(macC)
+	dropped := sw.Dropped(macA) + sw.Dropped(macB)
 	if dropped == 0 {
-		t.Error("incast with a 16-frame queue did not drop")
+		t.Error("incast with a 16-frame buffer did not drop")
 	}
 	if uint64(len(c.frames))+dropped != 2*n {
 		t.Errorf("delivered %d + dropped %d != sent %d", len(c.frames), dropped, 2*n)
 	}
-	// Unrelated egress ports are unaffected.
-	if sw.Dropped(macA) != 0 || sw.Dropped(macB) != 0 {
+	// The port nothing came in on is unaffected.
+	if sw.Dropped(macC) != 0 {
 		t.Error("drops leaked to other ports")
 	}
 	if sw.Dropped(packet.MAC{9}) != 0 {
@@ -320,10 +320,10 @@ func TestLinkDropCauseBreakdown(t *testing.T) {
 	if st.Frames != 7 {
 		t.Fatalf("Frames = %d, want 7", st.Frames)
 	}
-	if st.Dropped != 5 || st.DroppedChaos != 2 || st.DroppedFlap != 1 || st.DroppedOffline != 2 || st.DroppedImpair != 0 {
+	if st.Dropped != 5 || st.DroppedChaos != 2 || st.DroppedFlap != 1 || st.DroppedOffline != 2 {
 		t.Fatalf("drop breakdown %+v, want total 5 = chaos 2 + flap 1 + offline 2", st)
 	}
-	if sum := st.DroppedChaos + st.DroppedFlap + st.DroppedOffline + st.DroppedImpair; sum != st.Dropped {
+	if sum := st.DroppedChaos + st.DroppedFlap + st.DroppedOffline; sum != st.Dropped {
 		t.Fatalf("causes sum to %d, aggregate says %d", sum, st.Dropped)
 	}
 	if len(b.frames) != 2 {
@@ -338,16 +338,17 @@ func TestLinkDropCauseBreakdown(t *testing.T) {
 	}
 }
 
-func TestLinkImpairDropCause(t *testing.T) {
+// A Coin's drop sets no cause, so it lands in the chaos bucket.
+func TestCoinDropCause(t *testing.T) {
 	eng := sim.NewEngine(2)
 	a, b := &sink{eng: eng}, &sink{eng: eng}
 	l := NewLink(eng, DirectCable10G(), a, b)
-	l.ImpairAtoB(Impairment{DropProb: 1})
+	l.SetFaultsAtoB(Coin{Rand: eng.Rand(), DropProb: 1})
 	eng.Schedule(0, func() { l.SendFromA(make([]byte, 64)) })
 	eng.Run()
 	st := l.StatsAtoB()
-	if st.Dropped != 1 || st.DroppedImpair != 1 {
-		t.Fatalf("impair drop not attributed: %+v", st)
+	if st.Dropped != 1 || st.DroppedChaos != 1 {
+		t.Fatalf("coin drop not attributed to chaos: %+v", st)
 	}
 }
 

@@ -1,6 +1,10 @@
 package fabric
 
-import "strom/internal/sim"
+import (
+	"math/rand"
+
+	"strom/internal/sim"
+)
 
 // FrameStep is one entry of a FrameScript: the Nth frame (0-based) of
 // length Len (0: of any length) to enter the direction once the previous
@@ -54,3 +58,22 @@ func (s *FrameScript) Judge(now sim.Time, frameLen int) Verdict {
 
 // Done reports whether every step has fired.
 func (s *FrameScript) Done() bool { return len(s.Steps) == 0 }
+
+// Coin is the biased-coin FaultInjector of the loss sweeps: a frame is
+// dropped with probability DropProb, a surviving one corrupted with
+// probability CorruptProb. Rand must be the RNG of the engine that owns
+// the direction (the sending side), so a run replays from its seed; a
+// zero probability draws nothing.
+type Coin struct {
+	Rand        *rand.Rand
+	DropProb    float64
+	CorruptProb float64
+}
+
+// Judge implements FaultInjector.
+func (c Coin) Judge(sim.Time, int) Verdict {
+	if c.DropProb > 0 && c.Rand.Float64() < c.DropProb {
+		return Verdict{Drop: true}
+	}
+	return Verdict{Corrupt: c.CorruptProb > 0 && c.Rand.Float64() < c.CorruptProb}
+}

@@ -43,17 +43,15 @@ type SwitchConfig struct {
 
 	ECNThresholdBytes int // egress queue depth that triggers CE marking; 0 disables ECN
 
-	EgressCapFrames int // legacy bounded egress queue (tail drop); 0 = unbounded
-
 	// Classify maps a frame to its PFC priority (< NumPriorities).
 	// nil classifies everything as priority 0.
 	Classify func(frame []byte) uint8
 }
 
 // SwitchPortStats counts one port's activity. Discards always satisfy
-// DiscardOverflow+DiscardThreshold+DiscardEgressCap+DiscardNoRoute ==
-// Discards, and switch-wide InFrames == egress frames + Discards
-// (conservation — the fuzz target asserts it).
+// DiscardOverflow+DiscardThreshold+DiscardNoRoute == Discards, and
+// switch-wide InFrames == egress frames + Discards (conservation — the
+// fuzz target asserts it).
 type SwitchPortStats struct {
 	InFrames uint64 // frames that arrived at this ingress port
 	InBytes  uint64
@@ -61,7 +59,6 @@ type SwitchPortStats struct {
 	Discards         uint64 // aggregate, by cause below
 	DiscardOverflow  uint64 // shared pool exhausted (counted at ingress)
 	DiscardThreshold uint64 // per-port dynamic threshold exceeded (ingress)
-	DiscardEgressCap uint64 // legacy bounded egress queue full (counted at egress)
 	DiscardNoRoute   uint64 // unknown destination MAC (ingress)
 
 	PauseTx   uint64 // PFC pause frames emitted toward the attached NIC
@@ -107,14 +104,8 @@ type swPort struct {
 	stats SwitchPortStats
 }
 
-// NewSwitch creates a switch whose ports all run at link's bandwidth and
-// that adds forwarding delay per frame: the historical lossless,
-// unbounded-buffer configuration (no PFC, no ECN).
-func NewSwitch(eng *sim.Engine, link LinkConfig, forwarding sim.Duration) *Switch {
-	return NewSwitchCfg(eng, SwitchConfig{Link: link, Forwarding: forwarding})
-}
-
-// NewSwitchCfg creates a switch from a full SwitchConfig.
+// NewSwitchCfg creates a switch. With only Link and Forwarding set it is
+// lossless: unbounded buffer, no PFC, no ECN.
 func NewSwitchCfg(eng *sim.Engine, cfg SwitchConfig) *Switch {
 	if cfg.PFCPauseBytes > 0 && cfg.PFCResumeBytes == 0 {
 		cfg.PFCResumeBytes = cfg.PFCPauseBytes / 2
@@ -122,12 +113,8 @@ func NewSwitchCfg(eng *sim.Engine, cfg SwitchConfig) *Switch {
 	return &Switch{eng: eng, cfg: cfg, byMAC: make(map[packet.MAC]*swPort)}
 }
 
-// SetEgressQueue bounds every egress queue to capFrames; zero restores
-// unbounded queues. Applies to frames forwarded afterwards.
-func (s *Switch) SetEgressQueue(capFrames int) { s.cfg.EgressCapFrames = capFrames }
-
-// Dropped reports frames discarded at the port attached to mac (all
-// causes: egress tail drops plus ingress-attributed buffer discards).
+// Dropped reports frames that arrived at the port attached to mac and
+// were discarded (every cause; discards are counted at ingress).
 func (s *Switch) Dropped(mac packet.MAC) uint64 {
 	if p, ok := s.byMAC[mac]; ok {
 		return p.stats.Discards
@@ -376,12 +363,6 @@ func (s *Switch) ingress(from *swPort, prio uint8, buf []byte) {
 			}
 		}
 	}
-	if s.cfg.EgressCapFrames > 0 && out.eqFrames >= s.cfg.EgressCapFrames {
-		out.stats.Discards++
-		out.stats.DiscardEgressCap++
-		packet.PutBuf(buf)
-		return
-	}
 	// Admitted: account, mark, pause-check, queue onto the egress wire.
 	s.totalUsed += n
 	from.used += n
@@ -455,7 +436,6 @@ func (s *Switch) PortHealth(i int) func() (map[string]uint64, map[string]float64
 				"out_discards":           st.Discards + p.dir.stats.Dropped,
 				"out_discards_overflow":  st.DiscardOverflow,
 				"out_discards_threshold": st.DiscardThreshold,
-				"out_discards_egress":    st.DiscardEgressCap,
 				"out_discards_no_route":  st.DiscardNoRoute,
 				"out_discards_wire":      p.dir.stats.Dropped,
 				"fcs_err":                p.dir.stats.Corrupted,

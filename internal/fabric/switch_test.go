@@ -272,7 +272,6 @@ func TestSwitchConservation(t *testing.T) {
 		BufferBytes:      8000,
 		PortReserveBytes: 1000,
 		DynamicAlpha:     0.5,
-		EgressCapFrames:  3,
 	})
 	recv := &sink{eng: eng}
 	a := sw.AttachPortOn(eng, macA, &sink{eng: eng})
@@ -293,7 +292,7 @@ func TestSwitchConservation(t *testing.T) {
 		st := sw.PortStats(i)
 		in += st.InFrames
 		discards += st.Discards
-		byCause += st.DiscardOverflow + st.DiscardThreshold + st.DiscardEgressCap + st.DiscardNoRoute
+		byCause += st.DiscardOverflow + st.DiscardThreshold + st.DiscardNoRoute
 		delivered += sw.ports[i].dir.stats.Frames
 	}
 	if in != delivered+discards {
@@ -317,8 +316,8 @@ func TestSwitchConservation(t *testing.T) {
 // through a PFC-enabled shared-buffer switch and asserts the two
 // invariants that must survive any schedule: conservation (every
 // ingress frame is delivered or counted in exactly one discard cause)
-// and losslessness under capacity (with the pool big enough and no
-// egress cap, nothing is dropped and everything arrives).
+// and losslessness under capacity (with the pool big enough, nothing is
+// dropped and everything arrives).
 func FuzzSwitchArbitration(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x13, 0x88, 0x7f}, uint8(3), false)
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00}, uint8(2), true)
@@ -372,7 +371,7 @@ func FuzzSwitchArbitration(f *testing.F) {
 			st := sw.PortStats(i)
 			in += st.InFrames
 			discards += st.Discards
-			byCause += st.DiscardOverflow + st.DiscardThreshold + st.DiscardEgressCap + st.DiscardNoRoute
+			byCause += st.DiscardOverflow + st.DiscardThreshold + st.DiscardNoRoute
 			delivered += sw.ports[i].dir.stats.Frames
 		}
 		arrived := 0

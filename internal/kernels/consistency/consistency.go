@@ -39,6 +39,12 @@ type Params struct {
 	ResponseAddress uint64
 	// MaxRetries bounds re-reads (0 means the kernel default).
 	MaxRetries uint16
+	// Deadline (absolute; zero: none) is the requester's bound and stays
+	// off the wire: Read's RPC verb and its status poll both give up
+	// then, so a crashed responder surfaces sim.ErrDeadlineExceeded
+	// instead of hanging the caller — the shape the KV client's bounded
+	// retry loop needs.
+	Deadline sim.Time
 }
 
 // Encode serializes the parameter block.
@@ -164,38 +170,24 @@ var (
 	ErrRemote       = errors.New("consistency: remote kernel error")
 )
 
-// Read performs a consistent read via the kernel: post the RPC, poll for
-// the status word, return the verified object (checksum included).
-func Read(p *sim.Process, nic *core.NIC, qpn uint32, rpcOp uint64, params Params) ([]byte, error) {
-	return read(p, nic, qpn, rpcOp, params, 0)
-}
-
-// ReadDeadline is Read with a bound: both the RPC verb and the status
-// poll give up at deadline, so a crashed responder surfaces
-// sim.ErrDeadlineExceeded instead of hanging the caller — the shape the
-// KV client's bounded retry loop needs.
-func ReadDeadline(p *sim.Process, nic *core.NIC, qpn uint32, rpcOp uint64, params Params, deadline sim.Time) ([]byte, error) {
-	return read(p, nic, qpn, rpcOp, params, deadline)
-}
-
 // zeroStatus clears the status word before every read; never written.
 var zeroStatus [8]byte
 
-func read(p *sim.Process, nic *core.NIC, qpn uint32, rpcOp uint64, params Params, deadline sim.Time) ([]byte, error) {
+// Read performs a consistent read via the kernel: post the RPC, poll for
+// the status word, return the verified object (checksum included).
+func Read(p *sim.Process, nic *core.NIC, qpn uint32, rpcOp uint64, params Params) ([]byte, error) {
 	statusVA := hostmem.Addr(params.ResponseAddress + uint64(params.ObjectSize))
 	if err := nic.Memory().WriteVirt(statusVA, zeroStatus[:]); err != nil {
 		return nil, err
 	}
+	if err := nic.Do(p, qpn, core.Verb{Op: core.OpRPC, RPCOp: rpcOp, Params: params.Encode(), Deadline: params.Deadline}); err != nil {
+		return nil, err
+	}
 	var timeout sim.Duration
-	if deadline != 0 {
-		if err := nic.RPCSyncDeadline(p, qpn, rpcOp, params.Encode(), deadline); err != nil {
-			return nil, err
-		}
-		if timeout = deadline.Sub(p.Now()); timeout <= 0 {
+	if params.Deadline != 0 {
+		if timeout = params.Deadline.Sub(p.Now()); timeout <= 0 {
 			timeout = 1 // already past the deadline: one poll iteration, then give up
 		}
-	} else if err := nic.RPCSync(p, qpn, rpcOp, params.Encode()); err != nil {
-		return nil, err
 	}
 	raw, err := nic.Host().Poll(p, nic.Memory(), statusVA, 8, func(b []byte) bool {
 		return binary.LittleEndian.Uint64(b) != 0

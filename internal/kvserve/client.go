@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"strom/internal/core"
 	"strom/internal/hostmem"
 	"strom/internal/kvstore"
 	"strom/internal/roce"
@@ -308,7 +309,8 @@ func (c *Client) recover(p *sim.Process, server, attempt int) error {
 // landing area and returns them in the session scratch.
 func (c *Client) readRemote(p *sim.Process, sess *session, server int, va hostmem.Addr, nbytes int) ([]byte, error) {
 	cn := &c.conns[server]
-	if err := c.m.NIC.ReadKeySyncDeadline(p, cn.qpc, uint64(va), uint64(sess.read), cn.rkey, nbytes, p.Now().Add(c.deadline)); err != nil {
+	v := core.Verb{Op: core.OpRead, RemoteVA: uint64(va), LocalVA: uint64(sess.read), Len: nbytes, RKey: cn.rkey, Deadline: p.Now().Add(c.deadline)}
+	if err := c.m.NIC.Do(p, cn.qpc, v); err != nil {
 		return nil, err
 	}
 	b := sess.buf[:nbytes]
@@ -392,10 +394,10 @@ func (c *Client) attempt(p *sim.Process, sess *session, sw stagedWrite, servers 
 		srv, cn := c.servers[server], &c.conns[server]
 		if sw.spilled {
 			va := c.lay.ExtentAddr(srv.ArenaFor(c.lay, sh), sw.off)
-			c.m.NIC.PostWriteKeyDeadline(cn.qpc, uint64(sess.ext), uint64(va), cn.rkey, ExtentSize, deadline, j.cb[2*i])
+			c.m.NIC.Post(cn.qpc, core.Verb{Op: core.OpWrite, LocalVA: uint64(sess.ext), RemoteVA: uint64(va), Len: ExtentSize, RKey: cn.rkey, Deadline: deadline}, j.cb[2*i])
 		}
 		va := c.lay.SlotAddr(srv.TableFor(c.lay, sh), sw.key)
-		c.m.NIC.PostWriteKeyDeadline(cn.qpc, uint64(sess.slot), uint64(va), cn.rkey, SlotSize, deadline, j.cb[2*i+1])
+		c.m.NIC.Post(cn.qpc, core.Verb{Op: core.OpWrite, LocalVA: uint64(sess.slot), RemoteVA: uint64(va), Len: SlotSize, RKey: cn.rkey, Deadline: deadline}, j.cb[2*i+1])
 	}
 	j.done.Wait(p) // resolves without a value: the errors are in j.errs
 	for i, server := range servers {

@@ -22,12 +22,13 @@ const ConsistencyOp uint64 = 0x03
 func (c *Client) readExtent(p *sim.Process, sess *session, server int, extVA hostmem.Addr) ([]byte, error) {
 	cn := &c.conns[server]
 	c.Stats.SpilledReads++
-	return consistency.ReadDeadline(p, c.m.NIC, cn.qpc, ConsistencyOp, consistency.Params{
+	return consistency.Read(p, c.m.NIC, cn.qpc, ConsistencyOp, consistency.Params{
 		ObjectAddress:   uint64(extVA),
 		ObjectSize:      ExtentSize,
 		ResponseAddress: uint64(sess.read),
 		MaxRetries:      2,
-	}, p.Now().Add(c.deadline))
+		Deadline:        p.Now().Add(c.deadline),
+	})
 }
 
 // getSpilled resolves a spilled slot on one replica. The slot was read

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"strom/internal/chaos"
+	"strom/internal/core"
 	"strom/internal/mr"
 	"strom/internal/raceflag"
 	"strom/internal/sim"
@@ -50,7 +51,7 @@ func TestOverlappedPutCostsOneRoundTrip(t *testing.T) {
 			}
 			cn := &c.conns[1]
 			start := p.Now()
-			if runErr = c.m.NIC.WriteKeySyncDeadline(p, cn.qpc, uint64(c.pool[0].ext), uint64(blastVA), cn.rkey, tc.nbytes, start.Add(c.deadline)); runErr != nil {
+			if runErr = c.m.NIC.Do(p, cn.qpc, core.Verb{Op: core.OpWrite, LocalVA: uint64(c.pool[0].ext), RemoteVA: uint64(blastVA), Len: tc.nbytes, RKey: cn.rkey, Deadline: start.Add(c.deadline)}); runErr != nil {
 				return
 			}
 			ref := p.Now().Sub(start)

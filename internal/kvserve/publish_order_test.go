@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"strom/internal/chaos"
+	"strom/internal/core"
 	"strom/internal/hostmem"
 	"strom/internal/mr"
 	"strom/internal/sim"
@@ -150,10 +151,12 @@ func TestPublishWitnessFireDrill(t *testing.T) {
 			return
 		}
 		srv, cn, sh := c.servers[1], &c.conns[1], c.lay.ShardOf(key)
-		deadline := p.Now().Add(c.deadline)
+		w := core.Verb{Op: core.OpWrite, RKey: cn.rkey, Deadline: p.Now().Add(c.deadline)}
 		var slotDone, extDone sim.Completion[error]
-		c.m.NIC.PostWriteKeyDeadline(cn.qpc, uint64(sess.slot), uint64(c.lay.SlotAddr(srv.TableFor(c.lay, sh), key)), cn.rkey, SlotSize, deadline, slotDone.Complete)
-		c.m.NIC.PostWriteKeyDeadline(cn.qpc, uint64(sess.ext), uint64(c.lay.ExtentAddr(srv.ArenaFor(c.lay, sh), sw.off)), cn.rkey, ExtentSize, deadline, extDone.Complete)
+		w.LocalVA, w.RemoteVA, w.Len = uint64(sess.slot), uint64(c.lay.SlotAddr(srv.TableFor(c.lay, sh), key)), SlotSize
+		c.m.NIC.Post(cn.qpc, w, slotDone.Complete)
+		w.LocalVA, w.RemoteVA, w.Len = uint64(sess.ext), uint64(c.lay.ExtentAddr(srv.ArenaFor(c.lay, sh), sw.off)), ExtentSize
+		c.m.NIC.Post(cn.qpc, w, extDone.Complete)
 		if runErr, _ = slotDone.Wait(p); runErr == nil {
 			runErr, _ = extDone.Wait(p)
 		}

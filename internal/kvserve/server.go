@@ -85,7 +85,7 @@ func (s *Server) ArenaFor(lay Layout, shard int) hostmem.Addr {
 // restart the counter moves again and the alert resolves.
 func (s *Server) StartHeartbeat(every sim.Duration) {
 	s.serving = 1
-	telemetry.DaemonProbe(s.M.Eng, every, func(now sim.Time) {
+	telemetry.Probe(s.M.Eng, every, func(now sim.Time) {
 		if !s.M.NIC.Crashed() {
 			s.heartbeats++
 		}

@@ -47,16 +47,12 @@ func FuzzQPStateMachine(f *testing.F) {
 			case 1:
 				accept(p.a.PostWrite(1, 0, make([]byte, 4<<10), track()))
 			case 2:
-				accept(p.a.PostRead(1, 0, 2048, func(off int, chunk []byte, ack func()) { ack() }, track()))
+				accept(p.a.PostRead(1, 0, 0, 2048, 0, func(off int, chunk []byte, ack func()) { ack() }, track()))
 			case 3:
-				accept(p.a.PostRPC(1, uint64(op), []byte("params"), track()))
+				accept(p.a.PostRPC(1, uint64(op), []byte("params"), 0, track()))
 			case 4:
 				blackhole = !blackhole
-				imp := fabric.Impairment{}
-				if blackhole {
-					imp.DropProb = 1.0
-				}
-				p.link.ImpairAtoB(imp)
+				p.link.SetOfflineAtoB(blackhole)
 			case 5:
 				p.eng.RunUntil(p.eng.Now().Add(sim.Duration(op+1) * sim.Microsecond))
 			case 6:
@@ -77,7 +73,7 @@ func FuzzQPStateMachine(f *testing.F) {
 		// Drain: heal the link, revive the stack, reconnect both ends and
 		// run the engine dry. Resets flush whatever the fault schedule
 		// left outstanding.
-		p.link.ImpairAtoB(fabric.Impairment{})
+		p.link.SetOfflineAtoB(false)
 		if p.a.Frozen() {
 			p.a.Restart()
 		}

@@ -122,9 +122,9 @@ func TestResponderNAKMatrix(t *testing.T) {
 				var err error
 				if f.read {
 					sink := func(off int, chunk []byte, ack func()) { ack() }
-					err = p.a.PostReadKeyDeadline(1, f.va, f.rkey, f.n, deadline, sink, done)
+					err = p.a.PostRead(1, f.va, f.rkey, f.n, deadline, sink, done)
 				} else {
-					err = p.a.PostWriteKeyDeadline(1, f.va, f.rkey, make([]byte, f.n), deadline, done)
+					_, err = p.a.PostWriteStream(1, f.va, f.rkey, f.n, make([]byte, f.n), deadline, done)
 				}
 				if err != nil {
 					t.Errorf("post: %v", err)
@@ -172,7 +172,7 @@ func TestResponderNAKMatrix(t *testing.T) {
 			}
 			var okErr error = errors.New("never completed")
 			p.eng.Schedule(0, func() {
-				err := p.a.PostWriteKeyDeadline(1, p.rw.Base(), p.rw.RKey(), []byte("legit"), p.eng.Now().Add(2*sim.Millisecond), func(err error) { okErr = err })
+				_, err := p.a.PostWriteStream(1, p.rw.Base(), p.rw.RKey(), 5, []byte("legit"), p.eng.Now().Add(2*sim.Millisecond), func(err error) { okErr = err })
 				if err != nil {
 					t.Errorf("post after reconnect: %v", err)
 				}
@@ -198,7 +198,7 @@ func TestDupReadCacheRevalidates(t *testing.T) {
 	readDone := 0
 	p.eng.Schedule(0, func() {
 		sink := func(off int, chunk []byte, ack func()) { ack() }
-		err := p.a.PostReadKeyDeadline(1, p.rw.Base(), p.rw.RKey(), 64, p.eng.Now().Add(2*sim.Millisecond), sink, func(err error) {
+		err := p.a.PostRead(1, p.rw.Base(), p.rw.RKey(), 64, p.eng.Now().Add(2*sim.Millisecond), sink, func(err error) {
 			if err != nil {
 				t.Errorf("read: %v", err)
 			}
@@ -256,9 +256,9 @@ func FuzzRETHValidation(f *testing.F) {
 			var err error
 			if read {
 				sink := func(off int, chunk []byte, ack func()) { ack() }
-				err = p.a.PostReadKeyDeadline(1, va, rkey, nb, deadline, sink, done)
+				err = p.a.PostRead(1, va, rkey, nb, deadline, sink, done)
 			} else {
-				err = p.a.PostWriteKeyDeadline(1, va, rkey, make([]byte, nb), deadline, done)
+				_, err = p.a.PostWriteStream(1, va, rkey, nb, make([]byte, nb), deadline, done)
 			}
 			if err != nil {
 				// Rejected at post time: no completion will come.

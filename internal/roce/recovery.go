@@ -244,16 +244,3 @@ func (s *Stack) armDeadline(msg *outMessage, deadline sim.Time) {
 		msg.finish(fmt.Errorf("roce: verb canceled: %w", sim.ErrDeadlineExceeded))
 	})
 }
-
-// PostWriteDeadline is PostWrite with an absolute sim-time deadline
-// (zero means none): if the remote acknowledgement has not arrived by
-// then, done fires with an error wrapping sim.ErrDeadlineExceeded.
-func (s *Stack) PostWriteDeadline(qpn uint32, remoteVA uint64, data []byte, deadline sim.Time, done func(error)) error {
-	return s.PostWriteKeyDeadline(qpn, remoteVA, 0, data, deadline, done)
-}
-
-// PostRPCWriteDeadline is PostRPCWrite with an absolute deadline.
-func (s *Stack) PostRPCWriteDeadline(qpn uint32, rpcOp uint64, data []byte, deadline sim.Time, done func(error)) error {
-	_, err := s.PostRPCWriteStream(qpn, rpcOp, len(data), data, deadline, done)
-	return err
-}

@@ -44,7 +44,7 @@ func reconnectBothEnds(t *testing.T, p *pair) {
 // retransmission timer must be gone.
 func TestRetryExhaustionFlushesAllOps(t *testing.T) {
 	p := newPair(t, 1, shortRetryConfig(), fabric.DirectCable10G())
-	p.link.ImpairAtoB(fabric.Impairment{DropProb: 1.0})
+	p.link.SetOfflineAtoB(true)
 	const ops = 3
 	errs := make([]error, ops)
 	counts := make([]int, ops)
@@ -90,7 +90,7 @@ func TestRetryExhaustionFlushesAllOps(t *testing.T) {
 	}
 
 	// Reset + reconnect both ends restores service with fresh PSNs.
-	p.link.ImpairAtoB(fabric.Impairment{})
+	p.link.SetOfflineAtoB(false)
 	reconnectBothEnds(t, p)
 	if got := p.a.st.qps[1].nextPSN; got != 0 {
 		t.Errorf("nextPSN after reconnect = %d, want 0", got)
@@ -128,13 +128,13 @@ func TestDeadlineExpiryUnderBlackhole(t *testing.T) {
 	cfg.RetransTimeout = 50 * sim.Microsecond
 	cfg.MaxRetries = 3
 	p := newPair(t, 1, cfg, fabric.DirectCable10G())
-	p.link.ImpairAtoB(fabric.Impairment{DropProb: 1.0})
+	p.link.SetOfflineAtoB(true)
 	var got error
 	count := 0
 	var at sim.Time
 	p.eng.Schedule(0, func() {
 		deadline := p.eng.Now().Add(20 * sim.Microsecond)
-		if err := p.a.PostWriteDeadline(1, 0, []byte{1, 2, 3}, deadline, func(err error) {
+		if _, err := p.a.PostWriteStream(1, 0, 0, 3, []byte{1, 2, 3}, deadline, func(err error) {
 			got = err
 			count++
 			at = p.eng.Now()
@@ -165,7 +165,7 @@ func TestDeadlineCanceledOnSuccess(t *testing.T) {
 	count := 0
 	p.eng.Schedule(0, func() {
 		deadline := p.eng.Now().Add(sim.Duration(sim.Second))
-		if err := p.a.PostWriteDeadline(1, 0, []byte("on time"), deadline, func(err error) {
+		if _, err := p.a.PostWriteStream(1, 0, 0, 7, []byte("on time"), deadline, func(err error) {
 			got = err
 			count++
 		}); err != nil {
@@ -215,7 +215,7 @@ func TestFatalReadNakMovesToError(t *testing.T) {
 	var got error
 	count := 0
 	eng.Schedule(0, func() {
-		err := a.PostRead(1, 0, 512, func(off int, chunk []byte, ack func()) { ack() }, func(err error) {
+		err := a.PostRead(1, 0, 0, 512, 0, func(off int, chunk []byte, ack func()) { ack() }, func(err error) {
 			got = err
 			count++
 		})
@@ -243,7 +243,7 @@ func TestRPCNakStaysPerOp(t *testing.T) {
 	p.hb.rpcErr = errors.New("no kernel")
 	var rpcErr error
 	p.eng.Schedule(0, func() {
-		if err := p.a.PostRPC(1, 7, []byte("params"), func(err error) { rpcErr = err }); err != nil {
+		if err := p.a.PostRPC(1, 7, []byte("params"), 0, func(err error) { rpcErr = err }); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -272,7 +272,7 @@ func TestRPCNakStaysPerOp(t *testing.T) {
 // the outstanding verb with ErrQPError and clears all reliability state.
 func TestResetFlushesInFlight(t *testing.T) {
 	p := newPair(t, 1, shortRetryConfig(), fabric.DirectCable10G())
-	p.link.ImpairAtoB(fabric.Impairment{DropProb: 1.0})
+	p.link.SetOfflineAtoB(true)
 	var got error
 	count := 0
 	p.eng.Schedule(0, func() {
@@ -374,16 +374,16 @@ func TestDeadlineLeavesPSNSpaceIntact(t *testing.T) {
 	p := newPair(t, 1, Config10G(), fabric.DirectCable10G())
 	// Drop everything briefly so the first write misses its deadline,
 	// then heal the link; retransmission must deliver both writes.
-	p.link.ImpairAtoB(fabric.Impairment{DropProb: 1.0})
+	p.link.SetOfflineAtoB(true)
 	p.eng.ScheduleAt(sim.Time(100*sim.Microsecond), func() {
-		p.link.ImpairAtoB(fabric.Impairment{})
+		p.link.SetOfflineAtoB(false)
 	})
 	first := []byte("canceled but delivered")
 	second := []byte("follows the canceled one")
 	var firstErr, secondErr error
 	p.eng.Schedule(0, func() {
 		deadline := p.eng.Now().Add(20 * sim.Microsecond)
-		if err := p.a.PostWriteDeadline(1, 0, first, deadline, func(err error) { firstErr = err }); err != nil {
+		if _, err := p.a.PostWriteStream(1, 0, 0, len(first), first, deadline, func(err error) { firstErr = err }); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.a.PostWrite(1, 4096, second, func(err error) { secondErr = err }); err != nil {

@@ -18,8 +18,8 @@ func TestNAKSequenceResync(t *testing.T) {
 	data := make([]byte, n)
 	rand.New(rand.NewSource(1)).Read(data)
 	// Drop everything A->B for a short window mid-message.
-	p.eng.Schedule(0, func() { p.link.ImpairAtoB(fabric.Impairment{DropProb: 1.0}) })
-	p.eng.Schedule(300*sim.Microsecond, func() { p.link.ImpairAtoB(fabric.Impairment{}) })
+	p.eng.Schedule(0, func() { p.link.SetOfflineAtoB(true) })
+	p.eng.Schedule(300*sim.Microsecond, func() { p.link.SetOfflineAtoB(false) })
 	ok := false
 	p.eng.Schedule(100*sim.Microsecond, func() {
 		p.a.PostWrite(1, 0, data, func(err error) { ok = err == nil })
@@ -82,8 +82,8 @@ func TestMultiQPIsolation(t *testing.T) {
 	if err := p.b.CreateQP(4, p.a.Identity(), 3); err != nil {
 		t.Fatal(err)
 	}
-	p.eng.Schedule(0, func() { p.link.ImpairAtoB(fabric.Impairment{DropProb: 0.3}) })
-	p.eng.Schedule(2*sim.Millisecond, func() { p.link.ImpairAtoB(fabric.Impairment{}) })
+	p.eng.Schedule(0, func() { p.link.SetFaultsAtoB(fabric.Coin{Rand: p.eng.Rand(), DropProb: 0.3}) })
+	p.eng.Schedule(2*sim.Millisecond, func() { p.link.SetFaultsAtoB(nil) })
 	okA, okB := 0, 0
 	const msgs = 50
 	p.eng.Schedule(0, func() {
@@ -121,15 +121,15 @@ func TestDuplicateReadReExecuted(t *testing.T) {
 	copy(p.hb.buf[64:], []byte("retry me"))
 	dropped := false
 	// Drop exactly the first B->A data packet.
-	p.eng.Schedule(0, func() { p.link.ImpairBtoA(fabric.Impairment{DropProb: 1.0}) })
+	p.eng.Schedule(0, func() { p.link.SetOfflineBtoA(true) })
 	p.eng.Schedule(20*sim.Microsecond, func() {
-		p.link.ImpairBtoA(fabric.Impairment{})
+		p.link.SetOfflineBtoA(false)
 		dropped = true
 	})
 	var got []byte
 	ok := false
 	p.eng.Schedule(0, func() {
-		p.a.PostRead(1, 64, 8, func(off int, chunk []byte, ack func()) {
+		p.a.PostRead(1, 64, 0, 8, 0, func(off int, chunk []byte, ack func()) {
 			got = append(got, chunk...)
 			ack()
 		}, func(err error) { ok = err == nil })
@@ -179,7 +179,7 @@ func TestRetriesResetOnProgress(t *testing.T) {
 	cfg.RetransTimeout = 20 * sim.Microsecond
 	cfg.MaxRetries = 4
 	p := newPair(t, 10, cfg, fabric.DirectCable10G())
-	p.link.ImpairAtoB(fabric.Impairment{DropProb: 0.1})
+	p.link.SetFaultsAtoB(fabric.Coin{Rand: p.eng.Rand(), DropProb: 0.1})
 	n := cfg.MTUPayload * 40
 	data := make([]byte, n)
 	rand.New(rand.NewSource(3)).Read(data)
@@ -204,7 +204,7 @@ func TestOutstandingReadsReported(t *testing.T) {
 	p := newPair(t, 11, Config10G(), fabric.DirectCable10G())
 	p.eng.Schedule(0, func() {
 		for i := 0; i < 5; i++ {
-			if err := p.a.PostRead(1, 0, 64, nil, nil); err != nil {
+			if err := p.a.PostRead(1, 0, 0, 64, 0, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -350,7 +350,7 @@ func TestReadRecoveryDropSchedule(t *testing.T) {
 			completions := 0
 			var cerr error
 			p.eng.Schedule(0, func() {
-				err := p.a.PostRead(1, 4096, n, func(off int, chunk []byte, ack func()) {
+				err := p.a.PostRead(1, 4096, 0, n, 0, func(off int, chunk []byte, ack func()) {
 					got = append(got, chunk...)
 					ack()
 				}, func(err error) {

@@ -383,19 +383,16 @@ func (s *Stack) instrumentMsg(opID uint64, kind string, msg *outMessage) {
 
 // --- requester verbs ------------------------------------------------------
 
-// PostWrite issues an RDMA WRITE of data to remoteVA. done fires when the
-// remote NIC acknowledges the last packet. Every frame is encoded before
-// PostWrite returns (retransmissions resend the stored frames), so the
-// caller may reuse data as soon as it does; the same holds for every
-// segmented post below and for WriteStream.Feed.
+// PostWrite issues an RDMA WRITE of data to remoteVA under the QP's
+// exchanged rkey, with no deadline: PostWriteStream with the whole
+// payload as its first piece. done fires when the remote NIC
+// acknowledges the last packet. Every frame is encoded before PostWrite
+// returns (retransmissions resend the stored frames), so the caller may
+// reuse data as soon as it does; the same holds for every segmented post
+// below and for WriteStream.Feed.
 func (s *Stack) PostWrite(qpn uint32, remoteVA uint64, data []byte, done func(error)) error {
-	return s.PostWriteKeyDeadline(qpn, remoteVA, 0, data, 0, done)
-}
-
-// PostRPCWrite issues an RDMA RPC WRITE: payload streamed to the remote
-// kernel selected by rpcOp (§5.1).
-func (s *Stack) PostRPCWrite(qpn uint32, rpcOp uint64, data []byte, done func(error)) error {
-	return s.PostRPCWriteDeadline(qpn, rpcOp, data, 0, done)
+	_, err := s.PostWriteStream(qpn, remoteVA, 0, len(data), data, 0, done)
+	return err
 }
 
 // WriteStream is a posted WRITE or RPC WRITE whose payload is still
@@ -403,18 +400,26 @@ func (s *Stack) PostRPCWrite(qpn uint32, rpcOp uint64, data []byte, done func(er
 // post on; Feed turns each further piece into frames.
 type WriteStream outMessage
 
-// PostWriteStream is PostWriteKeyDeadline for a payload of n bytes that
-// is still crossing PCIe: first holds the bytes that have arrived, the
-// rest follows through Feed, in order. The message reserves its n-byte
-// PSN range now and each segment leaves when its bytes are there, so the
-// first frame is on the wire while the last is still in host memory.
-// Every piece but the last must be a whole number of MTU payloads.
-// Posting the whole payload as first is PostWriteKeyDeadline.
+// PostWriteStream posts an RDMA WRITE of n bytes to remoteVA whose
+// payload may still be crossing PCIe: first holds the bytes that have
+// arrived, the rest follows through Feed, in order (first may be the
+// whole payload). The message reserves its n-byte PSN range now and each
+// segment leaves when its bytes are there, so the first frame is on the
+// wire while the last is still in host memory. Every piece but the last
+// must be a whole number of MTU payloads.
+//
+// rkey 0 stamps the QP's exchanged key (SetRemoteRKey), itself 0 — the
+// wildcard key — unless one was exchanged. deadline is an absolute
+// sim-time (zero: none): if the remote acknowledgement has not arrived
+// by then, done fires with an error wrapping sim.ErrDeadlineExceeded
+// while the frames already on the wire keep draining through go-back-N,
+// leaving the PSN space whole. Every post below takes the same two.
 func (s *Stack) PostWriteStream(qpn uint32, remoteVA uint64, rkey uint32, n int, first []byte, deadline sim.Time, done func(error)) (*WriteStream, error) {
 	return s.postSegmented(qpn, packet.KindWrite, packet.RETH{VirtualAddress: remoteVA, RKey: rkey, DMALength: uint32(n)}, first, deadline, done)
 }
 
-// PostRPCWriteStream is PostRPCWriteDeadline fed like PostWriteStream.
+// PostRPCWriteStream posts an RDMA RPC WRITE: n bytes streamed to the
+// remote kernel selected by rpcOp (§5.1), fed like PostWriteStream.
 func (s *Stack) PostRPCWriteStream(qpn uint32, rpcOp uint64, n int, first []byte, deadline sim.Time, done func(error)) (*WriteStream, error) {
 	return s.postSegmented(qpn, packet.KindRPCWrite, packet.RETH{VirtualAddress: rpcOp, DMALength: uint32(n)}, first, deadline, done)
 }
@@ -542,13 +547,7 @@ func (s *Stack) freePending(p *pendingPacket) {
 
 // PostRPC issues an RDMA RPC: a single Params packet carrying the kernel
 // op-code (in the RETH address field) and its parameters.
-func (s *Stack) PostRPC(qpn uint32, rpcOp uint64, params []byte, done func(error)) error {
-	return s.PostRPCDeadline(qpn, rpcOp, params, 0, done)
-}
-
-// PostRPCDeadline is PostRPC with an absolute sim-time deadline (zero
-// means none; see PostWriteDeadline).
-func (s *Stack) PostRPCDeadline(qpn uint32, rpcOp uint64, params []byte, deadline sim.Time, done func(error)) error {
+func (s *Stack) PostRPC(qpn uint32, rpcOp uint64, params []byte, deadline sim.Time, done func(error)) error {
 	st, err := s.st.get(qpn)
 	if err != nil {
 		return err
@@ -577,28 +576,43 @@ func (s *Stack) PostRPCDeadline(qpn uint32, rpcOp uint64, params []byte, deadlin
 // one PSN per expected response packet ("an RDMA READ operation requires
 // the length of the response in advance to pre-calculate the number of
 // expected packets and their sequence numbers", §5.1).
-func (s *Stack) PostRead(qpn uint32, remoteVA uint64, n int, sink ReadSink, done func(error)) error {
-	return s.PostReadDeadline(qpn, remoteVA, n, 0, sink, done)
-}
-
-// PostReadDeadline is PostRead with an absolute sim-time deadline (zero
-// means none; see PostWriteDeadline).
-func (s *Stack) PostReadDeadline(qpn uint32, remoteVA uint64, n int, deadline sim.Time, sink ReadSink, done func(error)) error {
-	return s.postRead(qpn, packet.RETH{VirtualAddress: remoteVA, DMALength: uint32(n)}, deadline, sink, done)
-}
-
-// PostWriteKeyDeadline is PostWriteDeadline with an explicit rkey in the
-// RETH. RKey 0 falls back to the QP's exchanged key (SetRemoteRKey), which
-// is itself 0 — the wildcard key — unless one was exchanged.
-func (s *Stack) PostWriteKeyDeadline(qpn uint32, remoteVA uint64, rkey uint32, data []byte, deadline sim.Time, done func(error)) error {
-	_, err := s.PostWriteStream(qpn, remoteVA, rkey, len(data), data, deadline, done)
-	return err
-}
-
-// PostReadKeyDeadline is PostReadDeadline with an explicit rkey (see
-// PostWriteKeyDeadline for the RKey-0 fallback).
-func (s *Stack) PostReadKeyDeadline(qpn uint32, remoteVA uint64, rkey uint32, n int, deadline sim.Time, sink ReadSink, done func(error)) error {
-	return s.postRead(qpn, packet.RETH{VirtualAddress: remoteVA, RKey: rkey, DMALength: uint32(n)}, deadline, sink, done)
+func (s *Stack) PostRead(qpn uint32, remoteVA uint64, rkey uint32, n int, deadline sim.Time, sink ReadSink, done func(error)) error {
+	st, err := s.st.get(qpn)
+	if err != nil {
+		return err
+	}
+	if err := s.sendable(st); err != nil {
+		return err
+	}
+	if rkey == 0 {
+		rkey = st.remoteRKey
+	}
+	opID := s.newOp(st)
+	npsn := uint32(packet.NumSegments(n, s.cfg.MTUPayload))
+	msg := &outMessage{isRead: true, owner: s, complete: done, qpn: qpn}
+	elem, err := s.mq.push(qpn, mqElement{
+		FirstPSN: st.nextPSN,
+		LastPSN:  psnAdd(st.nextPSN, npsn-1),
+		Length:   n,
+		Sink:     sink,
+		Msg:      msg,
+		nextPSN:  st.nextPSN,
+	})
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrTooManyReads, err)
+	}
+	elem.ack = func() {
+		elem.inFlight--
+		s.maybeCompleteRead(elem)
+	}
+	s.stats.OpsPosted++
+	s.instrumentMsg(opID, "READ", msg)
+	s.armDeadline(msg, deadline)
+	pkt := packet.ReadRequest(st.remoteQPN, st.nextPSN, packet.RETH{VirtualAddress: remoteVA, RKey: rkey, DMALength: uint32(n)})
+	st.nextPSN = psnAdd(st.nextPSN, npsn)
+	elem.ReqFrame = s.enqueue(qpn, st, pkt, npsn, msg).frame
+	s.armTimer(qpn, st)
+	return nil
 }
 
 // SetRemoteRKey installs the default rkey stamped on this QP's posted
@@ -622,46 +636,6 @@ func (s *Stack) RemoteRKey(qpn uint32) uint32 {
 		return 0
 	}
 	return st.remoteRKey
-}
-
-func (s *Stack) postRead(qpn uint32, reth packet.RETH, deadline sim.Time, sink ReadSink, done func(error)) error {
-	st, err := s.st.get(qpn)
-	if err != nil {
-		return err
-	}
-	if err := s.sendable(st); err != nil {
-		return err
-	}
-	if reth.RKey == 0 {
-		reth.RKey = st.remoteRKey
-	}
-	n := int(reth.DMALength)
-	opID := s.newOp(st)
-	npsn := uint32(packet.NumSegments(n, s.cfg.MTUPayload))
-	msg := &outMessage{isRead: true, owner: s, complete: done, qpn: qpn}
-	elem, err := s.mq.push(qpn, mqElement{
-		FirstPSN: st.nextPSN,
-		LastPSN:  psnAdd(st.nextPSN, npsn-1),
-		Length:   n,
-		Sink:     sink,
-		Msg:      msg,
-		nextPSN:  st.nextPSN,
-	})
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrTooManyReads, err)
-	}
-	elem.ack = func() {
-		elem.inFlight--
-		s.maybeCompleteRead(elem)
-	}
-	s.stats.OpsPosted++
-	s.instrumentMsg(opID, "READ", msg)
-	s.armDeadline(msg, deadline)
-	pkt := packet.ReadRequest(st.remoteQPN, st.nextPSN, reth)
-	st.nextPSN = psnAdd(st.nextPSN, npsn)
-	elem.ReqFrame = s.enqueue(qpn, st, pkt, npsn, msg).frame
-	s.armTimer(qpn, st)
-	return nil
 }
 
 // --- receive path ---------------------------------------------------------

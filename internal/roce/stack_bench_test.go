@@ -77,7 +77,7 @@ func BenchmarkSimulatedRead4KB(b *testing.B) {
 		if done >= b.N {
 			return
 		}
-		p.a.PostRead(1, 0, 4096, func(off int, chunk []byte, ack func()) { ack() }, func(error) {
+		p.a.PostRead(1, 0, 0, 4096, 0, func(off int, chunk []byte, ack func()) { ack() }, func(error) {
 			done++
 			post()
 		})

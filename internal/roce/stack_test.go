@@ -207,7 +207,7 @@ func TestReadSinglePacket(t *testing.T) {
 	var got []byte
 	completed := false
 	p.eng.Schedule(0, func() {
-		err := p.a.PostRead(1, 512, len(want), func(off int, chunk []byte, ack func()) {
+		err := p.a.PostRead(1, 512, 0, len(want), 0, func(off int, chunk []byte, ack func()) {
 			if off != len(got) {
 				t.Errorf("offset %d, want %d", off, len(got))
 			}
@@ -241,7 +241,7 @@ func TestReadMultiPacket(t *testing.T) {
 	got := make([]byte, 0, n)
 	completed := false
 	p.eng.Schedule(0, func() {
-		p.a.PostRead(1, 0, n, func(off int, chunk []byte, ack func()) {
+		p.a.PostRead(1, 0, 0, n, 0, func(off int, chunk []byte, ack func()) {
 			got = append(got, chunk...)
 			ack()
 		}, func(err error) { completed = err == nil })
@@ -262,7 +262,7 @@ func TestMultipleOutstandingReads(t *testing.T) {
 	p.eng.Schedule(0, func() {
 		for i := 0; i < 8; i++ {
 			i := i
-			err := p.a.PostRead(1, uint64(i*100), 1, func(off int, chunk []byte, ack func()) {
+			err := p.a.PostRead(1, uint64(i*100), 0, 1, 0, func(off int, chunk []byte, ack func()) {
 				results = append(results, chunk[0])
 				ack()
 			}, func(err error) {
@@ -294,11 +294,11 @@ func TestReadDepthLimit(t *testing.T) {
 	p := newPair(t, 1, cfg, fabric.DirectCable10G())
 	p.eng.Schedule(0, func() {
 		for i := 0; i < 2; i++ {
-			if err := p.a.PostRead(1, 0, 1, nil, nil); err != nil {
+			if err := p.a.PostRead(1, 0, 0, 1, 0, nil, nil); err != nil {
 				t.Fatalf("read %d: %v", i, err)
 			}
 		}
-		if err := p.a.PostRead(1, 0, 1, nil, nil); !errors.Is(err, ErrTooManyReads) {
+		if err := p.a.PostRead(1, 0, 0, 1, 0, nil, nil); !errors.Is(err, ErrTooManyReads) {
 			t.Errorf("third read err = %v", err)
 		}
 	})
@@ -309,7 +309,7 @@ func TestRPCParamsDelivery(t *testing.T) {
 	p := newPair(t, 1, Config10G(), fabric.DirectCable10G())
 	ok := false
 	p.eng.Schedule(0, func() {
-		p.a.PostRPC(1, 42, []byte("get key=7"), func(err error) {
+		p.a.PostRPC(1, 42, []byte("get key=7"), 0, func(err error) {
 			if err != nil {
 				t.Errorf("rpc: %v", err)
 			}
@@ -331,7 +331,7 @@ func TestRPCNoKernelNAK(t *testing.T) {
 	var got error
 	done := false
 	p.eng.Schedule(0, func() {
-		p.a.PostRPC(1, 99, []byte("x"), func(err error) { got = err; done = true })
+		p.a.PostRPC(1, 99, []byte("x"), 0, func(err error) { got = err; done = true })
 	})
 	p.eng.Run()
 	if !done {
@@ -349,7 +349,7 @@ func TestRPCWriteStreaming(t *testing.T) {
 	rand.New(rand.NewSource(4)).Read(data)
 	ok := false
 	p.eng.Schedule(0, func() {
-		p.a.PostRPCWrite(1, 7, data, func(err error) { ok = err == nil })
+		p.a.PostRPCWriteStream(1, 7, len(data), data, 0, func(err error) { ok = err == nil })
 	})
 	p.eng.Run()
 	if !ok {
@@ -365,8 +365,8 @@ func TestRPCWriteStreaming(t *testing.T) {
 
 func TestLossRecoveryWrite(t *testing.T) {
 	p := newPair(t, 99, Config10G(), fabric.DirectCable10G())
-	p.link.ImpairAtoB(fabric.Impairment{DropProb: 0.2})
-	p.link.ImpairBtoA(fabric.Impairment{DropProb: 0.2})
+	p.link.SetFaultsAtoB(fabric.Coin{Rand: p.eng.Rand(), DropProb: 0.2})
+	p.link.SetFaultsBtoA(fabric.Coin{Rand: p.eng.Rand(), DropProb: 0.2})
 	n := Config10G().MTUPayload * 20
 	data := make([]byte, n)
 	rand.New(rand.NewSource(5)).Read(data)
@@ -393,7 +393,7 @@ func TestLossRecoveryWrite(t *testing.T) {
 
 func TestLossRecoveryRead(t *testing.T) {
 	p := newPair(t, 123, Config10G(), fabric.DirectCable10G())
-	p.link.ImpairBtoA(fabric.Impairment{DropProb: 0.2})
+	p.link.SetFaultsBtoA(fabric.Coin{Rand: p.eng.Rand(), DropProb: 0.2})
 	n := Config10G().MTUPayload * 10
 	want := make([]byte, n)
 	rand.New(rand.NewSource(6)).Read(want)
@@ -402,7 +402,7 @@ func TestLossRecoveryRead(t *testing.T) {
 	var hi int
 	ok := false
 	p.eng.Schedule(0, func() {
-		p.a.PostRead(1, 0, n, func(off int, chunk []byte, ack func()) {
+		p.a.PostRead(1, 0, 0, n, 0, func(off int, chunk []byte, ack func()) {
 			copy(got[off:], chunk)
 			if off+len(chunk) > hi {
 				hi = off + len(chunk)
@@ -426,7 +426,7 @@ func TestLossRecoveryRead(t *testing.T) {
 
 func TestCorruptionRecovery(t *testing.T) {
 	p := newPair(t, 77, Config10G(), fabric.DirectCable10G())
-	p.link.ImpairAtoB(fabric.Impairment{CorruptProb: 0.2})
+	p.link.SetFaultsAtoB(fabric.Coin{Rand: p.eng.Rand(), CorruptProb: 0.2})
 	n := Config10G().MTUPayload * 10
 	data := make([]byte, n)
 	rand.New(rand.NewSource(7)).Read(data)
@@ -450,13 +450,13 @@ func TestDuplicateWritesNotReExecuted(t *testing.T) {
 	// Drop all ACKs for a while so A retransmits; B must not apply the
 	// write twice.
 	p := newPair(t, 11, Config10G(), fabric.DirectCable10G())
-	p.link.ImpairBtoA(fabric.Impairment{DropProb: 1.0})
+	p.link.SetOfflineBtoA(true)
 	p.eng.Schedule(0, func() {
 		p.a.PostWrite(1, 0, []byte{1, 2, 3}, nil)
 	})
 	// After a few timeouts, heal the reverse path.
 	p.eng.Schedule(200*sim.Microsecond, func() {
-		p.link.ImpairBtoA(fabric.Impairment{})
+		p.link.SetOfflineBtoA(false)
 	})
 	p.eng.RunUntil(sim.Time(2 * sim.Millisecond))
 	if p.hb.writeMsgs != 1 {
@@ -472,7 +472,7 @@ func TestRetryExceededFails(t *testing.T) {
 	cfg.RetransTimeout = 5 * sim.Microsecond
 	cfg.MaxRetries = 3
 	p := newPair(t, 1, cfg, fabric.DirectCable10G())
-	p.link.ImpairAtoB(fabric.Impairment{DropProb: 1.0})
+	p.link.SetOfflineAtoB(true)
 	var got error
 	done := false
 	p.eng.Schedule(0, func() {
@@ -516,11 +516,11 @@ func TestWriteThroughputNearLineRate(t *testing.T) {
 func TestStackDeterminism(t *testing.T) {
 	run := func() (Stats, Stats) {
 		p := newPair(t, 42, Config10G(), fabric.DirectCable10G())
-		p.link.ImpairAtoB(fabric.Impairment{DropProb: 0.1})
+		p.link.SetFaultsAtoB(fabric.Coin{Rand: p.eng.Rand(), DropProb: 0.1})
 		data := make([]byte, Config10G().MTUPayload*8)
 		p.eng.Schedule(0, func() {
 			p.a.PostWrite(1, 0, data, nil)
-			p.a.PostRead(1, 0, 4096, func(off int, chunk []byte, ack func()) { ack() }, nil)
+			p.a.PostRead(1, 0, 0, 4096, 0, func(off int, chunk []byte, ack func()) { ack() }, nil)
 		})
 		p.eng.Run()
 		return p.a.Stats(), p.b.Stats()
@@ -553,10 +553,10 @@ func TestPostToUnknownQPFails(t *testing.T) {
 	if err := p.a.PostWrite(55, 0, []byte{1}, nil); !errors.Is(err, ErrQPNotCreated) {
 		t.Errorf("err = %v", err)
 	}
-	if err := p.a.PostRead(55, 0, 1, nil, nil); !errors.Is(err, ErrQPNotCreated) {
+	if err := p.a.PostRead(55, 0, 0, 1, 0, nil, nil); !errors.Is(err, ErrQPNotCreated) {
 		t.Errorf("err = %v", err)
 	}
-	if err := p.a.PostRPC(55, 1, nil, nil); !errors.Is(err, ErrQPNotCreated) {
+	if err := p.a.PostRPC(55, 1, nil, 0, nil); !errors.Is(err, ErrQPNotCreated) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -572,7 +572,7 @@ func TestReadLatencyAboveWriteLatency(t *testing.T) {
 	})
 	p.eng.Schedule(sim.Millisecond, func() {
 		start := p.eng.Now()
-		p.a.PostRead(1, 0, 64, func(off int, chunk []byte, ack func()) { ack() },
+		p.a.PostRead(1, 0, 0, 64, 0, func(off int, chunk []byte, ack func()) { ack() },
 			func(error) { rLat = p.eng.Now().Sub(start) })
 	})
 	p.eng.Run()

@@ -114,13 +114,13 @@ func TestPostsBehindHalfFedWriteKeepPSNOrder(t *testing.T) {
 	p.eng.Schedule(0, func() {
 		f = startFeed(t, p, 0, data, 30*sim.Microsecond, 0)
 		sink := func(off int, chunk []byte, ack func()) { got = append(got, chunk...); ack() }
-		if err := p.a.PostRead(1, 1<<20, len(remote), sink, note("read")); err != nil {
+		if err := p.a.PostRead(1, 1<<20, 0, len(remote), 0, sink, note("read")); err != nil {
 			t.Error(err)
 		}
 		if err := p.a.PostWrite(1, 2<<20, small, note("write")); err != nil {
 			t.Error(err)
 		}
-		if err := p.a.PostRPC(1, 7, []byte("p"), note("rpc")); err != nil {
+		if err := p.a.PostRPC(1, 7, []byte("p"), 0, note("rpc")); err != nil {
 			t.Error(err)
 		}
 	})
@@ -317,7 +317,7 @@ func TestRefusedStreamStillSendsItsTail(t *testing.T) {
 	next := 0
 	p.eng.Schedule(100*sim.Microsecond, func() {
 		p.hb.rpcErr = nil
-		if err := p.a.PostRPC(1, 9, []byte("again"), func(err error) {
+		if err := p.a.PostRPC(1, 9, []byte("again"), 0, func(err error) {
 			if err != nil {
 				t.Errorf("next verb: %v", err)
 			}
@@ -359,7 +359,7 @@ func TestReadServedInPieces(t *testing.T) {
 	completions := 0
 	p.eng.Schedule(0, func() {
 		sink := func(off int, chunk []byte, ack func()) { got = append(got, chunk...); ack() }
-		if err := p.a.PostRead(1, 8192, len(remote), sink, func(err error) {
+		if err := p.a.PostRead(1, 8192, 0, len(remote), 0, sink, func(err error) {
 			if err != nil {
 				t.Errorf("read: %v", err)
 			}
@@ -389,7 +389,7 @@ func TestReadServingFailsMidway(t *testing.T) {
 	var errs []error
 	p.eng.Schedule(0, func() {
 		sink := func(off int, chunk []byte, ack func()) { ack() }
-		if err := p.a.PostRead(1, 0, 5*mtu, sink, func(err error) { errs = append(errs, err) }); err != nil {
+		if err := p.a.PostRead(1, 0, 0, 5*mtu, 0, sink, func(err error) { errs = append(errs, err) }); err != nil {
 			t.Error(err)
 		}
 	})

@@ -102,6 +102,7 @@ type Engine struct {
 	group     *ShardGroup
 	shardIdx  int32
 	windowEnd Time
+	fgAt      Time // when this shard last fired a foreground event
 }
 
 // NewEngine returns an engine at time zero with a deterministic RNG seeded

@@ -55,6 +55,8 @@ type ShardGroup struct {
 	linkLA    map[[2]int32]Duration // optional per-link lookahead declarations
 	workers   int
 
+	daemonsTo Time // daemons up to here may fire on a shard with no foreground work (see frontier)
+
 	windows  uint64 // barrier windows executed
 	crossed  uint64 // cross-shard events delivered
 	running  bool
@@ -215,13 +217,9 @@ func (g *ShardGroup) Run() Time {
 		defer g.stopWorkers()
 	}
 	for {
-		// Global minimum next-event time over all shards. Outboxes are
-		// empty here (drained by the previous barrier). Daemon events
-		// never sustain the loop on their own: once every shard's
-		// foreground queue is empty the simulation is over, exactly as
-		// on a standalone engine (trailing daemons are left unfired).
-		next, ok := g.peekMin()
-		if !ok || !g.foregroundPending() {
+		// Outboxes are empty here (drained by the previous barrier).
+		next, ok := g.frontier()
+		if !ok {
 			break
 		}
 		window := next.Add(g.lookahead)
@@ -235,27 +233,36 @@ func (g *ShardGroup) Run() Time {
 	return g.Now()
 }
 
-// foregroundPending reports whether any shard still holds live
-// non-daemon events.
-func (g *ShardGroup) foregroundPending() bool {
+// frontier returns the earliest event the next window may run, and false
+// when the simulation is over. Daemon events fire exactly as on a
+// standalone engine — while foreground work at or after them remains
+// anywhere, never after the last of it — so a run ends at the same time
+// and samples the same instants however it is sharded. A shard knows
+// that of its own queue; for a daemon on a shard with no foreground work
+// left the group supplies a bound: the latest time a foreground event is
+// known to fire at (one has, or a shard that still holds one cannot run
+// it before its head). A later daemon waits in the heap (runBefore); once
+// every foreground queue is empty the bound is the end of the run and
+// the waiting daemons up to it get their window.
+func (g *ShardGroup) frontier() (Time, bool) {
+	var bound, busy, idle Time // idle: the earliest daemon on a shard with nothing else
+	haveBusy, haveIdle := false, false
 	for _, s := range g.shards {
-		if s.Pending() > 0 {
-			return true
+		bound = max(bound, s.fgAt)
+		if t, ok := s.peek(); ok && s.Pending() > 0 {
+			bound = max(bound, t)
+			if !haveBusy || t < busy {
+				busy, haveBusy = t, true
+			}
+		} else if ok && (!haveIdle || t < idle) {
+			idle, haveIdle = t, true
 		}
 	}
-	return false
-}
-
-// peekMin returns the earliest pending event time across shards.
-func (g *ShardGroup) peekMin() (Time, bool) {
-	var min Time
-	found := false
-	for _, s := range g.shards {
-		if t, ok := s.peek(); ok && (!found || t < min) {
-			min, found = t, true
-		}
+	g.daemonsTo = bound
+	if haveIdle && idle <= bound && (!haveBusy || idle < busy) {
+		return idle, true
 	}
-	return min, found
+	return busy, haveBusy
 }
 
 // runWindow executes every shard up to (but excluding) window, serially
@@ -422,12 +429,17 @@ func (e *Engine) runBefore(w Time) {
 		if ev.at >= w {
 			break
 		}
+		if ev.daemon && e.Pending() == 0 && ev.at > e.group.daemonsTo {
+			break // only daemons left here: they wait for the group's bound
+		}
 		if e.limit != 0 && ev.at > e.limit {
 			panic(fmt.Sprintf("sim: horizon %v exceeded (event at %v after %d events)", e.limit, ev.at, e.fired))
 		}
 		e.pop()
 		if ev.daemon {
 			e.ndaemon--
+		} else {
+			e.fgAt = ev.at
 		}
 		e.now = ev.at
 		e.fired++

@@ -279,3 +279,51 @@ func BenchmarkShardGroupWindowOverhead(b *testing.B) {
 	g.Shard(0).Schedule(0, func() { hop(0, b.N) })
 	g.Run()
 }
+
+// Daemon events on a sharded group fire at the instants a standalone
+// engine fires them — while foreground work at or after them remains
+// anywhere, never after the last of it — whichever shard holds them, and
+// the run ends with its last foreground event either way.
+func TestShardDaemonsEndWithForeground(t *testing.T) {
+	const lookahead = 150 * Nanosecond
+	// A foreground ping-pong between a and b that dies out at 9.35 µs,
+	// and a 130 ns sampler on each of a, b and idle (which holds nothing
+	// else), so samplers sit on busy, half-busy and idle shards alike.
+	run := func(a, b, idle *Engine, run func() Time) (samples [3][]Time, end Time) {
+		var hop func(from, to *Engine, left int)
+		hop = func(from, to *Engine, left int) {
+			if left > 0 {
+				from.CrossSchedule(to, lookahead+400*Nanosecond, func() { hop(to, from, left-1) })
+			}
+		}
+		a.Schedule(0, func() { hop(a, b, 17) })
+		for i, e := range []*Engine{a, b, idle} {
+			var tick func()
+			tick = func() {
+				samples[i] = append(samples[i], e.Now())
+				e.ScheduleDaemon(130*Nanosecond, tick)
+			}
+			e.ScheduleDaemon(130*Nanosecond, tick)
+		}
+		return samples, run()
+	}
+	one := NewEngine(1)
+	want, wantEnd := run(one, one, one, one.Run)
+	if wantEnd != Time(17*550*Nanosecond) || len(want[2]) != int(wantEnd/Time(130*Nanosecond)) {
+		t.Fatalf("standalone run: end %v with %d samples", wantEnd, len(want[2]))
+	}
+	for _, workers := range []int{1, 3} {
+		g := NewShardGroup(1, 3, lookahead)
+		g.SetWorkers(workers)
+		got, end := run(g.Shard(0), g.Shard(1), g.Shard(2), g.Run)
+		if end != wantEnd {
+			t.Errorf("workers=%d: run ends at %v, standalone at %v", workers, end, wantEnd)
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("workers=%d: sampler %d fired %d times, last at %v; on a standalone engine %d times, last at %v",
+					workers, i, len(got[i]), got[i][len(got[i])-1], len(want[i]), want[i][len(want[i])-1])
+			}
+		}
+	}
+}

@@ -43,10 +43,9 @@ package export
 //	out_frames, out_bytes
 //	out_discards         total frames dropped on the wire, broken down
 //	                     by cause into out_discards_chaos (injected
-//	                     loss), out_discards_flap (link-down window),
-//	                     out_discards_offline (direction taken
-//	                     offline) and out_discards_impair (legacy
-//	                     biased-coin impairment)
+//	                     loss), out_discards_flap (link-down window)
+//	                     and out_discards_offline (direction taken
+//	                     offline)
 //	fcs_err              frames corrupted in flight (the receiver
 //	                     discards them on ICRC)
 //	dup_frames, delayed_frames
@@ -61,9 +60,10 @@ package export
 //	out_discards         total frames dropped at this port, broken down
 //	                     by cause into out_discards_overflow (shared
 //	                     pool exhausted), out_discards_threshold
-//	                     (per-port dynamic threshold), out_discards_egress
-//	                     (legacy bounded egress queue tail drop) and
-//	                     out_discards_no_route (unknown destination MAC)
+//	                     (per-port dynamic threshold),
+//	                     out_discards_no_route (unknown destination
+//	                     MAC) and out_discards_wire (injected loss on
+//	                     the egress wire)
 //	pfc_pause_tx/pfc_resume_tx  PFC control frames emitted toward the
 //	                     attached NIC when the per-(port,priority)
 //	                     buffer usage crosses the watermarks

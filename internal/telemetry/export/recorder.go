@@ -187,8 +187,7 @@ const (
 // is not supported; use NewRecorder.
 //
 // Usage: register sources (and optionally a registry) during setup,
-// Start after the workload has been scheduled, run the simulation, then
-// Drain/WriteTo. On a sharded testbed each engine's sources are scraped
+// Start, run the simulation, then Drain/WriteTo. On a sharded testbed each engine's sources are scraped
 // by that shard (the single-writer contract); the merged stream is
 // byte-identical for every worker count.
 type Recorder struct {
@@ -296,7 +295,7 @@ func (r *Recorder) Registry(eng *sim.Engine, host string, reg *telemetry.Registr
 func (r *Recorder) Start(every sim.Duration) {
 	for _, s := range r.scrapers {
 		s := s
-		telemetry.DaemonProbe(s.eng, every, func(now sim.Time) { s.tick(now) })
+		telemetry.Probe(s.eng, every, func(now sim.Time) { s.tick(now) })
 	}
 }
 

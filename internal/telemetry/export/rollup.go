@@ -16,7 +16,7 @@ import (
 // operator's attention.
 var errCounters = []string{
 	"fcs_err", "out_discards", "out_discards_chaos", "out_discards_flap",
-	"out_discards_offline", "out_discards_impair", "in_discards",
+	"out_discards_offline", "in_discards",
 	"stomped_crc", "remote_access_naks", "mr_violations", "qp_errors",
 	"kernel_faults", "kernel_aborts", "dma_stalled", "timeouts",
 	"retransmissions", "deadline_expired",

@@ -2,39 +2,15 @@ package telemetry
 
 import "strom/internal/sim"
 
-// Probe samples fn every interval of simulated time, driven by the DES
-// engine itself. The probe rides along with the simulation: after each
-// sample it reschedules only while other events remain queued, so probes
-// observe the full lifetime of a workload without keeping an otherwise
-// finished simulation alive (Engine.Run terminates when the queue
-// drains).
-//
-// Install probes after the workload has been scheduled: a probe whose
-// first tick finds an empty queue stops immediately. Sampling order at
-// equal timestamps follows scheduling order, like every engine event, so
-// probe output is deterministic.
+// Probe samples fn every interval of simulated time, on daemon events:
+// it fires for as long as foreground work remains anywhere in the
+// simulation and can never keep the simulation (or another probe)
+// alive — the run loop stops once only daemons are queued, so a run
+// ends at the same simulated time with and without probes. Install it
+// before or after the workload is scheduled; any number coexist on one
+// engine. Sampling order at equal timestamps follows scheduling order,
+// like every engine event, so probe output is deterministic.
 func Probe(eng *sim.Engine, every sim.Duration, fn func(now sim.Time)) {
-	if eng == nil || fn == nil || every <= 0 {
-		return
-	}
-	var tick func()
-	tick = func() {
-		fn(eng.Now())
-		if eng.Pending() > 0 {
-			eng.Schedule(every, tick)
-		}
-	}
-	eng.Schedule(every, tick)
-}
-
-// DaemonProbe is Probe on daemon events: fn samples every interval for
-// as long as foreground work remains anywhere in the simulation, and
-// the probe can never keep the simulation (or another probe) alive —
-// the engine's run loop simply stops once only daemons are queued.
-// Unlike Probe it may therefore be installed before the workload is
-// scheduled, and any number of daemon probes can coexist on one engine
-// without sustaining each other.
-func DaemonProbe(eng *sim.Engine, every sim.Duration, fn func(now sim.Time)) {
 	if eng == nil || fn == nil || every <= 0 {
 		return
 	}

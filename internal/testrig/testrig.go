@@ -10,8 +10,6 @@ import (
 	"strom/internal/core"
 	"strom/internal/fabric"
 	"strom/internal/hostmem"
-	"strom/internal/packet"
-	"strom/internal/roce"
 	"strom/internal/sim"
 	"strom/internal/telemetry"
 	"strom/internal/telemetry/export"
@@ -63,8 +61,8 @@ func NewSharded(seed int64, cfg core.Config, linkCfg fabric.LinkConfig, bufSize,
 // build assembles the testbed on the given engines (equal when
 // unsharded).
 func build(engA, engB *sim.Engine, group *sim.ShardGroup, cfg core.Config, linkCfg fabric.LinkConfig, bufSize int) (*Pair, error) {
-	idA := roce.Identity{MAC: packet.MAC{2, 0, 0, 0, 0, 1}, IP: packet.AddrOf(10, 0, 0, 1)}
-	idB := roce.Identity{MAC: packet.MAC{2, 0, 0, 0, 0, 2}, IP: packet.AddrOf(10, 0, 0, 2)}
+	idA, _ := core.MachineIdentity(1) // 1 and 2 are in range
+	idB, _ := core.MachineIdentity(2)
 	a := core.NewNIC(engA, cfg, idA)
 	b := core.NewNIC(engB, cfg, idB)
 	link := fabric.NewLinkOn(engA, engB, linkCfg, a, b)
@@ -125,31 +123,16 @@ func (p *Pair) Instrument() *Telemetry {
 	return &Telemetry{Registry: reg, Trace: tb}
 }
 
-// StartProbes installs a periodic sampling probe that records both NICs'
-// occupancy signals (kernel in-flight DMA, per-QP outstanding work,
+// StartProbes installs the periodic sampling probes that record both
+// NICs' occupancy signals (kernel in-flight DMA, per-QP outstanding work,
 // doorbell backlog) and the link utilisation every interval of simulated
-// time. Install after the workload has been scheduled: the probe stops
-// with the simulation (see telemetry.Probe).
+// time: one probe per machine, on that machine's engine, each sampling
+// only the signals its side owns (the single-writer-per-handle telemetry
+// contract). They never move the end of the run (see telemetry.Probe).
 func (p *Pair) StartProbes(tel *Telemetry, every sim.Duration) {
 	if tel == nil {
 		return
 	}
-	if p.Group == nil {
-		// Historical single-probe path, byte-identical to previous
-		// releases: one event samples both machines.
-		telemetry.Probe(p.Eng, every, func(sim.Time) {
-			p.A.TelemetrySample()
-			p.B.TelemetrySample()
-			aToB, bToA := p.Link.Utilisations()
-			tel.Registry.Histogram("link_utilisation_samples", "fraction",
-				telemetry.L("dir", "a-to-b")).ObserveInt(int64(aToB * 100))
-			tel.Registry.Histogram("link_utilisation_samples", "fraction",
-				telemetry.L("dir", "b-to-a")).ObserveInt(int64(bToA * 100))
-		})
-		return
-	}
-	// Sharded: one probe per shard, each sampling only the signals its
-	// shard owns (the single-writer-per-handle telemetry contract).
 	telemetry.Probe(p.Eng, every, func(sim.Time) {
 		p.A.TelemetrySample()
 		tel.Registry.Histogram("link_utilisation_samples", "fraction",
@@ -170,8 +153,7 @@ func (p *Pair) StartProbes(tel *Telemetry, every sim.Duration) {
 // exports health events only: the registry's collect callbacks span
 // both shards, so scraping it mid-run from one shard would race (the
 // end-of-run registry export is Registry.WriteJSON's job there). Pass
-// tel nil to skip registry export entirely. Call before the workload is
-// scheduled, then rec.Start after, mirroring StartProbes.
+// tel nil to skip registry export entirely. Call before rec.Start.
 func (p *Pair) RecordJSONL(rec *export.Recorder, tel *Telemetry) {
 	rec.Source(p.Eng, "A", "port", "nic:A", p.A.Health)
 	rec.Source(p.Eng, "fabric", "link", "a-to-b", p.Link.HealthAtoB)
@@ -225,32 +207,14 @@ func (p *Pair) AddQueuePair(qpa, qpb uint32) error {
 	return p.B.CreateQP(qpb, p.A.Identity(), qpa)
 }
 
-// Reconnect re-establishes the testbed queue pair after a failure: both
-// ends are reset (flushing anything still outstanding) and reconnected
-// with fresh PSNs. It fails with roce.ErrPeerCrashed while either machine
-// is down — callers retry under backoff until the peer restarts.
+// Reconnect re-establishes the testbed queue pair after a failure
+// (core.Reconnect): it fails with roce.ErrPeerCrashed while either
+// machine is down — callers retry under backoff until the peer restarts.
 func (p *Pair) Reconnect() error { return p.ReconnectPair(QPA, QPB) }
 
 // ReconnectPair is Reconnect for an arbitrary QP pair created with
 // AddQueuePair.
-func (p *Pair) ReconnectPair(qpa, qpb uint32) error {
-	if p.A.Crashed() {
-		return fmt.Errorf("%w: A is down", roce.ErrPeerCrashed)
-	}
-	if p.B.Crashed() {
-		return fmt.Errorf("%w: B is down", roce.ErrPeerCrashed)
-	}
-	if err := p.B.Stack().ResetQP(qpb); err != nil {
-		return err
-	}
-	if err := p.A.Stack().ResetQP(qpa); err != nil {
-		return err
-	}
-	if err := p.B.Stack().ReconnectQP(qpb); err != nil {
-		return err
-	}
-	return p.A.Stack().ReconnectQP(qpa)
-}
+func (p *Pair) ReconnectPair(qpa, qpb uint32) error { return core.Reconnect(p.A, qpa, p.B, qpb) }
 
 // New10G is the common case: the 10 G testbed with 32 MB buffers.
 func New10G(seed int64) (*Pair, error) {

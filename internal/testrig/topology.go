@@ -7,7 +7,6 @@ import (
 	"strom/internal/core"
 	"strom/internal/fabric"
 	"strom/internal/hostmem"
-	"strom/internal/packet"
 	"strom/internal/roce"
 	"strom/internal/sim"
 	"strom/internal/telemetry/export"
@@ -81,13 +80,13 @@ func NewNetSharded(seed int64, n int, cfg core.Config, swCfg fabric.SwitchConfig
 
 // buildNet assembles machines and switch on the given engines.
 func buildNet(engs []*sim.Engine, swEng *sim.Engine, group *sim.ShardGroup, cfg core.Config, swCfg fabric.SwitchConfig, bufBytes int) (*Net, error) {
+	if len(engs) > core.MaxMachines {
+		return nil, fmt.Errorf("testrig: %w: %d asked for", core.ErrTooManyMachines, len(engs))
+	}
 	sw := fabric.NewSwitchCfg(swEng, swCfg)
 	net := &Net{Group: group, SwEng: swEng, Sw: sw}
 	for i, eng := range engs {
-		id := roce.Identity{
-			MAC: packet.MAC{2, 0, 0, 0, 0, byte(i + 1)},
-			IP:  packet.AddrOf(10, 0, 0, byte(i+1)),
-		}
+		id, _ := core.MachineIdentity(i + 1) // in range: checked above
 		nic := core.NewNIC(eng, cfg, id)
 		port := sw.AttachPortOn(eng, id.MAC, nic)
 		nic.SetTransmit(port.Send)
@@ -119,29 +118,10 @@ func (n *Net) Connect(i, j int) (qpi, qpj uint32, err error) {
 }
 
 // ReconnectPair re-establishes a queue pair between machines i and j
-// after a failure: both ends are reset (flushing anything outstanding)
-// and reconnected with fresh PSNs. Like Pair.ReconnectPair it fails
-// with roce.ErrPeerCrashed while either machine is down — callers retry
-// under backoff until the peer restarts. Note rkeys rotate on restart:
-// re-exchange them after a successful reconnect.
+// after a failure (core.Reconnect; it fails with roce.ErrPeerCrashed
+// while either machine is down).
 func (n *Net) ReconnectPair(i, j int, qpi, qpj uint32) error {
-	mi, mj := n.Machines[i], n.Machines[j]
-	if mi.NIC.Crashed() {
-		return fmt.Errorf("%w: m%d is down", roce.ErrPeerCrashed, i)
-	}
-	if mj.NIC.Crashed() {
-		return fmt.Errorf("%w: m%d is down", roce.ErrPeerCrashed, j)
-	}
-	if err := mj.NIC.Stack().ResetQP(qpj); err != nil {
-		return err
-	}
-	if err := mi.NIC.Stack().ResetQP(qpi); err != nil {
-		return err
-	}
-	if err := mj.NIC.Stack().ReconnectQP(qpj); err != nil {
-		return err
-	}
-	return mi.NIC.Stack().ReconnectQP(qpi)
+	return core.Reconnect(n.Machines[i].NIC, qpi, n.Machines[j].NIC, qpj)
 }
 
 // EnableDCQCN turns the DCQCN loop on for every machine's stack.

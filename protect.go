@@ -91,14 +91,3 @@ func (qp *QueuePair) SetRemoteKey(rkey uint32) error {
 func (qp *QueuePair) RemoteKey() uint32 {
 	return qp.A.nic.Stack().RemoteRKey(qp.QPNA)
 }
-
-// WriteKeySyncDeadline is WriteSyncDeadline with an explicit rkey for
-// the remote region, overriding the SetRemoteKey default.
-func (qp *QueuePair) WriteKeySyncDeadline(p *Process, localVA, remoteVA uint64, rkey uint32, n int, deadline Time) error {
-	return qp.A.nic.WriteKeySyncDeadline(p, qp.QPNA, localVA, remoteVA, rkey, n, deadline)
-}
-
-// ReadKeySyncDeadline is ReadSyncDeadline with an explicit rkey.
-func (qp *QueuePair) ReadKeySyncDeadline(p *Process, remoteVA, localVA uint64, rkey uint32, n int, deadline Time) error {
-	return qp.A.nic.ReadKeySyncDeadline(p, qp.QPNA, remoteVA, localVA, rkey, n, deadline)
-}

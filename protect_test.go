@@ -53,14 +53,14 @@ func TestMemoryProtectionPublicAPI(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := qp.WriteSyncDeadline(p, localVA, rwVA, 64, deadline(p)); err != nil {
+		if err := qp.Do(p, strom.Verb{Op: strom.OpWrite, LocalVA: localVA, RemoteVA: rwVA, Len: 64, Deadline: deadline(p)}); err != nil {
 			t.Errorf("write with exchanged key: %v", err)
 			return
 		}
 
 		// A WRITE to the read-only region is NAK'd even with its valid
 		// key: the key proves identity, not rights it never had.
-		err := qp.WriteKeySyncDeadline(p, localVA, roVA, b.RegionFor(roBuf).RKey(), 64, deadline(p))
+		err := qp.Do(p, strom.Verb{Op: strom.OpWrite, LocalVA: localVA, RemoteVA: roVA, Len: 64, RKey: b.RegionFor(roBuf).RKey(), Deadline: deadline(p)})
 		if !errors.Is(err, strom.ErrRemoteAccess) || !errors.Is(err, strom.ErrQPError) {
 			t.Errorf("write to read-only region: got %v, want ErrRemoteAccess in ErrQPError", err)
 			return
@@ -68,7 +68,7 @@ func TestMemoryProtectionPublicAPI(t *testing.T) {
 		reconnect(p)
 
 		// READing it with the same key is fine.
-		if err := qp.ReadKeySyncDeadline(p, roVA, localVA, b.RegionFor(roBuf).RKey(), 64, deadline(p)); err != nil {
+		if err := qp.Do(p, strom.Verb{Op: strom.OpRead, RemoteVA: roVA, LocalVA: localVA, Len: 64, RKey: b.RegionFor(roBuf).RKey(), Deadline: deadline(p)}); err != nil {
 			t.Errorf("read from read-only region: %v", err)
 			return
 		}
@@ -79,7 +79,7 @@ func TestMemoryProtectionPublicAPI(t *testing.T) {
 		p.Sleep(100 * strom.Microsecond)
 		b.Restart()
 		reconnect(p)
-		err = qp.WriteKeySyncDeadline(p, localVA, rwVA, stale, 64, deadline(p))
+		err = qp.Do(p, strom.Verb{Op: strom.OpWrite, LocalVA: localVA, RemoteVA: rwVA, Len: 64, RKey: stale, Deadline: deadline(p)})
 		if !errors.Is(err, strom.ErrRemoteAccess) {
 			t.Errorf("write with pre-restart key: got %v, want ErrRemoteAccess", err)
 			return
@@ -89,7 +89,7 @@ func TestMemoryProtectionPublicAPI(t *testing.T) {
 		// ...and re-fetching it restores access.
 		if fresh := b.RegionFor(rwBuf).RKey(); fresh == stale {
 			t.Errorf("restart did not rotate the rkey")
-		} else if err := qp.WriteKeySyncDeadline(p, localVA, rwVA, fresh, 64, deadline(p)); err != nil {
+		} else if err := qp.Do(p, strom.Verb{Op: strom.OpWrite, LocalVA: localVA, RemoteVA: rwVA, Len: 64, RKey: fresh, Deadline: deadline(p)}); err != nil {
 			t.Errorf("write with re-fetched key: %v", err)
 			return
 		}
@@ -99,7 +99,7 @@ func TestMemoryProtectionPublicAPI(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		err = qp.WriteKeySyncDeadline(p, localVA, rwVA, 0, 64, deadline(p))
+		err = qp.Do(p, strom.Verb{Op: strom.OpWrite, LocalVA: localVA, RemoteVA: rwVA, Len: 64, Deadline: deadline(p)})
 		if !errors.Is(err, strom.ErrRemoteAccess) {
 			t.Errorf("write to deregistered region: got %v, want ErrRemoteAccess", err)
 		}

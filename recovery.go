@@ -1,8 +1,6 @@
 package strom
 
 import (
-	"fmt"
-
 	"strom/internal/core"
 	"strom/internal/cpu"
 	"strom/internal/roce"
@@ -31,9 +29,10 @@ import (
 //     request (bad/stale rkey, bounds, permission, unregistered VA; see
 //     protect.go). Transport-fatal and wrapped in ErrQPError; reconnect
 //     and re-fetch the peer's rkey.
-//   - ErrDeadlineExceeded — a *Deadline verb variant or poll expired.
-//     The QP is still healthy: the operation was abandoned by the caller,
-//     not failed by the transport.
+//   - ErrDeadlineExceeded — a Verb's Deadline or a poll expired. The QP
+//     is still healthy: the operation was abandoned by the caller, not
+//     failed by the transport (frames already on the wire drain through
+//     it without side effects on later operations).
 //   - ErrPeerCrashed — a reconnect was attempted while the remote
 //     machine is down; retry under backoff until it restarts.
 //   - ErrMachineDown — a verb was posted on a crashed local machine.
@@ -76,56 +75,7 @@ func (m *Machine) Crashed() bool { return m.nic.Crashed() }
 // is down it fails with ErrPeerCrashed; retry under a Backoff until the
 // machine restarts.
 func (qp *QueuePair) Reconnect() error {
-	if qp.A.nic.Crashed() {
-		return fmt.Errorf("%w: %s is down", ErrPeerCrashed, qp.A.name)
-	}
-	if qp.B.nic.Crashed() {
-		return fmt.Errorf("%w: %s is down", ErrPeerCrashed, qp.B.name)
-	}
-	if err := qp.B.nic.Stack().ResetQP(qp.QPNB); err != nil {
-		return err
-	}
-	if err := qp.A.nic.Stack().ResetQP(qp.QPNA); err != nil {
-		return err
-	}
-	if err := qp.B.nic.Stack().ReconnectQP(qp.QPNB); err != nil {
-		return err
-	}
-	return qp.A.nic.Stack().ReconnectQP(qp.QPNA)
-}
-
-// WriteSyncDeadline is WriteSync bounded by an absolute deadline: if the
-// remote acknowledgement has not arrived by then, it returns an error
-// wrapping ErrDeadlineExceeded and the operation is abandoned (frames
-// already on the wire drain through the transport without side effects
-// on later operations).
-func (qp *QueuePair) WriteSyncDeadline(p *Process, localVA, remoteVA uint64, n int, deadline Time) error {
-	return qp.A.nic.WriteSyncDeadline(p, qp.QPNA, localVA, remoteVA, n, deadline)
-}
-
-// ReadSyncDeadline is ReadSync bounded by an absolute deadline.
-func (qp *QueuePair) ReadSyncDeadline(p *Process, remoteVA, localVA uint64, n int, deadline Time) error {
-	return qp.A.nic.ReadSyncDeadline(p, qp.QPNA, remoteVA, localVA, n, deadline)
-}
-
-// RPCSyncDeadline is RPCSync bounded by an absolute deadline.
-func (qp *QueuePair) RPCSyncDeadline(p *Process, rpcOp uint64, params []byte, deadline Time) error {
-	return qp.A.nic.RPCSyncDeadline(p, qp.QPNA, rpcOp, params, deadline)
-}
-
-// RPCWriteSyncDeadline is RPCWriteSync bounded by an absolute deadline.
-func (qp *QueuePair) RPCWriteSyncDeadline(p *Process, rpcOp uint64, localVA uint64, n int, deadline Time) error {
-	return qp.A.nic.RPCWriteSyncDeadline(p, qp.QPNA, rpcOp, localVA, n, deadline)
-}
-
-// PostWriteDeadline is the asynchronous WRITE with an absolute deadline.
-func (qp *QueuePair) PostWriteDeadline(localVA, remoteVA uint64, n int, deadline Time, done func(error)) {
-	qp.A.nic.PostWriteDeadline(qp.QPNA, localVA, remoteVA, n, deadline, done)
-}
-
-// PostReadDeadline is the asynchronous READ with an absolute deadline.
-func (qp *QueuePair) PostReadDeadline(remoteVA, localVA uint64, n int, deadline Time, done func(error)) {
-	qp.A.nic.PostReadDeadline(qp.QPNA, remoteVA, localVA, n, deadline, done)
+	return core.Reconnect(qp.A.nic, qp.QPNA, qp.B.nic, qp.QPNB)
 }
 
 // StateA and StateB report the lifecycle state of the two queue pairs

@@ -38,8 +38,8 @@ func TestPublicCrashRecoveryEndToEnd(t *testing.T) {
 		// window always lands mid-workload.
 		horizon := strom.Time(800 * strom.Microsecond)
 		for i := 0; p.Now() < horizon || i < 14; i++ {
-			err := qp.WriteSyncDeadline(p, uint64(bufA.Base()), uint64(bufB.Base()), len(payload),
-				p.Now().Add(150*strom.Microsecond))
+			err := qp.Do(p, strom.Verb{Op: strom.OpWrite, LocalVA: uint64(bufA.Base()), RemoteVA: uint64(bufB.Base()),
+				Len: len(payload), Deadline: p.Now().Add(150 * strom.Microsecond)})
 			if err == nil {
 				successes++
 				continue

@@ -70,8 +70,6 @@ type (
 	Time = sim.Time
 	// Cable describes a point-to-point Ethernet link.
 	Cable = fabric.LinkConfig
-	// Impairment injects loss or corruption on a link direction.
-	Impairment = fabric.Impairment
 	// Resources is an FPGA resource vector (LUTs, FFs, BRAMs).
 	Resources = fpga.Resources
 	// Identity is a NIC's network identity (MAC + IPv4).

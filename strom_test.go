@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -41,6 +42,28 @@ func TestClusterAssembly(t *testing.T) {
 	}
 	if a.Name() != "a" {
 		t.Errorf("name = %q", a.Name())
+	}
+}
+
+// A cluster numbers 254 machines, each with its own identity; the 255th
+// is a typed error, not a wrap onto an address already in use.
+func TestClusterMachineLimit(t *testing.T) {
+	cl := strom.NewCluster(1)
+	seen := map[strom.Identity]string{}
+	for i := 1; i <= 254; i++ {
+		name := fmt.Sprintf("m%d", i)
+		m, err := cl.AddMachine(name, strom.Profile10G())
+		if err != nil {
+			t.Fatalf("machine %d: %v", i, err)
+		}
+		id := m.NIC().Identity()
+		if prev, dup := seen[id]; dup {
+			t.Fatalf("%s and %s share the identity %v", prev, name, id)
+		}
+		seen[id] = name
+	}
+	if _, err := cl.AddMachine("m255", strom.Profile10G()); !errors.Is(err, strom.ErrTooManyMachines) {
+		t.Errorf("machine 255: err = %v, want ErrTooManyMachines", err)
 	}
 }
 
