@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race cover recovery protect determinism fuzz bench bench-diff ab soak kv kv-large
+.PHONY: check vet build test race cover recovery protect determinism fuzz bench golden ab soak kv kv-large
 
 # check is the everyday gate: build plus the full -race suite, which
 # includes the sharded determinism tests (TestSharded* in
@@ -105,25 +105,21 @@ soak:
 # process switch, telemetry, the scrape tick, the completion poll, packet,
 # crc, pcie (incl. the 47-chunk streamed read), roce and NIC hot paths,
 # and, with their simulated latency as sim-us/op beside ns/op, the 64 KiB
-# bulk WRITE/READ on the 100 G pair and the KV client's Put/PutLarge/Get),
-# then records the quick suite's bench snapshot, BENCH_quick.json (the
-# bench-diff gate), sharded. Snapshot wall times are host dependent;
-# figure values are deterministic.
-BENCHNOTE = figure values are deterministic at seed 1; wall_ms series depend on the host (see gomaxprocs/num_cpu) -- a single-core host serializes the shard workers, so sharded wall time there measures barrier overhead, not speedup
+# bulk WRITE/READ on the 100 G pair and the KV client's Put/PutLarge/Get)
+# and one quick chaos-recovery sweep.
 bench:
 	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/telemetry/export ./internal/cpu ./internal/packet ./internal/crc ./internal/pcie ./internal/roce ./internal/core ./internal/kvserve
-	$(GO) run ./cmd/strombench -quick -shards 4 -bench BENCH_quick.json -benchnote "$(BENCHNOTE)" > /dev/null
 	$(GO) run ./cmd/strombench -quick chaos-recovery > /dev/null
 
-# bench-diff reruns the quick suite and gates against the committed
-# snapshot: non-zero exit when a deterministic figure value drifted by
-# more than 10%, a series vanished, or the whole-suite wall total grew
-# by more than 50%. Per-experiment wall times are recorded but not
-# gated — on a shared host they spike too much to fail CI on; the
-# deterministic values are the tight gate.
-bench-diff:
-	$(GO) run ./cmd/strombench -quick -shards 4 -bench BENCH_head.json > /dev/null
-	$(GO) run ./cmd/stromres diff BENCH_quick.json BENCH_head.json
+# golden re-records the two committed records of the figures, the stdout
+# of the default and of the -quick -shards 4 suite run, which TestGoldens
+# (internal/experiments) compares byte for byte. Figure values are
+# deterministic at seed 1, so on a clean tree it leaves `git diff
+# --exit-code` clean; after a change that moves a value, the diff of the
+# two text files is what gets reviewed.
+golden:
+	$(GO) run ./cmd/strombench > internal/experiments/testdata/figures.golden
+	$(GO) run ./cmd/strombench -quick -shards 4 > internal/experiments/testdata/quick-sharded.golden
 
 # ab measures a claimed gain — or shows that nothing moved — the way
 # choosing-metrics §8 asks: for every workload in WORKLOAD (default: the

@@ -6,7 +6,7 @@
 //	strombench -list
 //	strombench [-quick|-full] [-scenario NAME] [-seed N] [-j N] [-shards N]
 //	           [-csv DIR] [-metrics FILE] [-trace FILE] [-jsonl FILE]
-//	           [-bench FILE] [-cpuprofile FILE] [-memprofile FILE] [exp ...]
+//	           [-cpuprofile FILE] [-memprofile FILE] [exp ...]
 //
 // Experiment names are table1, table2, table3, resources, fig5a...fig13b,
 // abl-*, and chaos-*. -scenario picks one entry of the scenario registry
@@ -35,7 +35,10 @@
 // Figure generators are independent simulations, so -j runs them on a
 // worker pool. Results are printed in request order and each generator
 // is a pure function of (options, seed), so stdout is byte-identical at
-// every -j value; per-experiment timing goes to stderr.
+// every -j value; per-experiment timing goes to stderr. That stdout is
+// the committed record of the figures: internal/experiments/testdata/
+// holds it for the default and the -quick -shards 4 run, a test compares
+// byte for byte, and `make golden` is the only way to move it.
 //
 // -shards N runs each testbed sharded: the two machines on separate
 // event-engine shards executed by up to N worker goroutines under
@@ -43,10 +46,7 @@
 // worker count never affects simulation results); 0 keeps the historical
 // single-engine testbed.
 //
-// -bench FILE writes a bench snapshot — per-experiment wall clock plus
-// every figure value — for the committed BENCH_*.json trajectory; use
-// `stromres diff OLD NEW` to gate on it. -cpuprofile/-memprofile write
-// pprof profiles of the whole run.
+// -cpuprofile/-memprofile write pprof profiles of the whole run.
 package main
 
 import (
@@ -60,7 +60,6 @@ import (
 	"strings"
 	"time"
 
-	"strom/internal/benchsnap"
 	"strom/internal/experiments"
 )
 
@@ -80,9 +79,6 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write the scenario's metrics JSON to this file")
 	traceOut := flag.String("trace", "", "write the scenario's Perfetto trace JSON to this file")
 	jsonlOut := flag.String("jsonl", "", "stream the scenario's telemetry (health scrapes, alerts) as JSON Lines to this file, then gate it on the scenario's alert contract")
-	benchOut := flag.String("bench", "", "write a bench snapshot (wall clock + figure values) JSON to this file")
-	benchLabel := flag.String("benchlabel", "", "label stored in the -bench snapshot (default: snapshot file base name)")
-	benchNote := flag.String("benchnote", "", "free-form note stored in the -bench snapshot")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	flag.Parse()
@@ -134,7 +130,7 @@ func main() {
 
 	if *list {
 		fmt.Println("table1 table2 table3 resources")
-		for _, g := range allGenerators() {
+		for _, g := range experiments.Generators() {
 			fmt.Println(g.Name)
 		}
 		return
@@ -154,56 +150,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "strombench:", err)
 		exitCode = 1
 	}
-	results, err := run(names, opts, *jobs, *csvDir)
-	if err != nil {
+	if err := run(os.Stdout, names, opts, *jobs, *csvDir); err != nil {
 		fail(err)
 		return
 	}
 	if err := export(sc, opts, *metricsOut, *traceOut, *jsonlOut); err != nil {
 		fail(err)
-		return
 	}
-	if *benchOut != "" {
-		if err := writeBenchSnapshot(*benchOut, *benchLabel, *benchNote, opts, results); err != nil {
-			fail(err)
-			return
-		}
-	}
-}
-
-// writeBenchSnapshot records the run as a bench snapshot: per-generator
-// wall clock plus every figure value (deterministic at a given seed).
-func writeBenchSnapshot(path, label, note string, opts experiments.Options, results []experiments.Result) error {
-	if label == "" {
-		label = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	}
-	snap := benchsnap.New(label)
-	snap.Note = note
-	snap.Command = strings.Join(os.Args[1:], " ")
-	snap.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	snap.NumCPU = runtime.NumCPU()
-	snap.Shards = opts.Shards
-	snap.Seed = opts.Seed
-	var totalMS float64
-	for _, r := range results {
-		ms := float64(r.Elapsed.Microseconds()) / 1000
-		snap.Put("wall_ms/"+r.Name, ms)
-		totalMS += ms
-		for _, s := range r.Fig.Series {
-			for _, p := range s.Points {
-				snap.Put(fmt.Sprintf("value/%s/%s/%s", r.Name, s.Name, p.XLabel), p.Y)
-			}
-		}
-	}
-	snap.Put("wall_ms/_total", totalMS)
-	return benchsnap.Write(path, snap)
-}
-
-// allGenerators lists every runnable generator: the paper figures, the
-// ablations and the chaos suite.
-func allGenerators() []experiments.Generator {
-	gens := append(experiments.Figures(), experiments.Ablations()...)
-	return append(gens, experiments.Chaos()...)
 }
 
 // resolve maps -scenario and the positional arguments to the scenario
@@ -260,56 +213,28 @@ func export(sc experiments.Scenario, opts experiments.Options, metricsPath, trac
 	return sc.GateStream(stream)
 }
 
-// run resolves names into tables (rendered inline) and generators
-// (executed on the worker pool), prints everything in request order and
-// returns the generator results (for the -bench snapshot).
-func run(names []string, opts experiments.Options, jobs int, csvDir string) ([]experiments.Result, error) {
-	byName := make(map[string]experiments.Generator)
-	for _, g := range allGenerators() {
-		byName[g.Name] = g
-	}
-
-	tables := map[string]func() string{
-		"table1":    experiments.Table1,
-		"table2":    experiments.Table2,
-		"table3":    experiments.Table3,
-		"resources": experiments.ResourceReport,
-	}
-	var gens []experiments.Generator
-	for _, name := range names {
-		if _, ok := tables[name]; ok {
-			continue
+// run renders the named experiments to stdout and adds what is the
+// binary's own: per-generator timing on stderr and, with csvDir set, one
+// CSV per figure. csvDir is created before anything runs, so a path that
+// cannot hold the files fails in milliseconds, not after the sweep.
+func run(stdout io.Writer, names []string, opts experiments.Options, jobs int, csvDir string) error {
+	if csvDir != "" {
+		if err := os.MkdirAll(csvDir, 0o755); err != nil {
+			return fmt.Errorf("-csv: %w", err)
 		}
-		g, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown experiment %q (try -list)", name)
-		}
-		gens = append(gens, g)
 	}
-
-	all := experiments.RunGenerators(gens, opts, jobs)
-	results := make(map[string]experiments.Result, len(all))
-	for _, r := range all {
-		if r.Err != nil {
-			return nil, fmt.Errorf("%s: %w", r.Name, r.Err)
-		}
-		results[r.Name] = r
+	results, err := experiments.Render(stdout, names, opts, jobs)
+	if err != nil {
+		return err
 	}
-
-	for _, name := range names {
-		if render, ok := tables[name]; ok {
-			fmt.Println(render())
-			continue
-		}
-		r := results[name]
-		fmt.Println(r.Fig.String())
-		fmt.Fprintf(os.Stderr, "(%s generated in %v)\n", name, r.Elapsed.Round(time.Millisecond))
+	for _, r := range results {
+		fmt.Fprintf(os.Stderr, "(%s generated in %v)\n", r.Name, r.Elapsed.Round(time.Millisecond))
 		if csvDir != "" {
-			path := filepath.Join(csvDir, name+".csv")
+			path := filepath.Join(csvDir, r.Name+".csv")
 			if err := os.WriteFile(path, []byte(r.Fig.CSV()), 0o644); err != nil {
-				return nil, fmt.Errorf("%s: writing CSV: %w", name, err)
+				return fmt.Errorf("%s: writing CSV: %w", r.Name, err)
 			}
 		}
 	}
-	return all, nil
+	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"slices"
@@ -78,5 +79,33 @@ func TestExportGatesTheStream(t *testing.T) {
 		if st, serr := os.Stat(path); serr != nil || st.Size() == 0 {
 			t.Errorf("%s: stream not written before the gate ran: %v", tc.name, serr)
 		}
+	}
+}
+
+// -csv DIR creates DIR before anything runs: README's own `-csv out
+// fig5a` works on a fresh checkout, and a DIR that cannot exist fails
+// before a generator has run or a byte has been printed.
+func TestRunCreatesCSVDir(t *testing.T) {
+	tmp := t.TempDir()
+	dir := filepath.Join(tmp, "out", "csv")
+	var stdout bytes.Buffer
+	if err := run(&stdout, []string{"table1", "fig5a"}, experiments.Quick(), 1, dir); err != nil {
+		t.Fatalf("run with a -csv directory that does not exist yet: %v", err)
+	}
+	if csv, err := os.ReadFile(filepath.Join(dir, "fig5a.csv")); err != nil || len(csv) == 0 {
+		t.Errorf("fig5a.csv not written: %v", err)
+	}
+	if !strings.Contains(stdout.String(), "Table 1.") || !strings.Contains(stdout.String(), "Fig 5a:") {
+		t.Errorf("stdout lacks the table or the figure:\n%s", stdout.String())
+	}
+
+	file := filepath.Join(tmp, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	err := run(&stdout, []string{"fig5a"}, experiments.Quick(), 1, filepath.Join(file, "csv"))
+	if err == nil || !strings.Contains(err.Error(), "-csv") || stdout.Len() != 0 {
+		t.Errorf("run with -csv under a regular file: error %v, %d bytes printed; want a -csv error and nothing printed", err, stdout.Len())
 	}
 }

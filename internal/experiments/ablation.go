@@ -36,21 +36,9 @@ func AblationDoorbell(o Options) (*stats.Figure, error) {
 			return nil, err
 		}
 		const msgs = 20000
-		remaining := msgs
-		var done sim.Time
-		pair.Eng.Schedule(0, func() {
-			for i := 0; i < msgs; i++ {
-				pair.A.PostWrite(testrig.QPA, uint64(pair.BufA.Base()), uint64(pair.BufB.Base()), 64, func(err error) {
-					remaining--
-					if remaining == 0 {
-						done = pair.Eng.Now()
-					}
-				})
-			}
-		})
-		pair.Run()
-		if remaining != 0 {
-			return nil, fmt.Errorf("doorbell ablation stalled at %dns", ns)
+		done, err := runWriteTrain(pair, msgs, 64)
+		if err != nil {
+			return nil, fmt.Errorf("doorbell interval %dns: %w", ns, err)
 		}
 		s.Add(float64(ns), fmt.Sprintf("%dns", ns), mrate(msgs, done))
 	}
@@ -178,32 +166,10 @@ func AblationLoss(o Options) (*stats.Figure, error) {
 		}
 		pair.Link.SetFaultsAtoB(fabric.Coin{Rand: pair.Eng.Rand(), DropProb: loss})
 		const size = 64 << 10
-		msgs := o.StreamBytes / size
-		if msgs < 8 {
-			msgs = 8
-		}
-		remaining := msgs
-		var done sim.Time
-		var opErr error
-		pair.Eng.Schedule(0, func() {
-			for i := 0; i < msgs; i++ {
-				pair.A.PostWrite(testrig.QPA, uint64(pair.BufA.Base()), uint64(pair.BufB.Base()), size, func(err error) {
-					if err != nil && opErr == nil {
-						opErr = err
-					}
-					remaining--
-					if remaining == 0 {
-						done = pair.Eng.Now()
-					}
-				})
-			}
-		})
-		pair.Run()
-		if opErr != nil {
-			return nil, opErr
-		}
-		if remaining != 0 {
-			return nil, fmt.Errorf("loss ablation stalled at p=%g", loss)
+		msgs := streamMsgs(o, size, maxWriteMsgs)
+		done, err := runWriteTrain(pair, msgs, size)
+		if err != nil {
+			return nil, fmt.Errorf("loss p=%g: %w", loss, err)
 		}
 		s.Add(loss, fmt.Sprintf("%g", loss), gbps(msgs*size, done))
 	}

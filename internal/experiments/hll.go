@@ -47,10 +47,7 @@ func hllCPUThroughput(o Options, threads int) (float64, error) {
 	}
 	swHLL := cpu.NewSoftwareHLL(pair.Eng, pair.B.Host(), threads, 14)
 	const chunk = 1 << 20
-	chunks := o.StreamBytes / chunk
-	if chunks < 8 {
-		chunks = 8
-	}
+	chunks := streamMsgs(o, chunk, maxWriteMsgs)
 	total := chunks * chunk
 	// Fill one source chunk with random 8 B items.
 	rng := rand.New(rand.NewSource(o.Seed + int64(threads)))
@@ -133,13 +130,7 @@ func hllKernelThroughput(o Options, size int) (float64, error) {
 	if err := pair.B.DeployKernel(hllOp, kern); err != nil {
 		return 0, err
 	}
-	msgs := o.StreamBytes / size
-	if msgs < 8 {
-		msgs = 8
-	}
-	if msgs > 250_000 {
-		msgs = 250_000
-	}
+	msgs := streamMsgs(o, size, maxWriteMsgs)
 	total := msgs * size
 	params := hllkernel.Params{
 		DataAddress:   uint64(pair.BufB.Base()),

@@ -351,8 +351,6 @@ func newKVBed(o Options, machines int, ex Exports, cfg kvserve.Config) (*kvBed, 
 	cfg.ServerMachines = k.servers
 	cfg.OpDeadline = 600 * sim.Microsecond
 	cfg.Backoff = sim.Backoff{Base: 50 * sim.Microsecond, Max: 800 * sim.Microsecond, Factor: 2, Jitter: 0.5}
-	cfg.MaxAttempts = 4
-	cfg.HeartbeatEvery = 50 * sim.Microsecond
 	cfg.Registry = b.reg
 	if k.cl, err = kvserve.New(b.net, cfg); err != nil {
 		return nil, err

@@ -69,7 +69,7 @@ func runKVLarge(o Options, f kvlFaults, ex Exports) (kvMeasure, error) {
 	label := "chaos-kv-large " + f.label()
 	// The torn-read rate rule ships in DefaultRules and watches the
 	// client's kv_torn_detected surface. Sessions: workload + racer.
-	k, err := newKVBed(o, kvServerM+kvServers, ex, kvserve.Config{NumKeys: kvlKeys, TornBudget: 3, Sessions: 2})
+	k, err := newKVBed(o, kvServerM+kvServers, ex, kvserve.Config{NumKeys: kvlKeys, Sessions: 2})
 	if err != nil {
 		return kvMeasure{}, err
 	}

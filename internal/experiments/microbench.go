@@ -168,29 +168,35 @@ func throughputFigure(o Options, prof profile, title string) (*stats.Figure, err
 	return fig, nil
 }
 
-func writeThroughput(o Options, prof profile, size int) (float64, error) {
-	pair, err := newPair(o, prof, 8<<20)
-	if err != nil {
-		return 0, err
-	}
-	msgs := o.StreamBytes / size
-	if msgs < 8 {
-		msgs = 8
-	}
-	if msgs > 250_000 {
-		msgs = 250_000
-	}
-	total := msgs * size
+// maxWriteMsgs and maxReadMsgs bound the event count of the smallest
+// payloads' throughput points.
+const (
+	maxWriteMsgs = 250_000
+	maxReadMsgs  = 120_000
+)
+
+// streamMsgs is how many size-byte messages a throughput point moves:
+// StreamBytes' worth, at least 8 and at most limit.
+func streamMsgs(o Options, size, limit int) int {
+	return min(max(o.StreamBytes/size, 8), limit)
+}
+
+// ringAddr is message i's offset in a 4 MiB window of size-byte slots.
+func ringAddr(i, size int) uint64 { return uint64(i * size % (4 << 20)) }
+
+// runWriteTrain posts msgs WRITEs of size bytes from A to B back to back
+// at t=0, runs the testbed dry and returns when the last one completed.
+// The first failed WRITE is the error; a train that neither failed nor
+// finished stalled.
+func runWriteTrain(pair *testrig.Pair, msgs, size int) (done sim.Time, err error) {
 	remaining := msgs
-	var done sim.Time
-	var opErr error
 	pair.Eng.Schedule(0, func() {
 		for i := 0; i < msgs; i++ {
-			src := uint64(pair.BufA.Base()) + uint64(i*size%(4<<20))
-			dst := uint64(pair.BufB.Base()) + uint64(i*size%(4<<20))
-			pair.A.PostWrite(testrig.QPA, src, dst, size, func(err error) {
-				if err != nil && opErr == nil {
-					opErr = err
+			src := uint64(pair.BufA.Base()) + ringAddr(i, size)
+			dst := uint64(pair.BufB.Base()) + ringAddr(i, size)
+			pair.A.PostWrite(testrig.QPA, src, dst, size, func(opErr error) {
+				if opErr != nil && err == nil {
+					err = opErr
 				}
 				remaining--
 				if remaining == 0 {
@@ -200,42 +206,26 @@ func writeThroughput(o Options, prof profile, size int) (float64, error) {
 		}
 	})
 	pair.Run()
-	if opErr != nil {
-		return 0, opErr
+	if err == nil && remaining != 0 {
+		err = fmt.Errorf("write train stalled with %d of %d outstanding", remaining, msgs)
 	}
-	if remaining != 0 {
-		return 0, fmt.Errorf("write stream stalled with %d remaining", remaining)
-	}
-	return gbps(total, done), nil
+	return done, err
 }
 
-func readThroughput(o Options, prof profile, size int) (float64, error) {
-	pair, err := newPair(o, prof, 8<<20)
-	if err != nil {
-		return 0, err
-	}
-	msgs := o.StreamBytes / size
-	if msgs < 8 {
-		msgs = 8
-	}
-	if msgs > 120_000 {
-		msgs = 120_000
-	}
-	depth := prof.cfg.Roce.ReadDepthPerQP
-	total := msgs * size
+// runReadWindow keeps depth READs of size bytes outstanding from A
+// against B, re-posting on every completion until msgs have been issued,
+// and returns when the last one completed; errors as in runWriteTrain.
+func runReadWindow(pair *testrig.Pair, msgs, size, depth int) (done sim.Time, err error) {
 	issued, completed := 0, 0
-	var done sim.Time
-	var opErr error
 	var post func()
 	post = func() {
 		for issued < msgs && issued-completed < depth {
-			i := issued
+			src := uint64(pair.BufB.Base()) + ringAddr(issued, size)
+			dst := uint64(pair.BufA.Base()) + ringAddr(issued, size)
 			issued++
-			src := uint64(pair.BufB.Base()) + uint64(i*size%(4<<20))
-			dst := uint64(pair.BufA.Base()) + uint64(i*size%(4<<20))
-			pair.A.PostRead(testrig.QPA, src, dst, size, func(err error) {
-				if err != nil && opErr == nil {
-					opErr = err
+			pair.A.PostRead(testrig.QPA, src, dst, size, func(opErr error) {
+				if opErr != nil && err == nil {
+					err = opErr
 				}
 				completed++
 				if completed == msgs {
@@ -248,13 +238,36 @@ func readThroughput(o Options, prof profile, size int) (float64, error) {
 	}
 	pair.Eng.Schedule(0, post)
 	pair.Run()
-	if opErr != nil {
-		return 0, opErr
+	if err == nil && completed != msgs {
+		err = fmt.Errorf("read window stalled at %d/%d", completed, msgs)
 	}
-	if completed != msgs {
-		return 0, fmt.Errorf("read stream stalled at %d/%d", completed, msgs)
+	return done, err
+}
+
+func writeThroughput(o Options, prof profile, size int) (float64, error) {
+	pair, err := newPair(o, prof, 8<<20)
+	if err != nil {
+		return 0, err
 	}
-	return gbps(total, done), nil
+	msgs := streamMsgs(o, size, maxWriteMsgs)
+	done, err := runWriteTrain(pair, msgs, size)
+	if err != nil {
+		return 0, err
+	}
+	return gbps(msgs*size, done), nil
+}
+
+func readThroughput(o Options, prof profile, size int) (float64, error) {
+	pair, err := newPair(o, prof, 8<<20)
+	if err != nil {
+		return 0, err
+	}
+	msgs := streamMsgs(o, size, maxReadMsgs)
+	done, err := runReadWindow(pair, msgs, size, prof.cfg.Roce.ReadDepthPerQP)
+	if err != nil {
+		return 0, err
+	}
+	return gbps(msgs*size, done), nil
 }
 
 // Fig5cMessageRate10G reproduces Fig. 5c: messages per second vs payload.
@@ -281,22 +294,9 @@ func messageRateFigure(o Options, prof profile, title string) (*stats.Figure, er
 		if err != nil {
 			return nil, err
 		}
-		remaining := msgs
-		var done sim.Time
-		pair.Eng.Schedule(0, func() {
-			for i := 0; i < msgs; i++ {
-				src := uint64(pair.BufA.Base()) + uint64(i*size%(4<<20))
-				pair.A.PostWrite(testrig.QPA, src, uint64(pair.BufB.Base()), size, func(err error) {
-					remaining--
-					if remaining == 0 {
-						done = pair.Eng.Now()
-					}
-				})
-			}
-		})
-		pair.Run()
-		if remaining != 0 {
-			return nil, fmt.Errorf("message-rate writes stalled")
+		done, err := runWriteTrain(pair, msgs, size)
+		if err != nil {
+			return nil, fmt.Errorf("message-rate writes: %w", err)
 		}
 		wr.Add(float64(size), sizeLabel(size), mrate(msgs, done))
 
@@ -305,31 +305,10 @@ func messageRateFigure(o Options, prof profile, title string) (*stats.Figure, er
 		if err != nil {
 			return nil, err
 		}
-		depth := prof.cfg.Roce.ReadDepthPerQP
 		rmsgs := msgs / 2
-		issued, completedN := 0, 0
-		done = 0
-		var post func()
-		post = func() {
-			for issued < rmsgs && issued-completedN < depth {
-				i := issued
-				issued++
-				src := uint64(pair.BufB.Base()) + uint64(i*size%(4<<20))
-				dst := uint64(pair.BufA.Base()) + uint64(i*size%(4<<20))
-				pair.A.PostRead(testrig.QPA, src, dst, size, func(err error) {
-					completedN++
-					if completedN == rmsgs {
-						done = pair.Eng.Now()
-						return
-					}
-					post()
-				})
-			}
-		}
-		pair.Eng.Schedule(0, post)
-		pair.Run()
-		if completedN != rmsgs {
-			return nil, fmt.Errorf("message-rate reads stalled")
+		done, err = runReadWindow(pair, rmsgs, size, prof.cfg.Roce.ReadDepthPerQP)
+		if err != nil {
+			return nil, fmt.Errorf("message-rate reads: %w", err)
 		}
 		rd.Add(float64(size), sizeLabel(size), mrate(rmsgs, done))
 	}

@@ -71,18 +71,62 @@ func runGenerator(g Generator, o Options) Result {
 	return Result{Name: g.Name, Fig: fig, Err: err, Elapsed: time.Since(start)}
 }
 
-// RunAll regenerates every table, figure and ablation, writing text to w
-// in paper order. Generators run on up to parallelism workers; the
-// output is identical for every parallelism value.
-func RunAll(o Options, parallelism int, w io.Writer) error {
-	fmt.Fprintln(w, Table1())
-	fmt.Fprintln(w, Table2())
-	fmt.Fprintln(w, ResourceReport())
-	for _, r := range RunGenerators(append(Figures(), Ablations()...), o, parallelism) {
-		if r.Err != nil {
-			return fmt.Errorf("%s: %w", r.Name, r.Err)
-		}
-		fmt.Fprintln(w, r.Fig.String())
+// tables are the static renderings Render knows beside the generators.
+var tables = map[string]func() string{
+	"table1":    Table1,
+	"table2":    Table2,
+	"table3":    Table3,
+	"resources": ResourceReport,
+}
+
+// Generators lists every runnable generator: the paper figures, the
+// ablations and the chaos suite.
+func Generators() []Generator {
+	return append(append(Figures(), Ablations()...), Chaos()...)
+}
+
+// Render is the one renderer of a suite run: it runs the named
+// experiments — tables and generators, in any mix — and writes each
+// one's text to w in request order, a blank line after each. An unknown
+// name is rejected before anything runs, and a failed generator before
+// anything is written. Generators run on up to parallelism workers; what
+// is written is a pure function of (names, o), which is what the goldens
+// under testdata/ pin byte for byte. The generators' results come back
+// in request order for callers that want timings or CSV.
+func Render(w io.Writer, names []string, o Options, parallelism int) ([]Result, error) {
+	byName := make(map[string]Generator)
+	for _, g := range Generators() {
+		byName[g.Name] = g
 	}
-	return nil
+	var gens []Generator
+	for _, name := range names {
+		if _, ok := tables[name]; ok {
+			continue
+		}
+		g, ok := byName[name]
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q (try -list)", name)
+		}
+		gens = append(gens, g)
+	}
+	results := RunGenerators(gens, o, parallelism)
+	for _, r := range results {
+		if r.Err != nil {
+			return nil, fmt.Errorf("%s: %w", r.Name, r.Err)
+		}
+	}
+	next := 0
+	for _, name := range names {
+		var text string
+		if table, ok := tables[name]; ok {
+			text = table()
+		} else {
+			text = results[next].Fig.String()
+			next++
+		}
+		if _, err := fmt.Fprintln(w, text); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }

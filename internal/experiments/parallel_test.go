@@ -85,22 +85,22 @@ func TestRunGeneratorsEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRunAllParallelMatchesSerial checks the full-suite renderer at the
-// writer level, on a reduced option set: same bytes for any worker
-// count. (The strombench binary adds nothing but flag parsing on top.)
+// TestRunAllParallelMatchesSerial checks the suite renderer at the
+// writer level, on the whole clean sweep at reduced options: same bytes
+// for any worker count. (The strombench binary adds nothing to stdout on
+// top.)
 func TestRunAllParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full RunAll is seconds-long; skipped with -short")
+		t.Skip("the whole sweep is seconds-long; skipped with -short")
 	}
-	o := Quick()
 	var serial, parallel bytes.Buffer
-	if err := RunAll(o, 1, &serial); err != nil {
+	if _, err := Render(&serial, cleanSweep(t), Quick(), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunAll(o, 4, &parallel); err != nil {
+	if _, err := Render(&parallel, cleanSweep(t), Quick(), 4); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Error("RunAll output differs between parallelism 1 and 4")
+		t.Error("Render output differs between parallelism 1 and 4")
 	}
 }

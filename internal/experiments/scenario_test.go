@@ -115,8 +115,11 @@ func runScenario(t *testing.T, name string) *scenarioRun {
 // stream keeps its alert contract: every Require rule fired, nothing
 // outside Allow did.
 func TestScenarios(t *testing.T) {
-	runnable := map[string]bool{"table1": true, "table2": true, "table3": true, "resources": true}
-	for _, g := range append(append(Figures(), Ablations()...), Chaos()...) {
+	runnable := map[string]bool{}
+	for name := range tables {
+		runnable[name] = true
+	}
+	for _, g := range Generators() {
 		runnable[g.Name] = true
 	}
 	for _, sc := range Scenarios() {

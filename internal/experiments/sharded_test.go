@@ -39,7 +39,7 @@ func renderAll(t *testing.T, gens []Generator, shards int) []string {
 // Generators pinned unsharded run the single-engine testbed in both
 // cases, which asserts the pin itself is honored.
 func TestShardedFiguresIdenticalAcrossWorkers(t *testing.T) {
-	gens := append(append(Figures(), Ablations()...), Chaos()...)
+	gens := Generators()
 	seq := renderAll(t, gens, 1)
 	par := renderAll(t, gens, 4)
 	for i := range seq {

@@ -86,29 +86,9 @@ func shufflePlainWrite(o Options, bytes int) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	remaining := chunks
-	var done sim.Time
-	var opErr error
-	pair.Eng.Schedule(0, func() {
-		for i := 0; i < chunks; i++ {
-			dst := uint64(pair.BufB.Base()) + uint64(i*chunkBytes%(4<<20))
-			pair.A.PostWrite(testrig.QPA, uint64(pair.BufA.Base()), dst, chunkBytes, func(err error) {
-				if err != nil && opErr == nil {
-					opErr = err
-				}
-				remaining--
-				if remaining == 0 {
-					done = pair.Eng.Now()
-				}
-			})
-		}
-	})
-	pair.Run()
-	if opErr != nil {
-		return 0, opErr
-	}
-	if remaining != 0 {
-		return 0, fmt.Errorf("plain write stalled")
+	done, err := runWriteTrain(pair, chunks, chunkBytes)
+	if err != nil {
+		return 0, err
 	}
 	return sim.Duration(done), nil
 }

@@ -174,10 +174,8 @@ type Client struct {
 	ext     map[uint64]*extRef         // spilled keys' live extents
 	arenas  []*kvstore.FixedArena      // per shard: extent offset allocator
 
-	bo          sim.Backoff
-	deadline    sim.Duration
-	maxAttempts int
-	tornBudget  int
+	bo       sim.Backoff
+	deadline sim.Duration
 
 	reg       *telemetry.Registry
 	histPut   *telemetry.Histogram
@@ -462,7 +460,7 @@ func (c *Client) retryReplica(p *sim.Process, sess *session, server int, sw stag
 		default:
 			return err
 		}
-		if attempt >= c.maxAttempts {
+		if attempt >= maxAttempts {
 			return err
 		}
 		c.Stats.Retries++
@@ -639,7 +637,7 @@ func (c *Client) getReplica(p *sim.Process, sess *session, server int, va hostme
 		return Slot{}, fmt.Errorf("%w: server %d marked down", ErrUnavailable, server)
 	}
 	var lastErr error
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			c.Stats.Retries++
 			if err := c.recover(p, server, attempt-1); err != nil {

@@ -30,21 +30,26 @@ type Config struct {
 	OpDeadline sim.Duration
 	// Backoff paces the per-replica retry loop (defaulted if zero).
 	Backoff sim.Backoff
-	// MaxAttempts bounds per-replica retries before the write becomes a
-	// deficit (default 4).
-	MaxAttempts int
-	// TornBudget bounds per-replica re-reads of a torn spilled value
-	// before the Get fails over (default 3).
-	TornBudget int
 	// Sessions sizes the client's staging pool — one per concurrent
 	// client process (default 1; the racing chaos regime needs 2).
 	Sessions int
-	// HeartbeatEvery paces the servers' liveness counters (default 50 µs).
-	HeartbeatEvery sim.Duration
 	// Registry receives the client's kv_op_latency_ps histograms (nil
 	// disables them).
 	Registry *telemetry.Registry
 }
+
+// The retry and liveness policy every cluster runs under.
+const (
+	// maxAttempts bounds per-replica retries before a write becomes a
+	// deficit and a read gives up on the replica.
+	maxAttempts = 4
+	// tornBudget bounds per-replica re-reads of a torn spilled value
+	// before the Get fails over.
+	tornBudget = 3
+	// heartbeatEvery paces the servers' liveness counters; HeartbeatRule
+	// holds for eight of them.
+	heartbeatEvery = 50 * sim.Microsecond
+)
 
 func (cfg Config) withDefaults() Config {
 	if cfg.OpDeadline <= 0 {
@@ -53,17 +58,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Backoff == (sim.Backoff{}) {
 		cfg.Backoff = sim.Backoff{Base: 100 * sim.Microsecond, Max: 2 * sim.Millisecond, Factor: 2, Jitter: 0.5}
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.TornBudget <= 0 {
-		cfg.TornBudget = 3
-	}
 	if cfg.Sessions <= 0 {
 		cfg.Sessions = 1
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 50 * sim.Microsecond
 	}
 	return cfg
 }
@@ -115,7 +111,7 @@ func New(net *testrig.Net, cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		srv.StartHeartbeat(cfg.HeartbeatEvery)
+		srv.StartHeartbeat()
 		k := consistency.New(0)
 		if err := srv.M.NIC.DeployKernel(ConsistencyOp, k); err != nil {
 			return nil, fmt.Errorf("kvserve: deploy consistency kernel on m%d: %w", mi, err)
@@ -128,25 +124,23 @@ func New(net *testrig.Net, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("kvserve: client buffer %d B < %d B for %d sessions", cm.Buf.Size(), cfg.Sessions*sessionBytes, cfg.Sessions)
 	}
 	c := &Client{
-		net:         net,
-		lay:         lay,
-		idx:         cfg.ClientMachine,
-		m:           cm,
-		servers:     cl.Servers,
-		down:        make([]bool, s),
-		repairDue:   make([]bool, s),
-		issued:      make(map[uint64]uint64),
-		acked:       make(map[uint64]uint64),
-		deleted:     make(map[uint64]map[uint64]bool),
-		larges:      make(map[uint64]map[uint64]bool),
-		ext:         make(map[uint64]*extRef),
-		bo:          cfg.Backoff,
-		deadline:    cfg.OpDeadline,
-		maxAttempts: cfg.MaxAttempts,
-		tornBudget:  cfg.TornBudget,
-		reg:         cfg.Registry,
-		histPut:     cfg.Registry.Histogram("kv_op_latency_ps", "ps", telemetry.L("op", "put")),
-		histGet:     cfg.Registry.Histogram("kv_op_latency_ps", "ps", telemetry.L("op", "get")),
+		net:       net,
+		lay:       lay,
+		idx:       cfg.ClientMachine,
+		m:         cm,
+		servers:   cl.Servers,
+		down:      make([]bool, s),
+		repairDue: make([]bool, s),
+		issued:    make(map[uint64]uint64),
+		acked:     make(map[uint64]uint64),
+		deleted:   make(map[uint64]map[uint64]bool),
+		larges:    make(map[uint64]map[uint64]bool),
+		ext:       make(map[uint64]*extRef),
+		bo:        cfg.Backoff,
+		deadline:  cfg.OpDeadline,
+		reg:       cfg.Registry,
+		histPut:   cfg.Registry.Histogram("kv_op_latency_ps", "ps", telemetry.L("op", "put")),
+		histGet:   cfg.Registry.Histogram("kv_op_latency_ps", "ps", telemetry.L("op", "get")),
 	}
 	for i := 0; i < cfg.Sessions; i++ {
 		c.pool = append(c.pool, newSession(cm.Buf.Base()+hostmem.Addr(i*sessionBytes)))

@@ -74,7 +74,7 @@ func (c *Client) getSpilled(p *sim.Process, sess *session, server int, key uint6
 			// Transport trouble, not a torn read: bounded retry with the
 			// same recover machinery as any other verb.
 			xport++
-			if xport >= c.maxAttempts {
+			if xport >= maxAttempts {
 				return slot, nil, err
 			}
 			c.Stats.Retries++
@@ -110,7 +110,7 @@ func (c *Client) getSpilled(p *sim.Process, sess *session, server int, key uint6
 		}
 		c.Stats.TornDetected++
 		*class++
-		if torn >= c.tornBudget {
+		if torn >= tornBudget {
 			c.Stats.TornFailovers++
 			return slot, nil, fmt.Errorf("%w: key %d server %d, class %s, %d attempts", ErrTorn, key, server, classname, torn+1)
 		}

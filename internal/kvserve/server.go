@@ -79,13 +79,13 @@ func (s *Server) ArenaFor(lay Layout, shard int) hostmem.Addr {
 }
 
 // StartHeartbeat begins the liveness signal: a daemon probe that bumps
-// the heartbeat counter only while the NIC is up. A crash freezes the
+// the heartbeat counter every heartbeatEvery, only while the NIC is up. A crash freezes the
 // counter while kv_serving stays asserted, which is exactly the
 // telemetry shape the no-progress watchdog rule fires on; after the
 // restart the counter moves again and the alert resolves.
-func (s *Server) StartHeartbeat(every sim.Duration) {
+func (s *Server) StartHeartbeat() {
 	s.serving = 1
-	telemetry.Probe(s.M.Eng, every, func(now sim.Time) {
+	telemetry.Probe(s.M.Eng, heartbeatEvery, func(now sim.Time) {
 		if !s.M.NIC.Crashed() {
 			s.heartbeats++
 		}
