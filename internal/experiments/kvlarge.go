@@ -6,6 +6,7 @@ import (
 
 	"strom/internal/fabric"
 	"strom/internal/kvserve"
+	"strom/internal/mr"
 	"strom/internal/packet"
 	"strom/internal/roce"
 	"strom/internal/sim"
@@ -162,6 +163,10 @@ func runKVLarge(o Options, f kvlFaults, ex Exports) (kvMeasure, error) {
 				return
 			}
 		}
+		collisions := 0
+		if f.racing {
+			collisions = len(kvlHotKeys)
+		}
 		for i := 0; i < ops; i++ {
 			if c.RepairDue() {
 				c.Repair(p)
@@ -169,8 +174,14 @@ func runKVLarge(o Options, f kvlFaults, ex Exports) (kvMeasure, error) {
 			var err error
 			switch r := rng.Intn(100); {
 			case r < 35:
-				// Hot-key reads: the torn-read collision surface.
-				_, _, err = c.Get(p, kvlHotKeys[rng.Intn(len(kvlHotKeys))])
+				// Hot-key reads: the torn-read collision surface. The
+				// first few are scripted into the race (collide).
+				key := kvlHotKeys[rng.Intn(len(kvlHotKeys))]
+				if collisions > 0 && !racerDone {
+					collisions--
+					k.collide(key)
+				}
+				_, _, err = c.Get(p, key)
 			case r < 55:
 				err = c.PutLarge(p, coldKey())
 			case r < 70:
@@ -255,6 +266,40 @@ func (k *kvBed) crashInPublishWindows(shards []int, first sim.Time, downtime, ga
 			}},
 		}}
 		k.net.Sw.SetEgressFaults(m.Index, k.window)
+	})
+}
+
+// kvlCollideStall holds a scripted collision's kernel read back: three
+// racer PutLarges, one pass over the hot keys, take about 17 µs on the
+// clean bed, so the racer rewrites the key inside the stall.
+const kvlCollideStall = 40 * sim.Microsecond
+
+// collide scripts the next Get of a hot key into the race it exists to
+// lose. A spilled Get's slot READ and kernel extent read leave together
+// and the responder serves them back to back, so the only window left
+// for a racing overwrite is responder-side: an extent WRITE queued
+// behind the pair commits over PCIe before the kernel's DMA read samples
+// the extent. The server the Get will read gets a DMA observer that
+// catches the kernel's read as it is issued and stalls that one command,
+// so the racer's next write of the key commits first and the Get
+// detects TornOverwrite. The bed installs no other observer or stall.
+func (k *kvBed) collide(key uint64) {
+	lay, c := k.cl.Lay, k.cl.Client
+	sh := lay.ShardOf(key)
+	server := lay.PrimaryServer(sh)
+	if c.Down(server) {
+		server = lay.BackupServer(sh)
+	}
+	nic := k.cl.Servers[server].M.NIC
+	nic.SetDMAObserver(func(need mr.Access, _ uint64, _ int) {
+		if need != mr.AccessKernel {
+			return
+		}
+		nic.SetDMAObserver(nil)
+		nic.DMA().SetStall(func(sim.Time) sim.Duration {
+			nic.DMA().SetStall(nil)
+			return kvlCollideStall
+		})
 	})
 }
 

@@ -13,10 +13,12 @@ import (
 // fails otherwise), the clean point must see no torn reads at all, and
 // every racing point must prove the detect→retry pipeline ran. The
 // crash point's orphan-reap and detection gates live in runKVLarge.
-// Seeds 1–8: the crash cycles land inside publish windows by
-// construction (crashInPublishWindows), not by what seed 1 happens to do.
+// Seeds 1–16: the crash cycles land inside publish windows and the
+// racing points' first hot-key Gets inside a racing overwrite by
+// construction (crashInPublishWindows, collide), not by what seed 1
+// happens to do.
 func TestChaosKVLargeSweepRegimes(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
+	for seed := int64(1); seed <= 16; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			o := Quick()
 			o.Seed = seed
@@ -42,6 +44,9 @@ func kvLargeSweepRegimes(t *testing.T, o Options) {
 	}
 	if racing.TornDetected == 0 || racing.TornRetries == 0 {
 		t.Errorf("racing point never detected+retried a torn read: %+v", racing)
+	}
+	if racing.TornOverwrite < uint64(len(kvlHotKeys)) {
+		t.Errorf("racing point detected %d overwrites, want one per scripted collision at least: %+v", racing.TornOverwrite, racing)
 	}
 	loss, err := runKVLarge(o, kvlFaults{racing: true, loss: true}, Exports{})
 	if err != nil {

@@ -173,23 +173,53 @@ var (
 // zeroStatus clears the status word before every read; never written.
 var zeroStatus [8]byte
 
-// Read performs a consistent read via the kernel: post the RPC, poll for
-// the status word, return the verified object (checksum included).
+// Read performs a consistent read via the kernel: Post, wait for the RPC
+// to complete, Poll.
 func Read(p *sim.Process, nic *core.NIC, qpn uint32, rpcOp uint64, params Params) ([]byte, error) {
-	statusVA := hostmem.Addr(params.ResponseAddress + uint64(params.ObjectSize))
-	if err := nic.Memory().WriteVirt(statusVA, zeroStatus[:]); err != nil {
+	c := &sim.Completion[struct{}]{}
+	if err := Post(nic, qpn, rpcOp, params, func(err error) {
+		if err != nil {
+			c.Fail(err)
+		} else {
+			c.Complete(struct{}{})
+		}
+	}); err != nil {
 		return nil, err
 	}
-	if err := nic.Do(p, qpn, core.Verb{Op: core.OpRPC, RPCOp: rpcOp, Params: params.Encode(), Deadline: params.Deadline}); err != nil {
+	if _, err := c.Wait(p); err != nil {
 		return nil, err
 	}
+	return Poll(p, nic, params)
+}
+
+// statusVA is where the kernel's status word lands.
+func (p Params) statusVA() hostmem.Addr {
+	return hostmem.Addr(p.ResponseAddress + uint64(p.ObjectSize))
+}
+
+// Post is Read's first half: clear the status word, then post the RPC
+// on qpn with done as its completion — the RPC's, not the kernel's
+// response, which Poll waits for. A requester that posts other verbs in
+// the same stage calls Post between them and Poll once all have
+// completed. An error means nothing was posted and done is not called.
+func Post(nic *core.NIC, qpn uint32, rpcOp uint64, params Params, done func(error)) error {
+	if err := nic.Memory().WriteVirt(params.statusVA(), zeroStatus[:]); err != nil {
+		return err
+	}
+	nic.Post(qpn, core.Verb{Op: core.OpRPC, RPCOp: rpcOp, Params: params.Encode(), Deadline: params.Deadline}, done)
+	return nil
+}
+
+// Poll is Read's second half: poll for the status word until
+// params.Deadline and return the verified object (checksum included).
+func Poll(p *sim.Process, nic *core.NIC, params Params) ([]byte, error) {
 	var timeout sim.Duration
 	if params.Deadline != 0 {
 		if timeout = params.Deadline.Sub(p.Now()); timeout <= 0 {
 			timeout = 1 // already past the deadline: one poll iteration, then give up
 		}
 	}
-	raw, err := nic.Host().Poll(p, nic.Memory(), statusVA, 8, func(b []byte) bool {
+	raw, err := nic.Host().Poll(p, nic.Memory(), params.statusVA(), 8, func(b []byte) bool {
 		return binary.LittleEndian.Uint64(b) != 0
 	}, timeout)
 	if err != nil {

@@ -43,13 +43,13 @@ type Stats struct {
 	DupSuppressed uint64 // ambiguous retries resolved by the version probe
 	StaleRerouted uint64 // stale replica reads detected and rerouted
 
-	SpilledReads  uint64 // consistency-kernel extent reads issued
+	SpilledReads  uint64 // pairs posted: slot READ + consistency-kernel extent read
 	TornDetected  uint64 // torn reads detected (CRC fail or slot/extent skew)
 	TornRetries   uint64 // torn reads retried under the budget
 	TornFailovers uint64 // replicas abandoned after the torn budget ran dry
-	TornOverwrite uint64 // class: concurrent overwrite (extent ahead of slot)
+	TornOverwrite uint64 // class: concurrent overwrite (extent ahead of slot, or behind it once)
 	TornReused    uint64 // class: arena offset recycled to another key
-	TornStaleRep  uint64 // class: extent behind slot (stale replica state)
+	TornStaleRep  uint64 // class: extent behind slot on neighbouring pairs (stale replica state)
 	TornCorrupt   uint64 // class: CRC mismatch survived the kernel re-reads
 	OrphansReaped uint64 // unpublished extent images destroyed by overwrite/free
 
@@ -66,8 +66,12 @@ type conn struct {
 }
 
 // session is one in-flight operation's slice of the client buffer: a
-// slot staging area, an extent staging area, and a landing area big
-// enough for an extent plus the consistency kernel's status word. Ops
+// slot staging area, an extent staging area, a landing area big enough
+// for an extent plus the consistency kernel's status word, and a slot
+// landing area for a spilled Get's pair (readPair), whose kernel answers
+// into the other one. No write stages from a landing area: a READ whose
+// deadline passed still lands when its response finally arrives, and in
+// a staging area it would become the payload of a later op's WRITE. Ops
 // acquire a session at entry and release it on return, so concurrent
 // client processes (the chaos regime's racing overwriter) never clobber
 // each other's staged bytes.
@@ -75,6 +79,7 @@ type session struct {
 	slot hostmem.Addr // SlotSize staging for slot writes
 	ext  hostmem.Addr // ExtentSize staging for extent writes
 	read hostmem.Addr // ExtentSize+16 landing area for reads and kernel responses
+	pair hostmem.Addr // SlotSize landing area for a spilled Get's slot READ
 
 	// buf is the session's host-side scratch: a write encodes its value
 	// and images here on the way to the staging areas, a read copies the
@@ -82,17 +87,25 @@ type session struct {
 	// the largest tenant, a large value followed by its extent image.
 	buf  [LargeValCap + ExtentSize]byte
 	join join
+
+	// pairRead completes a pair's slot READ in join slot 0, copying the
+	// slot out of the pair area into buf the instant it lands: the kernel
+	// RPC may complete later, and a READ of an earlier op that missed its
+	// deadline may land on the area in between.
+	pairRead func(error)
 }
 
 // sessionBytes is the client-buffer footprint of one session.
-const sessionBytes = SlotSize + ExtentSize + ExtentSize + 16
+const sessionBytes = SlotSize + ExtentSize + ExtentSize + 16 + SlotSize
 
-// join collects the completions of the WRITEs one attempt posts together:
-// per replica i the extent's in slot 2i and the slot's in 2i+1. It lives
-// in the session with its callbacks built once, so an attempt allocates
-// nothing. That is sound because a posted verb completes exactly once
-// (the NIC's deadline guard swallows a late transport completion) and an
-// attempt waits for all its posts before the next begins.
+// join collects the completions of the verbs one posting stage posts
+// together: for a write attempt, per replica i the extent WRITE's in slot
+// 2i and the slot WRITE's in 2i+1; for a spilled Get's pair, the slot
+// READ's in 0 and the kernel RPC's in 1. It lives in the session with
+// its callbacks built once, so a stage allocates nothing. That is sound
+// because a posted verb completes exactly once (the NIC's deadline guard
+// swallows a late transport completion) and a stage waits for all its
+// posts before the next begins.
 type join struct {
 	pending int
 	errs    [4]error
@@ -100,8 +113,9 @@ type join struct {
 	done    sim.Completion[struct{}]
 }
 
-func newSession(base hostmem.Addr) *session {
-	s := &session{slot: base, ext: base + SlotSize, read: base + SlotSize + ExtentSize}
+func newSession(mem *hostmem.Memory, base hostmem.Addr) *session {
+	read := base + SlotSize + ExtentSize
+	s := &session{slot: base, ext: base + SlotSize, read: read, pair: read + ExtentSize + 16}
 	j := &s.join
 	for i := range j.cb {
 		j.cb[i] = func(err error) {
@@ -110,6 +124,12 @@ func newSession(base hostmem.Addr) *session {
 				j.done.Complete(struct{}{})
 			}
 		}
+	}
+	s.pairRead = func(err error) {
+		if err == nil {
+			err = mem.ReadVirtInto(s.pair, s.buf[:SlotSize])
+		}
+		j.cb[0](err)
 	}
 	return s
 }
@@ -629,10 +649,34 @@ func (c *Client) PutLarge(p *sim.Process, key uint64) error { return c.put(p, ke
 // exactly like any other Put. Deleting a spilled key frees its extent.
 func (c *Client) Delete(p *sim.Process, key uint64) error { return c.put(p, key, opDelete) }
 
-// getReplica reads one replica's slot with bounded retries (reads are
+// getReplica reads key from one replica. With an extent offset in the
+// ledger the slot READ and the extent read leave together (getSpilled),
+// a hint the slot then checks; without one the slot is read alone, as
+// an inline Get costs, and a spill ref found there is chased the same
+// way. A spilled value is the kernel read's own copy; an inline slot's
+// aliases the session scratch.
+func (c *Client) getReplica(p *sim.Process, sess *session, server int, key, want uint64) (Slot, []byte, error) {
+	if ref := c.ext[key]; ref != nil {
+		return c.getSpilled(p, sess, server, key, ref.off, want)
+	}
+	slot, err := c.readSlot(p, sess, server, c.lay.SlotAddr(c.servers[server].TableFor(c.lay, c.lay.ShardOf(key)), key))
+	switch {
+	case err != nil:
+		return slot, nil, err
+	case slot.Ver < want:
+		c.Stats.StaleRerouted++
+		return slot, nil, fmt.Errorf("%w: server %d at ver %d, acked %d", ErrStale, server, slot.Ver, want)
+	case slot.Flags&FlagSpilled != 0:
+		off, _, _ := DecodeSpillRef(slot.Val) // getSpilled re-reads and checks it
+		return c.getSpilled(p, sess, server, key, off, want)
+	}
+	return slot, nil, nil
+}
+
+// readSlot reads one replica's slot with bounded retries (reads are
 // idempotent, so no duplicate suppression is needed). The slot's value
 // aliases the session scratch: it is good until the session's next read.
-func (c *Client) getReplica(p *sim.Process, sess *session, server int, va hostmem.Addr) (Slot, error) {
+func (c *Client) readSlot(p *sim.Process, sess *session, server int, va hostmem.Addr) (Slot, error) {
 	if c.down[server] {
 		return Slot{}, fmt.Errorf("%w: server %d marked down", ErrUnavailable, server)
 	}
@@ -665,10 +709,10 @@ func (c *Client) getReplica(p *sim.Process, sess *session, server int, va hostme
 // the backup. A replica is only trusted if its slot version has caught
 // up with the highest acked write — a read behind that is rerouted, so
 // a Get can never observe a value staler than an acked Put. A spilled
-// slot routes through the consistency kernel (getSpilled); a torn
-// extent read is retried under the torn budget and fails over past it.
-// Found reports whether the key currently has a live (non-tombstone)
-// value.
+// key's slot and extent are read in one round trip, the extent through
+// the consistency kernel (getSpilled); a torn extent read is retried
+// under the torn budget and fails over past it. Found reports whether
+// the key currently has a live (non-tombstone) value.
 func (c *Client) Get(p *sim.Process, key uint64) (slot Slot, found bool, err error) {
 	if key == 0 || key > c.lay.NumKeys {
 		return Slot{}, false, fmt.Errorf("kvserve: key %d outside 1..%d", key, c.lay.NumKeys)
@@ -690,33 +734,18 @@ func (c *Client) Get(p *sim.Process, key uint64) (slot Slot, found bool, err err
 	staleReads := 0
 	var lastErr error
 	for _, server := range order {
-		slot, rerr := c.getReplica(p, sess, server, c.lay.SlotAddr(c.servers[server].TableFor(c.lay, sh), key))
+		slot, val, rerr := c.getReplica(p, sess, server, key, want)
 		if rerr != nil {
 			lastErr = rerr
-			continue
-		}
-		if slot.Ver < want {
-			c.Stats.StaleRerouted++
-			staleReads++
-			lastErr = fmt.Errorf("%w: server %d at ver %d, acked %d", ErrStale, server, slot.Ver, want)
+			if errors.Is(rerr, ErrStale) {
+				staleReads++
+			}
 			continue
 		}
 		if slot.Flags&FlagSpilled != 0 {
-			s2, val, gerr := c.getSpilled(p, sess, server, key, slot, want)
-			if gerr != nil {
-				lastErr = gerr
-				if errors.Is(gerr, ErrStale) {
-					staleReads++
-				}
-				continue
-			}
-			slot = s2
-			if slot.Flags&FlagSpilled != 0 {
-				slot.Val = val
-				c.checkLarge(key, slot)
-			}
-		}
-		if slot.Flags&FlagSpilled == 0 {
+			slot.Val = val
+			c.checkLarge(key, slot)
+		} else {
 			// Inline from the start, or the key went back inline while we
 			// chased the extent. The one copy of a served value: out of the
 			// session scratch, which the next op on this session overwrites.

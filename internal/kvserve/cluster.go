@@ -143,7 +143,7 @@ func New(net *testrig.Net, cfg Config) (*Cluster, error) {
 		histGet:   cfg.Registry.Histogram("kv_op_latency_ps", "ps", telemetry.L("op", "get")),
 	}
 	for i := 0; i < cfg.Sessions; i++ {
-		c.pool = append(c.pool, newSession(cm.Buf.Base()+hostmem.Addr(i*sessionBytes)))
+		c.pool = append(c.pool, newSession(cm.NIC.Memory(), cm.Buf.Base()+hostmem.Addr(i*sessionBytes)))
 	}
 	for sh := 0; sh < s; sh++ {
 		c.arenas = append(c.arenas, kvstore.NewFixedArena(ExtentSize, lay.ExtentsPerShard()))

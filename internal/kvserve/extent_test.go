@@ -165,9 +165,9 @@ func TestCleanLargePutGetDelete(t *testing.T) {
 }
 
 // TestTornReadClassification injects each torn-read class host-side
-// into the primary's extent and demands: detection, the right class
-// counter, bounded retries, failover to the backup, and the correct
-// value served — never the torn one.
+// into the primary's extent and demands, of every pair that reads it:
+// detection in that class and no other, bounded retries, failover to the
+// backup, and the correct value served — never the torn one.
 func TestTornReadClassification(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -249,8 +249,8 @@ func TestTornReadClassification(t *testing.T) {
 			if st.TornDetected == 0 || st.TornRetries == 0 || st.TornFailovers == 0 {
 				t.Errorf("want detection+retries+failover, got %+v", st)
 			}
-			if tc.counter(st) == 0 {
-				t.Errorf("class counter zero: %+v", st)
+			if n := tc.counter(st); n == 0 || n != st.TornDetected {
+				t.Errorf("class counter %d of %d detections: %+v", n, st.TornDetected, st)
 			}
 			if st.Failovers == 0 {
 				t.Error("get was not served by the backup")

@@ -12,9 +12,9 @@ import (
 )
 
 // The large-value failover battery (DESIGN.md §17): the publish-window
-// crash, the mid-repair backup read, and rkey rotation between the slot
-// read and the extent read. Key 4 throughout: shard 1, primary server 1
-// (machine 2), backup server 2 (machine 3).
+// crash, the mid-repair backup read, rkey rotation with a Get's pair in
+// flight, and the torn class of a replayed pair. Key 4 throughout: shard
+// 1, primary server 1 (machine 2), backup server 2 (machine 3).
 
 // The lengths a fabric.FrameScript tells an extent WRITE's frame from a
 // slot WRITE's by.
@@ -362,57 +362,119 @@ func TestGetBehindHeldSlotFrame(t *testing.T) {
 	mustZeroViolations(t, cl)
 }
 
-// The server crashes and restarts between a Get's slot read and its
-// extent read: the cached rkey is rotated and the QP dead when the
-// consistency RPC goes out. The transport retry must reconnect,
-// re-fetch the key, and complete the read without reporting it torn.
+// The frame lengths of a spilled Get's pair: the consistency RPC toward
+// the server, the slot READ's response back.
+var (
+	rpcFrame      = packet.WriteFrameLen(24) // the parameter block
+	slotRespFrame = (&packet.Packet{AETH: &packet.AETH{}, Payload: make([]byte, SlotSize)}).BufferLen()
+)
+
+// The server crashes with a Get's pair in flight — its RPC frame is on
+// the wire — and restarts 50 µs later: host memory (slots, extents)
+// survives, rkeys rotate, QPs die. Both verbs miss their deadline; the
+// transport retry must reconnect, re-fetch the key and complete the Get
+// on the same replica through the public API, without calling it torn.
 func TestRKeyRotationMidExtentRead(t *testing.T) {
 	net, cl := newLargeTestCluster(t, 1)
 	c := cl.Client
 	const key = 4
+	srv := cl.Servers[1].M
+	var crash *fabric.FrameScript
 	var runErr error
+	var pairs uint64
 	net.Machines[0].Eng.Go("kv-client", func(p *sim.Process) {
 		if runErr = c.PutLarge(p, key); runErr != nil {
 			return
 		}
-		sess, err := c.acquire()
-		if err != nil {
-			runErr = err
+		crash = &fabric.FrameScript{Steps: []fabric.FrameStep{{Len: rpcFrame, Do: func() {
+			srv.NIC.Crash()
+			srv.Eng.Schedule(50*sim.Microsecond, srv.NIC.Restart)
+		}}}}
+		cl.Net.Sw.SetEgressFaults(srv.Index, crash)
+		before := c.Stats.SpilledReads
+		slot, found, err := c.Get(p, key)
+		if err != nil || !found {
+			runErr = fmt.Errorf("found=%v: %w", found, err)
 			return
 		}
-		defer c.release(sess)
-		sh := cl.Lay.ShardOf(key)
-		srv := cl.Servers[1]
-		slot, err := c.getReplica(p, sess, 1, cl.Lay.SlotAddr(srv.TableFor(cl.Lay, sh), key))
-		if err != nil {
-			runErr = err
-			return
-		}
-		// Crash/restart between the slot read and the extent read: host
-		// memory (slots, extents) survives, rkeys rotate, QPs die.
-		srv.M.NIC.Crash()
-		p.Sleep(50 * sim.Microsecond)
-		srv.M.NIC.Restart()
-		p.Sleep(20 * sim.Microsecond)
-		s2, val, gerr := c.getSpilled(p, sess, 1, key, slot, c.Acked(key))
-		if gerr != nil {
-			runErr = gerr
-			return
-		}
-		if s2.Flags&FlagSpilled == 0 || !bytes.Equal(val, LargeValueFor(key, 1)) {
-			t.Errorf("mid-rotation read = flags %#x, %d B", s2.Flags, len(val))
+		pairs = c.Stats.SpilledReads - before
+		if !bytes.Equal(slot.Val, LargeValueFor(key, 1)) {
+			t.Errorf("mid-rotation get served %d B, want v1", len(slot.Val))
 		}
 	})
 	net.Run()
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	st := c.Stats
-	if st.Reconnects == 0 || st.RKeyRefetches == 0 {
-		t.Errorf("want reconnect + rkey refetch, got %+v", st)
+	if crash == nil || !crash.Done() {
+		t.Fatal("no RPC frame left for the primary")
 	}
-	if st.TornDetected != 0 {
-		t.Errorf("transport trouble misclassified as torn: %+v", st)
+	st := c.Stats
+	if st.Retries != 1 || st.Reconnects != 1 || st.RKeyRefetches == 0 || pairs != 2 {
+		t.Errorf("want one retry of the pair with a reconnect and rkey refetch, got %d pairs: %+v", pairs, st)
+	}
+	if st.TornDetected != 0 || st.Failovers != 0 {
+		t.Errorf("transport trouble misclassified as torn, or served elsewhere: %+v", st)
+	}
+	mustZeroViolations(t, cl)
+}
+
+// A pair's slot READ response is lost while a PutLarge of the same key,
+// posted behind the pair, publishes v2. The responder re-executes the
+// re-requested READ from live memory but only ACKed the RPC, so the pair
+// returns slot v2 over the extent v1 the kernel sent: once. The read is
+// detected and retried, the retry serves v2, and the class is
+// TornOverwrite, not TornStaleRep — nothing is stale on this replica.
+func TestTornClassOfReplayedPair(t *testing.T) {
+	// The lost response is re-requested after two 500 µs retransmission
+	// timeouts (the writer's ACKs restart the first): past the tests'
+	// usual 400 µs op deadline.
+	net, cl := newTestClusterCfg(t, 1, func(cfg *Config) {
+		cfg.Sessions = 2
+		cfg.OpDeadline = 2 * sim.Millisecond
+	})
+	c := cl.Client
+	const key = 4
+	primary := cl.Servers[1].M
+	var lost *fabric.FrameScript
+	var readerErr, writerErr error
+	var served []byte
+	net.Machines[0].Eng.Go("kv-client", func(p *sim.Process) {
+		if readerErr = c.PutLarge(p, key); readerErr != nil {
+			return
+		}
+		lost = &fabric.FrameScript{Steps: []fabric.FrameStep{{Len: slotRespFrame, Verdict: fabric.Verdict{Drop: true}}}}
+		primary.Port.SetFaults(lost)
+		net.Machines[0].Eng.Go("kv-writer", func(p *sim.Process) {
+			p.Sleep(20 * sim.Microsecond) // the pair has executed
+			writerErr = c.PutLarge(p, key)
+		})
+		slot, found, err := c.Get(p, key)
+		if err != nil || !found {
+			readerErr = fmt.Errorf("found=%v: %w", found, err)
+			return
+		}
+		served = slot.Val
+	})
+	net.Run()
+	if readerErr != nil || writerErr != nil {
+		t.Fatalf("reader: %v, writer: %v", readerErr, writerErr)
+	}
+	if lost == nil || !lost.Done() {
+		t.Fatal("no slot READ response left the primary")
+	}
+	if !bytes.Equal(served, LargeValueFor(key, 2)) {
+		t.Errorf("served %d B, want v2", len(served))
+	}
+	st := c.Stats
+	if st.TornDetected != 1 || st.TornRetries != 1 || st.TornFailovers != 0 {
+		t.Errorf("want one torn read detected and retried on the primary: %+v", st)
+	}
+	if st.TornOverwrite != 1 || st.TornStaleRep != 0 {
+		t.Errorf("replayed READ classed overwrite %d, stale-replica %d, want 1/0", st.TornOverwrite, st.TornStaleRep)
+	}
+	if dup := primary.NIC.Stack().Stats().DupReadCacheHits; dup != 1 {
+		t.Errorf("primary re-executed %d duplicate READs, want 1", dup)
 	}
 	mustZeroViolations(t, cl)
 }

@@ -1,6 +1,8 @@
 package kvserve
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"strom/internal/chaos"
@@ -15,7 +17,8 @@ import (
 // first attempt is one posting stage — every replica's WRITEs, a spilled
 // value's extent and slot back to back, go out at once — so a Put and a
 // PutLarge each cost one round trip; a replica that fails it retries
-// alone. Key 4 throughout unless stated: shard 1, primary server 1
+// alone. A spilled Get's slot READ and extent read are one stage as well.
+// Key 4 throughout unless stated: shard 1, primary server 1
 // (machine 2), backup server 2 (machine 3).
 
 // replicaVer reads key's slot version straight out of a server's memory.
@@ -79,6 +82,101 @@ func TestOverlappedPutCostsOneRoundTrip(t *testing.T) {
 	}
 	if st := c.Stats; st.Retries != 0 || st.AckedPuts != 4 {
 		t.Errorf("clean run: %+v", st)
+	}
+	mustZeroViolations(t, cl)
+}
+
+// A spilled Get is one posting stage too: the slot READ and the kernel's
+// extent read leave together at the offset the ledger holds, so it costs
+// an inline Get's round trip plus the kernel's PCIe read, with both
+// verbs still there. A key the ledger holds no extent for is read with
+// the slot READ alone.
+func TestSpilledGetCostsOneRoundTrip(t *testing.T) {
+	net, cl := newTestCluster(t, 1)
+	c := cl.Client
+	const inline, spilled = 1, 4 // both shard 1
+	var runErr error
+	net.Machines[0].Eng.Go("kv-client", func(p *sim.Process) {
+		if runErr = c.Put(p, inline); runErr != nil {
+			return
+		}
+		if runErr = c.PutLarge(p, spilled); runErr != nil {
+			return
+		}
+		var took [2]sim.Duration
+		for i, key := range []uint64{inline, spilled} {
+			if _, _, runErr = c.Get(p, key); runErr != nil { // warm-up
+				return
+			}
+			start, posted := p.Now(), c.m.NIC.Stack().Stats().OpsPosted
+			slot, found, err := c.Get(p, key)
+			if err != nil || !found {
+				runErr = fmt.Errorf("key %d: found=%v: %w", key, found, err)
+				return
+			}
+			took[i] = p.Now().Sub(start)
+			if n := c.m.NIC.Stack().Stats().OpsPosted - posted; n != uint64(i+1) {
+				t.Errorf("key %d: get posted %d verbs, want %d", key, n, i+1)
+			}
+			if want := c.expectedVal(key, 1); !bytes.Equal(slot.Val, want) {
+				t.Errorf("key %d: served %d B, want %d", key, len(slot.Val), len(want))
+			}
+		}
+		if limit := took[0] + took[0]/4; took[1] >= limit {
+			t.Errorf("spilled get took %v, want < 1.25 x %v of an inline get", took[1], took[0])
+		}
+	})
+	net.Run()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if st := c.Stats; st.SpilledReads != 2 || st.Retries != 0 {
+		t.Errorf("want one pair per spilled get: %+v", st)
+	}
+	mustZeroViolations(t, cl)
+}
+
+// The ledger's offset is only a hint. Pointed at another live key's
+// extent, a Get reads that extent beside the slot, finds the slot naming
+// its own, and posts the pair again there: two pairs, the right value,
+// no torn read.
+func TestSpilledGetWrongHint(t *testing.T) {
+	net, cl := newTestCluster(t, 1)
+	c := cl.Client
+	const key, other = 4, 7 // both shard 1
+	var runErr error
+	net.Machines[0].Eng.Go("kv-client", func(p *sim.Process) {
+		for _, k := range []uint64{key, other} {
+			if runErr = c.PutLarge(p, k); runErr != nil {
+				return
+			}
+		}
+		own := c.ext[key].off
+		c.ext[key].off = c.ext[other].off
+		reads, posted := c.Stats.SpilledReads, c.m.NIC.Stack().Stats().OpsPosted
+		slot, found, err := c.Get(p, key)
+		c.ext[key].off = own
+		if err != nil || !found {
+			runErr = fmt.Errorf("found=%v: %w", found, err)
+			return
+		}
+		if !bytes.Equal(slot.Val, LargeValueFor(key, 1)) {
+			t.Errorf("served %d B, want LargeValueFor(%d,1)", len(slot.Val), key)
+		}
+		if n := c.Stats.SpilledReads - reads; n != 2 {
+			t.Errorf("get posted %d pairs, want 2", n)
+		}
+		if n := c.m.NIC.Stack().Stats().OpsPosted - posted; n != 4 {
+			t.Errorf("get posted %d verbs, want 4", n)
+		}
+	})
+	net.Run()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	st := c.Stats
+	if st.TornDetected+st.TornOverwrite+st.TornReused+st.TornStaleRep+st.TornCorrupt != 0 || st.Failovers != 0 {
+		t.Errorf("a wrong hint is not a torn read: %+v", st)
 	}
 	mustZeroViolations(t, cl)
 }
