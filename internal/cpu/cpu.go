@@ -8,6 +8,7 @@ package cpu
 
 import (
 	"fmt"
+	"sync"
 
 	"strom/internal/crc"
 	"strom/internal/hll"
@@ -116,36 +117,105 @@ func (m Model) HLLDuration(n int, threads int) sim.Duration {
 // deadline expiries uniformly with one errors.Is check.
 var ErrPollTimeout = fmt.Errorf("cpu: poll timeout: %w", sim.ErrDeadlineExceeded)
 
-// Poll spins on [va, va+n) in host memory until pred accepts the bytes,
-// charging one PollInterval per iteration. A zero timeout polls forever.
-// The polling loop's phase relative to the completing DMA write is
-// arbitrary, so a random initial offset of up to one interval models the
-// alignment jitter real measurements show in their percentile whiskers.
+// Poll spins on [va, va+n) in host memory until pred accepts the bytes:
+// one load per PollInterval, and the load that succeeds still pays
+// MemLatency. The loop's phase relative to the completing DMA write is
+// arbitrary, so the first load comes a random offset of up to one interval
+// after the call, modelling the alignment jitter real measurements show in
+// their percentile whiskers. Later loads fall on the grid
+// first + k·PollInterval.
+//
+// Loads that find nothing new are not simulated: after a failed load the
+// poll parks with a hostmem.Watch on the range, and a write at t wakes it
+// for the load at the first grid instant ≥ t — the one the spinning CPU
+// would make next, so a write landing exactly on a grid instant is seen
+// at that instant. pred must therefore be a pure function of the bytes
+// (and must not keep them; the buffer is the caller's on return). A wait
+// costs the same few events however long it lasts.
+//
+// A zero timeout polls forever: a poll that nothing writes stays parked
+// and does not keep the simulation alive, so Run returns with its process
+// still parked. Otherwise the poll loads once more at the first grid
+// instant past start+timeout and fails with ErrPollTimeout if that load
+// fails too. A zero PollInterval makes every instant a grid instant.
 func (m Model) Poll(p *sim.Process, mem *hostmem.Memory, va hostmem.Addr, n int, pred func([]byte) bool, timeout sim.Duration) ([]byte, error) {
+	if n < 0 {
+		return nil, hostmem.ErrBadLength
+	}
 	start := p.Now()
 	if m.PollInterval > 0 {
 		p.Sleep(sim.Duration(p.Engine().Rand().Int63n(int64(m.PollInterval))))
 	}
-	if n < 0 {
-		return nil, hostmem.ErrBadLength
-	}
-	// One buffer serves every iteration (pred must not keep it); it is the
-	// caller's on return.
 	data := make([]byte, n)
+	var w *pollWatch // registered after the first failed load
 	for {
 		if err := mem.ReadVirtInto(va, data); err != nil {
+			w.release(mem)
 			return nil, err
 		}
 		if pred(data) {
-			// The final iteration still pays the load latency.
+			w.release(mem)
 			p.Sleep(m.MemLatency)
 			return data, nil
 		}
 		if timeout > 0 && p.Now().Sub(start) > timeout {
+			w.release(mem)
 			return nil, ErrPollTimeout
 		}
-		p.Sleep(m.PollInterval)
+		if w == nil {
+			w = pollWatches.Get().(*pollWatch)
+			w.p, w.first, w.interval = p, p.Now(), m.PollInterval
+			if err := mem.Watch(&w.Watch, va, n, w.wakeFn); err != nil {
+				w.release(mem)
+				return nil, err
+			}
+		}
+		var deadline sim.Time
+		if timeout > 0 {
+			deadline = w.grid(start.Add(timeout) + 1)
+		}
+		p.ParkUntil(deadline)
 	}
+}
+
+// pollWatch is a parked poll: its process, its load grid and the watch on
+// its range. Records are recycled, so a poll allocates only the buffer it
+// returns.
+type pollWatch struct {
+	hostmem.Watch
+	p        *sim.Process
+	first    sim.Time // the first load; the rest fall on first + k·interval
+	interval sim.Duration
+	wakeFn   func() // wake, bound once per record
+}
+
+var pollWatches = sync.Pool{New: func() any {
+	w := new(pollWatch)
+	w.wakeFn = w.wake
+	return w
+}}
+
+// grid returns the first load instant at or after t ≥ w.first.
+func (w *pollWatch) grid(t sim.Time) sim.Time {
+	if w.interval <= 0 {
+		return t
+	}
+	k := (t.Sub(w.first) + w.interval - 1) / w.interval
+	return w.first.Add(k * w.interval)
+}
+
+// wake is the watch function: a write now moves the poll's next load to
+// the grid instant the spin loop would have seen it at.
+func (w *pollWatch) wake() { w.p.WakeBy(w.grid(w.p.Now())) }
+
+// release unwatches the range and recycles the record (nil: nothing to do).
+func (w *pollWatch) release(mem *hostmem.Memory) {
+	if w == nil {
+		return
+	}
+	mem.Unwatch(&w.Watch)
+	w.p = nil
+	pollWatches.Put(w)
 }
 
 // PollNonZero polls until the first byte of the region becomes non-zero —

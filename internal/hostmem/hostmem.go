@@ -49,7 +49,22 @@ type Memory struct {
 	vmap       map[uint64]uint64 // virtual page number -> physical page number
 	nextVA     Addr
 	pinned     map[uint64]bool // physical page number -> pinned
+	watches    []*Watch
 }
+
+// A Watch is a standing interest in a virtual range: after every write
+// that overlaps it — a CPU store through WriteVirt, a NIC DMA through
+// WritePhys — or Free of one of its pages, the memory calls its function.
+// The zero value is ready for Memory.Watch, and its owner may reuse it
+// once Unwatch returns.
+type Watch struct {
+	segs []span // the physical segments the range maps to, one per huge page
+	fn   func()
+	idx  int // position in Memory.watches while registered
+}
+
+// span is the physical range [from, to).
+type span struct{ from, to Addr }
 
 // New creates a host memory with capacity for totalPages huge pages.
 func New(totalPages int) *Memory {
@@ -111,6 +126,9 @@ func (b *Buffer) Free() error {
 		delete(b.mem.vmap, vpn)
 		delete(b.mem.pages, ppn)
 		delete(b.mem.pinned, ppn)
+		if len(b.mem.watches) > 0 {
+			b.mem.written(Addr(ppn<<HugePageBits), Addr((ppn+1)<<HugePageBits))
+		}
 	}
 	b.freed = true
 	return nil
@@ -179,7 +197,8 @@ func (m *Memory) ReadPhysInto(pa Addr, dst []byte) error {
 // memory itself, not a copy, for a reader that has finished with them
 // before anything else can run (the DMA engine handing a chunk to the TX
 // pipeline, which copies it into a frame). The range must lie inside one
-// huge page. The caller must not write through the slice nor keep it.
+// huge page. The caller must not write through the slice (no Watch would
+// hear it) nor keep it.
 func (m *Memory) ViewPhys(pa Addr, n int) ([]byte, error) {
 	page, ok := m.pages[pa.PageNumber()]
 	if !ok {
@@ -217,6 +236,9 @@ func (m *Memory) accessPhys(pa Addr, buf []byte, write bool) error {
 		}
 		if write {
 			copy(page[po:po+n], buf[off:off+n])
+			if len(m.watches) > 0 {
+				m.written(pa, pa+Addr(n))
+			}
 		} else {
 			copy(buf[off:off+n], page[po:po+n])
 		}
@@ -288,6 +310,62 @@ func (m *Memory) WriteVirt(va Addr, data []byte) error {
 		va += Addr(chunk)
 	}
 	return nil
+}
+
+// Watch registers w to call fn after each change to [va, va+n) (see
+// Watch). The range is translated now and held as the physical segments
+// it maps to, so it may cross huge pages. fn runs inside the write, so it
+// must not touch the memory's watches.
+func (m *Memory) Watch(w *Watch, va Addr, n int, fn func()) error {
+	if n < 0 {
+		return ErrBadLength
+	}
+	if uint64(va)+uint64(n) < uint64(va) {
+		return fmt.Errorf("%w: VA %#x + %d", ErrWrap, uint64(va), n)
+	}
+	w.segs = w.segs[:0]
+	for off := 0; off < n; {
+		pa, err := m.Translate(va)
+		if err != nil {
+			return err
+		}
+		chunk := min(n-off, HugePageSize-int(va.PageOffset()))
+		w.segs = append(w.segs, span{pa, pa + Addr(chunk)})
+		off += chunk
+		va += Addr(chunk)
+	}
+	w.fn, w.idx = fn, len(m.watches)
+	m.watches = append(m.watches, w)
+	return nil
+}
+
+// Unwatch removes w; its function is not called again. Unwatching a watch
+// that is not registered does nothing.
+func (m *Memory) Unwatch(w *Watch) {
+	if w.fn == nil {
+		return
+	}
+	last := len(m.watches) - 1
+	m.watches[w.idx] = m.watches[last]
+	m.watches[w.idx].idx = w.idx
+	m.watches[last] = nil
+	m.watches = m.watches[:last]
+	w.fn = nil
+}
+
+// Watches reports the number of registered watches.
+func (m *Memory) Watches() int { return len(m.watches) }
+
+// written tells every watch that overlaps the physical range [from, to).
+func (m *Memory) written(from, to Addr) {
+	for _, w := range m.watches {
+		for _, s := range w.segs {
+			if from < s.to && s.from < to {
+				w.fn()
+				break
+			}
+		}
+	}
 }
 
 // MappedPages reports the number of mapped huge pages.

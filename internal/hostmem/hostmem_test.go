@@ -301,6 +301,78 @@ func TestReadWriteProperty(t *testing.T) {
 	}
 }
 
+// A watch hears every write that overlaps its range, by VA or by PA, and
+// nothing else; a range across a huge page is watched on both scattered
+// physical pages; Free counts as a change; Unwatch is final.
+func TestWatch(t *testing.T) {
+	m := New(16)
+	b, _ := m.Allocate(3 * HugePageSize)
+	pas, _ := b.PhysicalPages()
+	va := b.Base() + Addr(HugePageSize-4) // 8 bytes: 4 on page 0, 4 on page 1
+	var heard, other int
+	var w, bystander Watch
+	if err := m.Watch(&bystander, b.Base()+Addr(2*HugePageSize), 8, func() { other++ }); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Watch(&w, va, 8, func() { heard++ }); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		write func() error
+		hears bool
+	}{
+		{"store inside", func() error { return m.WriteVirt(va+2, []byte{1}) }, true},
+		{"store ending just before", func() error { return m.WriteVirt(va-4, make([]byte, 4)) }, false},
+		{"store starting just after", func() error { return m.WriteVirt(va+8, make([]byte, 4)) }, false},
+		{"store over the whole range", func() error { return m.WriteVirt(va-100, make([]byte, 200)) }, true},
+		{"DMA into page 1's segment", func() error { return m.WritePhys(pas[1]+3, []byte{1}) }, true},
+		{"DMA past page 1's segment", func() error { return m.WritePhys(pas[1]+4, []byte{1}) }, false},
+		{"DMA into page 0's segment", func() error { return m.WritePhys(pas[0]+Addr(HugePageSize-1), []byte{1}) }, true},
+		{"DMA before page 0's segment", func() error { return m.WritePhys(pas[0]+Addr(HugePageSize-8), make([]byte, 4)) }, false},
+		{"empty store inside", func() error { return m.WriteVirt(va, nil) }, false},
+	} {
+		before := heard
+		if err := c.write(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := heard > before; got != c.hears {
+			t.Errorf("%s: heard = %v, want %v", c.name, got, c.hears)
+		}
+	}
+	if other != 0 {
+		t.Errorf("a watch on page 2 heard %d writes to pages 0 and 1", other)
+	}
+	if m.Watches() != 2 {
+		t.Errorf("Watches() = %d, want 2", m.Watches())
+	}
+	m.Unwatch(&w)
+	m.Unwatch(&w) // not registered any more: nothing to do
+	if m.Watches() != 1 {
+		t.Errorf("after Unwatch, Watches() = %d, want 1", m.Watches())
+	}
+	heard = 0
+	if err := m.WriteVirt(va, []byte{1}); err != nil || heard != 0 {
+		t.Errorf("an unwatched range was heard (%d, %v)", heard, err)
+	}
+	if err := b.Free(); err != nil {
+		t.Fatal(err)
+	}
+	if other != 1 {
+		t.Errorf("Free of a watched page was heard %d times, want 1", other)
+	}
+	m.Unwatch(&bystander)
+	if err := m.Watch(&w, va, 8, func() {}); !errors.Is(err, ErrNotMapped) {
+		t.Errorf("watch on a freed range: err = %v, want ErrNotMapped", err)
+	}
+	if err := m.Watch(&w, va, -1, func() {}); err != ErrBadLength {
+		t.Errorf("watch with a negative length: err = %v, want ErrBadLength", err)
+	}
+	if m.Watches() != 0 {
+		t.Errorf("failed watches registered: Watches() = %d", m.Watches())
+	}
+}
+
 func TestAddrHelpers(t *testing.T) {
 	a := Addr(3*HugePageSize + 17)
 	if a.PageNumber() != 3 {

@@ -40,12 +40,17 @@ type Process struct {
 	wakeFn func()
 	waking bool // a step event is queued and has not run yet
 	done   bool
+	// alarm is the one wake event of a ParkUntil; armable is set while the
+	// process is parked there and that wake has not fired.
+	alarm   Event
+	armable bool
+	ringFn  func()
 }
 
 // Go starts fn as a new simulated process at the current time.
 func (e *Engine) Go(name string, fn func(p *Process)) *Process {
 	p := &Process{eng: e, name: name}
-	p.stepFn, p.wakeFn = p.step, p.wake
+	p.stepFn, p.wakeFn, p.ringFn = p.step, p.wake, p.ring
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -108,6 +113,39 @@ func (p *Process) Done() bool { return p.done }
 func (p *Process) Sleep(d Duration) {
 	p.eng.Schedule(d, p.wakeFn)
 	p.park()
+}
+
+// ParkUntil blocks p on a single wake event: at deadline, or earlier if
+// WakeBy moves it. A zero deadline leaves the wake unarmed until WakeBy
+// arms it; a process nothing arms stays parked and, holding no event, does
+// not keep the simulation alive.
+func (p *Process) ParkUntil(deadline Time) {
+	p.armable = true
+	if deadline != 0 {
+		p.alarm = p.eng.ScheduleAt(deadline, p.ringFn)
+	}
+	p.park()
+}
+
+// WakeBy makes a process parked in ParkUntil resume no later than t: it
+// arms the wake at t, cancelling a later one. It does nothing when the
+// wake is already due by t, when the process is not in ParkUntil, or once
+// the wake has fired: a call between that wake and the resume would
+// otherwise queue a second wake, which would fire in a later, unrelated
+// wait.
+func (p *Process) WakeBy(t Time) {
+	if !p.armable || (p.alarm.Pending() && p.alarm.At() <= t) {
+		return
+	}
+	p.alarm.Cancel()
+	p.alarm = p.eng.ScheduleAt(t, p.ringFn)
+}
+
+// ring is the ParkUntil wake event: it disarms the alarm, then wakes p.
+func (p *Process) ring() {
+	p.armable = false
+	p.alarm = Event{}
+	p.wake()
 }
 
 // Signal is a broadcast wake-up point for processes.

@@ -241,6 +241,67 @@ func TestProcessDoubleWakePanics(t *testing.T) {
 	t.Fatal("second wake accepted")
 }
 
+// ParkUntil's wake moves earlier and never later, and a parked process
+// nothing arms holds no event.
+func TestParkUntilWakeBy(t *testing.T) {
+	e := NewEngine(1)
+	var woke []Time
+	p := e.Go("p", func(p *Process) {
+		p.ParkUntil(Time(50 * Nanosecond))
+		woke = append(woke, p.Now())
+		p.ParkUntil(0)
+		woke = append(woke, p.Now())
+		p.ParkUntil(0)
+		woke = append(woke, p.Now())
+	})
+	e.Schedule(10*Nanosecond, func() {
+		p.WakeBy(Time(30 * Nanosecond))
+		p.WakeBy(Time(40 * Nanosecond)) // later than the armed wake: ignored
+		p.WakeBy(Time(20 * Nanosecond))
+	})
+	e.Schedule(60*Nanosecond, func() { p.WakeBy(Time(70 * Nanosecond)) })
+	if end := e.Run(); end != Time(70*Nanosecond) {
+		t.Errorf("Run ended at %v, want 70ns: the cancelled wakes kept it alive", end)
+	}
+	want := []Time{Time(20 * Nanosecond), Time(70 * Nanosecond)}
+	if len(woke) != len(want) || woke[0] != want[0] || woke[1] != want[1] {
+		t.Errorf("woke at %v, want %v and then parked for good", woke, want)
+	}
+	if p.Done() {
+		t.Error("a process nothing woke finished")
+	}
+}
+
+// A WakeBy that lands after the wake has fired but before the process has
+// run must not queue a second wake: that one would fire after the resume
+// and cut short whatever the process waits on next.
+func TestWakeByAfterFireWakesOnce(t *testing.T) {
+	e := NewEngine(1)
+	var woke, slept Time
+	p := e.Go("p", func(p *Process) {
+		p.ParkUntil(0)
+		woke = p.Now()
+		p.Sleep(100 * Nanosecond)
+		slept = p.Now()
+	})
+	at := Time(10 * Nanosecond)
+	e.Schedule(5*Nanosecond, func() {
+		p.WakeBy(at)
+		// Queued after the wake, so it runs at 10 ns between the wake
+		// event and the step that resumes p.
+		e.ScheduleAt(at, func() { p.WakeBy(at) })
+	})
+	before := e.Fired()
+	e.Run()
+	if woke != at || slept != at.Add(100*Nanosecond) {
+		t.Errorf("woke at %v and slept until %v, want %v and %v", woke, slept, at, at.Add(100*Nanosecond))
+	}
+	// Start, two scheduled calls, wake+step, sleep's wake+step.
+	if fired := e.Fired() - before; fired != 7 {
+		t.Errorf("%d events fired, want 7", fired)
+	}
+}
+
 // One park/wake costs the two events it schedules — recycled structs —
 // and nothing else: no closure per Sleep, no waiter list per Wait.
 func TestProcessSwitchAllocatesNothing(t *testing.T) {
