@@ -111,15 +111,16 @@ bench:
 	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/telemetry/export ./internal/cpu ./internal/packet ./internal/crc ./internal/pcie ./internal/roce ./internal/core ./internal/kvserve
 	$(GO) run ./cmd/strombench -quick chaos-recovery > /dev/null
 
-# golden re-records the two committed records of the figures, the stdout
-# of the default and of the -quick -shards 4 suite run, which TestGoldens
-# (internal/experiments) compares byte for byte. Figure values are
-# deterministic at seed 1, so on a clean tree it leaves `git diff
-# --exit-code` clean; after a change that moves a value, the diff of the
-# two text files is what gets reviewed.
+# golden re-records the three committed records of the figures, the
+# stdout of the default and of the -quick -shards 4 suite run and of the
+# -quick chaos sweep, which TestGoldens (internal/experiments) compares
+# byte for byte. Figure values are deterministic at seed 1, so on a clean
+# tree it leaves `git diff --exit-code` clean; after a change that moves a
+# value, the diff of the text files is what gets reviewed.
 golden:
 	$(GO) run ./cmd/strombench > internal/experiments/testdata/figures.golden
 	$(GO) run ./cmd/strombench -quick -shards 4 > internal/experiments/testdata/quick-sharded.golden
+	$(GO) run ./cmd/strombench -quick -scenario chaos > internal/experiments/testdata/chaos-quick.golden
 
 # ab measures a claimed gain — or shows that nothing moved — the way
 # choosing-metrics §8 asks: for every workload in WORKLOAD (default: the

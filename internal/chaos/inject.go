@@ -151,16 +151,12 @@ type Injector struct {
 	dmaB   *site
 }
 
-// New builds an injector for the plan on the engine's clock and RNG.
-func New(eng *sim.Engine, plan Plan) *Injector {
-	return NewOn(eng, eng, plan)
-}
-
 // NewOn builds an injector whose A-side sites (a-to-b, dma-a) live on
 // engA and B-side sites (b-to-a, dma-b) on engB — the sharded testbed,
-// where each machine is its own shard. With engA == engB it is exactly
-// New. Each direction walks its own cursor over the shared flap window
-// list (the cursors are per-site state; the windows are read-only).
+// where each machine is its own shard; pass one engine twice for the
+// single-engine testbed. Each direction walks its own cursor over the
+// shared flap window list (the cursors are per-site state; the windows
+// are read-only).
 func NewOn(engA, engB *sim.Engine, plan Plan) *Injector {
 	plan = plan.normalized()
 	return &Injector{
@@ -234,17 +230,17 @@ func (di dirInjector) Judge(now sim.Time, frameLen int) fabric.Verdict {
 	return di.d.judge(now)
 }
 
-// AtoB returns the fault injector for the A→B direction (nil when the
+// atoB returns the fault injector for the A→B direction (nil when the
 // plan injects nothing there, keeping the fabric's fast path clean).
-func (j *Injector) AtoB() fabric.FaultInjector {
+func (j *Injector) atoB() fabric.FaultInjector {
 	if !j.plan.AtoB.enabled() && len(j.plan.Flaps) == 0 {
 		return nil
 	}
 	return dirInjector{d: &j.ab}
 }
 
-// BtoA returns the fault injector for the B→A direction.
-func (j *Injector) BtoA() fabric.FaultInjector {
+// btoA returns the fault injector for the B→A direction.
+func (j *Injector) btoA() fabric.FaultInjector {
 	if !j.plan.BtoA.enabled() && len(j.plan.Flaps) == 0 {
 		return nil
 	}
@@ -268,24 +264,18 @@ func (j *Injector) stallFn(cur *windowCursor, s *site) pcie.StallFn {
 	}
 }
 
-// StallA returns the DMA stall hook for machine A (nil when unused).
-func (j *Injector) StallA() pcie.StallFn { return j.stallFn(&j.stallA, j.dmaA) }
-
-// StallB returns the DMA stall hook for machine B (nil when unused).
-func (j *Injector) StallB() pcie.StallFn { return j.stallFn(&j.stallB, j.dmaB) }
-
 // Apply wires the injector into a link and the two DMA engines. Any
 // argument may be nil to skip that attachment.
 func (j *Injector) Apply(link *fabric.Link, dmaA, dmaB *pcie.Engine) {
 	if link != nil {
-		link.SetFaultsAtoB(j.AtoB())
-		link.SetFaultsBtoA(j.BtoA())
+		link.SetFaultsAtoB(j.atoB())
+		link.SetFaultsBtoA(j.btoA())
 	}
 	if dmaA != nil {
-		dmaA.SetStall(j.StallA())
+		dmaA.SetStall(j.stallFn(&j.stallA, j.dmaA))
 	}
 	if dmaB != nil {
-		dmaB.SetStall(j.StallB())
+		dmaB.SetStall(j.stallFn(&j.stallB, j.dmaB))
 	}
 }
 
@@ -341,10 +331,7 @@ func (j *Injector) ScheduleDigest() uint64 {
 // fabric.Port.SetFaults, a switch egress via Switch.SetEgressFaults).
 // Like an Injector site it draws every decision from the owning
 // engine's RNG — construct it with the engine that judges the direction
-// (the NIC engine for uplinks, the switch engine for egress wires) —
-// and it keeps the same bounded record log and unbounded schedule
-// digest, so a set of FaultSites folded in a fixed order pins the fault
-// schedule exactly as Injector.ScheduleDigest does.
+// (the NIC engine for uplinks, the switch engine for egress wires).
 type FaultSite struct {
 	d dirState
 }
@@ -370,12 +357,6 @@ func (s *FaultSite) Judge(now sim.Time, frameLen int) fabric.Verdict { return s.
 
 // Stats returns the site's fault counters.
 func (s *FaultSite) Stats() Stats { return s.d.st }
-
-// Records returns the retained fault log (bounded by logLimit).
-func (s *FaultSite) Records() []Record { return append([]Record(nil), s.d.log...) }
-
-// Digest returns the CRC64 over every fault the site ever injected.
-func (s *FaultSite) Digest() uint64 { return s.d.digest.Sum64() }
 
 // AttachTelemetry mirrors the fault counters into a metrics registry.
 // Collection runs after the simulation (or between barriers), so the

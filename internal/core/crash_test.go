@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"strom/internal/fabric"
+	"strom/internal/packet"
 	"strom/internal/roce"
 	"strom/internal/sim"
 )
@@ -111,6 +112,38 @@ func TestPeerCrashDetectedByDeadline(t *testing.T) {
 	}
 	if r.b.Stats().FramesDroppedDown == 0 {
 		t.Error("crashed machine dropped no frames — the write never reached it")
+	}
+}
+
+// TestCrashReleasesTxFramesOnce: B crashes while the responses of a
+// 64 KiB READ are still queued in its TX pipeline. Each of them leaves the
+// pipeline through the crashed port, and the stack recycles each pooled
+// frame after handing it over, so the port must drop it without a release
+// of its own: released twice, one array sits in the frame pool twice and
+// two later frames share it.
+func TestCrashReleasesTxFramesOnce(t *testing.T) {
+	r := newRig(t, 1, Profile10G(), fabric.DirectCable10G())
+	r.eng.Schedule(0, func() {
+		r.a.Post(1, Verb{Op: OpRead, LocalVA: uint64(r.bufA.Base()), RemoteVA: uint64(r.bufB.Base()), Len: 64 << 10,
+			Deadline: sim.Time(200 * sim.Microsecond)}, func(error) {})
+	})
+	var txAtCrash uint64
+	r.eng.ScheduleAt(sim.Time(20*sim.Microsecond), func() {
+		txAtCrash = r.b.Stack().Stats().TxPackets
+		r.b.Crash()
+	})
+	r.eng.Run()
+	if r.b.Stack().Stats().TxPackets == txAtCrash {
+		t.Fatal("no response was left in B's TX pipeline at the crash")
+	}
+	seen := make(map[*byte]bool)
+	for i := 0; i < 256; i++ {
+		b := packet.GetBuf()
+		array := &b[:1][0]
+		if seen[array] {
+			t.Fatalf("GetBuf call %d returned an array an earlier call returned: a frame was released twice", i+1)
+		}
+		seen[array] = true
 	}
 }
 

@@ -145,20 +145,21 @@ func NewNIC(eng *sim.Engine, cfg Config, id roce.Identity) *NIC {
 	n.writeLanded = n.onWriteLanded
 	n.dma = pcie.NewEngine(eng, n.mem, n.tlb, cfg.PCIe)
 	// A crashed NIC puts nothing on the wire: frames already queued in
-	// the TX pipeline die at the port.
+	// the TX pipeline die at the port. The frame is borrowed, so dying is
+	// dropping it: the stack recycles its pooled frames itself.
 	send := func(f []byte) {
-		if n.crashed {
-			packet.PutBuf(f)
-			return
+		if !n.crashed {
+			n.transmit(f)
 		}
-		n.transmit(f)
 	}
 	n.stack = roce.NewStack(eng, cfg.Roce, id, n, send)
 	n.arp = arp.New(eng, id.MAC, id.IP, send, 0)
 	return n
 }
 
-// SetTransmit wires the NIC's Ethernet port into a fabric.
+// SetTransmit wires the NIC's Ethernet port into a fabric. fn borrows
+// the frame for the call: it must copy what it keeps and never release
+// the frame to the pool, which its owner does after fn returns.
 func (n *NIC) SetTransmit(fn func([]byte)) { n.transmit = fn }
 
 // DeliverFrame implements fabric.Endpoint: ARP frames go to the ARP

@@ -130,13 +130,97 @@ func TestSkipMRValidationTripsInvariant9(t *testing.T) {
 	}
 }
 
+// TestRecoveryPointDeterministic: the recovery workload — crash times,
+// deadline expiries, backoff jitter and all — is a pure function of
+// (Options, seed): two runs must agree field for field.
+func TestRecoveryPointDeterministic(t *testing.T) {
+	o := Quick().normalized()
+	first, err := chaosRecovery(o, 2).run(o, Exports{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := chaosRecovery(o, 2).run(o, Exports{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Errorf("recovery point diverged across identical runs:\n%+v\nvs\n%+v", first, second)
+	}
+	if first.successes == 0 {
+		t.Error("no successful ops — the client never recovered")
+	}
+	if first.reconnects == 0 {
+		t.Error("no reconnects — the crashes never reached the client")
+	}
+	if first.deadlineErrs+first.qpErrs == 0 {
+		t.Error("no failures detected despite two crash cycles")
+	}
+	if first.violations != 0 {
+		t.Errorf("violations = %d", first.violations)
+	}
+	if first.faults == 0 {
+		t.Error("ambient chaos injected no faults")
+	}
+}
+
+// TestRecoveryBaselineNeedsNoReconnect: with zero crash cycles the QPs
+// never leave RTS, so loss-induced deadline misses must resolve as
+// transient — without tearing the connection down.
+func TestRecoveryBaselineNeedsNoReconnect(t *testing.T) {
+	o := Quick().normalized()
+	m, err := chaosRecovery(o, 0).run(o, Exports{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.reconnects != 0 {
+		t.Errorf("reconnects = %d at zero crash cycles", m.reconnects)
+	}
+	if m.qpErrs != 0 {
+		t.Errorf("qpErrs = %d at zero crash cycles", m.qpErrs)
+	}
+	if m.successes == 0 {
+		t.Error("no successful ops")
+	}
+}
+
+// A crash cycle the client never sees fails the point: with one round
+// and two cycles, both cycles arm after round 0, which never completes,
+// so neither fires and the client makes no reconnect.
+func TestCrashCyclesMustReachClient(t *testing.T) {
+	o := Quick().normalized()
+	c := chaosRecovery(o, 2)
+	c.client.ops = 1
+	_, err := c.run(o, Exports{})
+	if err == nil || !strings.Contains(err.Error(), "0 reconnects across 2 crash cycles") {
+		t.Fatalf("err = %v, want the point failed for missing reconnects", err)
+	}
+}
+
+// TestChaosRecoverySweepShape: the sweep renders all seven series over
+// the full x axis (it already failed internally if any point saw an
+// invariant violation or an unclassified error).
+func TestChaosRecoverySweepShape(t *testing.T) {
+	fig, err := ChaosRecoverySweep(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(fig.Series); got != 7 {
+		t.Fatalf("series = %d, want 7", got)
+	}
+	for _, s := range fig.Series {
+		if got := len(s.Points); got != 4 {
+			t.Errorf("series %q has %d points, want 4", s.Name, got)
+		}
+	}
+}
+
 // TestProtectSweepRogueOutcomes pins the protection sweep's acceptance
 // numbers at one representative point: with ambient loss, crash cycles
 // and a reconnecting legitimate client, every forged request the rogue
 // lands is rejected, none completes, and the victim's NAK and
 // validation-failure counters actually moved.
 func TestProtectSweepRogueOutcomes(t *testing.T) {
-	m, err := runProtectPoint(Quick(), 8)
+	m, err := chaosProtect(Quick(), 8).run(Quick(), Exports{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"strom/internal/core"
 	"strom/internal/fabric"
+	"strom/internal/stats"
 	"strom/internal/testrig"
 )
 
@@ -91,6 +92,29 @@ func newPair(o Options, p profile, bufBytes int) (*testrig.Pair, error) {
 // (chaos fault mid-stream flips, crash/restart recovery, rogue
 // requesters) are only legal when both machines share an engine.
 func (o Options) unsharded() Options { o.Shards = 0; return o }
+
+// sweep runs every point and plots the named columns of table, point i
+// at the x and under the label at(i, point) returns. A failed point fails
+// the sweep.
+func sweep[P, M any](title, xName string, points []P, at func(int, P) (float64, string),
+	columns []string, table map[string]func(M) float64, run func(P) (M, error)) (*stats.Figure, error) {
+	fig := stats.NewFigure(title, xName, "see series")
+	series := make([]*stats.Series, len(columns))
+	for si, name := range columns {
+		series[si] = fig.NewSeries(name)
+	}
+	for i, p := range points {
+		x, label := at(i, p)
+		m, err := run(p)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %w", xName, label, err)
+		}
+		for si, name := range columns {
+			series[si].Add(x, label, table[name](m))
+		}
+	}
+	return fig, nil
+}
 
 // sizeLabel formats a byte count like the paper's axes.
 func sizeLabel(n int) string {

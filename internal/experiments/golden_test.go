@@ -47,34 +47,41 @@ func goldenDiff(want, got []byte) string {
 	return fmt.Sprintf("under %q, line %d:\n  want %s\n  got  %s", block[t], i+1, line(w, i), line(g, i))
 }
 
-// cleanSweep is what strombench runs when given no names: the tables,
-// figures and ablations in paper order.
-func cleanSweep(t *testing.T) []string {
+// scenarioSweep is what strombench -scenario name runs when given no
+// names.
+func scenarioSweep(t *testing.T, name string) []string {
 	t.Helper()
-	clean, err := ScenarioByName("clean")
+	sc, err := ScenarioByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return clean.Sweep
+	return sc.Sweep
 }
+
+// cleanSweep is what strombench runs when given no names: the tables,
+// figures and ablations in paper order.
+func cleanSweep(t *testing.T) []string { return scenarioSweep(t, "clean") }
 
 // TestGoldens is the gate on every figure value: testdata/ holds
 // strombench's stdout at seed 1 — figures.golden for the default options
 // (the run EXPERIMENTS.md quotes), quick-sharded.golden for -quick
 // -shards 4 (the sharded engine partitions the RNG differently, so it is
-// a different simulation with its own record) — and rendering the same
-// sweep must reproduce them exactly. A value that moves is re-recorded
-// with `make golden` and reviewed as a text diff.
+// a different simulation with its own record), chaos-quick.golden for
+// -quick -scenario chaos — and rendering the same sweep must reproduce
+// them exactly. A value that moves is re-recorded with `make golden` and
+// reviewed as a text diff.
 func TestGoldens(t *testing.T) {
 	sharded := Quick()
 	sharded.Shards = 4
 	for _, tc := range []struct {
 		file     string
+		scenario string
 		opts     Options
 		skipRace bool // the default-size run takes minutes under -race
 	}{
-		{"figures.golden", Default(), true},
-		{"quick-sharded.golden", sharded, false},
+		{"figures.golden", "clean", Default(), true},
+		{"quick-sharded.golden", "clean", sharded, false},
+		{"chaos-quick.golden", "chaos", Quick(), false},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			if testing.Short() || tc.skipRace && raceflag.Enabled {
@@ -85,7 +92,7 @@ func TestGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got bytes.Buffer
-			if _, err := Render(&got, cleanSweep(t), tc.opts, DefaultParallelism()); err != nil {
+			if _, err := Render(&got, scenarioSweep(t, tc.scenario), tc.opts, DefaultParallelism()); err != nil {
 				t.Fatal(err)
 			}
 			if diff := goldenDiff(want, got.Bytes()); diff != "" {

@@ -273,34 +273,20 @@ var kvColumns = map[string]func(kvMeasure) float64{
 	"violations":      func(m kvMeasure) float64 { return float64(m.violations) },
 }
 
-// kvSweep runs every point and plots the named columns.
-func kvSweep[F interface{ label() string }](title string, columns []string, points []F, run func(F) (kvMeasure, error)) (*stats.Figure, error) {
-	fig := stats.NewFigure(title, "fault regime", "see series")
-	series := make([]*stats.Series, len(columns))
-	for si, name := range columns {
-		series[si] = fig.NewSeries(name)
-	}
-	for i, f := range points {
-		m, err := run(f)
-		if err != nil {
-			return nil, err
-		}
-		for si, name := range columns {
-			series[si].Add(float64(i), f.label(), kvColumns[name](m))
-		}
-	}
-	return fig, nil
+// regime plots a KV sweep's point i at i, under its regime's name.
+func regime[F interface{ label() string }](i int, f F) (float64, string) {
+	return float64(i), f.label()
 }
 
 // ChaosKVSweep runs the replicated KV dataplane through the four fault
 // regimes and reports op latency next to the protocol's work counters.
 // Any exactly-once violation fails the sweep instead of plotting.
 func ChaosKVSweep(o Options) (*stats.Figure, error) {
-	return kvSweep("Chaos: replicated KV under loss, crashes and storms",
+	return sweep("Chaos: replicated KV under loss, crashes and storms", "fault regime", kvSweepPoints, regime[kvFaults],
 		[]string{"put p50 (us)", "put p99 (us)", "put p999 (us)", "get p50 (us)", "get p99 (us)", "get p999 (us)",
 			"acked puts", "get ops", "retries", "failovers", "dup suppressed", "stale rerouted", "rkey refetches",
 			"repairs", "detector fires", "faults injected", "violations"},
-		kvSweepPoints, func(f kvFaults) (kvMeasure, error) { return runKV(o, f, Exports{}) })
+		kvColumns, func(f kvFaults) (kvMeasure, error) { return runKV(o, f, Exports{}) })
 }
 
 // exportKV is the kv scenario's export: the storm regime (loss + crashes

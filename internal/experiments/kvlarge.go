@@ -316,11 +316,11 @@ var kvlSweepPoints = []kvlFaults{
 // regimes and reports the torn-read pipeline's work next to the op
 // counters. Any torn value served fails the sweep instead of plotting.
 func ChaosKVLargeSweep(o Options) (*stats.Figure, error) {
-	return kvSweep("Chaos: large-value KV under racing overwrites, loss and crashes",
+	return sweep("Chaos: large-value KV under racing overwrites, loss and crashes", "fault regime", kvlSweepPoints, regime[kvlFaults],
 		[]string{"acked puts", "large puts", "get ops", "spilled reads", "torn detected", "torn retries",
 			"torn failovers", "orphans reaped", "retries", "failovers", "repairs", "detector fires",
 			"faults injected", "violations"},
-		kvlSweepPoints, func(f kvlFaults) (kvMeasure, error) { return runKVLarge(o, f, Exports{}) })
+		kvColumns, func(f kvlFaults) (kvMeasure, error) { return runKVLarge(o, f, Exports{}) })
 }
 
 // exportKVLarge is the kvlarge scenario's export: the full regime

@@ -223,23 +223,35 @@ func TestChaosTelemetryMetricsContent(t *testing.T) {
 
 // The chaos figure generators are pure functions of Options, so the
 // rendered figures (what strombench prints) must be byte-identical at
-// every -j value.
+// every -j value. The recovery and protect points crash B while a READ's
+// responses are in its TX pipeline, so a pooled frame released twice
+// there makes -j 4 differ. Every generator succeeds at seed 1; at seed 5
+// chaos-kv fails its invariant gate, and must fail identically at both -j
+// values.
 func TestChaosSuiteDeterministicAcrossJ(t *testing.T) {
-	render := func(parallelism int) []string {
-		out := make([]string, 0, 2)
-		for _, r := range RunGenerators(Chaos(), Quick(), parallelism) {
-			if r.Err != nil {
-				t.Fatalf("%s (j=%d): %v", r.Name, parallelism, r.Err)
+	for _, seed := range []int64{1, 5} {
+		o := Quick()
+		o.Seed = seed
+		render := func(parallelism int) []string {
+			var out []string
+			for _, r := range RunGenerators(Chaos(), o, parallelism) {
+				if r.Err != nil {
+					if seed != 5 || r.Name != "chaos-kv" {
+						t.Fatalf("seed %d: %s (j=%d): %v", seed, r.Name, parallelism, r.Err)
+					}
+					out = append(out, r.Err.Error())
+					continue
+				}
+				out = append(out, r.Fig.String()+"\n"+r.Fig.CSV())
 			}
-			out = append(out, r.Fig.String()+"\n"+r.Fig.CSV())
+			return out
 		}
-		return out
-	}
-	j1 := render(1)
-	j4 := render(4)
-	for i := range j1 {
-		if j1[i] != j4[i] {
-			t.Errorf("chaos figure %d differs between -j 1 and -j 4", i)
+		j1 := render(1)
+		j4 := render(4)
+		for i := range j1 {
+			if j1[i] != j4[i] {
+				t.Errorf("seed %d: chaos figure %d differs between -j 1 and -j 4", seed, i)
+			}
 		}
 	}
 }

@@ -174,7 +174,10 @@ type txDone struct {
 }
 
 // NewStack builds a stack. transmit pushes encoded frames into the
-// fabric; handler receives responder-side operations.
+// fabric; it borrows each frame for the call, copying what it keeps and
+// never releasing the frame to the pool (the stack recycles its pooled
+// frames itself once transmit returns, and retains the rest for
+// retransmission). handler receives responder-side operations.
 func NewStack(eng *sim.Engine, cfg Config, id Identity, handler Handler, transmit func([]byte)) *Stack {
 	valid, _ := handler.(AccessValidator)
 	s := &Stack{
