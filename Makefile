@@ -103,12 +103,13 @@ soak:
 
 # bench runs the microbenchmarks (macro benches plus the scheduler and
 # process switch, telemetry, the scrape tick, the completion poll, packet,
-# crc, pcie (incl. the 47-chunk streamed read), roce and NIC hot paths,
-# and, with their simulated latency as sim-us/op beside ns/op, the 64 KiB
+# crc, the switch's forwarding path, pcie (incl. the 47-chunk streamed
+# read), roce and NIC hot paths, and, with their simulated latency as
+# sim-us/op beside ns/op, the 64 KiB
 # bulk WRITE/READ on the 100 G pair and the KV client's Put/PutLarge/Get)
 # and one quick chaos-recovery sweep.
 bench:
-	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/telemetry/export ./internal/cpu ./internal/packet ./internal/crc ./internal/pcie ./internal/roce ./internal/core ./internal/kvserve
+	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/telemetry/export ./internal/cpu ./internal/packet ./internal/crc ./internal/fabric ./internal/pcie ./internal/roce ./internal/core ./internal/kvserve
 	$(GO) run ./cmd/strombench -quick chaos-recovery > /dev/null
 
 # golden re-records the three committed records of the figures, the

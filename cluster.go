@@ -89,7 +89,7 @@ type Switch struct {
 }
 
 // SwitchConfig re-exports the full switch configuration (shared buffer
-// pool, PFC watermarks, ECN threshold) for AddSwitchCfg.
+// pool, PFC pause watermark, ECN threshold) for AddSwitchCfg.
 type SwitchConfig = fabric.SwitchConfig
 
 // AddSwitch creates a switch whose ports run at the cable's bandwidth

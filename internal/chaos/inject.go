@@ -106,20 +106,23 @@ func (c *windowCursor) active(now sim.Time) (Window, bool) {
 type site struct {
 	eng    *sim.Engine
 	where  string
-	limit  int
 	st     Stats
 	log    []Record
 	digest *crc.Digest64
 }
 
-func newSite(eng *sim.Engine, where string, limit int) *site {
-	return &site{eng: eng, where: where, limit: limit, digest: crc.NewDigest64()}
+// logLimit bounds each site's retained fault record log. The schedule
+// digest always covers every fault regardless of the bound.
+const logLimit = 4096
+
+func newSite(eng *sim.Engine, where string) *site {
+	return &site{eng: eng, where: where, digest: crc.NewDigest64()}
 }
 
-// record logs a fault (bounded) and folds it into the site's schedule
-// digest (unbounded).
+// record logs a fault (bounded by logLimit) and folds it into the site's
+// schedule digest (unbounded).
 func (s *site) record(r Record) {
-	if len(s.log) < s.limit {
+	if len(s.log) < logLimit {
 		s.log = append(s.log, r)
 	}
 	var buf [17]byte
@@ -161,12 +164,12 @@ func NewOn(engA, engB *sim.Engine, plan Plan) *Injector {
 	plan = plan.normalized()
 	return &Injector{
 		plan:   plan,
-		ab:     dirState{site: newSite(engA, "a-to-b", plan.LogLimit), f: plan.AtoB, flaps: windowCursor{ws: plan.Flaps}},
-		ba:     dirState{site: newSite(engB, "b-to-a", plan.LogLimit), f: plan.BtoA, flaps: windowCursor{ws: plan.Flaps}},
+		ab:     dirState{site: newSite(engA, "a-to-b"), f: plan.AtoB, flaps: windowCursor{ws: plan.Flaps}},
+		ba:     dirState{site: newSite(engB, "b-to-a"), f: plan.BtoA, flaps: windowCursor{ws: plan.Flaps}},
 		stallA: windowCursor{ws: plan.StallsA},
 		stallB: windowCursor{ws: plan.StallsB},
-		dmaA:   newSite(engA, "dma-a", plan.LogLimit),
-		dmaB:   newSite(engB, "dma-b", plan.LogLimit),
+		dmaA:   newSite(engA, "dma-a"),
+		dmaB:   newSite(engB, "dma-b"),
 	}
 }
 
@@ -299,7 +302,7 @@ func (j *Injector) Stats() Stats {
 }
 
 // Records returns the retained fault log (each site bounded by
-// Plan.LogLimit), merged across sites by injection time with ties
+// logLimit), merged across sites by injection time with ties
 // broken by canonical site order — a total order that does not depend
 // on shard interleaving.
 func (j *Injector) Records() []Record {
@@ -337,16 +340,12 @@ type FaultSite struct {
 }
 
 // NewFaultSite builds a fault site named where (its Record label) on
-// eng's clock and RNG. flaps windows drop every frame inside them;
-// logLimit bounds the retained record log (default 4096).
-func NewFaultSite(eng *sim.Engine, where string, f LinkFaults, flaps []Window, logLimit int) *FaultSite {
-	if logLimit <= 0 {
-		logLimit = 4096
-	}
+// eng's clock and RNG. flaps windows drop every frame inside them.
+func NewFaultSite(eng *sim.Engine, where string, f LinkFaults, flaps []Window) *FaultSite {
 	ws := append([]Window(nil), flaps...)
 	sort.Slice(ws, func(i, j int) bool { return ws[i].At < ws[j].At })
 	return &FaultSite{d: dirState{
-		site:  newSite(eng, where, logLimit),
+		site:  newSite(eng, where),
 		f:     f,
 		flaps: windowCursor{ws: ws},
 	}}

@@ -122,12 +122,9 @@ type Plan struct {
 	// engine: a DMA command completing inside a window is deferred to the
 	// window's end (a root complex that stops returning completions).
 	StallsA, StallsB []Window
-	// LogLimit bounds the retained fault record log (default 4096). The
-	// schedule digest always covers every fault regardless of the bound.
-	LogLimit int
 }
 
-// normalized returns the plan with windows sorted and defaults applied.
+// normalized returns the plan with windows sorted.
 func (p Plan) normalized() Plan {
 	sortWindows := func(ws []Window) []Window {
 		out := append([]Window(nil), ws...)
@@ -137,8 +134,5 @@ func (p Plan) normalized() Plan {
 	p.Flaps = sortWindows(p.Flaps)
 	p.StallsA = sortWindows(p.StallsA)
 	p.StallsB = sortWindows(p.StallsB)
-	if p.LogLimit <= 0 {
-		p.LogLimit = 4096
-	}
 	return p
 }

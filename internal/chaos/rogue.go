@@ -53,6 +53,10 @@ type RogueTarget struct {
 	ROKey  func() uint32
 }
 
+// maxReconnects caps reconnect attempts per op before the rogue gives up
+// (victim permanently down).
+const maxReconnects = 64
+
 // RogueConfig parameterises a rogue requester.
 type RogueConfig struct {
 	QPN     uint32      // the rogue's local QP
@@ -65,9 +69,6 @@ type RogueConfig struct {
 	// Backoff paces reconnect attempts after each rejected request. Zero
 	// defaults to 100 µs.
 	Backoff sim.Duration
-	// MaxReconnects caps reconnect attempts per op before the rogue gives
-	// up (victim permanently down). Zero defaults to 64.
-	MaxReconnects int
 	// Reconnect re-establishes the rogue's QP after a fatal NAK (e.g.
 	// testrig.Pair.ReconnectPair). Required.
 	Reconnect func() error
@@ -80,7 +81,7 @@ type RogueStats struct {
 	Expired    uint64                // deadline expired (victim down; no verdict)
 	Unexpected uint64                // completed successfully — protection FAILED
 	Reconnects uint64
-	GaveUp     uint64 // ops abandoned after MaxReconnects
+	GaveUp     uint64 // ops abandoned after maxReconnects
 }
 
 // Total returns the number of forged requests issued.
@@ -106,9 +107,6 @@ func NewRogue(nic *core.NIC, cfg RogueConfig, onDone func()) (*Rogue, error) {
 	}
 	if cfg.Backoff == 0 {
 		cfg.Backoff = 100 * sim.Microsecond
-	}
-	if cfg.MaxReconnects == 0 {
-		cfg.MaxReconnects = 64
 	}
 	return &Rogue{eng: nic.Engine(), nic: nic, cfg: cfg, onDone: onDone}, nil
 }
@@ -183,7 +181,7 @@ func (r *Rogue) attack(left int) {
 // backing off while the victim is down, then continues the attack.
 func (r *Rogue) reconnect(left, attempts int) {
 	if err := r.cfg.Reconnect(); err != nil {
-		if attempts >= r.cfg.MaxReconnects {
+		if attempts >= maxReconnects {
 			r.stats.GaveUp++
 			if r.onDone != nil {
 				r.onDone()

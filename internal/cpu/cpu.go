@@ -294,8 +294,5 @@ func (s *SoftwareHLL) Ingest(data []byte) sim.Time {
 // Estimate returns the sketch's cardinality estimate.
 func (s *SoftwareHLL) Estimate() float64 { return s.sketch.Estimate() }
 
-// BusyUntil reports when the CPU pipeline drains.
-func (s *SoftwareHLL) BusyUntil() sim.Time { return s.busy.NextFree() }
-
 // Bytes reports the total bytes ingested.
 func (s *SoftwareHLL) Bytes() uint64 { return s.bytes }

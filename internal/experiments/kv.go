@@ -353,8 +353,8 @@ func newKVBed(o Options, machines int, ex Exports, cfg kvserve.Config) (*kvBed, 
 func (k *kvBed) lossOnServerLinks() {
 	for _, mi := range k.servers {
 		m := k.net.Machines[mi]
-		up := chaos.NewFaultSite(m.Eng, fmt.Sprintf("m%d-up", mi), kvLinkFaults(), nil, 0)
-		down := chaos.NewFaultSite(k.net.SwEng, fmt.Sprintf("m%d-down", mi), kvLinkFaults(), nil, 0)
+		up := chaos.NewFaultSite(m.Eng, fmt.Sprintf("m%d-up", mi), kvLinkFaults(), nil)
+		down := chaos.NewFaultSite(k.net.SwEng, fmt.Sprintf("m%d-down", mi), kvLinkFaults(), nil)
 		m.Port.SetFaults(up)
 		k.net.Sw.SetEgressFaults(mi, down)
 		k.sites = append(k.sites, up, down)

@@ -1,0 +1,82 @@
+package fabric
+
+import (
+	"testing"
+
+	"strom/internal/packet"
+	"strom/internal/raceflag"
+	"strom/internal/sim"
+)
+
+// recycler consumes delivered frames the way a NIC does: it counts them
+// and returns each to the pool.
+type recycler struct{ frames int }
+
+func (r *recycler) DeliverFrame(f []byte) {
+	r.frames++
+	packet.PutBuf(f)
+}
+
+// forwardBed is a two-port switch on one engine with the pool, PFC and
+// ECN of the KV test bed; send puts one 1000 B frame from port A toward
+// port B on the uplink.
+func forwardBed() (eng *sim.Engine, send func(), dst *recycler) {
+	eng = sim.NewEngine(1)
+	sw := NewSwitchCfg(eng, SwitchConfig{
+		Link:              DirectCable10G(),
+		Forwarding:        500 * sim.Nanosecond,
+		BufferBytes:       512 << 10,
+		PFCPauseBytes:     32 << 10,
+		ECNThresholdBytes: 16 << 10,
+	})
+	dst = &recycler{}
+	in := sw.AttachPortOn(eng, macA, &recycler{})
+	sw.AttachPortOn(eng, macB, dst)
+	frame := mkframe(macB, 1000)
+	return eng, func() { in.Send(frame) }, dst
+}
+
+// TestAllocsSwitchedFrame guards the switched data path the way the
+// TestAllocs* guards of the cable path do: once warm, a frame from one
+// NIC through the switch to another allocates at most once — the egress
+// release event that returns its bytes to the shared pool. The uplink is
+// a direction like either side of a Link, delivering through its drain
+// queue without a per-frame closure, and the frame copies are pooled.
+func TestAllocsSwitchedFrame(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race-runtime instrumentation allocates; AllocsPerRun is only meaningful without -race")
+	}
+	eng, send, dst := forwardBed()
+	step := func() {
+		send()
+		eng.Run()
+	}
+	for i := 0; i < 100; i++ { // queues, event free list and pool at size
+		step()
+	}
+	if n := testing.AllocsPerRun(1000, step); n > 1 {
+		t.Errorf("a switched frame allocates %.2f times, want <= 1", n)
+	}
+	if dst.frames != 1101 {
+		t.Errorf("delivered %d frames, want 1101", dst.frames)
+	}
+}
+
+// BenchmarkSwitchForward is one frame across the switch, sent in bursts
+// of 64 that never pause the port: uplink, admission, ECN check, egress
+// wire and release.
+func BenchmarkSwitchForward(b *testing.B) {
+	eng, send, dst := forwardBed()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+		if i%64 == 63 {
+			eng.Run()
+		}
+	}
+	eng.Run()
+	if dst.frames != b.N {
+		b.Fatalf("delivered %d of %d frames", dst.frames, b.N)
+	}
+}

@@ -175,9 +175,9 @@ func TestSwitchRouting(t *testing.T) {
 	macB := packet.MAC{2, 0, 0, 0, 0, 2}
 	macC := packet.MAC{2, 0, 0, 0, 0, 3}
 	a, b, c := &sink{eng: eng}, &sink{eng: eng}, &sink{eng: eng}
-	txA := sw.AttachPort(macA, a)
-	sw.AttachPort(macB, b)
-	sw.AttachPort(macC, c)
+	txA := sw.AttachPortOn(eng, macA, a).Send
+	sw.AttachPortOn(eng, macB, b)
+	sw.AttachPortOn(eng, macC, c)
 	frame := make([]byte, 100)
 	copy(frame[0:6], macB[:])
 	eng.Schedule(0, func() { txA(frame) })
@@ -194,8 +194,8 @@ func TestSwitchAddsForwardingLatency(t *testing.T) {
 	macA := packet.MAC{2, 0, 0, 0, 0, 1}
 	macB := packet.MAC{2, 0, 0, 0, 0, 2}
 	b := &sink{eng: eng}
-	txA := sw.AttachPort(macA, &sink{eng: eng})
-	sw.AttachPort(macB, b)
+	txA := sw.AttachPortOn(eng, macA, &sink{eng: eng}).Send
+	sw.AttachPortOn(eng, macB, b)
 	frame := make([]byte, 100)
 	copy(frame[0:6], macB[:])
 	eng.Schedule(0, func() { txA(frame) })
@@ -212,7 +212,7 @@ func TestSwitchDropsUnknownMAC(t *testing.T) {
 	eng := sim.NewEngine(1)
 	sw := NewSwitchCfg(eng, SwitchConfig{Link: DirectCable10G()})
 	macA := packet.MAC{2, 0, 0, 0, 0, 1}
-	txA := sw.AttachPort(macA, &sink{eng: eng})
+	txA := sw.AttachPortOn(eng, macA, &sink{eng: eng}).Send
 	frame := make([]byte, 100) // dst MAC all-zero: unknown
 	frame[5] = 0x77
 	eng.Schedule(0, func() { txA(frame) })
@@ -227,8 +227,8 @@ func TestSwitchLosslessByDefault(t *testing.T) {
 	macA := packet.MAC{2, 0, 0, 0, 0, 1}
 	macB := packet.MAC{2, 0, 0, 0, 0, 2}
 	b := &sink{eng: eng}
-	txA := sw.AttachPort(macA, &sink{eng: eng})
-	sw.AttachPort(macB, b)
+	txA := sw.AttachPortOn(eng, macA, &sink{eng: eng}).Send
+	sw.AttachPortOn(eng, macB, b)
 	const n = 500
 	frame := make([]byte, 1000)
 	copy(frame[0:6], macB[:])
@@ -257,9 +257,9 @@ func TestSwitchIncastTailDrop(t *testing.T) {
 	macB := packet.MAC{2, 0, 0, 0, 0, 2}
 	macC := packet.MAC{2, 0, 0, 0, 0, 3}
 	c := &sink{eng: eng}
-	txA := sw.AttachPort(macA, &sink{eng: eng})
-	txB := sw.AttachPort(macB, &sink{eng: eng})
-	sw.AttachPort(macC, c)
+	txA := sw.AttachPortOn(eng, macA, &sink{eng: eng}).Send
+	txB := sw.AttachPortOn(eng, macB, &sink{eng: eng}).Send
+	sw.AttachPortOn(eng, macC, c)
 	const n = 400
 	frame := make([]byte, 1200)
 	copy(frame[0:6], macC[:])

@@ -370,6 +370,3 @@ func (m *Memory) written(from, to Addr) {
 
 // MappedPages reports the number of mapped huge pages.
 func (m *Memory) MappedPages() int { return len(m.vmap) }
-
-// CapacityPages reports the configured physical capacity.
-func (m *Memory) CapacityPages() int { return m.totalPages }

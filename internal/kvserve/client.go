@@ -606,12 +606,20 @@ func (c *Client) put(p *sim.Process, key uint64, kind opKind) error {
 	servers := [2]int{c.lay.PrimaryServer(sh), c.lay.BackupServer(sh)}
 	var errs [2]error
 	c.putReplicas(p, sess, sw, servers[:], errs[:])
+	// The ledger never moves backwards: another client process's newer
+	// Put of this key may have settled while this one was parked, so an
+	// ack clears only a debt this version covers, a failure records a
+	// debt only if none newer is owed, and acked only rises.
 	ackedAny := false
 	for i, server := range servers {
-		if errs[i] == nil {
+		owed := c.deficits[server][key]
+		switch {
+		case errs[i] == nil:
 			ackedAny = true
-			delete(c.deficits[server], key)
-		} else {
+			if owed <= ver {
+				delete(c.deficits[server], key)
+			}
+		case owed < ver:
 			// Owe this server the write; a repair pass delivers it once the
 			// server is reachable again.
 			c.deficits[server][key] = ver
@@ -621,7 +629,7 @@ func (c *Client) put(p *sim.Process, key uint64, kind opKind) error {
 		c.Stats.UnackedPuts++
 		return fmt.Errorf("%w: key %d ver %d", ErrUnavailable, key, ver)
 	}
-	c.acked[key] = ver
+	c.acked[key] = max(c.acked[key], ver)
 	c.Stats.AckedPuts++
 	d := p.Now().Sub(start)
 	c.PutLat = append(c.PutLat, d)

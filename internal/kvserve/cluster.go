@@ -162,25 +162,6 @@ func New(net *testrig.Net, cfg Config) (*Cluster, error) {
 	return cl, nil
 }
 
-// TornRule is the torn-read detection rule for the cluster's telemetry
-// stream: any movement of the client's kv_torn_detected counter inside
-// a 500 µs window fires it (one event in the window is a rate of 2/ms).
-// The chaos-kv-large regime requires it to fire during the racing
-// phases; a clean stream keeps the counter at zero and stays silent.
-// Appended alongside HeartbeatRule by the KV experiments; a copy also
-// ships in export.DefaultRules so any stream scraping a KV client gets
-// it for free.
-func TornRule() export.Rule {
-	return export.Rule{
-		Name:   "torn-read",
-		Metric: "kv_torn_detected",
-		Kind:   export.Rate,
-		Op:     "gt",
-		Value:  0.5,
-		For:    500 * sim.Microsecond,
-	}
-}
-
 // RegisterHealth registers every server's heartbeat surface and the
 // client's torn-read surface with the recorder, each on the engine that
 // owns it (sound under sharding).

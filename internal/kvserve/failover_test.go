@@ -69,7 +69,7 @@ func TestFailoverEdgeCases(t *testing.T) {
 				// for 600 µs starting at 100 µs; the op deadline is 400 µs.
 				srv := net.Machines[2] // machine 2 hosts shard 1's primary
 				srv.Port.SetFaults(chaos.NewFaultSite(srv.Eng, "srv1-ack-blackout",
-					chaos.LinkFaults{}, []chaos.Window{{At: sim.Time(100 * sim.Microsecond), Dur: 600 * sim.Microsecond}}, 0))
+					chaos.LinkFaults{}, []chaos.Window{{At: sim.Time(100 * sim.Microsecond), Dur: 600 * sim.Microsecond}}))
 				net.Machines[0].Eng.Go("kv-client", func(p *sim.Process) {
 					// Start late enough in the window that the write lands and
 					// its ack dies, while the retry's version probe runs after

@@ -7,7 +7,9 @@ import (
 
 	"strom/internal/chaos"
 	"strom/internal/core"
+	"strom/internal/fabric"
 	"strom/internal/mr"
+	"strom/internal/packet"
 	"strom/internal/raceflag"
 	"strom/internal/sim"
 	"strom/internal/testrig"
@@ -264,7 +266,7 @@ func TestOverlappedPutAmbiguousFirstAttempt(t *testing.T) {
 	const key = 4
 	srv := net.Machines[2] // server 1
 	srv.Port.SetFaults(chaos.NewFaultSite(srv.Eng, "srv1-ack-blackout",
-		chaos.LinkFaults{}, []chaos.Window{{At: sim.Time(100 * sim.Microsecond), Dur: 600 * sim.Microsecond}}, 0))
+		chaos.LinkFaults{}, []chaos.Window{{At: sim.Time(100 * sim.Microsecond), Dur: 600 * sim.Microsecond}}))
 	var runErr error
 	var posted uint64
 	net.Machines[0].Eng.Go("kv-client", func(p *sim.Process) {
@@ -417,14 +419,55 @@ func TestRepairSkipsDebtSupersededInFlight(t *testing.T) {
 	mustZeroViolations(t, cl)
 }
 
+// Two processes put one key and the older Put finishes last: v1's ACK
+// from the primary is held past the op deadline, and v2 is written and
+// acked while v1's retry backs off. The retry's probe finds v2 in place
+// and suppresses itself, so v1 returns acked too — after v2. It used to
+// rewind the acked version to 1, leaving Get's stale guard a version
+// behind what both replicas hold.
+func TestOlderPutFinishingLastKeepsLedger(t *testing.T) {
+	net, cl := newTestClusterCfg(t, 1, func(cfg *Config) { cfg.Sessions = 2 })
+	c := cl.Client
+	const key = 4
+	ackFrame := (&packet.Packet{AETH: &packet.AETH{}}).BufferLen()
+	held := &fabric.FrameScript{Steps: []fabric.FrameStep{{Len: ackFrame, Verdict: fabric.Verdict{Delay: sim.Millisecond}}}}
+	var errs [2]error
+	net.Machines[0].Eng.Go("kv-first", func(p *sim.Process) {
+		cl.Servers[1].M.Port.SetFaults(held)
+		errs[0] = c.Put(p, key)
+	})
+	net.Machines[0].Eng.Go("kv-second", func(p *sim.Process) {
+		for c.Stats.Retries == 0 { // v1 is backing off
+			p.Sleep(sim.Microsecond)
+		}
+		errs[1] = c.Put(p, key)
+		if c.Acked(key) != 2 {
+			t.Errorf("v2 acked = %d, want 2", c.Acked(key))
+		}
+	})
+	net.Run()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !held.Done() || c.Stats.DupSuppressed != 1 {
+		t.Fatalf("v1's ack was never held, or its retry rewrote: %+v", c.Stats)
+	}
+	if c.Acked(key) != 2 || c.Deficits() != 0 {
+		t.Errorf("after both puts: acked = %d, owed = %d, want 2/0", c.Acked(key), c.Deficits())
+	}
+	mustZeroViolations(t, cl)
+}
+
 // opLoop runs op from one client process, once per step call, so a
 // caller outside the simulation can meter single operations.
 func opLoop(tb testing.TB, cl *Cluster, op func(p *sim.Process, i int) error) (step func()) {
-	var tick sim.Signal
+	eng := cl.Net.Machines[0].Eng
 	stop := false
-	cl.Net.Machines[0].Eng.Go("kv-client", func(p *sim.Process) {
+	client := eng.Go("kv-client", func(p *sim.Process) {
 		for i := 0; ; i++ {
-			tick.Wait(p)
+			p.ParkUntil(0) // until step wakes it
 			if stop {
 				return
 			}
@@ -435,7 +478,7 @@ func opLoop(tb testing.TB, cl *Cluster, op func(p *sim.Process, i int) error) (s
 	})
 	cl.Net.Run()
 	step = func() {
-		tick.Broadcast()
+		client.WakeBy(eng.Now())
 		cl.Net.Run()
 	}
 	tb.Cleanup(func() {
@@ -460,8 +503,8 @@ func TestAllocsPutPath(t *testing.T) {
 		put  func(*Client, *sim.Process, uint64) error
 		max  float64
 	}{
-		{"Put", (*Client).Put, 31},
-		{"PutLarge", (*Client).PutLarge, 61},
+		{"Put", (*Client).Put, 26},
+		{"PutLarge", (*Client).PutLarge, 52},
 	} {
 		_, cl := newTestCluster(t, 1)
 		step := opLoop(t, cl, func(p *sim.Process, i int) error { return tc.put(cl.Client, p, uint64(i%64+1)) })

@@ -95,7 +95,7 @@ func TestPublishAfterContentsAtTheServer(t *testing.T) {
 		DupDelay:    2 * sim.Microsecond,
 		ReorderProb: 0.02,
 		ReorderMax:  5 * sim.Microsecond,
-	}, nil, 0)
+	}, nil)
 	net.Machines[0].Port.SetFaults(up)
 	errs := make([]error, 2)
 	for cli := range errs {

@@ -155,20 +155,6 @@ func NewTable() *Table { return &Table{} }
 // rejected as a bad rkey instead of falling back to VA lookup.
 func (t *Table) RequireKeys(strict bool) { t.strict = strict }
 
-// Epoch returns the current registration epoch.
-func (t *Table) Epoch() uint8 { return t.epoch }
-
-// Regions returns the number of live registrations.
-func (t *Table) Regions() int {
-	n := 0
-	for _, r := range t.regions {
-		if r != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // FailCount returns the number of rejected accesses in one class.
 func (t *Table) FailCount(c Class) uint64 {
 	if c >= NumClasses {

@@ -199,9 +199,6 @@ func (e *Engine) Stats() Stats { return e.st }
 // flight still complete — the data left the device before power was cut.
 func (e *Engine) SetOffline(off bool) { e.offline = off }
 
-// Offline reports whether the device is offline.
-func (e *Engine) Offline() bool { return e.offline }
-
 // command is one in-flight DMA command: everything its commit event
 // needs — the physical segments, the staged bytes, the caller's
 // callback — in a single record the engine recycles, so a command in

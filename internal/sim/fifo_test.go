@@ -50,22 +50,6 @@ func TestFIFOCapBoundedWhenNeverEmpty(t *testing.T) {
 	}
 }
 
-// Mailbox queues items and waiters in FIFOs, so the same bound holds for
-// a mailbox that always has a message waiting.
-func TestMailboxCapBoundedWhenNeverEmpty(t *testing.T) {
-	var m Mailbox[int]
-	m.Send(-1)
-	for i := 0; i < 1_000_000; i++ {
-		m.Send(i)
-		if _, ok := m.TryRecv(); !ok {
-			t.Fatal("TryRecv on a non-empty mailbox failed")
-		}
-	}
-	if c := len(m.items.buf); c > 8 {
-		t.Fatalf("cap = %d after 1M send/recv at depth 1", c)
-	}
-}
-
 func TestFIFOPopEmptyPanics(t *testing.T) {
 	for _, used := range []bool{false, true} {
 		var f FIFO[int]

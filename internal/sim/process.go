@@ -148,66 +148,6 @@ func (p *Process) ring() {
 	p.wake()
 }
 
-// Signal is a broadcast wake-up point for processes.
-type Signal struct {
-	waiters []func()
-}
-
-// Wait blocks p until the next Broadcast.
-func (s *Signal) Wait(p *Process) {
-	s.waiters = append(s.waiters, p.wakeFn)
-	p.park()
-}
-
-// Broadcast wakes every currently waiting process.
-func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		w()
-	}
-}
-
-// Waiters reports how many processes are blocked on the signal.
-func (s *Signal) Waiters() int { return len(s.waiters) }
-
-// Mailbox is an unbounded FIFO queue with blocking receive, for passing
-// messages between simulated processes and event-driven components.
-type Mailbox[T any] struct {
-	items   FIFO[T]
-	waiters FIFO[func()]
-}
-
-// Send enqueues v and wakes one waiting receiver, if any. Send never
-// blocks and may be called from event callbacks.
-func (m *Mailbox[T]) Send(v T) {
-	m.items.Push(v)
-	if m.waiters.Len() > 0 {
-		m.waiters.Pop()()
-	}
-}
-
-// Recv blocks p until an item is available and returns it.
-func (m *Mailbox[T]) Recv(p *Process) T {
-	for m.items.Len() == 0 {
-		m.waiters.Push(p.wakeFn)
-		p.park()
-	}
-	return m.items.Pop()
-}
-
-// TryRecv returns the next item without blocking.
-func (m *Mailbox[T]) TryRecv() (T, bool) {
-	if m.items.Len() == 0 {
-		var zero T
-		return zero, false
-	}
-	return m.items.Pop(), true
-}
-
-// Len reports the number of queued items.
-func (m *Mailbox[T]) Len() int { return m.items.Len() }
-
 // Completion is a one-shot future: an event-driven component completes it
 // and a process can wait for it.
 type Completion[T any] struct {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,79 +64,23 @@ func TestProcessDone(t *testing.T) {
 	}
 }
 
-func TestSignalBroadcast(t *testing.T) {
+// Every process waiting on one completion wakes when it resolves, in
+// the order they started waiting: the first waiter's inline slot fires
+// the rest.
+func TestCompletionWakesEveryWaiter(t *testing.T) {
 	e := NewEngine(1)
-	var sig Signal
-	woke := 0
+	c := &Completion[int]{}
+	var woke []int
 	for i := 0; i < 3; i++ {
 		e.Go("w", func(p *Process) {
-			sig.Wait(p)
-			woke++
+			v, _ := c.Wait(p)
+			woke = append(woke, i*10+v)
 		})
 	}
-	e.Schedule(10*Nanosecond, func() {
-		if sig.Waiters() != 3 {
-			t.Errorf("waiters = %d", sig.Waiters())
-		}
-		sig.Broadcast()
-	})
+	e.Schedule(10*Nanosecond, func() { c.Complete(1) })
 	e.Run()
-	if woke != 3 {
-		t.Errorf("woke = %d", woke)
-	}
-}
-
-func TestMailboxOrder(t *testing.T) {
-	e := NewEngine(1)
-	var mb Mailbox[int]
-	var got []int
-	e.Go("recv", func(p *Process) {
-		for i := 0; i < 5; i++ {
-			got = append(got, mb.Recv(p))
-		}
-	})
-	for i := 0; i < 5; i++ {
-		i := i
-		e.Schedule(Duration(i+1)*Nanosecond, func() { mb.Send(i) })
-	}
-	e.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got = %v", got)
-		}
-	}
-}
-
-func TestMailboxSendBeforeRecv(t *testing.T) {
-	e := NewEngine(1)
-	var mb Mailbox[string]
-	mb.Send("x")
-	if mb.Len() != 1 {
-		t.Errorf("len = %d", mb.Len())
-	}
-	var got string
-	e.Go("r", func(p *Process) { got = mb.Recv(p) })
-	e.Run()
-	if got != "x" {
-		t.Errorf("got = %q", got)
-	}
-	if _, ok := mb.TryRecv(); ok {
-		t.Error("TryRecv on empty mailbox succeeded")
-	}
-}
-
-func TestMailboxTwoReceivers(t *testing.T) {
-	e := NewEngine(1)
-	var mb Mailbox[int]
-	sum := 0
-	for i := 0; i < 2; i++ {
-		e.Go("r", func(p *Process) { sum += mb.Recv(p) })
-	}
-	e.Schedule(Nanosecond, func() { mb.Send(1) })
-	e.Schedule(2*Nanosecond, func() { mb.Send(2) })
-	e.Run()
-	if sum != 3 {
-		t.Errorf("sum = %d", sum)
+	if !reflect.DeepEqual(woke, []int{1, 11, 21}) {
+		t.Errorf("woke = %v, want [1 11 21]", woke)
 	}
 }
 

@@ -57,7 +57,6 @@ type ShardGroup struct {
 
 	daemonsTo Time // daemons up to here may fire on a shard with no foreground work (see frontier)
 
-	windows  uint64 // barrier windows executed
 	crossed  uint64 // cross-shard events delivered
 	running  bool
 	workerWG sync.WaitGroup
@@ -151,12 +150,6 @@ func (g *ShardGroup) SetWorkers(w int) {
 	g.workers = w
 }
 
-// Workers reports the configured worker cap.
-func (g *ShardGroup) Workers() int { return g.workers }
-
-// Windows reports how many barrier windows have been executed.
-func (g *ShardGroup) Windows() uint64 { return g.windows }
-
 // Crossed reports how many cross-shard events have been delivered.
 func (g *ShardGroup) Crossed() uint64 { return g.crossed }
 
@@ -223,7 +216,6 @@ func (g *ShardGroup) Run() Time {
 			break
 		}
 		window := next.Add(g.lookahead)
-		g.windows++
 		halted := g.runWindow(window)
 		g.drainOutboxes(window)
 		if halted {
@@ -390,14 +382,6 @@ func (e *Engine) CrossSchedule(dst *Engine, d Duration, fn func()) {
 	}
 	e.CrossScheduleAt(dst, e.now.Add(d), fn)
 }
-
-// Group returns the shard group this engine belongs to (nil for a
-// standalone engine).
-func (e *Engine) Group() *ShardGroup { return e.group }
-
-// ShardIndex returns this engine's shard index within its group (0 for a
-// standalone engine).
-func (e *Engine) ShardIndex() int { return int(e.shardIdx) }
 
 // peek returns the time of the earliest live event, lazily reclaiming
 // cancelled entries sitting on top of the heap.

@@ -139,14 +139,14 @@ func TestShardGroupProcessesOnShards(t *testing.T) {
 		g := NewShardGroup(3, 2, 100*Nanosecond)
 		g.SetWorkers(workers)
 		var got []string
-		var sig Signal
+		var done Completion[struct{}]
 		g.Shard(1).Go("receiver", func(p *Process) {
-			sig.Wait(p)
+			done.Wait(p)
 			got = append(got, fmt.Sprintf("recv@%v", p.Now()))
 		})
 		g.Shard(0).Go("sender", func(p *Process) {
 			p.Sleep(Microsecond)
-			g.Shard(0).CrossSchedule(g.Shard(1), 200*Nanosecond, func() { sig.Broadcast() })
+			g.Shard(0).CrossSchedule(g.Shard(1), 200*Nanosecond, func() { done.Complete(struct{}{}) })
 		})
 		g.Run()
 		want := []string{"recv@1.20us"}

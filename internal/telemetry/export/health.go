@@ -59,20 +59,20 @@ package export
 //	out_frames, out_bytes frames sent on the port's egress wire
 //	out_discards         total frames dropped at this port, broken down
 //	                     by cause into out_discards_overflow (shared
-//	                     pool exhausted), out_discards_threshold
-//	                     (per-port dynamic threshold),
-//	                     out_discards_no_route (unknown destination
-//	                     MAC) and out_discards_wire (injected loss on
-//	                     the egress wire)
+//	                     pool exhausted), out_discards_no_route
+//	                     (unknown destination MAC) and
+//	                     out_discards_wire (injected loss on the
+//	                     egress wire)
 //	pfc_pause_tx/pfc_resume_tx  PFC control frames emitted toward the
-//	                     attached NIC when the per-(port,priority)
-//	                     buffer usage crosses the watermarks
+//	                     attached NIC when the port's buffer usage
+//	                     crosses the watermarks
 //	ecn_marked           frames CE-marked at this egress queue
 //
 // and gauges `egress_queue_bytes`, `egress_queue_frames`,
 // `ingress_used_bytes` and `utilisation`. The NIC-side attachment
 // (fabric.Port.Health) mirrors the control plane from the receiving
-// end: counters pfc_pause_rx/pfc_resume_rx/frames_held and gauges
+// end: counters pfc_pause_rx/pfc_resume_rx/frames_held, the uplink
+// wire's out_discards/fcs_err/dup_frames/delayed_frames, and gauges
 // `held_frames`/`paused`.
 //
 // A scrape must be cheap but need not be allocation-free: it runs at
