@@ -46,8 +46,8 @@ protect:
 # the race detector: worker-count invariance of every figure generator,
 # every scenario's exports (TestScenarios), the chaos schedule digest,
 # the sharded KV stream, and the ShardGroup window/barrier machinery.
-# internal/experiments takes 580-600 s of it on a two-core host, hence
-# the explicit -timeout (go test's default is 600 s per package).
+# internal/experiments takes ~540 s of it on a two-core host, hence the
+# explicit -timeout (go test's default is 600 s per package).
 determinism:
 	$(GO) test -race -count=1 -timeout 1800s -run 'Shard|Deterministic|ByteIdentical|Scenarios' ./internal/sim ./internal/testrig ./internal/experiments ./internal/kvserve
 
@@ -113,14 +113,14 @@ bench:
 	$(GO) run ./cmd/strombench -quick chaos-recovery > /dev/null
 
 # golden re-records the three committed records of the figures, the
-# stdout of the default and of the -quick -shards 4 suite run and of the
-# -quick chaos sweep, which TestGoldens (internal/experiments) compares
+# stdout of the default and of the -quick suite run and of the -quick
+# chaos sweep, which TestGoldens (internal/experiments) compares
 # byte for byte. Figure values are deterministic at seed 1, so on a clean
 # tree it leaves `git diff --exit-code` clean; after a change that moves a
 # value, the diff of the text files is what gets reviewed.
 golden:
 	$(GO) run ./cmd/strombench > internal/experiments/testdata/figures.golden
-	$(GO) run ./cmd/strombench -quick -shards 4 > internal/experiments/testdata/quick-sharded.golden
+	$(GO) run ./cmd/strombench -quick > internal/experiments/testdata/quick.golden
 	$(GO) run ./cmd/strombench -quick -scenario chaos > internal/experiments/testdata/chaos-quick.golden
 
 # ab measures a claimed gain — or shows that nothing moved — the way

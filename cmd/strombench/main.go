@@ -37,14 +37,13 @@
 // is a pure function of (options, seed), so stdout is byte-identical at
 // every -j value; per-experiment timing goes to stderr. That stdout is
 // the committed record of the figures: internal/experiments/testdata/
-// holds it for the default and the -quick -shards 4 run, a test compares
-// byte for byte, and `make golden` is the only way to move it.
+// holds it for the default and the -quick run, a test compares byte for
+// byte, and `make golden` is the only way to move it.
 //
-// -shards N runs each testbed sharded: the two machines on separate
-// event-engine shards executed by up to N worker goroutines under
-// conservative lookahead. Output is byte-identical for every N >= 1 (the
-// worker count never affects simulation results); 0 keeps the historical
-// single-engine testbed.
+// Each two-machine testbed runs its machines on two event-engine shards
+// under conservative lookahead; -shards N executes them on up to N
+// worker goroutines (0 counts as 1). Output is byte-identical at every
+// value: the worker count never affects simulation results.
 //
 // -cpuprofile/-memprofile write pprof profiles of the whole run.
 package main
@@ -73,7 +72,7 @@ func main() {
 	scenarioName := flag.String("scenario", scenarios[0], "one of "+strings.Join(scenarios, ", ")+": the sweep run when no experiment is named, and the run -metrics/-trace/-jsonl export")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	jobs := flag.Int("j", experiments.DefaultParallelism(), "experiment generators to run in parallel")
-	shards := flag.Int("shards", 0, "sharded testbed worker count (0 = single engine; output is byte-identical for every value >= 1)")
+	shards := flag.Int("shards", 0, "worker goroutines per testbed; output identical at every value")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	csvDir := flag.String("csv", "", "also write each figure as CSV into this directory")
 	metricsOut := flag.String("metrics", "", "write the scenario's metrics JSON to this file")

@@ -65,7 +65,7 @@ func main() {
 		}
 	})
 	pair.StartProbes(tel, 2*sim.Microsecond)
-	end := pair.Eng.Run()
+	end := pair.Run()
 
 	if err := tel.Trace.Render(os.Stdout); err != nil {
 		log.Fatal(err)

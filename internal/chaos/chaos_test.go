@@ -95,7 +95,7 @@ func runChaosWorkload(t *testing.T, pair *testrig.Pair, transfers int) []error {
 			}
 		}
 	})
-	pair.Eng.Run()
+	pair.Run()
 	return errs
 }
 
@@ -177,7 +177,7 @@ func TestCheckerFlagsSkippedPSN(t *testing.T) {
 			lastErr = pair.A.WriteSync(p, testrig.QPA, localA, remoteB, xfer)
 		}
 	})
-	pair.Eng.Run()
+	pair.Run()
 	if !violationContains(ca.Violations(), "PSN gap") {
 		t.Errorf("skipped PSN not flagged; violations: %v, err: %v", ca.Violations(), lastErr)
 	}
@@ -191,7 +191,7 @@ func TestCheckerFlagsCorruptDupRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := chaos.AttachChecker(pair.B.Stack(), "B", pair.Eng)
+	cb := chaos.AttachChecker(pair.B.Stack(), "B", pair.EngB)
 	pair.B.Stack().SetDebugFaults(roce.DebugFaults{CorruptDupRead: true})
 	// Drop the first B→A frame: the READ response. A times out and
 	// re-requests; B answers from the duplicate-READ cache — corrupted.
@@ -202,7 +202,7 @@ func TestCheckerFlagsCorruptDupRead(t *testing.T) {
 	pair.Eng.Go("client", func(p *sim.Process) {
 		pair.A.ReadSync(p, testrig.QPA, remoteB, localA, xfer)
 	})
-	pair.Eng.Run()
+	pair.Run()
 	if hits := pair.B.Stack().Stats().DupReadCacheHits; hits == 0 {
 		t.Fatalf("scenario broken: no duplicate-READ cache hit")
 	}
@@ -229,7 +229,7 @@ func TestCheckerFlagsSuppressedRetransmit(t *testing.T) {
 	pair.Eng.Go("client", func(p *sim.Process) {
 		werr = pair.A.WriteSync(p, testrig.QPA, localA, remoteB, xfer)
 	})
-	pair.Eng.Run()
+	pair.Run()
 	if !errors.Is(werr, roce.ErrRetryExceeded) {
 		t.Errorf("write should exhaust retries, got %v", werr)
 	}
@@ -254,7 +254,7 @@ func TestFlapRecovery(t *testing.T) {
 	pair.Eng.Go("client", func(p *sim.Process) {
 		werr = pair.A.WriteSync(p, testrig.QPA, localA, remoteB, xfer)
 	})
-	pair.Eng.Run()
+	pair.Run()
 	if werr != nil {
 		t.Errorf("write should recover after the flap: %v", werr)
 	}

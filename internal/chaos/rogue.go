@@ -69,9 +69,10 @@ type RogueConfig struct {
 	// Backoff paces reconnect attempts after each rejected request. Zero
 	// defaults to 100 µs.
 	Backoff sim.Duration
-	// Reconnect re-establishes the rogue's QP after a fatal NAK (e.g.
-	// testrig.Pair.ReconnectPair). Required.
-	Reconnect func() error
+	// Reconnect re-establishes the rogue's QP after a fatal NAK and calls
+	// done with the outcome — at once (testrig.Net.ReconnectPair), or once
+	// the request has been to the victim's machine and back. Required.
+	Reconnect func(done func(error))
 }
 
 // RogueStats counts attack outcomes.
@@ -180,19 +181,21 @@ func (r *Rogue) attack(left int) {
 // reconnect re-establishes the rogue QP (the NAK moved it to ERROR),
 // backing off while the victim is down, then continues the attack.
 func (r *Rogue) reconnect(left, attempts int) {
-	if err := r.cfg.Reconnect(); err != nil {
-		if attempts >= maxReconnects {
-			r.stats.GaveUp++
-			if r.onDone != nil {
-				r.onDone()
+	r.cfg.Reconnect(func(err error) {
+		if err != nil {
+			if attempts >= maxReconnects {
+				r.stats.GaveUp++
+				if r.onDone != nil {
+					r.onDone()
+				}
+				return
 			}
+			r.eng.Schedule(r.cfg.Backoff, func() { r.reconnect(left, attempts+1) })
 			return
 		}
-		r.eng.Schedule(r.cfg.Backoff, func() { r.reconnect(left, attempts+1) })
-		return
-	}
-	r.stats.Reconnects++
-	r.eng.Schedule(r.cfg.Backoff, func() { r.attack(left) })
+		r.stats.Reconnects++
+		r.eng.Schedule(r.cfg.Backoff, func() { r.attack(left) })
+	})
 }
 
 // String summarises the outcome counters.

@@ -58,14 +58,18 @@ func TestWriteCutsThrough(t *testing.T) {
 			doneAt = pair.Eng.Now()
 		})
 	})
-	pair.Eng.RunUntil(sim.Time(5 * sim.Microsecond))
+	// At 5 us each machine looks at what it owns: B's memory, A's DMA.
 	mtu := pair.A.Config().Roce.MTUPayload
-	if !bytes.Equal(atB(t, pair, 0, 8*mtu), data[:8*mtu]) {
-		t.Error("at 5 us, with the payload still crossing PCIe, the first 8 segments are not in remote memory")
-	}
-	if st := pair.A.DMA().Stats(); st.ReadCommands != 1 || st.ReadBytes != bulkSize {
-		t.Errorf("payload fetched with %d commands / %d bytes, want one command", st.ReadCommands, st.ReadBytes)
-	}
+	pair.EngB.ScheduleAt(sim.Time(5*sim.Microsecond), func() {
+		if !bytes.Equal(atB(t, pair, 0, 8*mtu), data[:8*mtu]) {
+			t.Error("at 5 us, with the payload still crossing PCIe, the first 8 segments are not in remote memory")
+		}
+	})
+	pair.Eng.ScheduleAt(sim.Time(5*sim.Microsecond), func() {
+		if st := pair.A.DMA().Stats(); st.ReadCommands != 1 || st.ReadBytes != bulkSize {
+			t.Errorf("payload fetched with %d commands / %d bytes, want one command", st.ReadCommands, st.ReadBytes)
+		}
+	})
 	pair.Run()
 	if !bytes.Equal(atB(t, pair, 0, bulkSize), data) {
 		t.Error("remote bytes differ")
@@ -83,7 +87,7 @@ func TestReadBehindHalfFedWrite(t *testing.T) {
 	pair := bulkPair(t)
 	data := fillA(t, pair, bulkSize)
 	ca := chaos.AttachChecker(pair.A.Stack(), "A", pair.Eng)
-	cb := chaos.AttachChecker(pair.B.Stack(), "B", pair.Eng)
+	cb := chaos.AttachChecker(pair.B.Stack(), "B", pair.EngB)
 	completed := 0
 	done := func(err error) {
 		if err != nil {
@@ -124,7 +128,7 @@ func TestFrameLostWhileTailUnfetched(t *testing.T) {
 	pair := bulkPair(t)
 	data := fillA(t, pair, bulkSize)
 	ca := chaos.AttachChecker(pair.A.Stack(), "A", pair.Eng)
-	cb := chaos.AttachChecker(pair.B.Stack(), "B", pair.Eng)
+	cb := chaos.AttachChecker(pair.B.Stack(), "B", pair.EngB)
 	// Drop frame 10 and record how many frames A had sent by then.
 	var txAtDrop uint64
 	pair.Link.SetFaultsAtoB(&fabric.FrameScript{Steps: []fabric.FrameStep{{

@@ -147,29 +147,24 @@ func (c *deadlineClient) recoverFrom(p *sim.Process, pair *testrig.Pair, rekey b
 			return fmt.Errorf("recovery gave up after %d attempts: %w", attempt, err)
 		}
 		p.Sleep(bo.Delay(attempt, p.Engine().Rand()))
-		if c.transient {
-			stA, serr := pair.A.Stack().QPStateOf(testrig.QPA)
-			if serr != nil {
-				return serr
-			}
-			stB, _ := pair.B.Stack().QPStateOf(testrig.QPB)
-			if stA == roce.QPStateRTS && stB == roce.QPStateRTS && !pair.A.Crashed() && !pair.B.Crashed() {
-				break
-			}
-		}
-		if rerr := pair.Reconnect(); rerr == nil {
+		var answer sim.Completion[testrig.Peer]
+		pair.Reconnect(testrig.QPA, testrig.QPB, c.transient, answer.Complete, pair.BufB)
+		peer, _ := answer.Wait(p)
+		switch {
+		case errors.Is(peer.Err, roce.ErrPeerCrashed):
+			continue
+		case peer.Err != nil:
+			return fmt.Errorf("reconnect: %w", peer.Err)
+		case peer.Reset:
 			c.reconnects++
-			break
-		} else if !errors.Is(rerr, roce.ErrPeerCrashed) {
-			return fmt.Errorf("reconnect: %w", rerr)
 		}
-	}
-	if rekey {
-		if kerr := pair.ExchangeRKeys(testrig.QPA, testrig.QPB); kerr != nil {
-			return fmt.Errorf("rkey exchange: %w", kerr)
+		if rekey {
+			if kerr := pair.A.SetRemoteRKey(testrig.QPA, peer.RKeys[0]); kerr != nil {
+				return fmt.Errorf("rkey exchange: %w", kerr)
+			}
 		}
+		return nil
 	}
-	return nil
 }
 
 // chaosMeasure is one point's outcome: the client's, the stacks'
@@ -208,7 +203,7 @@ var chaosColumns = map[string]func(chaosMeasure) float64{
 // every figure and export.
 func (c pairChaos) run(o Options, ex Exports) (chaosMeasure, error) {
 	m := chaosMeasure{deadlineClient: c.client}
-	pair, err := newPair(o.unsharded(), profile10G(), 8<<20)
+	pair, err := newPair(o, profile10G(), 8<<20)
 	if err != nil {
 		return m, err
 	}
@@ -226,6 +221,8 @@ func (c pairChaos) run(o Options, ex Exports) (chaosMeasure, error) {
 	taps := tapPair(pair, ex)
 	inj, ca, cb := pair.ApplyChaos(c.plan)
 	if taps.tel != nil {
+		// The injector's counters sum both machines' sites, so they go on
+		// the whole registry: the end-of-run export, not the mid-run scrapes.
 		inj.AttachTelemetry(taps.tel.Registry)
 	}
 	if c.protect {
@@ -254,9 +251,9 @@ func (c pairChaos) run(o Options, ex Exports) (chaosMeasure, error) {
 	progress := func(done int) {
 		if cycles < c.crashes && done == (cycles+1)*c.client.ops/(c.crashes+1) {
 			cycles++
-			pair.Eng.Schedule(crashLag, func() {
+			pair.Eng.CrossSchedule(pair.EngB, crashLag, func() {
 				pair.B.Crash()
-				pair.Eng.Schedule(crashDowntime, pair.B.Restart)
+				pair.EngB.Schedule(crashDowntime, pair.B.Restart)
 			})
 		}
 	}
@@ -311,22 +308,34 @@ func (c pairChaos) run(o Options, ex Exports) (chaosMeasure, error) {
 // startPairRogue starts a rogue requester on machine A forging accesses
 // into B's buffer and into roBuf, a read-only region on B (its key is
 // perfectly valid, only the access class is wrong for a WRITE). cfg
-// carries the attack budget and pacing.
+// carries the attack budget and pacing. The rogue knows B's rkeys as B
+// last reported them: at setup, and again with every reconnect.
 func startPairRogue(pair *testrig.Pair, roBuf *hostmem.Buffer, cfg chaos.RogueConfig) (*chaos.Rogue, error) {
 	if err := pair.AddQueuePair(rogueQPA, rogueQPB); err != nil {
 		return nil, err
+	}
+	keys := []uint32{
+		pair.B.RegionFor(uint64(pair.BufB.Base())).RKey(),
+		pair.B.RegionFor(uint64(roBuf.Base())).RKey(),
 	}
 	cfg.QPN = rogueQPA
 	cfg.LocalVA = uint64(pair.BufA.Base()) + uint64(pair.BufA.Size()/2)
 	cfg.Target = chaos.RogueTarget{
 		Base:   uint64(pair.BufB.Base()),
 		Size:   uint64(pair.BufB.Size()),
-		Key:    func() uint32 { return pair.B.RegionFor(uint64(pair.BufB.Base())).RKey() },
+		Key:    func() uint32 { return keys[0] },
 		ROBase: uint64(roBuf.Base()),
 		ROSize: uint64(roBuf.Size()),
-		ROKey:  func() uint32 { return pair.B.RegionFor(uint64(roBuf.Base())).RKey() },
+		ROKey:  func() uint32 { return keys[1] },
 	}
-	cfg.Reconnect = func() error { return pair.ReconnectPair(rogueQPA, rogueQPB) }
+	cfg.Reconnect = func(done func(error)) {
+		pair.Reconnect(rogueQPA, rogueQPB, false, func(peer testrig.Peer) {
+			if peer.Err == nil {
+				keys = peer.RKeys
+			}
+			done(peer.Err)
+		}, pair.BufB, roBuf)
+	}
 	rogue, err := chaos.NewRogue(pair.A, cfg, nil)
 	if err != nil {
 		return nil, err
@@ -461,7 +470,7 @@ func chaosProtect(o Options, forged int) pairChaos {
 
 // chaosTelemetryPlan is the canonical chaos scenario's plan: every fault
 // class at once — the 4% bursty-loss regime, corruption, duplication,
-// reordering, two link flaps and DMA stalls on both machines.
+// reordering, link flaps and DMA stalls on both machines.
 func chaosTelemetryPlan() chaos.Plan {
 	faults := chaos.LinkFaults{
 		Loss:        chaos.BurstyLoss(0.04),
@@ -472,17 +481,19 @@ func chaosTelemetryPlan() chaos.Plan {
 		ReorderMax:  5 * sim.Microsecond,
 	}
 	plan := chaos.Plan{
-		AtoB: faults,
-		BtoA: faults,
-		Flaps: []chaos.Window{
-			{At: sim.Time(200 * sim.Microsecond), Dur: 100 * sim.Microsecond},
-			{At: sim.Time(1500 * sim.Microsecond), Dur: 50 * sim.Microsecond},
-		},
+		AtoB:  faults,
+		BtoA:  faults,
+		Flaps: []chaos.Window{{At: sim.Time(200 * sim.Microsecond), Dur: 100 * sim.Microsecond}},
 	}
+	// Frames held up by a stall leave at its end, so the first flap,
+	// opening as A's first stall closes, takes down what A held; a short
+	// flap as each of B's stalls closes does the same to B's ACKs and READ
+	// responses.
 	for i := 0; i < 12; i++ {
 		at := sim.Time(sim.Duration(i) * 500 * sim.Microsecond)
 		plan.StallsA = append(plan.StallsA, chaos.Window{At: at.Add(50 * sim.Microsecond), Dur: 150 * sim.Microsecond})
 		plan.StallsB = append(plan.StallsB, chaos.Window{At: at.Add(250 * sim.Microsecond), Dur: 150 * sim.Microsecond})
+		plan.Flaps = append(plan.Flaps, chaos.Window{At: at.Add(400 * sim.Microsecond), Dur: 20 * sim.Microsecond})
 	}
 	return plan
 }

@@ -144,9 +144,7 @@ func Fig10FailureRate(o Options) (*stats.Figure, error) {
 }
 
 func failureRateLatencies(o Options, size int, rate float64) (swAvg, stromAvg float64, err error) {
-	// Pinned unsharded: the client process plays the "concurrent writer"
-	// by rewriting the object in B's memory between its own A-side reads.
-	pair, objVA, good, err := consistencyBed(o.unsharded(), size)
+	pair, objVA, good, err := consistencyBed(o, size)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -157,7 +155,18 @@ func failureRateLatencies(o Options, size int, rate float64) (swAvg, stromAvg fl
 	bad[0] ^= 0xFF
 	rng := rand.New(rand.NewSource(o.Seed*7919 + int64(size) + int64(rate*1000)))
 	var sw, strom stats.Sample
-	var runErr error
+	var runErr, writeErr error
+	// The concurrent writer runs on machine B: the client hands it each
+	// version of the object, which lands d later (one cable delay at the
+	// soonest) — before any request A sends from then on reaches B.
+	write := func(d sim.Duration, obj []byte) {
+		pair.Eng.CrossSchedule(pair.EngB, d, func() {
+			if err := pair.B.Memory().WriteVirt(objVA, obj); err != nil && writeErr == nil {
+				writeErr = err
+			}
+		})
+	}
+	asap := pair.Group.Lookahead()
 	iters := o.Iterations * 2 // averages need a larger population
 	pair.Eng.Go("client", func(p *sim.Process) {
 		host := pair.A.Host()
@@ -167,10 +176,7 @@ func failureRateLatencies(o Options, size int, rate float64) (swAvg, stromAvg fl
 
 			// READ+SW: the first read observes a torn object; the client
 			// detects it and re-reads over the network (one extra RTT).
-			if err := pair.B.Memory().WriteVirt(objVA, choose(failSW, bad, good)); err != nil {
-				runErr = err
-				return
-			}
+			write(asap, choose(failSW, bad, good))
 			start := p.Now()
 			for attempt := 0; ; attempt++ {
 				if err := pair.A.ReadSync(p, testrig.QPA, uint64(objVA), uint64(pair.BufA.Base()), size); err != nil {
@@ -186,27 +192,16 @@ func failureRateLatencies(o Options, size int, rate float64) (swAvg, stromAvg fl
 					break
 				}
 				// The concurrent writer finished: the next read succeeds.
-				if err := pair.B.Memory().WriteVirt(objVA, good); err != nil {
-					runErr = err
-					return
-				}
+				write(asap, good)
 			}
 			sw.Add(p.Now().Sub(start).Microseconds())
 
 			// StRoM: the retry happens on the remote NIC over PCIe. The
 			// writer finishes the update shortly after the kernel's first
 			// read lands, so the re-read always succeeds.
-			if err := pair.B.Memory().WriteVirt(objVA, choose(failStrom, bad, good)); err != nil {
-				runErr = err
-				return
-			}
+			write(asap, choose(failStrom, bad, good))
 			if failStrom {
-				fix := 4500*sim.Nanosecond + sim.BytesAt(size, pair.A.Config().PCIe.BandwidthGbps)
-				pair.Eng.Schedule(fix, func() {
-					if err := pair.B.Memory().WriteVirt(objVA, good); err != nil && runErr == nil {
-						runErr = err
-					}
-				})
+				write(4500*sim.Nanosecond+sim.BytesAt(size, pair.A.Config().PCIe.BandwidthGbps), good)
 			}
 			start = p.Now()
 			if _, err := consistency.Read(p, pair.A, testrig.QPA, consistencyOp, consistency.Params{
@@ -219,6 +214,9 @@ func failureRateLatencies(o Options, size int, rate float64) (swAvg, stromAvg fl
 		}
 	})
 	pair.Run()
+	if runErr == nil {
+		runErr = writeErr
+	}
 	if runErr != nil {
 		return 0, 0, runErr
 	}

@@ -26,16 +26,12 @@ type Options struct {
 	ShuffleScale int
 	// StreamBytes is the per-point volume for throughput sweeps.
 	StreamBytes int
-	// Shards selects the sharded testbed: 0 runs everything on one
-	// engine (the historical structure); >= 1 places each machine on its
-	// own shard of a sim.ShardGroup executed by up to Shards worker
-	// goroutines (clamped to the shard count). Results are byte-identical
-	// for every value >= 1 — worker count never affects simulation output
-	// — while 0 and >= 1 are distinct (different RNG partitioning).
-	// Generators whose control flow mutates both machines from one
-	// process pin themselves to 0 (unsharded below); the KV runs and
-	// every scenario export that streams JSONL are built unsharded
-	// outright. Only the incast sweep shards the switched bed.
+	// Shards is the number of worker goroutines that run a two-machine
+	// testbed, whose machines are the two shards of a sim.ShardGroup
+	// (0 counts as 1, clamped to the shard count). Results are
+	// byte-identical for every value: the worker count never affects
+	// simulation output. The incast sweep's switched bed takes it too;
+	// the KV beds and the incast export run on one engine.
 	Shards int
 }
 
@@ -78,20 +74,10 @@ func profile100G() profile {
 	return profile{name: "100G", cfg: core.Profile100G(), link: fabric.DirectCable100G()}
 }
 
-// newPair builds a testbed for the profile, sharded when o.Shards asks
-// for it.
+// newPair builds a testbed for the profile, run by o.Shards workers.
 func newPair(o Options, p profile, bufBytes int) (*testrig.Pair, error) {
-	if o.Shards > 0 {
-		return testrig.NewSharded(o.Seed, p.cfg, p.link, bufBytes, o.Shards)
-	}
-	return testrig.New(o.Seed, p.cfg, p.link, bufBytes)
+	return testrig.NewSharded(o.Seed, p.cfg, p.link, bufBytes, o.Shards)
 }
-
-// unsharded pins a generator to the single-engine testbed: scenarios
-// that mutate B-side state mid-run from the A-side control process
-// (chaos fault mid-stream flips, crash/restart recovery, rogue
-// requesters) are only legal when both machines share an engine.
-func (o Options) unsharded() Options { o.Shards = 0; return o }
 
 // sweep runs every point and plots the named columns of table, point i
 // at the x and under the label at(i, point) returns. A failed point fails

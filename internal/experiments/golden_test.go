@@ -64,15 +64,11 @@ func cleanSweep(t *testing.T) []string { return scenarioSweep(t, "clean") }
 
 // TestGoldens is the gate on every figure value: testdata/ holds
 // strombench's stdout at seed 1 — figures.golden for the default options
-// (the run EXPERIMENTS.md quotes), quick-sharded.golden for -quick
-// -shards 4 (the sharded engine partitions the RNG differently, so it is
-// a different simulation with its own record), chaos-quick.golden for
-// -quick -scenario chaos — and rendering the same sweep must reproduce
-// them exactly. A value that moves is re-recorded with `make golden` and
-// reviewed as a text diff.
+// (the run EXPERIMENTS.md quotes), quick.golden for -quick,
+// chaos-quick.golden for -quick -scenario chaos — and rendering the same
+// sweep must reproduce them exactly. A value that moves is re-recorded
+// with `make golden` and reviewed as a text diff.
 func TestGoldens(t *testing.T) {
-	sharded := Quick()
-	sharded.Shards = 4
 	for _, tc := range []struct {
 		file     string
 		scenario string
@@ -80,7 +76,7 @@ func TestGoldens(t *testing.T) {
 		skipRace bool // the default-size run takes minutes under -race
 	}{
 		{"figures.golden", "clean", Default(), true},
-		{"quick-sharded.golden", "clean", sharded, false},
+		{"quick.golden", "clean", Quick(), false},
 		{"chaos-quick.golden", "chaos", Quick(), false},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
@@ -107,7 +103,7 @@ func TestGoldens(t *testing.T) {
 // that locates it, and a truncated or overlong side fails on the first
 // missing line.
 func TestGoldenDiff(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "quick-sharded.golden"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "quick.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,14 +38,13 @@ func Fig13aHLLCPU(o Options) (*stats.Figure, error) {
 }
 
 func hllCPUThroughput(o Options, threads int) (float64, error) {
-	// Pinned unsharded: the write-completion callback (machine A) feeds
-	// the software HLL on machine B's CPU directly — a simulation
-	// shortcut that only works when both machines share an engine.
-	pair, err := newPair(o.unsharded(), profile100G(), 16<<20)
+	pair, err := newPair(o, profile100G(), 16<<20)
 	if err != nil {
 		return 0, err
 	}
-	swHLL := cpu.NewSoftwareHLL(pair.Eng, pair.B.Host(), threads, 14)
+	// The software HLL runs on machine B's CPU; A's write completions tell
+	// it a chunk has landed, one cable delay later.
+	swHLL := cpu.NewSoftwareHLL(pair.EngB, pair.B.Host(), threads, 14)
 	const chunk = 1 << 20
 	chunks := streamMsgs(o, chunk, maxWriteMsgs)
 	total := chunks * chunk
@@ -60,7 +59,17 @@ func hllCPUThroughput(o Options, threads int) (float64, error) {
 	}
 	remaining := chunks
 	var finish sim.Time
-	var opErr error
+	var opErr, ingestErr error
+	ingest := func() {
+		landed, err := pair.B.Memory().ReadVirt(pair.BufB.Base(), chunk)
+		if err != nil && ingestErr == nil {
+			ingestErr = err
+		}
+		end := swHLL.Ingest(landed)
+		if remaining--; remaining == 0 {
+			finish = end
+		}
+	}
 	pair.Eng.Schedule(0, func() {
 		for i := 0; i < chunks; i++ {
 			dst := uint64(pair.BufB.Base()) + uint64(i*chunk%(8<<20))
@@ -68,29 +77,19 @@ func hllCPUThroughput(o Options, threads int) (float64, error) {
 				if err != nil && opErr == nil {
 					opErr = err
 				}
-				// The CPU ingests the chunk once it is visible.
-				landed, err := pair.B.Memory().ReadVirt(pair.BufB.Base(), chunk)
-				if err != nil && opErr == nil {
-					opErr = err
-				}
-				end := swHLL.Ingest(landed)
-				remaining--
-				if remaining == 0 {
-					finish = end
-				}
+				pair.OnB(ingest)
 			})
 		}
 	})
 	pair.Run()
+	if opErr == nil {
+		opErr = ingestErr
+	}
 	if opErr != nil {
 		return 0, opErr
 	}
 	if remaining != 0 {
 		return 0, fmt.Errorf("hll cpu stream stalled")
-	}
-	// Run until the CPU drains its backlog.
-	if sim.Time(0) != finish {
-		pair.Eng.RunUntil(finish)
 	}
 	return gbps(total, finish), nil
 }
@@ -207,8 +206,8 @@ func HLLAccuracyCheck(o Options, distinct int) (float64, float64, error) {
 			runErr = err
 		}
 	})
-	// The result is polled on machine B's host CPU (its own shard when
-	// sharded): the kernel publishes the estimate into B's memory.
+	// The result is polled on machine B's host CPU: the kernel publishes
+	// the estimate into B's memory.
 	var pollErr error
 	pair.EngB.Go("poller", func(p *sim.Process) {
 		raw, err := pair.B.Host().Poll(p, pair.B.Memory(), resultVA, hllkernel.ResultSize, func(b []byte) bool {

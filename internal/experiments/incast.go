@@ -128,12 +128,13 @@ func (s incastStorm) run(seed int64, shards int, ex Exports) (IncastMeasure, err
 }
 
 // RunIncast drives one K→1 incast with the victim flow riding along,
-// on the switched testbed (sharded per o.Shards), and returns the
-// measured outcome. Flow sizes scale with o.Iterations.
+// on the switched testbed sharded one machine per shard and run by
+// o.Shards workers, and returns the measured outcome. Flow sizes scale
+// with o.Iterations.
 func RunIncast(o Options, k int, dcqcn bool) (IncastMeasure, error) {
 	o = o.normalized()
 	s := incastStorm{k: k, incastWrites: 8 * o.Iterations, victimWrites: 4 * o.Iterations, dcqcn: dcqcn}
-	return s.run(o.Seed, o.Shards, Exports{})
+	return s.run(o.Seed, max(1, o.Shards), Exports{})
 }
 
 // ChaosIncastSweep sweeps K∈{2,4,8} senders into one port with and

@@ -23,18 +23,11 @@ func runJSONL(t *testing.T, o Options) []byte {
 }
 
 // The JSONL stream must be byte-identical across repeated same-seed
-// runs, concurrent runs (the -j N harness case) and the Shards setting
-// (the scenario pins itself to the single-engine testbed when
-// streaming, so sharded invocations emit the identical stream).
+// runs and concurrent runs (the -j N harness case).
 func TestJSONLByteIdentical(t *testing.T) {
 	base := runJSONL(t, Quick())
 	if len(base) == 0 {
 		t.Fatal("empty JSONL stream")
-	}
-	o2 := Quick()
-	o2.Shards = 2
-	if sharded := runJSONL(t, o2); !bytes.Equal(base, sharded) {
-		t.Error("Shards=2 stream differs from Shards=0")
 	}
 	const workers = 4
 	var wg sync.WaitGroup
@@ -60,9 +53,37 @@ func TestJSONLByteIdentical(t *testing.T) {
 	}
 }
 
+// The clean stream scrapes each machine's registry scope on that
+// machine's shard: it carries metrics events from both machines, and is
+// byte-identical at 1 and 4 workers.
+func TestJSONLPerMachineMetricsByteIdentical(t *testing.T) {
+	stream := func(workers int) []byte {
+		o := Quick()
+		o.Shards = workers
+		return runJSONL(t, o)
+	}
+	one := stream(1)
+	if !bytes.Equal(one, stream(4)) {
+		t.Error("clean stream differs between 1 and 4 workers")
+	}
+	byHost := map[string]int{}
+	for _, line := range bytes.Split(bytes.TrimSpace(one), []byte("\n")) {
+		ev, err := export.Decode(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Type == "metrics" {
+			byHost[ev.Host]++
+		}
+	}
+	if len(byHost) != 2 || byHost["A"] == 0 || byHost["B"] == 0 {
+		t.Errorf("metrics events by host %v, want events from A and from B", byHost)
+	}
+}
+
 // The clean scenario's stream must cover every health surface and
 // account for the whole workload (TestScenarios holds it to its alert
-// contract: the 4% loss phase trips out-discards, and the workload
+// contract: the loss phase trips out-discards, and the workload
 // always completes, so the watchdog in particular stays silent).
 func TestJSONLScenarioContent(t *testing.T) {
 	run := runScenario(t, "clean")
@@ -108,6 +129,8 @@ func TestJSONLChaosAlertsFire(t *testing.T) {
 	tail := run.tail
 	// Drop causes must be attributed: the plan has both GE loss and
 	// flap windows, and the per-cause counters must sum to the total.
+	// Each direction sends inside a flap: A as its first DMA stall ends,
+	// B as one of its stalls does.
 	for _, o := range tail.Objects {
 		if o.Subsystem != "link" {
 			continue
@@ -179,10 +202,8 @@ func TestJSONLWatchdogFiresOnBlackhole(t *testing.T) {
 			t.Error("blackholed write completed successfully")
 		}
 	})
-	pair.Eng.Schedule(0, func() {
-		pair.Link.SetOfflineAtoB(true)
-		pair.Link.SetOfflineBtoA(true)
-	})
+	pair.Link.SetOfflineAtoB(true)
+	pair.Link.SetOfflineBtoA(true)
 	rec.Start(100 * sim.Microsecond)
 	pair.Run()
 	if rec.Fired("watchdog") == 0 {

@@ -171,7 +171,7 @@ func runKV(o Options, f kvFaults, ex Exports) (kvMeasure, error) {
 			Ops:        8,
 			OpDeadline: 500 * sim.Microsecond,
 			Backoff:    30 * sim.Microsecond,
-			Reconnect:  func() error { return net.ReconnectPair(kvRogueM, victim, rqp, sqp) },
+			Reconnect:  func(done func(error)) { done(net.ReconnectPair(kvRogueM, victim, rqp, sqp)) },
 		}, nil)
 		if err != nil {
 			return kvMeasure{}, err

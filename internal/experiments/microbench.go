@@ -62,7 +62,7 @@ func writePingPongLatency(o Options, prof profile, size int) (*stats.Sample, err
 	var lat stats.Sample
 	hostA, hostB := pair.A.Host(), pair.B.Host()
 	// Responder: poll on the ping flag, clear it, write the pong back.
-	// It runs on machine B's engine — its own shard when sharded.
+	// It runs on machine B's shard.
 	pair.EngB.Go("responder", func(p *sim.Process) {
 		pong := make([]byte, size)
 		for i := range pong {

@@ -45,8 +45,8 @@ func Scenarios() []Scenario {
 	kvFallout := []string{"out-discards", "retry-storm", "kv-heartbeat", "qp-errors", "remote-access",
 		"watchdog", "pfc-pause", "ecn-marked", "op-latency-p99", "fcs-err"}
 	return []Scenario{{
-		// The 4% loss phase is deliberate; retry-storm is the per-QP view
-		// of the same loss. The workload always completes: no watchdog.
+		// The loss phase is deliberate; retry-storm is the per-QP view of
+		// the same loss. The workload always completes: no watchdog.
 		Name:    "clean",
 		Sweep:   append([]string{"table1", "table2", "resources"}, generatorNames(append(Figures(), Ablations()...))...),
 		Export:  exportClean,

@@ -53,9 +53,9 @@ func (w *matchWriter) matched() bool {
 	return !w.diff && err == io.EOF
 }
 
-// runScenario exports the named scenario twice — the second time with a
-// Shards value the export must ignore — and holds the stream to the
-// scenario's alert contract. The result is cached: the content tests
+// runScenario exports the named scenario twice — the second time on
+// four workers, which must not change a byte — and holds the stream to
+// the scenario's alert contract. The result is cached: the content tests
 // of one scenario read the run TestScenarios already paid for. The
 // stream (170 MB for incast) goes through a file, not the heap.
 func runScenario(t *testing.T, name string) *scenarioRun {
@@ -102,7 +102,7 @@ func runScenario(t *testing.T, name string) *scenarioRun {
 	}
 	for i, what := range []string{"metrics", "trace", "jsonl"} {
 		if !ws[i].matched() {
-			r.err = fmt.Errorf("%s export differs on a second run with Shards=4", what)
+			r.err = fmt.Errorf("%s export differs on a second run on 4 workers", what)
 			return r
 		}
 	}
@@ -111,7 +111,7 @@ func runScenario(t *testing.T, name string) *scenarioRun {
 }
 
 // Every registry entry's exports are pure functions of Options — byte
-// for byte the same on a second run, whatever Shards says — and its
+// for byte the same on a second run, at any worker count — and its
 // stream keeps its alert contract: every Require rule fired, nothing
 // outside Allow did.
 func TestScenarios(t *testing.T) {

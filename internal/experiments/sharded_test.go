@@ -36,8 +36,6 @@ func renderAll(t *testing.T, gens []Generator, shards int) []string {
 // generator — paper figures, ablations and chaos sweeps — must render
 // byte-identically whether the sharded testbed executes sequentially
 // (1 worker) or in parallel (4 workers, clamped to the 2 shards).
-// Generators pinned unsharded run the single-engine testbed in both
-// cases, which asserts the pin itself is honored.
 func TestShardedFiguresIdenticalAcrossWorkers(t *testing.T) {
 	gens := Generators()
 	seq := renderAll(t, gens, 1)

@@ -22,20 +22,14 @@ const telemetryRPCOp = 0x01
 //  1. one-sided WRITE and READ on a clean 10 G link,
 //  2. hash-table GETs through the traversal kernel on B (postRpc →
 //     kernel FSM → DMA → RDMA write-back, the full §5 path),
-//  3. the same WRITE/READ under 4% frame loss in both directions —
-//     exercising retransmission, NAK and duplicate-READ-cache machinery
-//     (and deliberately tripping the out-discards rate rule),
+//  3. the same WRITE/READ, each losing two frames on a scripted schedule
+//     — exercising retransmission, NAK, timeout and duplicate-READ-cache
+//     machinery (and deliberately tripping the out-discards rate rule),
 //  4. a clean WRITE confirming recovery,
 //
 // with occupancy probes sampling both NICs and the link every 2 µs.
-// Metrics and trace alone run sharded when o.Shards asks for it; the
-// JSONL stream pins the run to the single-engine bed, where mid-run
-// registry collection is sound.
 func exportClean(o Options, ex Exports) error {
 	o = o.normalized()
-	if ex.JSONL != nil {
-		o = o.unsharded()
-	}
 	pair, err := newPair(o, profile10G(), 32<<20)
 	if err != nil {
 		return err
@@ -81,22 +75,11 @@ func exportClean(o Options, ex Exports) error {
 		}
 		return err != nil
 	}
-	// setLoss flips both directions' drop probability. The A→B side
-	// belongs to this shard and flips immediately; the B→A side belongs
-	// to machine B's shard, so the flip crosses via the group's outbox
-	// and lands one lookahead later (immediately when unsharded). The
-	// sleep puts the client past both flip points before the next verb —
-	// at a simulated time that does not depend on the worker count.
-	setLoss := func(p *sim.Process, drop float64) {
-		pair.Link.SetFaultsAtoB(fabric.Coin{Rand: pair.Eng.Rand(), DropProb: drop})
-		var d sim.Duration
-		if pair.Group != nil {
-			d = pair.Group.Lookahead()
-		}
-		pair.Eng.CrossSchedule(pair.EngB, d, func() {
-			pair.Link.SetFaultsBtoA(fabric.Coin{Rand: pair.EngB.Rand(), DropProb: drop})
-		})
-		p.Sleep(d)
+	// lossy is phase 3's loss on one direction: the 10th frame to enter
+	// it is dropped, and the 20th after that.
+	lossy := func() *fabric.FrameScript {
+		drop := fabric.Verdict{Drop: true}
+		return &fabric.FrameScript{Steps: []fabric.FrameStep{{Nth: 9, Verdict: drop}, {Nth: 19, Verdict: drop}}}
 	}
 	pair.Eng.Go("telemetry-client", func(p *sim.Process) {
 		// Phase 1: clean one-sided verbs.
@@ -114,18 +97,23 @@ func exportClean(o Options, ex Exports) error {
 				return
 			}
 		}
-		// Phase 3: the same verbs under loss. Dropped data packets drive
-		// timeouts and retransmissions; dropped READ responses make A
-		// repeat the request, hitting B's duplicate-READ cache. The drop
-		// probability stays well inside the transport retry budget.
-		setLoss(p, 0.04)
+		// Phase 3: the same verbs under loss. The WRITE loses two data
+		// frames: B NAKs the gap and A goes back N. The READ loses two
+		// response frames: A times out once and repeats the request, which
+		// B answers from its duplicate-READ cache. The losses are scripted,
+		// so every seed takes these paths and no verb waits out a second
+		// timer (two would hold it past the watchdog's 2 ms). The B→A
+		// script belongs to machine B's shard and is armed there, one cable
+		// delay after the WRITE; the sleep puts the READ behind it.
+		pair.Link.SetFaultsAtoB(lossy())
 		if fail("lossy write", pair.A.WriteSync(p, testrig.QPA, localA, remoteB, xfer)) {
 			return
 		}
+		pair.OnB(func() { pair.Link.SetFaultsBtoA(lossy()) })
+		p.Sleep(pair.Group.Lookahead())
 		if fail("lossy read", pair.A.ReadSync(p, testrig.QPA, remoteB, localA, xfer)) {
 			return
 		}
-		setLoss(p, 0)
 		// Phase 4: recovery.
 		fail("final write", pair.A.WriteSync(p, testrig.QPA, localA, remoteB, xfer))
 	})

@@ -80,3 +80,73 @@ func BenchmarkSwitchForward(b *testing.B) {
 		b.Fatalf("delivered %d of %d frames", dst.frames, b.N)
 	}
 }
+
+// cableBed is a 10 G cable from an endpoint on one engine to dst, on one
+// engine or across the two shards of a sim.ShardGroup. burst(n) sends n
+// 1000 B frames from A in one event and runs the simulation to the end.
+func cableBed(sharded bool) (burst func(n int), dst *recycler) {
+	var engA, engB *sim.Engine
+	var run func() sim.Time
+	if sharded {
+		g := sim.NewShardGroup(1, 2, DirectCable10G().Propagation)
+		engA, engB, run = g.Shard(0), g.Shard(1), g.Run
+	} else {
+		eng := sim.NewEngine(1)
+		engA, engB, run = eng, eng, eng.Run
+	}
+	dst = &recycler{}
+	link := NewLinkOn(engA, engB, DirectCable10G(), &recycler{}, dst)
+	frame := mkframe(macB, 1000)
+	left := 0
+	send := func() {
+		for ; left > 0; left-- {
+			link.SendFromA(frame)
+		}
+	}
+	return func(n int) {
+		left = n
+		engA.Schedule(0, send)
+		run()
+	}, dst
+}
+
+// TestAllocsCrossShardFrame: a frame that crosses from one shard to
+// another allocates no more than one that stays on a single engine. The
+// source shard parks it in its outbox beside the destination's drain
+// queue, the barrier pushes it there, and the barrier's merge sorts in
+// place — no closure per frame, nothing per barrier.
+func TestAllocsCrossShardFrame(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race-runtime instrumentation allocates; AllocsPerRun is only meaningful without -race")
+	}
+	allocs := func(sharded bool) float64 {
+		burst, dst := cableBed(sharded)
+		step := func() { burst(1) }
+		for i := 0; i < 100; i++ { // queues, event free lists, outbox and pool at size
+			step()
+		}
+		n := testing.AllocsPerRun(1000, step)
+		if dst.frames != 1101 {
+			t.Errorf("sharded=%v: delivered %d frames, want 1101", sharded, dst.frames)
+		}
+		return n
+	}
+	one, two := allocs(false), allocs(true)
+	if two > one {
+		t.Errorf("a frame allocates %.2f times across two shards, %.2f times on one engine", two, one)
+	}
+}
+
+// BenchmarkCrossShardFrame is one frame across a cable whose ends sit on
+// two shards, in bursts of 64: wire, outbox, barrier merge and drain.
+func BenchmarkCrossShardFrame(b *testing.B) {
+	burst, dst := cableBed(true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for sent := 0; sent < b.N; sent += 64 {
+		burst(min(64, b.N-sent))
+	}
+	if dst.frames != b.N {
+		b.Fatalf("delivered %d of %d frames", dst.frames, b.N)
+	}
+}

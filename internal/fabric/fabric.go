@@ -108,9 +108,9 @@ func (st *Stats) countDrop(c DropCause) {
 // direction is one side of a full-duplex link. eng is the sending
 // shard's engine (serialization, RNG draws, fault judgement happen
 // there); dstEng is the receiving shard's engine, where the delivery
-// fires. They are the same engine unless the link spans two shards of
-// a sim.ShardGroup (NewLinkOn), in which case the propagation delay is
-// the lookahead that makes conservative parallel execution sound.
+// fires. When the link spans two shards of a sim.ShardGroup (NewLinkOn)
+// the propagation delay is the lookahead that makes conservative
+// parallel execution sound.
 type direction struct {
 	eng     *sim.Engine
 	dstEng  *sim.Engine
@@ -122,8 +122,10 @@ type direction struct {
 	dst     Endpoint
 	stats   Stats
 
-	// Same-engine deliveries push here and schedule drainFn (bound
-	// once), so the per-frame closure is never allocated; see sim.FIFO.
+	// Undelayed deliveries push here and schedule drainFn (bound once),
+	// so the per-frame closure is never allocated; see sim.FIFO. The
+	// queue is dstEng's: a frame from another shard is pushed at the
+	// window barrier (sim.Engine.CrossPushAt).
 	pend    sim.FIFO[[]byte]
 	drainFn func()
 
@@ -197,15 +199,12 @@ func (d *direction) send(frame []byte) {
 		now := d.eng.Now()
 		d.tb.Complete(d.pid, d.tid, "wire", "frame", now, deliverAt.Sub(now), fmt.Sprintf("%d wire bytes", wireBytes))
 	}
-	if v.Delay == 0 && d.dstEng == d.eng {
-		// Hot path: in-order same-engine delivery through the drain
-		// queue — no per-frame closure.
-		d.pend.Push(buf)
-		d.eng.ScheduleAt(deliverAt, d.drainFn)
+	if v.Delay == 0 {
+		// Hot path: in-order delivery through the drain queue, with no
+		// per-frame closure whether or not the frame crosses shards.
+		d.eng.CrossPushAt(d.dstEng, deliverAt, &d.pend, buf, d.drainFn)
 	} else {
-		// Delayed frames break the FIFO delivery order, and cross-shard
-		// frames must fire on the destination's engine (CrossScheduleAt
-		// parks them in the shard outbox until the window barrier).
+		// A delayed frame breaks the FIFO delivery order.
 		d.eng.CrossScheduleAt(d.dstEng, deliverAt, func() { d.dst.DeliverFrame(buf) })
 	}
 	if v.Duplicate {
@@ -254,8 +253,7 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, a, b Endpoint) *Link {
 // judges faults on its sending shard and delivers on the receiving
 // shard, and the propagation delay — the minimum time any frame spends
 // crossing — is the conservative lookahead bound that lets both shards
-// advance in parallel. With engA == engB it degenerates to the classic
-// single-engine link, byte-identical to the historical behaviour.
+// advance in parallel. engA == engB is the single-engine link.
 func NewLinkOn(engA, engB *sim.Engine, cfg LinkConfig, a, b Endpoint) *Link {
 	return &Link{
 		a: newDirection(engA, engB, cfg.BandwidthGbps, cfg.Propagation, b),
@@ -270,40 +268,44 @@ const (
 )
 
 // AttachTelemetry wires the link into the observability layer under pid:
-// the registry mirrors per-direction frame/byte/drop/corrupt counters
-// and wire utilisation via a collect callback; the trace buffer receives
-// one complete span per frame in flight (serialization + propagation)
-// on a per-direction track. Either argument may be nil.
-func (l *Link) AttachTelemetry(reg *telemetry.Registry, tb *telemetry.TraceBuffer, pid uint32) {
-	if reg != nil {
-		collect := func(name string, d *direction) {
-			lbl := telemetry.L("dir", name)
-			reg.Counter("link_frames", lbl).Set(d.stats.Frames)
-			reg.Counter("link_bytes", lbl).Set(d.stats.Bytes)
-			reg.Counter("link_dropped", lbl).Set(d.stats.Dropped)
-			reg.Counter("link_dropped_by_cause", lbl, telemetry.L("cause", "chaos")).Set(d.stats.DroppedChaos)
-			reg.Counter("link_dropped_by_cause", lbl, telemetry.L("cause", "flap")).Set(d.stats.DroppedFlap)
-			reg.Counter("link_dropped_by_cause", lbl, telemetry.L("cause", "offline")).Set(d.stats.DroppedOffline)
-			reg.Counter("link_corrupted", lbl).Set(d.stats.Corrupted)
-			reg.Counter("link_duplicated", lbl).Set(d.stats.Duplicated)
-			reg.Counter("link_delayed", lbl).Set(d.stats.Delayed)
-			reg.Gauge("link_utilisation", lbl).Set(d.wire.Utilisation())
-		}
-		reg.OnCollect(func() {
-			collect("a-to-b", l.a)
-			collect("b-to-a", l.b)
-		})
-	}
+// each direction's frame/byte/drop/corrupt counters and wire utilisation
+// are mirrored by a collect callback on its sending side's registry (regA
+// for a→b, regB for b→a — one registry's scopes, so either may be
+// scraped on its own shard), and the trace buffer receives one complete
+// span per frame in flight (serialization + propagation) on a
+// per-direction track. Any argument may be nil.
+func (l *Link) AttachTelemetry(regA, regB *telemetry.Registry, tb *telemetry.TraceBuffer, pid uint32) {
+	l.a.attach(regA, "a-to-b")
+	l.b.attach(regB, "b-to-a")
 	if tb != nil {
 		tb.NameProcess(pid, "link")
 		tb.NameThread(pid, traceTidAtoB, "a-to-b")
 		tb.NameThread(pid, traceTidBtoA, "b-to-a")
 	}
 	// Each direction traces into the segment of its sending engine, so a
-	// sharded link never writes one buffer from two goroutines. ForEngine
-	// is the identity on a single-engine link.
+	// sharded link never writes one buffer from two goroutines.
 	l.a.tb, l.a.pid, l.a.tid = tb.ForEngine(l.a.eng), pid, traceTidAtoB
 	l.b.tb, l.b.pid, l.b.tid = tb.ForEngine(l.b.eng), pid, traceTidBtoA
+}
+
+// attach mirrors the direction's counters into reg under dir=name.
+func (d *direction) attach(reg *telemetry.Registry, name string) {
+	if reg == nil {
+		return
+	}
+	lbl := telemetry.L("dir", name)
+	reg.OnCollect(func() {
+		reg.Counter("link_frames", lbl).Set(d.stats.Frames)
+		reg.Counter("link_bytes", lbl).Set(d.stats.Bytes)
+		reg.Counter("link_dropped", lbl).Set(d.stats.Dropped)
+		reg.Counter("link_dropped_by_cause", lbl, telemetry.L("cause", "chaos")).Set(d.stats.DroppedChaos)
+		reg.Counter("link_dropped_by_cause", lbl, telemetry.L("cause", "flap")).Set(d.stats.DroppedFlap)
+		reg.Counter("link_dropped_by_cause", lbl, telemetry.L("cause", "offline")).Set(d.stats.DroppedOffline)
+		reg.Counter("link_corrupted", lbl).Set(d.stats.Corrupted)
+		reg.Counter("link_duplicated", lbl).Set(d.stats.Duplicated)
+		reg.Counter("link_delayed", lbl).Set(d.stats.Delayed)
+		reg.Gauge("link_utilisation", lbl).Set(d.wire.Utilisation())
+	})
 }
 
 // Utilisations returns wire utilisation for both directions since time

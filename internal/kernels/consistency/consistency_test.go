@@ -66,7 +66,7 @@ func TestConsistentReadHappyPath(t *testing.T) {
 			t.Errorf("read: %v", err)
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 	if !bytes.Equal(got, obj) {
 		t.Error("object mismatch")
 	}
@@ -91,10 +91,10 @@ func TestInconsistentObjectRereadOnNIC(t *testing.T) {
 	if err := p.B.Memory().WriteVirt(objVA, bad); err != nil {
 		t.Fatal(err)
 	}
-	// The writer "finishes its update" 10 us in: the kernel's first read
-	// (landing ~4 us in) sees the torn object; a re-read over PCIe a few
-	// retries later sees the good one.
-	p.Eng.Schedule(10*sim.Microsecond, func() {
+	// The writer on B "finishes its update" 10 us in: the kernel's first
+	// read (landing ~4 us in) sees the torn object; a re-read over PCIe a
+	// few retries later sees the good one.
+	p.EngB.Schedule(10*sim.Microsecond, func() {
 		if err := p.B.Memory().WriteVirt(objVA, good); err != nil {
 			t.Error(err)
 		}
@@ -112,7 +112,7 @@ func TestInconsistentObjectRereadOnNIC(t *testing.T) {
 			t.Errorf("read: %v", err)
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 	if !bytes.Equal(got, good) {
 		t.Error("did not return the repaired object")
 	}
@@ -140,7 +140,7 @@ func TestRetriesExhausted(t *testing.T) {
 		}
 		_, got = consistency.Read(pr, p.A, testrig.QPA, rpcOp, params)
 	})
-	p.Eng.Run()
+	p.Run()
 	if !errors.Is(got, consistency.ErrInconsistent) {
 		t.Errorf("err = %v", got)
 	}
@@ -160,7 +160,7 @@ func TestBadObjectAddress(t *testing.T) {
 		}
 		_, got = consistency.Read(pr, p.A, testrig.QPA, rpcOp, params)
 	})
-	p.Eng.Run()
+	p.Run()
 	if !errors.Is(got, consistency.ErrRemote) {
 		t.Errorf("err = %v", got)
 	}
@@ -208,7 +208,7 @@ func TestKernelOverheadSmallVsSoftware(t *testing.T) {
 		}
 		stromRead = pr.Now().Sub(start)
 	})
-	p.Eng.Run()
+	p.Run()
 	swOverhead := (swRead - plainRead).Microseconds()
 	stromOverhead := (stromRead - plainRead).Microseconds()
 	if swOverhead < 0.8 {

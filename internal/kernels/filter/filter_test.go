@@ -119,8 +119,10 @@ func runFilter(t *testing.T, seed int64, tuples []uint64, pred filter.Predicate,
 		}
 		if err := p.A.RPCWriteSync(pr, testrig.QPA, rpcOp, uint64(p.BufA.Base()), len(data)); err != nil {
 			t.Errorf("stream: %v", err)
-			return
 		}
+	})
+	// B's host polls the result the kernel publishes into its memory.
+	p.EngB.Go("poller", func(pr *sim.Process) {
 		raw, err := p.B.Host().Poll(pr, p.B.Memory(), resultVA, filter.ResultSize, func(b []byte) bool {
 			return binary.LittleEndian.Uint64(b) != 0 // Total lands non-zero
 		}, 0)
@@ -133,7 +135,7 @@ func runFilter(t *testing.T, seed int64, tuples []uint64, pred filter.Predicate,
 			t.Errorf("decode: %v", err)
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 	var out []uint64
 	if materialise {
 		raw, err := p.B.Memory().ReadVirt(p.BufB.Base(), int(res.Passed)*8)
@@ -225,7 +227,7 @@ func TestFilterStreamBeforeParams(t *testing.T) {
 	p.Eng.Schedule(0, func() {
 		p.A.PostRPCWrite(testrig.QPA, rpcOp, uint64(p.BufA.Base()), 64, func(error) { done = true })
 	})
-	p.Eng.Run()
+	p.Run()
 	if !done || k.Stats().Errors == 0 {
 		t.Errorf("done=%v errors=%d", done, k.Stats().Errors)
 	}

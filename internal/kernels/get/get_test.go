@@ -87,7 +87,7 @@ func TestGetSingleRoundTrip(t *testing.T) {
 			}
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 	if k.Gets() != uint64(len(keys)) {
 		t.Errorf("gets = %d", k.Gets())
 	}
@@ -132,7 +132,7 @@ func TestGetMissFallsBackToBucket0(t *testing.T) {
 			t.Errorf("poll: %v", err)
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 	if k.Misses() != 1 {
 		t.Errorf("misses = %d", k.Misses())
 	}
@@ -167,5 +167,5 @@ func TestGetBadEntryAddressReportsError(t *testing.T) {
 			t.Errorf("status = %d", binary.LittleEndian.Uint64(raw))
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 }

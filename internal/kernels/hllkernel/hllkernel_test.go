@@ -74,8 +74,10 @@ func runStream(t *testing.T, seed int64, data []byte, storeData bool) (estimate 
 		}
 		if err := p.A.RPCWriteSync(pr, testrig.QPA, rpcOp, uint64(p.BufA.Base()), len(data)); err != nil {
 			t.Errorf("rpc write: %v", err)
-			return
 		}
+	})
+	// B's host polls the result the kernel publishes into its memory.
+	p.EngB.Go("poller", func(pr *sim.Process) {
 		raw, err := p.B.Host().Poll(pr, p.B.Memory(), resultVA, hllkernel.ResultSize, func(b []byte) bool {
 			return binary.LittleEndian.Uint64(b[16:24]) != 0 // item count lands last in the block
 		}, 0)
@@ -87,7 +89,7 @@ func runStream(t *testing.T, seed int64, data []byte, storeData bool) (estimate 
 		estFloat = math.Float64frombits(binary.LittleEndian.Uint64(raw[8:16]))
 		count = binary.LittleEndian.Uint64(raw[16:24])
 	})
-	p.Eng.Run()
+	p.Run()
 	if storeData {
 		landed, err = p.B.Memory().ReadVirt(p.BufB.Base(), len(data))
 		if err != nil {
@@ -159,10 +161,33 @@ func TestResetBetweenSessions(t *testing.T) {
 		return d
 	}
 	resultVA := p.BufB.Base() + 1<<20
-	run := func(pr *sim.Process, data []byte, reset bool) float64 {
-		if err := p.B.Memory().WriteVirt(resultVA, make([]byte, hllkernel.ResultSize)); err != nil {
-			t.Fatal(err)
+	clear := make([]byte, hllkernel.ResultSize)
+	if err := p.B.Memory().WriteVirt(resultVA, clear); err != nil {
+		t.Fatal(err)
+	}
+	// B's host polls each session's result, clears the block for the next
+	// one, and reports the estimate back to A a cable delay later.
+	const sessions = 3
+	var estimates [sessions]sim.Completion[float64]
+	p.EngB.Go("poller", func(pr *sim.Process) {
+		for i := range estimates {
+			raw, err := p.B.Host().Poll(pr, p.B.Memory(), resultVA, hllkernel.ResultSize, func(b []byte) bool {
+				return binary.LittleEndian.Uint64(b[16:24]) != 0
+			}, 0)
+			if err != nil {
+				t.Errorf("poll: %v", err)
+				return
+			}
+			est := math.Float64frombits(binary.LittleEndian.Uint64(raw[8:16]))
+			if err := p.B.Memory().WriteVirt(resultVA, clear); err != nil {
+				t.Errorf("clear: %v", err)
+				return
+			}
+			p.EngB.CrossSchedule(p.Eng, p.Group.Lookahead(), func() { estimates[i].Complete(est) })
 		}
+	})
+	session := 0
+	run := func(pr *sim.Process, data []byte, reset bool) float64 {
 		if err := p.A.Memory().WriteVirt(p.BufA.Base(), data); err != nil {
 			t.Fatal(err)
 		}
@@ -173,14 +198,9 @@ func TestResetBetweenSessions(t *testing.T) {
 		if err := p.A.RPCWriteSync(pr, testrig.QPA, rpcOp, uint64(p.BufA.Base()), len(data)); err != nil {
 			t.Errorf("write: %v", err)
 		}
-		raw, err := p.B.Host().Poll(pr, p.B.Memory(), resultVA, hllkernel.ResultSize, func(b []byte) bool {
-			return binary.LittleEndian.Uint64(b[16:24]) != 0
-		}, 0)
-		if err != nil {
-			t.Errorf("poll: %v", err)
-			return 0
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(raw[8:16]))
+		est, _ := estimates[session].Wait(pr)
+		session++
+		return est
 	}
 	p.Eng.Go("sender", func(pr *sim.Process) {
 		e1 := run(pr, mkData(0), true)
@@ -198,7 +218,7 @@ func TestResetBetweenSessions(t *testing.T) {
 			t.Errorf("post-reset estimate = %.0f", e3)
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 }
 
 func TestKernelAddsNoThroughputOverhead(t *testing.T) {
@@ -233,7 +253,7 @@ func TestKernelAddsNoThroughputOverhead(t *testing.T) {
 			}
 			d = pr.Now().Sub(start)
 		})
-		p.Eng.Run()
+		p.Run()
 		return d
 	}
 	plain := run(false)

@@ -60,7 +60,7 @@ func TestSendKernelRejectsBadCounts(t *testing.T) {
 		p.Eng.Schedule(0, func() {
 			p.A.InvokeLocal(0x40, testrig.QPA, params.Encode(), func(error) { done = true })
 		})
-		p.Eng.Run()
+		p.Run()
 		if !done {
 			t.Fatalf("n=%d: invoke never completed", n)
 		}
@@ -83,7 +83,7 @@ func TestSendKernelStreamBeforeParams(t *testing.T) {
 	p.Eng.Schedule(0, func() {
 		p.A.StreamLocal(0x41, testrig.QPA, uint64(p.BufA.Base()), 64, func(error) { done = true })
 	})
-	p.Eng.Run()
+	p.Run()
 	if !done || k.Stats().Errors == 0 {
 		t.Errorf("done=%v errors=%d", done, k.Stats().Errors)
 	}
@@ -146,7 +146,7 @@ func TestSendKernelEndToEnd(t *testing.T) {
 			t.Errorf("count = %d", got)
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 	// Verify placement at B.
 	for pid := 0; pid < nParts; pid++ {
 		got, err := p.B.Memory().ReadVirt(p.BufB.Base()+hostmem.Addr(pid*partRegion), counts[pid]*8)
@@ -235,6 +235,37 @@ func newShuffleBed(t *testing.T, seed int64, nParts, partSize int) *shuffleBed {
 	}
 }
 
+// host runs B's side of n sessions in turn: it polls the completion word
+// the kernel publishes, hands the count to check (nil: none), clears the
+// word for the next session, and tells A the count a cable delay later
+// through done[i].
+func (b *shuffleBed) host(t *testing.T, n int, check func(sess int, count uint64)) (done []sim.Completion[uint64]) {
+	p := b.p
+	done = make([]sim.Completion[uint64], n)
+	zero := make([]byte, 8)
+	p.EngB.Go("host", func(pr *sim.Process) {
+		for i := range done {
+			raw, err := p.B.Host().Poll(pr, p.B.Memory(), b.completion, 8, func(w []byte) bool {
+				return binary.LittleEndian.Uint64(w) != 0
+			}, 0)
+			if err != nil {
+				t.Errorf("session %d poll: %v", i, err)
+				return
+			}
+			count := binary.LittleEndian.Uint64(raw)
+			if check != nil {
+				check(i, count)
+			}
+			if err := p.B.Memory().WriteVirt(b.completion, zero); err != nil {
+				t.Errorf("session %d clear: %v", i, err)
+				return
+			}
+			p.EngB.CrossSchedule(p.Eng, p.Group.Lookahead(), func() { done[i].Complete(count) })
+		}
+	})
+	return done
+}
+
 func TestShuffleEndToEnd(t *testing.T) {
 	const nParts = 16
 	const tuples = 20000
@@ -260,21 +291,15 @@ func TestShuffleEndToEnd(t *testing.T) {
 		}
 		if err := p.A.RPCWriteSync(pr, testrig.QPA, rpcOp, uint64(p.BufA.Base()), len(data)); err != nil {
 			t.Errorf("rpc write: %v", err)
-			return
 		}
-		// Wait for the kernel's completion count.
-		raw, err := p.B.Host().Poll(pr, p.B.Memory(), bed.completion, 8, func(b []byte) bool {
-			return binary.LittleEndian.Uint64(b) != 0
-		}, 0)
-		if err != nil {
-			t.Errorf("completion poll: %v", err)
-			return
-		}
-		if got := binary.LittleEndian.Uint64(raw); got != tuples {
+	})
+	// B waits for the kernel's completion count.
+	bed.host(t, 1, func(_ int, got uint64) {
+		if got != tuples {
 			t.Errorf("completion count = %d, want %d", got, tuples)
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 	// Every tuple must be in its radix partition, in arrival order.
 	total := 0
 	for pid := 0; pid < nParts; pid++ {
@@ -329,7 +354,7 @@ func TestShuffleMultisetPreservedProperty(t *testing.T) {
 			t.Errorf("write: %v", err)
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 	var got []uint64
 	for pid := 0; pid < nParts; pid++ {
 		raw, err := p.B.Memory().ReadVirt(bed.partBase[pid], counts[pid]*8)
@@ -383,26 +408,18 @@ func TestShuffleSessionAcrossMessages(t *testing.T) {
 				t.Errorf("write %d: %v", i, err)
 				return
 			}
-			if i < 3 {
-				// The session must not have completed yet.
-				raw, _ := p.B.Memory().ReadVirt(bed.completion, 8)
-				if binary.LittleEndian.Uint64(raw) != 0 {
-					t.Errorf("session completed after message %d", i)
-				}
-			}
-		}
-		raw, err := p.B.Host().Poll(pr, p.B.Memory(), bed.completion, 8, func(b []byte) bool {
-			return binary.LittleEndian.Uint64(b) != 0
-		}, 0)
-		if err != nil {
-			t.Errorf("poll: %v", err)
-			return
-		}
-		if got := binary.LittleEndian.Uint64(raw); got != tuples {
-			t.Errorf("count = %d", got)
 		}
 	})
-	p.Eng.Run()
+	// The session completes once, when the kernel has seen every tuple.
+	bed.host(t, 1, func(_ int, got uint64) {
+		if got != tuples {
+			t.Errorf("count = %d", got)
+		}
+		if seen := bed.k.Stats().Tuples; seen != tuples {
+			t.Errorf("session completed after %d of %d tuples", seen, tuples)
+		}
+	})
+	p.Run()
 	if bed.k.Stats().Tuples != tuples {
 		t.Errorf("kernel tuples = %d", bed.k.Stats().Tuples)
 	}
@@ -417,17 +434,32 @@ func TestShuffleBackToBackSessions(t *testing.T) {
 	const tuples = 1000 // 125 per partition: seven full buffers and a partial one
 	bed := newShuffleBed(t, 9, nParts, tuples*8)
 	p := bed.p
-	p.Eng.Go("sender", func(pr *sim.Process) {
-		for sess := uint64(0); sess < 3; sess++ {
-			data := make([]byte, tuples*8)
-			for i := 0; i < tuples; i++ {
-				binary.LittleEndian.PutUint64(data[i*8:], sess<<32|uint64(i))
-			}
-			if err := p.A.Memory().WriteVirt(p.BufA.Base(), data); err != nil {
+	done := bed.host(t, 3, func(sess int, got uint64) {
+		if got != tuples {
+			t.Errorf("session %d counted %d tuples, want %d", sess, got, tuples)
+		}
+		for pid := 0; pid < nParts; pid++ {
+			got, err := p.B.Memory().ReadVirt(bed.partBase[pid], tuples/nParts*8)
+			if err != nil {
 				t.Error(err)
 				return
 			}
-			if err := p.B.Memory().WriteVirt(bed.completion, make([]byte, 8)); err != nil {
+			for j := 0; j < tuples/nParts; j++ {
+				want := uint64(sess)<<32 | uint64(j*nParts+pid)
+				if v := binary.LittleEndian.Uint64(got[j*8:]); v != want {
+					t.Errorf("session %d partition %d tuple %d = %#x, want %#x", sess, pid, j, v, want)
+					return
+				}
+			}
+		}
+	})
+	p.Eng.Go("sender", func(pr *sim.Process) {
+		for sess := range done {
+			data := make([]byte, tuples*8)
+			for i := 0; i < tuples; i++ {
+				binary.LittleEndian.PutUint64(data[i*8:], uint64(sess)<<32|uint64(i))
+			}
+			if err := p.A.Memory().WriteVirt(p.BufA.Base(), data); err != nil {
 				t.Error(err)
 				return
 			}
@@ -439,33 +471,10 @@ func TestShuffleBackToBackSessions(t *testing.T) {
 				t.Errorf("session %d write: %v", sess, err)
 				return
 			}
-			raw, err := p.B.Host().Poll(pr, p.B.Memory(), bed.completion, 8, func(b []byte) bool {
-				return binary.LittleEndian.Uint64(b) != 0
-			}, 0)
-			if err != nil {
-				t.Errorf("session %d poll: %v", sess, err)
-				return
-			}
-			if got := binary.LittleEndian.Uint64(raw); got != tuples {
-				t.Errorf("session %d counted %d tuples, want %d", sess, got, tuples)
-			}
-			for pid := 0; pid < nParts; pid++ {
-				got, err := p.B.Memory().ReadVirt(bed.partBase[pid], tuples/nParts*8)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for j := 0; j < tuples/nParts; j++ {
-					want := sess<<32 | uint64(j*nParts+pid)
-					if v := binary.LittleEndian.Uint64(got[j*8:]); v != want {
-						t.Errorf("session %d partition %d tuple %d = %#x, want %#x", sess, pid, j, v, want)
-						return
-					}
-				}
-			}
+			done[sess].Wait(pr)
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 	if st := bed.k.Stats(); st.Tuples != 3*tuples || st.Errors != 0 {
 		t.Errorf("kernel stats %+v", st)
 	}
@@ -493,14 +502,10 @@ func TestAllocsShuffleSessionPerByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := bed.params.Encode()
-	zero := make([]byte, 8)
 	sessions := func(n int) {
+		done := bed.host(t, n, nil)
 		p.Eng.Go("sender", func(pr *sim.Process) {
-			for i := 0; i < n; i++ {
-				if err := p.B.Memory().WriteVirt(bed.completion, zero); err != nil {
-					t.Error(err)
-					return
-				}
+			for i := range done {
 				if err := p.A.RPCSync(pr, testrig.QPA, rpcOp, params); err != nil {
 					t.Error(err)
 					return
@@ -509,15 +514,10 @@ func TestAllocsShuffleSessionPerByte(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := p.B.Host().Poll(pr, p.B.Memory(), bed.completion, 8, func(b []byte) bool {
-					return binary.LittleEndian.Uint64(b) != 0
-				}, 0); err != nil {
-					t.Error(err)
-					return
-				}
+				done[i].Wait(pr)
 			}
 		})
-		p.Eng.Run()
+		p.Run()
 	}
 	sessions(8)
 	const n = 32
@@ -550,7 +550,7 @@ func TestShuffleRejectsBadPartitionCounts(t *testing.T) {
 		p.Eng.Schedule(0, func() {
 			p.A.PostRPC(testrig.QPA, rpcOp, params.Encode(), func(err error) { done = true })
 		})
-		p.Eng.Run()
+		p.Run()
 		if !done {
 			t.Fatalf("n=%d: rpc never completed", n)
 		}
@@ -572,7 +572,7 @@ func TestShuffleStreamBeforeParamsCounted(t *testing.T) {
 		// Stream without ever sending params.
 		p.A.PostRPCWrite(testrig.QPA, rpcOp, uint64(p.BufA.Base()), 64, func(err error) { done = true })
 	})
-	p.Eng.Run()
+	p.Run()
 	if !done {
 		t.Fatal("stream rpc never completed")
 	}

@@ -99,7 +99,7 @@ func TestLinkedListLookup(t *testing.T) {
 			}
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 	st := k.Stats()
 	if st.Found != uint64(len(keys)) {
 		t.Errorf("found = %d", st.Found)
@@ -122,7 +122,7 @@ func TestLinkedListNotFound(t *testing.T) {
 			t.Errorf("err = %v", err)
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 	if k.Stats().NotFound != 1 {
 		t.Errorf("notFound = %d", k.Stats().NotFound)
 	}
@@ -161,7 +161,7 @@ func TestHashTableLookupRelativeValuePtr(t *testing.T) {
 			}
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 }
 
 func TestTraversalLatencySublinear(t *testing.T) {
@@ -188,7 +188,7 @@ func TestTraversalLatencySublinear(t *testing.T) {
 			}
 			d = pr.Now().Sub(start)
 		})
-		p.Eng.Run()
+		p.Run()
 		return d
 	}
 	l4, l32 := lat(4), lat(32)
@@ -235,7 +235,7 @@ func TestSortedListSuccessorViaKernel(t *testing.T) {
 			}
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 }
 
 func TestMaxHopsTerminatesCycle(t *testing.T) {
@@ -263,7 +263,7 @@ func TestMaxHopsTerminatesCycle(t *testing.T) {
 			t.Errorf("err = %v", err)
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 	if k.Stats().Hops != 10 {
 		t.Errorf("hops = %d, want 10 (MaxHops)", k.Stats().Hops)
 	}
@@ -291,7 +291,7 @@ func TestBadPointerReportsError(t *testing.T) {
 			t.Errorf("err = %v, want ErrFault", err)
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 	if k.Stats().MRFaults != 1 {
 		t.Errorf("kernel MRFaults = %d, want 1", k.Stats().MRFaults)
 	}
@@ -323,7 +323,7 @@ func TestSandboxedChaseTerminatesDeterministically(t *testing.T) {
 				t.Errorf("run %d: err = %v, want ErrFault", run, err)
 			}
 		})
-		p.Eng.Run()
+		p.Run()
 		if st := k.Stats(); st.Hops != 2 || st.MRFaults != 1 {
 			t.Errorf("run %d: hops=%d mrFaults=%d, want 2 hops and 1 fault", run, st.Hops, st.MRFaults)
 		}
@@ -375,7 +375,7 @@ func TestKernelAgreesWithReferenceProperty(t *testing.T) {
 			}
 		}
 	})
-	p.Eng.Run()
+	p.Run()
 }
 
 func TestStreamIsNoOp(t *testing.T) {

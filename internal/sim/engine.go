@@ -103,6 +103,10 @@ type Engine struct {
 	shardIdx  int32
 	windowEnd Time
 	fgAt      Time // when this shard last fired a foreground event
+	// closed is set while the group runs a window and this shard is not
+	// the one executing: an event scheduled onto it then comes from
+	// another shard (see ScheduleAt).
+	closed bool
 }
 
 // NewEngine returns an engine at time zero with a deterministic RNG seeded
@@ -128,11 +132,22 @@ func (e *Engine) Schedule(d Duration, fn func()) Event {
 	return e.ScheduleAt(e.now.Add(d), fn)
 }
 
-// ScheduleAt runs fn at absolute time t. Times in the past fire "now".
+// errForeignPast is the panic of an event scheduled onto a shard, in its
+// past, from an event of another shard of its running group: the shard
+// has already run past the event's time, so the event would fire late.
+// CrossScheduleAt carries an event between shards.
+const errForeignPast = "sim: event scheduled into a shard's past from another shard of its running group (use CrossScheduleAt)"
+
+// ScheduleAt runs fn at absolute time t. Times in the past fire "now",
+// except from an event of another shard of e's running group, where a
+// time in e's past panics.
 // Events with equal timestamps fire in the order they were scheduled
 // (FIFO), which keeps runs deterministic.
 func (e *Engine) ScheduleAt(t Time, fn func()) Event {
 	if t < e.now {
+		if e.closed {
+			panic(errForeignPast)
+		}
 		t = e.now
 	}
 	e.seq++
@@ -292,10 +307,19 @@ func (e *Engine) Halt() { e.halted = true }
 // against runaway simulations). Zero disables the horizon.
 func (e *Engine) SetHorizon(t Time) { e.limit = t }
 
+// errShardRun is the panic of Run or RunUntil on a shard: running one
+// shard on its own would advance one machine and strand the events bound
+// for the others in its outbox. The group runs its shards.
+const errShardRun = "sim: a shard of a ShardGroup runs only as part of the group"
+
 // Run executes events until the queue holds nothing but daemon events,
 // Halt is called, or the horizon is crossed. It returns the final
-// simulated time. Trailing daemon events are left queued unfired.
+// simulated time. Trailing daemon events are left queued unfired. It
+// panics on a shard of a ShardGroup.
 func (e *Engine) Run() Time {
+	if e.group != nil {
+		panic(errShardRun)
+	}
 	e.halted = false
 	for e.Pending() > 0 && !e.halted {
 		ev := e.pop()
@@ -321,8 +345,11 @@ func (e *Engine) Run() Time {
 
 // RunUntil executes events up to and including time t, leaving later
 // events queued. It returns the simulated time reached (t, or earlier if
-// the queue drained).
+// the queue drained). It panics on a shard of a ShardGroup.
 func (e *Engine) RunUntil(t Time) Time {
+	if e.group != nil {
+		panic(errShardRun)
+	}
 	for e.Pending() > 0 {
 		ev := e.heap[0]
 		if ev.dead {

@@ -133,12 +133,17 @@ func (p *Process) ParkUntil(deadline Time) {
 // the wake has fired: a call between that wake and the resume would
 // otherwise queue a second wake, which would fire in a later, unrelated
 // wait.
+//
+// A process watching another shard's memory is woken from that shard's
+// events; if its own shard has already run past t, the wake fires late,
+// at its shard's now (ScheduleAt's foreign-past check lets this one
+// through).
 func (p *Process) WakeBy(t Time) {
 	if !p.armable || (p.alarm.Pending() && p.alarm.At() <= t) {
 		return
 	}
 	p.alarm.Cancel()
-	p.alarm = p.eng.ScheduleAt(t, p.ringFn)
+	p.alarm = p.eng.ScheduleAt(max(t, p.eng.now), p.ringFn)
 }
 
 // ring is the ParkUntil wake event: it disarms the alarm, then wakes p.

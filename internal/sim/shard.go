@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -31,12 +32,16 @@ import (
 // crossEvent is an event posted from one shard to another, parked in the
 // source shard's outbox until the window barrier. postAt is the source
 // shard's clock at posting time, kept for per-link lookahead validation.
+// When q is set the barrier pushes v onto it before scheduling fn (see
+// CrossPushAt).
 type crossEvent struct {
 	at     Time
 	postAt Time
 	dst    int32
 	src    int32
 	fn     func()
+	q      *FIFO[[]byte]
+	v      []byte
 }
 
 // ShardGroup runs a set of engines (shards) as one simulation under
@@ -181,13 +186,12 @@ func (g *ShardGroup) Now() Time {
 	return t
 }
 
-// post parks a cross-shard event in src's outbox until the next barrier.
-// Only called from within src's event callbacks (single goroutine per
-// shard), so outboxes need no locking.
-func (g *ShardGroup) post(src int32, dst int32, at Time, fn func()) {
-	g.outbox[src] = append(g.outbox[src], crossEvent{
-		at: at, postAt: g.shards[src].Now(), dst: dst, src: src, fn: fn,
-	})
+// post parks a cross-shard event in its source shard's outbox until the
+// next barrier. Only called from within the source's event callbacks
+// (single goroutine per shard), so outboxes need no locking.
+func (g *ShardGroup) post(ce crossEvent) {
+	ce.postAt = g.shards[ce.src].Now()
+	g.outbox[ce.src] = append(g.outbox[ce.src], ce)
 }
 
 // Run executes the simulation to completion: windows of width lookahead
@@ -201,7 +205,12 @@ func (g *ShardGroup) Run() Time {
 		panic("sim: ShardGroup.Run re-entered")
 	}
 	g.running = true
-	defer func() { g.running = false }()
+	defer func() {
+		g.running = false
+		for _, s := range g.shards {
+			s.closed = false
+		}
+	}()
 	for _, s := range g.shards {
 		s.halted = false
 	}
@@ -258,8 +267,13 @@ func (g *ShardGroup) frontier() (Time, bool) {
 }
 
 // runWindow executes every shard up to (but excluding) window, serially
-// or on the worker pool, and reports whether any shard halted.
+// or on the worker pool, and reports whether any shard halted. Every
+// shard is closed to direct scheduling for the window except while it
+// runs itself (runBefore), and open again for the barrier.
 func (g *ShardGroup) runWindow(window Time) bool {
+	for _, s := range g.shards {
+		s.closed = true
+	}
 	if g.workers <= 1 || len(g.shards) == 1 {
 		for _, s := range g.shards {
 			s.runBefore(window)
@@ -282,12 +296,12 @@ func (g *ShardGroup) runWindow(window Time) bool {
 			panic(pan)
 		}
 	}
+	halted := false
 	for _, s := range g.shards {
-		if s.halted {
-			return true
-		}
+		s.closed = false
+		halted = halted || s.halted
 	}
-	return false
+	return halted
 }
 
 // startWorkers launches the long-lived window workers. Each worker picks
@@ -340,9 +354,11 @@ func (g *ShardGroup) drainOutboxes(window Time) {
 	}
 	// Stable sort on timestamp alone: the concatenation order above is
 	// (source shard, posting order), which the stable sort preserves
-	// within equal timestamps.
-	sort.SliceStable(all, func(i, j int) bool { return all[i].at < all[j].at })
-	for _, ce := range all {
+	// within equal timestamps. The comparator captures nothing, so the
+	// sort allocates nothing.
+	slices.SortStableFunc(all, func(a, b crossEvent) int { return cmp.Compare(a.at, b.at) })
+	for i := range all {
+		ce := &all[i]
 		if ce.at < window {
 			panic(fmt.Sprintf("sim: lookahead violated: cross-shard event from shard %d to %d at %v inside window ending %v",
 				ce.src, ce.dst, ce.at, window))
@@ -351,28 +367,48 @@ func (g *ShardGroup) drainOutboxes(window Time) {
 			panic(fmt.Sprintf("sim: link lookahead violated: shard %d posted to %d at %v for %v, link bound %v",
 				ce.src, ce.dst, ce.postAt, ce.at, la))
 		}
+		if ce.q != nil {
+			ce.q.Push(ce.v)
+		}
 		g.shards[ce.dst].ScheduleAt(ce.at, ce.fn)
 		g.crossed++
 	}
-	for i := range all {
-		all[i].fn = nil
-	}
+	clear(all) // drop the callbacks and payloads the scratch still holds
 	g.merged = all[:0]
+}
+
+// crosses reports whether an event from e to dst must wait for a window
+// barrier: both are distinct shards of one running group.
+func (e *Engine) crosses(dst *Engine) bool {
+	return dst != e && e.group != nil && e.group == dst.group && e.group.running
 }
 
 // CrossScheduleAt schedules fn on engine dst at absolute time t, from an
 // event callback running on e. When both engines are shards of the same
 // running group, the event is parked in e's outbox and injected at the
 // next window barrier (t must respect the group's lookahead: t ≥ e.Now()
-// + lookahead). In every other case — same engine, no group, or the
-// group not running (pre/post-run wiring) — it degenerates to a plain
-// dst.ScheduleAt, so unsharded topologies behave exactly as before.
+// + lookahead). In every other case — same engine, or the group not
+// running (pre/post-run wiring) — it is a plain dst.ScheduleAt.
 func (e *Engine) CrossScheduleAt(dst *Engine, t Time, fn func()) {
-	if dst == e || e.group == nil || e.group != dst.group || !e.group.running {
+	if !e.crosses(dst) {
 		dst.ScheduleAt(t, fn)
 		return
 	}
-	e.group.post(e.shardIdx, dst.shardIdx, t, fn)
+	e.group.post(crossEvent{at: t, dst: dst.shardIdx, src: e.shardIdx, fn: fn})
+}
+
+// CrossPushAt is the drain-queue pattern (see FIFO) across shards: it
+// pushes v onto q, a queue dst owns, and schedules fn — the queue's drain
+// callback, bound once — on dst at time t. Between shards of a running
+// group the push waits in e's outbox beside the event and the barrier
+// makes it, so a frame crosses without a closure built around it.
+func (e *Engine) CrossPushAt(dst *Engine, t Time, q *FIFO[[]byte], v []byte, fn func()) {
+	if !e.crosses(dst) {
+		q.Push(v)
+		dst.ScheduleAt(t, fn)
+		return
+	}
+	e.group.post(crossEvent{at: t, dst: dst.shardIdx, src: e.shardIdx, fn: fn, q: q, v: v})
 }
 
 // CrossSchedule is CrossScheduleAt after delay d of e's local time.
@@ -400,8 +436,10 @@ func (e *Engine) peek() (Time, bool) {
 
 // runBefore executes events with timestamps strictly before w, leaving
 // later events queued. Unlike Run it does not reset the halted flag (the
-// group manages it) and stops early when the shard halts.
+// group manages it) and stops early when the shard halts. The shard is
+// open to scheduling only while it runs.
 func (e *Engine) runBefore(w Time) {
+	e.closed = false
 	for len(e.heap) > 0 && !e.halted {
 		ev := e.heap[0]
 		if ev.dead {
@@ -431,4 +469,5 @@ func (e *Engine) runBefore(w Time) {
 		e.recycle(ev)
 		fn()
 	}
+	e.closed = true
 }

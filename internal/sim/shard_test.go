@@ -204,6 +204,74 @@ func TestShardGroupUnshardedCrossScheduleDegenerates(t *testing.T) {
 	}
 }
 
+// A shard cannot be run on its own: Run or RunUntil on one would advance
+// that machine alone and strand the events bound for the others.
+func TestShardRunOnItsOwnPanics(t *testing.T) {
+	for name, run := range map[string]func(*Engine){
+		"Run":      func(e *Engine) { e.Run() },
+		"RunUntil": func(e *Engine) { e.RunUntil(Time(Microsecond)) },
+	} {
+		g := NewShardGroup(1, 2, Microsecond)
+		fired := false
+		g.Shard(0).Schedule(0, func() { fired = true })
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a shard did not panic", name)
+				}
+			}()
+			run(g.Shard(0))
+		}()
+		if fired {
+			t.Errorf("%s on a shard fired its event", name)
+		}
+	}
+}
+
+// Mid-run, an event of one shard that schedules onto another at a time
+// that shard has already run past panics instead of firing late. Shard 0
+// runs its part of the window [3 µs, 4 µs) first, to 3.5 µs; shard 1's
+// event at 3 µs then aims at 3 µs there. A watch-driven wake
+// (Process.WakeBy) is let through and fires at the shard's now. Before
+// and after the run, wiring code schedules onto any shard.
+func TestForeignScheduleIntoPastPanics(t *testing.T) {
+	noop := func() {}
+	g := NewShardGroup(1, 2, Microsecond)
+	a, b := g.Shard(0), g.Shard(1)
+	a.ScheduleAt(Time(3500*Nanosecond), noop)
+	b.ScheduleAt(Time(3*Microsecond), func() { a.ScheduleAt(b.Now(), noop) })
+	func() {
+		defer func() {
+			if r := recover(); r != errForeignPast {
+				t.Errorf("recovered %v, want the foreign-past panic", r)
+			}
+		}()
+		g.Run()
+	}()
+
+	g = NewShardGroup(1, 2, Microsecond)
+	a, b = g.Shard(0), g.Shard(1)
+	var wokeAt Time
+	poller := a.Go("poller", func(p *Process) {
+		p.ParkUntil(0)
+		wokeAt = p.Now()
+	})
+	a.ScheduleAt(Time(3500*Nanosecond), noop)
+	b.ScheduleAt(Time(3*Microsecond), func() { poller.WakeBy(b.Now()) })
+	g.Run()
+	if wokeAt != Time(3500*Nanosecond) {
+		t.Errorf("late wake fired at %v, want 3.5 µs", wokeAt)
+	}
+
+	fired := 0
+	b.ScheduleAt(0, func() { b.CrossSchedule(a, Microsecond, func() { fired++ }) })
+	a.ScheduleAt(0, func() { fired++ })
+	g.Run()
+	if fired != 2 {
+		t.Errorf("fired %d events, want 2", fired)
+	}
+}
+
 func TestShardGroupSingleShard(t *testing.T) {
 	g := NewShardGroup(9, 1, Microsecond)
 	n := 0

@@ -277,8 +277,8 @@ func (r *Recorder) Source(eng *sim.Engine, host, subsystem, object string, scrap
 // machine (each component resolves its metrics through its machine's
 // scope) and register each scope here on that machine's engine: every
 // mid-run scrape then touches only shard-owned state, and the parent
-// registry keeps the union for end-of-run exports. Attaching a shared
-// flat registry remains sound on unsharded testbeds only.
+// registry keeps the union for end-of-run exports. A flat registry is
+// sound only on a testbed that runs on one engine.
 func (r *Recorder) Registry(eng *sim.Engine, host string, reg *telemetry.Registry) {
 	if reg == nil {
 		return

@@ -39,8 +39,8 @@ type traceEvent struct {
 // A buffer is bound to one engine; when a simulation runs as a
 // sim.ShardGroup, each shard records into its own segment (ForEngine)
 // and the export merges segments deterministically, so parallel runs
-// emit byte-identical traces. Single-segment buffers export in exact
-// emission order, preserving the historical unsharded output.
+// emit byte-identical traces. A single-segment buffer exports in exact
+// emission order.
 //
 // The nil *TraceBuffer is valid: every method is an allocation-free
 // no-op, so instrumentation hooks can run unconditionally on hot paths.

@@ -10,6 +10,7 @@ import (
 	"strom/internal/core"
 	"strom/internal/fabric"
 	"strom/internal/hostmem"
+	"strom/internal/roce"
 	"strom/internal/sim"
 	"strom/internal/telemetry"
 	"strom/internal/telemetry/export"
@@ -18,16 +19,16 @@ import (
 // Pair is the two-machine testbed. QP 1 on A is connected to QP 2 on B,
 // and each machine has one registered buffer.
 //
-// A Pair is either unsharded — everything on one engine, the historical
-// testbed — or sharded (NewSharded): machine A's components on shard 0,
-// machine B's on shard 1 of a two-shard sim.ShardGroup whose lookahead
-// is the cable's propagation delay. Workloads always drive the A side
-// from Eng; B-side state may be touched during setup and after Run
-// returns, but mid-run only from events on EngB.
+// Machine A's components live on shard 0 and machine B's on shard 1 of a
+// two-shard sim.ShardGroup whose lookahead is the cable's propagation
+// delay. Workloads drive the A side from Eng and run the pair with Run;
+// B-side state may be touched during setup and after Run returns, but
+// mid-run only from events on EngB — OnB carries a request there, and
+// Reconnect makes the round trip of a queue-pair reconnect.
 type Pair struct {
-	Eng   *sim.Engine     // machine A's engine (the whole testbed when unsharded)
-	EngB  *sim.Engine     // machine B's engine; == Eng unless sharded
-	Group *sim.ShardGroup // non-nil when the testbed is sharded
+	Eng   *sim.Engine // machine A's shard
+	EngB  *sim.Engine // machine B's shard
+	Group *sim.ShardGroup
 	A, B  *core.NIC
 	Link  *fabric.Link
 	BufA  *hostmem.Buffer
@@ -40,27 +41,21 @@ const (
 	QPB uint32 = 2
 )
 
-// New builds the testbed: cfg selects the machine profile (10 G or
-// 100 G), linkCfg the cable, bufSize the per-machine registered buffer.
+// New builds the testbed run by one worker: cfg selects the machine
+// profile (10 G or 100 G), linkCfg the cable, bufSize the per-machine
+// registered buffer.
 func New(seed int64, cfg core.Config, linkCfg fabric.LinkConfig, bufSize int) (*Pair, error) {
-	eng := sim.NewEngine(seed)
-	return build(eng, eng, nil, cfg, linkCfg, bufSize)
+	return NewSharded(seed, cfg, linkCfg, bufSize, 1)
 }
 
-// NewSharded builds the testbed with each machine on its own shard of a
-// two-shard group, executed by up to workers goroutines (1 = sequential
-// execution of the same sharded structure; results are byte-identical
-// for every worker count). The cable's propagation delay is the
-// conservative lookahead: no frame crosses machines faster than that.
+// NewSharded builds the testbed executed by up to workers goroutines.
+// Results are byte-identical for every worker count. The cable's
+// propagation delay is the conservative lookahead: no frame crosses
+// machines faster than that.
 func NewSharded(seed int64, cfg core.Config, linkCfg fabric.LinkConfig, bufSize, workers int) (*Pair, error) {
 	group := sim.NewShardGroup(seed, 2, linkCfg.Propagation)
 	group.SetWorkers(workers)
-	return build(group.Shard(0), group.Shard(1), group, cfg, linkCfg, bufSize)
-}
-
-// build assembles the testbed on the given engines (equal when
-// unsharded).
-func build(engA, engB *sim.Engine, group *sim.ShardGroup, cfg core.Config, linkCfg fabric.LinkConfig, bufSize int) (*Pair, error) {
+	engA, engB := group.Shard(0), group.Shard(1)
 	idA, _ := core.MachineIdentity(1) // 1 and 2 are in range
 	idB, _ := core.MachineIdentity(2)
 	a := core.NewNIC(engA, cfg, idA)
@@ -86,13 +81,13 @@ func build(engA, engB *sim.Engine, group *sim.ShardGroup, cfg core.Config, linkC
 }
 
 // Run executes the testbed to completion and returns the final simulated
-// time: the shard group when sharded, the single engine otherwise.
-func (p *Pair) Run() sim.Time {
-	if p.Group != nil {
-		return p.Group.Run()
-	}
-	return p.Eng.Run()
-}
+// time.
+func (p *Pair) Run() sim.Time { return p.Group.Run() }
+
+// OnB runs fn on machine B one cable propagation delay from now — the
+// least any event on A takes to reach B. Call it from machine A's
+// context.
+func (p *Pair) OnB(fn func()) { p.Eng.CrossSchedule(p.EngB, p.Group.Lookahead(), fn) }
 
 // Trace process (pid) layout of the instrumented testbed.
 const (
@@ -102,8 +97,12 @@ const (
 )
 
 // Telemetry bundles the observability layer of an instrumented testbed.
+// A and B are the machines' scopes of Registry: each machine's metrics
+// and collectors resolve through its own, so a scope can be scraped
+// mid-run on its machine's shard.
 type Telemetry struct {
 	Registry *telemetry.Registry
+	A, B     *telemetry.Registry
 	Trace    *telemetry.TraceBuffer
 }
 
@@ -113,14 +112,13 @@ type Telemetry struct {
 // trace lane) and before running the workload.
 func (p *Pair) Instrument() *Telemetry {
 	reg := telemetry.NewRegistry()
-	tb := telemetry.NewTrace(p.Eng)
-	p.A.AttachTelemetry(reg, tb, PidA, "A")
-	// Machine B records into its own trace segment when sharded
-	// (ForEngine is the identity on an unsharded pair); the link binds
-	// its two directions to their sending shards' segments itself.
-	p.B.AttachTelemetry(reg, tb.ForEngine(p.EngB), PidB, "B")
-	p.Link.AttachTelemetry(reg, tb, PidLink)
-	return &Telemetry{Registry: reg, Trace: tb}
+	tel := &Telemetry{Registry: reg, A: reg.Scope(), B: reg.Scope(), Trace: telemetry.NewTrace(p.Eng)}
+	p.A.AttachTelemetry(tel.A, tel.Trace, PidA, "A")
+	// Machine B records into its own trace segment; the link binds its
+	// two directions to their sending shards' segments itself.
+	p.B.AttachTelemetry(tel.B, tel.Trace.ForEngine(p.EngB), PidB, "B")
+	p.Link.AttachTelemetry(tel.A, tel.B, tel.Trace, PidLink)
+	return tel
 }
 
 // StartProbes installs the periodic sampling probes that record both
@@ -135,12 +133,12 @@ func (p *Pair) StartProbes(tel *Telemetry, every sim.Duration) {
 	}
 	telemetry.Probe(p.Eng, every, func(sim.Time) {
 		p.A.TelemetrySample()
-		tel.Registry.Histogram("link_utilisation_samples", "fraction",
+		tel.A.Histogram("link_utilisation_samples", "fraction",
 			telemetry.L("dir", "a-to-b")).ObserveInt(int64(p.Link.UtilisationAtoB() * 100))
 	})
 	telemetry.Probe(p.EngB, every, func(sim.Time) {
 		p.B.TelemetrySample()
-		tel.Registry.Histogram("link_utilisation_samples", "fraction",
+		tel.B.Histogram("link_utilisation_samples", "fraction",
 			telemetry.L("dir", "b-to-a")).ObserveInt(int64(p.Link.UtilisationBtoA() * 100))
 	})
 }
@@ -148,19 +146,17 @@ func (p *Pair) StartProbes(tel *Telemetry, every sim.Duration) {
 // RecordJSONL registers the testbed's health surfaces with a JSONL
 // recorder: NIC A and the a→b link direction on machine A's engine, NIC
 // B and the b→a direction on machine B's (the shard that owns each
-// surface scrapes it). On an unsharded pair tel's registry is scraped
-// too — one "metrics" event per subsystem per interval. A sharded pair
-// exports health events only: the registry's collect callbacks span
-// both shards, so scraping it mid-run from one shard would race (the
-// end-of-run registry export is Registry.WriteJSON's job there). Pass
-// tel nil to skip registry export entirely. Call before rec.Start.
+// surface scrapes it). With tel each machine's registry scope is scraped
+// on its own shard too — one "metrics" event per subsystem per machine
+// per interval; pass nil to skip registry export. Call before rec.Start.
 func (p *Pair) RecordJSONL(rec *export.Recorder, tel *Telemetry) {
 	rec.Source(p.Eng, "A", "port", "nic:A", p.A.Health)
 	rec.Source(p.Eng, "fabric", "link", "a-to-b", p.Link.HealthAtoB)
 	rec.Source(p.EngB, "B", "port", "nic:B", p.B.Health)
 	rec.Source(p.EngB, "fabric", "link", "b-to-a", p.Link.HealthBtoA)
-	if tel != nil && p.Group == nil {
-		rec.Registry(p.Eng, "testbed", tel.Registry)
+	if tel != nil {
+		rec.Registry(p.Eng, "A", tel.A)
+		rec.Registry(p.EngB, "B", tel.B)
 	}
 }
 
@@ -181,11 +177,10 @@ func (p *Pair) ApplyChaos(plan chaos.Plan) (*chaos.Injector, *chaos.Checker, *ch
 	return inj, ca, cb
 }
 
-// ExchangeRKeys performs the application-level rkey exchange: each side
-// learns the current rkey of the peer's registered buffer, so subsequent
-// posts carry real keys instead of the wildcard key 0. Call again after
-// any Restart (the restarted NIC rotates its keys) and pass the QPs the
-// keys should be installed on (defaulting both is Reconnect's QPA/QPB).
+// ExchangeRKeys performs the application-level rkey exchange at setup:
+// each side learns the current rkey of the peer's registered buffer, so
+// subsequent posts carry real keys instead of the wildcard key 0, on the
+// given QPs.
 func (p *Pair) ExchangeRKeys(qpa, qpb uint32) error {
 	rb := p.B.RegionFor(uint64(p.BufB.Base()))
 	ra := p.A.RegionFor(uint64(p.BufA.Base()))
@@ -207,14 +202,54 @@ func (p *Pair) AddQueuePair(qpa, qpb uint32) error {
 	return p.B.CreateQP(qpb, p.A.Identity(), qpa)
 }
 
-// Reconnect re-establishes the testbed queue pair after a failure
-// (core.Reconnect): it fails with roce.ErrPeerCrashed while either
-// machine is down — callers retry under backoff until the peer restarts.
-func (p *Pair) Reconnect() error { return p.ReconnectPair(QPA, QPB) }
+// Peer is machine B's answer to Reconnect, back on machine A.
+type Peer struct {
+	RKeys []uint32 // the rkeys of the buffers asked about, as B has them now (a restart rotates them)
+	Reset bool     // both ends were reset and re-entered RTS
+	Err   error    // wraps roce.ErrPeerCrashed while B is down
+}
 
-// ReconnectPair is Reconnect for an arbitrary QP pair created with
-// AddQueuePair.
-func (p *Pair) ReconnectPair(qpa, qpb uint32) error { return core.Reconnect(p.A, qpa, p.B, qpb) }
+// Reconnect re-establishes qpa on A ↔ qpb on B after a failure, in one
+// round trip over the cable and in core.Reconnect's order: B resets its
+// end, A resets its own when B's answer arrives, and only then does
+// either re-enter RTS — A at once, B one cable delay after its reset.
+// With keep, a pair whose two ends are still in RTS is left alone. done
+// gets B's answer on A, carrying the rkeys of B's buffers bufs. Call it
+// from machine A's context.
+func (p *Pair) Reconnect(qpa, qpb uint32, keep bool, done func(Peer), bufs ...*hostmem.Buffer) {
+	st, err := p.A.Stack().QPStateOf(qpa)
+	if err != nil {
+		done(Peer{Err: err})
+		return
+	}
+	keep = keep && st == roce.QPStateRTS
+	b, delay := p.B, p.Group.Lookahead()
+	p.OnB(func() {
+		v := Peer{RKeys: make([]uint32, len(bufs))}
+		for i, buf := range bufs {
+			v.RKeys[i] = b.RegionFor(uint64(buf.Base())).RKey()
+		}
+		switch st, _ := b.Stack().QPStateOf(qpb); {
+		case keep && st == roce.QPStateRTS:
+		case b.Crashed():
+			v.Err = fmt.Errorf("%w: %v is down", roce.ErrPeerCrashed, b.Identity().IP)
+		default:
+			if v.Err = b.Stack().ResetQP(qpb); v.Err == nil {
+				v.Reset = true
+				// Fails only if B crashed meanwhile; A's next verb finds that out.
+				p.EngB.Schedule(delay, func() { _ = b.Stack().ReconnectQP(qpb) })
+			}
+		}
+		p.EngB.CrossSchedule(p.Eng, delay, func() {
+			if v.Reset {
+				if v.Err = p.A.Stack().ResetQP(qpa); v.Err == nil {
+					v.Err = p.A.Stack().ReconnectQP(qpa)
+				}
+			}
+			done(v)
+		})
+	})
+}
 
 // New10G is the common case: the 10 G testbed with 32 MB buffers.
 func New10G(seed int64) (*Pair, error) {

@@ -14,13 +14,9 @@ import (
 // A traced run ends when the untraced run ends: probes ride on daemon
 // events, so switching observability on must not move the product clock.
 func TestProbesDoNotMoveEndTime(t *testing.T) {
-	beds := map[string]func() (*testrig.Pair, error){
-		"unsharded": func() (*testrig.Pair, error) {
-			return testrig.New(1, core.Profile10G(), fabric.DirectCable10G(), 1<<20)
-		},
-	}
+	beds := map[string]func() (*testrig.Pair, error){}
 	for _, workers := range []int{1, 2} {
-		beds[fmt.Sprintf("sharded/workers=%d", workers)] = func() (*testrig.Pair, error) {
+		beds[fmt.Sprintf("workers=%d", workers)] = func() (*testrig.Pair, error) {
 			return testrig.NewSharded(1, core.Profile10G(), fabric.DirectCable10G(), 1<<20, workers)
 		}
 	}
