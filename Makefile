@@ -19,9 +19,11 @@ build:
 # determinism tests make every package worth racing). The explicit
 # -timeout covers internal/experiments on a single-core host, where the
 # racing differential suite runs serially and overshoots go test's
-# default 600s per-package limit.
+# default 600s per-package limit. The allocation guards (TestAllocs*)
+# skip themselves under -race, so they run once more without it.
 test: vet
 	$(GO) test -race -timeout 1800s ./...
+	$(GO) test -count=1 -run Allocs ./...
 
 race: test
 

@@ -171,31 +171,34 @@ func (t *nicTelemetry) opErrors(op string) *telemetry.Counter {
 	return c
 }
 
-// instrumentOp wraps a host-posted operation's completion callback to
-// record a per-QP span (doorbell through remote acknowledgement) and a
-// per-QP latency histogram observation. Returns done unchanged when
-// telemetry is disabled.
-func (n *NIC) instrumentOp(op string, qpn uint32, done func(error)) func(error) {
+// instrumentVerb opens a host-posted verb's per-QP span (doorbell
+// through remote acknowledgement) and resolves its per-QP latency
+// histogram; observeVerb closes them when the caller is told. Both are
+// no-ops when telemetry is disabled.
+func (n *NIC) instrumentVerb(r *verb) {
 	t := n.tel
 	if t == nil {
-		return done
+		return
 	}
-	start := n.eng.Now()
-	tid := t.qpTid(qpn)
-	hist := t.opLatency(qpn, op)
-	return func(err error) {
-		d := n.eng.Now().Sub(start)
-		arg := ""
-		if err != nil {
-			arg = err.Error()
-			t.opErrors(op).Inc()
-		}
-		t.tb.Complete(t.pid, tid, "op", op, start, d, arg)
-		hist.Observe(d)
-		if done != nil {
-			done(err)
-		}
+	r.tel, r.start = t, n.eng.Now()
+	r.tid = t.qpTid(r.qpn)
+	r.hist = t.opLatency(r.qpn, opNames[r.v.Op])
+}
+
+func (n *NIC) observeVerb(r *verb, err error) {
+	t := r.tel
+	if t == nil {
+		return
 	}
+	op := opNames[r.v.Op]
+	d := n.eng.Now().Sub(r.start)
+	arg := ""
+	if err != nil {
+		arg = err.Error()
+		t.opErrors(op).Inc()
+	}
+	t.tb.Complete(t.pid, r.tid, "op", op, r.start, d, arg)
+	r.hist.Observe(d)
 }
 
 // Health returns the NIC's scrapeable per-port health report, using the
@@ -205,60 +208,88 @@ func (n *NIC) instrumentOp(op string, qpn uint32, done func(error)) func(error) 
 // duplicate READs whose payload identity could not be re-proven, ...).
 // It reads only this NIC's own state, so on a sharded testbed it is a
 // valid export.ScrapeFunc for a source registered on the NIC's engine.
-// Works with or without AttachTelemetry.
+// Works with or without AttachTelemetry. The maps are reused: each call
+// overwrites the last report.
 func (n *NIC) Health() (map[string]uint64, map[string]float64) {
-	st := n.stack.Stats()
-	var mrTotal uint64
-	counters := map[string]uint64{
-		"in_frames":          st.RxPackets,
-		"in_bytes":           st.RxBytes,
-		"out_frames":         st.TxPackets,
-		"out_bytes":          st.TxBytes,
-		"fcs_err":            st.RxDiscarded,
-		"in_discards":        n.stats.FramesDroppedDown,
-		"stomped_crc":        st.DupReadCacheMiss,
-		"rcv_dup":            st.RxDuplicates,
-		"rcv_ooo":            st.RxOutOfOrder,
-		"acks_tx":            st.AcksSent,
-		"acks_rx":            st.AcksReceived,
-		"naks_tx":            st.NaksSent,
-		"naks_rx":            st.NaksReceived,
-		"retransmissions":    st.Retransmissions,
-		"timeouts":           st.Timeouts,
-		"deadline_expired":   st.DeadlineExpired,
-		"remote_access_naks": st.NaksRemoteAccess,
-		"qp_errors":          st.QPErrors,
-		"qp_resets":          st.QPResets,
-		"kernel_faults":      n.stats.KernelMRFaults,
-		"kernel_aborts":      n.stats.KernelAborts,
-		"dma_stalled":        n.dma.Stats().StalledCmds,
-		"ops_posted":         st.OpsPosted,
-		"ops_completed":      st.OpsCompleted,
-		"ecn_marked_rx":      st.EcnMarkedRx,
-		"cnps_tx":            st.CnpsSent,
-		"cnps_rx":            st.CnpsReceived,
-		"paced_frames":       st.PacedFrames,
+	h := &n.health
+	if h.counters == nil {
+		h.counters, h.gauges, h.qpKeys = make(map[string]uint64), make(map[string]float64), make(map[uint32]qpHealthKeys)
 	}
+	st := n.stack.Stats()
+	counters, gauges := h.counters, h.gauges
+	clear(counters)
+	clear(gauges)
+	counters["in_frames"] = st.RxPackets
+	counters["in_bytes"] = st.RxBytes
+	counters["out_frames"] = st.TxPackets
+	counters["out_bytes"] = st.TxBytes
+	counters["fcs_err"] = st.RxDiscarded
+	counters["in_discards"] = n.stats.FramesDroppedDown
+	counters["stomped_crc"] = st.DupReadCacheMiss
+	counters["rcv_dup"] = st.RxDuplicates
+	counters["rcv_ooo"] = st.RxOutOfOrder
+	counters["acks_tx"] = st.AcksSent
+	counters["acks_rx"] = st.AcksReceived
+	counters["naks_tx"] = st.NaksSent
+	counters["naks_rx"] = st.NaksReceived
+	counters["retransmissions"] = st.Retransmissions
+	counters["timeouts"] = st.Timeouts
+	counters["deadline_expired"] = st.DeadlineExpired
+	counters["remote_access_naks"] = st.NaksRemoteAccess
+	counters["qp_errors"] = st.QPErrors
+	counters["qp_resets"] = st.QPResets
+	counters["kernel_faults"] = n.stats.KernelMRFaults
+	counters["kernel_aborts"] = n.stats.KernelAborts
+	counters["dma_stalled"] = n.dma.Stats().StalledCmds
+	counters["ops_posted"] = st.OpsPosted
+	counters["ops_completed"] = st.OpsCompleted
+	counters["ecn_marked_rx"] = st.EcnMarkedRx
+	counters["cnps_tx"] = st.CnpsSent
+	counters["cnps_rx"] = st.CnpsReceived
+	counters["paced_frames"] = st.PacedFrames
+	var mrTotal uint64
 	for c := mr.Class(0); c < mr.NumClasses; c++ {
 		v := n.mrt.FailCount(c)
 		mrTotal += v
-		counters["mr_violation_"+c.String()] = v
+		counters[mrViolationKeys[c]] = v
 	}
 	counters["mr_violations"] = mrTotal
-	gauges := map[string]float64{
-		"outstanding_ops": float64(st.OpsPosted - st.OpsCompleted),
-	}
+	gauges["outstanding_ops"] = float64(st.OpsPosted - st.OpsCompleted)
 	n.stack.EachActiveQP(func(qpn uint32) {
-		qp := "qp" + strconv.FormatUint(uint64(qpn), 10)
+		k, ok := h.qpKeys[qpn]
+		if !ok {
+			qp := "qp" + strconv.FormatUint(uint64(qpn), 10)
+			k = qpHealthKeys{state: qp + "_state", retrans: qp + "_retransmissions"}
+			h.qpKeys[qpn] = k
+		}
 		if state, err := n.stack.QPStateOf(qpn); err == nil {
-			gauges[qp+"_state"] = float64(state)
+			gauges[k.state] = float64(state)
 		}
 		// Per-QP retransmission counters feed the retry-storm rate rule;
 		// the counter lives outside qpState so QP resets never rewind it.
-		counters[qp+"_retransmissions"] = n.stack.QPRetransmissions(qpn)
+		counters[k.retrans] = n.stack.QPRetransmissions(qpn)
 	})
 	return counters, gauges
 }
+
+// nicHealth is the Health scrape's reused state: the two report maps and
+// the per-QP metric names, formatted once per queue pair.
+type nicHealth struct {
+	counters map[string]uint64
+	gauges   map[string]float64
+	qpKeys   map[uint32]qpHealthKeys
+}
+
+// qpHealthKeys names one queue pair's Health metrics.
+type qpHealthKeys struct{ state, retrans string }
+
+// mrViolationKeys names the per-class MR violation counters.
+var mrViolationKeys = func() (k [mr.NumClasses]string) {
+	for c := range k {
+		k[c] = "mr_violation_" + mr.Class(c).String()
+	}
+	return k
+}()
 
 // TelemetrySample records the NIC's instantaneous occupancy into the
 // registry — kernel in-flight DMA commands, per-QP outstanding reads and

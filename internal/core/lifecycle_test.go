@@ -1,0 +1,143 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"strom/internal/fabric"
+	"strom/internal/raceflag"
+	"strom/internal/roce"
+	"strom/internal/sim"
+)
+
+// TestAllocsVerbLifecycle pins what a verb allocates between its doorbell
+// and its completion, on a warm pair: at most the one request frame the
+// transport retains for retransmission. The NIC's verb record, the
+// payload fetch, the transport's message, pending entry, Multi-Queue
+// element and deadline all come from free lists, and every callback they
+// hand out is bound once.
+func TestAllocsVerbLifecycle(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race-runtime instrumentation allocates; AllocsPerRun is only meaningful without -race")
+	}
+	r := newRig(t, 1, Profile10G(), fabric.DirectCable10G())
+	a, b := uint64(r.bufA.Base()), uint64(r.bufB.Base())
+	var failed error
+	done := func(err error) { failed = errors.Join(failed, err) }
+	for _, tc := range []struct {
+		name     string
+		v        Verb
+		deadline bool
+	}{
+		{"WRITE", Verb{Op: OpWrite, LocalVA: a, RemoteVA: b, Len: 64}, false},
+		{"WRITE+deadline", Verb{Op: OpWrite, LocalVA: a, RemoteVA: b, Len: 64}, true},
+		{"READ", Verb{Op: OpRead, LocalVA: a, RemoteVA: b, Len: 64}, false},
+		{"READ+deadline", Verb{Op: OpRead, LocalVA: a, RemoteVA: b, Len: 64}, true},
+	} {
+		step := func() {
+			v := tc.v
+			if tc.deadline {
+				v.Deadline = r.eng.Now().Add(sim.Millisecond)
+			}
+			r.a.Post(1, v, done)
+			r.eng.Run()
+		}
+		for i := 0; i < 200; i++ { // free lists, event heap and frame pool at size
+			step()
+		}
+		if n := testing.AllocsPerRun(500, step); n > 1 {
+			t.Errorf("%s allocates %.2f objects, want <= 1 (the retained request frame)", tc.name, n)
+		}
+	}
+	if failed != nil {
+		t.Fatal(failed)
+	}
+}
+
+// TestLateCompletionSparesRecycledVerb is the fire drill for recycling
+// the NIC's verb records. A WRITE's deadline guard fires while its
+// payload is still stalled in the DMA engine, and a second WRITE is
+// posted. The first WRITE's transport completion arrives later still: it
+// must find its own record, not complete the second WRITE.
+func TestLateCompletionSparesRecycledVerb(t *testing.T) {
+	r := newRig(t, 1, Profile10G(), fabric.DirectCable10G())
+	stalls := []sim.Duration{20 * sim.Microsecond, 40 * sim.Microsecond}
+	r.a.DMA().SetStall(func(sim.Time) sim.Duration {
+		if len(stalls) == 0 {
+			return 0
+		}
+		d := stalls[0]
+		stalls = stalls[1:]
+		return d
+	})
+	a, b := uint64(r.bufA.Base()), uint64(r.bufB.Base())
+	var first, second []error
+	r.eng.Schedule(0, func() {
+		v := Verb{Op: OpWrite, LocalVA: a, RemoteVA: b, Len: 64, Deadline: r.eng.Now().Add(5 * sim.Microsecond)}
+		r.a.Post(1, v, func(err error) { first = append(first, err) })
+	})
+	r.eng.Schedule(6*sim.Microsecond, func() {
+		if len(first) != 1 || !errors.Is(first[0], sim.ErrDeadlineExceeded) {
+			t.Fatalf("first WRITE: %v at 6 us, want its deadline", first)
+		}
+		v := Verb{Op: OpWrite, LocalVA: a, RemoteVA: b + 4096, Len: 64}
+		r.a.Post(1, v, func(err error) { second = append(second, err) })
+	})
+	r.eng.Run()
+	if len(first) != 1 {
+		t.Errorf("first WRITE completed %d times: %v", len(first), first)
+	}
+	if len(second) != 1 || second[0] != nil {
+		t.Errorf("second WRITE completed with %v, want once with nil", second)
+	}
+}
+
+// TestFlushedReadLandingSparesNextRead is the fire drill for a READ's
+// sink. A READ is flushed by a QP reset while three of its response
+// chunks are still crossing PCIe (the DMA engine stalls their writes) and
+// its last is lost; the next READ is posted at once. The stale chunks
+// land after it: they must not touch the next READ's record.
+func TestFlushedReadLandingSparesNextRead(t *testing.T) {
+	r := newRig(t, 1, Profile10G(), fabric.DirectCable10G())
+	mtu := r.a.Config().Roce.MTUPayload
+	r.link.SetFaultsBtoA(fabric.DropFrame(3)) // the first READ's last response
+	stall := true
+	r.a.DMA().SetStall(func(sim.Time) sim.Duration {
+		if stall {
+			return 50 * sim.Microsecond
+		}
+		return 0
+	})
+	want := bytes.Repeat([]byte("next"), 16)
+	if err := r.b.Memory().WriteVirt(r.bufB.Base()+1<<20, want); err != nil {
+		t.Fatal(err)
+	}
+	a, b := uint64(r.bufA.Base()), uint64(r.bufB.Base())
+	var first, second []error
+	r.eng.Schedule(0, func() {
+		r.a.Post(1, Verb{Op: OpRead, LocalVA: a, RemoteVA: b, Len: 4 * mtu}, func(err error) { first = append(first, err) })
+	})
+	r.eng.Schedule(20*sim.Microsecond, func() {
+		if err := Reconnect(r.a, 1, r.b, 2); err != nil {
+			t.Fatal(err)
+		}
+		stall = false
+		v := Verb{Op: OpRead, LocalVA: a + 1<<20, RemoteVA: b + 1<<20, Len: len(want)}
+		r.a.Post(1, v, func(err error) { second = append(second, err) })
+	})
+	r.eng.Run()
+	if len(first) != 1 || !errors.Is(first[0], roce.ErrQPError) {
+		t.Errorf("flushed READ completed with %v, want once with ErrQPError", first)
+	}
+	if len(second) != 1 || second[0] != nil {
+		t.Fatalf("next READ completed with %v, want once with nil", second)
+	}
+	got, err := r.a.Memory().ReadVirt(r.bufA.Base()+1<<20, len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("the next READ's data did not land")
+	}
+}

@@ -112,7 +112,9 @@ type NIC struct {
 	// writeLanded is onWriteLanded as a func value, made once.
 	writeLanded func(error)
 	fetchFree   []*fetch      // recycled payload fetches (see fetch)
+	verbFree    []*verb       // recycled verb records (see verb)
 	tel         *nicTelemetry // nil when telemetry is disabled
+	health      nicHealth     // Health's reused report
 
 	// Memory protection (see protect.go): the region table the responder
 	// validates RETHs against, the per-buffer region index, the DMA-issue
@@ -419,7 +421,9 @@ func (f *fetch) chunk(data []byte, err error) {
 	}
 	if f.got += len(data); f.got >= f.nbytes {
 		f.done, f.ws, f.got = nil, nil, 0
-		n.fetchFree = append(n.fetchFree, f)
+		if len(n.fetchFree) < freeListCap {
+			n.fetchFree = append(n.fetchFree, f)
+		}
 	}
 }
 

@@ -6,7 +6,10 @@ import (
 
 	"strom/internal/hostmem"
 	"strom/internal/mr"
+	"strom/internal/packet"
+	"strom/internal/roce"
 	"strom/internal/sim"
+	"strom/internal/telemetry"
 )
 
 // Op names one of the host interface's four verbs (§5.1, Listing 5).
@@ -28,7 +31,7 @@ var ErrUnknownOp = errors.New("strom: unknown verb op")
 // none was exchanged) and no deadline. Deadline is an absolute sim-time:
 // a verb not acknowledged by then completes with an error wrapping
 // sim.ErrDeadlineExceeded, whether it is stuck behind a stalled doorbell
-// or DMA stage (the guard armed in withDeadline) or waiting for an ACK
+// or DMA stage (the NIC's guard, see verb) or waiting for an ACK
 // (the stack's own deadline event), while the frames already on the wire
 // keep draining through go-back-N — cancellation decouples the caller
 // from the transport without disturbing the PSN space.
@@ -47,61 +50,47 @@ type Verb struct {
 // nil when the remote NIC has acknowledged (for a READ: when the last
 // chunk is visible to a polling CPU).
 func (n *NIC) Post(qpn uint32, v Verb, done func(error)) {
-	switch v.Op {
-	case OpWrite:
-		n.postWrite(qpn, v.LocalVA, v.RemoteVA, v.RKey, v.Len, v.Deadline, done)
-	case OpRead:
-		n.postRead(qpn, v.RemoteVA, v.LocalVA, v.RKey, v.Len, v.Deadline, done)
-	case OpRPC:
-		n.postRPC(qpn, v.RPCOp, v.Params, v.Deadline, done)
-	case OpRPCWrite:
-		n.postRPCWrite(qpn, v.RPCOp, v.LocalVA, v.Len, v.Deadline, done)
-	default:
+	if v.Op < OpWrite || v.Op > OpRPCWrite {
 		n.completeErr(done, fmt.Errorf("%w: %d", ErrUnknownOp, v.Op))
+		return
 	}
+	n.post(qpn, v, done, false)
 }
 
 // Do is Post blocking the calling process until the verb completes.
 func (n *NIC) Do(p *sim.Process, qpn uint32, v Verb) error {
-	c := &sim.Completion[struct{}]{}
-	n.Post(qpn, v, func(err error) {
-		if err != nil {
-			c.Fail(err)
-		} else {
-			c.Complete(struct{}{})
-		}
-	})
-	_, err := c.Wait(p)
+	if v.Op < OpWrite || v.Op > OpRPCWrite {
+		return fmt.Errorf("%w: %d", ErrUnknownOp, v.Op)
+	}
+	r := n.post(qpn, v, nil, true)
+	_, err := r.wait.Wait(p)
+	r.release()
 	return err
 }
 
 // The paper's eight names: each verb with the QP's key and no deadline.
-// The Post forms go straight to the positional implementations at the
-// end of this file, as Post does — PostWrite and PostRead are the
-// simulator's hottest entry points, and a doorbell closure over
-// positional arguments is smaller than one over a Verb.
 
 // PostWrite issues an RDMA WRITE of nbytes from local memory at localVA
 // to the remote address remoteVA. The request handler fetches the payload
 // over DMA and transmits each segment as it arrives (§4.1).
 func (n *NIC) PostWrite(qpn uint32, localVA, remoteVA uint64, nbytes int, done func(error)) {
-	n.postWrite(qpn, localVA, remoteVA, 0, nbytes, 0, done)
+	n.Post(qpn, Verb{Op: OpWrite, LocalVA: localVA, RemoteVA: remoteVA, Len: nbytes}, done)
 }
 
 // PostRead issues an RDMA READ of nbytes from remoteVA into local memory
 // at localVA. Response chunks are DMA-written as they arrive.
 func (n *NIC) PostRead(qpn uint32, remoteVA, localVA uint64, nbytes int, done func(error)) {
-	n.postRead(qpn, remoteVA, localVA, 0, nbytes, 0, done)
+	n.Post(qpn, Verb{Op: OpRead, LocalVA: localVA, RemoteVA: remoteVA, Len: nbytes}, done)
 }
 
 // PostRPC issues an RDMA RPC (Listing 5's postRpc).
 func (n *NIC) PostRPC(qpn uint32, rpcOp uint64, params []byte, done func(error)) {
-	n.postRPC(qpn, rpcOp, params, 0, done)
+	n.Post(qpn, Verb{Op: OpRPC, RPCOp: rpcOp, Params: params}, done)
 }
 
 // PostRPCWrite issues an RDMA RPC WRITE (Listing 5's postRpcWrite).
 func (n *NIC) PostRPCWrite(qpn uint32, rpcOp uint64, localVA uint64, nbytes int, done func(error)) {
-	n.postRPCWrite(qpn, rpcOp, localVA, nbytes, 0, done)
+	n.Post(qpn, Verb{Op: OpRPCWrite, RPCOp: rpcOp, LocalVA: localVA, Len: nbytes}, done)
 }
 
 // WriteSync performs PostWrite and blocks the calling process.
@@ -124,90 +113,186 @@ func (n *NIC) RPCWriteSync(p *sim.Process, qpn uint32, rpcOp uint64, localVA uin
 	return n.Do(p, qpn, Verb{Op: OpRPCWrite, RPCOp: rpcOp, LocalVA: localVA, Len: nbytes})
 }
 
-// withDeadline bounds a completion callback with an absolute sim-time
-// deadline (zero disables): if done has not fired by then, it fires with
-// an error wrapping sim.ErrDeadlineExceeded, and the late transport
-// completion is swallowed. This NIC-level guard covers the doorbell and
+// verb is one posted verb between its doorbell and its completion, the
+// NIC's entry in its table of verbs in flight. Records are recycled and
+// every callback they hand out is bound once, so a verb allocates
+// nothing here whatever its op, deadline or length.
+//
+// A record is recycled only at the call that makes it unreachable. Its
+// holders are counted in refs: the transport, until it calls complete
+// (the stack, and the fetch of a WRITE's payload, complete a verb exactly
+// once); the deadline guard, until it fires or complete cancels it; a
+// READ's sink, until its last response chunk has landed; and a process
+// in Do, until it has read the result. The guard covers the doorbell and
 // DMA stages that run before the stack's own deadline event exists, so a
-// verb posted against a stalled interconnect still times out.
-func (n *NIC) withDeadline(deadline sim.Time, done func(error)) func(error) {
-	if deadline == 0 {
-		return done
+// verb posted against a stalled interconnect still times out; the
+// transport's late completion then finds the record still held and is
+// swallowed. A READ flushed before its last chunk never releases its
+// sink's hold: its record is left to the garbage collector, because a
+// chunk still crossing PCIe would land on it.
+type verb struct {
+	n    *NIC
+	v    Verb // Params is nil: an RPC's are copied into params
+	qpn  uint32
+	done func(error) // the caller's completion; nil for Do
+	// wait is Do's completion (waiting set): the caller parks on it.
+	wait    sim.Completion[struct{}]
+	waiting bool
+	params  []byte // RPC: the copy of v.Params
+
+	refs      int
+	delivered bool      // the caller has been told
+	guard     sim.Event // the deadline guard, while it is pending
+	chunks    int       // READ: response chunks not yet landed in host memory
+	ack       func()    // READ: the stack's acknowledgement of a landed chunk
+
+	// Instrumentation (tel non-nil only when telemetry was attached at
+	// post time): the span's start, trace lane and latency histogram.
+	tel   *nicTelemetry
+	start sim.Time
+	tid   uint32
+	hist  *telemetry.Histogram
+
+	// Bound once per record.
+	complete func(error) // the transport's completion
+	expire   func()      // the deadline guard
+	ring     func()      // the doorbell
+	sink     roce.ReadSink
+	landed   func(error) // a READ chunk's DMA write completion
+}
+
+// freeListCap bounds each of the NIC's free lists; past it, a retired
+// record is left to the garbage collector.
+const freeListCap = 1 << 14
+
+// opNames labels the verbs in traces and metrics.
+var opNames = [...]string{OpWrite: "WRITE", OpRead: "READ", OpRPC: "RPC", OpRPCWrite: "RPC_WRITE"}
+
+// post takes a record for v, arms its deadline guard and rings the
+// doorbell; waiting holds the record for Do.
+func (n *NIC) post(qpn uint32, v Verb, done func(error), waiting bool) *verb {
+	var r *verb
+	if k := len(n.verbFree); k > 0 {
+		r, n.verbFree = n.verbFree[k-1], n.verbFree[:k-1]
+	} else {
+		r = &verb{n: n}
+		r.complete, r.expire, r.ring = r.transportDone, r.guardFired, r.doorbell
+		r.sink, r.landed = r.chunk, r.chunkLanded
 	}
-	fired := false
-	deliver := func(err error) {
-		if fired {
-			return
-		}
-		fired = true
-		if done != nil {
-			done(err)
-		}
+	r.v, r.qpn, r.done, r.waiting, r.refs = v, qpn, done, waiting, 1
+	if waiting {
+		r.refs++
 	}
-	ev := n.eng.ScheduleAt(deadline, func() {
-		deliver(fmt.Errorf("strom: verb canceled: %w", sim.ErrDeadlineExceeded))
-	})
-	return func(err error) {
-		ev.Cancel()
-		deliver(err)
+	n.instrumentVerb(r)
+	if v.Deadline != 0 {
+		r.refs++
+		r.guard = n.eng.ScheduleAt(v.Deadline, r.expire)
+	}
+	if n.crashed {
+		r.complete(ErrMachineDown)
+		return r
+	}
+	if v.Op == OpRPC {
+		r.params = append(r.params[:0], v.Params...)
+	}
+	r.v.Params = nil
+	n.ringDoorbell(r.ring)
+	return r
+}
+
+// doorbell runs when the doorbell write reaches the NIC: the request
+// handler takes the verb over.
+func (r *verb) doorbell() {
+	n, v := r.n, &r.v
+	switch v.Op {
+	case OpWrite:
+		n.fetchPayload(false, r.qpn, v.LocalVA, v.RemoteVA, v.RKey, v.Len, v.Deadline, r.complete)
+	case OpRPCWrite:
+		n.fetchPayload(true, r.qpn, v.LocalVA, v.RPCOp, 0, v.Len, v.Deadline, r.complete)
+	case OpRead:
+		// done fires when the final chunk's DMA write has landed.
+		r.refs++
+		r.chunks = packet.NumSegments(v.Len, n.cfg.Roce.MTUPayload)
+		if err := n.stack.PostRead(r.qpn, v.RemoteVA, v.RKey, v.Len, v.Deadline, r.sink, r.complete); err != nil {
+			r.release() // the sink was never handed out
+			n.completeErr(r.complete, err)
+		}
+	case OpRPC:
+		if err := n.stack.PostRPC(r.qpn, v.RPCOp, r.params, v.Deadline, r.complete); err != nil {
+			n.completeErr(r.complete, err)
+		}
 	}
 }
 
-func (n *NIC) postWrite(qpn uint32, localVA, remoteVA uint64, rkey uint32, nbytes int, deadline sim.Time, done func(error)) {
-	done = n.withDeadline(deadline, n.instrumentOp("WRITE", qpn, done))
-	if n.crashed {
-		n.completeErr(done, ErrMachineDown)
-		return
-	}
-	n.ringDoorbell(func() {
-		n.fetchPayload(false, qpn, localVA, remoteVA, rkey, nbytes, deadline, done)
-	})
+// chunk is the READ's sink: each response chunk is DMA-written to its
+// place in host memory, and the stack acknowledged once it has landed.
+func (r *verb) chunk(off int, data []byte, ack func()) {
+	n := r.n
+	r.ack = ack
+	n.observeDMA(mr.AccessLocal, r.v.LocalVA+uint64(off), len(data))
+	n.dma.WriteHost(hostmem.Addr(r.v.LocalVA)+hostmem.Addr(off), data, r.landed)
 }
 
-// postRead: done fires when the final chunk's DMA write has landed.
-func (n *NIC) postRead(qpn uint32, remoteVA, localVA uint64, rkey uint32, nbytes int, deadline sim.Time, done func(error)) {
-	done = n.withDeadline(deadline, n.instrumentOp("READ", qpn, done))
-	if n.crashed {
-		n.completeErr(done, ErrMachineDown)
-		return
+func (r *verb) chunkLanded(err error) {
+	if err != nil {
+		r.n.logf("dma-fail", "nic: read sink DMA failed: %v", err)
 	}
-	n.ringDoorbell(func() {
-		sink := func(off int, chunk []byte, ack func()) {
-			n.observeDMA(mr.AccessLocal, localVA+uint64(off), len(chunk))
-			n.dma.WriteHost(hostmem.Addr(localVA)+hostmem.Addr(off), chunk, func(err error) {
-				if err != nil {
-					n.logf("dma-fail", "nic: read sink DMA failed: %v", err)
-				}
-				ack()
-			})
-		}
-		if err := n.stack.PostRead(qpn, remoteVA, rkey, nbytes, deadline, sink, done); err != nil {
-			n.completeErr(done, err)
-		}
-	})
+	r.chunks--
+	last := r.chunks == 0
+	r.ack()
+	if last {
+		r.release()
+	}
 }
 
-func (n *NIC) postRPC(qpn uint32, rpcOp uint64, params []byte, deadline sim.Time, done func(error)) {
-	done = n.withDeadline(deadline, n.instrumentOp("RPC", qpn, done))
-	if n.crashed {
-		n.completeErr(done, ErrMachineDown)
-		return
+// transportDone is the verb's completion from the request handler. It
+// cancels the guard, whose hold ends with it: a cancelled event never
+// fires.
+func (r *verb) transportDone(err error) {
+	if r.guard.Pending() {
+		r.guard.Cancel()
+		r.refs--
 	}
-	p := append([]byte(nil), params...)
-	n.ringDoorbell(func() {
-		if err := n.stack.PostRPC(qpn, rpcOp, p, deadline, done); err != nil {
-			n.completeErr(done, err)
-		}
-	})
+	r.deliver(err)
+	r.release()
 }
 
-func (n *NIC) postRPCWrite(qpn uint32, rpcOp uint64, localVA uint64, nbytes int, deadline sim.Time, done func(error)) {
-	done = n.withDeadline(deadline, n.instrumentOp("RPC_WRITE", qpn, done))
-	if n.crashed {
-		n.completeErr(done, ErrMachineDown)
+// guardFired is the deadline guard: the caller is told now, and the
+// transport's completion, when it comes, is swallowed.
+func (r *verb) guardFired() {
+	r.guard = sim.Event{}
+	r.deliver(fmt.Errorf("strom: verb canceled: %w", sim.ErrDeadlineExceeded))
+	r.release()
+}
+
+// deliver tells the caller, once.
+func (r *verb) deliver(err error) {
+	if r.delivered {
 		return
 	}
-	n.ringDoorbell(func() {
-		n.fetchPayload(true, qpn, localVA, rpcOp, 0, nbytes, deadline, done)
-	})
+	r.delivered = true
+	r.n.observeVerb(r, err)
+	switch {
+	case r.waiting:
+		if err != nil {
+			r.wait.Fail(err)
+		} else {
+			r.wait.Complete(struct{}{})
+		}
+	case r.done != nil:
+		r.done(err)
+	}
+}
+
+// release drops one hold and recycles the record with the last.
+func (r *verb) release() {
+	if r.refs--; r.refs > 0 {
+		return
+	}
+	n := r.n
+	r.done, r.ack, r.tel, r.hist = nil, nil, nil, nil
+	r.wait, r.delivered = sim.Completion[struct{}]{}, false
+	if len(n.verbFree) < freeListCap {
+		n.verbFree = append(n.verbFree, r)
+	}
 }

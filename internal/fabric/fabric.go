@@ -133,6 +133,10 @@ type direction struct {
 	tb  *telemetry.TraceBuffer
 	pid uint32
 	tid uint32
+
+	// The scrape's reports, reused (see export.ScrapeFunc).
+	healthC map[string]uint64
+	healthG map[string]float64
 }
 
 // newDirection builds one side of a link or switch port.
@@ -350,20 +354,21 @@ func (l *Link) StatsBtoA() Stats { return l.b.stats }
 // fcs_err (the receiver discards corrupted frames on ICRC), and wire
 // utilisation as a gauge.
 func (d *direction) health() (map[string]uint64, map[string]float64) {
-	st := &d.stats
-	return map[string]uint64{
-			"out_frames":           st.Frames,
-			"out_bytes":            st.Bytes,
-			"out_discards":         st.Dropped,
-			"out_discards_chaos":   st.DroppedChaos,
-			"out_discards_flap":    st.DroppedFlap,
-			"out_discards_offline": st.DroppedOffline,
-			"fcs_err":              st.Corrupted,
-			"dup_frames":           st.Duplicated,
-			"delayed_frames":       st.Delayed,
-		}, map[string]float64{
-			"utilisation": d.wire.Utilisation(),
-		}
+	if d.healthC == nil {
+		d.healthC, d.healthG = make(map[string]uint64), make(map[string]float64)
+	}
+	st, c := &d.stats, d.healthC
+	c["out_frames"] = st.Frames
+	c["out_bytes"] = st.Bytes
+	c["out_discards"] = st.Dropped
+	c["out_discards_chaos"] = st.DroppedChaos
+	c["out_discards_flap"] = st.DroppedFlap
+	c["out_discards_offline"] = st.DroppedOffline
+	c["fcs_err"] = st.Corrupted
+	c["dup_frames"] = st.Duplicated
+	c["delayed_frames"] = st.Delayed
+	d.healthG["utilisation"] = d.wire.Utilisation()
+	return c, d.healthG
 }
 
 // HealthAtoB returns the a→b direction's health report. On a sharded

@@ -82,8 +82,25 @@ type swPort struct {
 	// Egress queue (output-queued: one queue per egress port).
 	eqBytes  int
 	eqFrames int
+	// releases holds the frames on the egress wire in transmission order,
+	// each to return its bytes to the pool when its last byte has left.
+	// Release times are the wire's reservations, non-decreasing in push
+	// order, so the engine fires releaseFn (bound once) in push order
+	// (see sim.FIFO) and no frame allocates a release closure.
+	releases  sim.FIFO[release]
+	releaseFn func()
 
 	stats SwitchPortStats
+	// The scrape's reports, reused (see export.ScrapeFunc).
+	health      map[string]uint64
+	healthGauge map[string]float64
+}
+
+// release is one admitted frame's claim on the shared pool: n bytes held
+// for ingress port from.
+type release struct {
+	from *swPort
+	n    int
 }
 
 // DeliverFrame is the port's ingress: a frame fully arrived from the
@@ -136,6 +153,9 @@ type Port struct {
 	held   [][]byte
 
 	stats PortStats
+	// The scrape's reports, reused (see export.ScrapeFunc).
+	health      map[string]uint64
+	healthGauge map[string]float64
 }
 
 // PortStats counts NIC-side PFC activity; the uplink's wire counters are
@@ -165,6 +185,7 @@ func (s *Switch) AttachPortOn(nicEng *sim.Engine, mac packet.MAC, ep Endpoint) *
 		mac: mac,
 		dir: newDirection(s.eng, nicEng, link.BandwidthGbps, link.Propagation, ep),
 	}
+	sp.releaseFn = sp.releaseNext
 	sp.nic = &Port{up: newDirection(nicEng, s.eng, link.BandwidthGbps, link.Propagation+s.cfg.Forwarding, sp)}
 	s.ports = append(s.ports, sp)
 	s.byMAC[mac] = sp
@@ -219,18 +240,20 @@ func (p *Port) Health() (map[string]uint64, map[string]float64) {
 	if p.paused {
 		paused = 1
 	}
-	return map[string]uint64{
-			"pfc_pause_rx":   p.stats.PauseRx,
-			"pfc_resume_rx":  p.stats.ResumeRx,
-			"frames_held":    p.stats.FramesHeld,
-			"out_discards":   up.Dropped,
-			"fcs_err":        up.Corrupted,
-			"dup_frames":     up.Duplicated,
-			"delayed_frames": up.Delayed,
-		}, map[string]float64{
-			"held_frames": float64(len(p.held)),
-			"paused":      paused,
-		}
+	if p.health == nil {
+		p.health, p.healthGauge = make(map[string]uint64), make(map[string]float64)
+	}
+	c, g := p.health, p.healthGauge
+	c["pfc_pause_rx"] = p.stats.PauseRx
+	c["pfc_resume_rx"] = p.stats.ResumeRx
+	c["frames_held"] = p.stats.FramesHeld
+	c["out_discards"] = up.Dropped
+	c["fcs_err"] = up.Corrupted
+	c["dup_frames"] = up.Duplicated
+	c["delayed_frames"] = up.Delayed
+	g["held_frames"] = float64(len(p.held))
+	g["paused"] = paused
+	return c, g
 }
 
 // ingress runs on the switch engine when a frame fully arrives from a
@@ -277,9 +300,17 @@ func (s *Switch) ingress(from *swPort, buf []byte) {
 	if now := s.eng.Now(); txStart < now {
 		txStart = now
 	}
-	s.eng.ScheduleAt(txStart.Add(wireTime), func() { s.release(from, out, n) })
+	out.releases.Push(release{from: from, n: n})
+	s.eng.ScheduleAt(txStart.Add(wireTime), out.releaseFn)
 	out.dir.send(buf)
 	packet.PutBuf(buf)
+}
+
+// releaseNext returns the bytes of the oldest frame on the port's egress
+// wire to the shared pool.
+func (out *swPort) releaseNext() {
+	r := out.releases.Pop()
+	out.sw.release(r.from, out, r.n)
 }
 
 // release returns a transmitted frame's bytes to the shared pool and
@@ -309,33 +340,35 @@ func (s *Switch) signal(from *swPort, paused bool) {
 // breakdown, PFC and ECN activity, and queue-depth gauges. Scrape it on
 // the switch's engine.
 func (s *Switch) PortHealth(i int) func() (map[string]uint64, map[string]float64) {
-	p := s.ports[i]
-	return func() (map[string]uint64, map[string]float64) {
-		st := &p.stats
-		// out_discards folds in egress-wire drops (chaos injectors on
-		// SetEgressFaults) so the out-discards alert rule sees injected
-		// loss on switched paths the way it does on point-to-point links;
-		// the cause counters still sum to the aggregate.
-		return map[string]uint64{
-				"in_frames":             st.InFrames,
-				"in_bytes":              st.InBytes,
-				"out_frames":            p.dir.stats.Frames,
-				"out_bytes":             p.dir.stats.Bytes,
-				"out_discards":          st.Discards + p.dir.stats.Dropped,
-				"out_discards_overflow": st.DiscardOverflow,
-				"out_discards_no_route": st.DiscardNoRoute,
-				"out_discards_wire":     p.dir.stats.Dropped,
-				"fcs_err":               p.dir.stats.Corrupted,
-				"pfc_pause_tx":          st.PauseTx,
-				"pfc_resume_tx":         st.ResumeTx,
-				"ecn_marked":            st.EcnMarked,
-			}, map[string]float64{
-				"egress_queue_bytes":  float64(p.eqBytes),
-				"egress_queue_frames": float64(p.eqFrames),
-				"ingress_used_bytes":  float64(p.used),
-				"utilisation":         p.dir.wire.Utilisation(),
-			}
+	return s.ports[i].healthReport
+}
+
+func (p *swPort) healthReport() (map[string]uint64, map[string]float64) {
+	if p.health == nil {
+		p.health, p.healthGauge = make(map[string]uint64), make(map[string]float64)
 	}
+	st, c, g := &p.stats, p.health, p.healthGauge
+	c["in_frames"] = st.InFrames
+	c["in_bytes"] = st.InBytes
+	c["out_frames"] = p.dir.stats.Frames
+	c["out_bytes"] = p.dir.stats.Bytes
+	// out_discards folds in egress-wire drops (chaos injectors on
+	// SetEgressFaults) so the out-discards alert rule sees injected loss on
+	// switched paths the way it does on point-to-point links; the cause
+	// counters still sum to the aggregate.
+	c["out_discards"] = st.Discards + p.dir.stats.Dropped
+	c["out_discards_overflow"] = st.DiscardOverflow
+	c["out_discards_no_route"] = st.DiscardNoRoute
+	c["out_discards_wire"] = p.dir.stats.Dropped
+	c["fcs_err"] = p.dir.stats.Corrupted
+	c["pfc_pause_tx"] = st.PauseTx
+	c["pfc_resume_tx"] = st.ResumeTx
+	c["ecn_marked"] = st.EcnMarked
+	g["egress_queue_bytes"] = float64(p.eqBytes)
+	g["egress_queue_frames"] = float64(p.eqFrames)
+	g["ingress_used_bytes"] = float64(p.used)
+	g["utilisation"] = p.dir.wire.Utilisation()
+	return c, g
 }
 
 // String describes the switch.

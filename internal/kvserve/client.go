@@ -86,6 +86,7 @@ type session struct {
 	// landing area out into it. Slices of it die with the op. Sized for
 	// the largest tenant, a large value followed by its extent image.
 	buf  [LargeValCap + ExtentSize]byte
+	want [LargeValCap]byte // a Get's self-check encodes the expected value here
 	join join
 
 	// pairRead completes a pair's slot READ in join slot 0, copying the
@@ -197,6 +198,8 @@ type Client struct {
 	bo       sim.Backoff
 	deadline sim.Duration
 
+	health map[string]uint64 // Health's report, reused
+
 	reg       *telemetry.Registry
 	histPut   *telemetry.Histogram
 	histGet   *telemetry.Histogram
@@ -244,15 +247,19 @@ func (c *Client) MarkUp(server int) {
 }
 
 // Health is the client's scrape function for the JSONL recorder: the
-// torn-read detection surface the torn-read rate rule watches.
+// torn-read detection surface the torn-read rate rule watches. The map
+// is reused: each call overwrites the last report.
 func (c *Client) Health() (map[string]uint64, map[string]float64) {
-	return map[string]uint64{
-		"kv_torn_detected":  c.Stats.TornDetected,
-		"kv_torn_retries":   c.Stats.TornRetries,
-		"kv_torn_failover":  c.Stats.TornFailovers,
-		"kv_spilled_reads":  c.Stats.SpilledReads,
-		"kv_orphans_reaped": c.Stats.OrphansReaped,
-	}, nil
+	if c.health == nil {
+		c.health = make(map[string]uint64, 5)
+	}
+	h := c.health
+	h["kv_torn_detected"] = c.Stats.TornDetected
+	h["kv_torn_retries"] = c.Stats.TornRetries
+	h["kv_torn_failover"] = c.Stats.TornFailovers
+	h["kv_spilled_reads"] = c.Stats.SpilledReads
+	h["kv_orphans_reaped"] = c.Stats.OrphansReaped
+	return h, nil
 }
 
 // acquire pops a free session; every public op holds exactly one.
@@ -276,14 +283,17 @@ func (c *Client) wasLarge(key, ver uint64) bool { return c.larges[key][ver] }
 
 // expectedVal returns the bytes (nil for a tombstone) that version ver
 // of key must carry.
-func (c *Client) expectedVal(key, ver uint64) []byte {
-	if c.wasDelete(key, ver) {
-		return nil
+func (c *Client) expectedVal(key, ver uint64) []byte { return c.appendExpected(nil, key, ver) }
+
+// appendExpected appends expectedVal(key, ver) to dst.
+func (c *Client) appendExpected(dst []byte, key, ver uint64) []byte {
+	switch {
+	case c.wasDelete(key, ver):
+		return dst
+	case c.wasLarge(key, ver):
+		return appendLargeValue(dst, key, ver)
 	}
-	if c.wasLarge(key, ver) {
-		return LargeValueFor(key, ver)
-	}
-	return ValueFor(key, ver)
+	return appendValue(dst, key, ver)
 }
 
 // refetchRKey re-reads a server's current region key — the control
@@ -752,12 +762,12 @@ func (c *Client) Get(p *sim.Process, key uint64) (slot Slot, found bool, err err
 		}
 		if slot.Flags&FlagSpilled != 0 {
 			slot.Val = val
-			c.checkLarge(key, slot)
+			c.checkLarge(sess, key, slot)
 		} else {
 			// Inline from the start, or the key went back inline while we
 			// chased the extent. The one copy of a served value: out of the
 			// session scratch, which the next op on this session overwrites.
-			c.checkSlot(key, slot)
+			c.checkSlot(sess, key, slot)
 			slot.Val = append([]byte(nil), slot.Val...)
 		}
 		if server != prim {
@@ -784,7 +794,8 @@ func (c *Client) Get(p *sim.Process, key uint64) (slot Slot, found bool, err err
 
 // checkSlot audits a successfully read inline slot against the
 // deterministic value function; any divergence is a misapplied write.
-func (c *Client) checkSlot(key uint64, s Slot) {
+// The expected value is encoded into the session's want scratch.
+func (c *Client) checkSlot(sess *session, key uint64, s Slot) {
 	if s.Flags&FlagSpilled != 0 {
 		return // spilled slots are checked end-to-end by checkLarge
 	}
@@ -802,7 +813,7 @@ func (c *Client) checkSlot(key uint64, s Slot) {
 		c.Stats.Misapplied++
 		return
 	}
-	want := c.expectedVal(key, s.Ver)
+	want := c.appendExpected(sess.want[:0], key, s.Ver)
 	if len(s.Val) != len(want) {
 		c.Stats.Misapplied++
 		return
@@ -820,12 +831,12 @@ func (c *Client) checkSlot(key uint64, s Slot) {
 // value must equal the deterministic function of its version stamp —
 // anything else means a torn value made it past detection, the exact
 // violation the chaos audit gates on.
-func (c *Client) checkLarge(key uint64, s Slot) {
+func (c *Client) checkLarge(sess *session, key uint64, s Slot) {
 	if s.Key != key || s.Ver == 0 || s.Ver > c.issued[key] {
 		c.Stats.Misapplied++
 		return
 	}
-	want := c.expectedVal(key, s.Ver)
+	want := c.appendExpected(sess.want[:0], key, s.Ver)
 	if len(s.Val) != len(want) {
 		c.Stats.TornServed++
 		c.Stats.Misapplied++

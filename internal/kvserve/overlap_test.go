@@ -488,31 +488,40 @@ func opLoop(tb testing.TB, cl *Cluster, op func(p *sim.Process, i int) error) (s
 	return step
 }
 
-// TestAllocsPutPath pins the objects one Put and one PutLarge allocate
+// TestAllocsPutPath pins the objects one Put, PutLarge and Get allocate
 // through the whole stack (client, NIC, transport, switch), so a change
 // that would trip the benchmark's 2 % host_allocs_per_op gate on
-// kv-inline or kv-large fails here first. The client's own share is
-// zero: images are encoded in session scratch and the overlapped
-// attempt's join is built once per session.
+// kv-inline or kv-large fails here first. What is left is one retained
+// request frame per verb (a Put writes two replicas, a PutLarge an extent
+// and a slot on each) and the value a Get hands its caller. The client's
+// own share is otherwise zero: images are encoded and a Get's self-check
+// is done in session scratch, and the overlapped attempt's join is built
+// once per session.
 func TestAllocsPutPath(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race-runtime instrumentation allocates; AllocsPerRun is only meaningful without -race")
 	}
 	for _, tc := range []struct {
 		name string
-		put  func(*Client, *sim.Process, uint64) error
+		op   func(*Client, *sim.Process, uint64) error
 		max  float64
 	}{
-		{"Put", (*Client).Put, 26},
-		{"PutLarge", (*Client).PutLarge, 52},
+		{"Put", (*Client).Put, 2},
+		{"PutLarge", (*Client).PutLarge, 4},
+		{"Get", getOp, 2},
 	} {
 		_, cl := newTestCluster(t, 1)
-		step := opLoop(t, cl, func(p *sim.Process, i int) error { return tc.put(cl.Client, p, uint64(i%64+1)) })
-		for i := 0; i < 128; i++ { // every key written: maps and arenas at size
+		op := (*Client).Put // every key written first: maps and arenas at size
+		step := opLoop(t, cl, func(p *sim.Process, i int) error { return op(cl.Client, p, uint64(i%64+1)) })
+		for i := 0; i < 128; i++ {
+			step()
+		}
+		op = tc.op
+		for i := 0; i < 128; i++ {
 			step()
 		}
 		if n := testing.AllocsPerRun(200, step); n > tc.max {
-			t.Errorf("%s allocates %.0f objects, want <= %.0f", tc.name, n, tc.max)
+			t.Errorf("%s allocates %.2f objects, want <= %.0f", tc.name, n, tc.max)
 		}
 	}
 }

@@ -29,6 +29,9 @@ type Server struct {
 
 	heartbeats uint64
 	serving    float64
+	// Health's report, reused (see export.ScrapeFunc).
+	health      map[string]uint64
+	healthGauge map[string]float64
 }
 
 // NewServer lays the two shard tables, their two extent arenas, and a
@@ -92,10 +95,15 @@ func (s *Server) StartHeartbeat() {
 	})
 }
 
-// Health is the server's scrape function for the JSONL recorder.
+// Health is the server's scrape function for the JSONL recorder. The
+// maps are reused: each call overwrites the last report.
 func (s *Server) Health() (map[string]uint64, map[string]float64) {
-	return map[string]uint64{"kv_heartbeats": s.heartbeats},
-		map[string]float64{"kv_serving": s.serving}
+	if s.health == nil {
+		s.health, s.healthGauge = make(map[string]uint64, 1), make(map[string]float64, 1)
+	}
+	s.health["kv_heartbeats"] = s.heartbeats
+	s.healthGauge["kv_serving"] = s.serving
+	return s.health, s.healthGauge
 }
 
 // ObjectName returns the server's alert/stream object name; the

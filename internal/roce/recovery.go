@@ -103,15 +103,18 @@ func (s *Stack) sendable(st *qpState) error {
 // multi-packet messages complete once and already-expired deadlines stay
 // settled.
 func (s *Stack) flushQP(qpn uint32, st *qpState, err error) {
-	s.timers[qpn].Cancel()
-	s.timers[qpn] = sim.Event{}
-	for _, p := range st.pending {
+	s.timers[qpn].ev.Cancel()
+	s.timers[qpn].ev = sim.Event{}
+	for i, p := range st.pending {
 		p.msg.finish(err)
+		st.pending[i] = nil
+		s.freePending(p)
 	}
 	st.pending, st.sent = st.pending[:0], 0
 	for s.mq.len(qpn) > 0 {
 		e, _ := s.mq.popHead(qpn)
 		e.Msg.finish(err)
+		s.retireRead(e)
 	}
 }
 
@@ -236,11 +239,54 @@ func (s *Stack) armDeadline(msg *outMessage, deadline sim.Time) {
 	if deadline == 0 {
 		return
 	}
-	msg.deadline = s.eng.ScheduleAt(deadline, func() {
-		if msg.done {
-			return
-		}
+	var d *verbDeadline
+	if k := len(s.dlFree); k > 0 {
+		d, s.dlFree = s.dlFree[k-1], s.dlFree[:k-1]
+	} else {
+		d = &verbDeadline{s: s}
+		d.expire = d.fire
+	}
+	d.msg, msg.dl = msg, d
+	msg.refs++
+	d.ev = s.eng.ScheduleAt(deadline, d.expire)
+}
+
+// verbDeadline is one verb's pending cancellation. Records are recycled,
+// their expiry bound once. A record is unreachable once its event has
+// fired, or once finish has cancelled it: a cancelled event never fires,
+// so the record may serve a new verb while the dead event still sits in
+// the queue.
+type verbDeadline struct {
+	s      *Stack
+	msg    *outMessage
+	ev     sim.Event
+	expire func()
+}
+
+// fire completes the verb if nothing has yet, then recycles the record.
+func (d *verbDeadline) fire() {
+	s, msg := d.s, d.msg
+	if !msg.done {
 		s.stats.DeadlineExpired++
 		msg.finish(fmt.Errorf("roce: verb canceled: %w", sim.ErrDeadlineExceeded))
-	})
+	}
+	s.freeDeadline(d)
+}
+
+// cancel stops a deadline that has not fired and recycles it. One that is
+// firing (finish called from fire) is left to fire.
+func (d *verbDeadline) cancel() {
+	if d.ev.Pending() {
+		d.ev.Cancel()
+		d.s.freeDeadline(d)
+	}
+}
+
+func (s *Stack) freeDeadline(d *verbDeadline) {
+	m := d.msg
+	d.msg, d.ev = nil, sim.Event{}
+	if len(s.dlFree) < freeListCap {
+		s.dlFree = append(s.dlFree, d)
+	}
+	s.releaseMsg(m)
 }

@@ -77,7 +77,7 @@ func TestRetryExhaustionFlushesAllOps(t *testing.T) {
 	if p.a.Stats().QPErrors != 1 {
 		t.Errorf("QPErrors = %d", p.a.Stats().QPErrors)
 	}
-	if p.a.timers[1].Pending() {
+	if p.a.timers[1].ev.Pending() {
 		t.Error("retransmission timer still armed after flush")
 	}
 	if len(p.a.st.qps[1].pending) != 0 || p.a.mq.len(1) != 0 {

@@ -112,7 +112,7 @@ type Stack struct {
 	mq     *multiQueue
 	rxPath *sim.Serializer
 	txPath *sim.Serializer
-	timers []sim.Event
+	timers []qpTimer
 
 	stats Stats
 
@@ -154,16 +154,37 @@ type Stack struct {
 	txDrainFn func()
 	rxDrainFn func()
 
-	// Free list for pendingPacket bookkeeping entries, recycled when the
-	// cumulative-ACK path retires them, and for the responder's READ
-	// servings, recycled when their last piece has been sent.
-	ppFree []*pendingPacket
-	rsFree []*readServing
+	// Free lists, each bounded by freeListCap: pendingPacket entries,
+	// recycled when an entry leaves its QP's pending list (acknowledged,
+	// answered, refused or flushed); messages, recycled when their last
+	// hold goes (see outMessage); verb deadlines, recycled when their
+	// event has fired or been cancelled; Multi-Queue elements, recycled
+	// when popped and fully acknowledged (retireRead); and the
+	// responder's READ servings, recycled when their last piece has been
+	// sent.
+	ppFree  []*pendingPacket
+	msgFree []*outMessage
+	dlFree  []*verbDeadline
+	mqFree  []*mqElement
+	rsFree  []*readServing
 
 	// Per-QP retransmission counters, kept beside (not inside) qpState so
 	// they survive ResetQP/ReconnectQP: the retry-storm alert rule watches
 	// their rate, and a reset must never make a counter go backwards.
 	qpRetrans []uint64
+}
+
+// freeListCap bounds each of the stack's free lists; past it, a retired
+// record is left to the garbage collector.
+const freeListCap = 1 << 14
+
+// qpTimer is one QP's retransmission timer: the pending expiry, the QP's
+// progress counter when it was armed, and the expiry func, bound once per
+// QP so that arming allocates nothing.
+type qpTimer struct {
+	ev   sim.Event
+	snap uint64
+	fire func()
 }
 
 // txDone is one queued TX-pipeline completion.
@@ -191,7 +212,7 @@ func NewStack(eng *sim.Engine, cfg Config, id Identity, handler Handler, transmi
 		mq:        newMultiQueue(cfg.NumQPs, cfg.MultiQueuePool, cfg.ReadDepthPerQP),
 		rxPath:    sim.NewSerializer(eng),
 		txPath:    sim.NewSerializer(eng),
-		timers:    make([]sim.Event, cfg.NumQPs),
+		timers:    make([]qpTimer, cfg.NumQPs),
 		qpRetrans: make([]uint64, cfg.NumQPs),
 	}
 	s.txDrainFn = s.drainTx
@@ -235,6 +256,7 @@ func (s *Stack) CreateQP(qpn uint32, remote Identity, remoteQPN uint32) error {
 func (s *Stack) enqueue(qpn uint32, st *qpState, pkt *packet.Packet, npsn uint32, msg *outMessage) *pendingPacket {
 	pp := s.newPending()
 	pp.psn, pp.npsn, pp.msg, pp.isRead, pp.lastOf = pkt.BTH.PSN, npsn, msg, msg.isRead, !msg.isRead
+	msg.refs++
 	st.pending = append(st.pending, pp)
 	s.fill(st, pp, pkt)
 	s.pump(qpn, st)
@@ -441,8 +463,11 @@ func (w *WriteStream) Feed(data []byte) {
 // error mid-message). The PSNs of the missing segments cannot be taken
 // back, so this is the IB local-access error: the QP moves to ERROR and
 // every outstanding verb on it, this one included, completes with
-// ErrQPError wrapping cause. A no-op once the message is flushed or
-// fully fed.
+// ErrQPError wrapping cause. A no-op once the message is flushed.
+//
+// The stream is the caller's until its last piece is fed; after that the
+// message record belongs to the stack again, which recycles it, and
+// neither Feed nor Abort may be called.
 func (w *WriteStream) Abort(cause error) {
 	m := (*outMessage)(w)
 	s, st := m.owner, &m.owner.st.qps[m.qpn]
@@ -471,7 +496,8 @@ func (s *Stack) postSegmented(qpn uint32, kind packet.MessageKind, reth packet.R
 	}
 	opID := s.newOp(st)
 	nseg := packet.NumSegments(int(reth.DMALength), s.cfg.MTUPayload)
-	msg := &outMessage{kind: kind, owner: s, complete: done, qpn: qpn, nseg: uint32(nseg)}
+	msg := s.newMsg(outMessage{kind: kind, owner: s, complete: done, qpn: qpn, nseg: uint32(nseg)})
+	msg.refs++ // the stream's, until its last piece is fed
 	s.stats.OpsPosted++
 	s.instrumentMsg(opID, kindName(kind), msg)
 	s.armDeadline(msg, deadline)
@@ -480,6 +506,7 @@ func (s *Stack) postSegmented(qpn uint32, kind packet.MessageKind, reth packet.R
 	for i := 0; i < nseg; i++ {
 		pp := s.newPending()
 		pp.psn, pp.npsn, pp.msg, pp.lastOf = psnAdd(st.nextPSN, uint32(i)), 1, msg, i == nseg-1
+		msg.refs++
 		st.pending = append(st.pending, pp)
 	}
 	st.nextPSN = psnAdd(st.nextPSN, uint32(nseg))
@@ -523,6 +550,9 @@ func (s *Stack) feed(st *qpState, m *outMessage, reth packet.RETH, data []byte) 
 			if len(seg) < mtu && m.seg < m.nseg {
 				panic("roce: a piece before the last must be a whole number of MTU payloads")
 			}
+			if m.seg == m.nseg {
+				s.releaseMsg(m) // the stream's hold
+			}
 			return
 		}
 	}
@@ -539,12 +569,44 @@ func (s *Stack) newPending() *pendingPacket {
 	return &pendingPacket{}
 }
 
-// freePending recycles an entry the ACK path removed from a pending
-// list. Only entries no longer reachable from any qpState may be freed.
+// freePending recycles an entry removed from its QP's pending list, and
+// drops its hold on its message. Only entries no longer reachable from
+// any qpState may be freed.
 func (s *Stack) freePending(p *pendingPacket) {
+	m := p.msg
 	*p = pendingPacket{}
-	if len(s.ppFree) < 1<<14 {
+	if len(s.ppFree) < freeListCap {
 		s.ppFree = append(s.ppFree, p)
+	}
+	if m != nil {
+		s.releaseMsg(m)
+	}
+}
+
+// newMsg takes a message record from the free list, set to m.
+func (s *Stack) newMsg(m outMessage) *outMessage {
+	if k := len(s.msgFree); k > 0 {
+		p := s.msgFree[k-1]
+		s.msgFree[k-1] = nil
+		s.msgFree = s.msgFree[:k-1]
+		*p = m
+		return p
+	}
+	p := new(outMessage)
+	*p = m
+	return p
+}
+
+// releaseMsg drops one hold on m and recycles it with the last (see
+// outMessage). A message whose last hold goes before it has completed
+// cannot complete any more; it is left to the garbage collector.
+func (s *Stack) releaseMsg(m *outMessage) {
+	if m.refs--; m.refs > 0 || !m.done {
+		return
+	}
+	*m = outMessage{}
+	if len(s.msgFree) < freeListCap {
+		s.msgFree = append(s.msgFree, m)
 	}
 }
 
@@ -563,7 +625,7 @@ func (s *Stack) PostRPC(qpn uint32, rpcOp uint64, params []byte, deadline sim.Ti
 	if err != nil {
 		return err
 	}
-	msg := &outMessage{owner: s, complete: done, qpn: qpn}
+	msg := s.newMsg(outMessage{owner: s, complete: done, qpn: qpn})
 	s.stats.OpsPosted++
 	s.instrumentMsg(opID, "RPC", msg)
 	s.armDeadline(msg, deadline)
@@ -592,22 +654,16 @@ func (s *Stack) PostRead(qpn uint32, remoteVA uint64, rkey uint32, n int, deadli
 	}
 	opID := s.newOp(st)
 	npsn := uint32(packet.NumSegments(n, s.cfg.MTUPayload))
-	msg := &outMessage{isRead: true, owner: s, complete: done, qpn: qpn}
-	elem, err := s.mq.push(qpn, mqElement{
-		FirstPSN: st.nextPSN,
-		LastPSN:  psnAdd(st.nextPSN, npsn-1),
-		Length:   n,
-		Sink:     sink,
-		Msg:      msg,
-		nextPSN:  st.nextPSN,
-	})
-	if err != nil {
+	elem := s.newElem()
+	elem.FirstPSN, elem.LastPSN, elem.nextPSN = st.nextPSN, psnAdd(st.nextPSN, npsn-1), st.nextPSN
+	elem.Length, elem.Sink = n, sink
+	if err := s.mq.push(qpn, elem); err != nil {
+		s.freeElem(elem)
 		return fmt.Errorf("%w: %v", ErrTooManyReads, err)
 	}
-	elem.ack = func() {
-		elem.inFlight--
-		s.maybeCompleteRead(elem)
-	}
+	msg := s.newMsg(outMessage{isRead: true, owner: s, complete: done, qpn: qpn})
+	elem.Msg = msg
+	msg.refs++
 	s.stats.OpsPosted++
 	s.instrumentMsg(opID, "READ", msg)
 	s.armDeadline(msg, deadline)
@@ -994,7 +1050,17 @@ func (s *Stack) ackUpTo(qpn uint32, st *qpState, psn uint32) {
 		k++
 	}
 	if k > 0 {
-		st.pending = st.pending[k:]
+		// Slide the survivors down when they are no more than the retired
+		// prefix (at most k moves, so still O(1) amortised): the list keeps
+		// its array, which re-slicing the prefix off would shrink until
+		// append reallocates.
+		if rest := len(st.pending) - k; rest <= k {
+			copy(st.pending, st.pending[k:])
+			clear(st.pending[rest:])
+			st.pending = st.pending[:rest]
+		} else {
+			st.pending = st.pending[k:]
+		}
 		st.sent -= k
 	}
 	st.retries = 0
@@ -1021,21 +1087,24 @@ func (s *Stack) failPSN(qpn uint32, st *qpState, psn uint32) {
 	keep := st.pending[:0]
 	for _, p := range st.pending[:st.sent] {
 		covers := psnGE(psn, p.psn) && psnGE(p.endPSN(), psn)
-		if covers || p.msg.done {
+		switch {
+		case covers || p.msg.done:
 			p.msg.finish(ErrRemoteInvalid)
-			continue
-		}
-		if psnLT(p.endPSN(), psn) {
+		case psnLT(p.endPSN(), psn):
 			// Earlier packets were accepted by the responder.
 			if p.lastOf && !p.isRead {
 				p.msg.finish(nil)
 			}
+		default:
+			keep = append(keep, p)
 			continue
 		}
-		keep = append(keep, p)
+		s.freePending(p)
 	}
+	n := len(st.pending)
 	st.sent = len(keep)
 	st.pending = append(keep, unsent...)
+	clear(st.pending[len(st.pending):n])
 	s.armTimer(qpn, st)
 }
 
@@ -1075,6 +1144,7 @@ func (s *Stack) handleReadResponse(qpn uint32, st *qpState, pkt *packet.Packet) 
 			s.maybeCompleteRead(done)
 			// Cumulative acknowledgement for earlier requests.
 			s.ackUpTo(qpn, st, psnAdd(done.FirstPSN, psnMask))
+			s.retireRead(done)
 		}
 	}
 }
@@ -1085,6 +1155,47 @@ func (s *Stack) maybeCompleteRead(e *mqElement) {
 	}
 }
 
+// newElem takes a Multi-Queue element from the free list, or makes one
+// with its sink acknowledgement bound.
+func (s *Stack) newElem() *mqElement {
+	if k := len(s.mqFree); k > 0 {
+		e := s.mqFree[k-1]
+		s.mqFree[k-1] = nil
+		s.mqFree = s.mqFree[:k-1]
+		return e
+	}
+	e := &mqElement{}
+	e.ack = func() {
+		e.inFlight--
+		s.maybeCompleteRead(e)
+		s.retireRead(e)
+	}
+	return e
+}
+
+// retireRead recycles a READ's element at the call that makes it
+// unreachable: once it is off its QP's list, where the response path finds
+// it, and its sink has acknowledged every chunk it was handed, so no late
+// acknowledgement can land on the element's next READ. A READ flushed
+// while a chunk was still on its way to host memory is retired by that
+// chunk's acknowledgement.
+func (s *Stack) retireRead(e *mqElement) {
+	if e.popped && e.inFlight == 0 {
+		s.freeElem(e)
+	}
+}
+
+func (s *Stack) freeElem(e *mqElement) {
+	ack, m := e.ack, e.Msg
+	*e = mqElement{ack: ack}
+	if len(s.mqFree) < freeListCap {
+		s.mqFree = append(s.mqFree, e)
+	}
+	if m != nil {
+		s.releaseMsg(m)
+	}
+}
+
 func (s *Stack) removeReadPending(st *qpState, firstPSN uint32) {
 	keep := st.pending[:0]
 	for i, p := range st.pending {
@@ -1092,10 +1203,12 @@ func (s *Stack) removeReadPending(st *qpState, firstPSN uint32) {
 			if i < st.sent {
 				st.sent--
 			}
+			s.freePending(p)
 			continue
 		}
 		keep = append(keep, p)
 	}
+	clear(st.pending[len(keep):])
 	st.pending = keep
 }
 
@@ -1106,25 +1219,33 @@ func (s *Stack) removeReadPending(st *qpState, firstPSN uint32) {
 // already ticking is left alone — expiry re-checks the QP's activity
 // counter, so the timer only fires after a full quiet interval (hardware
 // timers restarted on activity), without rescheduling per packet.
+// The snapshot of the activity counter lives in the QP's qpTimer beside
+// the one pending expiry it belongs to; flushQP cancels that expiry, so
+// a reset QP never takes a timeout armed before the reset.
 func (s *Stack) armTimer(qpn uint32, st *qpState) {
+	t := &s.timers[qpn]
 	if len(st.pending) == 0 && s.mq.len(qpn) == 0 {
-		s.timers[qpn].Cancel()
-		s.timers[qpn] = sim.Event{}
+		t.ev.Cancel()
+		t.ev = sim.Event{}
 		return
 	}
-	if s.timers[qpn].Pending() {
+	if t.ev.Pending() {
 		return
 	}
-	snap := st.progress
-	s.timers[qpn] = s.eng.Schedule(s.cfg.RetransTimeout, func() { s.onTimeout(qpn, st, snap) })
+	if t.fire == nil {
+		t.fire = func() { s.onTimeout(qpn, st) }
+	}
+	t.snap = st.progress
+	t.ev = s.eng.Schedule(s.cfg.RetransTimeout, t.fire)
 }
 
-func (s *Stack) onTimeout(qpn uint32, st *qpState, snap uint64) {
-	s.timers[qpn] = sim.Event{}
+func (s *Stack) onTimeout(qpn uint32, st *qpState) {
+	t := &s.timers[qpn]
+	t.ev = sim.Event{}
 	if len(st.pending) == 0 && s.mq.len(qpn) == 0 {
 		return
 	}
-	if st.progress != snap {
+	if st.progress != t.snap {
 		// The QP was active during the interval: not a loss, re-arm.
 		s.armTimer(qpn, st)
 		return

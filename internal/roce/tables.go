@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"strom/internal/packet"
-	"strom/internal/sim"
 )
 
 // Errors returned by table operations.
@@ -88,17 +87,27 @@ type pendingPacket struct {
 
 func (p *pendingPacket) endPSN() uint32 { return psnAdd(p.psn, p.npsn-1) }
 
-// outMessage tracks one posted operation through completion.
+// outMessage tracks one posted operation through completion. Records are
+// recycled at the call that makes them unreachable: refs counts the
+// holds on one, each of which may still call finish or Feed — one per
+// pending entry, until the entry leaves its QP's pending list; a READ's
+// Multi-Queue element, until it is retired; the deadline, until it fires
+// or is cancelled; and a WriteStream, until its last piece is fed. finish
+// is only ever called through a hold, so a message outlives its own
+// completion; a flushed stream never gets its last piece and so is left
+// to the garbage collector, because the caller may still Feed it.
 type outMessage struct {
 	kind     packet.MessageKind
 	isRead   bool
 	owner    *Stack // counts the completion in the owner's Stats
 	complete func(error)
 	done     bool
+	refs     int
 
-	// deadline is the verb's pending cancellation event (zero when the
-	// verb was posted without a deadline; see Stack.armDeadline).
-	deadline sim.Event
+	// dl is the verb's pending cancellation (nil when the verb was posted
+	// without a deadline, and once it has fired or been cancelled; see
+	// Stack.armDeadline).
+	dl *verbDeadline
 
 	qpn uint32
 	// Segmented messages: how many of the nseg segments have been fed
@@ -116,7 +125,10 @@ func (m *outMessage) finish(err error) {
 		return
 	}
 	m.done = true
-	m.deadline.Cancel()
+	if d := m.dl; d != nil {
+		m.dl = nil
+		d.cancel()
+	}
 	if m.owner != nil {
 		m.owner.stats.OpsCompleted++
 	}
@@ -179,15 +191,18 @@ type mqElement struct {
 	nextPSN  uint32 // next expected response PSN
 	offset   int    // next payload offset
 	inFlight int    // sink deliveries not yet acknowledged
-	ack      func() // handed to Sink with every chunk; made once per read, not per packet
+	ack      func() // handed to Sink with every chunk; bound once per element (see Stack.newElem)
 	sawLast  bool
-	next     int // pool index of next element, -1 at tail
+	popped   bool // off its QP's list: no response reaches it any more
+	next     int  // pool index of next element, -1 at tail
 }
 
 // multiQueue implements the fixed-pool, per-QP linked-list structure of
 // §4.1: two arrays in on-chip memory, one holding per-QP head/tail
 // metadata and one holding the shared elements. Elements are stored by
-// pointer so completion callbacks captured before a pop stay valid.
+// pointer, so a popped element stays valid for the acknowledgements its
+// sink still owes (the stack recycles it after the last, see
+// Stack.retireRead).
 type multiQueue struct {
 	pool     []*mqElement
 	free     []int
@@ -217,20 +232,19 @@ func newMultiQueue(numQPs, poolSize, maxDepth int) *multiQueue {
 }
 
 // push appends an element to the QP's list.
-func (m *multiQueue) push(qpn uint32, e mqElement) (*mqElement, error) {
+func (m *multiQueue) push(qpn uint32, el *mqElement) error {
 	if int(qpn) >= len(m.heads) {
-		return nil, ErrBadQPN
+		return ErrBadQPN
 	}
 	if m.lengths[qpn] >= m.maxDepth {
-		return nil, ErrMQDepth
+		return ErrMQDepth
 	}
 	if len(m.free) == 0 {
-		return nil, ErrMQPoolFull
+		return ErrMQPoolFull
 	}
 	idx := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
-	e.next = -1
-	el := &e
+	el.next = -1
 	m.pool[idx] = el
 	if m.tails[qpn] >= 0 {
 		m.pool[m.tails[qpn]].next = idx
@@ -239,7 +253,7 @@ func (m *multiQueue) push(qpn uint32, e mqElement) (*mqElement, error) {
 	}
 	m.tails[qpn] = idx
 	m.lengths[qpn]++
-	return el, nil
+	return nil
 }
 
 // head returns the oldest outstanding element for the QP.
@@ -258,6 +272,7 @@ func (m *multiQueue) popHead(qpn uint32) (*mqElement, error) {
 	idx := m.heads[qpn]
 	e := m.pool[idx]
 	m.pool[idx] = nil
+	e.popped = true
 	m.heads[qpn] = e.next
 	if e.next < 0 {
 		m.tails[qpn] = -1

@@ -34,11 +34,11 @@ func TestStateTableCreateAndGet(t *testing.T) {
 func TestMultiQueueFIFOPerQP(t *testing.T) {
 	mq := newMultiQueue(4, 16, 8)
 	for i := uint32(0); i < 3; i++ {
-		if _, err := mq.push(1, mqElement{FirstPSN: i}); err != nil {
+		if err := mq.push(1, &mqElement{FirstPSN: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := mq.push(2, mqElement{FirstPSN: 100}); err != nil {
+	if err := mq.push(2, &mqElement{FirstPSN: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if mq.len(1) != 3 || mq.len(2) != 1 {
@@ -65,13 +65,13 @@ func TestMultiQueueFIFOPerQP(t *testing.T) {
 
 func TestMultiQueueDepthLimit(t *testing.T) {
 	mq := newMultiQueue(2, 16, 2)
-	mq.push(0, mqElement{})
-	mq.push(0, mqElement{})
-	if _, err := mq.push(0, mqElement{}); !errors.Is(err, ErrMQDepth) {
+	mq.push(0, &mqElement{})
+	mq.push(0, &mqElement{})
+	if err := mq.push(0, &mqElement{}); !errors.Is(err, ErrMQDepth) {
 		t.Errorf("depth limit: %v", err)
 	}
 	// Other QPs still have room.
-	if _, err := mq.push(1, mqElement{}); err != nil {
+	if err := mq.push(1, &mqElement{}); err != nil {
 		t.Errorf("qp1 push: %v", err)
 	}
 }
@@ -79,30 +79,32 @@ func TestMultiQueueDepthLimit(t *testing.T) {
 func TestMultiQueueSharedPool(t *testing.T) {
 	mq := newMultiQueue(8, 4, 100)
 	for i := uint32(0); i < 4; i++ {
-		if _, err := mq.push(i, mqElement{}); err != nil {
+		if err := mq.push(i, &mqElement{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := mq.push(5, mqElement{}); !errors.Is(err, ErrMQPoolFull) {
+	if err := mq.push(5, &mqElement{}); !errors.Is(err, ErrMQPoolFull) {
 		t.Errorf("pool full: %v", err)
 	}
 	if mq.freeSlots() != 0 {
 		t.Errorf("free = %d", mq.freeSlots())
 	}
 	mq.popHead(0)
-	if _, err := mq.push(5, mqElement{}); err != nil {
+	if err := mq.push(5, &mqElement{}); err != nil {
 		t.Errorf("push after free: %v", err)
 	}
 }
 
 func TestMultiQueuePointerStability(t *testing.T) {
-	// Pointers returned by push/head must stay valid after the element is
-	// popped and the slot reused (completion callbacks outlive the pop).
+	// A popped element must stay intact after its slot is reused: its
+	// sink may still owe acknowledgements (completion callbacks outlive
+	// the pop).
 	mq := newMultiQueue(2, 2, 2)
-	e1, _ := mq.push(0, mqElement{FirstPSN: 1})
+	e1, e2 := &mqElement{FirstPSN: 1}, &mqElement{FirstPSN: 2}
+	mq.push(0, e1)
 	mq.popHead(0)
-	e2, _ := mq.push(1, mqElement{FirstPSN: 2})
-	if e1.FirstPSN != 1 || e2.FirstPSN != 2 {
+	mq.push(1, e2)
+	if e1.FirstPSN != 1 || !e1.popped || e2.FirstPSN != 2 || e2.popped {
 		t.Error("popped element mutated by slot reuse")
 	}
 }
@@ -110,7 +112,7 @@ func TestMultiQueuePointerStability(t *testing.T) {
 func TestMultiQueueEach(t *testing.T) {
 	mq := newMultiQueue(2, 8, 8)
 	for i := uint32(0); i < 4; i++ {
-		mq.push(0, mqElement{FirstPSN: i})
+		mq.push(0, &mqElement{FirstPSN: i})
 	}
 	var got []uint32
 	mq.each(0, func(e *mqElement) { got = append(got, e.FirstPSN) })
@@ -127,7 +129,7 @@ func TestMultiQueueEach(t *testing.T) {
 
 func TestMultiQueueBadQPN(t *testing.T) {
 	mq := newMultiQueue(1, 2, 2)
-	if _, err := mq.push(5, mqElement{}); !errors.Is(err, ErrBadQPN) {
+	if err := mq.push(5, &mqElement{}); !errors.Is(err, ErrBadQPN) {
 		t.Errorf("bad qpn: %v", err)
 	}
 	if _, ok := mq.head(5); ok {

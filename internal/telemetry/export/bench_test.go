@@ -10,7 +10,8 @@ import (
 // BenchmarkScrapeTick is the wall-clock cost of one scrape point of the
 // replicated-KV testbed (the kv-* benchmark workloads): three server
 // sources reporting a heartbeat counter and a serving gauge, one client
-// source reporting five counters, all on one engine, under the default
+// source reporting five counters, all on one engine and each reusing its
+// maps as the KV sources do (ScrapeFunc), under the default
 // rules plus the heartbeat watchdog (kvserve.HeartbeatRule, restated here
 // because kvserve imports this package). One op is one tick of all four
 // sources. Events are retained, as they are in a run nobody drains, so
@@ -26,19 +27,18 @@ func BenchmarkScrapeTick(b *testing.B) {
 		rec := NewRecorder(append(DefaultRules(), heartbeat))
 		var beats uint64
 		for s := 0; s < 3; s++ {
+			c, g := map[string]uint64{}, map[string]float64{}
 			rec.Source(eng, fmt.Sprintf("m%d", s+1), "kv", fmt.Sprintf("kvsrv:%d", s), func() (map[string]uint64, map[string]float64) {
 				beats++
-				return map[string]uint64{"kv_heartbeats": beats}, map[string]float64{"kv_serving": 1}
+				c["kv_heartbeats"], g["kv_serving"] = beats, 1
+				return c, g
 			})
 		}
+		cli := map[string]uint64{}
 		rec.Source(eng, "m0", "kvclient", "kvcli", func() (map[string]uint64, map[string]float64) {
-			return map[string]uint64{
-				"kv_torn_detected":  0,
-				"kv_torn_retries":   0,
-				"kv_torn_failover":  0,
-				"kv_spilled_reads":  beats,
-				"kv_orphans_reaped": 0,
-			}, nil
+			cli["kv_torn_detected"], cli["kv_torn_retries"], cli["kv_torn_failover"] = 0, 0, 0
+			cli["kv_spilled_reads"], cli["kv_orphans_reaped"] = beats, 0
+			return cli, nil
 		})
 		rec.Start(every)
 		eng.ScheduleAt(sim.Time(min(lifetime, b.N-done))*sim.Time(every), func() {})
