@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race cover recovery protect determinism fuzz bench golden ab soak kv kv-large
+.PHONY: check vet build test race cover recovery protect determinism fuzz bench lines golden ab soak kv kv-large
 
 # check is the everyday gate: build plus the full -race suite, which
 # includes the sharded determinism tests (TestSharded* in
@@ -113,6 +113,15 @@ soak:
 bench:
 	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/telemetry/export ./internal/cpu ./internal/packet ./internal/crc ./internal/fabric ./internal/pcie ./internal/roce ./internal/core ./internal/kvserve
 	$(GO) run ./cmd/strombench -quick chaos-recovery > /dev/null
+
+# lines prints the three code-size counts ROADMAP tracks: non-test Go
+# lines outside benchmark/, non-test Go lines inside it, and all _test.go
+# lines (the `make ab` clone under ab.out/ is not counted).
+GOFILES = find . \( -name .git -o -name ab.out \) -prune -o -name '*.go'
+lines:
+	@echo "$$($(GOFILES) ! -name '*_test.go' ! -path './benchmark/*' -print | xargs cat | wc -l) non-test lines outside benchmark/"
+	@echo "$$($(GOFILES) ! -name '*_test.go' -path './benchmark/*' -print | xargs cat | wc -l) non-test lines in benchmark/"
+	@echo "$$($(GOFILES) -name '*_test.go' -print | xargs cat | wc -l) test lines"
 
 # golden re-records the three committed records of the figures, the
 # stdout of the default and of the -quick suite run and of the -quick

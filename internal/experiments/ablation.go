@@ -87,17 +87,13 @@ func traversalPerHop(o Options, readLatency sim.Duration) (float64, error) {
 			return 0, err
 		}
 		var d sim.Duration
-		var runErr error
-		pair.Eng.Go("client", func(p *sim.Process) {
+		err = runClient(pair, func(p *sim.Process) error {
 			start := p.Now()
-			if _, err := traversal.Lookup(p, pair.A, testrig.QPA, traversalOp, list.TraversalParams(uint64(listLen), pair.BufA.Base())); err != nil {
-				runErr = err
-				return
-			}
+			_, err := traversal.Lookup(p, pair.A, testrig.QPA, traversalOp, list.TraversalParams(uint64(listLen), pair.BufA.Base()))
 			d = p.Now().Sub(start)
-		})
-		pair.Run()
-		return d, runErr
+			return err
+		}, nil)
+		return d, err
 	}
 	l4, err := lat(4)
 	if err != nil {
@@ -234,26 +230,14 @@ func getOpsThroughput(o Options, clients int) (readMops, stromMops float64, err 
 				return 0, err
 			}
 		}
-		region := kvstore.NewRegion(pair.B.Memory(), pair.BufB)
-		ht, err := kvstore.BuildHashTable(region, 8192)
+		ht, keys, err := randomHashTable(pair, rand.New(rand.NewSource(o.Seed)), 8192, 1024, valueSize)
 		if err != nil {
 			return 0, err
 		}
-		rng := rand.New(rand.NewSource(o.Seed))
-		keys := make([]uint64, 0, 1024)
-		for len(keys) < 1024 {
-			k := rng.Uint64()
-			v := make([]byte, valueSize)
-			rng.Read(v)
-			if err := ht.Put(k, v); err != nil {
-				continue
-			}
-			keys = append(keys, k)
-		}
+		// done is when the last client finished.
 		var done sim.Time
-		finished := 0
+		errs := make([]error, clients)
 		for c := 0; c < clients; c++ {
-			c := c
 			qpn := testrig.QPA
 			if c > 0 {
 				qpn = uint32(10 + 2*c)
@@ -264,40 +248,29 @@ func getOpsThroughput(o Options, clients int) (readMops, stromMops float64, err 
 			}
 			respVA := pair.BufA.Base() + hostmem.Addr(c*(1<<20))
 			scratch := respVA + 65536
+			errs[c] = fmt.Errorf("client %d stalled", c)
 			pair.Eng.Go(fmt.Sprintf("client%d", c), func(p *sim.Process) {
 				for i := 0; i < opsPerClient; i++ {
 					key := keys[gen.Next()]
+					var err error
 					if useKernel {
-						if _, err := traversal.Lookup(p, pair.A, qpn, traversalOp, ht.TraversalParams(key, valueSize, respVA)); err != nil {
-							return
-						}
+						_, err = traversal.Lookup(p, pair.A, qpn, traversalOp, ht.TraversalParams(key, valueSize, respVA))
 					} else {
-						if err := pair.A.ReadSync(p, qpn, uint64(ht.EntryAddr(key)), uint64(scratch), kvstore.HTEntrySize); err != nil {
-							return
-						}
-						entry, err := pair.A.Memory().ReadVirt(scratch, kvstore.HTEntrySize)
-						if err != nil {
-							return
-						}
-						p.Sleep(pair.A.Host().MemLatency)
-						valueVA, ok := htEntryLookup(entry, key)
-						if !ok {
-							return
-						}
-						if err := pair.A.ReadSync(p, qpn, valueVA, uint64(scratch), valueSize); err != nil {
-							return
-						}
+						err = twoReadGet(p, pair, qpn, ht, key, valueSize, scratch)
+					}
+					if err != nil {
+						errs[c] = fmt.Errorf("client %d: %w", c, err)
+						return
 					}
 				}
-				finished++
-				if finished == clients {
-					done = pair.Eng.Now()
-				}
+				errs[c], done = nil, pair.Eng.Now()
 			})
 		}
 		pair.Run()
-		if finished != clients {
-			return 0, fmt.Errorf("get-ops clients stalled (%d/%d)", finished, clients)
+		for _, err := range errs {
+			if err != nil {
+				return 0, err
+			}
 		}
 		return float64(clients*opsPerClient) / sim.Duration(done).Seconds() / 1e6, nil
 	}

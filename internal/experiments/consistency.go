@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -23,27 +25,12 @@ var fig9Sizes = []int{64, 128, 256, 512, 1024, 2048, 4096}
 // kernel on the remote NIC ("StRoM").
 func Fig9Consistency(o Options) (*stats.Figure, error) {
 	o = o.normalized()
-	fig := stats.NewFigure("Fig 9: consistent remote object read", "object size", "latency us (median [p1,p99])")
-	sRead := fig.NewSeries("READ")
-	sSW := fig.NewSeries("READ+SW")
-	sStrom := fig.NewSeries("StRoM")
-	for _, size := range fig9Sizes {
-		read, sw, strom, err := consistencyLatencies(o, size)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range []struct {
-			s    *stats.Series
-			smpl *stats.Sample
-		}{{sRead, read}, {sSW, sw}, {sStrom, strom}} {
-			sum := row.smpl.Summarize()
-			row.s.AddBands(float64(size), sizeLabel(size), sum.Median, sum.P1, sum.P99)
-		}
-	}
-	return fig, nil
+	return bandsFigure("Fig 9: consistent remote object read", "object size", fig9Sizes, sizeLabel,
+		[]string{"READ", "READ+SW", "StRoM"}, func(size int) ([]*stats.Sample, error) { return consistencyLatencies(o, size) })
 }
 
-// consistencyBed prepares a CRC64-stamped object in B's memory.
+// consistencyBed prepares a CRC64-stamped object in B's memory and
+// deploys the consistency kernel beside it.
 func consistencyBed(o Options, size int) (*testrig.Pair, hostmem.Addr, []byte, error) {
 	pair, err := newPair(o, profile10G(), 8<<20)
 	if err != nil {
@@ -56,63 +43,72 @@ func consistencyBed(o Options, size int) (*testrig.Pair, hostmem.Addr, []byte, e
 	if err := pair.B.Memory().WriteVirt(objVA, obj); err != nil {
 		return nil, 0, nil, err
 	}
+	if err := pair.B.DeployKernel(consistencyOp, consistency.New(0)); err != nil {
+		return nil, 0, nil, err
+	}
 	return pair, objVA, obj, nil
 }
 
-func consistencyLatencies(o Options, size int) (read, sw, strom *stats.Sample, err error) {
+// readChecked READs the size-byte object at objVA into A's buffer and
+// checks its CRC64 on A's CPU; ok reports whether the check held.
+func readChecked(p *sim.Process, pair *testrig.Pair, objVA hostmem.Addr, size int) (ok bool, err error) {
+	if err := pair.A.ReadSync(p, testrig.QPA, uint64(objVA), uint64(pair.BufA.Base()), size); err != nil {
+		return false, err
+	}
+	data, err := pair.A.Memory().ReadVirt(pair.BufA.Base(), size)
+	if err != nil {
+		return false, err
+	}
+	return pair.A.Host().CheckCRC64(p, data), nil
+}
+
+// kernelRead reads the same object through the consistency kernel.
+func kernelRead(p *sim.Process, pair *testrig.Pair, objVA hostmem.Addr, size int) error {
+	_, err := consistency.Read(p, pair.A, testrig.QPA, consistencyOp, consistency.Params{
+		ObjectAddress: uint64(objVA), ObjectSize: uint32(size), ResponseAddress: uint64(pair.BufA.Base()),
+	})
+	return err
+}
+
+func consistencyLatencies(o Options, size int) ([]*stats.Sample, error) {
 	pair, objVA, _, err := consistencyBed(o, size)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if err := pair.B.DeployKernel(consistencyOp, consistency.New(0)); err != nil {
-		return nil, nil, nil, err
-	}
-	read, sw, strom = &stats.Sample{}, &stats.Sample{}, &stats.Sample{}
-	var runErr error
-	pair.Eng.Go("client", func(p *sim.Process) {
-		host := pair.A.Host()
+	read, sw, strom := &stats.Sample{}, &stats.Sample{}, &stats.Sample{}
+	err = runClient(pair, func(p *sim.Process) error {
 		for i := 0; i < o.Iterations; i++ {
 			// Plain READ.
 			start := p.Now()
 			if err := pair.A.ReadSync(p, testrig.QPA, uint64(objVA), uint64(pair.BufA.Base()), size); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			read.Add(p.Now().Sub(start).Microseconds())
 
 			// READ + software CRC64 on the requester CPU.
 			start = p.Now()
-			if err := pair.A.ReadSync(p, testrig.QPA, uint64(objVA), uint64(pair.BufA.Base()), size); err != nil {
-				runErr = err
-				return
-			}
-			data, err := pair.A.Memory().ReadVirt(pair.BufA.Base(), size)
+			ok, err := readChecked(p, pair, objVA, size)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
-			if !host.CheckCRC64(p, data) {
-				runErr = fmt.Errorf("software check failed on a consistent object")
-				return
+			if !ok {
+				return errors.New("software check failed on a consistent object")
 			}
 			sw.Add(p.Now().Sub(start).Microseconds())
 
 			// StRoM consistency kernel.
 			start = p.Now()
-			if _, err := consistency.Read(p, pair.A, testrig.QPA, consistencyOp, consistency.Params{
-				ObjectAddress: uint64(objVA), ObjectSize: uint32(size), ResponseAddress: uint64(pair.BufA.Base()),
-			}); err != nil {
-				runErr = err
-				return
+			if err := kernelRead(p, pair, objVA, size); err != nil {
+				return err
 			}
 			strom.Add(p.Now().Sub(start).Microseconds())
 		}
-	})
-	pair.Run()
-	if runErr != nil {
-		return nil, nil, nil, runErr
+		return nil
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
-	return read, sw, strom, nil
+	return []*stats.Sample{read, sw, strom}, nil
 }
 
 // fig10Rates is Fig. 10's x axis (failure probabilities).
@@ -148,14 +144,11 @@ func failureRateLatencies(o Options, size int, rate float64) (swAvg, stromAvg fl
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := pair.B.DeployKernel(consistencyOp, consistency.New(0)); err != nil {
-		return 0, 0, err
-	}
 	bad := append([]byte(nil), good...)
 	bad[0] ^= 0xFF
 	rng := rand.New(rand.NewSource(o.Seed*7919 + int64(size) + int64(rate*1000)))
 	var sw, strom stats.Sample
-	var runErr, writeErr error
+	var writeErr error
 	// The concurrent writer runs on machine B: the client hands it each
 	// version of the object, which lands d later (one cable delay at the
 	// soonest) — before any request A sends from then on reaches B.
@@ -168,8 +161,7 @@ func failureRateLatencies(o Options, size int, rate float64) (swAvg, stromAvg fl
 	}
 	asap := pair.Group.Lookahead()
 	iters := o.Iterations * 2 // averages need a larger population
-	pair.Eng.Go("client", func(p *sim.Process) {
-		host := pair.A.Host()
+	err = runClient(pair, func(p *sim.Process) error {
 		for i := 0; i < iters; i++ {
 			failSW := rng.Float64() < rate
 			failStrom := rng.Float64() < rate
@@ -178,17 +170,12 @@ func failureRateLatencies(o Options, size int, rate float64) (swAvg, stromAvg fl
 			// detects it and re-reads over the network (one extra RTT).
 			write(asap, choose(failSW, bad, good))
 			start := p.Now()
-			for attempt := 0; ; attempt++ {
-				if err := pair.A.ReadSync(p, testrig.QPA, uint64(objVA), uint64(pair.BufA.Base()), size); err != nil {
-					runErr = err
-					return
-				}
-				data, err := pair.A.Memory().ReadVirt(pair.BufA.Base(), size)
+			for {
+				ok, err := readChecked(p, pair, objVA, size)
 				if err != nil {
-					runErr = err
-					return
+					return err
 				}
-				if host.CheckCRC64(p, data) {
+				if ok {
 					break
 				}
 				// The concurrent writer finished: the next read succeeds.
@@ -204,21 +191,15 @@ func failureRateLatencies(o Options, size int, rate float64) (swAvg, stromAvg fl
 				write(4500*sim.Nanosecond+sim.BytesAt(size, pair.A.Config().PCIe.BandwidthGbps), good)
 			}
 			start = p.Now()
-			if _, err := consistency.Read(p, pair.A, testrig.QPA, consistencyOp, consistency.Params{
-				ObjectAddress: uint64(objVA), ObjectSize: uint32(size), ResponseAddress: uint64(pair.BufA.Base()),
-			}); err != nil {
-				runErr = err
-				return
+			if err := kernelRead(p, pair, objVA, size); err != nil {
+				return err
 			}
 			strom.Add(p.Now().Sub(start).Microseconds())
 		}
-	})
-	pair.Run()
-	if runErr == nil {
-		runErr = writeErr
-	}
-	if runErr != nil {
-		return 0, 0, runErr
+		return nil
+	}, nil)
+	if err = cmp.Or(err, writeErr); err != nil {
+		return 0, 0, err
 	}
 	return sw.Mean(), strom.Mean(), nil
 }

@@ -7,10 +7,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"strom/internal/core"
 	"strom/internal/fabric"
+	"strom/internal/sim"
 	"strom/internal/stats"
 	"strom/internal/testrig"
 )
@@ -100,6 +102,53 @@ func sweep[P, M any](title, xName string, points []P, at func(int, P) (float64, 
 		}
 	}
 	return fig, nil
+}
+
+// bandsFigure plots the paper's latency shape: run measures point x as
+// one sample per named series, drawn as its median with 1st/99th
+// percentile whiskers at label(x). A failed point fails the figure.
+func bandsFigure(title, xName string, xs []int, label func(int) string, names []string,
+	run func(int) ([]*stats.Sample, error)) (*stats.Figure, error) {
+	fig := stats.NewFigure(title, xName, "latency us (median [p1,p99])")
+	series := make([]*stats.Series, len(names))
+	for i, name := range names {
+		series[i] = fig.NewSeries(name)
+	}
+	for _, x := range xs {
+		samples, err := run(x)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %w", xName, label(x), err)
+		}
+		for i, s := range samples {
+			series[i].AddBands(float64(x), label(x), s.Median(), s.P1(), s.P99())
+		}
+	}
+	return fig, nil
+}
+
+// runClient runs a as a process on machine A and, unless b is nil, b as
+// one on machine B, then runs the testbed dry. It returns a's error, else
+// b's; a process that never returned stalled, which is an error too,
+// reported after any error a process did return.
+func runClient(pair *testrig.Pair, a, b func(*sim.Process) error) error {
+	var errA, errB error
+	procA := pair.Eng.Go("client", func(p *sim.Process) { errA = a(p) })
+	var procB *sim.Process
+	if b != nil {
+		procB = pair.EngB.Go("server", func(p *sim.Process) { errB = b(p) })
+	}
+	pair.Run()
+	switch {
+	case errA != nil:
+		return errA
+	case errB != nil:
+		return errB
+	case !procA.Done():
+		return errors.New("process on machine A stalled")
+	case procB != nil && !procB.Done():
+		return errors.New("process on machine B stalled")
+	}
+	return nil
 }
 
 // sizeLabel formats a byte count like the paper's axes.

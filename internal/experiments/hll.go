@@ -196,35 +196,25 @@ func HLLAccuracyCheck(o Options, distinct int) (float64, float64, error) {
 	resultVA := pair.BufB.Base() + 24<<20
 	params := hllkernel.Params{ResultAddress: uint64(resultVA), Reset: true}
 	var est float64
-	var runErr error
-	pair.Eng.Go("sender", func(p *sim.Process) {
+	err = runClient(pair, func(p *sim.Process) error {
 		if err := pair.A.RPCSync(p, testrig.QPA, hllOp, params.Encode()); err != nil {
-			runErr = err
-			return
+			return err
 		}
-		if err := pair.A.RPCWriteSync(p, testrig.QPA, hllOp, uint64(pair.BufA.Base()), len(data)); err != nil {
-			runErr = err
-		}
-	})
-	// The result is polled on machine B's host CPU: the kernel publishes
-	// the estimate into B's memory.
-	var pollErr error
-	pair.EngB.Go("poller", func(p *sim.Process) {
+		return pair.A.RPCWriteSync(p, testrig.QPA, hllOp, uint64(pair.BufA.Base()), len(data))
+	}, func(p *sim.Process) error {
+		// The result is polled on machine B's host CPU: the kernel
+		// publishes the estimate into B's memory.
 		raw, err := pair.B.Host().Poll(p, pair.B.Memory(), resultVA, hllkernel.ResultSize, func(b []byte) bool {
 			return binary.LittleEndian.Uint64(b[16:24]) != 0
 		}, 0)
 		if err != nil {
-			pollErr = err
-			return
+			return err
 		}
 		est = math.Float64frombits(binary.LittleEndian.Uint64(raw[8:16]))
+		return nil
 	})
-	pair.Run()
-	if runErr == nil {
-		runErr = pollErr
-	}
-	if runErr != nil {
-		return 0, 0, runErr
+	if err != nil {
+		return 0, 0, err
 	}
 	relErr := math.Abs(est-float64(distinct)) / float64(distinct)
 	return est, relErr, nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 
 	"strom/internal/sim"
@@ -32,84 +33,68 @@ func Fig12aLatency100G(o Options) (*stats.Figure, error) {
 
 func latencyFigure(o Options, prof profile, title string) (*stats.Figure, error) {
 	o = o.normalized()
-	fig := stats.NewFigure(title, "payload", "latency us (median [p1,p99])")
-	wr := fig.NewSeries("StRoM: Write")
-	rd := fig.NewSeries("StRoM: Read")
-	for _, size := range latencyPayloads {
-		wl, err := writePingPongLatency(o, prof, size)
-		if err != nil {
-			return nil, err
-		}
-		s := wl.Summarize()
-		wr.AddBands(float64(size), sizeLabel(size), s.Median, s.P1, s.P99)
-		rl, err := readLatency(o, prof, size)
-		if err != nil {
-			return nil, err
-		}
-		s = rl.Summarize()
-		rd.AddBands(float64(size), sizeLabel(size), s.Median, s.P1, s.P99)
-	}
-	return fig, nil
+	return bandsFigure(title, "payload", latencyPayloads, sizeLabel, []string{"StRoM: Write", "StRoM: Read"},
+		func(size int) ([]*stats.Sample, error) {
+			wr, err := writePingPongLatency(o, prof, size)
+			if err != nil {
+				return nil, err
+			}
+			rd, err := readLatency(o, prof, size)
+			return []*stats.Sample{wr, rd}, err
+		})
 }
 
 // writePingPongLatency runs the §6.1 ping-pong: the reported value is
-// RTT/2 in microseconds.
+// RTT/2 in microseconds. Each side sends from 1 MiB into its buffer and
+// the peer polls on the first byte of its own.
 func writePingPongLatency(o Options, prof profile, size int) (*stats.Sample, error) {
 	pair, err := newPair(o, prof, 8<<20)
 	if err != nil {
 		return nil, err
 	}
 	var lat stats.Sample
-	hostA, hostB := pair.A.Host(), pair.B.Host()
-	// Responder: poll on the ping flag, clear it, write the pong back.
-	// It runs on machine B's shard.
-	pair.EngB.Go("responder", func(p *sim.Process) {
-		pong := make([]byte, size)
-		for i := range pong {
-			pong[i] = 0xFF
-		}
-		if err := pair.B.Memory().WriteVirt(pair.BufB.Base()+1<<20, pong); err != nil {
-			return
+	memA, memB := pair.A.Memory(), pair.B.Memory()
+	flagA, flagB := pair.BufA.Base(), pair.BufB.Base()
+	msg := bytes.Repeat([]byte{0xFF}, size)
+	err = runClient(pair, func(p *sim.Process) error {
+		// Initiator: clear the pong flag, write the ping, wait for the pong.
+		if err := memA.WriteVirt(flagA+1<<20, msg); err != nil {
+			return err
 		}
 		for i := 0; i < o.Iterations; i++ {
-			if err := hostB.PollNonZero(p, pair.B.Memory(), pair.BufB.Base(), 0); err != nil {
-				return
-			}
-			if err := pair.B.Memory().WriteVirt(pair.BufB.Base(), make([]byte, 1)); err != nil {
-				return
-			}
-			if err := pair.B.WriteSync(p, testrig.QPB, uint64(pair.BufB.Base())+1<<20, uint64(pair.BufA.Base()), size); err != nil {
-				return
-			}
-		}
-	})
-	pair.Eng.Go("initiator", func(p *sim.Process) {
-		ping := make([]byte, size)
-		for i := range ping {
-			ping[i] = 0xFF
-		}
-		if err := pair.A.Memory().WriteVirt(pair.BufA.Base()+1<<20, ping); err != nil {
-			return
-		}
-		pongVA := pair.BufA.Base()
-		for i := 0; i < o.Iterations; i++ {
-			if err := pair.A.Memory().WriteVirt(pongVA, make([]byte, 1)); err != nil {
-				return
+			if err := memA.WriteVirt(flagA, make([]byte, 1)); err != nil {
+				return err
 			}
 			start := p.Now()
-			if err := pair.A.WriteSync(p, testrig.QPA, uint64(pair.BufA.Base())+1<<20, uint64(pair.BufB.Base()), size); err != nil {
-				return
+			if err := pair.A.WriteSync(p, testrig.QPA, uint64(flagA)+1<<20, uint64(flagB), size); err != nil {
+				return err
 			}
-			if err := hostA.PollNonZero(p, pair.A.Memory(), pongVA, 0); err != nil {
-				return
+			if err := pair.A.Host().PollNonZero(p, memA, flagA, 0); err != nil {
+				return err
 			}
-			rtt := p.Now().Sub(start)
-			lat.Add(rtt.Microseconds() / 2)
+			lat.Add(p.Now().Sub(start).Microseconds() / 2)
 		}
+		return nil
+	}, func(p *sim.Process) error {
+		// Responder: poll on the ping flag, clear it, write the pong back.
+		if err := memB.WriteVirt(flagB+1<<20, msg); err != nil {
+			return err
+		}
+		for i := 0; i < o.Iterations; i++ {
+			if err := pair.B.Host().PollNonZero(p, memB, flagB, 0); err != nil {
+				return err
+			}
+			if err := memB.WriteVirt(flagB, make([]byte, 1)); err != nil {
+				return err
+			}
+			if err := pair.B.WriteSync(p, testrig.QPB, uint64(flagB)+1<<20, uint64(flagA), size); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
-	pair.Run()
-	if lat.N() != o.Iterations {
-		return nil, fmt.Errorf("ping-pong incomplete: %d/%d", lat.N(), o.Iterations)
+	if err != nil {
+		return nil, err
 	}
 	return &lat, nil
 }
@@ -122,18 +107,18 @@ func readLatency(o Options, prof profile, size int) (*stats.Sample, error) {
 		return nil, err
 	}
 	var lat stats.Sample
-	pair.Eng.Go("reader", func(p *sim.Process) {
+	err = runClient(pair, func(p *sim.Process) error {
 		for i := 0; i < o.Iterations; i++ {
 			start := p.Now()
 			if err := pair.A.ReadSync(p, testrig.QPA, uint64(pair.BufB.Base()), uint64(pair.BufA.Base()), size); err != nil {
-				return
+				return err
 			}
 			lat.Add(p.Now().Sub(start).Microseconds())
 		}
-	})
-	pair.Run()
-	if lat.N() != o.Iterations {
-		return nil, fmt.Errorf("read latency incomplete: %d/%d", lat.N(), o.Iterations)
+		return nil
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
 	return &lat, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -128,55 +129,44 @@ func shuffleStrom(o Options, bytes int) (sim.Duration, error) {
 		TotalTuples:       uint64(bytes / shuffle.TupleSize),
 	}
 	var total sim.Duration
-	var runErr error
-	var pollErr error
 	start := sim.Time(0) // both processes start at t=0
-	pair.Eng.Go("sender", func(p *sim.Process) {
+	err = runClient(pair, func(p *sim.Process) error {
 		if err := pair.A.RPCSync(p, testrig.QPA, shuffleOp, params.Encode()); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		// Pipeline the chunk messages: post all, wait for the last.
 		c := &sim.Completion[struct{}]{}
 		remaining := chunks
+		var postErr error
 		for i := 0; i < chunks; i++ {
 			pair.A.PostRPCWrite(testrig.QPA, shuffleOp, uint64(pair.BufA.Base()), chunkBytes, func(err error) {
-				if err != nil && runErr == nil {
-					runErr = err
-				}
+				postErr = cmp.Or(postErr, err)
 				remaining--
 				if remaining == 0 {
 					c.Complete(struct{}{})
 				}
 			})
 		}
-		if _, err := c.Wait(p); err != nil {
-			runErr = err
-		}
-	})
-	// The shuffle is complete when the kernel posts the tuple count into
-	// B's memory; B's own host CPU polls for it (its own shard when
-	// sharded — the completion word must not be read across machines).
-	pair.EngB.Go("completion", func(p *sim.Process) {
+		_, err := c.Wait(p)
+		return cmp.Or(postErr, err)
+	}, func(p *sim.Process) error {
+		// The shuffle is complete when the kernel posts the tuple count
+		// into B's memory; B's own host CPU polls for it (the completion
+		// word must not be read across machines).
 		raw, err := pair.B.Host().Poll(p, pair.B.Memory(), completion, 8, func(b []byte) bool {
 			return binary.LittleEndian.Uint64(b) != 0
 		}, 0)
 		if err != nil {
-			pollErr = err
-			return
+			return err
 		}
 		if got := binary.LittleEndian.Uint64(raw); got != params.TotalTuples {
-			pollErr = fmt.Errorf("shuffle lost tuples: %d/%d", got, params.TotalTuples)
-			return
+			return fmt.Errorf("shuffle lost tuples: %d/%d", got, params.TotalTuples)
 		}
 		total = p.Now().Sub(start)
+		return nil
 	})
-	pair.Run()
-	if runErr == nil {
-		runErr = pollErr
-	}
-	if runErr != nil {
-		return 0, runErr
+	if err != nil {
+		return 0, err
 	}
 	return total, nil
 }
@@ -194,19 +184,29 @@ func shuffleSoftware(o Options, bytes int) (sim.Duration, error) {
 	partBytes := (bytes/nParts)*2 + 4096
 	host := pair.A.Host()
 	var total sim.Duration
-	var runErr error
-	pair.Eng.Go("sender", func(p *sim.Process) {
+	err = runClient(pair, func(p *sim.Process) error {
 		start := p.Now()
 		// The partitioning pass: hash + copy every tuple into its buffer
 		// (charged as a whole; the flush writes below interleave with it
 		// in reality, but the CPU cost is what bounds the run).
 		const batch = 1 << 16
 		bufFills := make([]int, nParts)
-		writes := 0
-		issued := 0
-		completed := 0
+		issued, completed := 0, 0
 		allIssued := false
 		done := &sim.Completion[struct{}]{}
+		var writeErr error
+		// write sends n buffered tuples to partition pid's region.
+		write := func(pid, n int) {
+			issued++
+			dst := uint64(pair.BufB.Base()) + uint64(pid*partBytes)
+			pair.A.PostWrite(testrig.QPA, uint64(pair.BufA.Base()), dst, n*shuffle.TupleSize, func(err error) {
+				writeErr = cmp.Or(writeErr, err)
+				completed++
+				if allIssued && completed == issued {
+					done.Complete(struct{}{})
+				}
+			})
+		}
 		rng := rand.New(rand.NewSource(o.Seed))
 		for t := 0; t < tuples; t += batch {
 			n := batch
@@ -220,49 +220,28 @@ func shuffleSoftware(o Options, bytes int) (sim.Duration, error) {
 				bufFills[pid]++
 				if bufFills[pid] == shuffle.BufferValues {
 					bufFills[pid] = 0
-					writes++
-					issued++
-					dst := uint64(pair.BufB.Base()) + uint64(pid*partBytes)
-					pair.A.PostWrite(testrig.QPA, uint64(pair.BufA.Base()), dst,
-						shuffle.BufferValues*shuffle.TupleSize, func(err error) {
-							if err != nil && runErr == nil {
-								runErr = err
-							}
-							completed++
-							if allIssued && completed == issued {
-								done.Complete(struct{}{})
-							}
-						})
+					write(pid, shuffle.BufferValues)
 				}
 			}
 		}
 		// Flush remaining partial buffers.
 		for pid, fill := range bufFills {
-			if fill == 0 {
-				continue
+			if fill > 0 {
+				write(pid, fill)
 			}
-			issued++
-			dst := uint64(pair.BufB.Base()) + uint64(pid*partBytes)
-			pair.A.PostWrite(testrig.QPA, uint64(pair.BufA.Base()), dst, fill*shuffle.TupleSize, func(err error) {
-				completed++
-				if allIssued && completed == issued {
-					done.Complete(struct{}{})
-				}
-			})
 		}
 		allIssued = true
 		if completed == issued {
 			done.Complete(struct{}{})
 		}
 		if _, err := done.Wait(p); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		total = p.Now().Sub(start)
-	})
-	pair.Run()
-	if runErr != nil {
-		return 0, runErr
+		return writeErr
+	}, nil)
+	if err != nil {
+		return 0, err
 	}
 	return total, nil
 }

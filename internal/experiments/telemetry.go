@@ -7,7 +7,6 @@ import (
 	"strom/internal/fabric"
 	"strom/internal/hostmem"
 	"strom/internal/kernels/traversal"
-	"strom/internal/kvstore"
 	"strom/internal/sim"
 	"strom/internal/testrig"
 )
@@ -41,21 +40,11 @@ func exportClean(o Options, ex Exports) error {
 
 	// B hosts a small key-value store; A keeps the write source, read
 	// destination and GET response regions in its one registered buffer.
-	region := kvstore.NewRegion(pair.B.Memory(), pair.BufB)
-	ht, err := kvstore.BuildHashTable(region, 256)
-	if err != nil {
-		return err
-	}
 	rng := rand.New(rand.NewSource(o.Seed))
 	const valueSize = 96
-	keys := make([]uint64, 8)
-	for i := range keys {
-		keys[i] = rng.Uint64()
-		value := make([]byte, valueSize)
-		rng.Read(value)
-		if err := ht.Put(keys[i], value); err != nil {
-			return err
-		}
+	ht, keys, err := randomHashTable(pair, rng, 256, 8, valueSize)
+	if err != nil {
+		return err
 	}
 
 	const xfer = 64 << 10

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 
+	"strom/internal/hostmem"
 	"strom/internal/kernels/traversal"
 	"strom/internal/kvstore"
 	"strom/internal/sim"
@@ -18,38 +21,25 @@ const traversalOp = 0x01
 // fig7Lengths is Fig. 7's x axis.
 var fig7Lengths = []int{4, 8, 16, 32}
 
+// lookupSeries are the three approaches of Figs. 7 and 8, in the order
+// lookupLatencies returns their samples.
+var lookupSeries = []string{"RDMA READ", "StRoM", "TCP-based RPC"}
+
 // Fig7LinkedList reproduces Fig. 7: latency of looking a random key up in
 // a remote linked list (64 B values) with three approaches — one-sided
 // RDMA READ pointer chasing from the client, the StRoM traversal kernel,
 // and a TCP-based RPC executed by the remote CPU.
 func Fig7LinkedList(o Options) (*stats.Figure, error) {
 	o = o.normalized()
-	fig := stats.NewFigure("Fig 7: remote linked-list traversal (value 64B)",
-		"list length", "latency us (median [p1,p99])")
-	sRead := fig.NewSeries("RDMA READ")
-	sStrom := fig.NewSeries("StRoM")
-	sTCP := fig.NewSeries("TCP-based RPC")
-	for _, n := range fig7Lengths {
-		read, strom, tcp, err := listLookupLatencies(o, n, 64)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range []struct {
-			s    *stats.Series
-			smpl *stats.Sample
-		}{{sRead, read}, {sStrom, strom}, {sTCP, tcp}} {
-			sum := row.smpl.Summarize()
-			row.s.AddBands(float64(n), fmt.Sprintf("%d", n), sum.Median, sum.P1, sum.P99)
-		}
-	}
-	return fig, nil
+	return bandsFigure("Fig 7: remote linked-list traversal (value 64B)", "list length", fig7Lengths, strconv.Itoa,
+		lookupSeries, func(n int) ([]*stats.Sample, error) { return listLookupLatencies(o, n, 64) })
 }
 
 // listLookupLatencies runs the three approaches against the same list.
-func listLookupLatencies(o Options, listLen, valueSize int) (read, strom, tcp *stats.Sample, err error) {
+func listLookupLatencies(o Options, listLen, valueSize int) ([]*stats.Sample, error) {
 	pair, err := newPair(o, profile10G(), 16<<20)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	region := kvstore.NewRegion(pair.B.Memory(), pair.BufB)
 	keys := make([]uint64, listLen)
@@ -62,65 +52,70 @@ func listLookupLatencies(o Options, listLen, valueSize int) (read, strom, tcp *s
 	}
 	list, err := kvstore.BuildList(region, keys, values)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	kern := traversal.New(0)
-	if err := pair.B.DeployKernel(traversalOp, kern); err != nil {
-		return nil, nil, nil, err
+	// Conventional RDMA READ: one network round trip per element plus one
+	// for the value (Pilaf/FaRM style).
+	read := func(p *sim.Process, key uint64) error {
+		got, err := clientSideListLookup(p, pair, list, key, valueSize)
+		if err == nil && got == nil {
+			err = fmt.Errorf("RDMA READ lookup lost key %d", key)
+		}
+		return err
 	}
-	// TCP RPC server: the remote CPU walks the same list in its memory,
-	// charged 80 ns per element visited.
-	host := pair.B.Host()
-	srv := tcprpc.NewServer(pair.Eng, tcprpc.Default(), func(req []byte) ([]byte, sim.Duration) {
-		key := binary.LittleEndian.Uint64(req)
+	// The TCP RPC server's CPU walks the same list, charged 80 ns per
+	// element visited; key i sits at position i (1-based).
+	serve := func(key uint64) ([]byte, sim.Duration) {
 		val, ok := list.Get(key)
-		hops := int(key) // key i sits at position i (1-based)
+		hops := int(key)
 		if !ok {
 			hops = listLen
 		}
-		return val, sim.Duration(hops) * host.MemLatency
+		return val, sim.Duration(hops) * pair.B.Host().MemLatency
+	}
+	return lookupLatencies(o, pair, keys, rng, read, func(key uint64) traversal.Params {
+		return list.TraversalParams(key, pair.BufA.Base())
+	}, serve)
+}
+
+// lookupLatencies deploys the traversal kernel on B and times
+// o.Iterations lookups of keys drawn from rng, each three ways in turn:
+// read from A with one-sided verbs, one traversal-kernel RPC with
+// params(key), and a TCP RPC whose server answers and charges with serve.
+func lookupLatencies(o Options, pair *testrig.Pair, keys []uint64, rng *rand.Rand, read func(*sim.Process, uint64) error,
+	params func(uint64) traversal.Params, serve func(uint64) ([]byte, sim.Duration)) ([]*stats.Sample, error) {
+	if err := pair.B.DeployKernel(traversalOp, traversal.New(0)); err != nil {
+		return nil, err
+	}
+	srv := tcprpc.NewServer(pair.Eng, tcprpc.Default(), func(req []byte) ([]byte, sim.Duration) {
+		return serve(binary.LittleEndian.Uint64(req))
 	})
-	read, strom, tcp = &stats.Sample{}, &stats.Sample{}, &stats.Sample{}
-	var runErr error
-	pair.Eng.Go("client", func(p *sim.Process) {
+	rd, strom, tcp := &stats.Sample{}, &stats.Sample{}, &stats.Sample{}
+	err := runClient(pair, func(p *sim.Process) error {
 		for i := 0; i < o.Iterations; i++ {
 			key := keys[rng.Intn(len(keys))]
-
-			// 1) Conventional RDMA READ: one network round trip per
-			// element plus one for the value (Pilaf/FaRM style).
 			start := p.Now()
-			got, err := clientSideListLookup(p, pair, list, key, valueSize)
-			if err != nil {
-				runErr = err
-				return
+			if err := read(p, key); err != nil {
+				return err
 			}
-			if got == nil {
-				runErr = fmt.Errorf("RDMA READ lookup lost key %d", key)
-				return
-			}
-			read.Add(p.Now().Sub(start).Microseconds())
+			rd.Add(p.Now().Sub(start).Microseconds())
 
-			// 2) StRoM traversal kernel: one round trip total.
 			start = p.Now()
-			if _, err := traversal.Lookup(p, pair.A, testrig.QPA, traversalOp, list.TraversalParams(key, pair.BufA.Base())); err != nil {
-				runErr = err
-				return
+			if _, err := traversal.Lookup(p, pair.A, testrig.QPA, traversalOp, params(key)); err != nil {
+				return err
 			}
 			strom.Add(p.Now().Sub(start).Microseconds())
 
-			// 3) TCP RPC.
 			start = p.Now()
-			req := make([]byte, 8)
-			binary.LittleEndian.PutUint64(req, key)
-			srv.Call(p, req)
+			srv.Call(p, binary.LittleEndian.AppendUint64(nil, key))
 			tcp.Add(p.Now().Sub(start).Microseconds())
 		}
-	})
-	pair.Run()
-	if runErr != nil {
-		return nil, nil, nil, runErr
+		return nil
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
-	return read, strom, tcp, nil
+	return []*stats.Sample{rd, strom, tcp}, nil
 }
 
 // clientSideListLookup chases pointers with one-sided READs: element by
@@ -158,119 +153,77 @@ var fig8ValueSizes = []int{64, 128, 256, 512, 1024, 2048, 4096}
 // the value size.
 func Fig8HashTable(o Options) (*stats.Figure, error) {
 	o = o.normalized()
-	fig := stats.NewFigure("Fig 8: remote hash table lookup", "value size", "latency us (median [p1,p99])")
-	sRead := fig.NewSeries("RDMA READ")
-	sStrom := fig.NewSeries("StRoM")
-	sTCP := fig.NewSeries("TCP-based RPC")
-	for _, vs := range fig8ValueSizes {
-		read, strom, tcp, err := hashGetLatencies(o, vs)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range []struct {
-			s    *stats.Series
-			smpl *stats.Sample
-		}{{sRead, read}, {sStrom, strom}, {sTCP, tcp}} {
-			sum := row.smpl.Summarize()
-			row.s.AddBands(float64(vs), sizeLabel(vs), sum.Median, sum.P1, sum.P99)
-		}
-	}
-	return fig, nil
+	return bandsFigure("Fig 8: remote hash table lookup", "value size", fig8ValueSizes, sizeLabel,
+		lookupSeries, func(vs int) ([]*stats.Sample, error) { return hashGetLatencies(o, vs) })
 }
 
-func hashGetLatencies(o Options, valueSize int) (read, strom, tcp *stats.Sample, err error) {
+func hashGetLatencies(o Options, valueSize int) ([]*stats.Sample, error) {
 	pair, err := newPair(o, profile10G(), 24<<20)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	region := kvstore.NewRegion(pair.B.Memory(), pair.BufB)
-	ht, err := kvstore.BuildHashTable(region, 4096)
-	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(o.Seed + int64(valueSize)))
-	keys := make([]uint64, 0, 256)
-	for len(keys) < 256 {
+	ht, keys, err := randomHashTable(pair, rng, 4096, 256, valueSize)
+	if err != nil {
+		return nil, err
+	}
+	// Two RDMA READs: entry, then value (the best case the paper assumes).
+	scratch := pair.BufA.Base() + 8<<20
+	read := func(p *sim.Process, key uint64) error {
+		return twoReadGet(p, pair, testrig.QPA, ht, key, valueSize, scratch)
+	}
+	serve := func(key uint64) ([]byte, sim.Duration) {
+		val, _ := ht.Get(key)
+		return val, 2 * pair.B.Host().MemLatency // entry + value accesses
+	}
+	return lookupLatencies(o, pair, keys, rng, read, func(key uint64) traversal.Params {
+		return ht.TraversalParams(key, valueSize, pair.BufA.Base())
+	}, serve)
+}
+
+// randomHashTable builds a Pilaf hash table of entries entries in B's
+// buffer and puts n random keys into it, each with a random
+// valueSize-byte value, key then value drawn from rng. A key whose entry
+// is full is redrawn; any other failed Put is the error. It returns the
+// keys in the order they were put.
+func randomHashTable(pair *testrig.Pair, rng *rand.Rand, entries, n, valueSize int) (*kvstore.HashTable, []uint64, error) {
+	ht, err := kvstore.BuildHashTable(kvstore.NewRegion(pair.B.Memory(), pair.BufB), entries)
+	if err != nil {
+		return nil, nil, err
+	}
+	keys := make([]uint64, 0, n)
+	for len(keys) < n {
 		k := rng.Uint64()
 		v := make([]byte, valueSize)
 		rng.Read(v)
-		if err := ht.Put(k, v); err != nil {
-			continue
+		switch err := ht.Put(k, v); {
+		case errors.Is(err, kvstore.ErrBucketsFull):
+		case err != nil:
+			return nil, nil, err
+		default:
+			keys = append(keys, k)
 		}
-		keys = append(keys, k)
 	}
-	kern := traversal.New(0)
-	if err := pair.B.DeployKernel(traversalOp, kern); err != nil {
-		return nil, nil, nil, err
-	}
-	host := pair.B.Host()
-	srv := tcprpc.NewServer(pair.Eng, tcprpc.Default(), func(req []byte) ([]byte, sim.Duration) {
-		key := binary.LittleEndian.Uint64(req)
-		val, _ := ht.Get(key)
-		return val, 2 * host.MemLatency // entry + value accesses
-	})
-	read, strom, tcp = &stats.Sample{}, &stats.Sample{}, &stats.Sample{}
-	var runErr error
-	pair.Eng.Go("client", func(p *sim.Process) {
-		scratch := pair.BufA.Base() + 8<<20
-		for i := 0; i < o.Iterations; i++ {
-			key := keys[rng.Intn(len(keys))]
-
-			// 1) Two RDMA READs: entry, then value (the best case the
-			// paper assumes).
-			start := p.Now()
-			if err := pair.A.ReadSync(p, testrig.QPA, uint64(ht.EntryAddr(key)), uint64(scratch), kvstore.HTEntrySize); err != nil {
-				runErr = err
-				return
-			}
-			entry, err := pair.A.Memory().ReadVirt(scratch, kvstore.HTEntrySize)
-			if err != nil {
-				runErr = err
-				return
-			}
-			p.Sleep(pair.A.Host().MemLatency)
-			valueVA, ok := htEntryLookup(entry, key)
-			if !ok {
-				runErr = fmt.Errorf("key %d not in its entry", key)
-				return
-			}
-			if err := pair.A.ReadSync(p, testrig.QPA, valueVA, uint64(scratch), valueSize); err != nil {
-				runErr = err
-				return
-			}
-			read.Add(p.Now().Sub(start).Microseconds())
-
-			// 2) StRoM: single round trip via the traversal kernel.
-			start = p.Now()
-			if _, err := traversal.Lookup(p, pair.A, testrig.QPA, traversalOp, ht.TraversalParams(key, valueSize, pair.BufA.Base())); err != nil {
-				runErr = err
-				return
-			}
-			strom.Add(p.Now().Sub(start).Microseconds())
-
-			// 3) TCP RPC.
-			start = p.Now()
-			req := make([]byte, 8)
-			binary.LittleEndian.PutUint64(req, key)
-			srv.Call(p, req)
-			tcp.Add(p.Now().Sub(start).Microseconds())
-		}
-	})
-	pair.Run()
-	if runErr != nil {
-		return nil, nil, nil, runErr
-	}
-	return read, strom, tcp, nil
+	return ht, keys, nil
 }
 
-// htEntryLookup finds the bucket with the key and returns its value
-// pointer.
-func htEntryLookup(entry []byte, key uint64) (uint64, bool) {
+// twoReadGet is the Pilaf GET over one-sided verbs on queue pair qpn:
+// READ key's entry into scratch, find the key's bucket on A's CPU, then
+// READ the value over the entry. The value is left in scratch.
+func twoReadGet(p *sim.Process, pair *testrig.Pair, qpn uint32, ht *kvstore.HashTable, key uint64, valueSize int, scratch hostmem.Addr) error {
+	if err := pair.A.ReadSync(p, qpn, uint64(ht.EntryAddr(key)), uint64(scratch), kvstore.HTEntrySize); err != nil {
+		return err
+	}
+	entry, err := pair.A.Memory().ReadVirt(scratch, kvstore.HTEntrySize)
+	if err != nil {
+		return err
+	}
+	p.Sleep(pair.A.Host().MemLatency)
 	for b := 0; b < kvstore.HTBuckets; b++ {
 		off := b * kvstore.HTBucketStride
 		if binary.LittleEndian.Uint64(entry[off:]) == key {
-			return binary.LittleEndian.Uint64(entry[off+8:]), true
+			return pair.A.ReadSync(p, qpn, binary.LittleEndian.Uint64(entry[off+8:]), uint64(scratch), valueSize)
 		}
 	}
-	return 0, false
+	return fmt.Errorf("key %d not in its entry", key)
 }

@@ -1,7 +1,7 @@
 // Package stats provides the small statistics toolkit used by the
 // benchmark harness: latency samples with percentiles (the paper reports
-// medians with 1st/99th-percentile whiskers), throughput accumulators,
-// and labelled series for rendering figures as text.
+// medians with 1st/99th-percentile whiskers) and labelled series for
+// rendering figures as text.
 package stats
 
 import (
@@ -61,21 +61,6 @@ func (s *Sample) Max() float64 {
 	return s.vals[len(s.vals)-1]
 }
 
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 {
-	n := len(s.vals)
-	if n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.vals {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 func (s *Sample) sort() {
 	if !s.sorted {
 		sort.Float64s(s.vals)
@@ -118,26 +103,6 @@ func (s *Sample) P1() float64 { return s.Percentile(1) }
 
 // P99 returns the 99th percentile (upper whisker in the paper's plots).
 func (s *Sample) P99() float64 { return s.Percentile(99) }
-
-// Summary is a compact snapshot of a sample.
-type Summary struct {
-	N                 int
-	Mean, Median      float64
-	P1, P99, Min, Max float64
-}
-
-// Summarize captures the sample's summary statistics.
-func (s *Sample) Summarize() Summary {
-	return Summary{
-		N:      s.N(),
-		Mean:   s.Mean(),
-		Median: s.Median(),
-		P1:     s.P1(),
-		P99:    s.P99(),
-		Min:    s.Min(),
-		Max:    s.Max(),
-	}
-}
 
 // Point is one (x, y) measurement in a series, optionally with whiskers.
 type Point struct {

@@ -98,28 +98,17 @@ func TestPercentileWithinRange(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	var s Sample
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if got := s.StdDev(); math.Abs(got-2) > 1e-12 {
-		t.Errorf("StdDev = %v", got)
-	}
-}
-
 func TestSummaryOnUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var s Sample
 	for i := 0; i < 100000; i++ {
 		s.Add(rng.Float64() * 100)
 	}
-	sum := s.Summarize()
-	if math.Abs(sum.Median-50) > 1 {
-		t.Errorf("median of U(0,100) = %v", sum.Median)
+	if m := s.Median(); math.Abs(m-50) > 1 {
+		t.Errorf("median of U(0,100) = %v", m)
 	}
-	if math.Abs(sum.P1-1) > 0.5 || math.Abs(sum.P99-99) > 0.5 {
-		t.Errorf("p1/p99 = %v/%v", sum.P1, sum.P99)
+	if p1, p99 := s.P1(), s.P99(); math.Abs(p1-1) > 0.5 || math.Abs(p99-99) > 0.5 {
+		t.Errorf("p1/p99 = %v/%v", p1, p99)
 	}
 }
 
