@@ -3,9 +3,8 @@ GO ?= go
 .PHONY: check vet build test race cover recovery protect determinism fuzz bench lines golden ab soak kv kv-large
 
 # check is the everyday gate: build plus the full -race suite, which
-# includes the sharded determinism tests (TestSharded* in
-# internal/experiments and the ShardGroup suite in internal/sim) under
-# the race detector.
+# includes the determinism tests (the -j harness in internal/experiments
+# and the ShardGroup suite in internal/sim) under the race detector.
 check: build test
 
 vet:
@@ -15,11 +14,11 @@ build:
 	$(GO) build ./...
 
 # test is the tier-1 gate: vet plus the full suite under the race
-# detector (the parallel experiment harness and the concurrent telemetry
-# determinism tests make every package worth racing). The explicit
+# detector (the -j experiment harness and the concurrent telemetry
+# determinism tests run whole simulations side by side). The explicit
 # -timeout covers internal/experiments on a single-core host, where the
-# racing differential suite runs serially and overshoots go test's
-# default 600s per-package limit. The allocation guards (TestAllocs*)
+# suite under -race overshoots go test's default 600s per-package
+# limit. The allocation guards (TestAllocs*)
 # skip themselves under -race, so they run once more without it.
 test: vet
 	$(GO) test -race -timeout 1800s ./...
@@ -44,12 +43,12 @@ protect:
 	$(GO) test -race ./internal/mr
 	$(GO) test -race -run 'MR|NAKMatrix|RKey|RemoteKey|Protect|Rogue|Invariant9|Sandbox|Revalidat|Fault' ./internal/roce ./internal/core ./internal/kernels/traversal ./internal/experiments .
 
-# determinism runs the sharded-engine determinism suite on its own under
-# the race detector: worker-count invariance of every figure generator,
-# every scenario's exports (TestScenarios), the chaos schedule digest,
-# the sharded KV stream, and the ShardGroup window/barrier machinery.
-# internal/experiments takes ~540 s of it on a two-core host, hence the
-# explicit -timeout (go test's default is 600 s per package).
+# determinism runs the determinism suite on its own under the race
+# detector: -j invariance of the figure generators, every scenario's
+# exports on a second run (TestScenarios), the byte-identical JSONL
+# streams, the sharded KV stream, and the ShardGroup window/barrier
+# machinery with its cross-shard order (FuzzShardSchedule's corpus).
+# The explicit -timeout keeps a slow host inside go test's limits.
 determinism:
 	$(GO) test -race -count=1 -timeout 1800s -run 'Shard|Deterministic|ByteIdentical|Scenarios' ./internal/sim ./internal/testrig ./internal/experiments ./internal/kvserve
 
@@ -74,8 +73,9 @@ kv-large:
 # fuzz smoke-runs the checked-in fuzzers for 10s each on top of their
 # seed corpora (packet header round-trip, CRC slicing equivalence, QP
 # state-machine exactly-once under random fault interleavings, RETH
-# validation never-false-accept, shard window scheduling never reorders
-# same-timestamp cross-shard events, switch arbitration conservation
+# validation never-false-accept, every shard running its cross-shard
+# events in (timestamp, source shard, posting order) and never in the
+# window that posted them, switch arbitration conservation
 # under random arrival interleavings, extent codec round-trip with any
 # single-bit flip detected as torn, the health-payload encoder byte for
 # byte against encoding/json).

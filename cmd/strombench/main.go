@@ -4,8 +4,8 @@
 // Usage:
 //
 //	strombench -list
-//	strombench [-quick|-full] [-scenario NAME] [-seed N] [-j N] [-shards N]
-//	           [-csv DIR] [-metrics FILE] [-trace FILE] [-jsonl FILE]
+//	strombench [-quick|-full] [-scenario NAME] [-seed N] [-j N] [-csv DIR]
+//	           [-metrics FILE] [-trace FILE] [-jsonl FILE]
 //	           [-cpuprofile FILE] [-memprofile FILE] [exp ...]
 //
 // Experiment names are table1, table2, table3, resources, fig5a...fig13b,
@@ -23,8 +23,8 @@
 //
 // With no experiment names the scenario's sweep runs; -metrics, -trace
 // and -jsonl export the scenario's own instrumented run — on its own
-// engine seeded from -seed, so every file is byte-identical at every -j
-// and -shards value — and the -jsonl stream is then gated against the
+// testbed seeded from -seed, so every file is byte-identical at every -j
+// value — and the -jsonl stream is then gated against the
 // scenario's alert contract: a required alert that stayed silent, or one
 // outside the allowlist that fired, fails the run. Chaos runs are driven
 // entirely off the engine RNG, so re-running with the same -seed replays
@@ -40,10 +40,9 @@
 // holds it for the default and the -quick run, a test compares byte for
 // byte, and `make golden` is the only way to move it.
 //
-// Each two-machine testbed runs its machines on two event-engine shards
-// under conservative lookahead; -shards N executes them on up to N
-// worker goroutines (0 counts as 1). Output is byte-identical at every
-// value: the worker count never affects simulation results.
+// Each testbed is one simulation on one goroutine (a two-machine testbed
+// runs its machines as two event-engine shards under conservative
+// lookahead, in turn); -j is the only parallelism.
 //
 // -cpuprofile/-memprofile write pprof profiles of the whole run.
 package main
@@ -72,7 +71,6 @@ func main() {
 	scenarioName := flag.String("scenario", scenarios[0], "one of "+strings.Join(scenarios, ", ")+": the sweep run when no experiment is named, and the run -metrics/-trace/-jsonl export")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	jobs := flag.Int("j", experiments.DefaultParallelism(), "experiment generators to run in parallel")
-	shards := flag.Int("shards", 0, "worker goroutines per testbed; output identical at every value")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	csvDir := flag.String("csv", "", "also write each figure as CSV into this directory")
 	metricsOut := flag.String("metrics", "", "write the scenario's metrics JSON to this file")
@@ -143,7 +141,6 @@ func main() {
 		opts.ShuffleScale = 1
 	}
 	opts.Seed = *seed
-	opts.Shards = *shards
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "strombench:", err)

@@ -99,7 +99,7 @@ func (c *windowCursor) active(now sim.Time) (Window, bool) {
 // owned by exactly one engine — on a sharded testbed the A→B direction
 // and machine A's DMA judge on shard A's engine and RNG while B's sites
 // judge on shard B's — so a site never shares mutable state across
-// shard goroutines. The injector's external views (Stats, Records,
+// shards. The injector's external views (Stats, Records,
 // ScheduleDigest) combine the sites in the fixed order a-to-b, b-to-a,
 // dma-a, dma-b, which is identical however the sites are spread over
 // shards.
@@ -284,7 +284,7 @@ func (j *Injector) Apply(link *fabric.Link, dmaA, dmaB *pcie.Engine) {
 
 // sites returns the injection sites in their canonical combination
 // order. Every cross-site view folds in this order so the result is
-// independent of how the sites were spread over shard goroutines.
+// independent of how the sites were spread over shards.
 func (j *Injector) sites() [4]*site { return [4]*site{j.ab.site, j.ba.site, j.dmaA, j.dmaB} }
 
 // Stats returns the fault counters summed over all sites.

@@ -7,6 +7,7 @@ import (
 
 	"strom/internal/chaos"
 	"strom/internal/core"
+	"strom/internal/fabric"
 	"strom/internal/mr"
 	"strom/internal/roce"
 	"strom/internal/sim"
@@ -241,5 +242,82 @@ func TestProtectSweepRogueOutcomes(t *testing.T) {
 	}
 	if m.violations != 0 {
 		t.Errorf("violations = %d, want 0", m.violations)
+	}
+}
+
+// chaosDigestRun drives a lossy write stream over the sharded testbed
+// under a chaos plan and returns the injector's schedule digest, fault
+// totals, and the fault record log merged from both machines' sites.
+func chaosDigestRun(t *testing.T) (uint64, uint64, string) {
+	t.Helper()
+	pair, err := testrig.New(7, core.Profile10G(), fabric.DirectCable10G(), 8<<20)
+	if err != nil {
+		t.Fatalf("testrig.New: %v", err)
+	}
+	faults := chaos.LinkFaults{
+		Loss:        chaos.GilbertElliott{PGoodBad: 0.02, PBadGood: 0.3, LossGood: 0.002, LossBad: 0.2},
+		DupProb:     0.01,
+		DupDelay:    2 * sim.Microsecond,
+		ReorderProb: 0.01,
+		ReorderMax:  3 * sim.Microsecond,
+	}
+	plan := chaos.Plan{
+		AtoB:    faults,
+		BtoA:    faults,
+		Flaps:   []chaos.Window{{At: sim.Time(80 * sim.Microsecond), Dur: 15 * sim.Microsecond}},
+		StallsA: []chaos.Window{{At: sim.Time(40 * sim.Microsecond), Dur: 10 * sim.Microsecond}},
+		StallsB: []chaos.Window{{At: sim.Time(120 * sim.Microsecond), Dur: 10 * sim.Microsecond}},
+	}
+	inj, ca, cb := pair.ApplyChaos(plan)
+	const size, msgs = 4 << 10, 200
+	remaining := msgs
+	var opErr error
+	pair.Eng.Schedule(0, func() {
+		for i := 0; i < msgs; i++ {
+			pair.A.PostWrite(testrig.QPA, uint64(pair.BufA.Base()), uint64(pair.BufB.Base()), size, func(err error) {
+				if err != nil && opErr == nil {
+					opErr = err
+				}
+				remaining--
+			})
+		}
+	})
+	pair.Run()
+	if opErr != nil {
+		t.Fatal(opErr)
+	}
+	if remaining != 0 {
+		t.Fatalf("stream stalled with %d remaining", remaining)
+	}
+	for _, c := range []*chaos.Checker{ca, cb} {
+		if vs := c.Finish(); len(vs) != 0 {
+			t.Fatalf("protocol violations under chaos: %v", vs)
+		}
+	}
+	var recs string
+	for _, r := range inj.Records() {
+		recs += r.String() + "\n"
+	}
+	return inj.ScheduleDigest(), inj.Stats().Total(), recs
+}
+
+// The injected chaos schedule is part of the determinism contract: the
+// digest over every fault (time, site, kind, delay), the fault totals
+// and the merged record log must match between two runs of the sharded
+// testbed at one seed.
+func TestShardedChaosDigestAcrossWorkers(t *testing.T) {
+	d1, n1, r1 := chaosDigestRun(t)
+	d2, n2, r2 := chaosDigestRun(t)
+	if n1 == 0 {
+		t.Fatalf("chaos plan injected no faults — the digest comparison is vacuous")
+	}
+	if d1 != d2 {
+		t.Errorf("schedule digest differs: run 1 %#x, run 2 %#x", d1, d2)
+	}
+	if n1 != n2 {
+		t.Errorf("fault totals differ: run 1 %d, run 2 %d", n1, n2)
+	}
+	if r1 != r2 {
+		t.Errorf("merged fault records differ between two runs")
 	}
 }

@@ -28,13 +28,6 @@ type Options struct {
 	ShuffleScale int
 	// StreamBytes is the per-point volume for throughput sweeps.
 	StreamBytes int
-	// Shards is the number of worker goroutines that run a two-machine
-	// testbed, whose machines are the two shards of a sim.ShardGroup
-	// (0 counts as 1, clamped to the shard count). Results are
-	// byte-identical for every value: the worker count never affects
-	// simulation output. The incast sweep's switched bed takes it too;
-	// the KV beds and the incast export run on one engine.
-	Shards int
 }
 
 // Default returns the options used by the committed EXPERIMENTS.md run.
@@ -76,9 +69,9 @@ func profile100G() profile {
 	return profile{name: "100G", cfg: core.Profile100G(), link: fabric.DirectCable100G()}
 }
 
-// newPair builds a testbed for the profile, run by o.Shards workers.
+// newPair builds a testbed for the profile.
 func newPair(o Options, p profile, bufBytes int) (*testrig.Pair, error) {
-	return testrig.NewSharded(o.Seed, p.cfg, p.link, bufBytes, o.Shards)
+	return testrig.New(o.Seed, p.cfg, p.link, bufBytes)
 }
 
 // sweep runs every point and plots the named columns of table, point i

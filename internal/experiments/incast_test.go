@@ -4,8 +4,8 @@ import "testing"
 
 // incastOptions sizes the incast runs for the test battery: long enough
 // flows that PFC engages and DCQCN's rate cuts have room to matter.
-func incastOptions(workers int) Options {
-	return Options{Seed: 1, Iterations: 4, ShuffleScale: 128, StreamBytes: 2 << 20, Shards: workers}
+func incastOptions() Options {
+	return Options{Seed: 1, Iterations: 4, ShuffleScale: 128, StreamBytes: 2 << 20}
 }
 
 // TestIncastVictimFlowDCQCNGain is the headline congestion-spreading
@@ -16,11 +16,11 @@ func incastOptions(workers int) Options {
 // and K=8 (at K=2 the storm is too mild for a full 2×).
 func TestIncastVictimFlowDCQCNGain(t *testing.T) {
 	for _, k := range []int{4, 8} {
-		off, err := RunIncast(incastOptions(0), k, false)
+		off, err := RunIncast(incastOptions(), k, false)
 		if err != nil {
 			t.Fatalf("k=%d dcqcn=off: %v", k, err)
 		}
-		on, err := RunIncast(incastOptions(0), k, true)
+		on, err := RunIncast(incastOptions(), k, true)
 		if err != nil {
 			t.Fatalf("k=%d dcqcn=on: %v", k, err)
 		}
@@ -51,37 +51,13 @@ func TestIncastVictimFlowDCQCNGain(t *testing.T) {
 	}
 }
 
-// TestIncastDeterministicAcrossShards checks every measured quantity of
-// an incast run — completion times, pause/mark/discard/CNP counts — is
-// identical whether the N+1 shards of the switched bed run on one worker
-// or on four.
-func TestIncastDeterministicAcrossShards(t *testing.T) {
-	for _, k := range incastKs {
-		for _, dcqcn := range []bool{false, true} {
-			base, err := RunIncast(incastOptions(1), k, dcqcn)
-			if err != nil {
-				t.Fatalf("k=%d dcqcn=%v workers=1: %v", k, dcqcn, err)
-			}
-			m, err := RunIncast(incastOptions(4), k, dcqcn)
-			if err != nil {
-				t.Fatalf("k=%d dcqcn=%v workers=4: %v", k, dcqcn, err)
-			}
-			if m != base {
-				t.Errorf("k=%d dcqcn=%v: measure differs between 1 and 4 workers:\n 1: %+v\n 4: %+v",
-					k, dcqcn, base, m)
-			}
-		}
-	}
-}
-
 // TestIncastSweepIdenticalAcrossJobs renders the chaos-incast generator
 // through the same worker pool strombench uses and checks -j1 and -j4
-// produce byte-identical output (the sweep is also in Chaos(), so the
-// sharded differential suite covers it; this pins the -j axis).
+// produce byte-identical output.
 func TestIncastSweepIdenticalAcrossJobs(t *testing.T) {
 	gens := []Generator{{Name: "chaos-incast", Run: ChaosIncastSweep}}
 	render := func(jobs int) string {
-		rs := RunGenerators(gens, incastOptions(0), jobs)
+		rs := RunGenerators(gens, incastOptions(), jobs)
 		if rs[0].Err != nil {
 			t.Fatalf("-j%d: %v", jobs, rs[0].Err)
 		}

@@ -320,7 +320,7 @@ type kvBed struct {
 // running on return, ahead of any fault the scenario schedules.
 func newKVBed(o Options, machines int, ex Exports, cfg kvserve.Config) (*kvBed, error) {
 	// Unsharded: the client process crashes and repairs the servers.
-	b, err := newBed(o.Seed, machines, 0, ex, kvserve.HeartbeatRule())
+	b, err := newBed(o.Seed, machines, false, ex, kvserve.HeartbeatRule())
 	if err != nil {
 		return nil, err
 	}

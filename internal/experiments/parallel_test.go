@@ -24,8 +24,8 @@ func fastGens(t *testing.T) []Generator {
 }
 
 // TestRunGeneratorsDeterministicAcrossParallelism is the cross-engine
-// determinism contract: every generator owns a private sim.Engine, so
-// the rendered figures must be byte-identical at any parallelism.
+// determinism contract: every generator owns private engines, so the
+// rendered figures must be byte-identical at any parallelism.
 func TestRunGeneratorsDeterministicAcrossParallelism(t *testing.T) {
 	gens := fastGens(t)
 	o := Quick()
@@ -102,5 +102,28 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 	}
 	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
 		t.Error("Render output differs between parallelism 1 and 4")
+	}
+}
+
+// Generators whose testbeds are sharded must also be safe to run
+// concurrently with each other (the -j harness): each run owns a private
+// shard group.
+func TestShardedGeneratorsConcurrent(t *testing.T) {
+	gens := []Generator{
+		{"fig5a", Fig5aLatency10G},
+		{"fig9", Fig9Consistency},
+		{"fig13b", Fig13bHLLStRoM},
+		{"abl-mtu", AblationMTU},
+	}
+	o := Options{Seed: 1, Iterations: 4, ShuffleScale: 128, StreamBytes: 2 << 20}
+	results := RunGenerators(gens, o, 4)
+	serial := RunGenerators(gens, o, 1)
+	for i := range results {
+		if results[i].Err != nil {
+			t.Fatalf("%s: %v", results[i].Name, results[i].Err)
+		}
+		if got, want := results[i].Fig.String(), serial[i].Fig.String(); got != want {
+			t.Errorf("%s differs between -j 4 and -j 1", results[i].Name)
+		}
 	}
 }

@@ -24,9 +24,9 @@ type Scenario struct {
 	// Sweep names the tables and generators run in place of an empty
 	// experiment list.
 	Sweep []string
-	// Export runs the regime once on its own engine seeded from
+	// Export runs the regime once on its own testbed seeded from
 	// Options.Seed and writes the requested exports, each a pure function
-	// of Options: byte-identical at every -j and -shards value.
+	// of Options: byte-identical at every -j value.
 	Export func(Options, Exports) error
 	// Allow lists every alert rule the stream may trip, Require the ones
 	// among them it must; any other rule firing is a regression.
@@ -236,15 +236,15 @@ type train struct {
 	err  error
 }
 
-// newBed builds the bed, sharded one machine per shard when shards > 0.
-// rules extend the recorder's default alert rules.
-func newBed(seed int64, machines, shards int, ex Exports, rules ...export.Rule) (*bed, error) {
+// newBed builds the bed, sharded one machine per shard when sharded is
+// set. rules extend the recorder's default alert rules.
+func newBed(seed int64, machines int, sharded bool, ex Exports, rules ...export.Rule) (*bed, error) {
 	var (
 		net *testrig.Net
 		err error
 	)
-	if shards > 0 {
-		net, err = testrig.NewNetSharded(seed, machines, core.Profile10G(), IncastSwitchConfig(), 1<<20, shards)
+	if sharded {
+		net, err = testrig.NewNetSharded(seed, machines, core.Profile10G(), IncastSwitchConfig(), 1<<20)
 	} else {
 		net, err = testrig.NewNet(seed, machines, core.Profile10G(), IncastSwitchConfig(), 1<<20)
 	}

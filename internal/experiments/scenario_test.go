@@ -53,9 +53,9 @@ func (w *matchWriter) matched() bool {
 	return !w.diff && err == io.EOF
 }
 
-// runScenario exports the named scenario twice — the second time on
-// four workers, which must not change a byte — and holds the stream to
-// the scenario's alert contract. The result is cached: the content tests
+// runScenario exports the named scenario twice — the second run must
+// not change a byte — and holds the stream to the scenario's alert
+// contract. The result is cached: the content tests
 // of one scenario read the run TestScenarios already paid for. The
 // stream (170 MB for incast) goes through a file, not the heap.
 func runScenario(t *testing.T, name string) *scenarioRun {
@@ -94,15 +94,13 @@ func runScenario(t *testing.T, name string) *scenarioRun {
 		r.err = fmt.Errorf("an export is empty: %d stream events, %d B of metrics, %d B of trace", r.tail.Events, len(r.metrics), len(r.trace))
 		return r
 	}
-	again := Quick()
-	again.Shards = 4
 	ws := []*matchWriter{{want: bufio.NewReader(bytes.NewReader(r.metrics))}, {want: bufio.NewReader(bytes.NewReader(r.trace))}, {want: rewind()}}
-	if r.err = sc.Export(again, Exports{Metrics: ws[0], Trace: ws[1], JSONL: ws[2]}); r.err != nil {
+	if r.err = sc.Export(Quick(), Exports{Metrics: ws[0], Trace: ws[1], JSONL: ws[2]}); r.err != nil {
 		return r
 	}
 	for i, what := range []string{"metrics", "trace", "jsonl"} {
 		if !ws[i].matched() {
-			r.err = fmt.Errorf("%s export differs on a second run on 4 workers", what)
+			r.err = fmt.Errorf("%s export differs on a second run", what)
 			return r
 		}
 	}
@@ -111,7 +109,7 @@ func runScenario(t *testing.T, name string) *scenarioRun {
 }
 
 // Every registry entry's exports are pure functions of Options — byte
-// for byte the same on a second run, at any worker count — and its
+// for byte the same on a second run — and its
 // stream keeps its alert contract: every Require rule fired, nothing
 // outside Allow did.
 func TestScenarios(t *testing.T) {
@@ -147,7 +145,7 @@ func TestScenarios(t *testing.T) {
 // The end-of-run gate reports every violation, not the first: the
 // checkers' findings and the scenario's own all reach the error.
 func TestBedGateReportsEveryViolation(t *testing.T) {
-	b, err := newBed(1, 2, 0, Exports{})
+	b, err := newBed(1, 2, false, Exports{})
 	if err != nil {
 		t.Fatal(err)
 	}

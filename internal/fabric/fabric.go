@@ -109,8 +109,7 @@ func (st *Stats) countDrop(c DropCause) {
 // shard's engine (serialization, RNG draws, fault judgement happen
 // there); dstEng is the receiving shard's engine, where the delivery
 // fires. When the link spans two shards of a sim.ShardGroup (NewLinkOn)
-// the propagation delay is the lookahead that makes conservative
-// parallel execution sound.
+// the propagation delay is the group's conservative lookahead.
 type direction struct {
 	eng     *sim.Engine
 	dstEng  *sim.Engine
@@ -257,7 +256,7 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, a, b Endpoint) *Link {
 // judges faults on its sending shard and delivers on the receiving
 // shard, and the propagation delay — the minimum time any frame spends
 // crossing — is the conservative lookahead bound that lets both shards
-// advance in parallel. engA == engB is the single-engine link.
+// advance a window at a time. engA == engB is the single-engine link.
 func NewLinkOn(engA, engB *sim.Engine, cfg LinkConfig, a, b Endpoint) *Link {
 	return &Link{
 		a: newDirection(engA, engB, cfg.BandwidthGbps, cfg.Propagation, b),
@@ -287,7 +286,7 @@ func (l *Link) AttachTelemetry(regA, regB *telemetry.Registry, tb *telemetry.Tra
 		tb.NameThread(pid, traceTidBtoA, "b-to-a")
 	}
 	// Each direction traces into the segment of its sending engine, so a
-	// sharded link never writes one buffer from two goroutines.
+	// sharded link never writes one buffer from two shards.
 	l.a.tb, l.a.pid, l.a.tid = tb.ForEngine(l.a.eng), pid, traceTidAtoB
 	l.b.tb, l.b.pid, l.b.tid = tb.ForEngine(l.b.eng), pid, traceTidBtoA
 }

@@ -99,10 +99,9 @@ type Engine struct {
 	running *Process
 
 	// shard support (see shard.go); zero values for standalone engines.
-	group     *ShardGroup
-	shardIdx  int32
-	windowEnd Time
-	fgAt      Time // when this shard last fired a foreground event
+	group    *ShardGroup
+	shardIdx int32
+	fgAt     Time // when this shard last fired a foreground event
 	// closed is set while the group runs a window and this shard is not
 	// the one executing: an event scheduled onto it then comes from
 	// another shard (see ScheduleAt).

@@ -9,21 +9,18 @@ import (
 // window and posts cross events that respect it: everything delivers,
 // in order, with no panic.
 func TestLinkLookaheadValidPasses(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		g := NewShardGroup(1, 2, Microsecond)
-		g.SetWorkers(workers)
-		g.SetLinkLookahead(g.Shard(0), g.Shard(1), 5*Microsecond)
-		delivered := 0
-		for i := 0; i < 4; i++ {
-			at := Duration(i) * 2 * Microsecond
-			g.Shard(0).Schedule(at, func() {
-				g.Shard(0).CrossSchedule(g.Shard(1), 5*Microsecond, func() { delivered++ })
-			})
-		}
-		g.Run()
-		if delivered != 4 {
-			t.Fatalf("workers=%d: delivered %d of 4 cross events", workers, delivered)
-		}
+	g := NewShardGroup(1, 2, Microsecond)
+	g.SetLinkLookahead(g.Shard(0), g.Shard(1), 5*Microsecond)
+	delivered := 0
+	for i := 0; i < 4; i++ {
+		at := Duration(i) * 2 * Microsecond
+		g.Shard(0).Schedule(at, func() {
+			g.Shard(0).CrossSchedule(g.Shard(1), 5*Microsecond, func() { delivered++ })
+		})
+	}
+	g.Run()
+	if delivered != 4 {
+		t.Fatalf("delivered %d of 4 cross events", delivered)
 	}
 }
 

@@ -19,10 +19,8 @@ import (
 //   - Exactly one of the engine and its processes runs at any time
 //     (Engine.running names the process, nil for the engine), so
 //     simulations stay deterministic.
-//   - Whoever runs the engine resumes its processes. Under a ShardGroup
-//     that is a different worker goroutine from one window to the next,
-//     never two at once: an engine is run by one worker per window, and
-//     the window barrier orders one window's worker before the next's.
+//   - Whoever runs the engine resumes its processes: the goroutine that
+//     called Engine.Run, or ShardGroup.Run for a shard.
 //   - A panic inside a process unwinds through Engine.Run on the
 //     caller's goroutine, as a string naming the process and carrying the
 //     process's own stack; runtime.Goexit (t.Fatal) in a process ends the

@@ -4,30 +4,28 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 )
 
-// This file implements deterministic intra-run parallelism: a ShardGroup
-// partitions the event space of one simulation into per-machine shards
-// (one Engine each) and executes them with conservative lookahead — the
-// classic null-message bound. A shard may advance its local clock up to
-// the minimum cross-shard link latency beyond the global minimum event
-// time; events crossing a shard boundary (fabric frame deliveries,
-// control-plane RPCs) travel through per-source outboxes that are drained
-// at window barriers in a globally deterministic order.
+// This file implements the sharded engine: a ShardGroup partitions the
+// event space of one simulation into per-machine shards (one Engine
+// each) and runs them in windows of conservative lookahead — the classic
+// null-message bound. Within a window every shard may advance its local
+// clock up to the minimum cross-shard link latency beyond the global
+// minimum event time; events crossing a shard boundary (fabric frame
+// deliveries, control-plane RPCs) travel through per-source outboxes
+// that are drained at window barriers in a globally deterministic order.
 //
-// Determinism argument (see DESIGN.md §13): within a window [T, T+L) a
-// shard executes only its own events, touching only shard-local state, so
-// its execution is a pure function of its heap and RNG regardless of
-// which worker goroutine runs it or when. Every cross-shard event posted
-// during the window carries a timestamp ≥ its post time + L ≥ T + L, so
-// it cannot affect the current window of any shard (causality is
-// conservative). At the barrier, outboxes are merged in the fixed
+// The group runs each window's shards one after another, in index
+// order, on the goroutine that called Run; concurrency comes only from
+// running whole simulations side by side (see DESIGN.md §13). The
+// partition fixes the order events run in: within a window [T, T+L) a
+// shard executes only its own events, touching only shard-local state.
+// Every cross-shard event posted during the window carries a timestamp
+// ≥ its post time + L ≥ T + L, so it cannot affect the current window of
+// any shard. At the barrier, outboxes are merged in the fixed
 // (timestamp, source shard, source posting order) order before being
 // injected, so destination-shard FIFO sequence numbers — the engine's
-// same-timestamp tie-break — are assigned identically for every worker
-// count. Same seed therefore means byte-identical simulation output
-// whether the group runs on one goroutine or many.
+// same-timestamp tie-break — are a pure function of the seed.
 
 // crossEvent is an event posted from one shard to another, parked in the
 // source shard's outbox until the window barrier. postAt is the source
@@ -48,31 +46,17 @@ type crossEvent struct {
 // conservative lookahead. Construct with NewShardGroup, place each
 // simulated machine's components on their own Shard(i) engine, wire
 // cross-shard paths through CrossScheduleAt, then Run.
-//
-// Workers controls real parallelism only: the simulation result is
-// byte-identical for every worker count (including 1, the sequential
-// execution of the same sharded structure).
 type ShardGroup struct {
 	shards    []*Engine
 	outbox    [][]crossEvent // indexed by source shard
 	merged    []crossEvent   // barrier scratch, reused across windows
 	lookahead Duration
 	linkLA    map[[2]int32]Duration // optional per-link lookahead declarations
-	workers   int
 
 	daemonsTo Time // daemons up to here may fire on a shard with no foreground work (see frontier)
 
-	crossed  uint64 // cross-shard events delivered
-	running  bool
-	workerWG sync.WaitGroup
-	jobs     chan int
-	done     chan workerResult
-}
-
-// workerResult reports one shard's window execution back to the barrier.
-type workerResult struct {
-	shard int
-	panic any
+	crossed uint64 // cross-shard events delivered
+	running bool
 }
 
 // shardSeedMix derives statistically independent per-shard RNG seeds from
@@ -99,7 +83,6 @@ func NewShardGroup(seed int64, n int, lookahead Duration) *ShardGroup {
 		shards:    make([]*Engine, n),
 		outbox:    make([][]crossEvent, n),
 		lookahead: lookahead,
-		workers:   1,
 	}
 	for i := range g.shards {
 		e := NewEngine(shardSeedMix(seed, i))
@@ -142,18 +125,10 @@ func (g *ShardGroup) SetLinkLookahead(src, dst *Engine, d Duration) {
 	g.linkLA[[2]int32{src.shardIdx, dst.shardIdx}] = d
 }
 
-// SetWorkers caps the number of goroutines executing shards within a
-// window. Values outside [1, Shards()] are clamped. The worker count
-// never affects simulation results, only wall-clock time.
-func (g *ShardGroup) SetWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	if w > len(g.shards) {
-		w = len(g.shards)
-	}
-	g.workers = w
-}
+// SetWorkers does nothing: a group always runs on the goroutine that
+// calls Run. It remains only for benchmark/layers.go until that file
+// drops the call.
+func (g *ShardGroup) SetWorkers(int) {}
 
 // Crossed reports how many cross-shard events have been delivered.
 func (g *ShardGroup) Crossed() uint64 { return g.crossed }
@@ -187,19 +162,17 @@ func (g *ShardGroup) Now() Time {
 }
 
 // post parks a cross-shard event in its source shard's outbox until the
-// next barrier. Only called from within the source's event callbacks
-// (single goroutine per shard), so outboxes need no locking.
+// next barrier. Only called from within the source's event callbacks.
 func (g *ShardGroup) post(ce crossEvent) {
 	ce.postAt = g.shards[ce.src].Now()
 	g.outbox[ce.src] = append(g.outbox[ce.src], ce)
 }
 
 // Run executes the simulation to completion: windows of width lookahead
-// are run across all shards (in parallel up to Workers goroutines),
-// separated by barriers that exchange cross-shard events. It returns the
-// final simulated time (the maximum across shards). Run terminates when
-// every shard's queue is empty and no cross events remain, or when any
-// shard halts.
+// are run across all shards, separated by barriers that exchange
+// cross-shard events. It returns the final simulated time (the maximum
+// across shards). Run terminates when every shard's queue is empty and
+// no cross events remain, or when any shard halts.
 func (g *ShardGroup) Run() Time {
 	if g.running {
 		panic("sim: ShardGroup.Run re-entered")
@@ -213,10 +186,6 @@ func (g *ShardGroup) Run() Time {
 	}()
 	for _, s := range g.shards {
 		s.halted = false
-	}
-	if g.workers > 1 {
-		g.startWorkers()
-		defer g.stopWorkers()
 	}
 	for {
 		// Outboxes are empty here (drained by the previous barrier).
@@ -266,35 +235,16 @@ func (g *ShardGroup) frontier() (Time, bool) {
 	return busy, haveBusy
 }
 
-// runWindow executes every shard up to (but excluding) window, serially
-// or on the worker pool, and reports whether any shard halted. Every
-// shard is closed to direct scheduling for the window except while it
-// runs itself (runBefore), and open again for the barrier.
+// runWindow executes every shard up to (but excluding) window, in index
+// order, and reports whether any shard halted. Every shard is closed to
+// direct scheduling for the window except while it runs itself
+// (runBefore), and open again for the barrier.
 func (g *ShardGroup) runWindow(window Time) bool {
 	for _, s := range g.shards {
 		s.closed = true
 	}
-	if g.workers <= 1 || len(g.shards) == 1 {
-		for _, s := range g.shards {
-			s.runBefore(window)
-		}
-	} else {
-		for _, s := range g.shards {
-			s.windowEnd = window
-		}
-		for i := range g.shards {
-			g.jobs <- i
-		}
-		var pan any
-		for range g.shards {
-			r := <-g.done
-			if r.panic != nil && pan == nil {
-				pan = r.panic
-			}
-		}
-		if pan != nil {
-			panic(pan)
-		}
+	for _, s := range g.shards {
+		s.runBefore(window)
 	}
 	halted := false
 	for _, s := range g.shards {
@@ -302,44 +252,6 @@ func (g *ShardGroup) runWindow(window Time) bool {
 		halted = halted || s.halted
 	}
 	return halted
-}
-
-// startWorkers launches the long-lived window workers. Each worker picks
-// shard indices off the jobs channel; the window barrier is the done
-// channel. The per-shard windowEnd is stored before jobs are posted, so
-// workers never touch group state concurrently.
-func (g *ShardGroup) startWorkers() {
-	n := g.workers
-	if n > len(g.shards) {
-		n = len(g.shards)
-	}
-	g.jobs = make(chan int, len(g.shards))
-	g.done = make(chan workerResult, len(g.shards))
-	g.workerWG.Add(n)
-	for w := 0; w < n; w++ {
-		go func() {
-			defer g.workerWG.Done()
-			for i := range g.jobs {
-				g.runShardJob(i)
-			}
-		}()
-	}
-}
-
-// runShardJob executes one shard's window on a worker, converting panics
-// (e.g. the horizon safety net) into a result the barrier re-raises.
-func (g *ShardGroup) runShardJob(i int) {
-	defer func() {
-		g.done <- workerResult{shard: i, panic: recover()}
-	}()
-	g.shards[i].runBefore(g.shards[i].windowEnd)
-}
-
-// stopWorkers shuts the pool down.
-func (g *ShardGroup) stopWorkers() {
-	close(g.jobs)
-	g.workerWG.Wait()
-	g.jobs, g.done = nil, nil
 }
 
 // drainOutboxes merges every outbox in the canonical (timestamp, source

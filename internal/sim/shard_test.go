@@ -1,105 +1,33 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
-// shardTrace records one execution step for differential comparison.
-type shardTrace struct {
-	Shard int
-	At    Time
-	Tag   int
-}
-
-// runPingPong wires nShards shards that bounce tagged events to their
-// neighbour with latencies ≥ lookahead, plus local same-timestamp noise
-// events, recording every execution per shard (no cross-shard logging,
-// so parallel runs stay race-free). Returns the merged log and group.
-func runPingPong(seed int64, nShards, workers int, lookahead Duration, hops int) ([]shardTrace, *ShardGroup) {
-	g := NewShardGroup(seed, nShards, lookahead)
-	g.SetWorkers(workers)
-	locals := make([][]shardTrace, nShards)
-	var hop func(shard, tag, remaining int)
-	hop = func(shard, tag, remaining int) {
-		e := g.Shard(shard)
-		locals[shard] = append(locals[shard], shardTrace{Shard: shard, At: e.Now(), Tag: tag})
-		if remaining == 0 {
-			return
-		}
-		// Local noise at the same timestamp as the cross event will have
-		// on the destination — exercising the same-timestamp tie-break.
-		dst := (shard + 1) % nShards
-		delay := lookahead + Duration(e.Rand().Int63n(int64(lookahead)))
-		at := e.Now().Add(delay)
-		e.CrossScheduleAt(g.Shard(dst), at, func() { hop(dst, tag, remaining-1) })
-		e.Schedule(delay, func() {
-			locals[shard] = append(locals[shard], shardTrace{Shard: shard, At: e.Now(), Tag: -tag})
-		})
-	}
-	for s := 0; s < nShards; s++ {
-		shard := s
-		g.Shard(shard).Schedule(0, func() { hop(shard, shard+1, hops) })
-	}
-	g.Run()
-	var merged []shardTrace
-	for s := range locals {
-		merged = append(merged, locals[s]...)
-	}
-	return merged, g
-}
-
-func TestShardGroupDeterministicAcrossWorkers(t *testing.T) {
-	const hops = 50
-	var want []shardTrace
-	var wantTime Time
-	var wantFired, wantCrossed uint64
-	for _, workers := range []int{1, 2, 4} {
-		log, g := runPingPong(7, 4, workers, 100*Nanosecond, hops)
-		if workers == 1 {
-			want, wantTime = log, g.Now()
-			wantFired, wantCrossed = g.Fired(), g.Crossed()
-			if wantCrossed == 0 {
-				t.Fatal("expected cross-shard traffic")
-			}
-			continue
-		}
-		if !reflect.DeepEqual(log, want) {
-			t.Fatalf("workers=%d: execution log diverged from sequential run", workers)
-		}
-		if g.Now() != wantTime || g.Fired() != wantFired || g.Crossed() != wantCrossed {
-			t.Fatalf("workers=%d: now/fired/crossed %v/%d/%d, want %v/%d/%d",
-				workers, g.Now(), g.Fired(), g.Crossed(), wantTime, wantFired, wantCrossed)
-		}
-	}
-}
-
 func TestShardGroupSameTimestampCrossOrder(t *testing.T) {
 	// Three source shards post to shard 0 at the identical timestamp; the
-	// canonical order is (timestamp, source shard, posting order),
-	// regardless of worker count.
-	for _, workers := range []int{1, 2} {
-		g := NewShardGroup(1, 4, Microsecond)
-		g.SetWorkers(workers)
-		var order []int
-		at := Time(5 * Microsecond)
-		for src := 3; src >= 1; src-- {
-			src := src
-			g.Shard(src).Schedule(0, func() {
-				e := g.Shard(src)
-				for k := 0; k < 2; k++ {
-					tag := src*10 + k
-					e.CrossScheduleAt(g.Shard(0), at, func() { order = append(order, tag) })
-				}
-			})
-		}
-		g.Run()
-		want := []int{10, 11, 20, 21, 30, 31}
-		if !reflect.DeepEqual(order, want) {
-			t.Fatalf("workers=%d: cross order %v, want %v", workers, order, want)
-		}
+	// canonical order is (timestamp, source shard, posting order).
+	g := NewShardGroup(1, 4, Microsecond)
+	var order []int
+	at := Time(5 * Microsecond)
+	for src := 3; src >= 1; src-- {
+		g.Shard(src).Schedule(0, func() {
+			e := g.Shard(src)
+			for k := 0; k < 2; k++ {
+				tag := src*10 + k
+				e.CrossScheduleAt(g.Shard(0), at, func() { order = append(order, tag) })
+			}
+		})
+	}
+	g.Run()
+	want := []int{10, 11, 20, 21, 30, 31}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("cross order %v, want %v", order, want)
 	}
 }
 
@@ -118,53 +46,45 @@ func TestShardGroupLookaheadViolationPanics(t *testing.T) {
 }
 
 func TestShardGroupHaltStopsRun(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		g := NewShardGroup(1, 2, Microsecond)
-		g.SetWorkers(workers)
-		fired := 0
-		g.Shard(1).Schedule(Microsecond, func() { g.Shard(1).Halt() })
-		g.Shard(1).Schedule(10*Microsecond, func() { fired++ })
-		g.Shard(0).Schedule(20*Microsecond, func() { fired++ })
-		g.Run()
-		if fired != 0 {
-			t.Fatalf("workers=%d: events fired after halt", workers)
-		}
+	g := NewShardGroup(1, 2, Microsecond)
+	fired := 0
+	g.Shard(1).Schedule(Microsecond, func() { g.Shard(1).Halt() })
+	g.Shard(1).Schedule(10*Microsecond, func() { fired++ })
+	g.Shard(0).Schedule(20*Microsecond, func() { fired++ })
+	g.Run()
+	if fired != 0 {
+		t.Fatal("events fired after halt")
 	}
 }
 
 func TestShardGroupProcessesOnShards(t *testing.T) {
 	// One process per shard, exchanging wake-ups via cross-shard events:
 	// shard 0's process sleeps, posts to shard 1, whose process completes.
-	for _, workers := range []int{1, 2} {
-		g := NewShardGroup(3, 2, 100*Nanosecond)
-		g.SetWorkers(workers)
-		var got []string
-		var done Completion[struct{}]
-		g.Shard(1).Go("receiver", func(p *Process) {
-			done.Wait(p)
-			got = append(got, fmt.Sprintf("recv@%v", p.Now()))
-		})
-		g.Shard(0).Go("sender", func(p *Process) {
-			p.Sleep(Microsecond)
-			g.Shard(0).CrossSchedule(g.Shard(1), 200*Nanosecond, func() { done.Complete(struct{}{}) })
-		})
-		g.Run()
-		want := []string{"recv@1.20us"}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: got %v want %v", workers, got, want)
-		}
+	g := NewShardGroup(3, 2, 100*Nanosecond)
+	var got []string
+	var done Completion[struct{}]
+	g.Shard(1).Go("receiver", func(p *Process) {
+		done.Wait(p)
+		got = append(got, fmt.Sprintf("recv@%v", p.Now()))
+	})
+	g.Shard(0).Go("sender", func(p *Process) {
+		p.Sleep(Microsecond)
+		g.Shard(0).CrossSchedule(g.Shard(1), 200*Nanosecond, func() { done.Complete(struct{}{}) })
+	})
+	g.Run()
+	want := []string{"recv@1.20us"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v want %v", got, want)
 	}
 }
 
-// A process is resumed by whichever worker runs its shard's window: a
-// different goroutine from one window to the next, never two at once.
-// Each process here keeps state on its own stack and in its own slice
-// across a few hundred windows; under -race this is the check that the
-// window barrier orders one worker's resume before the next worker's.
+// A process on a shard is suspended and resumed across a few hundred
+// windows: it keeps its state on its own stack and in its own slice,
+// wakes exactly when it asked to in each, and two runs at one seed wake
+// at the same times.
 func TestShardGroupProcessResumedAcrossWorkers(t *testing.T) {
-	run := func(workers int) [4][]Time {
+	run := func() [4][]Time {
 		g := NewShardGroup(5, 4, 100*Nanosecond)
-		g.SetWorkers(workers)
 		var marks [4][]Time
 		for i := 0; i < 4; i++ {
 			g.Shard(i).Go(fmt.Sprintf("p%d", i), func(p *Process) {
@@ -183,12 +103,14 @@ func TestShardGroupProcessResumedAcrossWorkers(t *testing.T) {
 		g.Run()
 		return marks
 	}
-	one, four := run(1), run(4)
-	if !reflect.DeepEqual(one, four) {
-		t.Fatal("process wake times differ between 1 and 4 workers")
+	one, two := run(), run()
+	if !reflect.DeepEqual(one, two) {
+		t.Fatal("process wake times differ between two runs")
 	}
-	if len(one[3]) != 300 {
-		t.Fatalf("process 3 woke %d times, want 300", len(one[3]))
+	for i := range one {
+		if len(one[i]) != 300 {
+			t.Fatalf("process %d woke %d times, want 300", i, len(one[i]))
+		}
 	}
 }
 
@@ -283,8 +205,13 @@ func TestShardGroupSingleShard(t *testing.T) {
 }
 
 // FuzzShardSchedule drives random cross-shard schedules — including
-// same-timestamp events landing exactly on window boundaries — and
-// asserts the parallel execution order is byte-identical to sequential.
+// same-timestamp events landing exactly on window boundaries — and holds
+// every destination shard to the barrier's contract: it runs its cross
+// events at exactly their timestamps, never in the window they were
+// posted in (a barrier has delivered at least one event since, so
+// Crossed has moved past its value at posting), and in (timestamp,
+// source shard, posting order) — among events of equal timestamp, those
+// of an earlier barrier first.
 func FuzzShardSchedule(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(16))
 	f.Add(int64(42), uint8(2), uint8(40))
@@ -292,40 +219,59 @@ func FuzzShardSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nsRaw, events uint8) {
 		nShards := 2 + int(nsRaw)%3
 		nEvents := 1 + int(events)%48
-		run := func(workers int) ([]shardTrace, Time) {
-			const la = 100 * Nanosecond
-			g := NewShardGroup(seed, nShards, la)
-			g.SetWorkers(workers)
-			locals := make([][]shardTrace, nShards)
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < nEvents; i++ {
-				src := rng.Intn(nShards)
-				dst := rng.Intn(nShards)
-				tag := i
-				start := Time(rng.Int63n(int64(2 * Microsecond)))
-				g.Shard(src).ScheduleAt(start, func() {
-					e := g.Shard(src)
-					locals[src] = append(locals[src], shardTrace{Shard: src, At: e.Now(), Tag: tag})
+		const la = 100 * Nanosecond
+		g := NewShardGroup(seed, nShards, la)
+		// post is one cross event as its source posted it; order is the
+		// order the barrier must deliver one destination's events in.
+		type post struct {
+			at      Time
+			batch   uint64 // Crossed() at posting: one value per window
+			src, nr int
+		}
+		order := func(a, b post) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.batch, b.batch),
+				cmp.Compare(a.src, b.src), cmp.Compare(a.nr, b.nr))
+		}
+		delivered := make([][]post, nShards)
+		posted := make([]int, nShards)
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < nEvents; i++ {
+			src := rng.Intn(nShards)
+			dst := (src + 1 + rng.Intn(nShards-1)) % nShards
+			fan := 1 + rng.Intn(3)
+			// Starts on a half-lookahead grid, so sources collide on
+			// delivery timestamps.
+			start := Time(rng.Intn(40)) * Time(la/2)
+			g.Shard(src).ScheduleAt(start, func() {
+				e := g.Shard(src)
+				for range fan {
 					// Aim some deliveries exactly at multiples of the
 					// lookahead (window-boundary timestamps).
-					delay := la * Duration(1+e.Rand().Int63n(3))
-					e.CrossScheduleAt(g.Shard(dst), e.Now().Add(delay), func() {
-						locals[dst] = append(locals[dst], shardTrace{Shard: dst, At: g.Shard(dst).Now(), Tag: -tag})
+					at := e.Now().Add(la * Duration(1+e.Rand().Int63n(3)))
+					ps := post{at: at, batch: g.Crossed(), src: src, nr: posted[src]}
+					posted[src]++
+					e.CrossScheduleAt(g.Shard(dst), ps.at, func() {
+						if now := g.Shard(dst).Now(); now != ps.at {
+							t.Errorf("shard %d ran a cross event for %v at %v", dst, ps.at, now)
+						}
+						if g.Crossed() <= ps.batch {
+							t.Errorf("shard %d ran a cross event from %d in the window it was posted in", dst, ps.src)
+						}
+						delivered[dst] = append(delivered[dst], ps)
 					})
-				})
-			}
-			g.Run()
-			var merged []shardTrace
-			for s := range locals {
-				merged = append(merged, locals[s]...)
-			}
-			return merged, g.Now()
+				}
+			})
 		}
-		seqLog, seqEnd := run(1)
-		parLog, parEnd := run(nShards)
-		if !reflect.DeepEqual(seqLog, parLog) || seqEnd != parEnd {
-			t.Fatalf("parallel execution diverged from sequential (seed %d, %d shards, %d events)",
-				seed, nShards, nEvents)
+		g.Run()
+		sent, ran := 0, 0
+		for dst, got := range delivered {
+			sent, ran = sent+posted[dst], ran+len(got)
+			if !slices.IsSortedFunc(got, order) {
+				t.Fatalf("shard %d ran its cross events out of (timestamp, source shard, posting order): %+v", dst, got)
+			}
+		}
+		if ran != sent || uint64(sent) != g.Crossed() {
+			t.Fatalf("%d cross events posted, %d run, %d crossed", sent, ran, g.Crossed())
 		}
 	})
 }
@@ -380,18 +326,15 @@ func TestShardDaemonsEndWithForeground(t *testing.T) {
 	if wantEnd != Time(17*550*Nanosecond) || len(want[2]) != int(wantEnd/Time(130*Nanosecond)) {
 		t.Fatalf("standalone run: end %v with %d samples", wantEnd, len(want[2]))
 	}
-	for _, workers := range []int{1, 3} {
-		g := NewShardGroup(1, 3, lookahead)
-		g.SetWorkers(workers)
-		got, end := run(g.Shard(0), g.Shard(1), g.Shard(2), g.Run)
-		if end != wantEnd {
-			t.Errorf("workers=%d: run ends at %v, standalone at %v", workers, end, wantEnd)
-		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("workers=%d: sampler %d fired %d times, last at %v; on a standalone engine %d times, last at %v",
-					workers, i, len(got[i]), got[i][len(got[i])-1], len(want[i]), want[i][len(want[i])-1])
-			}
+	g := NewShardGroup(1, 3, lookahead)
+	got, end := run(g.Shard(0), g.Shard(1), g.Shard(2), g.Run)
+	if end != wantEnd {
+		t.Errorf("run ends at %v, standalone at %v", end, wantEnd)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("sampler %d fired %d times, last at %v; on a standalone engine %d times, last at %v",
+				i, len(got[i]), got[i][len(got[i])-1], len(want[i]), want[i][len(want[i])-1])
 		}
 	}
 }

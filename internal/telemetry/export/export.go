@@ -18,8 +18,8 @@
 //     optionally a whole telemetry.Registry are scraped every interval
 //     of simulated time; each scrape emits health/metrics events into a
 //     per-engine segment. Segments are merged deterministically at
-//     export time — (timestamp, segment rank, sequence) — so a sharded
-//     testbed produces the identical stream at every worker count.
+//     export time — (timestamp, segment rank, sequence) — so the stream
+//     of a sharded testbed does not depend on how its shards interleave.
 //
 //   - Alerts: declarative threshold / rate / no-progress rules
 //     evaluated at every scrape point, emitting alert events into the

@@ -187,9 +187,9 @@ const (
 // is not supported; use NewRecorder.
 //
 // Usage: register sources (and optionally a registry) during setup,
-// Start, run the simulation, then Drain/WriteTo. On a sharded testbed each engine's sources are scraped
-// by that shard (the single-writer contract); the merged stream is
-// byte-identical for every worker count.
+// Start, run the simulation, then Drain/WriteTo. On a sharded testbed
+// each engine's sources are scraped by that shard (the single-writer
+// contract).
 type Recorder struct {
 	mu        sync.Mutex // guards segment creation (sharded setup)
 	rules     []Rule
@@ -473,8 +473,7 @@ func (s *scraper) objects() []string {
 
 // Drain finishes the recorder and emits the merged stream into sink.
 // The merge key is (timestamp, end-of-run flag, segment rank, sequence)
-// — a total order independent of shard interleaving, so the stream is
-// byte-identical at every worker count.
+// — a total order independent of shard interleaving.
 func (r *Recorder) Drain(sink Sink) error {
 	r.Finish()
 	type ranked struct {

@@ -61,14 +61,12 @@ func (g *Gauge) Value() float64 {
 // Registry is a label-keyed collection of metrics.
 //
 // Handle resolution (Counter/Gauge/Histogram lookups) is guarded by a
-// mutex so shards of one sim.ShardGroup may resolve handles from their
-// own goroutines. The metric values themselves are deliberately plain
-// fields: the shard contract is single-writer-per-handle — every metric
-// key (distinguished by nic/direction labels) is written by exactly one
-// shard, and the group's window barriers provide the happens-before
-// edge that makes all writes visible to the exporting goroutine after
-// Run returns. Components that share a key across shards are a bug the
-// race detector catches in `make check`.
+// mutex. The metric values themselves are deliberately plain fields:
+// a registry belongs to one simulation, which runs on one goroutine,
+// and the shard contract is single-writer-per-handle — every metric key
+// (distinguished by nic/direction labels) is written by exactly one
+// shard, so what a mid-run scrape reads does not depend on the order
+// shards run in.
 //
 // The nil *Registry is valid and inert: metric constructors return nil
 // handles and OnCollect/Collect do nothing.

@@ -38,9 +38,9 @@ type traceEvent struct {
 //
 // A buffer is bound to one engine; when a simulation runs as a
 // sim.ShardGroup, each shard records into its own segment (ForEngine)
-// and the export merges segments deterministically, so parallel runs
-// emit byte-identical traces. A single-segment buffer exports in exact
-// emission order.
+// and the export merges segments deterministically, in an order that
+// does not depend on how the shards' events interleave. A single-segment
+// buffer exports in exact emission order.
 //
 // The nil *TraceBuffer is valid: every method is an allocation-free
 // no-op, so instrumentation hooks can run unconditionally on hot paths.
@@ -167,8 +167,7 @@ func (t *TraceBuffer) Len() int {
 // A single-segment trace keeps exact emission order (the historical
 // output); multi-segment traces are merged by a stable sort on
 // timestamp, so equal-timestamp events order by (segment, emission) —
-// a rule independent of goroutine scheduling, which is what makes
-// sharded exports byte-identical to sequential ones.
+// a rule independent of the order shards run in.
 func (t *TraceBuffer) merged() []traceEvent {
 	segs := t.shared.segs
 	if len(segs) == 1 {

@@ -41,20 +41,12 @@ const (
 	QPB uint32 = 2
 )
 
-// New builds the testbed run by one worker: cfg selects the machine
-// profile (10 G or 100 G), linkCfg the cable, bufSize the per-machine
-// registered buffer.
+// New builds the testbed: cfg selects the machine profile (10 G or
+// 100 G), linkCfg the cable, bufSize the per-machine registered buffer.
+// The cable's propagation delay is the conservative lookahead: no frame
+// crosses machines faster than that.
 func New(seed int64, cfg core.Config, linkCfg fabric.LinkConfig, bufSize int) (*Pair, error) {
-	return NewSharded(seed, cfg, linkCfg, bufSize, 1)
-}
-
-// NewSharded builds the testbed executed by up to workers goroutines.
-// Results are byte-identical for every worker count. The cable's
-// propagation delay is the conservative lookahead: no frame crosses
-// machines faster than that.
-func NewSharded(seed int64, cfg core.Config, linkCfg fabric.LinkConfig, bufSize, workers int) (*Pair, error) {
 	group := sim.NewShardGroup(seed, 2, linkCfg.Propagation)
-	group.SetWorkers(workers)
 	engA, engB := group.Shard(0), group.Shard(1)
 	idA, _ := core.MachineIdentity(1) // 1 and 2 are in range
 	idB, _ := core.MachineIdentity(2)
@@ -78,6 +70,12 @@ func NewSharded(seed int64, cfg core.Config, linkCfg fabric.LinkConfig, bufSize,
 		return nil, fmt.Errorf("testrig: %w", err)
 	}
 	return &Pair{Eng: engA, EngB: engB, Group: group, A: a, B: b, Link: link, BufA: bufA, BufB: bufB}, nil
+}
+
+// NewSharded is New; workers is ignored. It remains only for
+// benchmark/verbs.go until that file calls New.
+func NewSharded(seed int64, cfg core.Config, linkCfg fabric.LinkConfig, bufSize, _ int) (*Pair, error) {
+	return New(seed, cfg, linkCfg, bufSize)
 }
 
 // Run executes the testbed to completion and returns the final simulated

@@ -2,7 +2,6 @@ package testrig_test
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"strom/internal/core"
@@ -14,35 +13,27 @@ import (
 // A traced run ends when the untraced run ends: probes ride on daemon
 // events, so switching observability on must not move the product clock.
 func TestProbesDoNotMoveEndTime(t *testing.T) {
-	beds := map[string]func() (*testrig.Pair, error){}
-	for _, workers := range []int{1, 2} {
-		beds[fmt.Sprintf("workers=%d", workers)] = func() (*testrig.Pair, error) {
-			return testrig.NewSharded(1, core.Profile10G(), fabric.DirectCable10G(), 1<<20, workers)
+	run := func(every sim.Duration) sim.Time {
+		pair, err := testrig.New(1, core.Profile10G(), fabric.DirectCable10G(), 1<<20)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for name, newBed := range beds {
-		run := func(every sim.Duration) sim.Time {
-			pair, err := newBed()
-			if err != nil {
-				t.Fatal(err)
-			}
-			pair.Eng.Schedule(0, func() {
-				pair.A.PostWrite(testrig.QPA, uint64(pair.BufA.Base()), uint64(pair.BufB.Base()), 4096, func(err error) {
-					if err != nil {
-						t.Errorf("%s: write: %v", name, err)
-					}
-				})
+		pair.Eng.Schedule(0, func() {
+			pair.A.PostWrite(testrig.QPA, uint64(pair.BufA.Base()), uint64(pair.BufB.Base()), 4096, func(err error) {
+				if err != nil {
+					t.Errorf("write: %v", err)
+				}
 			})
-			if every > 0 {
-				pair.StartProbes(pair.Instrument(), every)
-			}
-			return pair.Run()
+		})
+		if every > 0 {
+			pair.StartProbes(pair.Instrument(), every)
 		}
-		bare := run(0)
-		for _, every := range []sim.Duration{2 * sim.Microsecond, sim.Microsecond, 130 * sim.Nanosecond} {
-			if probed := run(every); probed != bare {
-				t.Errorf("%s: run ends at %v with a %v probe, at %v without", name, probed, every, bare)
-			}
+		return pair.Run()
+	}
+	bare := run(0)
+	for _, every := range []sim.Duration{2 * sim.Microsecond, sim.Microsecond, 130 * sim.Nanosecond} {
+		if probed := run(every); probed != bare {
+			t.Errorf("run ends at %v with a %v probe, at %v without", probed, every, bare)
 		}
 	}
 }
@@ -54,7 +45,7 @@ func TestNetTooManyMachines(t *testing.T) {
 	if _, err := testrig.NewNet(1, core.MaxMachines+1, core.Profile10G(), sw, 1<<12); !errors.Is(err, core.ErrTooManyMachines) {
 		t.Errorf("NewNet(255 machines) = %v, want ErrTooManyMachines", err)
 	}
-	if _, err := testrig.NewNetSharded(1, core.MaxMachines+1, core.Profile10G(), sw, 1<<12, 1); !errors.Is(err, core.ErrTooManyMachines) {
+	if _, err := testrig.NewNetSharded(1, core.MaxMachines+1, core.Profile10G(), sw, 1<<12); !errors.Is(err, core.ErrTooManyMachines) {
 		t.Errorf("NewNetSharded(255 machines) = %v, want ErrTooManyMachines", err)
 	}
 }

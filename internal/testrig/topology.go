@@ -50,14 +50,12 @@ func NewNet(seed int64, n int, cfg core.Config, swCfg fabric.SwitchConfig, bufBy
 }
 
 // NewNetSharded builds the same topology with machine i on shard i and
-// the switch on shard n, executed by up to workers goroutines. Results
-// are byte-identical for every worker count.
-func NewNetSharded(seed int64, n int, cfg core.Config, swCfg fabric.SwitchConfig, bufBytes, workers int) (*Net, error) {
+// the switch on shard n.
+func NewNetSharded(seed int64, n int, cfg core.Config, swCfg fabric.SwitchConfig, bufBytes int) (*Net, error) {
 	if swCfg.Link.Propagation <= 0 {
 		return nil, fmt.Errorf("testrig: sharded net needs positive propagation delay")
 	}
 	group := sim.NewShardGroup(seed, n+1, swCfg.Link.Propagation)
-	group.SetWorkers(workers)
 	engs := make([]*sim.Engine, n)
 	for i := range engs {
 		engs[i] = group.Shard(i)

@@ -253,23 +253,22 @@ func TestSwitchThreeWayTraffic(t *testing.T) {
 }
 
 // TestFourMachineNetSmoke runs a 4-machine ring of writes through the
-// shared-buffer switch on the testrig.Net testbed — unsharded, sharded
-// with one worker, and sharded with four — and checks the three runs
-// finish at the same simulated time with every payload delivered intact
-// and the protocol invariant checkers silent.
+// shared-buffer switch on the testrig.Net testbed, unsharded and sharded,
+// and checks the two runs finish at the same simulated time with every
+// payload delivered intact and the protocol invariant checkers silent.
 func TestFourMachineNetSmoke(t *testing.T) {
 	const n = 4
 	const xfer = 64 << 10
 	const dstOff = hostmem.Addr(128 << 10)
 	swCfg := fabric.SwitchConfig{Link: fabric.DirectCable10G(), Forwarding: 500 * sim.Nanosecond}
 
-	run := func(workers int) (sim.Time, [][]byte, int) {
+	run := func(sharded bool) (sim.Time, [][]byte, int) {
 		var (
 			net *testrig.Net
 			err error
 		)
-		if workers > 0 {
-			net, err = testrig.NewNetSharded(7, n, core.Profile10G(), swCfg, 1<<20, workers)
+		if sharded {
+			net, err = testrig.NewNetSharded(7, n, core.Profile10G(), swCfg, 1<<20)
 		} else {
 			net, err = testrig.NewNet(7, n, core.Profile10G(), swCfg, 1<<20)
 		}
@@ -309,7 +308,7 @@ func TestFourMachineNetSmoke(t *testing.T) {
 		got := make([][]byte, n)
 		for i := 0; i < n; i++ {
 			if !done[i] {
-				t.Fatalf("workers=%d: machine %d write never completed", workers, i)
+				t.Fatalf("sharded=%v: machine %d write never completed", sharded, i)
 			}
 			j := (i + 1) % n
 			g, err := net.Machines[j].NIC.Memory().ReadVirt(net.Machines[j].Buf.Base()+dstOff, xfer)
@@ -324,28 +323,26 @@ func TestFourMachineNetSmoke(t *testing.T) {
 		}
 		for i := range payload {
 			if !bytes.Equal(got[i], payload[i]) {
-				t.Errorf("workers=%d: ring write %d corrupted", workers, i)
+				t.Errorf("sharded=%v: ring write %d corrupted", sharded, i)
 			}
 		}
 		return end, got, vio
 	}
 
-	endSingle, gotSingle, vioSingle := run(0)
+	endSingle, gotSingle, vioSingle := run(false)
 	if vioSingle != 0 {
 		t.Fatalf("unsharded run: %d invariant violations", vioSingle)
 	}
-	for _, workers := range []int{1, 4} {
-		end, got, vio := run(workers)
-		if vio != 0 {
-			t.Fatalf("workers=%d: %d invariant violations", workers, vio)
-		}
-		if end != endSingle {
-			t.Errorf("workers=%d finished at %v, unsharded at %v", workers, end, endSingle)
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], gotSingle[i]) {
-				t.Errorf("workers=%d: delivered bytes differ from unsharded run (flow %d)", workers, i)
-			}
+	end, got, vio := run(true)
+	if vio != 0 {
+		t.Fatalf("sharded run: %d invariant violations", vio)
+	}
+	if end != endSingle {
+		t.Errorf("sharded run finished at %v, unsharded at %v", end, endSingle)
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], gotSingle[i]) {
+			t.Errorf("sharded run: delivered bytes differ from unsharded run (flow %d)", i)
 		}
 	}
 }
