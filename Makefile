@@ -31,9 +31,11 @@ cover:
 	$(GO) test -cover ./...
 
 # recovery runs the failure-recovery suite on its own under the race
-# detector: QP state machine, crash/restart, deadlines, reconnects.
+# detector: QP state machine, crash/restart, deadlines, reconnects, and
+# the frame-ownership fire drills (a resend or READ re-request that
+# outlives its ACK, a peer that takes frames by reference).
 recovery:
-	$(GO) test -race -run 'Recovery|Crash|Deadline|QPState|Reconnect' ./internal/roce ./internal/core ./internal/experiments .
+	$(GO) test -race -run 'Recovery|Crash|Deadline|QPState|Reconnect|KeepsItsBytes|TakesFramesByReference' ./internal/roce ./internal/core ./internal/experiments .
 
 # protect runs the memory-protection suite on its own under the race
 # detector: MR table semantics, the responder NAK matrix at both the

@@ -74,10 +74,10 @@ func runBulk(tb testing.TB, pair *testrig.Pair, n, window int, write bool) sim.D
 // transfer through the whole NIC — doorbell, DMA read, segmentation,
 // cable, RX, DMA write, ACK — which the roce-level guard
 // (roce/alloc_test.go) cannot see: its in-memory handler has no pcie or
-// hostmem copy. Bytes: a WRITE allocates its retained requester frames
-// (payload plus headers, rounded up to a size class, ~1.2x) and a READ
-// next to nothing; every DMA buffer is recycled. Objects: at most 3 per
-// packet.
+// hostmem copy. Bytes: next to nothing either way, since every frame,
+// the retained requester frames included, and every DMA buffer is
+// recycled; the bound leaves room for a GC emptying the frame pool
+// mid-run. Objects: at most 3 per packet.
 func TestAllocsBulkPathPerByte(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race-runtime instrumentation allocates; allocation counts are only meaningful without -race")
@@ -100,8 +100,8 @@ func TestAllocsBulkPathPerByte(t *testing.T) {
 		objsPerOp := float64(after.Mallocs-before.Mallocs) / ops
 		t.Logf("%s 64 KiB: %.0f B/op (%.2fx payload), %.1f objects/op (%.2f per packet)",
 			c.name, bytesPerOp, bytesPerOp/bulkSize, objsPerOp, objsPerOp/packets)
-		if bytesPerOp > 1.75*bulkSize {
-			t.Errorf("%s allocates %.2fx its payload in bytes, want <= 1.75x", c.name, bytesPerOp/bulkSize)
+		if bytesPerOp > 0.5*bulkSize {
+			t.Errorf("%s allocates %.2fx its payload in bytes, want <= 0.5x", c.name, bytesPerOp/bulkSize)
 		}
 		if objsPerOp > 3*packets {
 			t.Errorf("%s allocates %.2f objects per packet, want <= 3", c.name, objsPerOp/packets)

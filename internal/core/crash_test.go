@@ -117,10 +117,9 @@ func TestPeerCrashDetectedByDeadline(t *testing.T) {
 
 // TestCrashReleasesTxFramesOnce: B crashes while the responses of a
 // 64 KiB READ are still queued in its TX pipeline. Each of them leaves the
-// pipeline through the crashed port, and the stack recycles each pooled
-// frame after handing it over, so the port must drop it without a release
-// of its own: released twice, one array sits in the frame pool twice and
-// two later frames share it.
+// pipeline through the crashed port, which owns the frame it was handed
+// and so releases it, once: released twice, one array sits in the frame
+// pool twice and two later frames share it.
 func TestCrashReleasesTxFramesOnce(t *testing.T) {
 	r := newRig(t, 1, Profile10G(), fabric.DirectCable10G())
 	r.eng.Schedule(0, func() {

@@ -12,11 +12,11 @@ import (
 )
 
 // TestAllocsVerbLifecycle pins what a verb allocates between its doorbell
-// and its completion, on a warm pair: at most the one request frame the
-// transport retains for retransmission. The NIC's verb record, the
+// and its completion, on a warm pair: nothing. The NIC's verb record, the
 // payload fetch, the transport's message, pending entry, Multi-Queue
-// element and deadline all come from free lists, and every callback they
-// hand out is bound once.
+// element and deadline all come from free lists, every callback they
+// hand out is bound once, and the request frame the transport retains
+// for retransmission comes from the frame pool.
 func TestAllocsVerbLifecycle(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race-runtime instrumentation allocates; AllocsPerRun is only meaningful without -race")
@@ -46,8 +46,8 @@ func TestAllocsVerbLifecycle(t *testing.T) {
 		for i := 0; i < 200; i++ { // free lists, event heap and frame pool at size
 			step()
 		}
-		if n := testing.AllocsPerRun(500, step); n > 1 {
-			t.Errorf("%s allocates %.2f objects, want <= 1 (the retained request frame)", tc.name, n)
+		if n := testing.AllocsPerRun(500, step); n > 0 {
+			t.Errorf("%s allocates %.2f objects, want 0", tc.name, n)
 		}
 	}
 	if failed != nil {

@@ -116,6 +116,12 @@ type NIC struct {
 	tel         *nicTelemetry // nil when telemetry is disabled
 	health      nicHealth     // Health's reused report
 
+	// segs holds the RPC WRITE segments waiting out the kernel pipeline,
+	// drained by segFn (bound once) in push order: each waits the same
+	// constant latency, so no segment allocates a closure (see sim.FIFO).
+	segs  sim.FIFO[rpcSegment]
+	segFn func()
+
 	// Memory protection (see protect.go): the region table the responder
 	// validates RETHs against, the per-buffer region index, the DMA-issue
 	// observer (invariant checking) and the validation-skip debug fault.
@@ -145,23 +151,26 @@ func NewNIC(eng *sim.Engine, cfg Config, id roce.Identity) *NIC {
 		regions:  make(map[uint64]*mr.Region),
 	}
 	n.writeLanded = n.onWriteLanded
+	n.segFn = n.streamSegment
 	n.dma = pcie.NewEngine(eng, n.mem, n.tlb, cfg.PCIe)
 	// A crashed NIC puts nothing on the wire: frames already queued in
-	// the TX pipeline die at the port. The frame is borrowed, so dying is
-	// dropping it: the stack recycles its pooled frames itself.
+	// the TX pipeline die at the port, which owns them and so returns
+	// them to the pool.
 	send := func(f []byte) {
-		if !n.crashed {
-			n.transmit(f)
+		if n.crashed {
+			packet.PutBuf(f)
+			return
 		}
+		n.transmit(f)
 	}
 	n.stack = roce.NewStack(eng, cfg.Roce, id, n, send)
 	n.arp = arp.New(eng, id.MAC, id.IP, send, 0)
 	return n
 }
 
-// SetTransmit wires the NIC's Ethernet port into a fabric. fn borrows
-// the frame for the call: it must copy what it keeps and never release
-// the frame to the pool, which its owner does after fn returns.
+// SetTransmit wires the NIC's Ethernet port into a fabric. fn takes the
+// frame over: the NIC never touches it again, and whoever ends its
+// journey returns it to packet's pool.
 func (n *NIC) SetTransmit(fn func([]byte)) { n.transmit = fn }
 
 // DeliverFrame implements fabric.Endpoint: ARP frames go to the ARP
@@ -337,17 +346,31 @@ func (n *NIC) HandleRPCWrite(qpn uint32, rpcOp uint64, data []byte, last bool) e
 	// data is the caller's frame, recycled when this returns: the segment
 	// waits out the pipeline in a pooled buffer of its own, which Stream
 	// may not keep (see Kernel).
-	buf := packet.CloneFrame(data)
-	epoch := n.epoch
-	n.eng.Schedule(n.cfg.Roce.Cycles(kernelPipelineCycles), func() {
-		if n.epoch != epoch {
-			n.stats.KernelAborts++
-			return
-		}
-		d.kernel.Stream(d.ctx, qpn, buf, last)
-		packet.PutBuf(buf)
-	})
+	n.segs.Push(rpcSegment{d: d, qpn: qpn, buf: packet.CloneFrame(data), last: last, epoch: n.epoch})
+	n.eng.Schedule(n.cfg.Roce.Cycles(kernelPipelineCycles), n.segFn)
 	return nil
+}
+
+// rpcSegment is one RPC WRITE segment in the kernel pipeline, with the
+// crash epoch it entered under.
+type rpcSegment struct {
+	d     *deployment
+	qpn   uint32
+	buf   []byte
+	last  bool
+	epoch uint64
+}
+
+// streamSegment hands the oldest queued RPC WRITE segment to its kernel,
+// unless the NIC crashed since it was queued.
+func (n *NIC) streamSegment() {
+	sg := n.segs.Pop()
+	if n.epoch != sg.epoch {
+		n.stats.KernelAborts++
+	} else {
+		sg.d.kernel.Stream(sg.d.ctx, sg.qpn, sg.buf, sg.last)
+	}
+	packet.PutBuf(sg.buf)
 }
 
 // --- requester side: host verbs --------------------------------------------

@@ -18,8 +18,9 @@ func (r *recycler) DeliverFrame(f []byte) {
 }
 
 // forwardBed is a two-port switch on one engine with the pool, PFC and
-// ECN of the KV test bed; send puts one 1000 B frame from port A toward
-// port B on the uplink.
+// ECN of the KV test bed; send puts a pooled copy of one 1000 B frame
+// from port A toward port B on the uplink, which takes it over as it
+// does a NIC's frame.
 func forwardBed() (eng *sim.Engine, send func(), dst *recycler) {
 	eng = sim.NewEngine(1)
 	sw := NewSwitchCfg(eng, SwitchConfig{
@@ -33,7 +34,7 @@ func forwardBed() (eng *sim.Engine, send func(), dst *recycler) {
 	in := sw.AttachPortOn(eng, macA, &recycler{})
 	sw.AttachPortOn(eng, macB, dst)
 	frame := mkframe(macB, 1000)
-	return eng, func() { in.Send(frame) }, dst
+	return eng, func() { in.Send(packet.CloneFrame(frame)) }, dst
 }
 
 // TestAllocsSwitchedFrame guards the switched data path the way the
@@ -83,7 +84,8 @@ func BenchmarkSwitchForward(b *testing.B) {
 
 // cableBed is a 10 G cable from an endpoint on one engine to dst, on one
 // engine or across the two shards of a sim.ShardGroup. burst(n) sends n
-// 1000 B frames from A in one event and runs the simulation to the end.
+// pooled copies of a 1000 B frame from A in one event and runs the
+// simulation to the end.
 func cableBed(sharded bool) (burst func(n int), dst *recycler) {
 	var engA, engB *sim.Engine
 	var run func() sim.Time
@@ -100,7 +102,7 @@ func cableBed(sharded bool) (burst func(n int), dst *recycler) {
 	left := 0
 	send := func() {
 		for ; left > 0; left-- {
-			link.SendFromA(frame)
+			link.SendFromA(packet.CloneFrame(frame))
 		}
 	}
 	return func(n int) {

@@ -153,6 +153,9 @@ func newDirection(eng, dstEng *sim.Engine, gbps float64, prop sim.Duration, dst 
 // constant propagation delay), so the engine fires drains in push order.
 func (d *direction) drain() { d.dst.DeliverFrame(d.pend.Pop()) }
 
+// send puts a frame on the wire and takes it over: the frame, or its
+// duplicate, is delivered to the far endpoint, which owns it from there,
+// and a frame the wire drops goes back to the pool here.
 func (d *direction) send(frame []byte) {
 	d.stats.Frames++
 	// An offline direction discards before the wire: no serializer
@@ -163,6 +166,7 @@ func (d *direction) send(frame []byte) {
 		if d.tb != nil {
 			d.tb.Instant(d.pid, d.tid, "wire", "drop:offline", fmt.Sprintf("%d bytes", len(frame)))
 		}
+		packet.PutBuf(frame)
 		return
 	}
 	wireBytes := len(frame) + packet.EthFramingOverhead
@@ -177,15 +181,19 @@ func (d *direction) send(frame []byte) {
 		if d.tb != nil {
 			d.tb.Instant(d.pid, d.tid, "wire", "drop:"+v.Cause.String(), fmt.Sprintf("%d bytes", len(frame)))
 		}
+		packet.PutBuf(frame)
 		return
 	}
-	// Senders may retain (and retransmit) their frame buffer, so each
-	// hop travels in its own pooled copy, owned by the receiver.
-	buf := packet.CloneFrame(frame)
+	var dup []byte
+	if v.Duplicate {
+		// The duplicate is an independent copy of the frame as sent,
+		// taken before any corruption of the original.
+		dup = packet.CloneFrame(frame)
+	}
 	if v.Corrupt {
 		d.stats.Corrupted++
-		pos := d.eng.Rand().Intn(len(buf))
-		buf[pos] ^= 1 << d.eng.Rand().Intn(8)
+		pos := d.eng.Rand().Intn(len(frame))
+		frame[pos] ^= 1 << d.eng.Rand().Intn(8)
 		if d.tb != nil {
 			d.tb.Instant(d.pid, d.tid, "wire", "corrupt", fmt.Sprintf("byte %d", pos))
 		}
@@ -205,18 +213,15 @@ func (d *direction) send(frame []byte) {
 	if v.Delay == 0 {
 		// Hot path: in-order delivery through the drain queue, with no
 		// per-frame closure whether or not the frame crosses shards.
-		d.eng.CrossPushAt(d.dstEng, deliverAt, &d.pend, buf, d.drainFn)
+		d.eng.CrossPushAt(d.dstEng, deliverAt, &d.pend, frame, d.drainFn)
 	} else {
 		// A delayed frame breaks the FIFO delivery order.
-		d.eng.CrossScheduleAt(d.dstEng, deliverAt, func() { d.dst.DeliverFrame(buf) })
+		d.eng.CrossScheduleAt(d.dstEng, deliverAt, func() { d.dst.DeliverFrame(frame) })
 	}
-	if v.Duplicate {
-		// The duplicate is an independent copy (cloned now: the sender
-		// may recycle its buffer as soon as send returns).
+	if dup != nil {
 		d.stats.Duplicated++
-		dup := packet.CloneFrame(frame)
 		if d.tb != nil {
-			d.tb.Instant(d.pid, d.tid, "wire", "duplicate", fmt.Sprintf("%d bytes", len(frame)))
+			d.tb.Instant(d.pid, d.tid, "wire", "duplicate", fmt.Sprintf("%d bytes", len(dup)))
 		}
 		d.eng.CrossScheduleAt(d.dstEng, deliverAt.Add(v.DupDelay), func() { d.dst.DeliverFrame(dup) })
 	}

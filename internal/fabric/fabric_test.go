@@ -25,7 +25,7 @@ func TestLinkDelivery(t *testing.T) {
 	l := NewLink(eng, DirectCable10G(), a, b)
 	frame := make([]byte, 1000)
 	frame[0] = 0xAB
-	eng.Schedule(0, func() { l.SendFromA(frame) })
+	eng.Schedule(0, func() { l.SendFromA(packet.CloneFrame(frame)) })
 	eng.Run()
 	if len(b.frames) != 1 || len(a.frames) != 0 {
 		t.Fatalf("a=%d b=%d frames", len(a.frames), len(b.frames))
@@ -128,7 +128,9 @@ func TestLinkCorruptionInjection(t *testing.T) {
 	l := NewLink(eng, DirectCable10G(), a, b)
 	l.SetFaultsAtoB(Coin{Rand: eng.Rand(), CorruptProb: 1.0})
 	orig := make([]byte, 100)
-	eng.Schedule(0, func() { l.SendFromA(orig) })
+	// The link corrupts the frame it was handed: send a copy, as a NIC
+	// does, and keep the original to compare.
+	eng.Schedule(0, func() { l.SendFromA(packet.CloneFrame(orig)) })
 	eng.Run()
 	if len(b.frames) != 1 {
 		t.Fatal("frame lost")
@@ -304,16 +306,18 @@ func TestLinkDropCauseBreakdown(t *testing.T) {
 		{}, // delivered
 		{Verdict: Verdict{Drop: true, Cause: DropChaos}}, // explicit chaos
 	}})
-	frame := make([]byte, 100)
+	// The link takes each frame over (and pools the ones it drops), so
+	// every send is a fresh frame.
+	send := func() { l.SendFromA(make([]byte, 100)) }
 	for i := 0; i < 4; i++ {
-		eng.Schedule(sim.Duration(i)*sim.Microsecond, func() { l.SendFromA(frame) })
+		eng.Schedule(sim.Duration(i)*sim.Microsecond, send)
 	}
 	// Two frames into an offline window, then one after it reopens.
 	eng.Schedule(10*sim.Microsecond, func() { l.SetOfflineAtoB(true) })
-	eng.Schedule(11*sim.Microsecond, func() { l.SendFromA(frame) })
-	eng.Schedule(12*sim.Microsecond, func() { l.SendFromA(frame) })
+	eng.Schedule(11*sim.Microsecond, send)
+	eng.Schedule(12*sim.Microsecond, send)
 	eng.Schedule(13*sim.Microsecond, func() { l.SetOfflineAtoB(false) })
-	eng.Schedule(14*sim.Microsecond, func() { l.SendFromA(frame) })
+	eng.Schedule(14*sim.Microsecond, send)
 	eng.Run()
 
 	st := l.StatsAtoB()

@@ -192,15 +192,15 @@ func (s *Switch) AttachPortOn(nicEng *sim.Engine, mac packet.MAC, ep Endpoint) *
 	return sp.nic
 }
 
-// Send transmits one frame toward the switch. The caller may retain and
-// recycle its buffer as soon as Send returns. Call it from the NIC
-// engine's event context.
+// Send transmits one frame toward the switch and takes it over, like a
+// Link's send: the caller must not touch the frame afterwards. Call it
+// from the NIC engine's event context.
 func (p *Port) Send(frame []byte) {
 	if p.paused {
-		// Lossless: buffer behind the pause rather than dropping. The
-		// held copy is drained in FIFO order on resume.
+		// Lossless: hold the frame behind the pause rather than dropping
+		// it. Held frames are drained in FIFO order on resume.
 		p.stats.FramesHeld++
-		p.held = append(p.held, packet.CloneFrame(frame))
+		p.held = append(p.held, frame)
 		return
 	}
 	p.up.send(frame)
@@ -220,7 +220,6 @@ func (p *Port) setPaused(paused bool) {
 	p.held = nil
 	for _, buf := range held {
 		p.up.send(buf)
-		packet.PutBuf(buf)
 	}
 }
 
@@ -258,7 +257,8 @@ func (p *Port) Health() (map[string]uint64, map[string]float64) {
 
 // ingress runs on the switch engine when a frame fully arrives from a
 // port: route, admit against the shared buffer, mark, queue, transmit.
-// buf is owned by the switch (recycled here; the egress wire clones).
+// buf is owned by the switch until it is dropped here or handed to the
+// egress wire.
 func (s *Switch) ingress(from *swPort, buf []byte) {
 	n := len(buf)
 	from.stats.InFrames++
@@ -303,7 +303,6 @@ func (s *Switch) ingress(from *swPort, buf []byte) {
 	out.releases.Push(release{from: from, n: n})
 	s.eng.ScheduleAt(txStart.Add(wireTime), out.releaseFn)
 	out.dir.send(buf)
-	packet.PutBuf(buf)
 }
 
 // releaseNext returns the bytes of the oldest frame on the port's egress

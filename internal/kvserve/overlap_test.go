@@ -491,12 +491,10 @@ func opLoop(tb testing.TB, cl *Cluster, op func(p *sim.Process, i int) error) (s
 // TestAllocsPutPath pins the objects one Put, PutLarge and Get allocate
 // through the whole stack (client, NIC, transport, switch), so a change
 // that would trip the benchmark's 2 % host_allocs_per_op gate on
-// kv-inline or kv-large fails here first. What is left is one retained
-// request frame per verb (a Put writes two replicas, a PutLarge an extent
-// and a slot on each) and the value a Get hands its caller. The client's
-// own share is otherwise zero: images are encoded and a Get's self-check
-// is done in session scratch, and the overlapped attempt's join is built
-// once per session.
+// kv-inline or kv-large fails here first. What is left is the value a Get
+// hands its caller: request frames come from the frame pool, images are
+// encoded and a Get's self-check is done in session scratch, and the
+// overlapped attempt's join is built once per session.
 func TestAllocsPutPath(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race-runtime instrumentation allocates; AllocsPerRun is only meaningful without -race")
@@ -506,9 +504,9 @@ func TestAllocsPutPath(t *testing.T) {
 		op   func(*Client, *sim.Process, uint64) error
 		max  float64
 	}{
-		{"Put", (*Client).Put, 2},
-		{"PutLarge", (*Client).PutLarge, 4},
-		{"Get", getOp, 2},
+		{"Put", (*Client).Put, 0},
+		{"PutLarge", (*Client).PutLarge, 0},
+		{"Get", getOp, 1},
 	} {
 		_, cl := newTestCluster(t, 1)
 		op := (*Client).Put // every key written first: maps and arenas at size

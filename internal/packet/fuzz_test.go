@@ -33,8 +33,8 @@ func fuzzSeedFrames() [][]byte {
 			add(p)
 		}
 	}
-	add(ReadRequest(7, 300, RETH{VirtualAddress: 0x1000, DMALength: 4096}))
-	if p, err := RPCParams(7, 400, 0x2A, payload[:48], PathMTUPayload); err == nil {
+	add(FillReadRequest(&Packet{}, 7, 300, RETH{VirtualAddress: 0x1000, DMALength: 4096}))
+	if p, err := FillRPCParams(&Packet{}, 7, 400, 0x2A, payload[:48], PathMTUPayload); err == nil {
 		add(p)
 	}
 	add(Ack(7, 500, SynACK, 12))

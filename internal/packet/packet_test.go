@@ -355,14 +355,14 @@ func TestSegmentErrors(t *testing.T) {
 
 func TestRPCParamsPacket(t *testing.T) {
 	params := []byte{1, 2, 3, 4}
-	p, err := RPCParams(5, 10, 0xAB, params, PathMTUPayload)
+	p, err := FillRPCParams(&Packet{}, 5, 10, 0xAB, params, PathMTUPayload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.BTH.Opcode != OpRPCParams || p.RETH.VirtualAddress != 0xAB {
 		t.Errorf("packet = %v", p)
 	}
-	if _, err := RPCParams(5, 10, 1, make([]byte, PathMTUPayload+1), PathMTUPayload); err == nil {
+	if _, err := FillRPCParams(&Packet{}, 5, 10, 1, make([]byte, PathMTUPayload+1), PathMTUPayload); err == nil {
 		t.Error("oversized params accepted")
 	}
 }

@@ -98,27 +98,28 @@ func Segment(kind MessageKind, destQP uint32, psn uint32, reth RETH, payload []b
 	return pkts, nil
 }
 
-// ReadRequest builds an RDMA READ Request packet.
-func ReadRequest(destQP, psn uint32, reth RETH) *Packet {
-	r := reth
-	return &Packet{
-		BTH:  BTH{Opcode: OpReadRequest, DestQP: destQP, PSN: psn, AckReq: true},
-		RETH: &r,
-	}
+// FillReadRequest builds an RDMA READ Request packet into scratch.
+func FillReadRequest(scratch *Packet, destQP, psn uint32, reth RETH) *Packet {
+	scratch.Reset()
+	scratch.BTH = BTH{Opcode: OpReadRequest, DestQP: destQP, PSN: psn, AckReq: true}
+	scratch.rethStore = reth
+	scratch.RETH = &scratch.rethStore
+	return scratch
 }
 
-// RPCParams builds the single-packet RDMA RPC Params message (§5.1): the
-// RETH address field carries the RPC op-code and the payload carries the
-// kernel parameters (at most one MTU).
-func RPCParams(destQP, psn uint32, rpcOpcode uint64, params []byte, mtuPayload int) (*Packet, error) {
+// FillRPCParams builds the single-packet RDMA RPC Params message (§5.1)
+// into scratch: the RETH address field carries the RPC op-code and the
+// payload, which aliases params, the kernel parameters (at most one MTU).
+func FillRPCParams(scratch *Packet, destQP, psn uint32, rpcOpcode uint64, params []byte, mtuPayload int) (*Packet, error) {
 	if len(params) > mtuPayload {
 		return nil, fmt.Errorf("packet: RPC params %d bytes exceed one MTU payload (%d)", len(params), mtuPayload)
 	}
-	return &Packet{
-		BTH:     BTH{Opcode: OpRPCParams, DestQP: destQP, PSN: psn, AckReq: true},
-		RETH:    &RETH{VirtualAddress: rpcOpcode, DMALength: uint32(len(params))},
-		Payload: params,
-	}, nil
+	scratch.Reset()
+	scratch.BTH = BTH{Opcode: OpRPCParams, DestQP: destQP, PSN: psn, AckReq: true}
+	scratch.rethStore = RETH{VirtualAddress: rpcOpcode, DMALength: uint32(len(params))}
+	scratch.RETH = &scratch.rethStore
+	scratch.Payload = params
+	return scratch, nil
 }
 
 // Ack builds an ACK (or NAK, depending on syndrome) packet.

@@ -187,18 +187,17 @@ type qpTimer struct {
 	fire func()
 }
 
-// txDone is one queued TX-pipeline completion.
+// txDone is one queued TX-pipeline completion: the frame it hands to
+// transmit, owned by the queue until then.
 type txDone struct {
-	st      *qpState
-	frame   []byte
-	recycle bool
+	st    *qpState
+	frame []byte
 }
 
 // NewStack builds a stack. transmit pushes encoded frames into the
-// fabric; it borrows each frame for the call, copying what it keeps and
-// never releasing the frame to the pool (the stack recycles its pooled
-// frames itself once transmit returns, and retains the rest for
-// retransmission). handler receives responder-side operations.
+// fabric and takes each frame over: the stack never touches it again, and
+// whoever ends its journey returns it to packet's pool. handler receives
+// responder-side operations.
 func NewStack(eng *sim.Engine, cfg Config, id Identity, handler Handler, transmit func([]byte)) *Stack {
 	valid, _ := handler.(AccessValidator)
 	s := &Stack{
@@ -251,8 +250,8 @@ func (s *Stack) CreateQP(qpn uint32, remote Identity, remoteQPN uint32) error {
 // --- transmit path -------------------------------------------------------
 
 // enqueue encodes a requester packet into the next entry of the QP's
-// pending list and lets pump put it on the wire. The frame is retained
-// for retransmission, so its buffer is heap-allocated, never pooled.
+// pending list and lets pump put it on the wire. The entry retains the
+// frame for retransmission (see freePending).
 func (s *Stack) enqueue(qpn uint32, st *qpState, pkt *packet.Packet, npsn uint32, msg *outMessage) *pendingPacket {
 	pp := s.newPending()
 	pp.psn, pp.npsn, pp.msg, pp.isRead, pp.lastOf = pkt.BTH.PSN, npsn, msg, msg.isRead, !msg.isRead
@@ -266,7 +265,7 @@ func (s *Stack) enqueue(qpn uint32, st *qpState, pkt *packet.Packet, npsn uint32
 // fill encodes pkt as the frame of pending entry pp.
 func (s *Stack) fill(st *qpState, pp *pendingPacket, pkt *packet.Packet) {
 	s.address(st, pkt)
-	pp.frame, pp.op = pkt.Encode(), pkt.BTH.Opcode
+	pp.frame, pp.op = pkt.EncodeTo(packet.GetBuf()), pkt.BTH.Opcode
 }
 
 // pump moves the QP's encoded request frames into the TX pipeline in PSN
@@ -296,8 +295,8 @@ func (s *Stack) words(frame []byte) int {
 
 // sendTransient transmits a packet whose frame is never retained for
 // retransmission (ACKs, NAKs, read responses — the responder's entire
-// output): the encode buffer comes from the frame pool and returns to
-// it as soon as the frame has left for the fabric, which copies it.
+// output): the encode buffer comes from the frame pool and goes to the
+// fabric as it is.
 func (s *Stack) sendTransient(st *qpState, pkt *packet.Packet) {
 	s.address(st, pkt)
 	frame := pkt.EncodeTo(packet.GetBuf())
@@ -315,28 +314,32 @@ func (s *Stack) address(st *qpState, pkt *packet.Packet) {
 // sendFrame reserves the TX data path and hands the frame to the fabric.
 // The QP's activity counter is bumped when the frame actually leaves, so
 // the retransmission timer never expires while a long message is still
-// draining through the pipeline. With recycle, the frame buffer goes
-// back to the pool once transmitted (the fabric copies frames on send).
-func (s *Stack) sendFrame(st *qpState, frame []byte, words int, recycle bool) {
+// draining through the pipeline. A transient frame goes in as it is; a
+// retained one stays with its holders and a pooled copy goes instead, so
+// an ACK may free the original while the copy is still queued or paced.
+func (s *Stack) sendFrame(st *qpState, frame []byte, words int, transient bool) {
+	if !transient {
+		frame = packet.CloneFrame(frame)
+	}
 	// DCQCN pacing applies to requester (retained) frames only: ACKs,
-	// NAKs, read responses and CNPs are recycle frames and bypass the
-	// rate limiter, exactly as hardware keeps the responder unpaced.
-	if s.cc != nil && !recycle {
+	// NAKs, read responses and CNPs are transient and bypass the rate
+	// limiter, exactly as hardware keeps the responder unpaced.
+	if s.cc != nil && !transient {
 		if start := s.paceFrame(st, len(frame)); start > s.eng.Now() {
 			s.stats.PacedFrames++
-			s.eng.ScheduleAt(start, func() { s.dispatchFrame(st, frame, words, recycle) })
+			s.eng.ScheduleAt(start, func() { s.dispatchFrame(st, frame, words) })
 			return
 		}
 	}
-	s.dispatchFrame(st, frame, words, recycle)
+	s.dispatchFrame(st, frame, words)
 }
 
 // dispatchFrame enters the TX pipeline proper. Reservation end times
 // are monotone in call order (the serializer never goes backwards), so
 // txq drains still fire in push order even when pacing delays a frame.
-func (s *Stack) dispatchFrame(st *qpState, frame []byte, words int, recycle bool) {
+func (s *Stack) dispatchFrame(st *qpState, frame []byte, words int) {
 	end := s.txPath.Reserve(s.cfg.Cycles(words))
-	s.txq.Push(txDone{st: st, frame: frame, recycle: recycle})
+	s.txq.Push(txDone{st: st, frame: frame})
 	s.eng.ScheduleAt(end.Add(s.cfg.Cycles(s.cfg.TxFixedCycles)), s.txDrainFn)
 }
 
@@ -352,9 +355,6 @@ func (s *Stack) drainTx() {
 		s.traceFrame(traceTidTx, "tx", d.frame)
 	}
 	s.transmit(d.frame)
-	if d.recycle {
-		packet.PutBuf(d.frame)
-	}
 }
 
 // retransmitFrame re-sends a stored frame.
@@ -571,9 +571,15 @@ func (s *Stack) newPending() *pendingPacket {
 
 // freePending recycles an entry removed from its QP's pending list, and
 // drops its hold on its message. Only entries no longer reachable from
-// any qpState may be freed.
+// any qpState may be freed. The entry's frame goes back to the pool with
+// it, except a READ request's: the READ's Multi-Queue element holds that
+// frame too, for re-requests after the entry has retired, and is always
+// freed after the entry (see freeElem).
 func (s *Stack) freePending(p *pendingPacket) {
 	m := p.msg
+	if !p.isRead {
+		packet.PutBuf(p.frame)
+	}
 	*p = pendingPacket{}
 	if len(s.ppFree) < freeListCap {
 		s.ppFree = append(s.ppFree, p)
@@ -621,7 +627,7 @@ func (s *Stack) PostRPC(qpn uint32, rpcOp uint64, params []byte, deadline sim.Ti
 		return err
 	}
 	opID := s.newOp(st)
-	pkt, err := packet.RPCParams(st.remoteQPN, st.nextPSN, rpcOp, params, s.cfg.MTUPayload)
+	pkt, err := packet.FillRPCParams(&s.txPkt, st.remoteQPN, st.nextPSN, rpcOp, params, s.cfg.MTUPayload)
 	if err != nil {
 		return err
 	}
@@ -667,7 +673,7 @@ func (s *Stack) PostRead(qpn uint32, remoteVA uint64, rkey uint32, n int, deadli
 	s.stats.OpsPosted++
 	s.instrumentMsg(opID, "READ", msg)
 	s.armDeadline(msg, deadline)
-	pkt := packet.ReadRequest(st.remoteQPN, st.nextPSN, packet.RETH{VirtualAddress: remoteVA, RKey: rkey, DMALength: uint32(n)})
+	pkt := packet.FillReadRequest(&s.txPkt, st.remoteQPN, st.nextPSN, packet.RETH{VirtualAddress: remoteVA, RKey: rkey, DMALength: uint32(n)})
 	st.nextPSN = psnAdd(st.nextPSN, npsn)
 	elem.ReqFrame = s.enqueue(qpn, st, pkt, npsn, msg).frame
 	s.armTimer(qpn, st)
@@ -1045,7 +1051,7 @@ func (s *Stack) ackUpTo(qpn uint32, st *qpState, psn uint32) {
 		if p.lastOf && !p.isRead {
 			p.msg.finish(nil)
 		}
-		st.pending[k] = nil // release the frame for GC
+		st.pending[k] = nil
 		s.freePending(p)
 		k++
 	}
@@ -1185,8 +1191,11 @@ func (s *Stack) retireRead(e *mqElement) {
 	}
 }
 
+// freeElem recycles a READ's element and returns its request frame, of
+// which it is the last holder, to the pool.
 func (s *Stack) freeElem(e *mqElement) {
 	ack, m := e.ack, e.Msg
+	packet.PutBuf(e.ReqFrame)
 	*e = mqElement{ack: ack}
 	if len(s.mqFree) < freeListCap {
 		s.mqFree = append(s.mqFree, e)

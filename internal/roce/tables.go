@@ -78,7 +78,7 @@ type recentRead struct {
 type pendingPacket struct {
 	psn    uint32 // first PSN consumed
 	npsn   uint32 // PSNs consumed (reads consume one per response packet)
-	frame  []byte // encoded frame for retransmission
+	frame  []byte // encoded frame for retransmission, pooled (see Stack.freePending)
 	msg    *outMessage
 	op     packet.Opcode
 	lastOf bool // completes msg when acknowledged
@@ -186,7 +186,7 @@ type mqElement struct {
 	Length   int
 	Sink     ReadSink
 	Msg      *outMessage
-	ReqFrame []byte // read request frame, for timeout re-request
+	ReqFrame []byte // read request frame, for timeout re-request; pooled, shared with its pending entry
 
 	nextPSN  uint32 // next expected response PSN
 	offset   int    // next payload offset
