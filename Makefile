@@ -48,16 +48,16 @@ protect:
 # determinism runs the determinism suite on its own under the race
 # detector: -j invariance of the figure generators, every scenario's
 # exports on a second run (TestScenarios), the byte-identical JSONL
-# streams, the sharded KV stream, and the ShardGroup window/barrier
+# streams, the KV value generators, and the ShardGroup window/barrier
 # machinery with its cross-shard order (FuzzShardSchedule's corpus).
 # The explicit -timeout keeps a slow host inside go test's limits.
 determinism:
-	$(GO) test -race -count=1 -timeout 1800s -run 'Shard|Deterministic|ByteIdentical|Scenarios' ./internal/sim ./internal/testrig ./internal/experiments ./internal/kvserve
+	$(GO) test -race -count=1 -timeout 1800s -run 'Shard|Deterministic|ByteIdentical|Scenarios' ./internal/sim ./internal/experiments ./internal/kvserve
 
 # kv runs the replicated-KV suite on its own under the race detector:
 # slot codec and layout, clean protocol semantics, failover edge cases,
-# the sharded streaming cluster, the Pilaf-table tombstone machinery,
-# and the chaos-kv sweep with the kv (and kvlarge) scenario exports.
+# the Pilaf-table tombstone machinery, and the chaos-kv sweep with the
+# kv (and kvlarge) scenario exports.
 kv:
 	$(GO) test -race ./internal/kvserve ./internal/kvstore
 	$(GO) test -race -run 'KV|Scenarios/kv' ./internal/experiments

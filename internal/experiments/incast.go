@@ -73,11 +73,11 @@ type incastStorm struct {
 
 // run drives the storm on the switched bed and writes the exports ex
 // asks for. The invariant checkers on every stack must stay silent.
-func (s incastStorm) run(seed int64, sharded bool, ex Exports) (IncastMeasure, error) {
+func (s incastStorm) run(seed int64, ex Exports) (IncastMeasure, error) {
 	label := fmt.Sprintf("incast k=%d", s.k)
 	recv, idle := s.k, s.k+1
 	m := IncastMeasure{VictimBytes: s.victimWrites * incastXfer}
-	b, err := newBed(seed, s.k+2, sharded, ex)
+	b, err := newBed(seed, s.k+2, ex)
 	if err != nil {
 		return m, err
 	}
@@ -128,12 +128,12 @@ func (s incastStorm) run(seed int64, sharded bool, ex Exports) (IncastMeasure, e
 }
 
 // RunIncast drives one K→1 incast with the victim flow riding along,
-// on the switched testbed sharded one machine per shard, and returns the
-// measured outcome. Flow sizes scale with o.Iterations.
+// on the switched testbed, and returns the measured outcome. Flow sizes
+// scale with o.Iterations.
 func RunIncast(o Options, k int, dcqcn bool) (IncastMeasure, error) {
 	o = o.normalized()
 	s := incastStorm{k: k, incastWrites: 8 * o.Iterations, victimWrites: 4 * o.Iterations, dcqcn: dcqcn}
-	return s.run(o.Seed, true, Exports{})
+	return s.run(o.Seed, Exports{})
 }
 
 // ChaosIncastSweep sweeps K∈{2,4,8} senders into one port with and
@@ -180,6 +180,6 @@ func exportIncast(o Options, ex Exports) error {
 	writes := 24 * o.Iterations
 	s := incastStorm{k: 4, incastWrites: writes, victimWrites: 8 * o.Iterations,
 		dcqcn: true, dcqcnAfter: sim.Duration(writes) * 8 * sim.Microsecond}
-	_, err := s.run(o.Seed, false, ex)
+	_, err := s.run(o.Seed, ex)
 	return err
 }

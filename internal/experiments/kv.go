@@ -319,8 +319,7 @@ type kvBed struct {
 // (key space, blast region, torn budget, sessions). The recorder is
 // running on return, ahead of any fault the scenario schedules.
 func newKVBed(o Options, machines int, ex Exports, cfg kvserve.Config) (*kvBed, error) {
-	// Unsharded: the client process crashes and repairs the servers.
-	b, err := newBed(o.Seed, machines, false, ex, kvserve.HeartbeatRule())
+	b, err := newBed(o.Seed, machines, ex, kvserve.HeartbeatRule())
 	if err != nil {
 		return nil, err
 	}

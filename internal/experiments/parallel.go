@@ -12,11 +12,11 @@ import (
 
 // The experiment harness runs generators concurrently. This is safe
 // because every generator is a pure function of its Options: each
-// testbed it builds owns private engines (one sim.ShardGroup, or one
-// sim.Engine for the KV beds, seeded from Options.Seed) and runs on the
-// generator's goroutine, and the packages underneath share only immutable
-// state (error values, CRC tables) plus the packet frame pool, whose
-// buffers are fully rewritten before use. Determinism is therefore
+// testbed it builds owns private engines (one sim.ShardGroup for a
+// pair, one sim.Engine for a switched bed, seeded from Options.Seed) and
+// runs on the generator's goroutine, and the packages underneath share
+// only immutable state (error values, CRC tables) plus the packet frame
+// pool, whose buffers are fully rewritten before use. Determinism is therefore
 // per-testbed, and the output of a run is byte-identical at any
 // parallelism level. This is the simulator's only parallelism.
 

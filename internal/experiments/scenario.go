@@ -236,18 +236,10 @@ type train struct {
 	err  error
 }
 
-// newBed builds the bed, sharded one machine per shard when sharded is
-// set. rules extend the recorder's default alert rules.
-func newBed(seed int64, machines int, sharded bool, ex Exports, rules ...export.Rule) (*bed, error) {
-	var (
-		net *testrig.Net
-		err error
-	)
-	if sharded {
-		net, err = testrig.NewNetSharded(seed, machines, core.Profile10G(), IncastSwitchConfig(), 1<<20)
-	} else {
-		net, err = testrig.NewNet(seed, machines, core.Profile10G(), IncastSwitchConfig(), 1<<20)
-	}
+// newBed builds the bed. rules extend the recorder's default alert
+// rules.
+func newBed(seed int64, machines int, ex Exports, rules ...export.Rule) (*bed, error) {
+	net, err := testrig.NewNet(seed, machines, core.Profile10G(), IncastSwitchConfig(), 1<<20)
 	if err != nil {
 		return nil, err
 	}
@@ -289,9 +281,8 @@ func (b *bed) record(every sim.Duration) {
 // WRITEs on qp at time at, so the sender pushes at line rate and
 // genuinely congests the receiver's egress port (a chained
 // stop-and-wait flow would be latency-bound and never build a queue).
-// done, if any, runs on the sender's engine with the last completion;
-// so does everything else the train touches, so a sharded bed may read
-// it only after the run's join. gate reports a failed or stalled train.
+// done, if any, runs with the last completion. gate reports a failed or
+// stalled train.
 func (b *bed) writeTrain(from int, qp uint32, localVA, remoteVA uint64, writes int, at sim.Time, done func()) {
 	src := b.net.Machines[from]
 	t := &train{from: from, left: writes}

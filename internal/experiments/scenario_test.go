@@ -145,7 +145,7 @@ func TestScenarios(t *testing.T) {
 // The end-of-run gate reports every violation, not the first: the
 // checkers' findings and the scenario's own all reach the error.
 func TestBedGateReportsEveryViolation(t *testing.T) {
-	b, err := newBed(1, 2, false, Exports{})
+	b, err := newBed(1, 2, Exports{})
 	if err != nil {
 		t.Fatal(err)
 	}

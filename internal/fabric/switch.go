@@ -51,10 +51,8 @@ type SwitchPortStats struct {
 
 // Switch is a store-and-forward Ethernet switch that routes by
 // destination MAC, with a shared buffer pool, PFC and ECN marking. All
-// switch state lives on one engine (its own shard in a sharded
-// topology); NIC-side Ports live on their NIC's engine and talk to the
-// switch through cross-shard events bounded by the cable propagation
-// delay.
+// switch state lives on the switch's engine; NIC-side Ports live on
+// their NIC's engine and reach the switch over the cable.
 type Switch struct {
 	eng *sim.Engine
 	cfg SwitchConfig
@@ -128,14 +126,12 @@ func (s *Switch) NumPorts() int { return len(s.ports) }
 // PortMAC returns the MAC attached to port i.
 func (s *Switch) PortMAC(i int) packet.MAC { return s.ports[i].mac }
 
-// PortStats returns a snapshot of port i's counters. Read it from the
-// switch engine's context in sharded topologies.
+// PortStats returns a snapshot of port i's counters.
 func (s *Switch) PortStats(i int) SwitchPortStats { return s.ports[i].stats }
 
 // SetEgressFaults installs a fault injector on port i's egress wire
 // (switch→NIC direction); nil removes it. The injector is judged on the
-// switch's engine, so in a sharded topology it must draw randomness
-// from that engine's RNG only.
+// switch's engine.
 func (s *Switch) SetEgressFaults(i int, f FaultInjector) { s.ports[i].dir.faults = f }
 
 // BufferedBytes reports the shared pool bytes currently in use.
@@ -168,16 +164,13 @@ type PortStats struct {
 
 // SetFaults installs a fault injector on the uplink (NIC→switch)
 // direction of this port; nil removes it. The injector is judged on the
-// NIC's engine — in a sharded topology it must draw randomness from
-// that engine's RNG only. Together with Switch.SetEgressFaults this
+// NIC's engine. Together with Switch.SetEgressFaults this
 // gives a switched topology the same per-direction chaos surface a
 // point-to-point Link has.
 func (p *Port) SetFaults(f FaultInjector) { p.up.faults = f }
 
 // AttachPortOn connects an endpoint living on nicEng with the given MAC
-// and returns its NIC-side Port. In a sharded topology nicEng is the
-// machine's shard and the switch runs on its own shard; the cable
-// propagation delay is the cross-shard lookahead in both directions.
+// and returns its NIC-side Port.
 func (s *Switch) AttachPortOn(nicEng *sim.Engine, mac packet.MAC, ep Endpoint) *Port {
 	link := s.cfg.Link
 	sp := &swPort{
@@ -232,7 +225,7 @@ func (p *Port) Stats() PortStats { return p.stats }
 
 // Health is the NIC-side port scrape (export.ScrapeFunc shape): PFC
 // frames received, the current hold state and the uplink's injected
-// faults. Register it on the NIC's engine in sharded topologies.
+// faults.
 func (p *Port) Health() (map[string]uint64, map[string]float64) {
 	up := &p.up.stats
 	paused := 0.0

@@ -29,6 +29,11 @@ type Backoff struct {
 	Jitter float64
 }
 
+// maxDelay caps every delay, Max or not: Base*Factor^k outgrows a
+// Duration within a few dozen attempts, and the wait must still fit one
+// once added to the clock.
+const maxDelay = Duration(math.MaxInt64 / 2)
+
 // Delay returns the pause before retry attempt k (0-based). A nil rng
 // disables jitter.
 func (b Backoff) Delay(attempt int, rng *rand.Rand) Duration {
@@ -43,10 +48,11 @@ func (b Backoff) Delay(attempt int, rng *rand.Rand) Duration {
 	if attempt < 0 {
 		attempt = 0
 	}
-	d := float64(base) * math.Pow(factor, float64(attempt))
-	if b.Max > 0 && d > float64(b.Max) {
-		d = float64(b.Max)
+	limit := maxDelay
+	if b.Max > 0 && b.Max < limit {
+		limit = b.Max
 	}
+	d := min(float64(base)*math.Pow(factor, float64(attempt)), float64(limit))
 	if b.Jitter > 0 && rng != nil {
 		j := b.Jitter
 		if j > 1 {

@@ -316,40 +316,32 @@ const errShardRun = "sim: a shard of a ShardGroup runs only as part of the group
 // simulated time. Trailing daemon events are left queued unfired. It
 // panics on a shard of a ShardGroup.
 func (e *Engine) Run() Time {
-	if e.group != nil {
-		panic(errShardRun)
-	}
-	e.halted = false
-	for e.Pending() > 0 && !e.halted {
-		ev := e.pop()
-		if ev.dead {
-			e.ndead--
-			e.recycle(ev)
-			continue
-		}
-		if e.limit != 0 && ev.at > e.limit {
-			panic(fmt.Sprintf("sim: horizon %v exceeded (event at %v after %d events)", e.limit, ev.at, e.fired))
-		}
-		if ev.daemon {
-			e.ndaemon--
-		}
-		e.now = ev.at
-		e.fired++
-		fn := ev.fn
-		e.recycle(ev)
-		fn()
+	e.run(0, false)
+	return e.now
+}
+
+// RunUntil executes every event at or before time t, daemons included,
+// leaving later events queued, and then moves the clock to t. Halt stops
+// it early, and the horizon panics, as in Run. It returns the simulated
+// time reached: t, or earlier if halted. It panics on a shard of a
+// ShardGroup.
+func (e *Engine) RunUntil(t Time) Time {
+	e.run(t, true)
+	if !e.halted && e.now < t {
+		e.now = t
 	}
 	return e.now
 }
 
-// RunUntil executes events up to and including time t, leaving later
-// events queued. It returns the simulated time reached (t, or earlier if
-// the queue drained). It panics on a shard of a ShardGroup.
-func (e *Engine) RunUntil(t Time) Time {
+// run is the loop of Run and RunUntil. They differ only in when it
+// stops: Run once no foreground event is left, RunUntil (bounded) once
+// the next live event is after t.
+func (e *Engine) run(t Time, bounded bool) {
 	if e.group != nil {
 		panic(errShardRun)
 	}
-	for e.Pending() > 0 {
+	e.halted = false
+	for len(e.heap) > 0 && !e.halted {
 		ev := e.heap[0]
 		if ev.dead {
 			e.pop()
@@ -357,9 +349,11 @@ func (e *Engine) RunUntil(t Time) Time {
 			e.recycle(ev)
 			continue
 		}
-		if ev.at > t {
-			e.now = t
-			return e.now
+		if bounded && ev.at > t || !bounded && e.Pending() == 0 {
+			return
+		}
+		if e.limit != 0 && ev.at > e.limit {
+			panic(fmt.Sprintf("sim: horizon %v exceeded (event at %v after %d events)", e.limit, ev.at, e.fired))
 		}
 		e.pop()
 		if ev.daemon {
@@ -371,10 +365,6 @@ func (e *Engine) RunUntil(t Time) Time {
 		e.recycle(ev)
 		fn()
 	}
-	if e.now < t {
-		e.now = t
-	}
-	return e.now
 }
 
 // Pending reports the number of live queued foreground events in O(1):

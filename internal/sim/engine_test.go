@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -31,6 +32,7 @@ func TestDurationString(t *testing.T) {
 		{3 * Millisecond, "3.000ms"},
 		{2 * Second, "2.0000s"},
 		{-2500 * Nanosecond, "-2.50us"},
+		{math.MinInt64, "-9223372.0369s"},
 	}
 	for _, c := range cases {
 		if got := c.d.String(); got != c.want {
@@ -144,6 +146,62 @@ func TestEngineRunUntil(t *testing.T) {
 	e.Run()
 	if count != 5 {
 		t.Errorf("count = %d", count)
+	}
+}
+
+// RunUntil fires what Run would up to t, daemons included, and stops
+// for Halt and the horizon as Run does.
+func TestEngineRunUntilStops(t *testing.T) {
+	cases := []struct {
+		name      string
+		setup     func(e *Engine, fired *int)
+		until     Time
+		fired     int
+		now       Time
+		wantPanic bool
+	}{
+		{"daemon before t", func(e *Engine, fired *int) {
+			e.ScheduleDaemon(5, func() { *fired++ })
+		}, 10, 1, 10, false},
+		{"halt", func(e *Engine, fired *int) {
+			for i := 1; i <= 5; i++ {
+				e.Schedule(Duration(i), func() {
+					if *fired++; i == 2 {
+						e.Halt()
+					}
+				})
+			}
+		}, 100, 2, 2, false},
+		{"horizon", func(e *Engine, fired *int) {
+			e.SetHorizon(3)
+			for i := 1; i <= 5; i++ {
+				e.Schedule(Duration(i), func() { *fired++ })
+			}
+		}, 100, 3, 3, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(1)
+			fired := 0
+			c.setup(e, &fired)
+			func() {
+				defer func() {
+					if r := recover(); (r != nil) != c.wantPanic {
+						t.Errorf("panic = %v, want panic %v", r, c.wantPanic)
+					}
+				}()
+				e.RunUntil(c.until)
+			}()
+			if fired != c.fired || e.Now() != c.now {
+				t.Errorf("RunUntil(%v): fired %d at %v, want %d at %v", c.until, fired, e.Now(), c.fired, c.now)
+			}
+			before := e.Now()
+			e.SetHorizon(0)
+			e.Run()
+			if e.Now() < before {
+				t.Errorf("Run after RunUntil moved the clock back from %v to %v", before, e.Now())
+			}
+		})
 	}
 }
 

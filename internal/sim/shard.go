@@ -28,18 +28,15 @@ import (
 // same-timestamp tie-break — are a pure function of the seed.
 
 // crossEvent is an event posted from one shard to another, parked in the
-// source shard's outbox until the window barrier. postAt is the source
-// shard's clock at posting time, kept for per-link lookahead validation.
-// When q is set the barrier pushes v onto it before scheduling fn (see
-// CrossPushAt).
+// source shard's outbox until the window barrier. When q is set the
+// barrier pushes v onto it before scheduling fn (see CrossPushAt).
 type crossEvent struct {
-	at     Time
-	postAt Time
-	dst    int32
-	src    int32
-	fn     func()
-	q      *FIFO[[]byte]
-	v      []byte
+	at  Time
+	dst int32
+	src int32
+	fn  func()
+	q   *FIFO[[]byte]
+	v   []byte
 }
 
 // ShardGroup runs a set of engines (shards) as one simulation under
@@ -51,7 +48,6 @@ type ShardGroup struct {
 	outbox    [][]crossEvent // indexed by source shard
 	merged    []crossEvent   // barrier scratch, reused across windows
 	lookahead Duration
-	linkLA    map[[2]int32]Duration // optional per-link lookahead declarations
 
 	daemonsTo Time // daemons up to here may fire on a shard with no foreground work (see frontier)
 
@@ -103,28 +99,6 @@ func (g *ShardGroup) Shards() int { return len(g.shards) }
 // Lookahead returns the conservative lookahead bound.
 func (g *ShardGroup) Lookahead() Duration { return g.lookahead }
 
-// SetLinkLookahead declares the src→dst cross-shard link's own minimum
-// latency. The group lookahead stays the window width (soundness needs
-// only the global minimum), but every cross event on a declared link is
-// additionally validated against the link's tighter bound at the
-// barrier, so a topology with heterogeneous links (a shard-per-machine
-// star hanging off switch ports, say) catches a component that posts
-// with less delay than its cable provides. d must be ≥ the group
-// lookahead — a smaller value would mean the group lookahead itself is
-// unsound for the topology.
-func (g *ShardGroup) SetLinkLookahead(src, dst *Engine, d Duration) {
-	if src.group != g || dst.group != g {
-		panic("sim: SetLinkLookahead engines must belong to this group")
-	}
-	if d < g.lookahead {
-		panic(fmt.Sprintf("sim: link lookahead %v below group lookahead %v", d, g.lookahead))
-	}
-	if g.linkLA == nil {
-		g.linkLA = make(map[[2]int32]Duration)
-	}
-	g.linkLA[[2]int32{src.shardIdx, dst.shardIdx}] = d
-}
-
 // SetWorkers does nothing: a group always runs on the goroutine that
 // calls Run. It remains only for benchmark/layers.go until that file
 // drops the call.
@@ -164,7 +138,6 @@ func (g *ShardGroup) Now() Time {
 // post parks a cross-shard event in its source shard's outbox until the
 // next barrier. Only called from within the source's event callbacks.
 func (g *ShardGroup) post(ce crossEvent) {
-	ce.postAt = g.shards[ce.src].Now()
 	g.outbox[ce.src] = append(g.outbox[ce.src], ce)
 }
 
@@ -274,10 +247,6 @@ func (g *ShardGroup) drainOutboxes(window Time) {
 		if ce.at < window {
 			panic(fmt.Sprintf("sim: lookahead violated: cross-shard event from shard %d to %d at %v inside window ending %v",
 				ce.src, ce.dst, ce.at, window))
-		}
-		if la, ok := g.linkLA[[2]int32{ce.src, ce.dst}]; ok && ce.at < ce.postAt.Add(la) {
-			panic(fmt.Sprintf("sim: link lookahead violated: shard %d posted to %d at %v for %v, link bound %v",
-				ce.src, ce.dst, ce.postAt, ce.at, la))
 		}
 		if ce.q != nil {
 			ce.q.Push(ce.v)

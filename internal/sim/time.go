@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -43,6 +44,8 @@ func (d Duration) Std() time.Duration { return time.Duration(int64(d) / int64(Na
 // String formats the duration with an adaptive unit.
 func (d Duration) String() string {
 	switch {
+	case d == math.MinInt64: // -d overflows; the picosecond it drops does not show
+		return "-" + Duration(math.MaxInt64).String()
 	case d < 0:
 		return "-" + (-d).String()
 	case d < Nanosecond:

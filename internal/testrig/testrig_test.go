@@ -45,7 +45,4 @@ func TestNetTooManyMachines(t *testing.T) {
 	if _, err := testrig.NewNet(1, core.MaxMachines+1, core.Profile10G(), sw, 1<<12); !errors.Is(err, core.ErrTooManyMachines) {
 		t.Errorf("NewNet(255 machines) = %v, want ErrTooManyMachines", err)
 	}
-	if _, err := testrig.NewNetSharded(1, core.MaxMachines+1, core.Profile10G(), sw, 1<<12); !errors.Is(err, core.ErrTooManyMachines) {
-		t.Errorf("NewNetSharded(255 machines) = %v, want ErrTooManyMachines", err)
-	}
 }

@@ -13,17 +13,10 @@ import (
 )
 
 // Net is the switched multi-machine testbed: N machines hanging off the
-// ports of one shared-buffer switch. It generalises Pair past two
-// machines (the ">2 shards" step of the roadmap).
-//
-// Unsharded (NewNet) everything lives on one engine. Sharded
-// (NewNetSharded) each machine owns shard i and the switch owns shard N
-// of an (N+1)-shard group whose lookahead is the cable propagation
-// delay; each NIC↔switch link additionally declares its own per-link
-// lookahead bound (sim.ShardGroup.SetLinkLookahead).
+// ports of one shared-buffer switch, all on one engine. It generalises
+// Pair past two machines.
 type Net struct {
-	Group    *sim.ShardGroup // nil when unsharded
-	SwEng    *sim.Engine     // the switch's engine (own shard when sharded)
+	SwEng    *sim.Engine // the engine every machine and the switch run on
 	Sw       *fabric.Switch
 	Machines []*NetMachine
 }
@@ -39,51 +32,15 @@ type NetMachine struct {
 	nextQPN uint32
 }
 
-// NewNet builds an unsharded switched testbed with n machines.
+// NewNet builds the switched testbed with n machines.
 func NewNet(seed int64, n int, cfg core.Config, swCfg fabric.SwitchConfig, bufBytes int) (*Net, error) {
+	if n > core.MaxMachines {
+		return nil, fmt.Errorf("testrig: %w: %d asked for", core.ErrTooManyMachines, n)
+	}
 	eng := sim.NewEngine(seed)
-	engs := make([]*sim.Engine, n)
-	for i := range engs {
-		engs[i] = eng
-	}
-	return buildNet(engs, eng, nil, cfg, swCfg, bufBytes)
-}
-
-// NewNetSharded builds the same topology with machine i on shard i and
-// the switch on shard n.
-func NewNetSharded(seed int64, n int, cfg core.Config, swCfg fabric.SwitchConfig, bufBytes int) (*Net, error) {
-	if swCfg.Link.Propagation <= 0 {
-		return nil, fmt.Errorf("testrig: sharded net needs positive propagation delay")
-	}
-	group := sim.NewShardGroup(seed, n+1, swCfg.Link.Propagation)
-	engs := make([]*sim.Engine, n)
-	for i := range engs {
-		engs[i] = group.Shard(i)
-	}
-	swEng := group.Shard(n)
-	net, err := buildNet(engs, swEng, group, cfg, swCfg, bufBytes)
-	if err != nil {
-		return nil, err
-	}
-	// Declare each link's own lookahead: NIC→switch frames take at least
-	// propagation + forwarding, switch→NIC (data and PFC control frames)
-	// at least propagation. The barrier validates every cross event
-	// against these tighter per-link bounds.
-	for _, m := range net.Machines {
-		group.SetLinkLookahead(m.Eng, swEng, swCfg.Link.Propagation+swCfg.Forwarding)
-		group.SetLinkLookahead(swEng, m.Eng, swCfg.Link.Propagation)
-	}
-	return net, nil
-}
-
-// buildNet assembles machines and switch on the given engines.
-func buildNet(engs []*sim.Engine, swEng *sim.Engine, group *sim.ShardGroup, cfg core.Config, swCfg fabric.SwitchConfig, bufBytes int) (*Net, error) {
-	if len(engs) > core.MaxMachines {
-		return nil, fmt.Errorf("testrig: %w: %d asked for", core.ErrTooManyMachines, len(engs))
-	}
-	sw := fabric.NewSwitchCfg(swEng, swCfg)
-	net := &Net{Group: group, SwEng: swEng, Sw: sw}
-	for i, eng := range engs {
+	sw := fabric.NewSwitchCfg(eng, swCfg)
+	net := &Net{SwEng: eng, Sw: sw}
+	for i := 0; i < n; i++ {
 		id, _ := core.MachineIdentity(i + 1) // in range: checked above
 		nic := core.NewNIC(eng, cfg, id)
 		port := sw.AttachPortOn(eng, id.MAC, nic)
@@ -140,9 +97,7 @@ func (n *Net) AttachCheckers() []*chaos.Checker {
 }
 
 // RecordJSONL registers every health surface with a JSONL recorder:
-// each machine's NIC and NIC-side switch port on that machine's engine,
-// and every switch port on the switch's engine (the shard that owns
-// each surface scrapes it).
+// each machine's NIC and NIC-side switch port, and every switch port.
 func (n *Net) RecordJSONL(rec *export.Recorder) {
 	for i, m := range n.Machines {
 		host := fmt.Sprintf("m%d", i)
@@ -156,9 +111,4 @@ func (n *Net) RecordJSONL(rec *export.Recorder) {
 
 // Run executes the testbed to completion and returns the final
 // simulated time.
-func (n *Net) Run() sim.Time {
-	if n.Group != nil {
-		return n.Group.Run()
-	}
-	return n.SwEng.Run()
-}
+func (n *Net) Run() sim.Time { return n.SwEng.Run() }

@@ -253,96 +253,64 @@ func TestSwitchThreeWayTraffic(t *testing.T) {
 }
 
 // TestFourMachineNetSmoke runs a 4-machine ring of writes through the
-// shared-buffer switch on the testrig.Net testbed, unsharded and sharded,
-// and checks the two runs finish at the same simulated time with every
-// payload delivered intact and the protocol invariant checkers silent.
+// shared-buffer switch on the testrig.Net testbed and checks every
+// payload is delivered intact with the protocol invariant checkers
+// silent.
 func TestFourMachineNetSmoke(t *testing.T) {
 	const n = 4
 	const xfer = 64 << 10
 	const dstOff = hostmem.Addr(128 << 10)
 	swCfg := fabric.SwitchConfig{Link: fabric.DirectCable10G(), Forwarding: 500 * sim.Nanosecond}
 
-	run := func(sharded bool) (sim.Time, [][]byte, int) {
-		var (
-			net *testrig.Net
-			err error
-		)
-		if sharded {
-			net, err = testrig.NewNetSharded(7, n, core.Profile10G(), swCfg, 1<<20)
-		} else {
-			net, err = testrig.NewNet(7, n, core.Profile10G(), swCfg, 1<<20)
+	net, err := testrig.NewNet(7, n, core.Profile10G(), swCfg, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkers := net.AttachCheckers()
+	payload := make([][]byte, n)
+	for i := range payload {
+		payload[i] = make([]byte, xfer)
+		rand.New(rand.NewSource(int64(i + 1))).Read(payload[i])
+		if err := net.Machines[i].NIC.Memory().WriteVirt(net.Machines[i].Buf.Base(), payload[i]); err != nil {
+			t.Fatal(err)
 		}
+	}
+	// Machine i writes its payload to ring successor i+1.
+	done := make([]bool, n)
+	for i := 0; i < n; i++ {
+		j := (i + 1) % n
+		qp, _, err := net.Connect(i, j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkers := net.AttachCheckers()
-		payload := make([][]byte, n)
-		for i := range payload {
-			payload[i] = make([]byte, xfer)
-			rand.New(rand.NewSource(int64(i + 1))).Read(payload[i])
-			if err := net.Machines[i].NIC.Memory().WriteVirt(net.Machines[i].Buf.Base(), payload[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Machine i writes its payload to ring successor i+1.
-		done := make([]bool, n)
-		for i := 0; i < n; i++ {
-			i := i
-			j := (i + 1) % n
-			qp, _, err := net.Connect(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := net.Machines[i]
-			dst := uint64(net.Machines[j].Buf.Base() + dstOff)
-			m.Eng.Schedule(0, func() {
-				m.NIC.PostWrite(qp, uint64(m.Buf.Base()), dst, xfer, func(err error) {
-					if err != nil {
-						t.Errorf("machine %d write: %v", i, err)
-					}
-					done[i] = true
-				})
+		m := net.Machines[i]
+		dst := uint64(net.Machines[j].Buf.Base() + dstOff)
+		m.Eng.Schedule(0, func() {
+			m.NIC.PostWrite(qp, uint64(m.Buf.Base()), dst, xfer, func(err error) {
+				if err != nil {
+					t.Errorf("machine %d write: %v", i, err)
+				}
+				done[i] = true
 			})
-		}
-		end := net.Run()
-		got := make([][]byte, n)
-		for i := 0; i < n; i++ {
-			if !done[i] {
-				t.Fatalf("sharded=%v: machine %d write never completed", sharded, i)
-			}
-			j := (i + 1) % n
-			g, err := net.Machines[j].NIC.Memory().ReadVirt(net.Machines[j].Buf.Base()+dstOff, xfer)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[i] = g
-		}
-		vio := 0
-		for _, c := range checkers {
-			vio += len(c.Finish())
-		}
-		for i := range payload {
-			if !bytes.Equal(got[i], payload[i]) {
-				t.Errorf("sharded=%v: ring write %d corrupted", sharded, i)
-			}
-		}
-		return end, got, vio
+		})
 	}
-
-	endSingle, gotSingle, vioSingle := run(false)
-	if vioSingle != 0 {
-		t.Fatalf("unsharded run: %d invariant violations", vioSingle)
+	net.Run()
+	for i := 0; i < n; i++ {
+		if !done[i] {
+			t.Fatalf("machine %d write never completed", i)
+		}
+		j := (i + 1) % n
+		got, err := net.Machines[j].NIC.Memory().ReadVirt(net.Machines[j].Buf.Base()+dstOff, xfer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload[i]) {
+			t.Errorf("ring write %d corrupted", i)
+		}
 	}
-	end, got, vio := run(true)
-	if vio != 0 {
-		t.Fatalf("sharded run: %d invariant violations", vio)
-	}
-	if end != endSingle {
-		t.Errorf("sharded run finished at %v, unsharded at %v", end, endSingle)
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], gotSingle[i]) {
-			t.Errorf("sharded run: delivered bytes differ from unsharded run (flow %d)", i)
+	for i, c := range checkers {
+		if vio := c.Finish(); len(vio) != 0 {
+			t.Errorf("machine %d: %d invariant violations", i, len(vio))
 		}
 	}
 }
