@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"strom/internal/fabric"
+	"strom/internal/fpga"
 	"strom/internal/packet"
 	"strom/internal/roce"
 	"strom/internal/sim"
@@ -78,6 +79,81 @@ func TestCrashAbortsKernelFSM(t *testing.T) {
 	got, _ := r.b.Memory().ReadVirt(r.bufB.Base(), len(want))
 	if bytes.Equal(got, want) {
 		t.Error("aborted kernel still delivered its RDMA write")
+	}
+}
+
+// logKernel records every input it is handed, in order, with a copy of
+// its bytes.
+type logKernel struct{ log []string }
+
+func (k *logKernel) Name() string { return "log" }
+
+func (k *logKernel) Invoke(ctx *Context, qpn uint32, params []byte) {
+	k.log = append(k.log, "invoke "+string(params))
+}
+
+func (k *logKernel) Stream(ctx *Context, qpn uint32, data []byte, last bool) {
+	k.log = append(k.log, fmt.Sprintf("stream %s last=%v", data, last))
+}
+
+func (k *logKernel) Resources() fpga.Resources { return fpga.Resources{} }
+
+// TestCrashAbortsQueuedInvoke is the crash and order drill for the kernel
+// pipeline queue that Params messages and RPC WRITE segments share. A
+// Params message and two segments still in the pipeline when the NIC
+// crashes never reach the kernel, and each is counted as an abort; their
+// pooled buffers go back to the pool once. After a restart, interleaved
+// Params and segments reach the kernel in arrival order, each with its
+// own bytes, although the caller reuses its buffer at once (as the
+// transport does with a received frame).
+func TestCrashAbortsQueuedInvoke(t *testing.T) {
+	r := newRig(t, 1, Profile10G(), fabric.DirectCable10G())
+	k := &logKernel{}
+	if err := r.b.DeployKernel(0x20, k); err != nil {
+		t.Fatal(err)
+	}
+	feed := func(inputs ...string) {
+		buf := make([]byte, 2)
+		for i, in := range inputs {
+			copy(buf, in[1:])
+			var err error
+			if in[0] == 'P' {
+				err = r.b.HandleRPCParams(2, 0x20, buf)
+			} else {
+				err = r.b.HandleRPCWrite(2, 0x20, buf, i == len(inputs)-1)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(buf, "!!")
+		}
+	}
+	r.eng.Schedule(0, func() {
+		feed("Pp0", "Ss0", "Ss1")
+		r.b.Crash()
+	})
+	r.eng.Run()
+	if len(k.log) != 0 {
+		t.Errorf("kernel ran %q after the crash", k.log)
+	}
+	if got := r.b.Stats().KernelAborts; got != 3 {
+		t.Errorf("KernelAborts = %d, want 3", got)
+	}
+	r.b.Restart()
+	r.eng.Schedule(0, func() { feed("Pp1", "Sa1", "Pp2", "Sa2", "Sa3") })
+	r.eng.Run()
+	want := []string{"invoke p1", "stream a1 last=false", "invoke p2", "stream a2 last=false", "stream a3 last=true"}
+	if fmt.Sprint(k.log) != fmt.Sprint(want) {
+		t.Errorf("kernel saw %q, want %q", k.log, want)
+	}
+	seen := make(map[*byte]bool)
+	for i := 0; i < 64; i++ {
+		b := packet.GetBuf()
+		array := &b[:1][0]
+		if seen[array] {
+			t.Fatalf("GetBuf call %d returned an array an earlier call returned: a pipeline buffer was released twice", i+1)
+		}
+		seen[array] = true
 	}
 }
 

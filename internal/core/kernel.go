@@ -6,6 +6,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"strom/internal/fpga"
@@ -30,6 +31,8 @@ type Kernel interface {
 	// Name identifies the kernel in traces and reports.
 	Name() string
 	// Invoke handles an RDMA RPC Params message addressed to this kernel.
+	// params is only valid during the call, like Stream's data: a kernel
+	// decodes what it needs before it returns.
 	Invoke(ctx *Context, qpn uint32, params []byte)
 	// Stream consumes one RDMA RPC WRITE payload segment. data is only
 	// valid during the call: a kernel that needs it later copies it
@@ -55,6 +58,7 @@ type Context struct {
 	inflight int
 
 	freeOps []*dmaOp // recycled DMA completion guards
+	resp    []byte   // response staging (see Respond)
 }
 
 // dmaOp is the guard around one kernel DMA completion: it settles the
@@ -134,20 +138,6 @@ func (c *Context) Delay(cycles int, fn func()) {
 	})
 }
 
-// failDMA delivers a sandbox rejection as a command completion after one
-// pipeline cycle — same shape and determinism as a DMA engine error, but
-// nothing ever reaches the engine. Epoch-guarded like real completions.
-func (c *Context) failDMA(deliver func()) {
-	epoch := c.nic.epoch
-	c.nic.eng.Schedule(c.cycle, func() {
-		if c.nic.epoch != epoch {
-			c.nic.stats.KernelAborts++
-			return
-		}
-		deliver()
-	})
-}
-
 // DMARead issues a read of host memory over the dmaCmdOut/dmaDataIn
 // streams: a PCIe round trip of roughly 1.5 µs (§6.2). The command is
 // sandboxed against the MR table first — a kernel chasing a pointer out
@@ -159,7 +149,7 @@ func (c *Context) failDMA(deliver func()) {
 // they return) or copies what it keeps.
 func (c *Context) DMARead(va uint64, n int, done func([]byte, error)) {
 	if err := c.nic.checkKernelDMA(va, n); err != nil {
-		c.failDMA(func() { done(nil, err) })
+		c.Delay(1, func() { done(nil, err) }) // a cycle later, like an engine error
 		return
 	}
 	c.nic.stats.KernelDMAReads++
@@ -175,7 +165,7 @@ func (c *Context) DMARead(va uint64, n int, done func([]byte, error)) {
 // kernel may refill its buffer at once.
 func (c *Context) DMAWrite(va uint64, data []byte, done func(error)) {
 	if err := c.nic.checkKernelDMA(va, len(data)); err != nil {
-		c.failDMA(func() {
+		c.Delay(1, func() {
 			if done != nil {
 				done(err)
 			}
@@ -197,6 +187,20 @@ func (c *Context) RDMAWrite(qpn uint32, remoteVA uint64, data []byte, done func(
 	if err := c.nic.stack.PostWrite(qpn, remoteVA, data, done); err != nil && done != nil {
 		done(err)
 	}
+}
+
+// Respond writes value, zero-padded to size bytes, then the 8 B status
+// word to remoteVA on the peer connected on qpn: the response of the
+// traversal, consistency and GET kernels. It stages both in one buffer
+// per Context, which RDMAWrite has copied by the time it returns.
+func (c *Context) Respond(qpn uint32, remoteVA uint64, value []byte, size int, status uint64) {
+	if cap(c.resp) < size+8 {
+		c.resp = make([]byte, size+8)
+	}
+	resp := c.resp[:size+8]
+	clear(resp[copy(resp[:size], value):size])
+	binary.LittleEndian.PutUint64(resp[size:], status)
+	c.RDMAWrite(qpn, remoteVA, resp, nil)
 }
 
 // RDMARPC lets a kernel invoke a kernel on the peer NIC — the mechanism

@@ -116,11 +116,10 @@ type NIC struct {
 	tel         *nicTelemetry // nil when telemetry is disabled
 	health      nicHealth     // Health's reused report
 
-	// segs holds the RPC WRITE segments waiting out the kernel pipeline,
-	// drained by segFn (bound once) in push order: each waits the same
-	// constant latency, so no segment allocates a closure (see sim.FIFO).
-	segs  sim.FIFO[rpcSegment]
-	segFn func()
+	// pipe is the kernel pipeline queue, drained by pipeFn (bound once):
+	// see kernelInput.
+	pipe   sim.FIFO[kernelInput]
+	pipeFn func()
 
 	// Memory protection (see protect.go): the region table the responder
 	// validates RETHs against, the per-buffer region index, the DMA-issue
@@ -151,7 +150,7 @@ func NewNIC(eng *sim.Engine, cfg Config, id roce.Identity) *NIC {
 		regions:  make(map[uint64]*mr.Region),
 	}
 	n.writeLanded = n.onWriteLanded
-	n.segFn = n.streamSegment
+	n.pipeFn = n.runKernelInput
 	n.dma = pcie.NewEngine(eng, n.mem, n.tlb, cfg.PCIe)
 	// A crashed NIC puts nothing on the wire: frames already queued in
 	// the TX pipeline die at the port, which owns them and so returns
@@ -310,15 +309,7 @@ func (n *NIC) HandleRPCParams(qpn uint32, rpcOp uint64, params []byte) error {
 	if d, ok := n.kernels[rpcOp]; ok {
 		n.stats.RPCsDispatched++
 		d.ctx.State(qpn, "INVOKE")
-		p := append([]byte(nil), params...)
-		epoch := n.epoch
-		n.eng.Schedule(n.cfg.Roce.Cycles(kernelPipelineCycles), func() {
-			if n.epoch != epoch {
-				n.stats.KernelAborts++
-				return
-			}
-			d.kernel.Invoke(d.ctx, qpn, p)
-		})
+		n.enterPipeline(kernelInput{d: d, qpn: qpn, buf: packet.CloneFrame(params), invoke: true})
 		return nil
 	}
 	if n.fallback != nil {
@@ -343,34 +334,52 @@ func (n *NIC) HandleRPCWrite(qpn uint32, rpcOp uint64, data []byte, last bool) e
 		return fmt.Errorf("%w: %#x", ErrNoKernel, rpcOp)
 	}
 	n.stats.StreamSegments++
-	// data is the caller's frame, recycled when this returns: the segment
-	// waits out the pipeline in a pooled buffer of its own, which Stream
-	// may not keep (see Kernel).
-	n.segs.Push(rpcSegment{d: d, qpn: qpn, buf: packet.CloneFrame(data), last: last, epoch: n.epoch})
-	n.eng.Schedule(n.cfg.Roce.Cycles(kernelPipelineCycles), n.segFn)
+	n.enterPipeline(kernelInput{d: d, qpn: qpn, buf: packet.CloneFrame(data), last: last})
 	return nil
 }
 
-// rpcSegment is one RPC WRITE segment in the kernel pipeline, with the
-// crash epoch it entered under.
-type rpcSegment struct {
-	d     *deployment
-	qpn   uint32
-	buf   []byte
-	last  bool
-	epoch uint64
+// kernelInput is one input in the kernel pipeline, a parameter block
+// (Invoke, remote or InvokeLocal's) or an RPC WRITE segment (Stream), with
+// the crash epoch it entered under. The caller's bytes are recycled when
+// the handler returns: the input waits in a pooled buffer of its own,
+// which the kernel may not keep (see Kernel).
+type kernelInput struct {
+	d      *deployment
+	qpn    uint32
+	buf    []byte
+	invoke bool
+	last   bool
+	done   func(error) // InvokeLocal's completion; may be nil
+	epoch  uint64
 }
 
-// streamSegment hands the oldest queued RPC WRITE segment to its kernel,
-// unless the NIC crashed since it was queued.
-func (n *NIC) streamSegment() {
-	sg := n.segs.Pop()
-	if n.epoch != sg.epoch {
+// enterPipeline queues in behind every input before it. All wait the
+// same kernelPipelineCycles, so the bound-once drain events pop them in
+// arrival order and no input allocates a closure (see sim.FIFO).
+func (n *NIC) enterPipeline(in kernelInput) {
+	in.epoch = n.epoch
+	n.pipe.Push(in)
+	n.eng.Schedule(n.cfg.Roce.Cycles(kernelPipelineCycles), n.pipeFn)
+}
+
+// runKernelInput hands the oldest queued input to its kernel, unless the
+// NIC crashed since it was queued, and recycles its buffer either way.
+func (n *NIC) runKernelInput() {
+	in := n.pipe.Pop()
+	var err error
+	switch {
+	case n.epoch != in.epoch:
 		n.stats.KernelAborts++
-	} else {
-		sg.d.kernel.Stream(sg.d.ctx, sg.qpn, sg.buf, sg.last)
+		err = ErrMachineDown
+	case in.invoke:
+		in.d.kernel.Invoke(in.d.ctx, in.qpn, in.buf)
+	default:
+		in.d.kernel.Stream(in.d.ctx, in.qpn, in.buf, in.last)
 	}
-	packet.PutBuf(sg.buf)
+	packet.PutBuf(in.buf)
+	if in.done != nil {
+		in.done(err)
+	}
 }
 
 // --- requester side: host verbs --------------------------------------------
@@ -455,30 +464,21 @@ func (f *fetch) chunk(data []byte, err error) {
 // §5.2). The kernel runs on this NIC with qpn naming the QP it may
 // respond over.
 func (n *NIC) InvokeLocal(rpcOp uint64, qpn uint32, params []byte, done func(error)) {
-	p := append([]byte(nil), params...)
+	p := packet.CloneFrame(params)
 	n.ringDoorbell(func() {
 		if n.crashed {
+			packet.PutBuf(p)
 			n.completeErr(done, ErrMachineDown)
 			return
 		}
 		d, ok := n.kernels[rpcOp]
 		if !ok {
+			packet.PutBuf(p)
 			n.completeErr(done, fmt.Errorf("%w: %#x", ErrNoKernel, rpcOp))
 			return
 		}
 		n.stats.RPCsDispatched++
-		epoch := n.epoch
-		n.eng.Schedule(n.cfg.Roce.Cycles(kernelPipelineCycles), func() {
-			if n.epoch != epoch {
-				n.stats.KernelAborts++
-				n.completeErr(done, ErrMachineDown)
-				return
-			}
-			d.kernel.Invoke(d.ctx, qpn, p)
-			if done != nil {
-				done(nil)
-			}
-		})
+		n.enterPipeline(kernelInput{d: d, qpn: qpn, buf: p, invoke: true, done: done})
 	})
 }
 

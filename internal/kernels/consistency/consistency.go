@@ -74,14 +74,14 @@ func DecodeParams(data []byte) (Params, error) {
 type Stats struct {
 	Invocations uint64
 	Rereads     uint64
-	Failures    uint64
+	Failures    uint64 // reads answered with an error, and malformed parameter blocks
 }
 
 // Kernel is the consistency kernel.
 type Kernel struct {
 	defaultRetries int
 	stats          Stats
-	resp           []byte // response staging, reused (see respond)
+	free           []*read // recycled read records (see read)
 }
 
 // New creates a consistency kernel; maxRetries bounds re-reads (default
@@ -107,11 +107,13 @@ func (k *Kernel) Resources() fpga.Resources {
 // Stream implements core.Kernel; the consistency kernel takes no payload.
 func (k *Kernel) Stream(ctx *core.Context, qpn uint32, data []byte, last bool) {}
 
-// Invoke implements core.Kernel.
+// Invoke implements core.Kernel. A malformed parameter block is a
+// failed read: no response can be addressed.
 func (k *Kernel) Invoke(ctx *core.Context, qpn uint32, raw []byte) {
 	k.stats.Invocations++
 	p, err := DecodeParams(raw)
 	if err != nil {
+		k.stats.Failures++
 		ctx.Tracef("bad params: %v", err)
 		return
 	}
@@ -119,47 +121,63 @@ func (k *Kernel) Invoke(ctx *core.Context, qpn uint32, raw []byte) {
 	if retries == 0 {
 		retries = k.defaultRetries
 	}
-	k.attempt(ctx, qpn, p, retries)
-}
-
-// attempt reads the object once and verifies it in the pipeline; on
-// inconsistency it re-reads over PCIe (§6.3: "in case of inconsistency,
-// the kernel re-reads the data object").
-func (k *Kernel) attempt(ctx *core.Context, qpn uint32, p Params, retriesLeft int) {
-	ctx.State(qpn, "READ_OBJECT")
-	ctx.DMARead(p.ObjectAddress, int(p.ObjectSize), func(obj []byte, err error) {
-		if err != nil {
-			k.stats.Failures++
-			k.respond(ctx, qpn, p, nil, StatusError)
-			return
-		}
-		if cpu.VerifyCRC64(obj) {
-			k.respond(ctx, qpn, p, obj, StatusOK)
-			return
-		}
-		if retriesLeft <= 1 {
-			k.stats.Failures++
-			k.respond(ctx, qpn, p, nil, StatusInconsist)
-			return
-		}
-		k.stats.Rereads++
-		ctx.State(qpn, "REREAD")
-		k.attempt(ctx, qpn, p, retriesLeft-1)
-	})
-}
-
-func (k *Kernel) respond(ctx *core.Context, qpn uint32, p Params, obj []byte, status uint64) {
-	ctx.State(qpn, "RESPOND")
-	// One response buffer serves every invocation: RDMAWrite has encoded
-	// it into frames by the time it returns.
-	size := int(p.ObjectSize)
-	if cap(k.resp) < size+8 {
-		k.resp = make([]byte, size+8)
+	var r *read
+	if n := len(k.free); n > 0 {
+		r, k.free = k.free[n-1], k.free[:n-1]
+	} else {
+		r = &read{k: k}
+		r.onObj = r.verify
 	}
-	resp := k.resp[:size+8]
-	clear(resp[copy(resp[:size], obj):size]) // a failed read answers with a zeroed object
-	binary.LittleEndian.PutUint64(resp[size:], status)
-	ctx.RDMAWrite(qpn, p.ResponseAddress, resp, nil)
+	r.ctx, r.qpn, r.p, r.retriesLeft = ctx, qpn, p, retries
+	r.attempt()
+}
+
+// read is one consistent read in flight, its DMA completion bound once.
+// It waits on one DMA read at a time; respond returns it to the kernel's
+// free list, and one whose completion a crash dropped is left to the GC.
+type read struct {
+	k           *Kernel
+	ctx         *core.Context
+	qpn         uint32
+	p           Params
+	retriesLeft int
+	onObj       func([]byte, error)
+}
+
+// attempt reads the object once; verify checks it in the pipeline.
+func (r *read) attempt() {
+	r.ctx.State(r.qpn, "READ_OBJECT")
+	r.ctx.DMARead(r.p.ObjectAddress, int(r.p.ObjectSize), r.onObj)
+}
+
+// verify checks the object's CRC64; on inconsistency it re-reads over
+// PCIe (§6.3: "in case of inconsistency, the kernel re-reads the data
+// object").
+func (r *read) verify(obj []byte, err error) {
+	k := r.k
+	switch {
+	case err != nil:
+		k.stats.Failures++
+		r.respond(nil, StatusError)
+	case cpu.VerifyCRC64(obj):
+		r.respond(obj, StatusOK)
+	case r.retriesLeft <= 1:
+		k.stats.Failures++
+		r.respond(nil, StatusInconsist)
+	default:
+		r.retriesLeft--
+		k.stats.Rereads++
+		r.ctx.State(r.qpn, "REREAD")
+		r.attempt()
+	}
+}
+
+// respond writes the object (zeroed unless verified) and the status word
+// back to the requester and recycles the read.
+func (r *read) respond(obj []byte, status uint64) {
+	r.ctx.State(r.qpn, "RESPOND")
+	r.ctx.Respond(r.qpn, r.p.ResponseAddress, obj, int(r.p.ObjectSize), status)
+	r.k.free = append(r.k.free, r)
 }
 
 // --- client helpers ---------------------------------------------------------
@@ -173,20 +191,13 @@ var (
 // zeroStatus clears the status word before every read; never written.
 var zeroStatus [8]byte
 
-// Read performs a consistent read via the kernel: Post, wait for the RPC
-// to complete, Poll.
+// Read performs a consistent read via the kernel: clear the status word,
+// run the RPC, Poll.
 func Read(p *sim.Process, nic *core.NIC, qpn uint32, rpcOp uint64, params Params) ([]byte, error) {
-	c := &sim.Completion[struct{}]{}
-	if err := Post(nic, qpn, rpcOp, params, func(err error) {
-		if err != nil {
-			c.Fail(err)
-		} else {
-			c.Complete(struct{}{})
-		}
-	}); err != nil {
+	if err := nic.Memory().WriteVirt(params.statusVA(), zeroStatus[:]); err != nil {
 		return nil, err
 	}
-	if _, err := c.Wait(p); err != nil {
+	if err := nic.Do(p, qpn, core.Verb{Op: core.OpRPC, RPCOp: rpcOp, Params: params.Encode(), Deadline: params.Deadline}); err != nil {
 		return nil, err
 	}
 	return Poll(p, nic, params)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"strom/internal/core"
 	"strom/internal/cpu"
 	"strom/internal/hostmem"
 	"strom/internal/kernels/consistency"
@@ -163,6 +164,23 @@ func TestBadObjectAddress(t *testing.T) {
 	p.Run()
 	if !errors.Is(got, consistency.ErrRemote) {
 		t.Errorf("err = %v", got)
+	}
+}
+
+// A parameter block too short to decode cannot be answered: the RPC
+// itself succeeds, and the kernel counts the read as failed.
+func TestShortParamsCountedAsFailure(t *testing.T) {
+	p, k := newBed(t, 6)
+	var got error
+	p.Eng.Go("client", func(pr *sim.Process) {
+		got = p.A.Do(pr, testrig.QPA, core.Verb{Op: core.OpRPC, RPCOp: rpcOp, Params: make([]byte, 8)})
+	})
+	p.Run()
+	if got != nil {
+		t.Fatalf("RPC: %v", got)
+	}
+	if st := k.Stats(); st.Invocations != 1 || st.Failures != 1 {
+		t.Errorf("stats = %+v, want 1 invocation counted as 1 failure", st)
 	}
 }
 

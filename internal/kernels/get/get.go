@@ -155,15 +155,10 @@ func (k *Kernel) parseHTEntry(ctx *core.Context, meta internalMeta, entry []byte
 		}
 		k.gets++
 		ctx.State(meta.qpn, "RESPOND")
-		resp := make([]byte, len(value)+8)
-		copy(resp, value)
-		binary.LittleEndian.PutUint64(resp[len(value):], StatusDone)
-		ctx.RDMAWrite(meta.qpn, meta.targetAddr, resp, nil)
+		ctx.Respond(meta.qpn, meta.targetAddr, value, len(value), StatusDone)
 	})
 }
 
 func (k *Kernel) fail(ctx *core.Context, meta internalMeta) {
-	status := make([]byte, 8)
-	binary.LittleEndian.PutUint64(status, StatusError)
-	ctx.RDMAWrite(meta.qpn, meta.targetAddr, status, nil)
+	ctx.Respond(meta.qpn, meta.targetAddr, nil, 0, StatusError)
 }

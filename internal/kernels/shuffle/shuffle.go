@@ -86,17 +86,21 @@ type Stats struct {
 	Errors      uint64
 }
 
-// session is the state of one parametrised shuffle.
+// session is the state of one parametrised shuffle, its two DMA
+// completions bound once (see Invoke).
 type session struct {
+	k       *Kernel
+	ctx     *core.Context
 	params  Params
 	bases   []uint64 // partition base addresses from the descriptor table
 	offsets []uint64 // running write offset per partition
 	bufs    [][]byte // on-chip buffers
 	tuples  uint64
-	pending int         // outstanding DMA writes
-	flushed func(error) // completion of every partition flush, bound once
-	ended   bool        // session complete (all tuples seen)
-	ready   bool        // descriptor table loaded
+	pending int                 // outstanding DMA writes
+	onFlush func(error)         // completion of every partition flush
+	onTable func([]byte, error) // completion of the descriptor table read
+	ended   bool                // session complete (all tuples seen)
+	ready   bool                // descriptor table loaded
 	backlog []segment
 	lastQPN uint32
 }
@@ -112,6 +116,7 @@ type segment struct {
 type Kernel struct {
 	sess  *session
 	stats Stats
+	word  [8]byte // completion count staging (DMAWrite copies it)
 }
 
 // New creates a shuffle kernel.
@@ -144,21 +149,17 @@ func (k *Kernel) Invoke(ctx *core.Context, qpn uint32, raw []byte) {
 		ctx.Tracef("bad partition count %d", p.NumPartitions)
 		return
 	}
-	s := &session{params: p}
-	s.flushed = func(err error) {
-		if err != nil {
-			k.stats.Errors++
-			ctx.Tracef("partition flush failed: %v", err)
-		}
-		s.pending--
-		k.maybeComplete(ctx, s)
+	// A completed session has no DMA outstanding and takes no more input:
+	// the next one takes over its record and, at the same partition count,
+	// its on-chip buffers (fixed storage, refilled in place after every
+	// flush). A session still in flight keeps its own.
+	s := k.sess
+	if s == nil || !s.done() {
+		s = &session{k: k}
+		s.onFlush, s.onTable = s.flushed, s.tableLoaded
 	}
-	// The on-chip buffers are fixed storage: one array, a full buffer's
-	// capacity per partition, refilled in place after every flush. A
-	// session that completed has no DMA outstanding and takes no more
-	// input, so the next one of the same shape inherits its storage.
-	if prev := k.sess; prev != nil && prev.done() && len(prev.bufs) == int(p.NumPartitions) {
-		s.bases, s.offsets, s.bufs = prev.bases, prev.offsets, prev.bufs
+	s.ctx, s.params, s.tuples, s.ended, s.ready, s.lastQPN = ctx, p, 0, false, false, 0
+	if len(s.bufs) == int(p.NumPartitions) {
 		clear(s.offsets)
 		for i := range s.bufs {
 			s.bufs[i] = s.bufs[i][:0]
@@ -175,23 +176,37 @@ func (k *Kernel) Invoke(ctx *core.Context, qpn uint32, raw []byte) {
 	}
 	k.sess = s
 	ctx.State(qpn, "LOAD_HISTOGRAM")
-	ctx.DMARead(p.TableAddress, int(p.NumPartitions)*DescriptorSize, func(table []byte, err error) {
-		if err != nil {
-			k.stats.Errors++
-			ctx.Tracef("descriptor table read failed: %v", err)
-			return
-		}
-		for i := range s.bases {
-			s.bases[i] = binary.LittleEndian.Uint64(table[i*DescriptorSize:])
-		}
-		s.ready = true
-		// Drain segments that raced ahead of the table load.
-		backlog := s.backlog
-		s.backlog = nil
-		for _, seg := range backlog {
-			k.consume(ctx, s, seg.data, seg.last)
-		}
-	})
+	ctx.DMARead(p.TableAddress, int(p.NumPartitions)*DescriptorSize, s.onTable)
+}
+
+// tableLoaded takes in the partition descriptor table and drains the
+// segments that raced ahead of it.
+func (s *session) tableLoaded(table []byte, err error) {
+	k := s.k
+	if err != nil {
+		k.stats.Errors++
+		s.ctx.Tracef("descriptor table read failed: %v", err)
+		return
+	}
+	for i := range s.bases {
+		s.bases[i] = binary.LittleEndian.Uint64(table[i*DescriptorSize:])
+	}
+	s.ready = true
+	backlog := s.backlog
+	s.backlog = nil
+	for _, seg := range backlog {
+		k.consume(s.ctx, s, seg.data, seg.last)
+	}
+}
+
+// flushed completes one partition flush.
+func (s *session) flushed(err error) {
+	if err != nil {
+		s.k.stats.Errors++
+		s.ctx.Tracef("partition flush failed: %v", err)
+	}
+	s.pending--
+	s.k.maybeComplete(s.ctx, s)
 }
 
 // Stream implements core.Kernel: partition each incoming 8 B value.
@@ -246,7 +261,7 @@ func (k *Kernel) flush(ctx *core.Context, s *session, pid uint32) {
 	s.pending++
 	k.stats.Flushes++
 	ctx.State(s.lastQPN, "FLUSH_PARTITION")
-	ctx.DMAWrite(dst, buf, s.flushed)
+	ctx.DMAWrite(dst, buf, s.onFlush)
 }
 
 // maybeComplete posts the completion count once the stream ended and all
@@ -257,9 +272,8 @@ func (k *Kernel) maybeComplete(ctx *core.Context, s *session) {
 	}
 	s.params.CompletionAddress = markDone(s.params.CompletionAddress)
 	ctx.State(s.lastQPN, "COMPLETE")
-	out := make([]byte, 8)
-	binary.LittleEndian.PutUint64(out, s.tuples)
-	ctx.DMAWrite(doneAddr(s.params.CompletionAddress), out, nil2)
+	binary.LittleEndian.PutUint64(k.word[:], s.tuples)
+	ctx.DMAWrite(doneAddr(s.params.CompletionAddress), k.word[:], nil)
 }
 
 // The completion address doubles as the done flag; encode "already
@@ -267,8 +281,6 @@ func (k *Kernel) maybeComplete(ctx *core.Context, s *session) {
 func markDone(a uint64) uint64 { return a | 1 }
 func doneAddr(a uint64) uint64 { return a &^ 1 }
 func (s *session) done() bool  { return s.params.CompletionAddress&1 == 1 }
-
-func nil2(error) {}
 
 // String describes the kernel configuration.
 func (k *Kernel) String() string {

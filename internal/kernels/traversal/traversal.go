@@ -112,9 +112,6 @@ type Params struct {
 	MaxHops uint16
 }
 
-// ParamsSize is the encoded parameter block size.
-const ParamsSize = 8 + 4 + 8 + 2 + 1 + 1 + 1 + 1 + 1 + 8 + 2 + 3 // padded to 40
-
 // Encode serializes the parameters for postRpc.
 func (p Params) Encode() []byte {
 	out := make([]byte, 40)
@@ -170,6 +167,7 @@ type Stats struct {
 type Kernel struct {
 	defaultMaxHops int
 	stats          Stats
+	free           []*lookup // recycled lookup records (see lookup)
 }
 
 // New creates a traversal kernel. maxHops bounds runaway traversals
@@ -211,69 +209,98 @@ func (k *Kernel) Invoke(ctx *core.Context, qpn uint32, raw []byte) {
 	if maxHops == 0 {
 		maxHops = k.defaultMaxHops
 	}
-	k.step(ctx, qpn, p, p.RemoteAddress, maxHops)
+	var l *lookup
+	if n := len(k.free); n > 0 {
+		l, k.free = k.free[n-1], k.free[:n-1]
+	} else {
+		l = &lookup{k: k}
+		l.onElem, l.onValue = l.elem, l.value
+	}
+	l.ctx, l.qpn, l.p, l.hopsLeft = ctx, qpn, p, maxHops
+	l.step(p.RemoteAddress)
+}
+
+// lookup is one traversal in flight, its two DMA completions bound once.
+// It waits on one DMA read at a time; finish returns it to the kernel's
+// free list, and one whose completion a crash dropped is left to the GC.
+type lookup struct {
+	k        *Kernel
+	ctx      *core.Context
+	qpn      uint32
+	p        Params
+	hopsLeft int
+	onElem   func([]byte, error)
+	onValue  func([]byte, error)
 }
 
 // step performs one hop: one PCIe read of the 64 B element.
-func (k *Kernel) step(ctx *core.Context, qpn uint32, p Params, addr uint64, hopsLeft int) {
-	if addr == 0 || hopsLeft <= 0 {
-		k.finish(ctx, qpn, p, nil, StatusNotFound)
+func (l *lookup) step(addr uint64) {
+	if addr == 0 || l.hopsLeft <= 0 {
+		l.finish(nil, StatusNotFound)
 		return
 	}
-	k.stats.Hops++
-	ctx.State(qpn, "FETCH_ELEMENT")
-	ctx.DMARead(addr, ElementSize, func(elem []byte, err error) {
-		if err != nil {
-			k.finish(ctx, qpn, p, nil, k.classify(ctx, err))
-			return
+	l.hopsLeft--
+	l.k.stats.Hops++
+	l.ctx.State(l.qpn, "FETCH_ELEMENT")
+	l.ctx.DMARead(addr, ElementSize, l.onElem)
+}
+
+// elem matches the keys of a fetched element, then reads the value or
+// follows the next pointer.
+func (l *lookup) elem(elem []byte, err error) {
+	k, p := l.k, &l.p
+	if err != nil {
+		l.finish(nil, k.classify(l.ctx, err))
+		return
+	}
+	// Compare all masked key positions concurrently (the unrolled loop of
+	// Listing 4).
+	matchIdx := -1
+	for i := 0; i < slots-1; i++ {
+		if p.KeyMask&(1<<i) == 0 {
+			continue
 		}
-		// Compare all masked key positions concurrently (the unrolled
-		// loop of Listing 4).
-		matchIdx := -1
-		for i := 0; i < slots-1; i++ {
-			if p.KeyMask&(1<<i) == 0 {
-				continue
-			}
-			elemKey := binary.LittleEndian.Uint64(elem[4*i : 4*i+8])
-			if p.PredicateOp.Eval(elemKey, p.Key) {
-				matchIdx = i
-				break
-			}
+		elemKey := binary.LittleEndian.Uint64(elem[4*i : 4*i+8])
+		if p.PredicateOp.Eval(elemKey, p.Key) {
+			matchIdx = i
+			break
 		}
-		if matchIdx >= 0 {
-			vpos := int(p.ValuePtrPosition)
-			if p.IsRelativePosition {
-				vpos += matchIdx
-			}
-			if vpos < 0 || vpos >= slots-1 {
-				k.stats.Errors++
-				k.finish(ctx, qpn, p, nil, StatusError)
-				return
-			}
-			valuePtr := binary.LittleEndian.Uint64(elem[4*vpos : 4*vpos+8])
-			ctx.State(qpn, "READ_VALUE")
-			ctx.DMARead(valuePtr, int(p.ValueSize), func(value []byte, err error) {
-				if err != nil {
-					k.finish(ctx, qpn, p, nil, k.classify(ctx, err))
-					return
-				}
-				k.finish(ctx, qpn, p, value, StatusFound)
-			})
-			return
+	}
+	if matchIdx >= 0 {
+		vpos := int(p.ValuePtrPosition)
+		if p.IsRelativePosition {
+			vpos += matchIdx
 		}
-		if !p.NextElementPtrValid {
-			k.finish(ctx, qpn, p, nil, StatusNotFound)
-			return
-		}
-		npos := int(p.NextElementPtrPosition)
-		if npos < 0 || npos >= slots-1 {
+		if vpos < 0 || vpos >= slots-1 {
 			k.stats.Errors++
-			k.finish(ctx, qpn, p, nil, StatusError)
+			l.finish(nil, StatusError)
 			return
 		}
-		next := binary.LittleEndian.Uint64(elem[4*npos : 4*npos+8])
-		k.step(ctx, qpn, p, next, hopsLeft-1)
-	})
+		valuePtr := binary.LittleEndian.Uint64(elem[4*vpos : 4*vpos+8])
+		l.ctx.State(l.qpn, "READ_VALUE")
+		l.ctx.DMARead(valuePtr, int(p.ValueSize), l.onValue)
+		return
+	}
+	if !p.NextElementPtrValid {
+		l.finish(nil, StatusNotFound)
+		return
+	}
+	npos := int(p.NextElementPtrPosition)
+	if npos < 0 || npos >= slots-1 {
+		k.stats.Errors++
+		l.finish(nil, StatusError)
+		return
+	}
+	l.step(binary.LittleEndian.Uint64(elem[4*npos : 4*npos+8]))
+}
+
+// value completes the value read.
+func (l *lookup) value(value []byte, err error) {
+	var status uint64 = StatusFound
+	if err != nil {
+		value, status = nil, l.k.classify(l.ctx, err)
+	}
+	l.finish(value, status)
 }
 
 // classify maps a hop's DMA error to a response status: sandbox
@@ -289,17 +316,16 @@ func (k *Kernel) classify(ctx *core.Context, err error) uint64 {
 	return StatusError
 }
 
-// finish transmits the value (if any) followed by the status word.
-func (k *Kernel) finish(ctx *core.Context, qpn uint32, p Params, value []byte, status uint64) {
+// finish transmits the value (if any) followed by the status word and
+// recycles the lookup.
+func (l *lookup) finish(value []byte, status uint64) {
 	switch status {
 	case StatusFound:
-		k.stats.Found++
+		l.k.stats.Found++
 	case StatusNotFound:
-		k.stats.NotFound++
+		l.k.stats.NotFound++
 	}
-	ctx.State(qpn, "RESPOND")
-	resp := make([]byte, int(p.ValueSize)+8)
-	copy(resp, value)
-	binary.LittleEndian.PutUint64(resp[int(p.ValueSize):], status)
-	ctx.RDMAWrite(qpn, p.ResponseAddress, resp, nil)
+	l.ctx.State(l.qpn, "RESPOND")
+	l.ctx.Respond(l.qpn, l.p.ResponseAddress, value, int(l.p.ValueSize), status)
+	l.k.free = append(l.k.free, l)
 }
