@@ -42,6 +42,9 @@ type Machine struct {
 	cluster *Cluster
 	nic     *core.NIC
 	id      roce.Identity
+	// wire is what the NIC transmits into: the *fabric.Link of its last
+	// ConnectDirect or the *Switch of its last Attach; nil until wired.
+	wire any
 }
 
 // AddMachine creates a machine with the given profile.
@@ -74,10 +77,24 @@ type QueuePair struct {
 // testbed topology) and creates one connected queue pair, returned for
 // issuing operations from either side.
 func (c *Cluster) ConnectDirect(a, b *Machine, cable Cable) (*QueuePair, error) {
+	if err := c.owns(a, b); err != nil {
+		return nil, err
+	}
 	link := fabric.NewLink(c.eng, cable, a.nic, b.nic)
 	a.nic.SetTransmit(link.SendFromA)
 	b.nic.SetTransmit(link.SendFromB)
+	a.wire, b.wire = link, link
 	return c.CreateQueuePair(a, b)
+}
+
+// owns rejects a machine of another cluster.
+func (c *Cluster) owns(ms ...*Machine) error {
+	for _, m := range ms {
+		if m.cluster != c {
+			return fmt.Errorf("%w: %s belongs to another cluster", ErrNotConnected, m.name)
+		}
+	}
+	return nil
 }
 
 // Switch is a store-and-forward Ethernet switch for topologies beyond
@@ -109,6 +126,7 @@ func (c *Cluster) AddSwitchCfg(cfg SwitchConfig) *Switch {
 func (s *Switch) Attach(m *Machine) {
 	port := s.sw.AttachPortOn(m.nic.Engine(), m.id.MAC, m.nic)
 	m.nic.SetTransmit(port.Send)
+	m.wire = s
 }
 
 // Dropped reports frames the switch discarded at the port attached to a
@@ -120,8 +138,15 @@ func (s *Switch) Dropped(m *Machine) uint64 { return s.sw.Dropped(m.id.MAC) }
 func (s *Switch) Fabric() *fabric.Switch { return s.sw }
 
 // CreateQueuePair connects one more QP pair between already-linked
-// machines.
+// machines: both must belong to c and share a cable or a switch, or it
+// returns an error wrapping ErrNotConnected.
 func (c *Cluster) CreateQueuePair(a, b *Machine) (*QueuePair, error) {
+	if err := c.owns(a, b); err != nil {
+		return nil, err
+	}
+	if a.wire == nil || a.wire != b.wire {
+		return nil, fmt.Errorf("%w: %s and %s share no cable or switch", ErrNotConnected, a.name, b.name)
+	}
 	qpa := c.nextQPN
 	c.nextQPN++
 	qpb := c.nextQPN

@@ -7,6 +7,7 @@ package strom_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -65,7 +66,7 @@ func runScenario(t *testing.T, seed int64) (string, string, strom.Time) {
 		}
 	})
 	end := cl.Run()
-	return a.NIC().Controller().Dump(), b.NIC().Controller().Dump(), end
+	return fmt.Sprint(a.NIC().Controller().Snapshot()), fmt.Sprint(b.NIC().Controller().Snapshot()), end
 }
 
 func TestSystemDeterminism(t *testing.T) {

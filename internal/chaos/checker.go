@@ -320,10 +320,3 @@ func (c *Checker) Violations() []string {
 	}
 	return out
 }
-
-// Ok reports whether no invariant has been violated so far.
-func (c *Checker) Ok() bool { return len(c.violations) == 0 && !c.truncated }
-
-// Posted and Completed report the verb lifecycle counts the checker saw.
-func (c *Checker) Posted() uint64    { return c.posted }
-func (c *Checker) Completed() uint64 { return c.done }

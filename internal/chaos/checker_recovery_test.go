@@ -35,7 +35,7 @@ func TestCheckerErrorStateFreshPSNViolates(t *testing.T) {
 	c := newChecker()
 	c.TxRequest(1, 0, 1, packet.OpWriteOnly, false)
 	c.QPStateChange(1, roce.QPStateError, roce.ErrRetryExceeded)
-	if c.TxRequest(1, 0, 1, packet.OpWriteOnly, true); !c.Ok() {
+	if c.TxRequest(1, 0, 1, packet.OpWriteOnly, true); len(c.Violations()) != 0 {
 		t.Fatalf("retransmit out of ERROR flagged: %v", c.Violations())
 	}
 	c.TxRequest(1, 1, 1, packet.OpWriteOnly, false)
@@ -59,7 +59,7 @@ func TestCheckerResetClearsExpectations(t *testing.T) {
 	c.TxRequest(1, 0, 1, packet.OpWriteOnly, false)
 	c.RespExec(1, 0, 1, packet.OpWriteOnly, false)
 	c.RespReadData(1, 2, 0xBEEF, 512)
-	if !c.Ok() {
+	if len(c.Violations()) != 0 {
 		t.Fatalf("post-reset activity flagged: %v", c.Violations())
 	}
 }
@@ -95,7 +95,7 @@ func TestCheckerExactlyOnceAcrossReset(t *testing.T) {
 	c.PostedOp(1, 1, "WRITE")
 	c.QPStateChange(1, roce.QPStateReset, nil)
 	c.CompletedOp(1, 1, roce.ErrQPError)
-	if !c.Ok() {
+	if len(c.Violations()) != 0 {
 		t.Fatalf("flush completion flagged: %v", c.Violations())
 	}
 	c.CompletedOp(1, 1, nil)

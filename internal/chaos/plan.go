@@ -42,15 +42,6 @@ func (g GilbertElliott) enabled() bool {
 	return g.LossGood > 0 || (g.LossBad > 0 && g.PGoodBad > 0)
 }
 
-// AverageLoss returns the stationary mean loss rate of the chain.
-func (g GilbertElliott) AverageLoss() float64 {
-	if g.PGoodBad+g.PBadGood <= 0 {
-		return g.LossGood
-	}
-	piBad := g.PGoodBad / (g.PGoodBad + g.PBadGood)
-	return (1-piBad)*g.LossGood + piBad*g.LossBad
-}
-
 // burstLossBad is the in-burst drop probability BurstyLoss assumes, and
 // burstMeanLen the mean burst length in frames.
 const (

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"strom/internal/sim"
 )
@@ -171,21 +170,6 @@ func (c *Controller) Snapshot() map[Register]uint64 {
 		if err == nil {
 			out[r] = v
 		}
-	}
-	return out
-}
-
-// Dump renders the snapshot as sorted text.
-func (c *Controller) Dump() string {
-	snap := c.Snapshot()
-	regs := make([]Register, 0, len(snap))
-	for r := range snap {
-		regs = append(regs, r)
-	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
-	out := ""
-	for _, r := range regs {
-		out += fmt.Sprintf("%-20s %d\n", r, snap[r])
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestControllerUnknownRegister(t *testing.T) {
 
 func TestControllerDump(t *testing.T) {
 	r := newRig(t, 1, Profile10G(), fabric.DirectCable10G())
-	out := r.a.Controller().Dump()
+	out := fmt.Sprint(r.a.Controller().Snapshot())
 	for _, want := range []string{"TX_PACKETS", "TLB_LOOKUPS", "RPCS_DISPATCHED"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %s", want)

@@ -3,6 +3,7 @@ package cpu
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -466,12 +467,12 @@ func TestPollZeroIntervalReadsAtTheWrite(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	// A guard on the loads, so that a livelocked loop halts the engine
+	// A guard on the loads, so that a livelocked loop panics out of Run
 	// instead of hanging the test.
 	eng.Go("guard", func(p *sim.Process) {
 		if _, err := m.Poll(p, mem, buf.Base()+64, 1, func([]byte) bool {
 			if loads++; loads > 1000 {
-				eng.Halt()
+				panic(fmt.Sprintf("livelock: %d loads with simulated time stuck at %v", loads, eng.Now()))
 			}
 			return false
 		}, 0); err != nil {
@@ -479,9 +480,6 @@ func TestPollZeroIntervalReadsAtTheWrite(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if loads > 1000 {
-		t.Fatalf("livelock: %d loads with simulated time stuck at %v", loads, eng.Now())
-	}
 	if want := write.Add(m.MemLatency); done != want {
 		t.Errorf("poll returned at %v, want the write's instant plus MemLatency, %v", done, want)
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"strom/internal/cpu"
@@ -170,52 +169,4 @@ func hllKernelThroughput(o Options, size int) (float64, error) {
 		return 0, fmt.Errorf("kernel saw %d bytes, want %d", kern.Stats().Bytes, total)
 	}
 	return gbps(total, done), nil
-}
-
-// HLLAccuracyCheck exercises the estimation quality end to end (not a
-// paper figure, but the invariant the kernel must hold): stream n
-// distinct items through the kernel and return (estimate, relative
-// error).
-func HLLAccuracyCheck(o Options, distinct int) (float64, float64, error) {
-	o = o.normalized()
-	pair, err := newPair(o, profile100G(), 32<<20)
-	if err != nil {
-		return 0, 0, err
-	}
-	kern := hllkernel.MustNew(14)
-	if err := pair.B.DeployKernel(hllOp, kern); err != nil {
-		return 0, 0, err
-	}
-	data := make([]byte, distinct*8)
-	for i := 0; i < distinct; i++ {
-		binary.LittleEndian.PutUint64(data[i*8:], uint64(i)*0x9E3779B97F4A7C15+1)
-	}
-	if err := pair.A.Memory().WriteVirt(pair.BufA.Base(), data); err != nil {
-		return 0, 0, err
-	}
-	resultVA := pair.BufB.Base() + 24<<20
-	params := hllkernel.Params{ResultAddress: uint64(resultVA), Reset: true}
-	var est float64
-	err = runClient(pair, func(p *sim.Process) error {
-		if err := pair.A.RPCSync(p, testrig.QPA, hllOp, params.Encode()); err != nil {
-			return err
-		}
-		return pair.A.RPCWriteSync(p, testrig.QPA, hllOp, uint64(pair.BufA.Base()), len(data))
-	}, func(p *sim.Process) error {
-		// The result is polled on machine B's host CPU: the kernel
-		// publishes the estimate into B's memory.
-		raw, err := pair.B.Host().Poll(p, pair.B.Memory(), resultVA, hllkernel.ResultSize, func(b []byte) bool {
-			return binary.LittleEndian.Uint64(b[16:24]) != 0
-		}, 0)
-		if err != nil {
-			return err
-		}
-		est = math.Float64frombits(binary.LittleEndian.Uint64(raw[8:16]))
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	relErr := math.Abs(est-float64(distinct)) / float64(distinct)
-	return est, relErr, nil
 }

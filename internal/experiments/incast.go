@@ -52,15 +52,6 @@ type IncastMeasure struct {
 	Violations    int          // protocol invariant violations (must be 0)
 }
 
-// VictimGbps is the victim flow's goodput.
-func (m IncastMeasure) VictimGbps() float64 {
-	us := m.VictimElapsed.Microseconds()
-	if us <= 0 {
-		return 0
-	}
-	return float64(m.VictimBytes) * 8 / (us * 1000)
-}
-
 // incastStorm is one K→1 incast with the victim flow riding along:
 // senders 0..k-1 converge on receiver k while sender 0 also writes to
 // the idle machine k+1.

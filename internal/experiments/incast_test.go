@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"strom/internal/sim"
+)
 
 // incastOptions sizes the incast runs for the test battery: long enough
 // flows that PFC engages and DCQCN's rate cuts have room to matter.
@@ -40,7 +44,7 @@ func TestIncastVictimFlowDCQCNGain(t *testing.T) {
 		if off.Violations != 0 || on.Violations != 0 {
 			t.Errorf("k=%d: invariant violations off=%d on=%d", k, off.Violations, on.Violations)
 		}
-		gOff, gOn := off.VictimGbps(), on.VictimGbps()
+		gOff, gOn := gbps(off.VictimBytes, sim.Time(off.VictimElapsed)), gbps(on.VictimBytes, sim.Time(on.VictimElapsed))
 		if gOff <= 0 || gOn <= 0 {
 			t.Fatalf("k=%d: victim goodput off=%.3f on=%.3f", k, gOff, gOn)
 		}

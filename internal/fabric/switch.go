@@ -123,9 +123,6 @@ func (s *Switch) Dropped(mac packet.MAC) uint64 {
 // NumPorts returns the number of attached ports.
 func (s *Switch) NumPorts() int { return len(s.ports) }
 
-// PortMAC returns the MAC attached to port i.
-func (s *Switch) PortMAC(i int) packet.MAC { return s.ports[i].mac }
-
 // PortStats returns a snapshot of port i's counters.
 func (s *Switch) PortStats(i int) SwitchPortStats { return s.ports[i].stats }
 
@@ -133,9 +130,6 @@ func (s *Switch) PortStats(i int) SwitchPortStats { return s.ports[i].stats }
 // (switch→NIC direction); nil removes it. The injector is judged on the
 // switch's engine.
 func (s *Switch) SetEgressFaults(i int, f FaultInjector) { s.ports[i].dir.faults = f }
-
-// BufferedBytes reports the shared pool bytes currently in use.
-func (s *Switch) BufferedBytes() int { return s.totalUsed }
 
 // Port is the NIC-side attachment point of one switch port. It lives on
 // the NIC's engine: Send puts the frame on the uplink, a direction like
@@ -215,10 +209,6 @@ func (p *Port) setPaused(paused bool) {
 		p.up.send(buf)
 	}
 }
-
-// HeldFrames reports how many frames are currently buffered behind a
-// pause (NIC engine state).
-func (p *Port) HeldFrames() int { return len(p.held) }
 
 // Stats returns a snapshot of the NIC-side counters.
 func (p *Port) Stats() PortStats { return p.stats }

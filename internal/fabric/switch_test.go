@@ -130,15 +130,15 @@ func TestPFCStateMachine(t *testing.T) {
 				if c.paced && c.wantPauses > 0 && ps.FramesHeld == 0 {
 					t.Errorf("port %d: paused mid-stream but no frames were held at the NIC", i)
 				}
-				if held := ports[i].HeldFrames(); held != 0 {
+				if held := len(ports[i].held); held != 0 {
 					t.Errorf("port %d: %d frames still held after the run", i, held)
 				}
 			}
 			if got, want := len(recv.frames), 2*c.frames; got != want {
 				t.Errorf("delivered %d frames, want %d (lossless)", got, want)
 			}
-			if sw.BufferedBytes() != 0 {
-				t.Errorf("%d bytes stuck in the shared pool after the run", sw.BufferedBytes())
+			if sw.totalUsed != 0 {
+				t.Errorf("%d bytes stuck in the shared pool after the run", sw.totalUsed)
 			}
 		})
 	}
@@ -198,7 +198,7 @@ func TestPFCCycleDeadlockFree(t *testing.T) {
 	paused := uint64(0)
 	for _, p := range []*Port{ha.tx, hb.tx, hc.tx} {
 		paused += p.Stats().PauseRx
-		if held := p.HeldFrames(); held != 0 {
+		if held := len(p.held); held != 0 {
 			t.Errorf("%d frames stranded behind a pause", held)
 		}
 	}
@@ -206,6 +206,9 @@ func TestPFCCycleDeadlockFree(t *testing.T) {
 		t.Fatal("no port ever paused — the cycle never stressed PFC")
 	}
 }
+
+// frameECN reads the ECN codepoint from the IPv4 TOS byte of a frame.
+func frameECN(frame []byte) uint8 { return frame[packet.EthHeaderLen+1] & 3 }
 
 // ECN marking: frames enqueued while the egress queue is above the
 // threshold are CE-marked in flight (and only those — the mark count
@@ -236,7 +239,7 @@ func TestSwitchECNMarking(t *testing.T) {
 	sw, recv := run(3000)
 	ce := 0
 	for _, f := range recv.frames {
-		if packet.FrameECN(f) == packet.ECNCE {
+		if frameECN(f) == packet.ECNCE {
 			ce++
 		}
 	}
@@ -250,7 +253,7 @@ func TestSwitchECNMarking(t *testing.T) {
 
 	sw, recv = run(0)
 	for i, f := range recv.frames {
-		if packet.FrameECN(f) != packet.ECNNotECT {
+		if frameECN(f) != 0 {
 			t.Fatalf("frame %d marked with ECN disabled", i)
 		}
 	}
@@ -313,8 +316,8 @@ func TestSwitchConservation(t *testing.T) {
 	if h, _ := sw.PortHealth(2)(); h["out_discards_wire"] != 1 {
 		t.Errorf("wire discards = %d, want 1", h["out_discards_wire"])
 	}
-	if sw.BufferedBytes() != 0 {
-		t.Errorf("%d bytes leaked from the shared pool", sw.BufferedBytes())
+	if sw.totalUsed != 0 {
+		t.Errorf("%d bytes leaked from the shared pool", sw.totalUsed)
 	}
 }
 
@@ -360,7 +363,7 @@ func FuzzSwitchArbitration(f *testing.F) {
 				src := int(b) % n
 				dst := (src + 1 + int(b>>4)%(n-1)) % n
 				size := 64 + int(b)*7
-				fr := mkframe(sw.PortMAC(dst), size)
+				fr := mkframe(sw.ports[dst].mac, size)
 				p := ports[src]
 				// Stagger sends pseudo-randomly from the plan bytes so
 				// arrivals interleave in fuzz-chosen orders.
@@ -375,7 +378,7 @@ func FuzzSwitchArbitration(f *testing.F) {
 		arrived := 0
 		for i := 0; i < n; i++ {
 			arrived += len(sinks[i].frames)
-			if held := ports[i].HeldFrames(); held != 0 {
+			if held := len(ports[i].held); held != 0 {
 				t.Fatalf("port %d: %d frames stranded behind a pause", i, held)
 			}
 		}
@@ -393,8 +396,8 @@ func FuzzSwitchArbitration(f *testing.F) {
 				t.Fatalf("sent %d frames, %d arrived (unbounded pool)", sent, arrived)
 			}
 		}
-		if sw.BufferedBytes() != 0 {
-			t.Fatalf("%d bytes leaked from the shared pool", sw.BufferedBytes())
+		if sw.totalUsed != 0 {
+			t.Fatalf("%d bytes leaked from the shared pool", sw.totalUsed)
 		}
 	})
 }

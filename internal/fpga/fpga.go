@@ -154,10 +154,3 @@ type ClockConfig struct {
 func (c ClockConfig) LineRateGbps() float64 {
 	return c.FrequencyMHz * float64(c.DataPathBytes) * 8 / 1000
 }
-
-// SupportsLineRate reports whether the build can process the given
-// Ethernet rate ("the application's hardware implementation needs to
-// consume the data stream at line rate", §3.4).
-func (c ClockConfig) SupportsLineRate(gbps float64) bool {
-	return c.LineRateGbps() >= gbps
-}

@@ -10,7 +10,6 @@
 package hll
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -32,28 +31,6 @@ func Hash64(x uint64) uint64 {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return x
-}
-
-// HashBytes hashes an arbitrary byte string by absorbing 8-byte words
-// through the same mixer (an FNV-style fold, then SplitMix finalization).
-func HashBytes(data []byte) uint64 {
-	var h uint64 = 0xCBF29CE484222325
-	i := 0
-	for ; i+8 <= len(data); i += 8 {
-		var w uint64
-		for j := 0; j < 8; j++ {
-			w |= uint64(data[i+j]) << (8 * j)
-		}
-		h = Hash64(h ^ w)
-	}
-	var tail uint64
-	for j := 0; i+j < len(data); j++ {
-		tail |= uint64(data[i+j]) << (8 * j)
-	}
-	if len(data)%8 != 0 || len(data) == 0 {
-		h = Hash64(h ^ tail ^ uint64(len(data)))
-	}
-	return h
 }
 
 // Sketch is a HyperLogLog estimator with m = 2^p registers.
@@ -81,12 +58,6 @@ func MustNew(p int) *Sketch {
 	return s
 }
 
-// Precision returns p.
-func (s *Sketch) Precision() int { return int(s.p) }
-
-// Registers returns the register count m.
-func (s *Sketch) Registers() int { return int(s.m) }
-
 // AddHash inserts a pre-hashed value. The top p bits select the register;
 // the rank is the position of the first 1 bit in the remainder.
 func (s *Sketch) AddHash(h uint64) {
@@ -100,9 +71,6 @@ func (s *Sketch) AddHash(h uint64) {
 
 // Add inserts a 64-bit item.
 func (s *Sketch) Add(x uint64) { s.AddHash(Hash64(x)) }
-
-// AddBytes inserts a byte-string item.
-func (s *Sketch) AddBytes(b []byte) { s.AddHash(HashBytes(b)) }
 
 // alpha returns the bias-correction constant for m registers.
 func alpha(m uint32) float64 {
@@ -138,64 +106,9 @@ func (s *Sketch) Estimate() float64 {
 	return e
 }
 
-// RelativeErrorBound returns the theoretical standard error 1.04/sqrt(m).
-func (s *Sketch) RelativeErrorBound() float64 {
-	return 1.04 / math.Sqrt(float64(s.m))
-}
-
-// Merge folds other into s (register-wise max). Both sketches must share
-// the same precision.
-func (s *Sketch) Merge(other *Sketch) error {
-	if other == nil || other.p != s.p {
-		return errors.New("hll: precision mismatch in merge")
-	}
-	for i, r := range other.regs {
-		if r > s.regs[i] {
-			s.regs[i] = r
-		}
-	}
-	return nil
-}
-
 // Reset clears all registers.
 func (s *Sketch) Reset() {
 	for i := range s.regs {
 		s.regs[i] = 0
 	}
-}
-
-// Clone returns an independent copy.
-func (s *Sketch) Clone() *Sketch {
-	c := &Sketch{p: s.p, m: s.m, regs: make([]uint8, len(s.regs))}
-	copy(c.regs, s.regs)
-	return c
-}
-
-// MarshalBinary serializes the sketch (1 byte precision + registers),
-// which is how the HLL kernel ships its state to host memory.
-func (s *Sketch) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 1+len(s.regs))
-	out[0] = s.p
-	copy(out[1:], s.regs)
-	return out, nil
-}
-
-// UnmarshalBinary restores a sketch serialized by MarshalBinary.
-func (s *Sketch) UnmarshalBinary(data []byte) error {
-	if len(data) < 1 {
-		return errors.New("hll: short buffer")
-	}
-	p := data[0]
-	if int(p) < MinPrecision || int(p) > MaxPrecision {
-		return fmt.Errorf("hll: bad precision %d", p)
-	}
-	m := uint32(1) << p
-	if len(data) != 1+int(m) {
-		return fmt.Errorf("hll: buffer length %d does not match precision %d", len(data), p)
-	}
-	s.p = p
-	s.m = m
-	s.regs = make([]uint8, m)
-	copy(s.regs, data[1:])
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -18,10 +17,13 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Registers() != 1024 || s.Precision() != 10 {
-		t.Errorf("m=%d p=%d", s.Registers(), s.Precision())
+	if len(s.regs) != 1024 || s.m != 1024 || s.p != 10 {
+		t.Errorf("m=%d p=%d", s.m, s.p)
 	}
 }
+
+// stdError is the sketch's theoretical standard error, 1.04/sqrt(m).
+func stdError(s *Sketch) float64 { return 1.04 / math.Sqrt(float64(s.m)) }
 
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
@@ -56,10 +58,32 @@ func TestHash64Avalanche(t *testing.T) {
 	}
 }
 
+// hashBytes hashes an arbitrary byte string by absorbing 8-byte words
+// through the same mixer (an FNV-style fold, then SplitMix finalization).
+func hashBytes(data []byte) uint64 {
+	var h uint64 = 0xCBF29CE484222325
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		var w uint64
+		for j := 0; j < 8; j++ {
+			w |= uint64(data[i+j]) << (8 * j)
+		}
+		h = Hash64(h ^ w)
+	}
+	var tail uint64
+	for j := 0; i+j < len(data); j++ {
+		tail |= uint64(data[i+j]) << (8 * j)
+	}
+	if len(data)%8 != 0 || len(data) == 0 {
+		h = Hash64(h ^ tail ^ uint64(len(data)))
+	}
+	return h
+}
+
 func TestHashBytesDistinguishesLengths(t *testing.T) {
-	a := HashBytes([]byte{0})
-	b := HashBytes([]byte{0, 0})
-	c := HashBytes(nil)
+	a := hashBytes([]byte{0})
+	b := hashBytes([]byte{0, 0})
+	c := hashBytes(nil)
 	if a == b || a == c || b == c {
 		t.Errorf("length-only differences collide: %x %x %x", a, b, c)
 	}
@@ -67,13 +91,13 @@ func TestHashBytesDistinguishesLengths(t *testing.T) {
 
 func TestHashBytesMatchesChunking(t *testing.T) {
 	// Same bytes must hash identically regardless of how callers slice
-	// them beforehand (HashBytes is not streaming; this guards against
+	// them beforehand (hashBytes is not streaming; this guards against
 	// accidental state bleed in the implementation).
 	data := []byte("the quick brown fox jumps over the lazy dog")
-	h1 := HashBytes(data)
-	h2 := HashBytes(append([]byte(nil), data...))
+	h1 := hashBytes(data)
+	h2 := hashBytes(append([]byte(nil), data...))
 	if h1 != h2 {
-		t.Error("HashBytes not deterministic")
+		t.Error("hashBytes not deterministic")
 	}
 }
 
@@ -93,7 +117,7 @@ func TestEstimateAccuracy(t *testing.T) {
 			est := s.Estimate()
 			relErr := math.Abs(est-float64(n)) / float64(n)
 			// Allow 5 standard errors.
-			bound := 5 * s.RelativeErrorBound()
+			bound := 5 * stdError(s)
 			if relErr > bound {
 				t.Errorf("p=%d n=%d: estimate %.0f, rel err %.4f > %.4f", p, n, est, relErr, bound)
 			}
@@ -130,134 +154,25 @@ func TestEmptySketch(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a, b := MustNew(12), MustNew(12)
-	rng := rand.New(rand.NewSource(5))
-	union := make(map[uint64]bool)
-	for i := 0; i < 50_000; i++ {
-		v := rng.Uint64()
-		a.Add(v)
-		union[v] = true
-	}
-	for i := 0; i < 50_000; i++ {
-		v := rng.Uint64()
-		b.Add(v)
-		union[v] = true
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	est := a.Estimate()
-	n := float64(len(union))
-	if math.Abs(est-n)/n > 5*a.RelativeErrorBound() {
-		t.Errorf("merged estimate %v, want ~%v", est, n)
-	}
-}
-
-func TestMergeIdempotent(t *testing.T) {
-	a := MustNew(10)
-	for i := uint64(0); i < 1000; i++ {
-		a.Add(i)
-	}
-	before := a.Estimate()
-	clone := a.Clone()
-	if err := a.Merge(clone); err != nil {
-		t.Fatal(err)
-	}
-	if a.Estimate() != before {
-		t.Error("merging a sketch with itself changed the estimate")
-	}
-}
-
-func TestMergePrecisionMismatch(t *testing.T) {
-	a, b := MustNew(10), MustNew(12)
-	if err := a.Merge(b); err == nil {
-		t.Error("mismatched merge accepted")
-	}
-	if err := a.Merge(nil); err == nil {
-		t.Error("nil merge accepted")
-	}
-}
-
-func TestMergeCommutative(t *testing.T) {
-	f := func(xs, ys []uint64) bool {
-		a1, b1 := MustNew(8), MustNew(8)
-		a2, b2 := MustNew(8), MustNew(8)
-		for _, x := range xs {
-			a1.Add(x)
-			a2.Add(x)
-		}
-		for _, y := range ys {
-			b1.Add(y)
-			b2.Add(y)
-		}
-		if err := a1.Merge(b1); err != nil {
-			return false
-		}
-		if err := b2.Merge(a2); err != nil {
-			return false
-		}
-		return a1.Estimate() == b2.Estimate()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestResetAndClone(t *testing.T) {
+func TestReset(t *testing.T) {
 	s := MustNew(10)
 	for i := uint64(0); i < 100; i++ {
 		s.Add(i)
 	}
-	c := s.Clone()
 	s.Reset()
 	if s.Estimate() != 0 {
 		t.Error("reset sketch not empty")
-	}
-	if c.Estimate() == 0 {
-		t.Error("clone shares storage with original")
-	}
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	s := MustNew(12)
-	for i := uint64(0); i < 5000; i++ {
-		s.Add(i * 2654435761)
-	}
-	data, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r Sketch
-	if err := r.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if r.Estimate() != s.Estimate() {
-		t.Errorf("round trip estimate %v != %v", r.Estimate(), s.Estimate())
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	var s Sketch
-	if err := s.UnmarshalBinary(nil); err == nil {
-		t.Error("nil accepted")
-	}
-	if err := s.UnmarshalBinary([]byte{3}); err == nil {
-		t.Error("bad precision accepted")
-	}
-	if err := s.UnmarshalBinary([]byte{10, 0, 0}); err == nil {
-		t.Error("short register file accepted")
 	}
 }
 
 func TestAddBytesEstimate(t *testing.T) {
 	s := MustNew(12)
 	for i := 0; i < 20000; i++ {
-		s.AddBytes([]byte{byte(i), byte(i >> 8), 0xAB})
+		s.AddHash(hashBytes([]byte{byte(i), byte(i >> 8), 0xAB}))
 	}
 	est := s.Estimate()
 	relErr := math.Abs(est-20000) / 20000
-	if relErr > 5*s.RelativeErrorBound() {
+	if relErr > 5*stdError(s) {
 		t.Errorf("byte-item estimate %v", est)
 	}
 }

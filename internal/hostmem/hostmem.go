@@ -29,14 +29,13 @@ func (a Addr) PageOffset() uint64 { return uint64(a) & (HugePageSize - 1) }
 
 // Errors returned by memory operations.
 var (
-	ErrOutOfRange  = errors.New("hostmem: address out of range")
-	ErrNotMapped   = errors.New("hostmem: virtual address not mapped")
-	ErrExhausted   = errors.New("hostmem: physical memory exhausted")
-	ErrBadLength   = errors.New("hostmem: bad length")
-	ErrNotPinned   = errors.New("hostmem: page not pinned")
-	ErrDoubleFree  = errors.New("hostmem: buffer already freed")
-	ErrUnalignedVA = errors.New("hostmem: unaligned virtual base")
-	ErrWrap        = errors.New("hostmem: address range wraps the 64-bit space")
+	ErrOutOfRange = errors.New("hostmem: address out of range")
+	ErrNotMapped  = errors.New("hostmem: virtual address not mapped")
+	ErrExhausted  = errors.New("hostmem: physical memory exhausted")
+	ErrBadLength  = errors.New("hostmem: bad length")
+	ErrNotPinned  = errors.New("hostmem: page not pinned")
+	ErrDoubleFree = errors.New("hostmem: buffer already freed")
+	ErrWrap       = errors.New("hostmem: address range wraps the 64-bit space")
 )
 
 // Memory is one host's DRAM: a set of physical huge pages plus the
@@ -175,20 +174,8 @@ func (m *Memory) Translate(va Addr) (Addr, error) {
 	return Addr(ppn<<HugePageBits | va.PageOffset()), nil
 }
 
-// ReadPhys copies n bytes starting at physical address pa.
-func (m *Memory) ReadPhys(pa Addr, n int) ([]byte, error) {
-	if n < 0 {
-		return nil, ErrBadLength
-	}
-	out := make([]byte, n)
-	if err := m.ReadPhysInto(pa, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadPhysInto fills dst from physical address pa: ReadPhys without the
-// allocation, for callers assembling several segments into one buffer.
+// ReadPhysInto fills dst from physical address pa, for callers assembling
+// several segments into one buffer.
 func (m *Memory) ReadPhysInto(pa Addr, dst []byte) error {
 	return m.accessPhys(pa, dst, false)
 }
@@ -367,6 +354,3 @@ func (m *Memory) written(from, to Addr) {
 		}
 	}
 }
-
-// MappedPages reports the number of mapped huge pages.
-func (m *Memory) MappedPages() int { return len(m.vmap) }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"strom/internal/core"
+	"strom/internal/fabric"
 	"strom/internal/kernels/filter"
 	"strom/internal/sim"
 	"strom/internal/testrig"
@@ -85,7 +87,7 @@ func TestReferenceAggregates(t *testing.T) {
 // block and the materialised output.
 func runFilter(t *testing.T, seed int64, tuples []uint64, pred filter.Predicate, operand uint64, materialise bool) (filter.Result, []uint64) {
 	t.Helper()
-	p, err := testrig.New100G(seed)
+	p, err := testrig.New(seed, core.Profile100G(), fabric.DirectCable100G(), 32<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"strom/internal/core"
+	"strom/internal/fabric"
 	"strom/internal/hostmem"
 	"strom/internal/kernels/hllkernel"
 	"strom/internal/sim"
@@ -50,7 +52,7 @@ func TestNewValidation(t *testing.T) {
 // the result block plus the landed payload.
 func runStream(t *testing.T, seed int64, data []byte, storeData bool) (estimate uint64, estFloat float64, count uint64, landed []byte, k *hllkernel.Kernel) {
 	t.Helper()
-	p, err := testrig.New100G(seed)
+	p, err := testrig.New(seed, core.Profile100G(), fabric.DirectCable100G(), 32<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +147,7 @@ func TestEstimationWithoutStoringData(t *testing.T) {
 }
 
 func TestResetBetweenSessions(t *testing.T) {
-	p, err := testrig.New100G(3)
+	p, err := testrig.New(3, core.Profile100G(), fabric.DirectCable100G(), 32<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,7 @@ func TestKernelAddsNoThroughputOverhead(t *testing.T) {
 	// a large buffer with the kernel vs a plain RDMA write.
 	const n = 4 << 20
 	run := func(useKernel bool) sim.Duration {
-		p, err := testrig.New100G(4)
+		p, err := testrig.New(4, core.Profile100G(), fabric.DirectCable100G(), 32<<20)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -201,28 +202,32 @@ func TestTraversalLatencySublinear(t *testing.T) {
 func TestSortedListSuccessorViaKernel(t *testing.T) {
 	// GREATER_THAN over an ascending list: the kernel returns the value
 	// of the first key above the probe in one round trip — and must agree
-	// with the host-side oracle.
+	// with a scan of the sorted keys.
 	p, _, region := newBed(t, 21)
 	rng := rand.New(rand.NewSource(21))
 	const n = 30
 	keys := make([]uint64, n)
-	values := make([][]byte, n)
 	for i := range keys {
 		keys[i] = uint64(rng.Intn(500)) * 2
-		values[i] = make([]byte, 8)
-		binary.LittleEndian.PutUint64(values[i], keys[i])
 	}
-	sl, err := kvstore.BuildSortedList(region, keys, values)
+	slices.Sort(keys)
+	values := make([][]byte, n)
+	for i, k := range keys {
+		values[i] = binary.LittleEndian.AppendUint64(nil, k)
+	}
+	list, err := kvstore.BuildList(region, keys, values)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Eng.Go("client", func(pr *sim.Process) {
 		for probe := uint64(1); probe < 1000; probe += 111 {
-			want, found := sl.Successor(probe)
-			got, err := traversal.Lookup(pr, p.A, testrig.QPA, rpcOp, sl.SuccessorParams(probe, p.BufA.Base()))
-			if !found {
+			params := list.TraversalParams(probe, p.BufA.Base())
+			params.PredicateOp = traversal.GreaterThan
+			got, err := traversal.Lookup(pr, p.A, testrig.QPA, rpcOp, params)
+			i, _ := slices.BinarySearch(keys, probe+1)
+			if i == n {
 				if !errors.Is(err, traversal.ErrNotFound) {
-					t.Errorf("probe %d: err = %v, oracle says none", probe, err)
+					t.Errorf("probe %d: err = %v, no key is above it", probe, err)
 				}
 				continue
 			}
@@ -230,8 +235,8 @@ func TestSortedListSuccessorViaKernel(t *testing.T) {
 				t.Errorf("probe %d: %v", probe, err)
 				continue
 			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("probe %d: kernel %x oracle %x", probe, got, want)
+			if !bytes.Equal(got, values[i]) {
+				t.Errorf("probe %d: kernel %x, successor %x", probe, got, values[i])
 			}
 		}
 	})

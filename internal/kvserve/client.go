@@ -213,14 +213,8 @@ type Client struct {
 // Issued returns the highest version issued for key (0 if none).
 func (c *Client) Issued(key uint64) uint64 { return c.issued[key] }
 
-// Acked returns the highest version acked for key (0 if none).
-func (c *Client) Acked(key uint64) uint64 { return c.acked[key] }
-
 // Down reports whether the shard map currently marks server down.
 func (c *Client) Down(server int) bool { return c.down[server] }
-
-// LiveExtents reports the number of keys currently holding an extent.
-func (c *Client) LiveExtents() int { return len(c.ext) }
 
 // MarkDown flips a server to down in the shard map. Called by the
 // telemetry failover controller when the heartbeat watchdog fires, and

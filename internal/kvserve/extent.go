@@ -35,7 +35,6 @@ const (
 	extVerOff = 8
 	extLenOff = 16
 	extValOff = 24
-	extCRCOff = ExtentSize - 8
 )
 
 // Additional slot flags for spilled values.
@@ -65,11 +64,6 @@ type Extent struct {
 	Torn bool // CRC mismatch: the image is not a published extent state
 }
 
-// EncodeSpillRef renders the slot-value payload for a spilled slot.
-func EncodeSpillRef(off int, vlen int) []byte {
-	return AppendSpillRef(make([]byte, 0, SpillRefLen), off, vlen)
-}
-
 // AppendSpillRef appends the SpillRefLen-byte spill reference to dst.
 func AppendSpillRef(dst []byte, off int, vlen int) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(off))
@@ -89,15 +83,9 @@ func DecodeSpillRef(b []byte) (off int, vlen int, ok bool) {
 	return off, vlen, true
 }
 
-// EncodeExtent renders a full extent image, CRC-stamped over the whole
-// frame (key|ver|vlen|pad|value|crc — the trailing-8-byte convention the
-// consistency kernel verifies NIC-side).
-func EncodeExtent(key, ver uint64, val []byte) ([]byte, error) {
-	return AppendExtent(make([]byte, 0, ExtentSize), key, ver, val)
-}
-
-// AppendExtent appends the ExtentSize-byte extent image to dst:
-// EncodeExtent for a caller that owns the buffer.
+// AppendExtent appends the ExtentSize-byte extent image to dst,
+// CRC-stamped over the whole frame (key|ver|vlen|pad|value|crc — the
+// trailing-8-byte convention the consistency kernel verifies NIC-side).
 func AppendExtent(dst []byte, key, ver uint64, val []byte) ([]byte, error) {
 	if len(val) > LargeValCap {
 		return dst, fmt.Errorf("%w: %d > %d", ErrValueTooLong, len(val), LargeValCap)

@@ -11,7 +11,7 @@ import (
 
 func TestExtentCodec(t *testing.T) {
 	val := LargeValueFor(9, 4)
-	img, err := EncodeExtent(9, 4, val)
+	img, err := AppendExtent(nil, 9, 4, val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestExtentCodec(t *testing.T) {
 	if got := DecodeExtent(img); !got.Torn {
 		t.Fatalf("corrupted extent decoded clean: %+v", got)
 	}
-	if _, err := EncodeExtent(1, 1, make([]byte, LargeValCap+1)); !errors.Is(err, ErrValueTooLong) {
+	if _, err := AppendExtent(nil, 1, 1, make([]byte, LargeValCap+1)); !errors.Is(err, ErrValueTooLong) {
 		t.Fatalf("oversized value: err = %v", err)
 	}
 	if got := DecodeExtent(img[:ExtentSize-1]); !got.Torn {
@@ -36,7 +36,7 @@ func TestExtentCodec(t *testing.T) {
 }
 
 func TestSpillRefCodec(t *testing.T) {
-	ref := EncodeSpillRef(5*ExtentSize, 80)
+	ref := AppendSpillRef(nil, 5*ExtentSize, 80)
 	off, vlen, ok := DecodeSpillRef(ref)
 	if !ok || off != 5*ExtentSize || vlen != 80 {
 		t.Fatalf("round trip = %d, %d, %v", off, vlen, ok)
@@ -47,9 +47,9 @@ func TestSpillRefCodec(t *testing.T) {
 	bad := [][]byte{
 		nil,
 		ref[:8],
-		EncodeSpillRef(ExtentSize+1, 80),   // unaligned offset
-		EncodeSpillRef(ExtentSize, ValCap), // inline-sized: not a spill
-		EncodeSpillRef(ExtentSize, LargeValCap+1), // over cap
+		AppendSpillRef(nil, ExtentSize+1, 80),   // unaligned offset
+		AppendSpillRef(nil, ExtentSize, ValCap), // inline-sized: not a spill
+		AppendSpillRef(nil, ExtentSize, LargeValCap+1), // over cap
 	}
 	for i, b := range bad {
 		if _, _, ok := DecodeSpillRef(b); ok {
@@ -102,14 +102,14 @@ func TestCleanLargePutGetDelete(t *testing.T) {
 				t.Errorf("key %d: wrong large value", key)
 			}
 		}
-		live := c.LiveExtents()
+		live := len(c.ext)
 		for key := uint64(1); key <= 16; key++ {
 			if runErr = c.PutLarge(p, key); runErr != nil {
 				return
 			}
 		}
-		if c.LiveExtents() != live {
-			t.Errorf("overwrite grew extents %d → %d", live, c.LiveExtents())
+		if len(c.ext) != live {
+			t.Errorf("overwrite grew extents %d → %d", live, len(c.ext))
 		}
 		// Delete half (extents freed), move a quarter back inline.
 		for key := uint64(1); key <= 8; key++ {
@@ -155,8 +155,8 @@ func TestCleanLargePutGetDelete(t *testing.T) {
 	if st.TornDetected != 0 || st.TornServed != 0 {
 		t.Errorf("clean run saw torn reads: %+v", st)
 	}
-	if c.LiveExtents() != 4 {
-		t.Errorf("live extents = %d, want 4", c.LiveExtents())
+	if len(c.ext) != 4 {
+		t.Errorf("live extents = %d, want 4", len(c.ext))
 	}
 	if cl.Kernels[0].Stats().Invocations+cl.Kernels[1].Stats().Invocations+cl.Kernels[2].Stats().Invocations == 0 {
 		t.Error("no consistency-kernel invocations: Gets did not go through the kernel")
@@ -177,7 +177,7 @@ func TestTornReadClassification(t *testing.T) {
 		{
 			name: "concurrent-overwrite",
 			inject: func(c *Client, key uint64) []byte {
-				img, _ := EncodeExtent(key, c.Issued(key)+1, LargeValueFor(key, c.Issued(key)+1))
+				img, _ := AppendExtent(nil, key, c.Issued(key)+1, LargeValueFor(key, c.Issued(key)+1))
 				return img
 			},
 			counter: func(st Stats) uint64 { return st.TornOverwrite },
@@ -185,7 +185,7 @@ func TestTornReadClassification(t *testing.T) {
 		{
 			name: "stale-replica",
 			inject: func(c *Client, key uint64) []byte {
-				img, _ := EncodeExtent(key, 1, LargeValueFor(key, 1))
+				img, _ := AppendExtent(nil, key, 1, LargeValueFor(key, 1))
 				return img
 			},
 			counter: func(st Stats) uint64 { return st.TornStaleRep },
@@ -193,7 +193,7 @@ func TestTornReadClassification(t *testing.T) {
 		{
 			name: "reused-extent",
 			inject: func(c *Client, key uint64) []byte {
-				img, _ := EncodeExtent(key+3, 1, LargeValueFor(key+3, 1))
+				img, _ := AppendExtent(nil, key+3, 1, LargeValueFor(key+3, 1))
 				return img
 			},
 			counter: func(st Stats) uint64 { return st.TornReused },
@@ -201,7 +201,7 @@ func TestTornReadClassification(t *testing.T) {
 		{
 			name: "corruption",
 			inject: func(c *Client, key uint64) []byte {
-				img, _ := EncodeExtent(key, 2, LargeValueFor(key, 2))
+				img, _ := AppendExtent(nil, key, 2, LargeValueFor(key, 2))
 				img[30] ^= 0x40
 				return img
 			},

@@ -52,7 +52,7 @@ func TestFailoverEdgeCases(t *testing.T) {
 				if st.RKeyRefetches == 0 || st.Reconnects == 0 {
 					t.Errorf("want rkey refetch + reconnect, got %+v", st)
 				}
-				if got := c.Acked(1); got != 2 {
+				if got := c.acked[1]; got != 2 {
 					t.Errorf("acked ver = %d, want 2", got)
 				}
 			},
@@ -92,8 +92,8 @@ func TestFailoverEdgeCases(t *testing.T) {
 				if c.Stats.DupSuppressed == 0 {
 					t.Errorf("want >=1 duplicate suppression, got %+v", c.Stats)
 				}
-				if c.Acked(4) != 1 || c.Issued(4) != 1 {
-					t.Errorf("acked=%d issued=%d, want 1/1", c.Acked(4), c.Issued(4))
+				if c.acked[4] != 1 || c.Issued(4) != 1 {
+					t.Errorf("acked=%d issued=%d, want 1/1", c.acked[4], c.Issued(4))
 				}
 			},
 		},
@@ -116,8 +116,8 @@ func TestFailoverEdgeCases(t *testing.T) {
 						h.err = err
 						return
 					}
-					if slot.Ver != c.Acked(4) || !bytes.Equal(slot.Val, ValueFor(4, 1)) {
-						t.Errorf("failover read = %+v, acked %d", slot, c.Acked(4))
+					if slot.Ver != c.acked[4] || !bytes.Equal(slot.Val, ValueFor(4, 1)) {
+						t.Errorf("failover read = %+v, acked %d", slot, c.acked[4])
 					}
 					// Writes during the outage ack on the backup alone and
 					// build a deficit for the crashed primary.
@@ -165,8 +165,8 @@ func TestFailoverEdgeCases(t *testing.T) {
 				if c.Stats.AckedPuts != 10 {
 					t.Errorf("acked %d of 10 puts: %+v", c.Stats.AckedPuts, c.Stats)
 				}
-				if c.Acked(4) != 10 {
-					t.Errorf("acked ver = %d, want 10", c.Acked(4))
+				if c.acked[4] != 10 {
+					t.Errorf("acked ver = %d, want 10", c.acked[4])
 				}
 			},
 		},

@@ -16,7 +16,7 @@ func FuzzExtentCodec(f *testing.F) {
 	f.Add(uint64(4), uint64(2), LargeValueFor(4, 2), uint(300))
 	f.Add(uint64(1)<<63, uint64(12345), bytes.Repeat([]byte{0xA5}, LargeValCap), uint(1023))
 	f.Fuzz(func(t *testing.T, key, ver uint64, val []byte, flip uint) {
-		img, err := EncodeExtent(key, ver, val)
+		img, err := AppendExtent(nil, key, ver, val)
 		if err != nil {
 			if len(val) <= LargeValCap {
 				t.Fatalf("encode rejected a %d-byte value: %v", len(val), err)
@@ -34,7 +34,7 @@ func FuzzExtentCodec(f *testing.F) {
 		// is genuinely large (spill refs reject inline-sized lengths).
 		if len(val) > ValCap {
 			off := int(flip%64) * ExtentSize
-			o, n, ok := DecodeSpillRef(EncodeSpillRef(off, len(val)))
+			o, n, ok := DecodeSpillRef(AppendSpillRef(nil, off, len(val)))
 			if !ok || o != off || n != len(val) {
 				t.Fatalf("spill ref round trip = %d, %d, %v", o, n, ok)
 			}

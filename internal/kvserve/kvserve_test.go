@@ -13,7 +13,7 @@ import (
 
 func TestSlotCodec(t *testing.T) {
 	val := ValueFor(7, 3)
-	b, err := EncodeSlot(7, 3, val, 0)
+	b, err := AppendSlot(nil, 7, 3, val, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestSlotCodec(t *testing.T) {
 	if s.Key != 7 || s.Ver != 3 || s.Tombstone() || !bytes.Equal(s.Val, val) {
 		t.Fatalf("round trip = %+v", s)
 	}
-	tb, err := EncodeSlot(7, 4, nil, FlagTombstone)
+	tb, err := AppendSlot(nil, 7, 4, nil, FlagTombstone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestSlotCodec(t *testing.T) {
 	if !ts.Tombstone() || len(ts.Val) != 0 || ts.Ver != 4 {
 		t.Fatalf("tombstone round trip = %+v", ts)
 	}
-	if _, err := EncodeSlot(1, 1, make([]byte, ValCap+1), 0); !errors.Is(err, ErrValueTooLong) {
+	if _, err := AppendSlot(nil, 1, 1, make([]byte, ValCap+1), 0); !errors.Is(err, ErrValueTooLong) {
 		t.Fatalf("oversized value: err = %v", err)
 	}
 }

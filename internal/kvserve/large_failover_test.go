@@ -95,8 +95,8 @@ func TestCrashBetweenExtentWriteAndPublish(t *testing.T) {
 				if runErr = c.PutLarge(p, key); runErr != nil {
 					return
 				}
-				if c.Acked(key) != 1 {
-					t.Errorf("acked = %d, want 1 (backup ack)", c.Acked(key))
+				if c.acked[key] != 1 {
+					t.Errorf("acked = %d, want 1 (backup ack)", c.acked[key])
 				}
 				if !c.Down(1) {
 					t.Error("primary not marked down after publish-window crash")
@@ -219,8 +219,8 @@ func putUnackedV2(t *testing.T, p *sim.Process, cl *Cluster, key uint64) error {
 	if err := c.PutLarge(p, key); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("put with both replicas down: err = %v", err)
 	}
-	if c.Acked(key) != 1 || c.Issued(key) != 2 {
-		t.Errorf("acked=%d issued=%d, want 1/2", c.Acked(key), c.Issued(key))
+	if c.acked[key] != 1 || c.Issued(key) != 2 {
+		t.Errorf("acked=%d issued=%d, want 1/2", c.acked[key], c.Issued(key))
 	}
 	cl.Servers[1].M.NIC.Restart()
 	cl.Servers[2].M.NIC.Restart()

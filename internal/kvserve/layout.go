@@ -71,13 +71,8 @@ type Slot struct {
 // Tombstone reports whether the slot is a deletion marker.
 func (s Slot) Tombstone() bool { return s.Flags&FlagTombstone != 0 }
 
-// EncodeSlot renders a slot into its wire/memory form.
-func EncodeSlot(key, ver uint64, val []byte, flags uint32) ([]byte, error) {
-	return AppendSlot(make([]byte, 0, SlotSize), key, ver, val, flags)
-}
-
-// AppendSlot appends a slot's SlotSize-byte image to dst: EncodeSlot
-// for a caller that owns the buffer (the put path's session scratch).
+// AppendSlot appends a slot's SlotSize-byte image, its wire/memory form,
+// to dst (the put path's session scratch).
 func AppendSlot(dst []byte, key, ver uint64, val []byte, flags uint32) ([]byte, error) {
 	if len(val) > ValCap {
 		return dst, fmt.Errorf("%w: %d > %d", ErrValueTooLong, len(val), ValCap)

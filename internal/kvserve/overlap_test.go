@@ -237,8 +237,8 @@ func TestOverlappedPutReplicaCrashInFlight(t *testing.T) {
 		if runErr = c.Put(p, key); runErr != nil {
 			return
 		}
-		if c.Acked(key) != 1 || replicaVer(t, cl, 2, key) != 1 {
-			t.Errorf("acked = %d, backup ver = %d, want 1/1", c.Acked(key), replicaVer(t, cl, 2, key))
+		if c.acked[key] != 1 || replicaVer(t, cl, 2, key) != 1 {
+			t.Errorf("acked = %d, backup ver = %d, want 1/1", c.acked[key], replicaVer(t, cl, 2, key))
 		}
 		if !c.Down(1) || c.deficits[1][key] != 1 {
 			t.Errorf("crashed replica: down=%v deficits=%v", c.Down(1), c.deficits)
@@ -441,8 +441,8 @@ func TestOlderPutFinishingLastKeepsLedger(t *testing.T) {
 			p.Sleep(sim.Microsecond)
 		}
 		errs[1] = c.Put(p, key)
-		if c.Acked(key) != 2 {
-			t.Errorf("v2 acked = %d, want 2", c.Acked(key))
+		if c.acked[key] != 2 {
+			t.Errorf("v2 acked = %d, want 2", c.acked[key])
 		}
 	})
 	net.Run()
@@ -454,8 +454,8 @@ func TestOlderPutFinishingLastKeepsLedger(t *testing.T) {
 	if !held.Done() || c.Stats.DupSuppressed != 1 {
 		t.Fatalf("v1's ack was never held, or its retry rewrote: %+v", c.Stats)
 	}
-	if c.Acked(key) != 2 || c.Deficits() != 0 {
-		t.Errorf("after both puts: acked = %d, owed = %d, want 2/0", c.Acked(key), c.Deficits())
+	if c.acked[key] != 2 || c.Deficits() != 0 {
+		t.Errorf("after both puts: acked = %d, owed = %d, want 2/0", c.acked[key], c.Deficits())
 	}
 	mustZeroViolations(t, cl)
 }

@@ -13,8 +13,7 @@
 // of silently reading re-registered memory. Key zero is the documented
 // "unsafe wildcard key" (the IB_PD_UNSAFE_GLOBAL_RKEY analogue): it
 // selects the region by VA containment and still enforces bounds, wrap
-// and permission checks, but skips the key match — RequireKeys turns it
-// off for strict multi-tenant tables.
+// and permission checks, but skips the key match.
 package mr
 
 import (
@@ -144,16 +143,11 @@ type Table struct {
 	regions []*Region // dense slot array; nil entries are free
 	gens    []uint8   // last generation issued per slot (survives Deregister)
 	epoch   uint8
-	strict  bool
 	fails   [NumClasses]uint64
 }
 
 // NewTable creates an empty protection table.
 func NewTable() *Table { return &Table{} }
-
-// RequireKeys switches the table into strict mode: the wildcard key 0 is
-// rejected as a bad rkey instead of falling back to VA lookup.
-func (t *Table) RequireKeys(strict bool) { t.strict = strict }
 
 // FailCount returns the number of rejected accesses in one class.
 func (t *Table) FailCount(c Class) uint64 {
@@ -258,9 +252,6 @@ func (t *Table) checkRemote(rkey uint32, va, n uint64, need Access) (Class, bool
 		return ClassOutOfBounds, false
 	}
 	if rkey == 0 {
-		if t.strict {
-			return ClassBadRKey, false
-		}
 		return t.checkVA(va, n, need)
 	}
 	slot := int(rkey>>8) - 1

@@ -119,16 +119,6 @@ func TestDeregisterAndSlotReuse(t *testing.T) {
 	}
 }
 
-func TestRequireKeysRejectsWildcard(t *testing.T) {
-	tbl := NewTable()
-	mustRegister(t, tbl, 0x10000, 0x1000, AccessFull)
-	tbl.RequireKeys(true)
-	f := tbl.CheckRemote(0, 0x10000, 64, AccessRemoteRead)
-	if f == nil || f.Class != ClassBadRKey {
-		t.Fatalf("strict wildcard: got %v, want bad_rkey", f)
-	}
-}
-
 func TestCheckVAAndProbe(t *testing.T) {
 	tbl := NewTable()
 	mustRegister(t, tbl, 0x10000, 0x1000, AccessRemoteRead|AccessLocal) // no kernel bit

@@ -55,7 +55,9 @@ func TestAllocsReadResponseFill(t *testing.T) {
 	n := NumSegments(len(payload), PathMTUPayload)
 	allocs := testing.AllocsPerRun(1000, func() {
 		for i := 0; i < n; i++ {
-			p := FillReadResponse(&scratch, 5, 100, 3, payload, PathMTUPayload, i, n)
+			lo := i * PathMTUPayload
+			seg := payload[lo:min(lo+PathMTUPayload, len(payload))]
+			p := FillReadResponseAt(&scratch, 5, uint32(100+i), 3, seg, i, n)
 			if p.BTH.PSN != uint32(100+i) {
 				t.Fatalf("segment %d PSN %d", i, p.BTH.PSN)
 			}

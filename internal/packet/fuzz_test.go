@@ -23,12 +23,12 @@ func fuzzSeedFrames() [][]byte {
 		payload[i] = byte(i * 31)
 	}
 	reth := RETH{VirtualAddress: 0xdeadbeef, DMALength: uint32(len(payload))}
-	if pkts, err := Segment(KindWrite, 7, 100, reth, payload, PathMTUPayload); err == nil {
+	if pkts, err := segment(KindWrite, 7, 100, reth, payload, PathMTUPayload); err == nil {
 		for _, p := range pkts {
 			add(p)
 		}
 	}
-	if pkts, err := Segment(KindRPCWrite, 7, 200, reth, payload[:64], PathMTUPayload); err == nil {
+	if pkts, err := segment(KindRPCWrite, 7, 200, reth, payload[:64], PathMTUPayload); err == nil {
 		for _, p := range pkts {
 			add(p)
 		}
@@ -37,9 +37,9 @@ func fuzzSeedFrames() [][]byte {
 	if p, err := FillRPCParams(&Packet{}, 7, 400, 0x2A, payload[:48], PathMTUPayload); err == nil {
 		add(p)
 	}
-	add(Ack(7, 500, SynACK, 12))
-	add(Ack(7, 501, SynNAKSequence, 12))
-	for _, p := range ReadResponse(7, 600, 13, payload, PathMTUPayload) {
+	add(new(Packet).SetAck(7, 500, SynACK, 12))
+	add(new(Packet).SetAck(7, 501, SynNAKSequence, 12))
+	for _, p := range readResponse(7, 600, 13, payload, PathMTUPayload) {
 		add(p)
 	}
 	return frames

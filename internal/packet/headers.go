@@ -92,12 +92,7 @@ const (
 // zero, keeping historical frames bit-identical); a congested switch
 // sets CE in flight and patches the IPv4 header checksum, which is
 // legal mid-path because the ICRC covers only the IB transport portion.
-const (
-	ECNNotECT uint8 = 0 // not ECN-capable transport
-	ECNECT1   uint8 = 1 // ECN-capable transport (1)
-	ECNECT0   uint8 = 2 // ECN-capable transport (0)
-	ECNCE     uint8 = 3 // congestion experienced
-)
+const ECNCE uint8 = 3 // congestion experienced
 
 // Packet is a fully parsed RoCE v2 packet. Optional headers are nil when
 // absent. Payload excludes all headers and the ICRC.
@@ -124,8 +119,7 @@ type Packet struct {
 }
 
 // SetAck fills p as an ACK (or NAK, depending on syndrome) packet,
-// reusing p's inline AETH storage: the allocation-free counterpart of
-// the Ack constructor for responder scratch packets.
+// reusing p's inline AETH storage (responder scratch packets).
 func (p *Packet) SetAck(destQP, psn uint32, syndrome uint8, msn uint32) *Packet {
 	p.Reset()
 	p.BTH = BTH{Opcode: OpAcknowledge, DestQP: destQP, PSN: psn}
@@ -176,11 +170,6 @@ func (p *Packet) BufferLen() int {
 func WriteFrameLen(n int) int {
 	return (&Packet{RETH: &RETH{}}).BufferLen() + n // the headers alone exceed MinFrameLen
 }
-
-// WireBytes returns the number of byte times the frame occupies on the
-// wire, including preamble, FCS and inter-frame gap. This is what
-// determines serialization delay and hence line-rate goodput.
-func (p *Packet) WireBytes() int { return p.BufferLen() + EthFramingOverhead }
 
 // Words returns the number of data-path words (of width wordBytes) the
 // packet occupies inside the NIC pipeline — e.g. 176 words for a full MTU
@@ -411,15 +400,6 @@ func MarkCongestion(frame []byte) bool {
 	binary.BigEndian.PutUint16(ip[10:12], 0)
 	binary.BigEndian.PutUint16(ip[10:12], ipChecksum(ip))
 	return true
-}
-
-// FrameECN reports the ECN codepoint of an encoded frame (ECNNotECT for
-// buffers too short to carry an IPv4 header).
-func FrameECN(frame []byte) uint8 {
-	if len(frame) < EthHeaderLen+IPv4HeaderLen {
-		return ECNNotECT
-	}
-	return frame[EthHeaderLen+1] & 3
 }
 
 // ipChecksum computes the 16-bit one's-complement checksum of the 20-byte

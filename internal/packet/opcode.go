@@ -149,21 +149,6 @@ func (o Opcode) HasPayload() bool {
 	return true
 }
 
-// IsFirst reports whether the op-code starts a multi-packet message.
-func (o Opcode) IsFirst() bool {
-	return o == OpWriteFirst || o == OpReadRespFirst || o == OpRPCWriteFirst
-}
-
-// IsLast reports whether the op-code completes a message (Last or Only).
-func (o Opcode) IsLast() bool {
-	switch o {
-	case OpWriteLast, OpWriteOnly, OpReadRespLast, OpReadRespOnly,
-		OpRPCParams, OpRPCWriteLast, OpRPCWriteOnly, OpReadRequest, OpAcknowledge, OpCNP:
-		return true
-	}
-	return false
-}
-
 // Table1 describes the five new op-codes exactly as the paper's Table 1,
 // for documentation output and the Table 1 regression test.
 func Table1() []struct {

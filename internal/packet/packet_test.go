@@ -106,9 +106,6 @@ func TestMinFrameSizes(t *testing.T) {
 	if !packetsEqual(p, out) {
 		t.Error("round trip mismatch")
 	}
-	if p.WireBytes() != 62+EthFramingOverhead {
-		t.Errorf("WireBytes = %d", p.WireBytes())
-	}
 	// Frames smaller than the minimum would be padded; BufferLen clamps.
 	if MinFrameLen != 60 {
 		t.Errorf("MinFrameLen = %d", MinFrameLen)
@@ -237,12 +234,6 @@ func TestOpcodePredicates(t *testing.T) {
 	if !OpAcknowledge.HasAETH() || !OpReadRespOnly.HasAETH() || OpReadRespMiddle.HasAETH() {
 		t.Error("HasAETH wrong")
 	}
-	if !OpWriteOnly.IsLast() || OpWriteFirst.IsLast() || !OpWriteLast.IsLast() {
-		t.Error("IsLast wrong")
-	}
-	if !OpWriteFirst.IsFirst() || OpWriteOnly.IsFirst() {
-		t.Error("IsFirst wrong")
-	}
 	if Opcode(0x1D).Valid() || Opcode(0xFF).Valid() || !OpReadRequest.Valid() {
 		t.Error("Valid wrong")
 	}
@@ -281,9 +272,34 @@ func TestWords(t *testing.T) {
 	}
 }
 
+// segment splits a message into the packets the TX pipeline sends, one
+// fresh packet per segment.
+func segment(kind MessageKind, destQP, psn uint32, reth RETH, payload []byte, mtuPayload int) ([]*Packet, error) {
+	if err := ValidateSegmentation(kind, mtuPayload); err != nil {
+		return nil, err
+	}
+	pkts := make([]*Packet, NumSegments(len(payload), mtuPayload))
+	for i := range pkts {
+		pkts[i] = FillSegment(&Packet{}, kind, destQP, psn, reth, payload, mtuPayload, i, len(pkts))
+	}
+	return pkts, nil
+}
+
+// readResponse splits READ response data into the packets the responder
+// sends, one fresh packet per segment.
+func readResponse(destQP, psn, msn uint32, payload []byte, mtuPayload int) []*Packet {
+	pkts := make([]*Packet, NumSegments(len(payload), mtuPayload))
+	for i := range pkts {
+		lo := i * mtuPayload
+		seg := payload[lo:min(lo+mtuPayload, len(payload))]
+		pkts[i] = FillReadResponseAt(&Packet{}, destQP, (psn+uint32(i))&0xFFFFFF, msn, seg, i, len(pkts))
+	}
+	return pkts
+}
+
 func TestSegmentSinglePacket(t *testing.T) {
 	payload := make([]byte, 100)
-	pkts, err := Segment(KindWrite, 3, 50, RETH{VirtualAddress: 0x1000, DMALength: 100}, payload, PathMTUPayload)
+	pkts, err := segment(KindWrite, 3, 50, RETH{VirtualAddress: 0x1000, DMALength: 100}, payload, PathMTUPayload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +313,7 @@ func TestSegmentSinglePacket(t *testing.T) {
 
 func TestSegmentMultiPacket(t *testing.T) {
 	payload := make([]byte, PathMTUPayload*3+10)
-	pkts, err := Segment(KindRPCWrite, 3, 0xFFFFFE, RETH{VirtualAddress: 7}, payload, PathMTUPayload)
+	pkts, err := segment(KindRPCWrite, 3, 0xFFFFFE, RETH{VirtualAddress: 7}, payload, PathMTUPayload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +345,7 @@ func TestSegmentMultiPacket(t *testing.T) {
 
 func TestSegmentReassembly(t *testing.T) {
 	f := func(data []byte) bool {
-		pkts, err := Segment(KindWrite, 1, 0, RETH{}, data, 257)
+		pkts, err := segment(KindWrite, 1, 0, RETH{}, data, 257)
 		if err != nil {
 			return false
 		}
@@ -345,10 +361,10 @@ func TestSegmentReassembly(t *testing.T) {
 }
 
 func TestSegmentErrors(t *testing.T) {
-	if _, err := Segment(KindWrite, 1, 0, RETH{}, nil, 0); err == nil {
+	if _, err := segment(KindWrite, 1, 0, RETH{}, nil, 0); err == nil {
 		t.Error("zero MTU accepted")
 	}
-	if _, err := Segment(MessageKind(99), 1, 0, RETH{}, nil, 100); err == nil {
+	if _, err := segment(MessageKind(99), 1, 0, RETH{}, nil, 100); err == nil {
 		t.Error("bad kind accepted")
 	}
 }
@@ -369,7 +385,7 @@ func TestRPCParamsPacket(t *testing.T) {
 
 func TestReadResponseSegmentation(t *testing.T) {
 	data := make([]byte, PathMTUPayload*2+5)
-	pkts := ReadResponse(2, 7, 1, data, PathMTUPayload)
+	pkts := readResponse(2, 7, 1, data, PathMTUPayload)
 	if len(pkts) != 3 {
 		t.Fatalf("%d packets", len(pkts))
 	}
@@ -382,7 +398,7 @@ func TestReadResponseSegmentation(t *testing.T) {
 	if pkts[2].BTH.Opcode != OpReadRespLast || pkts[2].AETH == nil {
 		t.Error("last response wrong")
 	}
-	one := ReadResponse(2, 7, 1, []byte{1}, PathMTUPayload)
+	one := readResponse(2, 7, 1, []byte{1}, PathMTUPayload)
 	if len(one) != 1 || one[0].BTH.Opcode != OpReadRespOnly {
 		t.Error("single response wrong")
 	}
@@ -410,7 +426,7 @@ func TestAddressFormatting(t *testing.T) {
 }
 
 func TestAckHelper(t *testing.T) {
-	a := Ack(9, 100, SynNAKSequence, 55)
+	a := new(Packet).SetAck(9, 100, SynNAKSequence, 55)
 	out, err := Decode(a.Encode())
 	if err != nil {
 		t.Fatal(err)

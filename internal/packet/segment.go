@@ -79,25 +79,6 @@ func FillSegmentAt(scratch *Packet, kind MessageKind, destQP uint32, psn uint32,
 	return scratch
 }
 
-// Segment splits a message payload into the packet sequence the TX
-// pipeline generates: First/Middle.../Last for multi-packet messages, or a
-// single Only packet. The RETH travels on the first packet only; the PSN
-// increments per packet. Returned packets share the payload's backing
-// array (the caller encodes them immediately). Hot paths use
-// FillSegmentAt with a scratch packet instead; this allocating form
-// remains for tests and the trace tooling.
-func Segment(kind MessageKind, destQP uint32, psn uint32, reth RETH, payload []byte, mtuPayload int) ([]*Packet, error) {
-	if err := ValidateSegmentation(kind, mtuPayload); err != nil {
-		return nil, err
-	}
-	n := NumSegments(len(payload), mtuPayload)
-	pkts := make([]*Packet, 0, n)
-	for i := 0; i < n; i++ {
-		pkts = append(pkts, FillSegment(&Packet{}, kind, destQP, psn, reth, payload, mtuPayload, i, n))
-	}
-	return pkts, nil
-}
-
 // FillReadRequest builds an RDMA READ Request packet into scratch.
 func FillReadRequest(scratch *Packet, destQP, psn uint32, reth RETH) *Packet {
 	scratch.Reset()
@@ -120,23 +101,6 @@ func FillRPCParams(scratch *Packet, destQP, psn uint32, rpcOpcode uint64, params
 	scratch.RETH = &scratch.rethStore
 	scratch.Payload = params
 	return scratch, nil
-}
-
-// Ack builds an ACK (or NAK, depending on syndrome) packet.
-func Ack(destQP, psn uint32, syndrome uint8, msn uint32) *Packet {
-	return &Packet{
-		BTH:  BTH{Opcode: OpAcknowledge, DestQP: destQP, PSN: psn},
-		AETH: &AETH{Syndrome: syndrome, MSN: msn},
-	}
-}
-
-// FillReadResponse builds READ-response segment i of n (n =
-// NumSegments(len(payload), mtuPayload)) of data held whole into
-// scratch: FillReadResponseAt on the i-th MTU payload of it.
-func FillReadResponse(scratch *Packet, destQP, psn uint32, msn uint32, payload []byte, mtuPayload, i, n int) *Packet {
-	lo := i * mtuPayload
-	hi := min(lo+mtuPayload, len(payload))
-	return FillReadResponseAt(scratch, destQP, (psn+uint32(i))&0xFFFFFF, msn, payload[lo:hi], i, n)
 }
 
 // FillReadResponseAt builds READ-response segment i of n into scratch,
@@ -165,18 +129,6 @@ func FillReadResponseAt(scratch *Packet, destQP, psn uint32, msn uint32, seg []b
 		scratch.AETH = &scratch.aethStore
 	}
 	return scratch
-}
-
-// ReadResponse segments READ response data into response packets. Hot
-// paths use FillReadResponseAt with a scratch packet instead; this
-// allocating form remains for tests.
-func ReadResponse(destQP, psn uint32, msn uint32, payload []byte, mtuPayload int) []*Packet {
-	n := NumSegments(len(payload), mtuPayload)
-	pkts := make([]*Packet, 0, n)
-	for i := 0; i < n; i++ {
-		pkts = append(pkts, FillReadResponse(&Packet{}, destQP, psn, msn, payload, mtuPayload, i, n))
-	}
-	return pkts
 }
 
 // NumSegments reports how many packets a payload of length n segments into.

@@ -472,14 +472,6 @@ func (e *Engine) WriteHost(va hostmem.Addr, data []byte, done func(error)) {
 	e.eng.ScheduleAt(at, c.commit)
 }
 
-// MMIOWrite models one posted register write from the host (a doorbell:
-// "a single memory mapped AVX2 store operation containing all relevant
-// parameters", §7.1). fn runs on the device when the write arrives.
-func (e *Engine) MMIOWrite(fn func()) {
-	end := e.mmio.Reserve(e.cfg.MMIOWriteLatency / 4) // posting rate > latency
-	e.eng.ScheduleAt(end.Add(e.cfg.MMIOWriteLatency), fn)
-}
-
 // MMIORead models one register read from the host; fn produces the value
 // on the device side and done receives it after the round trip.
 func (e *Engine) MMIORead(fn func() uint64, done func(uint64)) {

@@ -177,28 +177,6 @@ func TestDMACommandOverheadHurtsSmallTransfers(t *testing.T) {
 	}
 }
 
-func TestMMIOWriteOrderingAndLatency(t *testing.T) {
-	eng, dma, _, _ := testRig(t, Gen3x8(), 1)
-	var times []sim.Time
-	eng.Schedule(0, func() {
-		for i := 0; i < 3; i++ {
-			dma.MMIOWrite(func() { times = append(times, eng.Now()) })
-		}
-	})
-	eng.Run()
-	if len(times) != 3 {
-		t.Fatalf("%d arrivals", len(times))
-	}
-	if times[0] < sim.Time(300*sim.Nanosecond) {
-		t.Errorf("first doorbell at %v, before MMIO latency", times[0])
-	}
-	for i := 1; i < 3; i++ {
-		if times[i] <= times[i-1] {
-			t.Error("doorbells not serialized")
-		}
-	}
-}
-
 func TestMMIORead(t *testing.T) {
 	eng, dma, _, _ := testRig(t, Gen3x8(), 1)
 	var got uint64

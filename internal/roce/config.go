@@ -93,9 +93,3 @@ func (c Config) Cycle() sim.Duration { return sim.Cycles(1, c.ClockMHz) }
 
 // Cycles returns the duration of n stack clock cycles.
 func (c Config) Cycles(n int) sim.Duration { return sim.Cycles(n, c.ClockMHz) }
-
-// InternalGbps is the data-path bandwidth (width × clock): 10 Gbit/s for
-// the 8 B path at 156.25 MHz, ~165 Gbit/s for the 64 B path at 322 MHz.
-func (c Config) InternalGbps() float64 {
-	return float64(c.DataPathBytes) * 8 * c.ClockMHz / 1000
-}

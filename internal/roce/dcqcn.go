@@ -93,19 +93,6 @@ func (s *Stack) EnableDCQCN(cfg DCQCNConfig) {
 	s.cc = &dcqcnControl{cfg: cfg.withDefaults(), line: s.cfg.LineRateGbps}
 }
 
-// DCQCNEnabled reports whether the stack runs the DCQCN loop.
-func (s *Stack) DCQCNEnabled() bool { return s.cc != nil }
-
-// QPRateGbps reports the current DCQCN sending rate for a QP (the line
-// rate when DCQCN is off or the QP has never been throttled).
-func (s *Stack) QPRateGbps(qpn uint32) float64 {
-	st, err := s.st.get(qpn)
-	if err != nil || st.cc == nil {
-		return s.cfg.LineRateGbps
-	}
-	return st.cc.rate
-}
-
 // ccState returns (allocating on first use) the QP's DCQCN state.
 func (s *Stack) ccState(st *qpState) *dcqcnQP {
 	if st.cc == nil {

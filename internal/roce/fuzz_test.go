@@ -62,7 +62,7 @@ func FuzzQPStateMachine(f *testing.F) {
 					p.a.ReconnectQP(1)
 				}
 			case 7:
-				if p.a.Frozen() {
+				if p.a.frozen {
 					p.a.Restart()
 				} else {
 					p.a.Freeze()
@@ -74,7 +74,7 @@ func FuzzQPStateMachine(f *testing.F) {
 		// run the engine dry. Resets flush whatever the fault schedule
 		// left outstanding.
 		p.link.SetOfflineAtoB(false)
-		if p.a.Frozen() {
+		if p.a.frozen {
 			p.a.Restart()
 		}
 		if err := p.b.ResetQP(2); err != nil {

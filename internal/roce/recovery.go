@@ -80,9 +80,6 @@ func (s *Stack) QPStateOf(qpn uint32) (QPState, error) {
 	return st.state, nil
 }
 
-// Frozen reports whether the whole stack is frozen (machine crashed).
-func (s *Stack) Frozen() bool { return s.frozen }
-
 // sendable rejects posts on a frozen stack or a QP outside RTS.
 func (s *Stack) sendable(st *qpState) error {
 	if s.frozen {

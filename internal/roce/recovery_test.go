@@ -333,7 +333,7 @@ func TestFreezeRestart(t *testing.T) {
 	if count != 1 || !errors.Is(got, ErrQPError) {
 		t.Fatalf("count=%d err=%v", count, got)
 	}
-	if !p.a.Frozen() {
+	if !p.a.frozen {
 		t.Fatal("stack not frozen")
 	}
 	if err := p.a.PostWrite(1, 0, []byte{1}, nil); !errors.Is(err, ErrQPError) {
@@ -344,7 +344,7 @@ func TestFreezeRestart(t *testing.T) {
 	}
 
 	p.a.Restart()
-	if p.a.Frozen() {
+	if p.a.frozen {
 		t.Fatal("stack still frozen after restart")
 	}
 	if st, _ := p.a.QPStateOf(1); st != QPStateReset {

@@ -299,6 +299,3 @@ func (m *multiQueue) len(qpn uint32) int {
 	}
 	return m.lengths[qpn]
 }
-
-// freeSlots reports the remaining shared pool capacity.
-func (m *multiQueue) freeSlots() int { return len(m.free) }

@@ -86,8 +86,8 @@ func TestMultiQueueSharedPool(t *testing.T) {
 	if err := mq.push(5, &mqElement{}); !errors.Is(err, ErrMQPoolFull) {
 		t.Errorf("pool full: %v", err)
 	}
-	if mq.freeSlots() != 0 {
-		t.Errorf("free = %d", mq.freeSlots())
+	if len(mq.free) != 0 {
+		t.Errorf("free = %d", len(mq.free))
 	}
 	mq.popHead(0)
 	if err := mq.push(5, &mqElement{}); err != nil {

@@ -93,7 +93,6 @@ type Engine struct {
 	rng     *rand.Rand
 	fired   uint64
 	limit   Time // 0 means no horizon
-	halted  bool
 
 	// process support
 	running *Process
@@ -299,9 +298,6 @@ func (e *Engine) compact() {
 	}
 }
 
-// Halt stops the run loop after the current event completes.
-func (e *Engine) Halt() { e.halted = true }
-
 // SetHorizon aborts Run once simulated time would pass t (a safety net
 // against runaway simulations). Zero disables the horizon.
 func (e *Engine) SetHorizon(t Time) { e.limit = t }
@@ -311,23 +307,22 @@ func (e *Engine) SetHorizon(t Time) { e.limit = t }
 // for the others in its outbox. The group runs its shards.
 const errShardRun = "sim: a shard of a ShardGroup runs only as part of the group"
 
-// Run executes events until the queue holds nothing but daemon events,
-// Halt is called, or the horizon is crossed. It returns the final
-// simulated time. Trailing daemon events are left queued unfired. It
-// panics on a shard of a ShardGroup.
+// Run executes events until the queue holds nothing but daemon events or
+// the horizon is crossed. It returns the final simulated time. Trailing
+// daemon events are left queued unfired. It panics on a shard of a
+// ShardGroup.
 func (e *Engine) Run() Time {
 	e.run(0, false)
 	return e.now
 }
 
 // RunUntil executes every event at or before time t, daemons included,
-// leaving later events queued, and then moves the clock to t. Halt stops
-// it early, and the horizon panics, as in Run. It returns the simulated
-// time reached: t, or earlier if halted. It panics on a shard of a
-// ShardGroup.
+// leaving later events queued, and then moves the clock to t (if it is
+// not already later), which it returns. The horizon panics as in Run. It
+// panics on a shard of a ShardGroup.
 func (e *Engine) RunUntil(t Time) Time {
 	e.run(t, true)
-	if !e.halted && e.now < t {
+	if e.now < t {
 		e.now = t
 	}
 	return e.now
@@ -340,8 +335,7 @@ func (e *Engine) run(t Time, bounded bool) {
 	if e.group != nil {
 		panic(errShardRun)
 	}
-	e.halted = false
-	for len(e.heap) > 0 && !e.halted {
+	for len(e.heap) > 0 {
 		ev := e.heap[0]
 		if ev.dead {
 			e.pop()

@@ -13,9 +13,6 @@ func TestTimeUnits(t *testing.T) {
 	if d := 1500 * Nanosecond; d.Microseconds() != 1.5 {
 		t.Errorf("1500ns = %vus", d.Microseconds())
 	}
-	if d := FromStd(2 * time.Microsecond); d != 2*Microsecond {
-		t.Errorf("FromStd = %v", d)
-	}
 	if got := (3 * Microsecond).Std(); got != 3*time.Microsecond {
 		t.Errorf("Std = %v", got)
 	}
@@ -150,7 +147,7 @@ func TestEngineRunUntil(t *testing.T) {
 }
 
 // RunUntil fires what Run would up to t, daemons included, and stops
-// for Halt and the horizon as Run does.
+// for the horizon as Run does.
 func TestEngineRunUntilStops(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -163,15 +160,6 @@ func TestEngineRunUntilStops(t *testing.T) {
 		{"daemon before t", func(e *Engine, fired *int) {
 			e.ScheduleDaemon(5, func() { *fired++ })
 		}, 10, 1, 10, false},
-		{"halt", func(e *Engine, fired *int) {
-			for i := 1; i <= 5; i++ {
-				e.Schedule(Duration(i), func() {
-					if *fired++; i == 2 {
-						e.Halt()
-					}
-				})
-			}
-		}, 100, 2, 2, false},
 		{"horizon", func(e *Engine, fired *int) {
 			e.SetHorizon(3)
 			for i := 1; i <= 5; i++ {
@@ -214,17 +202,6 @@ func TestEngineScheduleAtPast(t *testing.T) {
 	e.Run()
 	if fireTime != Time(10*Nanosecond) {
 		t.Errorf("past event fired at %v", fireTime)
-	}
-}
-
-func TestEngineHalt(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	e.Schedule(1*Nanosecond, func() { count++; e.Halt() })
-	e.Schedule(2*Nanosecond, func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Errorf("count = %d", count)
 	}
 }
 

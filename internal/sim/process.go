@@ -211,13 +211,3 @@ func (c *Completion[T]) Wait(p *Process) (T, error) {
 	}
 	return c.val, c.err
 }
-
-// OnDone registers fn to run when the completion resolves (immediately if
-// it already has).
-func (c *Completion[T]) OnDone(fn func(T, error)) {
-	if c.done {
-		fn(c.val, c.err)
-		return
-	}
-	c.onResolve(func() { fn(c.val, c.err) })
-}

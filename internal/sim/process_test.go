@@ -135,22 +135,6 @@ func TestCompletionDoubleResolvePanics(t *testing.T) {
 	c.Complete(2)
 }
 
-func TestCompletionOnDone(t *testing.T) {
-	c := &Completion[int]{}
-	var got int
-	c.OnDone(func(v int, err error) { got = v })
-	c.Complete(5)
-	if got != 5 {
-		t.Errorf("got = %d", got)
-	}
-	// After resolution OnDone fires immediately.
-	got = 0
-	c.OnDone(func(v int, err error) { got = v })
-	if got != 5 {
-		t.Errorf("got = %d", got)
-	}
-}
-
 // A panic inside a process unwinds through Engine.Run on the caller's
 // goroutine, where it can be recovered, and says which process it was.
 func TestProcessPanicSurfacesFromRun(t *testing.T) {
@@ -316,8 +300,8 @@ func TestSerializerBackToBack(t *testing.T) {
 	if ends[0] != Time(10*Nanosecond) || ends[1] != Time(20*Nanosecond) {
 		t.Errorf("ends = %v", ends)
 	}
-	if s.BusyTime() != 20*Nanosecond {
-		t.Errorf("busy = %v", s.BusyTime())
+	if busy := Duration(s.busyPS); busy != 20*Nanosecond {
+		t.Errorf("busy = %v", busy)
 	}
 }
 
@@ -331,18 +315,4 @@ func TestSerializerIdleGap(t *testing.T) {
 		}
 	})
 	e.Run()
-}
-
-func TestSerializerReserveFrom(t *testing.T) {
-	e := NewEngine(1)
-	s := NewSerializer(e)
-	end := s.ReserveFrom(Time(50*Nanosecond), 10*Nanosecond)
-	if end != Time(60*Nanosecond) {
-		t.Errorf("end = %v", end)
-	}
-	// Next reservation from an earlier time queues behind.
-	end = s.ReserveFrom(Time(10*Nanosecond), 10*Nanosecond)
-	if end != Time(70*Nanosecond) {
-		t.Errorf("end = %v", end)
-	}
 }

@@ -28,22 +28,8 @@ func (s *Serializer) Reserve(d Duration) Time {
 	return end
 }
 
-// ReserveFrom books d of exclusive time starting no earlier than t.
-func (s *Serializer) ReserveFrom(t Time, d Duration) Time {
-	if s.nextFree > t {
-		t = s.nextFree
-	}
-	end := t.Add(d)
-	s.nextFree = end
-	s.busyPS += int64(d)
-	return end
-}
-
 // NextFree reports when the resource becomes idle.
 func (s *Serializer) NextFree() Time { return s.nextFree }
-
-// BusyTime reports total reserved time.
-func (s *Serializer) BusyTime() Duration { return Duration(s.busyPS) }
 
 // Utilisation reports busy time divided by elapsed time since start.
 func (s *Serializer) Utilisation() float64 {

@@ -104,9 +104,6 @@ func (g *ShardGroup) Lookahead() Duration { return g.lookahead }
 // drops the call.
 func (g *ShardGroup) SetWorkers(int) {}
 
-// Crossed reports how many cross-shard events have been delivered.
-func (g *ShardGroup) Crossed() uint64 { return g.crossed }
-
 // Fired sums executed events across all shards.
 func (g *ShardGroup) Fired() uint64 {
 	var n uint64
@@ -145,7 +142,7 @@ func (g *ShardGroup) post(ce crossEvent) {
 // are run across all shards, separated by barriers that exchange
 // cross-shard events. It returns the final simulated time (the maximum
 // across shards). Run terminates when every shard's queue is empty and
-// no cross events remain, or when any shard halts.
+// no cross events remain.
 func (g *ShardGroup) Run() Time {
 	if g.running {
 		panic("sim: ShardGroup.Run re-entered")
@@ -157,9 +154,6 @@ func (g *ShardGroup) Run() Time {
 			s.closed = false
 		}
 	}()
-	for _, s := range g.shards {
-		s.halted = false
-	}
 	for {
 		// Outboxes are empty here (drained by the previous barrier).
 		next, ok := g.frontier()
@@ -167,11 +161,8 @@ func (g *ShardGroup) Run() Time {
 			break
 		}
 		window := next.Add(g.lookahead)
-		halted := g.runWindow(window)
+		g.runWindow(window)
 		g.drainOutboxes(window)
-		if halted {
-			break
-		}
 	}
 	return g.Now()
 }
@@ -209,22 +200,19 @@ func (g *ShardGroup) frontier() (Time, bool) {
 }
 
 // runWindow executes every shard up to (but excluding) window, in index
-// order, and reports whether any shard halted. Every shard is closed to
+// order. Every shard is closed to
 // direct scheduling for the window except while it runs itself
 // (runBefore), and open again for the barrier.
-func (g *ShardGroup) runWindow(window Time) bool {
+func (g *ShardGroup) runWindow(window Time) {
 	for _, s := range g.shards {
 		s.closed = true
 	}
 	for _, s := range g.shards {
 		s.runBefore(window)
 	}
-	halted := false
 	for _, s := range g.shards {
 		s.closed = false
-		halted = halted || s.halted
 	}
-	return halted
 }
 
 // drainOutboxes merges every outbox in the canonical (timestamp, source
@@ -316,12 +304,11 @@ func (e *Engine) peek() (Time, bool) {
 }
 
 // runBefore executes events with timestamps strictly before w, leaving
-// later events queued. Unlike Run it does not reset the halted flag (the
-// group manages it) and stops early when the shard halts. The shard is
-// open to scheduling only while it runs.
+// later events queued. The shard is open to scheduling only while it
+// runs.
 func (e *Engine) runBefore(w Time) {
 	e.closed = false
-	for len(e.heap) > 0 && !e.halted {
+	for len(e.heap) > 0 {
 		ev := e.heap[0]
 		if ev.dead {
 			e.pop()

@@ -70,14 +70,8 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // String formats the timestamp as a duration since time zero.
 func (t Time) String() string { return Duration(t).String() }
 
-// FromStd converts a time.Duration to a simulation Duration.
-func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) * Nanosecond }
-
 // Nanoseconds builds a Duration from a (possibly fractional) nanosecond count.
 func Nanoseconds(ns float64) Duration { return Duration(ns * float64(Nanosecond)) }
-
-// Microseconds builds a Duration from a (possibly fractional) microsecond count.
-func Microseconds(us float64) Duration { return Duration(us * float64(Microsecond)) }
 
 // BytesAt returns the time to serialize n bytes at a rate of gbps Gbit/s.
 func BytesAt(n int, gbps float64) Duration {

@@ -23,9 +23,6 @@ func (s *Sample) Add(v float64) {
 	s.sorted = false
 }
 
-// N reports the number of observations.
-func (s *Sample) N() int { return len(s.vals) }
-
 // Sum returns the sum of all observations.
 func (s *Sample) Sum() float64 {
 	t := 0.0

@@ -16,8 +16,8 @@ func TestSampleBasics(t *testing.T) {
 	for _, v := range []float64{5, 1, 3, 2, 4} {
 		s.Add(v)
 	}
-	if s.N() != 5 {
-		t.Errorf("N = %d", s.N())
+	if len(s.vals) != 5 {
+		t.Errorf("N = %d", len(s.vals))
 	}
 	if s.Sum() != 15 {
 		t.Errorf("Sum = %v", s.Sum())

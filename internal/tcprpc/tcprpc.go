@@ -49,16 +49,12 @@ type Server struct {
 	eng     *sim.Engine
 	cfg     Config
 	handler Handler
-	calls   uint64
 }
 
 // NewServer registers an RPC handler.
 func NewServer(eng *sim.Engine, cfg Config, h Handler) *Server {
 	return &Server{eng: eng, cfg: cfg, handler: h}
 }
-
-// Calls reports the number of served calls.
-func (s *Server) Calls() uint64 { return s.calls }
 
 // oneWay is the time for one message of n bytes to cross from user space
 // to user space.
@@ -69,18 +65,11 @@ func (c Config) oneWay(n int) sim.Duration {
 		c.WakeupLatency
 }
 
-// RoundTrip predicts the total call latency for given request/response
-// sizes and server compute time (useful for tests and documentation).
-func (c Config) RoundTrip(reqLen, respLen int, compute sim.Duration) sim.Duration {
-	return c.RPCOverhead + c.oneWay(reqLen) + compute + c.oneWay(respLen)
-}
-
 // Call performs a blocking RPC from the calling process.
 func (s *Server) Call(p *sim.Process, req []byte) []byte {
 	cfg := s.cfg
 	p.Sleep(cfg.RPCOverhead)
 	p.Sleep(cfg.oneWay(len(req)))
-	s.calls++
 	resp, compute := s.handler(req)
 	p.Sleep(compute)
 	p.Sleep(cfg.oneWay(len(resp)))

@@ -92,7 +92,7 @@ func NewRegistry() *Registry {
 // metric resolved through the scope resolves to the same Counter/Gauge/
 // Histogram the parent would return for that key, and collect callbacks
 // registered on the scope also run on the parent's Collect. What the
-// scope adds is a *view*: its Each*, Collect and Snapshot cover only
+// scope adds is a *view*: its Each* and Collect cover only
 // the keys resolved (and callbacks registered) through it.
 //
 // This is what makes mid-run registry scraping sound on a sharded
@@ -280,24 +280,6 @@ type snapshot struct {
 	Counters   map[string]uint64             `json:"counters"`
 	Gauges     map[string]float64            `json:"gauges"`
 	Histograms map[string]*histogramSnapshot `json:"histograms"`
-}
-
-// Snapshot runs the collectors and returns the registry as plain maps
-// keyed by the canonical metric key.
-func (r *Registry) Snapshot() (counters map[string]uint64, gauges map[string]float64) {
-	if r == nil {
-		return nil, nil
-	}
-	r.Collect()
-	counters = make(map[string]uint64, len(r.counters))
-	for k, c := range r.counters {
-		counters[k] = c.v
-	}
-	gauges = make(map[string]float64, len(r.gauges))
-	for k, g := range r.gauges {
-		gauges[k] = g.v
-	}
-	return counters, gauges
 }
 
 // WriteJSON collects and writes the whole registry as indented JSON with

@@ -148,9 +148,9 @@ func TestTraceBufferJSONAndRender(t *testing.T) {
 	tb.NameProcess(1, "nicA")
 	tb.NameThread(1, 3, "qp3")
 	eng.Schedule(sim.Microsecond, func() {
-		closer := tb.Span(1, 3, "op", "RPC")
+		start := eng.Now()
 		tb.Instant(1, 3, "wire", "RPC_PARAMS", "psn=0")
-		eng.Schedule(5*sim.Microsecond, closer)
+		eng.Schedule(5*sim.Microsecond, func() { tb.Complete(1, 3, "op", "RPC", start, eng.Now().Sub(start), "") })
 	})
 	eng.Run()
 	if tb.Len() != 2 {
@@ -205,7 +205,6 @@ func TestNilTraceBufferIsInert(t *testing.T) {
 	tb.NameThread(1, 2, "y")
 	tb.Instant(1, 2, "c", "n", "")
 	tb.Complete(1, 2, "c", "n", 0, 5, "")
-	tb.Span(1, 2, "c", "n")()
 	if tb.Len() != 0 {
 		t.Fatal("nil trace buffer recorded events")
 	}

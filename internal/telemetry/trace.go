@@ -140,17 +140,6 @@ func (t *TraceBuffer) Complete(pid, tid uint32, cat, name string, start sim.Time
 	})
 }
 
-// Span starts a span at the current simulated time and returns the
-// closer; calling it records the complete event with the elapsed
-// simulated duration. The nil TraceBuffer returns a no-op closer.
-func (t *TraceBuffer) Span(pid, tid uint32, cat, name string) func() {
-	if t == nil {
-		return func() {}
-	}
-	start := t.eng.Now()
-	return func() { t.Complete(pid, tid, cat, name, start, t.eng.Now().Sub(start), "") }
-}
-
 // Len reports the number of recorded events across all segments.
 func (t *TraceBuffer) Len() int {
 	if t == nil {

@@ -253,8 +253,3 @@ func (p *Pair) Reconnect(qpa, qpb uint32, keep bool, done func(Peer), bufs ...*h
 func New10G(seed int64) (*Pair, error) {
 	return New(seed, core.Profile10G(), fabric.DirectCable10G(), 32<<20)
 }
-
-// New100G is the 100 G testbed with 32 MB buffers.
-func New100G(seed int64) (*Pair, error) {
-	return New(seed, core.Profile100G(), fabric.DirectCable100G(), 32<<20)
-}

@@ -113,12 +113,3 @@ func (t *TLB) Split(dst []Segment, va hostmem.Addr, n int) ([]Segment, error) {
 
 // Len reports the number of populated entries.
 func (t *TLB) Len() int { return len(t.entries) }
-
-// Capacity reports the maximum number of entries.
-func (t *TLB) Capacity() int { return t.capacity }
-
-// AddressableBytes reports how much host memory the populated capacity
-// covers (32 GB at the default capacity).
-func (t *TLB) AddressableBytes() uint64 {
-	return uint64(t.capacity) * hostmem.HugePageSize
-}

@@ -34,11 +34,11 @@ func populated(t *testing.T, npages int) (*TLB, *hostmem.Memory, *hostmem.Buffer
 
 func TestDefaultCapacityIs32GB(t *testing.T) {
 	tl := New(0)
-	if tl.Capacity() != DefaultEntries {
-		t.Errorf("capacity = %d", tl.Capacity())
+	if tl.capacity != DefaultEntries {
+		t.Errorf("capacity = %d", tl.capacity)
 	}
-	if tl.AddressableBytes() != 32<<30 {
-		t.Errorf("addressable = %d", tl.AddressableBytes())
+	if addressable := uint64(tl.capacity) * hostmem.HugePageSize; addressable != 32<<30 {
+		t.Errorf("addressable = %d", addressable)
 	}
 }
 

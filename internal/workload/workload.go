@@ -1,8 +1,8 @@
-// Package workload generates key-value access patterns for driving the
-// KV-store experiments: uniform, zipfian (the YCSB skew used by the
-// key-value-store systems the paper compares against — Pilaf, FaRM,
-// HERD) and sequential scans. The zipfian generator is the standard
-// Gray et al. rejection-free construction, deterministic per seed.
+// Package workload generates the key access pattern that drives the
+// KV-store experiments: zipfian, the YCSB skew used by the key-value-store
+// systems the paper compares against (Pilaf, FaRM, HERD). The generator
+// is the standard Gray et al. rejection-free construction, deterministic
+// per seed.
 package workload
 
 import (
@@ -10,34 +10,6 @@ import (
 	"math"
 	"math/rand"
 )
-
-// Generator produces a stream of key indices in [0, N).
-type Generator interface {
-	// Next returns the next key index.
-	Next() int
-	// N returns the key-space size.
-	N() int
-}
-
-// Uniform picks keys independently and uniformly.
-type Uniform struct {
-	n   int
-	rng *rand.Rand
-}
-
-// NewUniform creates a uniform generator over n keys.
-func NewUniform(n int, seed int64) (*Uniform, error) {
-	if n <= 0 {
-		return nil, errors.New("workload: need a positive key space")
-	}
-	return &Uniform{n: n, rng: rand.New(rand.NewSource(seed))}, nil
-}
-
-// Next implements Generator.
-func (u *Uniform) Next() int { return u.rng.Intn(u.n) }
-
-// N implements Generator.
-func (u *Uniform) N() int { return u.n }
 
 // Zipfian skews accesses toward low indices with parameter theta
 // (YCSB's default 0.99). Callers typically scatter the rank onto the
@@ -79,7 +51,7 @@ func zeta(n int, theta float64) float64 {
 	return sum
 }
 
-// Next implements Generator (Gray et al., "Quickly generating
+// Next returns the next key index in [0, n) (Gray et al., "Quickly generating
 // billion-record synthetic databases").
 func (z *Zipfian) Next() int {
 	u := z.rng.Float64()
@@ -106,58 +78,4 @@ func (z *Zipfian) Next() int {
 	h *= 0xC2B2AE3D27D4EB4F
 	h ^= h >> 29
 	return int(h % uint64(z.n))
-}
-
-// N implements Generator.
-func (z *Zipfian) N() int { return z.n }
-
-// Sequential cycles through the key space in order (a scan).
-type Sequential struct {
-	n, next int
-}
-
-// NewSequential creates a sequential generator over n keys.
-func NewSequential(n int) (*Sequential, error) {
-	if n <= 0 {
-		return nil, errors.New("workload: need a positive key space")
-	}
-	return &Sequential{n: n}, nil
-}
-
-// Next implements Generator.
-func (s *Sequential) Next() int {
-	k := s.next
-	s.next = (s.next + 1) % s.n
-	return k
-}
-
-// N implements Generator.
-func (s *Sequential) N() int { return s.n }
-
-// HotFraction measures the fraction of accesses that hit the hottest
-// `hot` ranks out of `samples` draws — a skew diagnostic for tests.
-func HotFraction(g Generator, hot, samples int) float64 {
-	counts := make(map[int]int)
-	for i := 0; i < samples; i++ {
-		counts[g.Next()]++
-	}
-	// Take the `hot` most frequent keys.
-	freqs := make([]int, 0, len(counts))
-	for _, c := range counts {
-		freqs = append(freqs, c)
-	}
-	// Selection without sort package gymnastics: simple partial sort.
-	total := 0
-	for i := 0; i < hot && len(freqs) > 0; i++ {
-		maxIdx := 0
-		for j, f := range freqs {
-			if f > freqs[maxIdx] {
-				maxIdx = j
-			}
-		}
-		total += freqs[maxIdx]
-		freqs[maxIdx] = freqs[len(freqs)-1]
-		freqs = freqs[:len(freqs)-1]
-	}
-	return float64(total) / float64(samples)
 }

@@ -2,13 +2,12 @@ package workload
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
 func TestValidation(t *testing.T) {
-	if _, err := NewUniform(0, 1); err == nil {
-		t.Error("uniform n=0 accepted")
-	}
 	if _, err := NewZipfian(0, 0.99, 1, false); err == nil {
 		t.Error("zipf n=0 accepted")
 	}
@@ -18,22 +17,12 @@ func TestValidation(t *testing.T) {
 	if _, err := NewZipfian(10, 1, 1, false); err == nil {
 		t.Error("theta=1 accepted")
 	}
-	if _, err := NewSequential(0); err == nil {
-		t.Error("sequential n=0 accepted")
-	}
 }
 
 func TestRangeInvariant(t *testing.T) {
-	gens := []Generator{}
-	u, _ := NewUniform(100, 1)
 	z, _ := NewZipfian(100, 0.99, 1, false)
 	zs, _ := NewZipfian(100, 0.99, 1, true)
-	s, _ := NewSequential(100)
-	gens = append(gens, u, z, zs, s)
-	for _, g := range gens {
-		if g.N() != 100 {
-			t.Errorf("N = %d", g.N())
-		}
+	for _, g := range []*Zipfian{z, zs} {
 		for i := 0; i < 10000; i++ {
 			k := g.Next()
 			if k < 0 || k >= 100 {
@@ -43,23 +32,32 @@ func TestRangeInvariant(t *testing.T) {
 	}
 }
 
-func TestSequentialCycles(t *testing.T) {
-	s, _ := NewSequential(3)
-	want := []int{0, 1, 2, 0, 1, 2}
-	for i, w := range want {
-		if got := s.Next(); got != w {
-			t.Fatalf("step %d: %d != %d", i, got, w)
-		}
+// hotFraction is the share of samples draws that hit the hot most
+// frequent keys.
+func hotFraction(next func() int, hot, samples int) float64 {
+	counts := make(map[int]int)
+	for i := 0; i < samples; i++ {
+		counts[next()]++
 	}
+	freqs := make([]int, 0, len(counts))
+	for _, c := range counts {
+		freqs = append(freqs, c)
+	}
+	slices.Sort(freqs)
+	total := 0
+	for _, f := range freqs[max(0, len(freqs)-hot):] {
+		total += f
+	}
+	return float64(total) / float64(samples)
 }
 
 func TestZipfianSkew(t *testing.T) {
 	// YCSB theta 0.99 over 10k keys: the hottest 100 ranks (1%) draw a
 	// large fraction of accesses; uniform draws ~1%.
 	z, _ := NewZipfian(10000, 0.99, 7, false)
-	zf := HotFraction(z, 100, 200000)
-	u, _ := NewUniform(10000, 7)
-	uf := HotFraction(u, 100, 200000)
+	zf := hotFraction(z.Next, 100, 200000)
+	u := rand.New(rand.NewSource(7))
+	uf := hotFraction(func() int { return u.Intn(10000) }, 100, 200000)
 	if zf < 0.4 {
 		t.Errorf("zipfian hot fraction = %.3f, want heavy skew", zf)
 	}

@@ -3,6 +3,7 @@ package strom_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -125,6 +126,47 @@ func TestPublicRPCFallback(t *testing.T) {
 	if fbOp != 0xCAFE {
 		t.Errorf("fallback op = %#x", fbOp)
 	}
+}
+
+// A queue pair needs a path: machines that share no cable or switch, or
+// that belong to different clusters, are refused at CreateQueuePair
+// (ConnectDirect refuses a foreign machine before it builds a link),
+// instead of being accepted and failing at the first frame.
+func TestPublicQueuePairNeedsAPath(t *testing.T) {
+	cl := strom.NewCluster(1)
+	a, _ := cl.AddMachine("a", strom.Profile10G())
+	b, _ := cl.AddMachine("b", strom.Profile10G())
+	if _, err := cl.CreateQueuePair(a, b); !errors.Is(err, strom.ErrNotConnected) {
+		t.Errorf("unlinked pair: err = %v, want ErrNotConnected", err)
+	}
+
+	other := strom.NewCluster(2)
+	foreign, _ := other.AddMachine("foreign", strom.Profile10G())
+	if _, err := cl.ConnectDirect(a, foreign, strom.Cable10G()); !errors.Is(err, strom.ErrNotConnected) {
+		t.Errorf("cross-cluster cable: err = %v, want ErrNotConnected", err)
+	}
+	if _, err := cl.CreateQueuePair(a, foreign); !errors.Is(err, strom.ErrNotConnected) {
+		t.Errorf("cross-cluster pair: err = %v, want ErrNotConnected", err)
+	}
+
+	sw := cl.AddSwitch(strom.Cable10G(), 500*strom.Nanosecond)
+	sw.Attach(a)
+	if _, err := cl.CreateQueuePair(a, b); !errors.Is(err, strom.ErrNotConnected) {
+		t.Errorf("one side switched: err = %v, want ErrNotConnected", err)
+	}
+	sw.Attach(b)
+	qp, err := cl.CreateQueuePair(a, b)
+	if err != nil {
+		t.Fatalf("switched pair: %v", err)
+	}
+	bufA, _ := a.AllocBuffer(4096)
+	bufB, _ := b.AllocBuffer(4096)
+	cl.Go("client", func(p *strom.Process) {
+		if err := qp.WriteSync(p, uint64(bufA.Base()), uint64(bufB.Base()), 64); err != nil {
+			t.Errorf("write over the switch: %v", err)
+		}
+	})
+	cl.Run()
 }
 
 func TestPublicRunFor(t *testing.T) {
