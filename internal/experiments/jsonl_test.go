@@ -156,13 +156,14 @@ func TestJSONLCleanRunSilent(t *testing.T) {
 			runErr = pair.A.WriteSync(p, testrig.QPA, uint64(pair.BufA.Base()), uint64(pair.BufB.Base()), 16<<10)
 		}
 	})
+	var w bytes.Buffer
+	rec.StreamTo(export.NewWriterSink(&w))
 	rec.Start(2 * sim.Microsecond)
 	pair.Run()
 	if runErr != nil {
 		t.Fatalf("workload: %v", runErr)
 	}
-	var w bytes.Buffer
-	if err := rec.WriteJSONL(&w); err != nil {
+	if err := rec.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	tail, err := export.ReadAll(bytes.NewReader(w.Bytes()))

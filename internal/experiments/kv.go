@@ -301,7 +301,9 @@ func exportKV(o Options, ex Exports) error {
 // further machines the scenario's own. Failure detection runs the
 // production path whether or not anything is exported: every server's
 // heartbeat is scraped by the recorder, whose kv-heartbeat watchdog
-// drives the client's shard map through Cluster.AttachController.
+// drives the client's shard map through Cluster.AttachController. Only
+// a run exporting JSONL keeps the recorder's stream; the sweeps'
+// detector evaluates its rules and keeps nothing.
 type kvBed struct {
 	*bed
 	cl      *kvserve.Cluster

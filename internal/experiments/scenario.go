@@ -154,7 +154,8 @@ type Exports struct {
 func (e Exports) any() bool    { return e.traced() || e.JSONL != nil }
 func (e Exports) traced() bool { return e.Metrics != nil || e.Trace != nil }
 
-// write emits the requested exports of a finished run.
+// write emits the requested exports of a finished run. The JSONL stream
+// goes to the reader newRecorder declared on rec.
 func (e Exports) write(reg *telemetry.Registry, trace *telemetry.TraceBuffer, rec *export.Recorder) error {
 	if e.Metrics != nil {
 		if err := reg.WriteJSON(e.Metrics); err != nil {
@@ -167,15 +168,21 @@ func (e Exports) write(reg *telemetry.Registry, trace *telemetry.TraceBuffer, re
 		}
 	}
 	if e.JSONL != nil {
-		return rec.WriteJSONL(e.JSONL)
+		return rec.Drain()
 	}
 	return nil
 }
 
 // newRecorder returns a recorder evaluating the default alert rules
-// plus extra. Without sources it records (and costs) nothing.
-func newRecorder(extra ...export.Rule) *export.Recorder {
-	return export.NewRecorder(append(export.DefaultRules(), extra...))
+// plus extra, keeping its stream for ex.JSONL when that is exported.
+// Without a reader it encodes and keeps nothing: its rules still run
+// for OnAlert observers and Fired.
+func newRecorder(ex Exports, extra ...export.Rule) *export.Recorder {
+	rec := export.NewRecorder(append(export.DefaultRules(), extra...))
+	if ex.JSONL != nil {
+		rec.StreamTo(export.NewWriterSink(ex.JSONL))
+	}
+	return rec
 }
 
 // pairTaps is the observability side of a two-machine bed.
@@ -189,7 +196,7 @@ type pairTaps struct {
 // tapPair instruments the pair for whatever ex asks for. Call after
 // deploying kernels and before scheduling the workload.
 func tapPair(pair *testrig.Pair, ex Exports) *pairTaps {
-	t := &pairTaps{pair: pair, rec: newRecorder(), ex: ex}
+	t := &pairTaps{pair: pair, rec: newRecorder(ex), ex: ex}
 	if ex.any() {
 		t.tel = pair.Instrument()
 	}
@@ -243,7 +250,7 @@ func newBed(seed int64, machines int, ex Exports, rules ...export.Rule) (*bed, e
 	if err != nil {
 		return nil, err
 	}
-	b := &bed{net: net, checkers: net.AttachCheckers(), rec: newRecorder(rules...), ex: ex}
+	b := &bed{net: net, checkers: net.AttachCheckers(), rec: newRecorder(ex, rules...), ex: ex}
 	if ex.traced() {
 		b.reg = telemetry.NewRegistry()
 		b.trace = telemetry.NewTrace(net.SwEng)

@@ -256,10 +256,20 @@ func (s *Stack) enqueue(qpn uint32, st *qpState, pkt *packet.Packet, npsn uint32
 	pp := s.newPending()
 	pp.psn, pp.npsn, pp.msg, pp.isRead, pp.lastOf = pkt.BTH.PSN, npsn, msg, msg.isRead, !msg.isRead
 	msg.refs++
-	st.pending = append(st.pending, pp)
+	st.pushPending(pp)
 	s.fill(st, pp, pkt)
 	s.pump(qpn, st)
 	return pp
+}
+
+// pushPending appends pp to the QP's pending list, noting the list's
+// array when the append moves it to a new one.
+func (st *qpState) pushPending(pp *pendingPacket) {
+	full := len(st.pending) == cap(st.pending)
+	st.pending = append(st.pending, pp)
+	if full {
+		st.pendBuf = st.pending[:0]
+	}
 }
 
 // fill encodes pkt as the frame of pending entry pp.
@@ -507,7 +517,7 @@ func (s *Stack) postSegmented(qpn uint32, kind packet.MessageKind, reth packet.R
 		pp := s.newPending()
 		pp.psn, pp.npsn, pp.msg, pp.lastOf = psnAdd(st.nextPSN, uint32(i)), 1, msg, i == nseg-1
 		msg.refs++
-		st.pending = append(st.pending, pp)
+		st.pushPending(pp)
 	}
 	st.nextPSN = psnAdd(st.nextPSN, uint32(nseg))
 	s.feed(st, msg, reth, first)
@@ -1056,18 +1066,20 @@ func (s *Stack) ackUpTo(qpn uint32, st *qpState, psn uint32) {
 		k++
 	}
 	if k > 0 {
-		// Slide the survivors down when they are no more than the retired
-		// prefix (at most k moves, so still O(1) amortised): the list keeps
-		// its array, which re-slicing the prefix off would shrink until
-		// append reallocates.
-		if rest := len(st.pending) - k; rest <= k {
-			copy(st.pending, st.pending[k:])
-			clear(st.pending[rest:])
-			st.pending = st.pending[:rest]
-		} else {
-			st.pending = st.pending[k:]
-		}
+		// The retired prefix is re-sliced off, and the survivors slide to
+		// the array's start once they are no more than the free room in
+		// front of them: each move is paid for by as many retirements
+		// since the last, so ACK processing stays O(1) amortised, and the
+		// list keeps its array instead of shrinking it until append
+		// reallocates.
+		st.pending = st.pending[k:]
 		st.sent -= k
+		if n, front := len(st.pending), cap(st.pendBuf)-cap(st.pending); n <= front {
+			buf := st.pendBuf[:cap(st.pendBuf)]
+			copy(buf, st.pending)
+			clear(buf[n : front+n])
+			st.pending = buf[:n]
+		}
 	}
 	st.retries = 0
 	s.armTimer(qpn, st)

@@ -53,6 +53,7 @@ type qpState struct {
 	// Requester state.
 	nextPSN    uint32
 	pending    []*pendingPacket // posted, not yet acknowledged (FIFO by PSN)
+	pendBuf    []*pendingPacket // pending's array from its start (see ackUpTo)
 	sent       int              // pending[:sent] are on the wire; the rest wait for pump
 	retries    int
 	progress   uint64 // bumped on any QP activity; defers the retransmission timer

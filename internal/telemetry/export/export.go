@@ -16,10 +16,12 @@
 //   - Recorder: a DES-driven periodic scraper. Health sources (the
 //     per-port/per-link surfaces of core.NIC and fabric.Link) and
 //     optionally a whole telemetry.Registry are scraped every interval
-//     of simulated time; each scrape emits health/metrics events into a
-//     per-engine segment. Segments are merged deterministically at
-//     export time — (timestamp, segment rank, sequence) — so the stream
-//     of a sharded testbed does not depend on how its shards interleave.
+//     of simulated time; for a reader declared before Start, each
+//     scrape emits health/metrics events into a per-engine segment.
+//     Segments are merged deterministically at export time — (timestamp,
+//     segment rank, sequence) — so the stream of a sharded testbed does
+//     not depend on how its shards interleave. Without a reader the
+//     scrapes feed the alert rules only.
 //
 //   - Alerts: declarative threshold / rate / no-progress rules
 //     evaluated at every scrape point, emitting alert events into the

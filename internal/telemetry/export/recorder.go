@@ -2,6 +2,7 @@ package export
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"sort"
 	"strings"
@@ -187,16 +188,29 @@ const (
 // is not supported; use NewRecorder.
 //
 // Usage: register sources (and optionally a registry) during setup,
-// Start, run the simulation, then Drain/WriteTo. On a sharded testbed
-// each engine's sources are scraped by that shard (the single-writer
+// declare the stream's reader with StreamTo if the stream is wanted,
+// Start, run the simulation, then Drain. On a sharded testbed each
+// engine's sources are scraped by that shard (the single-writer
 // contract).
+//
+// A stream exists only for a declared reader, and detection never
+// depends on it. Without a reader every scrape is still loaded and every
+// rule evaluated — OnAlert observers fire at the same simulated instants,
+// and Finish, Summaries and Fired report the same tallies — but no
+// payload is encoded and no event is kept.
 type Recorder struct {
 	mu        sync.Mutex // guards segment creation (sharded setup)
 	rules     []Rule
 	scrapers  []*scraper
 	observers []func(AlertEvent)
+	reader    Sink // the stream's declared reader; nil keeps no stream
+	started   bool
 	finished  bool
 }
+
+// ErrNoStream is what Drain returns on a recorder that kept no stream
+// because no reader was declared before Start.
+var ErrNoStream = errors.New("export: no stream kept: no reader declared before Start")
 
 // NewRecorder returns a recorder evaluating rules (nil = no alerting).
 func NewRecorder(rules []Rule) *Recorder {
@@ -287,12 +301,23 @@ func (r *Recorder) Registry(eng *sim.Engine, host string, reg *telemetry.Registr
 	s.regs = append(s.regs, &regEntry{host: host, reg: reg})
 }
 
+// StreamTo declares sink as the reader the stream will be drained into,
+// so that the recorder encodes and keeps every event until Drain. Call
+// before Start: a stream begun mid-run would silently miss its start.
+func (r *Recorder) StreamTo(sink Sink) {
+	if r.started {
+		panic("export: StreamTo after Start")
+	}
+	r.reader = sink
+}
+
 // Start installs one scrape probe per engine. The probes are daemon
 // events: they scrape for as long as the workload runs and can never
 // keep a finished simulation alive, even alongside other probes — so
 // Start works whether it is called before or after the workload is
 // scheduled.
 func (r *Recorder) Start(every sim.Duration) {
+	r.started = true
 	for _, s := range r.scrapers {
 		s := s
 		telemetry.Probe(s.eng, every, func(now sim.Time) { s.tick(now) })
@@ -320,9 +345,15 @@ func (s *scraper) emit(now sim.Time, fin bool, org *origin, b []byte) {
 	s.nevents++
 }
 
+// keeps reports whether the scraper encodes and keeps its events: only
+// for a declared reader.
+func (s *scraper) keeps() bool { return s.rec.reader != nil }
+
 // emitAlert emits one fire/resolve transition and tells the observers.
 func (s *scraper) emitAlert(now sim.Time, fin bool, host, typ string, p alertPayload) {
-	s.emit(now, fin, &origin{host, "alert", typ}, appendAlert(s.payload(), p))
+	if s.keeps() {
+		s.emit(now, fin, &origin{host, "alert", typ}, appendAlert(s.payload(), p))
+	}
 	s.rec.notify(now, typ, p)
 }
 
@@ -337,23 +368,33 @@ func (s *scraper) tick(now sim.Time) {
 	}
 }
 
-// scrapeSource scrapes one source, emits its health event and runs the
-// alert rules over the fresh report.
+// scrapeSource scrapes one source, emits its health event when the
+// stream is kept and runs the alert rules over the fresh report.
 func (s *scraper) scrapeSource(now sim.Time, fin bool, src *source) {
 	src.load(src.scrape())
-	s.delta = appendDeltas(s.delta[:0], src.cur.counters, src.prev.counters)
-	s.emit(now, fin, &src.org, appendHealth(s.payload(), src.object, &src.cur, s.delta))
+	if s.keeps() {
+		s.delta = appendDeltas(s.delta[:0], src.cur.counters, src.prev.counters)
+		s.emit(now, fin, &src.org, appendHealth(s.payload(), src.object, &src.cur, s.delta))
+	}
 	s.alerts.eval(now, src, func(typ string, p alertPayload) {
 		s.emitAlert(now, fin, src.org.host, typ, p)
 	})
 }
 
-// scrapeRegistry collects one registry and emits one "metrics" event
-// per subsystem, in sorted subsystem order, then runs the Quantile
-// rules over its histograms. The registry iterates in key order, so each
-// subsystem's lists come out key-sorted.
+// scrapeRegistry collects one registry, runs the Quantile rules over its
+// histograms and, when the stream is kept, emits one "metrics" event per
+// subsystem, in sorted subsystem order. The registry iterates in key
+// order, so each subsystem's lists come out key-sorted.
 func (s *scraper) scrapeRegistry(now sim.Time, fin bool, e *regEntry) {
 	e.reg.Collect()
+	if !s.keeps() {
+		if s.alerts.hasQuantile() {
+			e.reg.EachHistogram(func(key string, h *telemetry.Histogram) {
+				s.evalQuantile(now, fin, e.host, key, h)
+			})
+		}
+		return
+	}
 	bySub := make(map[string]*metricsPayload)
 	get := func(key string) *metricsPayload {
 		sub := subsystemOf(key)
@@ -386,10 +427,8 @@ func (s *scraper) scrapeRegistry(now sim.Time, fin bool, e *regEntry) {
 			Count: h.Count(), Sum: h.Sum(),
 			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
 		}})
-		if quantiles && h.Count() > 0 {
-			s.alerts.evalQuantile(now, e.host, key, h.Quantile, func(typ string, p alertPayload) {
-				s.emitAlert(now, fin, e.host, typ, p)
-			})
+		if quantiles {
+			s.evalQuantile(now, fin, e.host, key, h)
 		}
 	})
 	subs := make([]string, 0, len(bySub))
@@ -400,6 +439,17 @@ func (s *scraper) scrapeRegistry(now sim.Time, fin bool, e *regEntry) {
 	for _, sub := range subs {
 		s.emit(now, fin, &origin{e.host, sub, "metrics"}, appendMetrics(s.payload(), bySub[sub]))
 	}
+}
+
+// evalQuantile advances the Quantile rules against one histogram of a
+// registry scraped for host; an empty histogram has no quantiles.
+func (s *scraper) evalQuantile(now sim.Time, fin bool, host, key string, h *telemetry.Histogram) {
+	if h.Count() == 0 {
+		return
+	}
+	s.alerts.evalQuantile(now, host, key, h.Quantile, func(typ string, p alertPayload) {
+		s.emitAlert(now, fin, host, typ, p)
+	})
 }
 
 // subsystemOf maps a metric key to its registry subsystem by name
@@ -426,10 +476,12 @@ func subsystemOf(key string) string {
 	return "misc"
 }
 
-// Finish emits the end-of-run events: one final health scrape per
+// Finish takes the end-of-run scrapes: one final health scrape per
 // source (so the stream always carries the run's last word, even when
-// the probe interval outlived the workload), a final registry snapshot,
-// and the per-scraper alert summaries. Idempotent; Drain calls it.
+// the probe interval outlived the workload) and a final registry
+// snapshot, each evaluated against the rules, then emits the per-scraper
+// alert summaries when the stream is kept. Idempotent; Drain, Summaries
+// and Fired call it.
 func (r *Recorder) Finish() {
 	if r.finished {
 		return
@@ -442,6 +494,9 @@ func (r *Recorder) Finish() {
 		}
 		for _, e := range s.regs {
 			s.scrapeRegistry(now, true, e)
+		}
+		if !s.keeps() {
+			continue
 		}
 		summary := &origin{"testbed", "alert", "summary"}
 		for _, sum := range s.alerts.summaries(s.objects()) {
@@ -471,10 +526,17 @@ func (s *scraper) objects() []string {
 	return out
 }
 
-// Drain finishes the recorder and emits the merged stream into sink.
-// The merge key is (timestamp, end-of-run flag, segment rank, sequence)
-// — a total order independent of shard interleaving.
-func (r *Recorder) Drain(sink Sink) error {
+// Drain finishes the recorder and emits the merged stream into the
+// reader declared with StreamTo, closing it afterwards if it is an
+// io.Closer (a WriterSink flushes). The merge key is (timestamp,
+// end-of-run flag, segment rank, sequence) — a total order independent
+// of shard interleaving. A recorder with no reader kept no stream:
+// Drain returns ErrNoStream.
+func (r *Recorder) Drain() error {
+	sink := r.reader
+	if sink == nil {
+		return ErrNoStream
+	}
 	r.Finish()
 	type ranked struct {
 		segEvent
@@ -516,16 +578,10 @@ func (r *Recorder) Drain(sink Sink) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// WriteJSONL drains the merged stream into w as JSON Lines.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	sink := NewWriterSink(w)
-	if err := r.Drain(sink); err != nil {
-		return err
+	if c, ok := sink.(io.Closer); ok {
+		return c.Close()
 	}
-	return sink.Close()
+	return nil
 }
 
 // Summaries finishes the recorder and returns every (rule, object)

@@ -36,11 +36,12 @@ func TestRecorderScrapesDeltasAndSummaries(t *testing.T) {
 		eng.Schedule(d, func() { port.frames++ })
 	}
 	eng.Schedule(5*sim.Microsecond, func() { port.naks++ })
+	sink := &MemorySink{}
+	rec.StreamTo(sink)
 	rec.Start(2 * sim.Microsecond)
 	eng.Run()
 
-	sink := &MemorySink{}
-	if err := rec.Drain(sink); err != nil {
+	if err := rec.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 
@@ -110,11 +111,12 @@ func shardedStream(t *testing.T) []byte {
 			eng.Schedule(d, func() { ports[i].frames++ })
 		}
 	}
+	var buf bytes.Buffer
+	rec.StreamTo(NewWriterSink(&buf))
 	rec.Start(3 * sim.Microsecond)
 	g.Run()
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
+	if err := rec.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
 	}
 	return buf.Bytes()
 }
