@@ -1,7 +1,6 @@
 package strom
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -255,13 +254,7 @@ func (mem *Memory) PollNonZero(p *Process, va Addr) error {
 // non-zero and returns it — for completion words that carry a count whose
 // low byte may legitimately be zero.
 func (mem *Memory) PollNonZeroWord(p *Process, va Addr) (uint64, error) {
-	raw, err := mem.m.nic.Host().Poll(p, mem.m.nic.Memory(), va, 8, func(b []byte) bool {
-		return binary.LittleEndian.Uint64(b) != 0
-	}, 0)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(raw), nil
+	return mem.m.nic.Host().PollWord(p, mem.m.nic.Memory(), va, func(w uint64) bool { return w != 0 }, 0)
 }
 
 // --- QueuePair verbs ---------------------------------------------------------

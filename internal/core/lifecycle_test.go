@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"strom/internal/fabric"
@@ -52,6 +53,44 @@ func TestAllocsVerbLifecycle(t *testing.T) {
 	}
 	if failed != nil {
 		t.Fatal(failed)
+	}
+}
+
+// post keeps every field of a Verb but Params, whose bytes it copies into
+// the record's own buffer. The copy is field by field, so that a caller's
+// parameter block may live on its stack; a field added to Verb later
+// must not be dropped from it silently.
+func TestPostCopiesEveryVerbField(t *testing.T) {
+	r := newRig(t, 1, Profile10G(), fabric.DirectCable10G())
+	var v Verb
+	posted := reflect.ValueOf(&v).Elem()
+	for i := 0; i < posted.NumField(); i++ {
+		f, name := posted.Field(i), posted.Type().Field(i).Name
+		switch {
+		case name == "Op":
+			f.SetUint(uint64(OpRPC)) // the op that copies Params
+		case f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Uint8:
+			f.SetBytes([]byte{1, 2, 3})
+		case f.CanUint():
+			f.SetUint(uint64(1000 + i))
+		case f.CanInt():
+			f.SetInt(int64(1000 + i))
+		default:
+			t.Fatalf("Verb.%s: no test value for a %s", name, f.Type())
+		}
+	}
+	rec := r.a.post(1, v, func(error) {}, false)
+	kept := reflect.ValueOf(rec.v)
+	for i := 0; i < posted.NumField(); i++ {
+		if name := posted.Type().Field(i).Name; name != "Params" && !kept.Field(i).Equal(posted.Field(i)) {
+			t.Errorf("the record holds Verb.%s = %v, posted %v", name, kept.Field(i), posted.Field(i))
+		}
+	}
+	if rec.v.Params != nil {
+		t.Error("the record keeps the caller's Params")
+	}
+	if !bytes.Equal(rec.params, v.Params) || &rec.params[0] == &v.Params[0] {
+		t.Errorf("the record's params %v are not a copy of %v", rec.params, v.Params)
 	}
 }
 

@@ -179,7 +179,10 @@ func (n *NIC) post(qpn uint32, v Verb, done func(error), waiting bool) *verb {
 		r.complete, r.expire, r.ring = r.transportDone, r.guardFired, r.doorbell
 		r.sink, r.landed = r.chunk, r.chunkLanded
 	}
-	r.v, r.qpn, r.done, r.waiting, r.refs = v, qpn, done, waiting, 1
+	// Every field but Params, which is copied below and never kept: a
+	// caller's parameter block may then live on its stack.
+	r.v = Verb{Op: v.Op, LocalVA: v.LocalVA, RemoteVA: v.RemoteVA, Len: v.Len, RPCOp: v.RPCOp, RKey: v.RKey, Deadline: v.Deadline}
+	r.qpn, r.done, r.waiting, r.refs = qpn, done, waiting, 1
 	if waiting {
 		r.refs++
 	}
@@ -195,7 +198,6 @@ func (n *NIC) post(qpn uint32, v Verb, done func(error), waiting bool) *verb {
 	if v.Op == OpRPC {
 		r.params = append(r.params[:0], v.Params...)
 	}
-	r.v.Params = nil
 	n.ringDoorbell(r.ring)
 	return r
 }

@@ -7,6 +7,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -142,32 +143,69 @@ func (m Model) Poll(p *sim.Process, mem *hostmem.Memory, va hostmem.Addr, n int,
 	if n < 0 {
 		return nil, hostmem.ErrBadLength
 	}
+	data := make([]byte, n)
+	if err := m.poll(p, mem, va, n, func() (bool, error) {
+		if err := mem.ReadVirtInto(va, data); err != nil {
+			return false, err
+		}
+		return pred(data), nil
+	}, timeout); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// PollWord is Poll of the 8-byte little-endian word at va, for status
+// and completion words: the same loads at the same instants, into a word
+// on the caller's stack, so a poll allocates nothing.
+func (m Model) PollWord(p *sim.Process, mem *hostmem.Memory, va hostmem.Addr, pred func(uint64) bool, timeout sim.Duration) (uint64, error) {
+	return m.pollWord(p, mem, va, 8, pred, timeout)
+}
+
+// pollWord polls the n ≤ 8 bytes at va as a little-endian word whose
+// upper bytes are zero.
+func (m Model) pollWord(p *sim.Process, mem *hostmem.Memory, va hostmem.Addr, n int, pred func(uint64) bool, timeout sim.Duration) (uint64, error) {
+	var word [8]byte
+	if err := m.poll(p, mem, va, n, func() (bool, error) {
+		if err := mem.ReadVirtInto(va, word[:n]); err != nil {
+			return false, err
+		}
+		return pred(binary.LittleEndian.Uint64(word[:])), nil
+	}, timeout); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(word[:]), nil
+}
+
+// poll is the loop behind Poll and PollWord: load runs each load of the
+// n bytes at va and reports whether pred accepted them.
+func (m Model) poll(p *sim.Process, mem *hostmem.Memory, va hostmem.Addr, n int, load func() (bool, error), timeout sim.Duration) error {
 	start := p.Now()
 	if m.PollInterval > 0 {
 		p.Sleep(sim.Duration(p.Engine().Rand().Int63n(int64(m.PollInterval))))
 	}
-	data := make([]byte, n)
 	var w *pollWatch // registered after the first failed load
 	for {
-		if err := mem.ReadVirtInto(va, data); err != nil {
+		ok, err := load()
+		if err != nil {
 			w.release(mem)
-			return nil, err
+			return err
 		}
-		if pred(data) {
+		if ok {
 			w.release(mem)
 			p.Sleep(m.MemLatency)
-			return data, nil
+			return nil
 		}
 		if timeout > 0 && p.Now().Sub(start) > timeout {
 			w.release(mem)
-			return nil, ErrPollTimeout
+			return ErrPollTimeout
 		}
 		if w == nil {
 			w = pollWatches.Get().(*pollWatch)
 			w.p, w.first, w.interval = p, p.Now(), m.PollInterval
 			if err := mem.Watch(&w.Watch, va, n, w.wakeFn); err != nil {
 				w.release(mem)
-				return nil, err
+				return err
 			}
 		}
 		var deadline sim.Time
@@ -180,7 +218,7 @@ func (m Model) Poll(p *sim.Process, mem *hostmem.Memory, va hostmem.Addr, n int,
 
 // pollWatch is a parked poll: its process, its load grid and the watch on
 // its range. Records are recycled, so a poll allocates only the buffer it
-// returns.
+// returns, and a word poll nothing.
 type pollWatch struct {
 	hostmem.Watch
 	p        *sim.Process
@@ -221,7 +259,7 @@ func (w *pollWatch) release(mem *hostmem.Memory) {
 // PollNonZero polls until the first byte of the region becomes non-zero —
 // the ping-pong completion idiom of §6.1.
 func (m Model) PollNonZero(p *sim.Process, mem *hostmem.Memory, va hostmem.Addr, timeout sim.Duration) error {
-	_, err := m.Poll(p, mem, va, 1, func(b []byte) bool { return b[0] != 0 }, timeout)
+	_, err := m.pollWord(p, mem, va, 1, func(w uint64) bool { return w != 0 }, timeout)
 	return err
 }
 

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -244,7 +245,8 @@ type pollResult struct {
 	at      sim.Time
 	data    []byte
 	err     error
-	nextRNG int64 // the engine's next draw after the run
+	nextRNG int64  // the engine's next draw after the run
+	fired   uint64 // events the run fired
 }
 
 // rangeOf is the range a case polls: 8 bytes inside one page, 8 across a
@@ -300,7 +302,7 @@ func (c pollCase) run(t *testing.T, poll pollFunc) pollResult {
 		})
 	}
 	eng.Run()
-	r.nextRNG = eng.Rand().Int63()
+	r.nextRNG, r.fired = eng.Rand().Int63(), eng.Fired()
 	return r
 }
 
@@ -394,6 +396,81 @@ func TestPollMatchesSpinLoop(t *testing.T) {
 	}
 	if outcomes[nil] < 100 || outcomes[ErrPollTimeout] < 50 {
 		t.Errorf("outcomes %v: the schedules no longer exercise both success and timeout", outcomes)
+	}
+}
+
+// pollWord is Model.PollWord behind the byte-buffer signature of Poll,
+// for ranges of one word.
+func pollWord(m Model, p *sim.Process, mem *hostmem.Memory, va hostmem.Addr, n int, pred func([]byte) bool, timeout sim.Duration) ([]byte, error) {
+	if n != 8 {
+		panic("pollWord polls one 8-byte word")
+	}
+	word, err := m.PollWord(p, mem, va, func(w uint64) bool {
+		return pred(binary.LittleEndian.AppendUint64(nil, w))
+	}, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return binary.LittleEndian.AppendUint64(nil, word), nil
+}
+
+// PollWord is Poll of one word: on the same write schedules it returns
+// at the same instant with the same word or error, and fires the same
+// events, so switching a status poll to it moves no simulated value.
+func TestPollWordMatchesPoll(t *testing.T) {
+	const seed = 1
+	m := Platform10G()
+	in := m.PollInterval
+	first := sim.Time(rand.New(rand.NewSource(seed)).Int63n(int64(in)))
+	if first <= 1 {
+		t.Fatalf("phase %v leaves no instant before the first load", first)
+	}
+	const timeout = sim.Microsecond
+	word := []byte{1, 0, 0, 0, 0, 0, 0, 1}
+	scripted := func(timeout sim.Duration, writeAt ...sim.Time) pollCase {
+		c := pollCase{seed: seed, interval: in, pages: 1, timeout: timeout}
+		for _, at := range writeAt {
+			c.writes = append(c.writes, pollWrite{at: at, val: word})
+		}
+		return c
+	}
+	scripts := []struct {
+		name     string
+		c        pollCase
+		timesOut bool
+	}{
+		{"no write, timeout", scripted(timeout), true},
+		{"write before the first load", scripted(0, first/2), false},
+		{"write between grid instants", scripted(0, first.Add(3*in+in/2)), false},
+		{"write on a grid instant", scripted(0, first.Add(5*in)), false},
+		{"write on a grid instant, with timeout", scripted(timeout, first.Add(5*in)), false},
+		{"write after the timeout", scripted(timeout, sim.Time(timeout).Add(2*in)), true},
+	}
+	var names []string
+	var cases []pollCase
+	for _, sc := range scripts {
+		names, cases = append(names, sc.name), append(cases, sc.c)
+	}
+	rng := rand.New(rand.NewSource(38))
+	for i := 1; len(cases) < 200; i++ {
+		if c := randomPollCase(rng, int64(i)); c.pages < 3 {
+			cases = append(cases, c)
+			names = append(names, fmt.Sprintf("random %d", i))
+		}
+	}
+	for i, c := range cases {
+		want, got := c.run(t, Model.Poll), c.run(t, pollWord)
+		if !want.done {
+			t.Fatalf("%s: Poll never returned", names[i])
+		}
+		if timedOut := want.err == ErrPollTimeout; i < len(scripts) && timedOut != scripts[i].timesOut {
+			t.Errorf("%s: Poll returned %v, the script no longer tests what it names", names[i], want.err)
+		}
+		if got.done != want.done || got.at != want.at || !bytes.Equal(got.data, want.data) ||
+			got.err != want.err || got.fired != want.fired || got.nextRNG != want.nextRNG {
+			t.Errorf("%s:\n got at %v data %x err %v, %d events\nwant at %v data %x err %v, %d events",
+				names[i], got.at, got.data, got.err, got.fired, want.at, want.data, want.err, want.fired)
+		}
 	}
 }
 
@@ -644,33 +721,50 @@ func TestPollEventsIndependentOfWait(t *testing.T) {
 // kernel RPC ends with: the word turns non-zero 2 µs after the poll
 // starts, twenty PollInterval loads later for a spinning CPU. The poll
 // parks until that write, so events/op does not grow with the wait.
+// Neither a byte poll nor a word poll allocates.
 func BenchmarkPoll(b *testing.B) {
-	eng := sim.NewEngine(1)
-	mem := hostmem.New(4)
-	buf, err := mem.Allocate(hostmem.HugePageSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := Platform10G()
-	set, clear := []byte{1}, []byte{0}
-	complete := func() {
-		if err := mem.WriteVirt(buf.Base(), set); err != nil {
-			b.Error(err)
-		}
-	}
-	eng.Go("poller", func(p *sim.Process) {
-		for i := 0; i < b.N; i++ {
-			if err := mem.WriteVirt(buf.Base(), clear); err != nil {
-				b.Error(err)
+	nonZero := func(w uint64) bool { return w != 0 }
+	for _, bc := range []struct {
+		name string
+		poll func(Model, *sim.Process, *hostmem.Memory, hostmem.Addr) error
+	}{
+		{"nonzero", func(m Model, p *sim.Process, mem *hostmem.Memory, va hostmem.Addr) error {
+			return m.PollNonZero(p, mem, va, 0)
+		}},
+		{"word", func(m Model, p *sim.Process, mem *hostmem.Memory, va hostmem.Addr) error {
+			_, err := m.PollWord(p, mem, va, nonZero, 0)
+			return err
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng := sim.NewEngine(1)
+			mem := hostmem.New(4)
+			buf, err := mem.Allocate(hostmem.HugePageSize)
+			if err != nil {
+				b.Fatal(err)
 			}
-			eng.Schedule(2*sim.Microsecond, complete)
-			if err := m.PollNonZero(p, mem, buf.Base(), 0); err != nil {
-				b.Error(err)
+			m := Platform10G()
+			set, clear := []byte{1}, []byte{0}
+			complete := func() {
+				if err := mem.WriteVirt(buf.Base(), set); err != nil {
+					b.Error(err)
+				}
 			}
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.Run()
-	b.ReportMetric(float64(eng.Fired())/float64(b.N), "events/op")
+			eng.Go("poller", func(p *sim.Process) {
+				for i := 0; i < b.N; i++ {
+					if err := mem.WriteVirt(buf.Base(), clear); err != nil {
+						b.Error(err)
+					}
+					eng.Schedule(2*sim.Microsecond, complete)
+					if err := bc.poll(m, p, mem, buf.Base()); err != nil {
+						b.Error(err)
+					}
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			eng.Run()
+			b.ReportMetric(float64(eng.Fired())/float64(b.N), "events/op")
+		})
+	}
 }

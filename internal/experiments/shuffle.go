@@ -153,13 +153,11 @@ func shuffleStrom(o Options, bytes int) (sim.Duration, error) {
 		// The shuffle is complete when the kernel posts the tuple count
 		// into B's memory; B's own host CPU polls for it (the completion
 		// word must not be read across machines).
-		raw, err := pair.B.Host().Poll(p, pair.B.Memory(), completion, 8, func(b []byte) bool {
-			return binary.LittleEndian.Uint64(b) != 0
-		}, 0)
+		got, err := pair.B.Host().PollWord(p, pair.B.Memory(), completion, func(w uint64) bool { return w != 0 }, 0)
 		if err != nil {
 			return err
 		}
-		if got := binary.LittleEndian.Uint64(raw); got != params.TotalTuples {
+		if got != params.TotalTuples {
 			return fmt.Errorf("shuffle lost tuples: %d/%d", got, params.TotalTuples)
 		}
 		total = p.Now().Sub(start)

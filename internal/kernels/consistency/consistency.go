@@ -230,13 +230,11 @@ func Poll(p *sim.Process, nic *core.NIC, params Params) ([]byte, error) {
 			timeout = 1 // already past the deadline: one poll iteration, then give up
 		}
 	}
-	raw, err := nic.Host().Poll(p, nic.Memory(), params.statusVA(), 8, func(b []byte) bool {
-		return binary.LittleEndian.Uint64(b) != 0
-	}, timeout)
+	status, err := nic.Host().PollWord(p, nic.Memory(), params.statusVA(), func(w uint64) bool { return w != 0 }, timeout)
 	if err != nil {
 		return nil, err
 	}
-	switch binary.LittleEndian.Uint64(raw) {
+	switch status {
 	case StatusOK:
 		return nic.Memory().ReadVirt(hostmem.Addr(params.ResponseAddress), int(params.ObjectSize))
 	case StatusInconsist:

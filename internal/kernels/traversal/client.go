@@ -19,26 +19,28 @@ var (
 	ErrFault = errors.New("traversal: pointer chase left registered memory")
 )
 
+// zeroStatus clears the status word before every lookup; never written.
+var zeroStatus [8]byte
+
 // Lookup issues a traversal RPC from the calling process and polls local
 // memory for the response: the value followed by the 8 B status word.
 // params.ResponseAddress must point into a buffer registered with nic.
 func Lookup(p *sim.Process, nic *core.NIC, qpn uint32, rpcOp uint64, params Params) ([]byte, error) {
 	statusVA := hostmem.Addr(params.ResponseAddress + uint64(params.ValueSize))
 	// Clear the status word before invoking.
-	if err := nic.Memory().WriteVirt(statusVA, make([]byte, 8)); err != nil {
+	if err := nic.Memory().WriteVirt(statusVA, zeroStatus[:]); err != nil {
 		return nil, err
 	}
-	if err := nic.RPCSync(p, qpn, rpcOp, params.Encode()); err != nil {
+	var block [40]byte
+	params.put(block[:])
+	if err := nic.RPCSync(p, qpn, rpcOp, block[:]); err != nil {
 		return nil, err
 	}
-	host := nic.Host()
-	raw, err := host.Poll(p, nic.Memory(), statusVA, 8, func(b []byte) bool {
-		return binary.LittleEndian.Uint64(b) != 0
-	}, 0)
+	status, err := nic.Host().PollWord(p, nic.Memory(), statusVA, func(w uint64) bool { return w != 0 }, 0)
 	if err != nil {
 		return nil, err
 	}
-	switch status := binary.LittleEndian.Uint64(raw); status {
+	switch status {
 	case StatusFound:
 		return nic.Memory().ReadVirt(hostmem.Addr(params.ResponseAddress), int(params.ValueSize))
 	case StatusNotFound:

@@ -115,6 +115,12 @@ type Params struct {
 // Encode serializes the parameters for postRpc.
 func (p Params) Encode() []byte {
 	out := make([]byte, 40)
+	p.put(out)
+	return out
+}
+
+// put encodes p into the 40 bytes of out.
+func (p Params) put(out []byte) {
 	binary.LittleEndian.PutUint64(out[0:8], p.RemoteAddress)
 	binary.LittleEndian.PutUint32(out[8:12], p.ValueSize)
 	binary.LittleEndian.PutUint64(out[12:20], p.Key)
@@ -130,7 +136,6 @@ func (p Params) Encode() []byte {
 	}
 	binary.LittleEndian.PutUint64(out[27:35], p.ResponseAddress)
 	binary.LittleEndian.PutUint16(out[35:37], p.MaxHops)
-	return out
 }
 
 // DecodeParams parses an encoded parameter block.

@@ -48,3 +48,20 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// BenchmarkScheduleCancel is a deadline that never fires: one far-future
+// Schedule and its Cancel against a 15-event heap, the depth the KV test
+// beds run at. Cancelled events stay queued until a compaction sweeps
+// them, whose cost is amortised over the cancels.
+func BenchmarkScheduleCancel(b *testing.B) {
+	e := NewEngine(1)
+	nop := func() {}
+	for i := 0; i < 15; i++ {
+		e.Schedule(Duration(i+1)*Microsecond, nop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(Millisecond, nop).Cancel()
+	}
+}
