@@ -147,7 +147,7 @@ func BenchmarkAllFiguresParallel(b *testing.B) {
 	benchmarkAllFigures(b, experiments.DefaultParallelism())
 }
 
-// Ablation benches: design-parameter sweeps (see DESIGN.md §7).
+// Ablation benches: design-parameter sweeps (see DESIGN.md §10.2).
 
 func BenchmarkAblationDoorbell(b *testing.B) {
 	fig := runFigure(b, experiments.AblationDoorbell)

@@ -171,12 +171,6 @@ func (a *Module) learn(ip packet.IPv4, mac packet.MAC) {
 	delete(a.waiters, ip)
 }
 
-// Lookup returns the cached MAC for an IP.
-func (a *Module) Lookup(ip packet.IPv4) (packet.MAC, bool) {
-	mac, ok := a.table[ip]
-	return mac, ok
-}
-
 // Resolve returns the MAC for ip, broadcasting a request and blocking the
 // process if unknown.
 func (a *Module) Resolve(p *sim.Process, ip packet.IPv4) (packet.MAC, error) {
@@ -203,6 +197,3 @@ func (a *Module) Resolve(p *sim.Process, ip packet.IPv4) (packet.MAC, error) {
 	timer.Cancel()
 	return mac, err
 }
-
-// Len reports the number of cached entries.
-func (a *Module) Len() int { return len(a.table) }

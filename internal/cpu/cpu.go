@@ -331,6 +331,3 @@ func (s *SoftwareHLL) Ingest(data []byte) sim.Time {
 
 // Estimate returns the sketch's cardinality estimate.
 func (s *SoftwareHLL) Estimate() float64 { return s.sketch.Estimate() }
-
-// Bytes reports the total bytes ingested.
-func (s *SoftwareHLL) Bytes() uint64 { return s.bytes }

@@ -161,6 +161,3 @@ func (d *Digest64) Write(p []byte) (int, error) {
 
 // Sum64 returns the current checksum.
 func (d *Digest64) Sum64() uint64 { return d.crc }
-
-// Reset restores the initial state.
-func (d *Digest64) Reset() { d.crc = 0 }

@@ -3,12 +3,17 @@ package experiments
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -28,6 +33,8 @@ type modPkg struct {
 	decls map[string]bool // what its files, tests included, declare (see declared)
 	top   []topDecl       // the top-level declarations of its non-test files
 	files []*ast.File     // its non-test files
+	tests []string        // the Test, Fuzz and Example funcs of its test files
+	info  *types.Info     // what its non-test files define and use, once type-checked
 }
 
 // topDecl is a top-level func, type, var or const ("Name"), or a method
@@ -74,6 +81,9 @@ func modulePackages(t testing.TB, root string) *module {
 		m.pkgs[p.dir] = p
 		for _, pkg := range parsed {
 			for name, file := range pkg.Files {
+				if ok, err := build.Default.MatchFile(dir, filepath.Base(name)); err != nil || !ok {
+					continue // excluded by a build constraint, as go build would
+				}
 				test := strings.HasSuffix(name, "_test.go")
 				if !test {
 					p.name = file.Name.Name
@@ -81,12 +91,16 @@ func modulePackages(t testing.TB, root string) *module {
 				}
 				for _, decl := range file.Decls {
 					declared(decl, p, test)
+					if fn, ok := decl.(*ast.FuncDecl); ok && test && fn.Recv == nil && goTestName.MatchString(fn.Name.Name) {
+						p.tests = append(p.tests, fn.Name.Name)
+					}
 				}
 			}
 		}
 		// Map order must not leak into what the checks report.
 		sort.Slice(p.files, func(i, j int) bool { return p.files[i].Pos() < p.files[j].Pos() })
 		sort.Slice(p.top, func(i, j int) bool { return p.top[i].id.Pos() < p.top[j].id.Pos() })
+		sort.Strings(p.tests)
 		return nil
 	})
 	if err != nil {
@@ -161,6 +175,9 @@ func receiver(d *ast.FuncDecl) string {
 	return ""
 }
 
+// goTestName matches the funcs go test runs and -run selects.
+var goTestName = regexp.MustCompile(`^(Test|Fuzz|Example)([^a-z]|$)`)
+
 var (
 	docCodeSpan   = regexp.MustCompile("`[^`]+`")
 	docIdentifier = regexp.MustCompile(`(^|[^\w./])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
@@ -224,7 +241,11 @@ func docFindings(m *module, doc, text string) (findings []string, checked int) {
 	return findings, checked
 }
 
-// DESIGN.md and README.md name code the reader will go and look for:
+// docs are the documents that name code and DESIGN sections for a reader
+// to go and look up.
+var docs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
+// The docs name code the reader will go and look for:
 // every `pkg.Ident` and `pkg.Type.Member` inside a code span or a fenced
 // block whose pkg is an importable package of this module must resolve to
 // a declaration, so a rename or a deletion that leaves the docs behind
@@ -234,8 +255,8 @@ func docFindings(m *module, doc, text string) (findings []string, checked int) {
 func TestDocIdentifiers(t *testing.T) {
 	root := filepath.Join("..", "..")
 	m := modulePackages(t, root)
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
-		raw, err := os.ReadFile(filepath.Join(root, doc))
+	for _, doc := range docs {
+		raw, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(doc)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,6 +285,10 @@ var testHooks = map[string]string{
 	"chaos.Injector.ScheduleDigest": "the fault-schedule digest the replay determinism tests compare run to run",
 	"hostmem.Memory.Watches":        "cpu's poll tests count watches to prove every way out of a poll unwatches",
 	"core.Controller.Snapshot":      "the untimed register file the determinism tests compare run to run",
+	"core.Controller.Read":          "public surface reached through an aliased type's method, strom.NIC.Controller(): the timed MMIO register read",
+	"stats.Figure.Lookup":           "the figure-shape assertions and the per-figure benchmarks read one cell by series and x label",
+	"sim.Engine.SetHorizon":         "the runaway-safety net: a test whose simulation would run past its horizon panics instead of hanging",
+	"sim.FIFO.Len":                  "roce's ownership fire drill counts the frames still queued when the ACK arrives",
 }
 
 // stdMethods are the methods the standard library calls through its
@@ -271,75 +296,119 @@ var testHooks = map[string]string{
 // handed to it, so they need no caller of their own.
 var stdMethods = map[string]bool{"Error": true, "String": true, "Unwrap": true}
 
+// typeCheck type-checks the non-test files of every package of m and
+// returns every object a non-test file refers to and, from the same uses,
+// the interface methods called. Packages of the module are checked from
+// the parsed files, the standard library from source.
+func typeCheck(m *module) (uses map[types.Object]bool, ifaceCalls []*types.Func, err error) {
+	imp := &modImporter{m: m, std: importer.ForCompiler(m.fset, "source", nil).(types.ImporterFrom), done: map[string]*types.Package{}}
+	dirs := make([]string, 0, len(m.pkgs))
+	for dir := range m.pkgs {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	uses = map[types.Object]bool{}
+	for _, dir := range dirs {
+		if _, err := imp.check(dir); err != nil {
+			return nil, nil, err
+		}
+		for _, obj := range m.pkgs[dir].info.Uses {
+			if f, ok := obj.(*types.Func); ok {
+				obj = f.Origin()
+				if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					ifaceCalls = append(ifaceCalls, f)
+				}
+			}
+			uses[obj] = true
+		}
+	}
+	return uses, ifaceCalls, nil
+}
+
+// modImporter resolves the module's own import paths to packages it
+// type-checks once each, and every other path through std.
+type modImporter struct {
+	m    *module
+	std  types.ImporterFrom
+	done map[string]*types.Package // by directory
+}
+
+func (imp *modImporter) Import(path string) (*types.Package, error) {
+	return imp.ImportFrom(path, "", 0)
+}
+
+func (imp *modImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if path == imp.m.path {
+		return imp.check(".")
+	}
+	if rel, ok := strings.CutPrefix(path, imp.m.path+"/"); ok && imp.m.pkgs[rel] != nil {
+		return imp.check(rel)
+	}
+	return imp.std.ImportFrom(path, dir, mode)
+}
+
+// check type-checks the non-test files of the package in dir.
+func (imp *modImporter) check(dir string) (*types.Package, error) {
+	if pkg, ok := imp.done[dir]; ok {
+		return pkg, nil
+	}
+	p := imp.m.pkgs[dir]
+	if len(p.files) == 0 {
+		return nil, fmt.Errorf("%s: no non-test files", dir)
+	}
+	p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(path.Join(imp.m.path, dir), imp.m.fset, p.files, p.info)
+	if err != nil {
+		return nil, err
+	}
+	imp.done[dir] = pkg
+	return pkg, nil
+}
+
 // unusedDecls lists the top-level declarations under internal/ that no
 // non-test file references: an exported one that no non-test file in the
 // module names, an unexported one that no non-test file of its own package
 // names, and a stale entry of hooks. It also counts the exported
 // declarations it looked at.
 //
-// A package-level name counts as referenced through `pkg.Name` (resolved
-// through the file's imports) or, inside its own package, as a bare
-// `Name`. A method counts as referenced by any selector of its name, so
-// two methods that share a name hide each other and the check is a lower
-// bound. Public API needs no caller: a method of a type the root package
-// aliases (`type NIC = core.NIC`), and a method in stdMethods.
-func unusedDecls(m *module, hooks map[string]string) (findings []string, exported int) {
-	qualified := map[string]bool{}        // "dir.Name" named as pkg.Name
-	selected := map[string]bool{}         // every selector's name
-	local := map[string]map[string]bool{} // by dir: bare names, selector names
-	aliased := map[string]bool{}          // "dir.Type" the root package aliases
-	decl := map[*ast.Ident]bool{}         // the idents that declare, not reference
-	for _, p := range m.pkgs {
-		for _, d := range p.top {
-			decl[d.id] = true
-		}
+// References are resolved by go/types, so a method is used when a
+// non-test file selects that method of that type (two methods that share
+// a name stay apart), or calls an interface method it implements. Public
+// API needs no caller: a method of a type the root package aliases
+// (`type NIC = core.NIC`), and a method in stdMethods.
+func unusedDecls(m *module, hooks map[string]string) (findings []string, exported int, err error) {
+	uses, ifaceCalls, err := typeCheck(m)
+	if err != nil {
+		return nil, 0, err
 	}
-	for _, p := range m.pkgs {
-		seen := map[string]bool{}
-		local[p.dir] = seen
-		for _, file := range p.files {
-			imports := map[string]string{} // local name -> directory
-			for _, imp := range file.Imports {
-				ipath := strings.Trim(imp.Path.Value, `"`)
-				dir, ok := strings.CutPrefix(ipath, m.path+"/")
-				if ipath == m.path {
-					dir, ok = ".", true
-				}
-				if !ok || m.pkgs[dir] == nil {
-					continue
-				}
-				name := m.pkgs[dir].name
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				imports[name] = dir
-			}
-			var visit func(n ast.Node) bool
-			visit = func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					selected[n.Sel.Name] = true
-					seen["."+n.Sel.Name] = true
-					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-						qualified[imports[x.Name]+"."+n.Sel.Name] = true
-						return false
-					}
-					ast.Inspect(n.X, visit)
-					return false
-				case *ast.Ident:
-					if !decl[n] {
-						seen[n.Name] = true
-					}
-				case *ast.TypeSpec:
-					if sel, ok := n.Type.(*ast.SelectorExpr); ok && n.Assign.IsValid() && p.dir == "." {
-						if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-							aliased[imports[x.Name]+"."+sel.Sel.Name] = true
-						}
-					}
-				}
+	// implements reports whether the method f of a named type fills an
+	// interface method some non-test file calls.
+	implements := func(f *types.Func) bool {
+		recv := f.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		named, ok := recv.(*types.Named)
+		if !ok || named.TypeParams().Len() > 0 {
+			return false
+		}
+		for _, call := range ifaceCalls {
+			iface, _ := call.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if call.Name() == f.Name() && iface != nil && (types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
 				return true
 			}
-			ast.Inspect(file, visit)
+		}
+		return false
+	}
+	aliased := map[string]bool{} // "dir.Type" the root package aliases
+	if root := m.pkgs["."]; root != nil {
+		for _, obj := range root.info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && tn.IsAlias() && tn.Parent() == tn.Pkg().Scope() {
+				if named, ok := types.Unalias(tn.Type()).(*types.Named); ok && named.Obj().Pkg() != nil {
+					aliased[strings.TrimPrefix(named.Obj().Pkg().Path(), m.path+"/")+"."+named.Obj().Name()] = true
+				}
+			}
 		}
 	}
 
@@ -361,16 +430,10 @@ func unusedDecls(m *module, hooks map[string]string) (findings []string, exporte
 			}
 			key := p.name + "." + d.key
 			known[key] = true
-			var used bool
-			switch {
-			case !ast.IsExported(name) && method:
-				used = local[dir]["."+name]
-			case !ast.IsExported(name):
-				used = local[dir][name]
-			case method:
-				used = selected[name] || stdMethods[name] || aliased[dir+"."+typ]
-			default:
-				used = qualified[dir+"."+name] || local[dir][name]
+			obj := p.info.Defs[d.id]
+			used := uses[obj]
+			if f, ok := obj.(*types.Func); ok && method && !used {
+				used = implements(f) || ast.IsExported(name) && (stdMethods[name] || aliased[dir+"."+typ])
 			}
 			if ast.IsExported(name) {
 				exported++
@@ -396,7 +459,7 @@ func unusedDecls(m *module, hooks map[string]string) (findings []string, exporte
 			findings = append(findings, fmt.Sprintf("allowlisted test hook %s is declared nowhere under internal/", key))
 		}
 	}
-	return findings, exported
+	return findings, exported, nil
 }
 
 // Every exported top-level func, method, type, var and const under
@@ -405,7 +468,10 @@ func unusedDecls(m *module, hooks map[string]string) (findings []string, exporte
 // moved into the tests (an export_test.go), or declared in testHooks.
 func TestExportedIdentifiersHaveCallers(t *testing.T) {
 	m := modulePackages(t, filepath.Join("..", ".."))
-	findings, exported := unusedDecls(m, testHooks)
+	findings, exported, err := unusedDecls(m, testHooks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, f := range findings {
 		t.Error(f)
 	}
@@ -418,12 +484,18 @@ func TestExportedIdentifiersHaveCallers(t *testing.T) {
 	t.Logf("exported identifiers under internal/: %d, allowlisted: %d", exported, len(testHooks))
 }
 
-// The fire drill for both checks: a fixture module in which each finds
-// exactly what was planted. The guard reports an unused exported func, an
-// unused unexported one and two stale hooks (one gone, one called), and
-// stays quiet on a func a main calls (kvstore.Put), an aliased type's
-// method and a declared hook. The doc check fails a name that only a
-// package main of the same base name declares.
+// The fire drill for the source checks: a fixture module in which each
+// finds exactly what was planted. The caller guard reports an unused
+// exported func, an unused unexported one, a method only a test calls
+// although a method of the same name on another type is called
+// (Stack.Len beside Queue.Len), and two stale hooks (one gone, one
+// called), and stays quiet on a func a main calls (kvstore.Put), an
+// aliased type's method, a method called through an interface it
+// implements (Box.Size) and a declared hook. The doc check fails a name
+// that only a package main of the same base name declares; the section
+// check a reference to a heading DESIGN.md lacks, from DESIGN.md itself
+// or another file, but not a paper section; the Makefile check a -run
+// alternative that selects no test of its line's packages.
 func TestSourceChecksFireDrill(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -450,10 +522,27 @@ func unused() {}
 func kept()   {}
 
 var _ = kept
+
+type Queue struct{}
+type Stack struct{}
+type Box struct{}
+type Sizer interface{ Size() int }
+
+func (Queue) Len() int { return 0 }
+func (Stack) Len() int { return 0 }
+func (Box) Size() int  { return 0 }
+
+func size(s Sizer) int { return s.Size() }
+
+var _ = Queue{}.Len() + size(Box{})
 `,
 		"internal/inner/inner_test.go": `package inner
 
+import "testing"
+
 func init() { Unused(); unused() }
+
+func TestStackLen(t *testing.T) { Stack{}.Len() }
 `,
 		"internal/kvstore/kvstore.go": "package kvstore\n\nfunc Put() {}\n",
 		"examples/kvstore/main.go": `package main
@@ -477,15 +566,19 @@ func main() { kvstore.Put(); Scan() }
 	m := modulePackages(t, root)
 
 	hooks := map[string]string{"inner.Hook": "kept", "inner.Gone": "deleted", "inner.Used": "now called"}
-	findings, exported := unusedDecls(m, hooks)
+	findings, exported, err := unusedDecls(m, hooks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []string{
 		"inner.go:7:6: inner.Used is allowlisted as a test hook but has a non-test caller",
 		"inner.go:8:6: inner.Unused is exported but no non-test file references it",
 		"inner.go:10:6: inner.unused is unexported and no non-test file of its package references it",
+		"inner.go:21:14: inner.Stack.Len is exported but no non-test file references it",
 		"allowlisted test hook inner.Gone is declared nowhere under internal/",
 	}
-	if exported != 6 {
-		t.Errorf("exported = %d, want 6 (Thing, Thing.Public, Used, Unused, Hook, Put)", exported)
+	if exported != 13 {
+		t.Errorf("exported = %d, want 13 (Thing, Thing.Public, Used, Unused, Hook, Queue, Stack, Box, Sizer, Queue.Len, Stack.Len, Box.Size, Put)", exported)
 	}
 	checkFindings(t, "unusedDecls", findings, want)
 
@@ -495,6 +588,32 @@ func main() { kvstore.Put(); Scan() }
 		t.Errorf("docFindings checked %d names, want 2", checked)
 	}
 	checkFindings(t, "docFindings", findings, []string{"doc.md:1: `kvstore.Scan`: package kvstore declares no Scan"})
+
+	design := "## 1. sim\n\n### 1.4 ShardGroup\n\nSee §1.4 and §2, and paper §3.5 and §4.\n"
+	findings, checked = sectionFindings(design, "DESIGN.md", design)
+	if checked != 2 {
+		t.Errorf("sectionFindings checked %d DESIGN.md references, want 2", checked)
+	}
+	checkFindings(t, "sectionFindings", findings, []string{"DESIGN.md:5: §2: DESIGN.md has no section 2"})
+	readme := "The rule is DESIGN.md §1.4, §1; the switch `DESIGN.md` §6.\n// (DESIGN\n// §1.9) and §7, outside a reference.\n"
+	findings, checked = sectionFindings(design, "README.md", readme)
+	if checked != 4 {
+		t.Errorf("sectionFindings checked %d README.md references, want 4", checked)
+	}
+	checkFindings(t, "sectionFindings", findings, []string{
+		"README.md:1: §6: DESIGN.md has no section 6",
+		"README.md:3: §1.9: DESIGN.md has no section 1.9",
+	})
+
+	makefile := "unit:\n\t$(GO) test -run 'StackLen/sub|Missing' ./internal/inner\n\t$(GO) test -run '^TestStackLen$$' ./...\n\t$(GO) test -run Stack ./examples/kvstore\n"
+	findings, checked = makeRunFindings(m, makefile)
+	if checked != 4 {
+		t.Errorf("makeRunFindings checked %d alternatives, want 4", checked)
+	}
+	checkFindings(t, "makeRunFindings", findings, []string{
+		`Makefile:2: -run alternative "Missing" selects no test in ./internal/inner`,
+		`Makefile:4: -run alternative "Stack" selects no test in ./examples/kvstore`,
+	})
 }
 
 // checkFindings compares findings with want, each a suffix of its match.
@@ -508,5 +627,143 @@ func checkFindings(t *testing.T, check string, findings, want []string) {
 		if !strings.HasSuffix(f, want[i]) {
 			t.Errorf("%s finding %d = %q, want suffix %q", check, i, f, want[i])
 		}
+	}
+}
+
+var (
+	designHeading = regexp.MustCompile(`(?m)^##+ (\d+(?:\.\d+)*)\.? `)
+	sectionChain  = `§\s*\d+(?:\.\d+)?(?:(?:\s*,|\s+and|\s*/)\s*§\s*\d+(?:\.\d+)?)*`
+	designRef     = regexp.MustCompile("DESIGN(?:\\.md)?`?[\\s/]*" + sectionChain)
+	bareRef       = regexp.MustCompile(`(paper\s+)?` + sectionChain)
+	sectionNumber = regexp.MustCompile(`§\s*(\d+(?:\.\d+)?)`)
+)
+
+// sectionFindings returns the references in text that name a section
+// design does not have: in any document a `DESIGN.md §N` or `DESIGN §N.M`
+// (and the `, §M` that follow it), and in DESIGN.md itself every bare
+// `§N` — its own cross-references, the paper's sections being written
+// `paper §N`.
+func sectionFindings(design, doc, text string) (findings []string, checked int) {
+	have := map[string]bool{}
+	for _, h := range designHeading.FindAllStringSubmatch(design, -1) {
+		have[h[1]] = true
+	}
+	refs := designRef.FindAllStringSubmatchIndex(text, -1)
+	if doc == "DESIGN.md" {
+		refs = bareRef.FindAllStringSubmatchIndex(text, -1)
+	}
+	for _, ref := range refs {
+		if len(ref) > 2 && ref[2] >= 0 { // the paper's own sections
+			continue
+		}
+		for _, at := range sectionNumber.FindAllStringSubmatchIndex(text[ref[0]:ref[1]], -1) {
+			n := text[ref[0]+at[2] : ref[0]+at[3]]
+			checked++
+			if !have[n] {
+				line := 1 + strings.Count(text[:ref[0]+at[0]], "\n")
+				findings = append(findings, fmt.Sprintf("%s:%d: §%s: DESIGN.md has no section %s", doc, line, n, n))
+			}
+		}
+	}
+	return findings, checked
+}
+
+// Every reference to a DESIGN.md section, from the docs, ROADMAP.md and
+// any Go comment, names a heading DESIGN.md has, so a renumbering that
+// leaves a reader pointed at the wrong section fails here.
+func TestDesignSectionReferences(t *testing.T) {
+	root := filepath.Join("..", "..")
+	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := append([]string{"ROADMAP.md"}, docs...)
+	err = filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if name := d.Name(); d.IsDir() && file != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "ab.out") {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(file, ".go") {
+			rel, _ := filepath.Rel(root, file)
+			files = append(files, filepath.ToSlash(rel))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, doc := range files {
+		raw, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(doc)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		findings, checked := sectionFindings(string(design), doc, string(raw))
+		for _, f := range findings {
+			t.Error(f)
+		}
+		total += checked
+	}
+	if total == 0 {
+		t.Error("no section reference checked — the scan is broken")
+	}
+}
+
+// makeRun matches a go test line's -run pattern (quoted or bare) and the
+// package arguments after it.
+var makeRun = regexp.MustCompile(`-run[= ](?:'([^']*)'|(\S+))((?:\s+\.\S*)+)`)
+
+// makeRunFindings checks every -run pattern of makefile against the test
+// funcs of the packages its line names: each alternative of the pattern
+// (for A/B, its top-level part A) must select at least one of them, so a
+// target cannot silently run less than its comment promises.
+func makeRunFindings(m *module, makefile string) (findings []string, checked int) {
+	for i, line := range strings.Split(makefile, "\n") {
+		at := makeRun.FindStringSubmatch(line)
+		if at == nil {
+			continue
+		}
+		pattern := strings.ReplaceAll(at[1]+at[2], "$$", "$")
+		var tests []string
+		for _, arg := range strings.Fields(at[3]) {
+			dir, all := strings.CutSuffix(strings.TrimPrefix(arg, "./"), "...")
+			dir = strings.TrimSuffix(dir, "/")
+			for d, p := range m.pkgs {
+				if d == dir || all && (dir == "" || strings.HasPrefix(d, dir+"/")) {
+					tests = append(tests, p.tests...)
+				}
+			}
+		}
+		for _, alt := range strings.Split(pattern, "|") {
+			alt, _, _ = strings.Cut(alt, "/") // go test matches A/B's A against the top-level names
+			checked++
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				findings = append(findings, fmt.Sprintf("Makefile:%d: -run alternative %q: %v", i+1, alt, err))
+				continue
+			}
+			if !slices.ContainsFunc(tests, re.MatchString) {
+				findings = append(findings, fmt.Sprintf("Makefile:%d: -run alternative %q selects no test in%s", i+1, alt, at[3]))
+			}
+		}
+	}
+	return findings, checked
+}
+
+// Every alternative of every Makefile -run pattern selects a test.
+func TestMakefileRunPatterns(t *testing.T) {
+	root := filepath.Join("..", "..")
+	raw, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, checked := makeRunFindings(modulePackages(t, root), string(raw))
+	for _, f := range findings {
+		t.Error(f)
+	}
+	if checked == 0 {
+		t.Error("no -run alternative checked — the scan is broken")
 	}
 }

@@ -387,8 +387,8 @@ func TestFrameScript(t *testing.T) {
 			t.Errorf("frame %d: verdict %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if len(fired) != 2 || fired[0] != 0 || fired[1] != 1 || !s.Done() {
-		t.Errorf("Do calls %v, done=%v", fired, s.Done())
+	if len(fired) != 2 || fired[0] != 0 || fired[1] != 1 || len(s.Steps) != 0 {
+		t.Errorf("Do calls %v, steps left %d", fired, len(s.Steps))
 	}
 	if v := s.Judge(0, 64); !v.Drop {
 		t.Errorf("Next's frame 3 got %+v, want its drop", v)

@@ -56,9 +56,6 @@ func (s *FrameScript) Judge(now sim.Time, frameLen int) Verdict {
 	return Verdict{}
 }
 
-// Done reports whether every step has fired.
-func (s *FrameScript) Done() bool { return len(s.Steps) == 0 }
-
 // Coin is the biased-coin FaultInjector of the loss sweeps: a frame is
 // dropped with probability DropProb, a surviving one corrupted with
 // probability CorruptProb. Rand must be the RNG of the engine that owns

@@ -210,9 +210,6 @@ func (p *Port) setPaused(paused bool) {
 	}
 }
 
-// Stats returns a snapshot of the NIC-side counters.
-func (p *Port) Stats() PortStats { return p.stats }
-
 // Health is the NIC-side port scrape (export.ScrapeFunc shape): PFC
 // frames received, the current hold state and the uplink's injected
 // faults.

@@ -389,7 +389,7 @@ func (c *Client) stageVersion(sess *session, key, ver uint64) (stagedWrite, erro
 // write posts each replica's extent and then its slot back to back on
 // that replica's QP: PSN order applies them in that order at the
 // responder, so the slot is never published ahead of its extent's bytes
-// (DESIGN §17.2). A replica's failure is left in errs — the extent's if
+// (DESIGN §9.5). A replica's failure is left in errs — the extent's if
 // it has one: a NAK there is the cause, the slot's error only the flush
 // of what was queued behind it.
 func (c *Client) attempt(p *sim.Process, sess *session, sw stagedWrite, servers []int, errs []error) {
@@ -429,7 +429,7 @@ func (c *Client) attempt(p *sim.Process, sess *session, sw stagedWrite, servers 
 		err := j.errs[2*i+1]
 		if sw.spilled {
 			// Anything but a clean NAK may have applied the extent: the
-			// ledger then holds it as a possible orphan (DESIGN §17.3).
+			// ledger then holds it as a possible orphan (DESIGN §9.5).
 			ext := j.errs[2*i]
 			if !errors.Is(ext, roce.ErrRemoteAccess) {
 				c.noteExtentWritten(server, sw)

@@ -11,7 +11,7 @@ import (
 	"strom/internal/sim"
 )
 
-// The large-value failover battery (DESIGN.md §17): the publish-window
+// The large-value failover battery (DESIGN.md §9.5): the publish-window
 // crash, the mid-repair backup read, rkey rotation with a Get's pair in
 // flight, and the torn class of a replayed pair. Key 4 throughout: shard
 // 1, primary server 1 (machine 2), backup server 2 (machine 3).
@@ -59,7 +59,7 @@ func replicaExtentVer(t *testing.T, cl *Cluster, server int, key uint64) uint64 
 // client learns of the extent WRITE ahead of it differs by case — acked;
 // landed with its ACK lost; lost itself — and only the first is certain,
 // so the ledger holds an ambiguous extent as a possible orphan (DESIGN
-// §17.3): whatever the primary holds must never be served, and the next
+// §9.5): whatever the primary holds must never be served, and the next
 // spill over it counts the reap.
 func TestCrashBetweenExtentWriteAndPublish(t *testing.T) {
 	ackFrame := (&packet.Packet{AETH: &packet.AETH{}}).BufferLen()
@@ -140,7 +140,7 @@ func TestCrashBetweenExtentWriteAndPublish(t *testing.T) {
 			if runErr != nil {
 				t.Fatal(runErr)
 			}
-			if !window.Done() {
+			if len(window.Steps) != 0 {
 				t.Fatal("no slot frame followed an extent frame toward the primary")
 			}
 			st := c.Stats
@@ -282,7 +282,7 @@ func TestBackupGetMidRepair(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	if window == nil || !window.Done() {
+	if window == nil || len(window.Steps) != 0 {
 		t.Fatal("repair never opened the publish window")
 	}
 	st := c.Stats
@@ -349,7 +349,7 @@ func TestGetBehindHeldSlotFrame(t *testing.T) {
 	if readerErr != nil {
 		t.Fatalf("get behind the held slot: %v", readerErr)
 	}
-	if window == nil || !window.Done() {
+	if window == nil || len(window.Steps) != 0 {
 		t.Fatal("repair never opened the publish window")
 	}
 	// Both were done long before the held frame itself arrived.
@@ -406,7 +406,7 @@ func TestRKeyRotationMidExtentRead(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	if crash == nil || !crash.Done() {
+	if crash == nil || len(crash.Steps) != 0 {
 		t.Fatal("no RPC frame left for the primary")
 	}
 	st := c.Stats
@@ -460,7 +460,7 @@ func TestTornClassOfReplayedPair(t *testing.T) {
 	if readerErr != nil || writerErr != nil {
 		t.Fatalf("reader: %v, writer: %v", readerErr, writerErr)
 	}
-	if lost == nil || !lost.Done() {
+	if lost == nil || len(lost.Steps) != 0 {
 		t.Fatal("no slot READ response left the primary")
 	}
 	if !bytes.Equal(served, LargeValueFor(key, 2)) {

@@ -15,7 +15,7 @@ import (
 	"strom/internal/testrig"
 )
 
-// The overlapped-attempt battery (DESIGN.md §16.2, §17.2): a write's
+// The overlapped-attempt battery (DESIGN.md §9.3, §9.5): a write's
 // first attempt is one posting stage — every replica's WRITEs, a spilled
 // value's extent and slot back to back, go out at once — so a Put and a
 // PutLarge each cost one round trip; a replica that fails it retries
@@ -451,7 +451,7 @@ func TestOlderPutFinishingLastKeepsLedger(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !held.Done() || c.Stats.DupSuppressed != 1 {
+	if len(held.Steps) != 0 || c.Stats.DupSuppressed != 1 {
 		t.Fatalf("v1's ack was never held, or its retry rewrote: %+v", c.Stats)
 	}
 	if c.acked[key] != 2 || c.Deficits() != 0 {

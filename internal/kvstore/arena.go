@@ -59,12 +59,6 @@ func (a *Arena) Free(va hostmem.Addr, n int) {
 	a.live--
 }
 
-// Live reports blocks currently allocated and not freed.
-func (a *Arena) Live() int { return a.live }
-
-// Stats returns a snapshot of allocator counters.
-func (a *Arena) Stats() ArenaStats { return a.stats }
-
 // FixedArena allocates fixed-stride slots from a bounded offset space —
 // the shape of a per-shard extent arena, where every block is one
 // ExtentSize-stride extent and addresses are offsets from the arena
@@ -110,6 +104,3 @@ func (f *FixedArena) Free(off int) {
 
 // Live reports slots currently allocated and not freed.
 func (f *FixedArena) Live() int { return f.next - len(f.free) }
-
-// Stats returns a snapshot of allocator counters.
-func (f *FixedArena) Stats() ArenaStats { return f.stats }

@@ -166,9 +166,6 @@ func NewEngine(eng *sim.Engine, mem *hostmem.Memory, t *tlb.TLB, cfg Config) *En
 	}
 }
 
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // SetStall installs a stall hook consulted once per DMA command (nil
 // removes it). The reported extra latency is added to the command's
 // completion time; the streams themselves keep serializing, mirroring a

@@ -17,7 +17,7 @@ import (
 //
 // The group runs each window's shards one after another, in index
 // order, on the goroutine that called Run; concurrency comes only from
-// running whole simulations side by side (see DESIGN.md §13). The
+// running whole simulations side by side (see DESIGN.md §1.4). The
 // partition fixes the order events run in: within a window [T, T+L) a
 // shard executes only its own events, touching only shard-local state.
 // Every cross-shard event posted during the window carries a timestamp
@@ -93,9 +93,6 @@ func NewShardGroup(seed int64, n int, lookahead Duration) *ShardGroup {
 // must all live on the same shard.
 func (g *ShardGroup) Shard(i int) *Engine { return g.shards[i] }
 
-// Shards reports the number of shards.
-func (g *ShardGroup) Shards() int { return len(g.shards) }
-
 // Lookahead returns the conservative lookahead bound.
 func (g *ShardGroup) Lookahead() Duration { return g.lookahead }
 
@@ -111,13 +108,6 @@ func (g *ShardGroup) Fired() uint64 {
 		n += s.Fired()
 	}
 	return n
-}
-
-// SetHorizon installs the runaway-safety horizon on every shard.
-func (g *ShardGroup) SetHorizon(t Time) {
-	for _, s := range g.shards {
-		s.SetHorizon(t)
-	}
 }
 
 // Now returns the maximum local clock across shards (the group's notion

@@ -40,24 +40,6 @@ func (s *Sample) Mean() float64 {
 	return s.Sum() / float64(len(s.vals))
 }
 
-// Min returns the smallest observation (0 for an empty sample).
-func (s *Sample) Min() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.vals[0]
-}
-
-// Max returns the largest observation (0 for an empty sample).
-func (s *Sample) Max() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.vals[len(s.vals)-1]
-}
-
 func (s *Sample) sort() {
 	if !s.sorted {
 		sort.Float64s(s.vals)

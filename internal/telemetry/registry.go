@@ -31,14 +31,6 @@ func (c *Counter) Set(v uint64) {
 	c.v = v
 }
 
-// Value returns the current count (zero for the nil Counter).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // Gauge is a point-in-time value. The nil Gauge discards updates.
 type Gauge struct{ v float64 }
 
@@ -48,14 +40,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.v = v
-}
-
-// Value returns the current value (zero for the nil Gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Registry is a label-keyed collection of metrics.

@@ -140,18 +140,6 @@ func (t *TraceBuffer) Complete(pid, tid uint32, cat, name string, start sim.Time
 	})
 }
 
-// Len reports the number of recorded events across all segments.
-func (t *TraceBuffer) Len() int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for _, s := range t.shared.segs {
-		n += len(s.events)
-	}
-	return n
-}
-
 // merged returns the logical trace's events in canonical export order.
 // A single-segment trace keeps exact emission order (the historical
 // output); multi-segment traces are merged by a stable sort on

@@ -110,6 +110,3 @@ func (t *TLB) Split(dst []Segment, va hostmem.Addr, n int) ([]Segment, error) {
 	}
 	return segs, nil
 }
-
-// Len reports the number of populated entries.
-func (t *TLB) Len() int { return len(t.entries) }
