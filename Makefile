@@ -80,7 +80,8 @@ kv-large:
 # window that posted them, switch arbitration conservation
 # under random arrival interleavings, extent codec round-trip with any
 # single-bit flip detected as torn, the health-payload encoder byte for
-# byte against encoding/json).
+# byte against encoding/json, host memory backed up to each buffer's end
+# reading, writing and watching as if every page were backed whole).
 fuzz:
 	$(GO) test ./internal/packet -fuzz=FuzzHeaderRoundTrip -fuzztime=10s
 	$(GO) test ./internal/crc -fuzz=FuzzCRCSlicingEquivalence -fuzztime=10s
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test ./internal/telemetry/export -fuzz=FuzzHealthEncodeMatchesJSON -fuzztime=10s
 	$(GO) test ./internal/fabric -fuzz=FuzzSwitchArbitration -fuzztime=10s
 	$(GO) test ./internal/kvserve -fuzz=FuzzExtentCodec -fuzztime=10s
+	$(GO) test ./internal/hostmem -fuzz=FuzzMemoryMatchesFlatModel -fuzztime=10s
 
 # soak runs the monitoring gate: every scenario of the registry
 # (experiments.Scenarios; README.md "Scenarios" has the table) streams

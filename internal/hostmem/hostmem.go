@@ -33,7 +33,6 @@ var (
 	ErrNotMapped  = errors.New("hostmem: virtual address not mapped")
 	ErrExhausted  = errors.New("hostmem: physical memory exhausted")
 	ErrBadLength  = errors.New("hostmem: bad length")
-	ErrNotPinned  = errors.New("hostmem: page not pinned")
 	ErrDoubleFree = errors.New("hostmem: buffer already freed")
 	ErrWrap       = errors.New("hostmem: address range wraps the 64-bit space")
 )
@@ -42,12 +41,11 @@ var (
 // virtual mappings created for pinned buffers.
 type Memory struct {
 	totalPages int
-	pages      map[uint64][]byte // physical page number -> data
+	pages      map[uint64][]byte // physical page number -> data; a buffer's last page may be short (Allocate)
 	nextPPN    uint64
 	stridePPN  uint64            // scatter step so physical pages are not contiguous
 	vmap       map[uint64]uint64 // virtual page number -> physical page number
 	nextVA     Addr
-	pinned     map[uint64]bool // physical page number -> pinned
 	watches    []*Watch
 }
 
@@ -71,7 +69,6 @@ func New(totalPages int) *Memory {
 		totalPages: totalPages,
 		pages:      make(map[uint64][]byte),
 		vmap:       make(map[uint64]uint64),
-		pinned:     make(map[uint64]bool),
 		nextVA:     Addr(HugePageSize), // keep VA 0 unmapped (null)
 		nextPPN:    1,
 		stridePPN:  7, // deliberately non-contiguous physical layout
@@ -86,14 +83,17 @@ type Buffer struct {
 	freed bool
 }
 
-// Allocate reserves size bytes of virtually contiguous, pinned memory
-// backed by whole huge pages (the driver model: applications pass a region
-// to the driver, which pins every page, §4.3).
+// Allocate reserves size bytes of virtually contiguous, pinned memory in
+// whole huge pages (the driver model: applications pass a region to the
+// driver, which pins every page, §4.3). The simulator backs each page only
+// with the bytes the buffer covers: the last page's tail past the
+// buffer's end reads as zeros, and the first write or view there backs
+// the whole page.
 func (m *Memory) Allocate(size int) (*Buffer, error) {
 	if size <= 0 {
 		return nil, ErrBadLength
 	}
-	npages := (size + HugePageSize - 1) / HugePageSize
+	npages := pagesOf(size)
 	if len(m.pages)+npages > m.totalPages {
 		return nil, ErrExhausted
 	}
@@ -102,12 +102,23 @@ func (m *Memory) Allocate(size int) (*Buffer, error) {
 		vpn := uint64(base)>>HugePageBits + uint64(i)
 		ppn := m.nextPPN
 		m.nextPPN += m.stridePPN
-		m.pages[ppn] = make([]byte, HugePageSize)
+		m.pages[ppn] = make([]byte, min(size-i*HugePageSize, HugePageSize))
 		m.vmap[vpn] = ppn
-		m.pinned[ppn] = true
 	}
 	m.nextVA += Addr(npages * HugePageSize)
 	return &Buffer{mem: m, base: base, size: size}, nil
+}
+
+// pagesOf returns the number of huge pages size bytes span, for size > 0;
+// it does not overflow for any such size.
+func pagesOf(size int) int { return (size-1)/HugePageSize + 1 }
+
+// back makes the page at ppn whole, keeping its bytes, and returns it.
+func (m *Memory) back(ppn uint64, page []byte) []byte {
+	whole := make([]byte, HugePageSize)
+	copy(whole, page)
+	m.pages[ppn] = whole
+	return whole
 }
 
 // Free releases the buffer's pages.
@@ -115,7 +126,7 @@ func (b *Buffer) Free() error {
 	if b.freed {
 		return ErrDoubleFree
 	}
-	npages := (b.size + HugePageSize - 1) / HugePageSize
+	npages := pagesOf(b.size)
 	for i := 0; i < npages; i++ {
 		vpn := uint64(b.base)>>HugePageBits + uint64(i)
 		ppn, ok := b.mem.vmap[vpn]
@@ -124,7 +135,6 @@ func (b *Buffer) Free() error {
 		}
 		delete(b.mem.vmap, vpn)
 		delete(b.mem.pages, ppn)
-		delete(b.mem.pinned, ppn)
 		if len(b.mem.watches) > 0 {
 			b.mem.written(Addr(ppn<<HugePageBits), Addr((ppn+1)<<HugePageBits))
 		}
@@ -151,7 +161,7 @@ func (b *Buffer) Contains(va Addr, n int) bool {
 // PhysicalPages returns the physical addresses of the buffer's pages in
 // virtual order — what the driver hands to the NIC to populate the TLB.
 func (b *Buffer) PhysicalPages() ([]Addr, error) {
-	npages := (b.size + HugePageSize - 1) / HugePageSize
+	npages := pagesOf(b.size)
 	pas := make([]Addr, 0, npages)
 	for i := 0; i < npages; i++ {
 		vpn := uint64(b.base)>>HugePageBits + uint64(i)
@@ -191,12 +201,12 @@ func (m *Memory) ViewPhys(pa Addr, n int) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: PA %#x", ErrOutOfRange, uint64(pa))
 	}
-	if !m.pinned[pa.PageNumber()] {
-		return nil, ErrNotPinned
-	}
 	po := int(pa.PageOffset())
 	if n < 0 || po+n > HugePageSize {
 		return nil, ErrBadLength
+	}
+	if po+n > len(page) {
+		page = m.back(pa.PageNumber(), page)
 	}
 	return page[po : po+n : po+n], nil
 }
@@ -213,21 +223,28 @@ func (m *Memory) accessPhys(pa Addr, buf []byte, write bool) error {
 		if !ok {
 			return fmt.Errorf("%w: PA %#x", ErrOutOfRange, uint64(pa))
 		}
-		if !m.pinned[pa.PageNumber()] {
-			return ErrNotPinned
-		}
 		po := int(pa.PageOffset())
 		n := len(buf) - off
 		if po+n > HugePageSize {
 			n = HugePageSize - po
 		}
-		if write {
+		switch {
+		case write:
+			if po+n > len(page) {
+				page = m.back(pa.PageNumber(), page)
+			}
 			copy(page[po:po+n], buf[off:off+n])
 			if len(m.watches) > 0 {
 				m.written(pa, pa+Addr(n))
 			}
-		} else {
+		case po+n <= len(page):
 			copy(buf[off:off+n], page[po:po+n])
+		default: // the read reaches the page's unbacked tail
+			k := 0
+			if po < len(page) {
+				k = copy(buf[off:off+n], page[po:])
+			}
+			clear(buf[off+k : off+n])
 		}
 		off += n
 		pa += Addr(n)

@@ -41,8 +41,19 @@ func TestAllocateRejectsBadSizes(t *testing.T) {
 
 func TestAllocateExhaustion(t *testing.T) {
 	m := New(2)
-	if _, err := m.Allocate(2 * HugePageSize); err != nil {
+	// Sizes past the capacity fail even where rounding them up to pages
+	// would overflow, and move neither the mappings nor the next base.
+	for _, size := range []int{math.MaxInt, math.MaxInt - HugePageSize + 2, 2*HugePageSize + 1} {
+		if _, err := m.Allocate(size); err != ErrExhausted {
+			t.Errorf("Allocate(%d): err = %v, want ErrExhausted", size, err)
+		}
+	}
+	b, err := m.Allocate(2 * HugePageSize)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if want, _ := New(2).Allocate(1); b.Base() != want.Base() {
+		t.Errorf("base after failed Allocates = %#x, want %#x", uint64(b.Base()), uint64(want.Base()))
 	}
 	if _, err := m.Allocate(1); err != ErrExhausted {
 		t.Errorf("err = %v, want ErrExhausted", err)

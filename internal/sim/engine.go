@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -92,7 +93,7 @@ type Engine struct {
 	free    []*event // recycled event structs
 	rng     *rand.Rand
 	fired   uint64
-	limit   Time // 0 means no horizon
+	limit   Time // the horizon; noHorizon when none is set
 
 	// process support
 	running *Process
@@ -110,8 +111,12 @@ type Engine struct {
 // NewEngine returns an engine at time zero with a deterministic RNG seeded
 // by seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), limit: noHorizon}
 }
+
+// noHorizon is the limit of an engine without a horizon: no event is
+// later, so the run loops test the horizon with one compare.
+const noHorizon = Time(math.MaxInt64)
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -300,7 +305,12 @@ func (e *Engine) compact() {
 
 // SetHorizon aborts Run once simulated time would pass t (a safety net
 // against runaway simulations). Zero disables the horizon.
-func (e *Engine) SetHorizon(t Time) { e.limit = t }
+func (e *Engine) SetHorizon(t Time) {
+	if t == 0 {
+		t = noHorizon
+	}
+	e.limit = t
+}
 
 // errShardRun is the panic of Run or RunUntil on a shard: running one
 // shard on its own would advance one machine and strand the events bound
@@ -346,7 +356,7 @@ func (e *Engine) run(t Time, bounded bool) {
 		if bounded && ev.at > t || !bounded && e.Pending() == 0 {
 			return
 		}
-		if e.limit != 0 && ev.at > e.limit {
+		if ev.at > e.limit {
 			panic(fmt.Sprintf("sim: horizon %v exceeded (event at %v after %d events)", e.limit, ev.at, e.fired))
 		}
 		e.pop()

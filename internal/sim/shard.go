@@ -312,7 +312,7 @@ func (e *Engine) runBefore(w Time) {
 		if ev.daemon && e.Pending() == 0 && ev.at > e.group.daemonsTo {
 			break // only daemons left here: they wait for the group's bound
 		}
-		if e.limit != 0 && ev.at > e.limit {
+		if ev.at > e.limit {
 			panic(fmt.Sprintf("sim: horizon %v exceeded (event at %v after %d events)", e.limit, ev.at, e.fired))
 		}
 		e.pop()
