@@ -77,7 +77,8 @@ kv-large:
 # state-machine exactly-once under random fault interleavings, RETH
 # validation never-false-accept, every shard running its cross-shard
 # events in (timestamp, source shard, posting order) and never in the
-# window that posted them, switch arbitration conservation
+# window that posted them, backlog items firing in the order of a
+# textbook heap holding one event per item, switch arbitration conservation
 # under random arrival interleavings, extent codec round-trip with any
 # single-bit flip detected as torn, the health-payload encoder byte for
 # byte against encoding/json, host memory backed up to each buffer's end
@@ -88,6 +89,7 @@ fuzz:
 	$(GO) test ./internal/roce -fuzz=FuzzQPStateMachine -fuzztime=10s
 	$(GO) test ./internal/roce -fuzz=FuzzRETHValidation -fuzztime=10s
 	$(GO) test ./internal/sim -fuzz=FuzzShardSchedule -fuzztime=10s
+	$(GO) test ./internal/sim -fuzz=FuzzBacklogMatchesReference -fuzztime=10s
 	$(GO) test ./internal/telemetry/export -fuzz=FuzzEnvelopeRoundTrip -fuzztime=10s
 	$(GO) test ./internal/telemetry/export -fuzz=FuzzHealthEncodeMatchesJSON -fuzztime=10s
 	$(GO) test ./internal/fabric -fuzz=FuzzSwitchArbitration -fuzztime=10s
@@ -107,8 +109,8 @@ soak:
 	$(GO) run ./cmd/strombench -quick -scenario kv -jsonl SOAK_kv.jsonl > /dev/null
 	$(GO) run ./cmd/strombench -quick -scenario kvlarge -jsonl SOAK_kvlarge.jsonl > /dev/null
 
-# bench runs the microbenchmarks (macro benches plus the scheduler and
-# process switch, telemetry, the scrape tick, the completion poll, packet,
+# bench runs the microbenchmarks (macro benches plus the scheduler, a
+# 4 096-item backlog burst (BenchmarkBacklogDeep) and the process switch, telemetry, the scrape tick, the completion poll, packet,
 # crc, the switch's forwarding path, pcie (incl. the 47-chunk streamed
 # read), roce and NIC hot paths, and, with their simulated latency as
 # sim-us/op beside ns/op, the 64 KiB

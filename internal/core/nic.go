@@ -107,7 +107,10 @@ type NIC struct {
 
 	kernels  map[uint64]*deployment
 	fallback RPCFallback
+	// Host commands cross the doorbell's MMIO path one at a time and
+	// reach the NIC through the commands backlog (DESIGN.md §1.3).
 	doorbell *sim.Serializer
+	commands *sim.Backlog[func()]
 	stats    NICStats
 	// writeLanded is onWriteLanded as a func value, made once.
 	writeLanded func(error)
@@ -116,10 +119,8 @@ type NIC struct {
 	tel         *nicTelemetry // nil when telemetry is disabled
 	health      nicHealth     // Health's reused report
 
-	// pipe is the kernel pipeline queue, drained by pipeFn (bound once):
-	// see kernelInput.
-	pipe   sim.FIFO[kernelInput]
-	pipeFn func()
+	// pipe is the kernel pipeline: see kernelInput.
+	pipe *sim.Backlog[kernelInput]
 
 	// Memory protection (see protect.go): the region table the responder
 	// validates RETHs against, the per-buffer region index, the DMA-issue
@@ -150,7 +151,8 @@ func NewNIC(eng *sim.Engine, cfg Config, id roce.Identity) *NIC {
 		regions:  make(map[uint64]*mr.Region),
 	}
 	n.writeLanded = n.onWriteLanded
-	n.pipeFn = n.runKernelInput
+	n.commands = sim.NewBacklog(eng, func(cmd func()) { cmd() })
+	n.pipe = sim.NewBacklog(eng, n.runKernelInput)
 	n.dma = pcie.NewEngine(eng, n.mem, n.tlb, cfg.PCIe)
 	// A crashed NIC puts nothing on the wire: frames already queued in
 	// the TX pipeline die at the port, which owns them and so returns
@@ -353,19 +355,18 @@ type kernelInput struct {
 	epoch  uint64
 }
 
-// enterPipeline queues in behind every input before it. All wait the
-// same kernelPipelineCycles, so the bound-once drain events pop them in
-// arrival order and no input allocates a closure (see sim.FIFO).
+// enterPipeline queues in behind every input before it: all wait the
+// same kernelPipelineCycles, so they leave the backlog in arrival order
+// (DESIGN.md §1.3) and no input allocates a closure.
 func (n *NIC) enterPipeline(in kernelInput) {
 	in.epoch = n.epoch
-	n.pipe.Push(in)
-	n.eng.Schedule(n.cfg.Roce.Cycles(kernelPipelineCycles), n.pipeFn)
+	n.pipe.PushAt(n.eng.Now().Add(n.cfg.Roce.Cycles(kernelPipelineCycles)), in)
 }
 
-// runKernelInput hands the oldest queued input to its kernel, unless the
-// NIC crashed since it was queued, and recycles its buffer either way.
-func (n *NIC) runKernelInput() {
-	in := n.pipe.Pop()
+// runKernelInput hands an input leaving the pipeline to its kernel,
+// unless the NIC crashed since it was queued, and recycles its buffer
+// either way.
+func (n *NIC) runKernelInput(in kernelInput) {
 	var err error
 	switch {
 	case n.epoch != in.epoch:
@@ -389,7 +390,7 @@ func (n *NIC) runKernelInput() {
 func (n *NIC) ringDoorbell(fn func()) {
 	n.stats.Doorbells++
 	end := n.doorbell.Reserve(n.cfg.Host.DoorbellInterval)
-	n.eng.ScheduleAt(end.Add(n.cfg.PCIe.MMIOWriteLatency), fn)
+	n.commands.PushAt(end.Add(n.cfg.PCIe.MMIOWriteLatency), fn)
 }
 
 // fetch is the payload of one WRITE or RPC WRITE on its way from host

@@ -302,7 +302,6 @@ type SoftwareHLL struct {
 	threads int
 	sketch  *hll.Sketch
 	busy    *sim.Serializer
-	bytes   uint64
 }
 
 // NewSoftwareHLL builds the CPU-side HLL baseline.
@@ -325,7 +324,6 @@ func (s *SoftwareHLL) Ingest(data []byte) sim.Time {
 		}
 		s.sketch.Add(v)
 	}
-	s.bytes += uint64(len(data))
 	return s.busy.Reserve(s.model.HLLDuration(len(data), s.threads))
 }
 

@@ -166,9 +166,6 @@ func TestSoftwareHLLEstimateAndTiming(t *testing.T) {
 	if math.Abs(gbps-want)/want > 0.02 {
 		t.Errorf("ingest rate = %.2f Gbit/s, want %.2f", gbps, want)
 	}
-	if s.Bytes() != uint64(len(buf)) {
-		t.Errorf("bytes = %d", s.Bytes())
-	}
 }
 
 func TestMemcpyDuration(t *testing.T) {

@@ -288,7 +288,7 @@ var testHooks = map[string]string{
 	"core.Controller.Read":          "public surface reached through an aliased type's method, strom.NIC.Controller(): the timed MMIO register read",
 	"stats.Figure.Lookup":           "the figure-shape assertions and the per-figure benchmarks read one cell by series and x label",
 	"sim.Engine.SetHorizon":         "the runaway-safety net: a test whose simulation would run past its horizon panics instead of hanging",
-	"sim.FIFO.Len":                  "roce's ownership fire drill counts the frames still queued when the ACK arrives",
+	"sim.Backlog.Len":               "roce's ownership fire drill counts the frames still queued when the ACK arrives",
 }
 
 // stdMethods are the methods the standard library calls through its

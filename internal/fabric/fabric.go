@@ -121,12 +121,11 @@ type direction struct {
 	dst     Endpoint
 	stats   Stats
 
-	// Undelayed deliveries push here and schedule drainFn (bound once),
-	// so the per-frame closure is never allocated; see sim.FIFO. The
-	// queue is dstEng's: a frame from another shard is pushed at the
-	// window barrier (sim.Engine.CrossPushAt).
-	pend    sim.FIFO[[]byte]
-	drainFn func()
+	// Undelayed deliveries are booked here (DESIGN.md §1.3), so the
+	// per-frame closure is never allocated. The backlog is dstEng's: a
+	// frame from another shard is booked at the window barrier
+	// (sim.Engine.CrossPushAt).
+	pend *sim.Backlog[[]byte]
 
 	// Structured tracing (nil when telemetry is disabled).
 	tb  *telemetry.TraceBuffer
@@ -140,18 +139,12 @@ type direction struct {
 
 // newDirection builds one side of a link or switch port.
 func newDirection(eng, dstEng *sim.Engine, gbps float64, prop sim.Duration, dst Endpoint) *direction {
-	d := &direction{
+	return &direction{
 		eng: eng, dstEng: dstEng, wire: sim.NewSerializer(eng),
 		gbps: gbps, prop: prop, dst: dst,
+		pend: sim.NewBacklog(dstEng, dst.DeliverFrame),
 	}
-	d.drainFn = d.drain
-	return d
 }
-
-// drain delivers the oldest undelayed in-flight frame. Their delivery
-// times are non-decreasing in push order (wire reservations plus the
-// constant propagation delay), so the engine fires drains in push order.
-func (d *direction) drain() { d.dst.DeliverFrame(d.pend.Pop()) }
 
 // send puts a frame on the wire and takes it over: the frame, or its
 // duplicate, is delivered to the far endpoint, which owns it from there,
@@ -211,11 +204,12 @@ func (d *direction) send(frame []byte) {
 		d.tb.Complete(d.pid, d.tid, "wire", "frame", now, deliverAt.Sub(now), fmt.Sprintf("%d wire bytes", wireBytes))
 	}
 	if v.Delay == 0 {
-		// Hot path: in-order delivery through the drain queue, with no
+		// Hot path: in-order delivery through the backlog (wire
+		// reservations plus the constant propagation delay), with no
 		// per-frame closure whether or not the frame crosses shards.
-		d.eng.CrossPushAt(d.dstEng, deliverAt, &d.pend, frame, d.drainFn)
+		d.eng.CrossPushAt(deliverAt, d.pend, frame)
 	} else {
-		// A delayed frame breaks the FIFO delivery order.
+		// A delayed frame would break the backlog's order.
 		d.eng.CrossScheduleAt(d.dstEng, deliverAt, func() { d.dst.DeliverFrame(frame) })
 	}
 	if dup != nil {

@@ -82,11 +82,9 @@ type swPort struct {
 	eqFrames int
 	// releases holds the frames on the egress wire in transmission order,
 	// each to return its bytes to the pool when its last byte has left.
-	// Release times are the wire's reservations, non-decreasing in push
-	// order, so the engine fires releaseFn (bound once) in push order
-	// (see sim.FIFO) and no frame allocates a release closure.
-	releases  sim.FIFO[release]
-	releaseFn func()
+	// Release times are the wire's reservations, so they never decrease
+	// (DESIGN.md §1.3), and no frame allocates a release closure.
+	releases *sim.Backlog[release]
 
 	stats SwitchPortStats
 	// The scrape's reports, reused (see export.ScrapeFunc).
@@ -172,7 +170,7 @@ func (s *Switch) AttachPortOn(nicEng *sim.Engine, mac packet.MAC, ep Endpoint) *
 		mac: mac,
 		dir: newDirection(s.eng, nicEng, link.BandwidthGbps, link.Propagation, ep),
 	}
-	sp.releaseFn = sp.releaseNext
+	sp.releases = sim.NewBacklog(s.eng, func(r release) { s.release(r.from, sp, r.n) })
 	sp.nic = &Port{up: newDirection(nicEng, s.eng, link.BandwidthGbps, link.Propagation+s.cfg.Forwarding, sp)}
 	s.ports = append(s.ports, sp)
 	s.byMAC[mac] = sp
@@ -280,16 +278,8 @@ func (s *Switch) ingress(from *swPort, buf []byte) {
 	if now := s.eng.Now(); txStart < now {
 		txStart = now
 	}
-	out.releases.Push(release{from: from, n: n})
-	s.eng.ScheduleAt(txStart.Add(wireTime), out.releaseFn)
+	out.releases.PushAt(txStart.Add(wireTime), release{from: from, n: n})
 	out.dir.send(buf)
-}
-
-// releaseNext returns the bytes of the oldest frame on the port's egress
-// wire to the shared pool.
-func (out *swPort) releaseNext() {
-	r := out.releases.Pop()
-	out.sw.release(r.from, out, r.n)
 }
 
 // release returns a transmitted frame's bytes to the shared pool and

@@ -2,15 +2,6 @@ package kvstore
 
 import "strom/internal/hostmem"
 
-// ArenaStats counts allocator activity. Reuses counts Allocs satisfied
-// from a free list rather than fresh region space — the signal the
-// tombstone-leak tests gate on.
-type ArenaStats struct {
-	Allocs uint64
-	Frees  uint64
-	Reuses uint64
-}
-
 // Arena is a free-list allocator layered over a Region: Alloc prefers a
 // previously freed block of the same size class (8 B-aligned length,
 // LIFO so reuse is immediate and deterministic) and falls back to the
@@ -21,7 +12,6 @@ type Arena struct {
 	region *Region
 	free   map[int][]hostmem.Addr
 	live   int
-	stats  ArenaStats
 }
 
 // NewArena wraps a region with free-list reuse.
@@ -33,18 +23,15 @@ func sizeClass(n int) int { return (n + 7) &^ 7 }
 
 // Alloc returns n bytes, reusing a freed same-class block when one exists.
 func (a *Arena) Alloc(n int) (hostmem.Addr, error) {
-	a.stats.Allocs++
 	class := sizeClass(n)
 	if list := a.free[class]; len(list) > 0 {
 		va := list[len(list)-1]
 		a.free[class] = list[:len(list)-1]
-		a.stats.Reuses++
 		a.live++
 		return va, nil
 	}
 	va, err := a.region.Alloc(n)
 	if err != nil {
-		a.stats.Allocs--
 		return 0, err
 	}
 	a.live++
@@ -55,7 +42,6 @@ func (a *Arena) Alloc(n int) (hostmem.Addr, error) {
 func (a *Arena) Free(va hostmem.Addr, n int) {
 	class := sizeClass(n)
 	a.free[class] = append(a.free[class], va)
-	a.stats.Frees++
 	a.live--
 }
 
@@ -70,7 +56,6 @@ type FixedArena struct {
 	cap    int
 	next   int
 	free   []int
-	stats  ArenaStats
 }
 
 // NewFixedArena builds an arena of capacity slots of the given stride.
@@ -80,15 +65,12 @@ func NewFixedArena(stride, capacity int) *FixedArena {
 
 // Alloc returns the byte offset of a free slot.
 func (f *FixedArena) Alloc() (int, error) {
-	f.stats.Allocs++
 	if n := len(f.free); n > 0 {
 		off := f.free[n-1]
 		f.free = f.free[:n-1]
-		f.stats.Reuses++
 		return off, nil
 	}
 	if f.next >= f.cap {
-		f.stats.Allocs--
 		return 0, ErrRegionFull
 	}
 	off := f.next * f.stride
@@ -99,7 +81,6 @@ func (f *FixedArena) Alloc() (int, error) {
 // Free returns a slot offset to the free list.
 func (f *FixedArena) Free(off int) {
 	f.free = append(f.free, off)
-	f.stats.Frees++
 }
 
 // Live reports slots currently allocated and not freed.

@@ -13,7 +13,11 @@ func TestArenaReuseSameClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	used := r.Used()
 	a.Free(va, 24)
+	if len(a.free[24]) != 1 || a.live != 0 {
+		t.Errorf("after Free: %d blocks free in the 24 B class, live = %d; want 1 and 0", len(a.free[24]), a.live)
+	}
 	// 17..24 all share the 24 B class, so any of them reuses the block.
 	got, err := a.Alloc(17)
 	if err != nil {
@@ -22,12 +26,11 @@ func TestArenaReuseSameClass(t *testing.T) {
 	if got != va {
 		t.Errorf("Alloc after Free = %#x, want reuse of %#x", got, va)
 	}
-	st := a.Stats()
-	if st.Allocs != 2 || st.Frees != 1 || st.Reuses != 1 {
-		t.Errorf("stats = %+v", st)
+	if len(a.free[24]) != 0 || r.Used() != used {
+		t.Errorf("reuse left %d blocks free and moved the region %d → %d bytes", len(a.free[24]), used, r.Used())
 	}
-	if a.Live() != 1 {
-		t.Errorf("live = %d", a.Live())
+	if a.live != 1 {
+		t.Errorf("live = %d", a.live)
 	}
 }
 
@@ -66,7 +69,7 @@ func TestFixedArenaReuseAndExhaustion(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 	f.Free(o1)
-	if f.Live() != 1 {
+	if len(f.free) != 1 || f.Live() != 1 {
 		t.Errorf("live = %d", f.Live())
 	}
 	// Free immediately followed by Alloc returns the same slot: the
@@ -78,8 +81,8 @@ func TestFixedArenaReuseAndExhaustion(t *testing.T) {
 	if got != o1 {
 		t.Errorf("realloc = %d, want %d", got, o1)
 	}
-	if st := f.Stats(); st.Reuses != 1 {
-		t.Errorf("stats = %+v", st)
+	if len(f.free) != 0 || f.next != 2 {
+		t.Errorf("realloc left %d slots free with %d handed out fresh, want 0 and 2", len(f.free), f.next)
 	}
 }
 
@@ -110,6 +113,8 @@ func TestHashTableDeleteReinsertReuse(t *testing.T) {
 			if err := h.Put(key, val(0)); err != nil {
 				t.Fatal(err)
 			}
+			a := h.Arena()
+			class := sizeClass(tc.vlen)
 			used := r.Used()
 			for i := 1; i <= tc.ops; i++ {
 				if i%2 == 0 {
@@ -130,17 +135,18 @@ func TestHashTableDeleteReinsertReuse(t *testing.T) {
 				if r.Used() != used {
 					t.Fatalf("op %d: region grew %d → %d bytes (leak)", i, used, r.Used())
 				}
+				// Every op freed the old value's block: the new value
+				// took it back, so none is left free.
+				if n := len(a.free[class]); n != 0 {
+					t.Fatalf("op %d: %d freed blocks not reused", i, n)
+				}
 				got, ok := h.Get(key)
 				if !ok || !bytes.Equal(got, val(i)) {
 					t.Fatalf("op %d: Get = %q, %v", i, got, ok)
 				}
 			}
-			st := h.Arena().Stats()
-			if st.Reuses != uint64(tc.ops) {
-				t.Errorf("reuses = %d, want %d", st.Reuses, tc.ops)
-			}
-			if h.Arena().Live() != 1 {
-				t.Errorf("live = %d", h.Arena().Live())
+			if a.live != 1 {
+				t.Errorf("live = %d", a.live)
 			}
 		})
 	}
@@ -188,7 +194,7 @@ func TestHashTableMixedSizesNoLeak(t *testing.T) {
 			t.Fatalf("key %d: got %v %v", 100+i, got, ok)
 		}
 	}
-	if h.Arena().Live() != len(sizes) {
-		t.Errorf("live = %d, want %d", h.Arena().Live(), len(sizes))
+	if live := h.Arena().live; live != len(sizes) {
+		t.Errorf("live = %d, want %d", live, len(sizes))
 	}
 }

@@ -145,14 +145,11 @@ type Stack struct {
 	ackPkt packet.Packet
 	txPkt  packet.Packet
 
-	// Drain queues for the per-frame pipeline completions: pushes pair
-	// 1:1 with scheduled drain callbacks, which the engine fires in push
-	// order (serializer reservations are monotone), so no per-frame
-	// closure is ever allocated. The drain funcs are bound once here.
-	txq       sim.FIFO[txDone]
-	rxq       sim.FIFO[[]byte]
-	txDrainFn func()
-	rxDrainFn func()
+	// The TX and RX pipelines' backlogs (DESIGN.md §1.3): a frame
+	// leaves each at its serializer reservation plus the fixed stage
+	// latency, and no frame allocates a closure.
+	txq *sim.Backlog[txDone]
+	rxq *sim.Backlog[[]byte]
 
 	// Free lists, each bounded by freeListCap: pendingPacket entries,
 	// recycled when an entry leaves its QP's pending list (acknowledged,
@@ -214,8 +211,8 @@ func NewStack(eng *sim.Engine, cfg Config, id Identity, handler Handler, transmi
 		timers:    make([]qpTimer, cfg.NumQPs),
 		qpRetrans: make([]uint64, cfg.NumQPs),
 	}
-	s.txDrainFn = s.drainTx
-	s.rxDrainFn = s.drainRx
+	s.txq = sim.NewBacklog(eng, s.drainTx)
+	s.rxq = sim.NewBacklog(eng, s.process)
 	return s
 }
 
@@ -346,18 +343,14 @@ func (s *Stack) sendFrame(st *qpState, frame []byte, words int, transient bool) 
 
 // dispatchFrame enters the TX pipeline proper. Reservation end times
 // are monotone in call order (the serializer never goes backwards), so
-// txq drains still fire in push order even when pacing delays a frame.
+// a frame pacing delayed still books txq in order.
 func (s *Stack) dispatchFrame(st *qpState, frame []byte, words int) {
 	end := s.txPath.Reserve(s.cfg.Cycles(words))
-	s.txq.Push(txDone{st: st, frame: frame})
-	s.eng.ScheduleAt(end.Add(s.cfg.Cycles(s.cfg.TxFixedCycles)), s.txDrainFn)
+	s.txq.PushAt(end.Add(s.cfg.Cycles(s.cfg.TxFixedCycles)), txDone{st: st, frame: frame})
 }
 
-// drainTx completes the oldest queued TX-pipeline reservation. TX
-// completion times are non-decreasing in push order, so the engine
-// fires these in exactly push order (see sim.FIFO).
-func (s *Stack) drainTx() {
-	d := s.txq.Pop()
+// drainTx completes a TX-pipeline reservation: the frame leaves.
+func (s *Stack) drainTx(d txDone) {
 	s.stats.TxPackets++
 	s.stats.TxBytes += uint64(len(d.frame))
 	d.st.progress++
@@ -721,13 +714,8 @@ func (s *Stack) RemoteRKey(qpn uint32) uint32 {
 // ownership of the frame and recycles its buffer after processing.
 func (s *Stack) DeliverFrame(frame []byte) {
 	end := s.rxPath.Reserve(s.cfg.Cycles(s.words(frame)))
-	s.rxq.Push(frame)
-	s.eng.ScheduleAt(end.Add(s.cfg.Cycles(s.cfg.RxFixedCycles)), s.rxDrainFn)
+	s.rxq.PushAt(end.Add(s.cfg.Cycles(s.cfg.RxFixedCycles)), frame)
 }
-
-// drainRx processes the oldest frame queued into the RX pipeline (RX
-// completion times are non-decreasing in push order; see sim.FIFO).
-func (s *Stack) drainRx() { s.process(s.rxq.Pop()) }
 
 func (s *Stack) process(frame []byte) {
 	// The parse lives in the stack's scratch packet and its payload

@@ -144,9 +144,18 @@ const errForeignPast = "sim: event scheduled into a shard's past from another sh
 // ScheduleAt runs fn at absolute time t. Times in the past fire "now",
 // except from an event of another shard of e's running group, where a
 // time in e's past panics.
-// Events with equal timestamps fire in the order they were scheduled
-// (FIFO), which keeps runs deterministic.
+// Events with equal timestamps fire in the order they were booked — by
+// ScheduleAt or a Backlog's PushAt — which keeps runs deterministic.
 func (e *Engine) ScheduleAt(t Time, fn func()) Event {
+	t, seq := e.book(t)
+	ev := e.arm(t, seq, fn)
+	return Event{e: ev, gen: ev.gen}
+}
+
+// book clamps t to now (panicking on another shard's past; see
+// ScheduleAt) and draws the sequence number that orders an event booked
+// for t among those at the same time.
+func (e *Engine) book(t Time) (Time, uint64) {
 	if t < e.now {
 		if e.closed {
 			panic(errForeignPast)
@@ -154,13 +163,15 @@ func (e *Engine) ScheduleAt(t Time, fn func()) Event {
 		t = e.now
 	}
 	e.seq++
+	return t, e.seq
+}
+
+// arm puts fn in the heap at (t, seq), a place book handed out.
+func (e *Engine) arm(t Time, seq uint64, fn func()) *event {
 	ev := e.alloc()
-	ev.at = t
-	ev.seq = e.seq
-	ev.fn = fn
-	ev.dead = false
+	ev.at, ev.seq, ev.fn, ev.dead = t, seq, fn, false
 	e.push(ev)
-	return Event{e: ev, gen: ev.gen}
+	return ev
 }
 
 // ScheduleDaemon runs fn after delay d as a daemon event: it fires in

@@ -65,3 +65,22 @@ func BenchmarkScheduleCancel(b *testing.B) {
 		e.Schedule(Millisecond, nop).Cancel()
 	}
 }
+
+// BenchmarkBacklogDeep books a burst of 4 096 items at one instant on a
+// Backlog and drains it, the depth a pipeline stage reaches under a
+// figure's bursts; one op is one item booked and fired. Only the burst's
+// head is in the heap, so the cost per item does not grow with the burst.
+func BenchmarkBacklogDeep(b *testing.B) {
+	const n = 4096
+	e := NewEngine(1)
+	bl := NewBacklog(e, func(int) {})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += n {
+		at := e.Now().Add(Nanosecond)
+		for k := range min(n, b.N-i) {
+			bl.PushAt(at, k)
+		}
+		e.Run()
+	}
+}

@@ -1,10 +1,10 @@
 package sim
 
 // Differential and structural tests for the specialized event queue:
-// the 4-ary heap with lazy cancellation, compaction and event recycling
-// must behave exactly like a textbook container/heap DES ordered by
-// (timestamp, sequence) — including FIFO tie-breaking and cancellation
-// of already-fired events.
+// the 4-ary heap with lazy cancellation, compaction and event recycling,
+// and the backlogs that keep only their head in it, must behave exactly
+// like a textbook container/heap DES ordered by (timestamp, sequence) —
+// including FIFO tie-breaking and cancellation of already-fired events.
 
 import (
 	stdheap "container/heap"
@@ -16,6 +16,7 @@ import (
 // against: once backed by the real Engine, once by the reference.
 type diffSched interface {
 	schedule(at Time, id int)
+	push(q int, at Time, id int) // book id on backlog q; at never decreases per q
 	cancel(id int)
 	now() Time
 	run(onFire func(id int))
@@ -23,20 +24,26 @@ type diffSched interface {
 
 // engineSched drives the real Engine.
 type engineSched struct {
-	e       *Engine
-	handles map[int]Event
-	onFire  func(id int)
+	e        *Engine
+	handles  map[int]Event
+	backlogs [diffBacklogs]*Backlog[int]
+	onFire   func(id int)
 }
 
 func newEngineSched() *engineSched {
-	return &engineSched{e: NewEngine(1), handles: make(map[int]Event)}
+	s := &engineSched{e: NewEngine(1), handles: make(map[int]Event)}
+	for q := range s.backlogs {
+		s.backlogs[q] = NewBacklog(s.e, func(id int) { s.onFire(id) })
+	}
+	return s
 }
 
 func (s *engineSched) schedule(at Time, id int) {
 	s.handles[id] = s.e.ScheduleAt(at, func() { s.onFire(id) })
 }
-func (s *engineSched) cancel(id int) { s.handles[id].Cancel() }
-func (s *engineSched) now() Time     { return s.e.Now() }
+func (s *engineSched) push(q int, at Time, id int) { s.backlogs[q].PushAt(at, id) }
+func (s *engineSched) cancel(id int)               { s.handles[id].Cancel() }
+func (s *engineSched) now() Time                   { return s.e.Now() }
 func (s *engineSched) run(onFire func(id int)) {
 	s.onFire = onFire
 	s.e.Run()
@@ -76,8 +83,11 @@ func (s *refSched) schedule(at Time, id int) {
 	stdheap.Push(&s.heap, refEvent{at: at, seq: s.seq, id: id})
 	s.seq++
 }
-func (s *refSched) cancel(id int) { s.cancelled[id] = true }
-func (s *refSched) now() Time     { return s.t }
+
+// push is a plain event: the reference has no backlogs.
+func (s *refSched) push(_ int, at Time, id int) { s.schedule(at, id) }
+func (s *refSched) cancel(id int)               { s.cancelled[id] = true }
+func (s *refSched) now() Time                   { return s.t }
 func (s *refSched) run(onFire func(id int)) {
 	for s.heap.Len() > 0 {
 		ev := stdheap.Pop(&s.heap).(refEvent)
@@ -90,10 +100,15 @@ func (s *refSched) run(onFire func(id int)) {
 	}
 }
 
+// diffBacklogs is the number of backlogs runWorkload books items on.
+const diffBacklogs = 3
+
 // runWorkload executes an identical randomized DES workload on s:
 // a burst of initial events with heavy timestamp ties, a pre-run
 // cancellation wave, and a firing rule that schedules children and
-// cancels arbitrary ids (including already-fired ones). The rng is
+// cancels arbitrary ids (including already-fired ones). Beside the
+// events, items are booked on diffBacklogs backlogs at non-decreasing
+// times that tie with the events and with each other. The rng is
 // consumed in firing order, so two schedulers produce the same script
 // iff they fire events in the same order — which is what's under test.
 func runWorkload(s diffSched, seed int64) []int {
@@ -101,8 +116,19 @@ func runWorkload(s diffSched, seed int64) []int {
 	const initial = 300
 	const maxEvents = 2500
 	nextID := 0
-	var ids []int
+	var ids []int // events, the cancellable ids
+	var last [diffBacklogs]Time
+	book := func() {
+		q := rng.Intn(diffBacklogs)
+		last[q] = max(last[q], s.now()) + Time(rng.Intn(4))*Time(Nanosecond)
+		s.push(q, last[q], nextID)
+		nextID++
+	}
 	for i := 0; i < initial; i++ {
+		if rng.Intn(3) == 0 {
+			book()
+			continue
+		}
 		s.schedule(Time(rng.Intn(40))*Time(Nanosecond), nextID)
 		ids = append(ids, nextID)
 		nextID++
@@ -116,6 +142,10 @@ func runWorkload(s diffSched, seed int64) []int {
 	s.run(func(id int) {
 		fired = append(fired, id)
 		for n := rng.Intn(3); n > 0 && nextID < maxEvents; n-- {
+			if rng.Intn(3) == 0 {
+				book()
+				continue
+			}
 			s.schedule(s.now()+Time(rng.Intn(15))*Time(Nanosecond), nextID)
 			ids = append(ids, nextID)
 			nextID++
@@ -130,22 +160,36 @@ func runWorkload(s diffSched, seed int64) []int {
 
 func TestEngineMatchesReferenceHeap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		eng := newEngineSched()
-		ref := newRefSched()
-		got := runWorkload(eng, seed)
-		want := runWorkload(ref, seed)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got), len(want))
+		matchReference(t, seed)
+	}
+}
+
+// FuzzBacklogMatchesReference runs the differential workload under
+// seeds the fuzzer picks.
+func FuzzBacklogMatchesReference(f *testing.F) {
+	f.Add(int64(1))
+	f.Add(int64(-3))
+	f.Fuzz(matchReference)
+}
+
+// matchReference runs the workload at seed on the engine and on the
+// reference and requires the same firing order and final clock.
+func matchReference(t *testing.T, seed int64) {
+	eng := newEngineSched()
+	ref := newRefSched()
+	got := runWorkload(eng, seed)
+	want := runWorkload(ref, seed)
+	if len(got) != len(want) {
+		t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d: firing order diverges at %d: engine %d, reference %d",
+				seed, i, got[i], want[i])
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: firing order diverges at %d: engine %d, reference %d",
-					seed, i, got[i], want[i])
-			}
-		}
-		if eng.e.Now() != ref.t {
-			t.Fatalf("seed %d: final clock %v vs reference %v", seed, eng.e.Now(), ref.t)
-		}
+	}
+	if eng.e.Now() != ref.t {
+		t.Fatalf("seed %d: final clock %v vs reference %v", seed, eng.e.Now(), ref.t)
 	}
 }
 

@@ -29,13 +29,13 @@ import (
 
 // crossEvent is an event posted from one shard to another, parked in the
 // source shard's outbox until the window barrier. When q is set the
-// barrier pushes v onto it before scheduling fn (see CrossPushAt).
+// barrier books v on it instead of scheduling fn (see CrossPushAt).
 type crossEvent struct {
 	at  Time
 	dst int32
 	src int32
 	fn  func()
-	q   *FIFO[[]byte]
+	q   *Backlog[[]byte]
 	v   []byte
 }
 
@@ -227,9 +227,10 @@ func (g *ShardGroup) drainOutboxes(window Time) {
 				ce.src, ce.dst, ce.at, window))
 		}
 		if ce.q != nil {
-			ce.q.Push(ce.v)
+			ce.q.PushAt(ce.at, ce.v)
+		} else {
+			g.shards[ce.dst].ScheduleAt(ce.at, ce.fn)
 		}
-		g.shards[ce.dst].ScheduleAt(ce.at, ce.fn)
 		g.crossed++
 	}
 	clear(all) // drop the callbacks and payloads the scratch still holds
@@ -256,18 +257,18 @@ func (e *Engine) CrossScheduleAt(dst *Engine, t Time, fn func()) {
 	e.group.post(crossEvent{at: t, dst: dst.shardIdx, src: e.shardIdx, fn: fn})
 }
 
-// CrossPushAt is the drain-queue pattern (see FIFO) across shards: it
-// pushes v onto q, a queue dst owns, and schedules fn — the queue's drain
-// callback, bound once — on dst at time t. Between shards of a running
-// group the push waits in e's outbox beside the event and the barrier
-// makes it, so a frame crosses without a closure built around it.
-func (e *Engine) CrossPushAt(dst *Engine, t Time, q *FIFO[[]byte], v []byte, fn func()) {
+// CrossPushAt is q.PushAt(t, v) from an event callback running on e,
+// where q may belong to another engine. Between shards of a running
+// group the booking waits in e's outbox like a CrossScheduleAt event and
+// the barrier makes it, so a frame crosses without a closure built
+// around it.
+func (e *Engine) CrossPushAt(t Time, q *Backlog[[]byte], v []byte) {
+	dst := q.eng
 	if !e.crosses(dst) {
-		q.Push(v)
-		dst.ScheduleAt(t, fn)
+		q.PushAt(t, v)
 		return
 	}
-	e.group.post(crossEvent{at: t, dst: dst.shardIdx, src: e.shardIdx, fn: fn, q: q, v: v})
+	e.group.post(crossEvent{at: t, dst: dst.shardIdx, src: e.shardIdx, q: q, v: v})
 }
 
 // CrossSchedule is CrossScheduleAt after delay d of e's local time.
