@@ -33,7 +33,9 @@ cover:
 # recovery runs the failure-recovery suite on its own under the race
 # detector: QP state machine, crash/restart, deadlines, reconnects, and
 # the frame-ownership fire drills (a resend or READ re-request that
-# outlives its ACK, a peer that takes frames by reference).
+# outlives its ACK, a peer that takes frames by reference, a received
+# frame held in a DMA command until its commit, taken frames released
+# once across a crash).
 recovery:
 	$(GO) test -race -run 'Recovery|Crash|Deadline|QPState|Reconnect|KeepsItsBytes|TakesFramesByReference' ./internal/roce ./internal/core ./internal/experiments .
 
@@ -75,7 +77,9 @@ kv-large:
 # fuzz smoke-runs the checked-in fuzzers for 10s each on top of their
 # seed corpora (packet header round-trip, CRC slicing equivalence, QP
 # state-machine exactly-once under random fault interleavings, RETH
-# validation never-false-accept, every shard running its cross-shard
+# validation never-false-accept, the duplicate-READ ring hitting and
+# missing as the map it replaced did across the 24-bit PSN wrap and
+# resets, every shard running its cross-shard
 # events in (timestamp, source shard, posting order) and never in the
 # window that posted them, backlog items firing in the order of a
 # textbook heap holding one event per item, switch arbitration conservation
@@ -88,6 +92,7 @@ fuzz:
 	$(GO) test ./internal/crc -fuzz=FuzzCRCSlicingEquivalence -fuzztime=10s
 	$(GO) test ./internal/roce -fuzz=FuzzQPStateMachine -fuzztime=10s
 	$(GO) test ./internal/roce -fuzz=FuzzRETHValidation -fuzztime=10s
+	$(GO) test ./internal/roce -fuzz=FuzzDupReadTableMatchesMap -fuzztime=10s
 	$(GO) test ./internal/sim -fuzz=FuzzShardSchedule -fuzztime=10s
 	$(GO) test ./internal/sim -fuzz=FuzzBacklogMatchesReference -fuzztime=10s
 	$(GO) test ./internal/telemetry/export -fuzz=FuzzEnvelopeRoundTrip -fuzztime=10s

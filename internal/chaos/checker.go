@@ -61,11 +61,13 @@ type readServing struct {
 //  3. The responder executes fresh requests exactly in PSN order —
 //     go-back-N never re-delivers a completed WQE as new.
 //  4. Duplicate-region re-execution happens only for READs (idempotent).
-//  5. Duplicate READs are served bit-identical payloads (the §4.1
-//     cache). Workloads that race writes against their own reads relax
-//     this to length-only via SetVolatileReads — the responder
-//     re-executes duplicate READs from live memory, so racing content
-//     may legitimately differ.
+//  5. Duplicate READs are served bit-identical payloads. The §4.1
+//     recent-read table keeps each READ's request (va, len, rkey), not
+//     its payload bytes: the responder re-executes a duplicate against
+//     live memory, so the payload is identical only while nothing has
+//     written that range since the first serving. Workloads that race
+//     writes against their own reads relax this to length-only via
+//     SetVolatileReads, because racing content may legitimately differ.
 //  6. Retry counts respect the RetransTimeout pacing and MaxRetries cap,
 //     and a timeout with outstanding work is followed by an actual
 //     retransmission.

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"strom/internal/core"
@@ -77,7 +78,8 @@ func runBulk(tb testing.TB, pair *testrig.Pair, n, window int, write bool) sim.D
 // hostmem copy. Bytes: next to nothing either way, since every frame,
 // the retained requester frames included, and every DMA buffer is
 // recycled; the bound leaves room for a GC emptying the frame pool
-// mid-run. Objects: at most 3 per packet.
+// mid-run and for the pool still growing after the short warm-up
+// (0.13x for a WRITE, 0.00x for a READ). Objects: at most 3 per packet.
 func TestAllocsBulkPathPerByte(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race-runtime instrumentation allocates; allocation counts are only meaningful without -race")
@@ -100,11 +102,47 @@ func TestAllocsBulkPathPerByte(t *testing.T) {
 		objsPerOp := float64(after.Mallocs-before.Mallocs) / ops
 		t.Logf("%s 64 KiB: %.0f B/op (%.2fx payload), %.1f objects/op (%.2f per packet)",
 			c.name, bytesPerOp, bytesPerOp/bulkSize, objsPerOp, objsPerOp/packets)
-		if bytesPerOp > 0.5*bulkSize {
-			t.Errorf("%s allocates %.2fx its payload in bytes, want <= 0.5x", c.name, bytesPerOp/bulkSize)
+		if bytesPerOp > 0.25*bulkSize {
+			t.Errorf("%s allocates %.2fx its payload in bytes, want <= 0.25x", c.name, bytesPerOp/bulkSize)
 		}
 		if objsPerOp > 3*packets {
 			t.Errorf("%s allocates %.2f objects per packet, want <= 3", c.name, objsPerOp/packets)
+		}
+	}
+}
+
+// TestAllocsFreshPairBulk guards what a testbed's first bulk verbs
+// allocate: the fill of its per-QP tables and DMA command records, which
+// every round of the verbs-bulk benchmark pays again because each builds
+// a fresh pair. A throwaway pair fills the process-wide frame pool first
+// and the collector is off, so the pool neither starts empty nor is
+// emptied mid-run and the figure is the testbed's own. 16 WRITEs (READs)
+// on a fresh 100 G pair take 3.1 (3.2) KiB per verb with received frames
+// carried to their DMA commit and a fixed recent-read ring; staging every
+// received payload in the command's own buffer and a growing recent-read
+// map took 8.6 (8.0).
+func TestAllocsFreshPairBulk(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race-runtime instrumentation allocates; allocation counts are only meaningful without -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	warm := bulkPair(t)
+	runBulk(t, warm, 32, 4, true)
+	runBulk(t, warm, 32, 4, false)
+	const ops = 16
+	for _, c := range []struct {
+		name  string
+		write bool
+	}{{"PostWrite", true}, {"PostRead", false}} {
+		pair := bulkPair(t)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		runBulk(t, pair, ops, 4, c.write)
+		runtime.ReadMemStats(&after)
+		bytesPerOp := float64(after.TotalAlloc-before.TotalAlloc) / ops
+		t.Logf("%s 64 KiB on a fresh pair: %.0f B/op, %.1f objects/op", c.name, bytesPerOp, float64(after.Mallocs-before.Mallocs)/ops)
+		if bytesPerOp > 5<<10 {
+			t.Errorf("%s allocates %.1f KiB per verb on a fresh pair, want <= 5", c.name, bytesPerOp/1024)
 		}
 	}
 }

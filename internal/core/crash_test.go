@@ -104,8 +104,8 @@ func (k *logKernel) Resources() fpga.Resources { return fpga.Resources{} }
 // crashes never reach the kernel, and each is counted as an abort; their
 // pooled buffers go back to the pool once. After a restart, interleaved
 // Params and segments reach the kernel in arrival order, each with its
-// own bytes, although the caller reuses its buffer at once (as the
-// transport does with a received frame).
+// own bytes, although the caller reuses its buffer at once (a handler
+// called outside the stack's receive path, whose bytes the NIC copies).
 func TestCrashAbortsQueuedInvoke(t *testing.T) {
 	r := newRig(t, 1, Profile10G(), fabric.DirectCable10G())
 	k := &logKernel{}

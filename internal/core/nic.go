@@ -277,9 +277,22 @@ func (n *NIC) KernelResources() fpga.Resources {
 // kernels are not involved (§5.2: the existing direct data path remains).
 // The stack already validated the RETH (ValidateRemote), so the DMA here
 // targets registered memory — the observer hook re-checks that invariant.
+// The DMA command takes the received frame and writes the payload out of
+// it (DESIGN.md §2.2).
 func (n *NIC) HandleWrite(qpn uint32, va uint64, data []byte, last bool) {
 	n.observeDMA(mr.AccessRemoteWrite, va, len(data))
-	n.dma.WriteHost(hostmem.Addr(va), data, n.writeLanded)
+	n.dma.WriteHostFrame(hostmem.Addr(va), data, n.stack.TakeRxFrame(), n.writeLanded)
+}
+
+// takeRx returns received payload held for the kernel pipeline and the
+// pooled buffer it lies in: the received frame, taken from the stack, or
+// a pooled copy when the stack is not receiving one.
+func (n *NIC) takeRx(data []byte) (buf, frame []byte) {
+	if f := n.stack.TakeRxFrame(); f != nil {
+		return data, f
+	}
+	c := packet.CloneFrame(data)
+	return c, c
 }
 
 // onWriteLanded is the completion of every responder-side WRITE DMA
@@ -311,7 +324,8 @@ func (n *NIC) HandleRPCParams(qpn uint32, rpcOp uint64, params []byte) error {
 	if d, ok := n.kernels[rpcOp]; ok {
 		n.stats.RPCsDispatched++
 		d.ctx.State(qpn, "INVOKE")
-		n.enterPipeline(kernelInput{d: d, qpn: qpn, buf: packet.CloneFrame(params), invoke: true})
+		buf, frame := n.takeRx(params)
+		n.enterPipeline(kernelInput{d: d, qpn: qpn, buf: buf, frame: frame, invoke: true})
 		return nil
 	}
 	if n.fallback != nil {
@@ -336,19 +350,21 @@ func (n *NIC) HandleRPCWrite(qpn uint32, rpcOp uint64, data []byte, last bool) e
 		return fmt.Errorf("%w: %#x", ErrNoKernel, rpcOp)
 	}
 	n.stats.StreamSegments++
-	n.enterPipeline(kernelInput{d: d, qpn: qpn, buf: packet.CloneFrame(data), last: last})
+	buf, frame := n.takeRx(data)
+	n.enterPipeline(kernelInput{d: d, qpn: qpn, buf: buf, frame: frame, last: last})
 	return nil
 }
 
 // kernelInput is one input in the kernel pipeline, a parameter block
 // (Invoke, remote or InvokeLocal's) or an RPC WRITE segment (Stream), with
-// the crash epoch it entered under. The caller's bytes are recycled when
-// the handler returns: the input waits in a pooled buffer of its own,
-// which the kernel may not keep (see Kernel).
+// the crash epoch it entered under. The input waits in a pooled buffer
+// the pipeline owns — the received frame, or InvokeLocal's copy of the
+// caller's parameters — which the kernel may not keep (see Kernel).
 type kernelInput struct {
 	d      *deployment
 	qpn    uint32
-	buf    []byte
+	buf    []byte // the input, inside frame
+	frame  []byte // the pooled buffer, returned when the input leaves
 	invoke bool
 	last   bool
 	done   func(error) // InvokeLocal's completion; may be nil
@@ -364,7 +380,7 @@ func (n *NIC) enterPipeline(in kernelInput) {
 }
 
 // runKernelInput hands an input leaving the pipeline to its kernel,
-// unless the NIC crashed since it was queued, and recycles its buffer
+// unless the NIC crashed since it was queued, and recycles its frame
 // either way.
 func (n *NIC) runKernelInput(in kernelInput) {
 	var err error
@@ -377,7 +393,7 @@ func (n *NIC) runKernelInput(in kernelInput) {
 	default:
 		in.d.kernel.Stream(in.d.ctx, in.qpn, in.buf, in.last)
 	}
-	packet.PutBuf(in.buf)
+	packet.PutBuf(in.frame)
 	if in.done != nil {
 		in.done(err)
 	}
@@ -479,7 +495,7 @@ func (n *NIC) InvokeLocal(rpcOp uint64, qpn uint32, params []byte, done func(err
 			return
 		}
 		n.stats.RPCsDispatched++
-		n.enterPipeline(kernelInput{d: d, qpn: qpn, buf: p, invoke: true, done: done})
+		n.enterPipeline(kernelInput{d: d, qpn: qpn, buf: p, frame: p, invoke: true, done: done})
 	})
 }
 

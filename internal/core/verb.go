@@ -227,12 +227,13 @@ func (r *verb) doorbell() {
 }
 
 // chunk is the READ's sink: each response chunk is DMA-written to its
-// place in host memory, and the stack acknowledged once it has landed.
+// place in host memory out of the frame it arrived in, and the stack
+// acknowledged once it has landed.
 func (r *verb) chunk(off int, data []byte, ack func()) {
 	n := r.n
 	r.ack = ack
 	n.observeDMA(mr.AccessLocal, r.v.LocalVA+uint64(off), len(data))
-	n.dma.WriteHost(hostmem.Addr(r.v.LocalVA)+hostmem.Addr(off), data, r.landed)
+	n.dma.WriteHostFrame(hostmem.Addr(r.v.LocalVA)+hostmem.Addr(off), data, n.stack.TakeRxFrame(), r.landed)
 }
 
 func (r *verb) chunkLanded(err error) {

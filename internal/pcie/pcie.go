@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"strom/internal/hostmem"
+	"strom/internal/packet"
 	"strom/internal/sim"
 	"strom/internal/telemetry"
 	"strom/internal/tlb"
@@ -208,14 +209,16 @@ func (e *Engine) SetOffline(off bool) { e.offline = off }
 // ReadHostBorrowed): each commit event delivers one and re-arms the same
 // bound commit for the next, so a chunk costs one event and no
 // allocation. segs and stage keep their capacity across uses. stage
-// holds a write's payload between WriteHost returning and the commit,
-// and a borrowed read's current chunk for the length of its callback; it
-// is never handed out otherwise.
+// holds WriteHost's copy of a payload until the commit, and a borrowed
+// read's current chunk for the length of its callback; it is never
+// handed out otherwise.
 type command struct {
 	e         *Engine
 	home      *[]*command // the free list this record lives on
 	segs      []tlb.Segment
 	stage     []byte
+	data      []byte   // write: the bytes the commit writes, in stage or in frame
+	frame     []byte   // write: WriteHostFrame's frame, returned to the pool at the commit
 	n         int      // read: result length
 	chunk     int      // read: bytes per delivery (n unless streamed)
 	off       int      // read: bytes delivered so far
@@ -268,7 +271,7 @@ func (e *Engine) newCommand(list *[]*command) *command {
 }
 
 func (c *command) release() {
-	c.readDone, c.writeDone = nil, nil
+	c.readDone, c.writeDone, c.data, c.frame = nil, nil, nil, nil
 	if cap(c.stage) > maxStageBytes {
 		c.stage = nil
 	}
@@ -301,9 +304,10 @@ func (c *command) run() {
 		var err error
 		for off, i := 0, 0; i < len(c.segs) && err == nil; i++ {
 			s := c.segs[i]
-			err = mem.WritePhys(s.PA, c.stage[off:off+s.Len])
+			err = mem.WritePhys(s.PA, c.data[off:off+s.Len])
 			off += s.Len
 		}
+		packet.PutBuf(c.frame)
 		c.writeDone(err)
 	}
 	c.release()
@@ -436,28 +440,46 @@ func (e *Engine) readHost(va hostmem.Addr, n, chunk int, done func([]byte, error
 
 // WriteHost DMA-writes data to virtual address va and calls done once the
 // write is globally visible in host memory (when a polling CPU can see
-// it). Posted writes complete without a round trip. data is copied
-// before WriteHost returns — it usually aliases an RX frame that is
-// recycled long before the commit — into the command's staging buffer.
+// it). Posted writes complete without a round trip. data is copied into
+// the command's staging buffer before WriteHost returns, for a caller
+// that refills its buffer at once — a kernel writing its output.
 func (e *Engine) WriteHost(va hostmem.Addr, data []byte, done func(error)) {
+	e.writeHost(va, data, nil, done)
+}
+
+// WriteHostFrame is WriteHost for a payload that lies in a received frame
+// the caller hands over with it: data aliases frame, and nothing is
+// copied. The commit writes data straight out of the frame and returns
+// the frame to packet's pool; a write that fails before it moves a byte
+// (device offline, unmapped address) returns it when done is called. A
+// nil frame makes it WriteHost.
+func (e *Engine) WriteHostFrame(va hostmem.Addr, data, frame []byte, done func(error)) {
+	e.writeHost(va, data, frame, done)
+}
+
+func (e *Engine) writeHost(va hostmem.Addr, data, frame []byte, done func(error)) {
 	if e.offline {
-		e.eng.Schedule(e.cfg.WriteLatency, func() { done(ErrOffline) })
+		e.writeFailed(frame, done, ErrOffline)
 		return
 	}
 	n := len(data)
 	if n == 0 {
-		e.eng.Schedule(e.cfg.WriteLatency, func() { done(nil) })
+		e.writeFailed(frame, done, nil)
 		return
 	}
 	c := e.newCommand(&e.freeWrites)
 	segs, err := e.tlb.Split(c.segs[:0], va, n)
 	if err != nil {
 		c.release()
-		e.eng.Schedule(e.cfg.WriteLatency, func() { done(err) })
+		e.writeFailed(frame, done, err)
 		return
 	}
 	c.segs, c.writeDone = segs, done
-	c.stage = append(c.stage[:0], data...)
+	if frame == nil {
+		c.stage = append(c.stage[:0], data...)
+		data = c.stage
+	}
+	c.data, c.frame = data, frame
 	e.st.WriteCommands++
 	e.st.SplitSegments += uint64(len(segs) - 1)
 	e.st.WriteBytes += uint64(n)
@@ -467,6 +489,15 @@ func (e *Engine) WriteHost(va hostmem.Addr, data []byte, done func(error)) {
 		e.tb.Complete(e.pid, traceTidC2H, "dma", "DMA_WRITE", now, at.Sub(now), fmt.Sprintf("va=%#x n=%d segs=%d", uint64(va), n, len(segs)))
 	}
 	e.eng.ScheduleAt(at, c.commit)
+}
+
+// writeFailed completes a write that moves no bytes after the posting
+// latency, and returns its frame, if it has one, then.
+func (e *Engine) writeFailed(frame []byte, done func(error), err error) {
+	e.eng.Schedule(e.cfg.WriteLatency, func() {
+		packet.PutBuf(frame)
+		done(err)
+	})
 }
 
 // MMIORead models one register read from the host; fn produces the value

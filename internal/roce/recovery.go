@@ -150,12 +150,13 @@ func (s *Stack) ResetQP(qpn uint32) error {
 // resetQP is ResetQP minus the frozen/lookup checks (shared by Restart).
 func (s *Stack) resetQP(qpn uint32, st *qpState) {
 	s.flushQP(qpn, st, fmt.Errorf("%w: %w", ErrQPError, errQPReset))
+	clear(st.recentRds)
 	*st = qpState{
 		created:    true,
 		remote:     st.remote,
 		remoteQPN:  st.remoteQPN,
 		remoteRKey: st.remoteRKey,
-		recentRds:  make(map[uint32]recentRead),
+		recentRds:  st.recentRds,
 		state:      QPStateReset,
 	}
 	s.stats.QPResets++

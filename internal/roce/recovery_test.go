@@ -95,7 +95,7 @@ func TestRetryExhaustionFlushesAllOps(t *testing.T) {
 	if got := p.a.st.qps[1].nextPSN; got != 0 {
 		t.Errorf("nextPSN after reconnect = %d, want 0", got)
 	}
-	if got := len(p.a.st.qps[1].recentRds); got != 0 {
+	if got := liveReads(p.a.st.qps[1].recentRds); got != 0 {
 		t.Errorf("dup-read cache has %d entries after reset, want 0", got)
 	}
 	data := []byte("post-recovery payload")

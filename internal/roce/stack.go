@@ -12,7 +12,10 @@ import (
 
 // Handler is the host-side interface the responder data path drives — in
 // a full NIC this is the StRoM arbitration layer sitting between the
-// stack and the DMA engine (Figure 1).
+// stack and the DMA engine (Figure 1). The data of HandleWrite,
+// HandleRPCParams and HandleRPCWrite, like a ReadSink's chunk, is the
+// payload of the frame being received, valid until the call returns
+// unless the method takes the frame (Stack.TakeRxFrame).
 type Handler interface {
 	// HandleWrite stores one RDMA WRITE segment at va. Segments of a
 	// message arrive in order; last marks the final segment.
@@ -144,6 +147,10 @@ type Stack struct {
 	rxPkt  packet.Packet
 	ackPkt packet.Packet
 	txPkt  packet.Packet
+
+	// rxFrame is the frame process is running, until a consumer takes it
+	// (TakeRxFrame).
+	rxFrame []byte
 
 	// The TX and RX pipelines' backlogs (DESIGN.md §1.3): a frame
 	// leaves each at its serializer reservation plus the fixed stage
@@ -711,18 +718,40 @@ func (s *Stack) RemoteRKey(qpn uint32) uint32 {
 // DeliverFrame is the fabric-facing entry point: the frame flows through
 // the RX pipeline (store-and-forward for ICRC validation at one data-path
 // word per cycle, then the parsing/PSN-check stages). The stack takes
-// ownership of the frame and recycles its buffer after processing.
+// ownership of the frame and recycles its buffer after processing,
+// unless the consumer of its payload took it (TakeRxFrame).
 func (s *Stack) DeliverFrame(frame []byte) {
 	end := s.rxPath.Reserve(s.cfg.Cycles(s.words(frame)))
 	s.rxq.PushAt(end.Add(s.cfg.Cycles(s.cfg.RxFixedCycles)), frame)
 }
 
+// TakeRxFrame hands the frame being received over to the caller, which
+// then returns it to packet's pool when it is done with it. It is for
+// the Handler method or ReadSink the stack is calling with the frame's
+// payload, and for a consumer that keeps that payload past the call — a
+// DMA write that commits later, a kernel input that waits in the
+// pipeline — instead of copying it out. It returns nil outside such a
+// call, and to a second caller for the same frame: the caller copies
+// then.
+func (s *Stack) TakeRxFrame() []byte {
+	f := s.rxFrame
+	s.rxFrame = nil
+	return f
+}
+
+// process runs one frame out of the RX pipeline. The parse lives in the
+// stack's scratch packet and its payload aliases the frame, so nothing
+// allocates per packet. The frame is lent to the handler it reaches: a
+// consumer that outlives this call takes it (TakeRxFrame), and the
+// stack returns it to the pool only when nobody did.
 func (s *Stack) process(frame []byte) {
-	// The parse lives in the stack's scratch packet and its payload
-	// aliases the frame buffer, so nothing allocates per packet; every
-	// consumer that outlives this call (DMA writes, kernel dispatch)
-	// copies the bytes it keeps before the frame returns to the pool.
-	defer packet.PutBuf(frame)
+	s.rxFrame = frame
+	s.receive(frame)
+	packet.PutBuf(s.rxFrame)
+	s.rxFrame = nil
+}
+
+func (s *Stack) receive(frame []byte) {
 	s.stats.RxBytes += uint64(len(frame))
 	pkt := &s.rxPkt
 	err := packet.DecodeInto(pkt, frame)
@@ -790,16 +819,15 @@ func (s *Stack) handleRequest(qpn uint32, st *qpState, pkt *packet.Packet) {
 		// have been lost).
 		s.stats.RxDuplicates++
 		if pkt.BTH.Opcode == packet.OpReadRequest {
-			// The cache window is enforced by age here, not by sweep
-			// timing, so hits are a deterministic function of the PSN
-			// distance alone.
-			if rr, ok := st.recentRds[pkt.BTH.PSN]; ok && -d <= int32(8*s.cfg.ReadDepthPerQP) {
+			// The window is enforced by age here, so hits are a
+			// deterministic function of the PSN distance alone.
+			if rr, ok := st.recentRds.get(pkt.BTH.PSN); ok && -d <= readWindow(s.cfg) {
 				s.stats.DupReadCacheHits++
 				// Re-validate with the original rkey: the region may have
 				// been deregistered or restamped since the first execution,
 				// and a cached duplicate must not outlive its protection.
 				if s.valid != nil {
-					reth := packet.RETH{VirtualAddress: rr.va, RKey: rr.rkey, DMALength: uint32(rr.n)}
+					reth := packet.RETH{VirtualAddress: rr.va, RKey: rr.rkey, DMALength: rr.n}
 					if err := s.valid.ValidateRemote(qpn, packet.OpReadRequest, reth); err != nil {
 						s.nakRemoteAccess(st, pkt.BTH.PSN)
 						return
@@ -808,7 +836,7 @@ func (s *Stack) handleRequest(qpn uint32, st *qpState, pkt *packet.Packet) {
 				if s.obs != nil {
 					s.obs.RespExec(qpn, pkt.BTH.PSN, 0, pkt.BTH.Opcode, true)
 				}
-				s.executeRead(qpn, st, rr.va, rr.n, rr.resp, true)
+				s.executeRead(qpn, st, rr.va, int(rr.n), pkt.BTH.PSN, true)
 			} else {
 				s.stats.DupReadCacheMiss++
 			}
@@ -846,23 +874,15 @@ func (s *Stack) handleRequest(qpn uint32, st *qpState, pkt *packet.Packet) {
 	case op == packet.OpRPCParams:
 		s.execRPCParams(qpn, st, pkt)
 	case op == packet.OpReadRequest:
-		n := int(pkt.RETH.DMALength)
-		npsn := uint32(packet.NumSegments(n, s.cfg.MTUPayload))
-		rr := recentRead{va: pkt.RETH.VirtualAddress, n: n, resp: pkt.BTH.PSN, rkey: pkt.RETH.RKey}
-		st.recentRds[pkt.BTH.PSN] = rr
-		if len(st.recentRds) > 16*s.cfg.ReadDepthPerQP {
-			// Bounded cache, like the on-chip structure it models. Stale
-			// entries are rejected at lookup by age, so this sweep only
-			// bounds memory and runs rarely (amortized O(1) per read).
-			for k := range st.recentRds {
-				if psnDiff(st.ePSN, k) > int32(8*s.cfg.ReadDepthPerQP) {
-					delete(st.recentRds, k)
-				}
-			}
+		reth := pkt.RETH
+		npsn := uint32(packet.NumSegments(int(reth.DMALength), s.cfg.MTUPayload))
+		if st.recentRds == nil {
+			st.recentRds = newRecentReads(s.cfg)
 		}
+		st.recentRds.put(pkt.BTH.PSN, reth.VirtualAddress, reth.DMALength, reth.RKey)
 		st.ePSN = psnAdd(st.ePSN, npsn)
 		st.msn = (st.msn + 1) & psnMask
-		s.executeRead(qpn, st, rr.va, n, rr.resp, false)
+		s.executeRead(qpn, st, reth.VirtualAddress, int(reth.DMALength), pkt.BTH.PSN, false)
 	}
 }
 

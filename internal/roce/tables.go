@@ -48,7 +48,7 @@ type qpState struct {
 	curVA     uint64
 	curRPCOp  uint64
 	inRPC     bool
-	recentRds map[uint32]recentRead // PSN -> read request, for duplicate re-execution
+	recentRds recentReads // executed READs, for duplicate re-execution
 
 	// Requester state.
 	nextPSN    uint32
@@ -65,12 +65,54 @@ type qpState struct {
 }
 
 // recentRead remembers an executed read request so a duplicate (retried)
-// request can be re-served.
+// request can be re-served. Its first response PSN is the request PSN.
 type recentRead struct {
 	va   uint64
-	n    int
+	n    uint32
 	rkey uint32 // original request key, revalidated before duplicate serving
-	resp uint32 // first response PSN (== request PSN)
+	tag  uint32 // request PSN | recentValid; zero in an empty slot
+}
+
+// recentValid marks a recentRead slot in use: it lies above the 24 PSN
+// bits of a tag, so PSN 0 is a tag like any other.
+const recentValid = 1 << 24
+
+// recentReads is a QP's recent-read table (DESIGN.md §4.1): a fixed ring
+// indexed by request PSN, each slot tagged with the PSN it holds. A
+// duplicate READ is re-served only from within readWindow PSNs behind the
+// expected PSN, and the ring is at least that long, so no READ inside the
+// window can have been overwritten: two requests sharing a slot lie a
+// whole ring apart. The table is made at the QP's first READ and a reset
+// clears it in place.
+type recentReads []recentRead
+
+// readWindow is how far behind the expected PSN a duplicate READ is still
+// re-served: eight times the outstanding reads a QP may have.
+func readWindow(cfg Config) int32 { return int32(8 * cfg.ReadDepthPerQP) }
+
+// newRecentReads makes a ring of the smallest power of two not below the
+// window.
+func newRecentReads(cfg Config) recentReads {
+	n := 1
+	for n < int(readWindow(cfg)) {
+		n <<= 1
+	}
+	return make(recentReads, n)
+}
+
+// put records the READ executed at request psn.
+func (r recentReads) put(psn uint32, va uint64, n, rkey uint32) {
+	r[psn&uint32(len(r)-1)] = recentRead{va: va, n: n, rkey: rkey, tag: psn | recentValid}
+}
+
+// get returns the READ executed at request psn, if its slot still holds
+// it.
+func (r recentReads) get(psn uint32) (recentRead, bool) {
+	if len(r) == 0 {
+		return recentRead{}, false
+	}
+	rr := r[psn&uint32(len(r)-1)]
+	return rr, rr.tag == psn|recentValid
 }
 
 // pendingPacket is a requester-side packet awaiting acknowledgement,
@@ -173,7 +215,6 @@ func (t *stateTable) create(qpn uint32, remote Identity, remoteQPN uint32) error
 		created:   true,
 		remote:    remote,
 		remoteQPN: remoteQPN,
-		recentRds: make(map[uint32]recentRead),
 	}
 	return nil
 }
