@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -75,38 +76,46 @@ func runBulk(tb testing.TB, pair *testrig.Pair, n, window int, write bool) sim.D
 // transfer through the whole NIC — doorbell, DMA read, segmentation,
 // cable, RX, DMA write, ACK — which the roce-level guard
 // (roce/alloc_test.go) cannot see: its in-memory handler has no pcie or
-// hostmem copy. Bytes: next to nothing either way, since every frame,
-// the retained requester frames included, and every DMA buffer is
-// recycled; the bound leaves room for a GC emptying the frame pool
-// mid-run and for the pool still growing after the short warm-up
-// (0.13x for a WRITE, 0.00x for a READ). Objects: at most 3 per packet.
+// hostmem copy. Every frame, the retained requester frames included, and
+// every DMA buffer is recycled, so once the frame pool and the free
+// lists have grown a verb allocates next to nothing. With the collector
+// off, successive 64-WRITE rounds on one pair read 19 317, 6 037, then
+// 5 B/op (READs: 1 023, then 5), the 5 B being runBulk's own closures,
+// except that a round now and then reads 294-582: the frame pool is a
+// sync.Pool, whose per-P queue grows again after the goroutine changes
+// P. So the guard warms up for six rounds and takes the least of the next
+// five, which one allocation more per packet (47 per verb) would raise
+// in every round past both bounds.
 func TestAllocsBulkPathPerByte(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race-runtime instrumentation allocates; allocation counts are only meaningful without -race")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	pair := bulkPair(t)
 	packets := float64((bulkSize + pair.A.Config().Roce.MTUPayload - 1) / pair.A.Config().Roce.MTUPayload)
+	const ops = 64
 	for _, c := range []struct {
 		name  string
 		write bool
 	}{{"PostWrite", true}, {"PostRead", false}} {
-		// Warm-up: free lists, frame pool, pending lists and the event
-		// heap grow to steady state.
-		runBulk(t, pair, 32, 4, c.write)
-		const ops = 64
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		runBulk(t, pair, ops, 4, c.write)
-		runtime.ReadMemStats(&after)
-		bytesPerOp := float64(after.TotalAlloc-before.TotalAlloc) / ops
-		objsPerOp := float64(after.Mallocs-before.Mallocs) / ops
-		t.Logf("%s 64 KiB: %.0f B/op (%.2fx payload), %.1f objects/op (%.2f per packet)",
-			c.name, bytesPerOp, bytesPerOp/bulkSize, objsPerOp, objsPerOp/packets)
-		if bytesPerOp > 0.25*bulkSize {
-			t.Errorf("%s allocates %.2fx its payload in bytes, want <= 0.25x", c.name, bytesPerOp/bulkSize)
+		for range 6 {
+			runBulk(t, pair, ops, 4, c.write)
 		}
-		if objsPerOp > 3*packets {
-			t.Errorf("%s allocates %.2f objects per packet, want <= 3", c.name, objsPerOp/packets)
+		bytesPerOp, objsPerOp := math.Inf(1), math.Inf(1)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			runBulk(t, pair, ops, 4, c.write)
+			runtime.ReadMemStats(&after)
+			bytesPerOp = min(bytesPerOp, float64(after.TotalAlloc-before.TotalAlloc)/ops)
+			objsPerOp = min(objsPerOp, float64(after.Mallocs-before.Mallocs)/ops)
+		}
+		t.Logf("%s 64 KiB: %.0f B/op, %.2f objects/op (%.4f per packet)", c.name, bytesPerOp, objsPerOp, objsPerOp/packets)
+		if bytesPerOp > 64 {
+			t.Errorf("%s allocates %.0f B per 64 KiB verb, want <= 64", c.name, bytesPerOp)
+		}
+		if objsPerOp > 0.1*packets {
+			t.Errorf("%s allocates %.3f objects per packet, want <= 0.1", c.name, objsPerOp/packets)
 		}
 	}
 }

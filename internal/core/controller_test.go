@@ -7,8 +7,72 @@ import (
 
 	"strom/internal/fabric"
 	"strom/internal/packet"
+	"strom/internal/raceflag"
 	"strom/internal/sim"
 )
+
+// TestNICCounterTable guards the counter table every view reads: each
+// register is served by exactly one row and carries a mnemonic, no
+// health key, metric name or mnemonic appears twice (nor collides with
+// the names the views add as families), and every row is read by some
+// view.
+func TestNICCounterTable(t *testing.T) {
+	served := make(map[Register]int)
+	names := map[string]map[string]bool{
+		"mnemonic": {},
+		"health":   {"mr_violations": true, "outstanding_ops": true},
+		"metric":   {"mr_validation_fail": true, "roce_qp_state": true, "pcie_h2c_utilisation": true, "pcie_c2h_utilisation": true},
+	}
+	for _, k := range mrViolationKeys {
+		names["health"][k] = true
+	}
+	for i, c := range nicCounters {
+		if (c.reg == noRegister) != (c.mnemonic == "") {
+			t.Errorf("row %d: register %d with mnemonic %q", i, c.reg, c.mnemonic)
+		}
+		if c.reg != noRegister {
+			served[c.reg]++
+		}
+		if c.mnemonic == "" && c.health == "" && c.metric == "" {
+			t.Errorf("row %d is read by no view", i)
+		}
+		for view, name := range map[string]string{"mnemonic": c.mnemonic, "health": c.health, "metric": c.metric} {
+			if name == "" {
+				continue
+			}
+			if names[view][name] {
+				t.Errorf("row %d: %s %q appears twice", i, view, name)
+			}
+			names[view][name] = true
+		}
+	}
+	for r := Register(0); r < registerCount; r++ {
+		if served[r] != 1 {
+			t.Errorf("register %d is served by %d rows, want 1", r, served[r])
+		}
+	}
+}
+
+// TestAllocsNICHealth guards that a warmed NIC's health scrape allocates
+// nothing: the report maps and per-QP keys are made once and reused, and
+// the counter table reads one reused snapshot.
+func TestAllocsNICHealth(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race-runtime instrumentation allocates; allocation counts are only meaningful without -race")
+	}
+	r := newRig(t, 1, Profile10G(), fabric.DirectCable10G())
+	r.eng.Schedule(0, func() {
+		r.a.PostWrite(1, uint64(r.bufA.Base()), uint64(r.bufB.Base()), 4096, nil)
+	})
+	r.eng.Run()
+	counters, gauges := r.a.Health()
+	if _, ok := gauges["qp1_state"]; counters["out_frames"] == 0 || !ok {
+		t.Fatalf("warm-up report %v %v", counters, gauges)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.a.Health() }); n != 0 {
+		t.Errorf("Health allocates %.1f objects per call, want 0", n)
+	}
+}
 
 func TestControllerCountsActivity(t *testing.T) {
 	r := newRig(t, 1, Profile10G(), fabric.DirectCable10G())

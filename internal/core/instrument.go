@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"strom/internal/mr"
 	"strom/internal/telemetry"
@@ -63,8 +64,8 @@ type kernelSampleHandles struct {
 
 // AttachTelemetry wires the NIC and all its components (RoCE stack, DMA
 // engine, kernels) into the observability layer under pid. The registry
-// mirrors every status-register counter via collect callbacks; the trace
-// buffer gets per-QP operation spans, per-kernel FSM lanes, and the
+// mirrors the counter table (nicCounters) via one collect callback; the
+// trace buffer gets per-QP operation spans, per-kernel FSM lanes, and the
 // stack/DMA tracks. Either argument may be nil. Call after deploying
 // kernels so every deployment gets its trace lane.
 func (n *NIC) AttachTelemetry(reg *telemetry.Registry, tb *telemetry.TraceBuffer, pid uint32, name string) {
@@ -77,29 +78,11 @@ func (n *NIC) AttachTelemetry(reg *telemetry.Registry, tb *telemetry.TraceBuffer
 	}
 	tb.NameProcess(pid, "nic:"+name)
 	tb.NameThread(pid, traceTidNicLog, "nic:log")
-	n.stack.AttachTelemetry(reg, tb, pid)
-	n.dma.AttachTelemetry(reg, tb, pid, name)
+	n.stack.AttachTelemetry(tb, pid)
+	n.dma.AttachTelemetry(tb, pid)
 	nic := telemetry.L("nic", name)
 	if reg != nil {
-		reg.OnCollect(func() {
-			reg.Counter("nic_doorbells", nic).Set(n.stats.Doorbells)
-			reg.Counter("nic_rpcs_dispatched", nic).Set(n.stats.RPCsDispatched)
-			reg.Counter("nic_rpcs_fallback", nic).Set(n.stats.RPCsFallback)
-			reg.Counter("nic_rpcs_unmatched", nic).Set(n.stats.RPCsUnmatched)
-			reg.Counter("nic_stream_segments", nic).Set(n.stats.StreamSegments)
-			reg.Counter("nic_kernel_dma_reads", nic).Set(n.stats.KernelDMAReads)
-			reg.Counter("nic_kernel_dma_writes", nic).Set(n.stats.KernelDMAWrites)
-			reg.Counter("nic_kernel_rdma_writes", nic).Set(n.stats.KernelRDMAWrites)
-			reg.Counter("nic_tlb_lookups", nic).Set(n.tlb.Lookups)
-			reg.Counter("nic_tlb_splits", nic).Set(n.tlb.Splits)
-			reg.Counter("nic_tlb_misses", nic).Set(n.tlb.Misses)
-			reg.Counter("kernel_mr_fault", nic).Set(n.stats.KernelMRFaults)
-			// Every violation class exports every collection so the label
-			// set (and the telemetry diff baseline) is stable.
-			for c := mr.Class(0); c < mr.NumClasses; c++ {
-				reg.Counter("mr_validation_fail", nic, telemetry.L("class", c.String())).Set(n.mrt.FailCount(c))
-			}
-		})
+		n.mirrorCounters(reg, nic)
 	}
 	// One trace lane and occupancy instrumentation per deployed kernel,
 	// assigned in rpcOp order so lane numbering is deterministic. The
@@ -126,6 +109,44 @@ func (n *NIC) AttachTelemetry(reg *telemetry.Registry, tb *telemetry.TraceBuffer
 	if reg != nil {
 		n.tel.dbHist = reg.Histogram("doorbell_backlog_ps", "ps", nic)
 	}
+}
+
+// mirrorCounters registers the NIC's collect callback. It refreshes one
+// registry counter per counter-table row that names a metric, resolved
+// here once, the per-class MR violation counters, and the QP state and
+// PCIe utilisation gauges.
+func (n *NIC) mirrorCounters(reg *telemetry.Registry, nic telemetry.Label) {
+	ip := telemetry.L("nic", n.stack.Identity().IP.String())
+	mirrors := make([]*telemetry.Counter, len(nicCounters))
+	for i, c := range nicCounters {
+		switch {
+		case c.metric == "":
+		case strings.HasPrefix(c.metric, "roce_"):
+			mirrors[i] = reg.Counter(c.metric, ip)
+		default:
+			mirrors[i] = reg.Counter(c.metric, nic)
+		}
+	}
+	var snap counts
+	reg.OnCollect(func() {
+		s := n.readCounts(&snap)
+		for i, c := range nicCounters {
+			mirrors[i].Set(c.read(s))
+		}
+		// Every violation class exports every collection so the label
+		// set (and the telemetry diff baseline) is stable.
+		for c := mr.Class(0); c < mr.NumClasses; c++ {
+			reg.Counter("mr_validation_fail", nic, telemetry.L("class", c.String())).Set(n.mrt.FailCount(c))
+		}
+		n.stack.EachActiveQP(func(qpn uint32) {
+			if state, err := n.stack.QPStateOf(qpn); err == nil {
+				reg.Gauge("roce_qp_state", ip, telemetry.L("qp", strconv.Itoa(int(qpn)))).Set(float64(state))
+			}
+		})
+		h2c, c2h := n.dma.Utilisation()
+		reg.Gauge("pcie_h2c_utilisation", nic).Set(h2c)
+		reg.Gauge("pcie_c2h_utilisation", nic).Set(c2h)
+	})
 }
 
 // logf records a diagnostic on the NIC's log lane (structured tracing).
@@ -201,52 +222,28 @@ func (n *NIC) observeVerb(r *verb, err error) {
 	r.hist.Observe(d)
 }
 
-// Health returns the NIC's scrapeable per-port health report, using the
-// switch-style error-counter names documented in
-// internal/telemetry/export (fcs_err for undecodable frames,
-// in_discards for frames arriving while crashed, stomped_crc for
-// duplicate READs whose payload identity could not be re-proven, ...).
-// It reads only this NIC's own state, so on a sharded testbed it is a
-// valid export.ScrapeFunc for a source registered on the NIC's engine.
-// Works with or without AttachTelemetry. The maps are reused: each call
+// Health returns the NIC's scrapeable per-port health report in the
+// taxonomy of internal/telemetry/export: every counter-table row with a
+// health key, the per-class MR violations and their total, per-QP
+// retransmissions and states, and outstanding_ops. It reads only this
+// NIC's own state, so on a sharded testbed it is a valid
+// export.ScrapeFunc for a source registered on the NIC's engine. Works
+// with or without AttachTelemetry. The maps are reused: each call
 // overwrites the last report.
 func (n *NIC) Health() (map[string]uint64, map[string]float64) {
 	h := &n.health
 	if h.counters == nil {
 		h.counters, h.gauges, h.qpKeys = make(map[string]uint64), make(map[string]float64), make(map[uint32]qpHealthKeys)
 	}
-	st := n.stack.Stats()
+	s := n.readCounts(&h.counts)
 	counters, gauges := h.counters, h.gauges
 	clear(counters)
 	clear(gauges)
-	counters["in_frames"] = st.RxPackets
-	counters["in_bytes"] = st.RxBytes
-	counters["out_frames"] = st.TxPackets
-	counters["out_bytes"] = st.TxBytes
-	counters["fcs_err"] = st.RxDiscarded
-	counters["in_discards"] = n.stats.FramesDroppedDown
-	counters["stomped_crc"] = st.DupReadCacheMiss
-	counters["rcv_dup"] = st.RxDuplicates
-	counters["rcv_ooo"] = st.RxOutOfOrder
-	counters["acks_tx"] = st.AcksSent
-	counters["acks_rx"] = st.AcksReceived
-	counters["naks_tx"] = st.NaksSent
-	counters["naks_rx"] = st.NaksReceived
-	counters["retransmissions"] = st.Retransmissions
-	counters["timeouts"] = st.Timeouts
-	counters["deadline_expired"] = st.DeadlineExpired
-	counters["remote_access_naks"] = st.NaksRemoteAccess
-	counters["qp_errors"] = st.QPErrors
-	counters["qp_resets"] = st.QPResets
-	counters["kernel_faults"] = n.stats.KernelMRFaults
-	counters["kernel_aborts"] = n.stats.KernelAborts
-	counters["dma_stalled"] = n.dma.Stats().StalledCmds
-	counters["ops_posted"] = st.OpsPosted
-	counters["ops_completed"] = st.OpsCompleted
-	counters["ecn_marked_rx"] = st.EcnMarkedRx
-	counters["cnps_tx"] = st.CnpsSent
-	counters["cnps_rx"] = st.CnpsReceived
-	counters["paced_frames"] = st.PacedFrames
+	for _, c := range nicCounters {
+		if c.health != "" {
+			counters[c.health] = c.read(s)
+		}
+	}
 	var mrTotal uint64
 	for c := mr.Class(0); c < mr.NumClasses; c++ {
 		v := n.mrt.FailCount(c)
@@ -254,7 +251,7 @@ func (n *NIC) Health() (map[string]uint64, map[string]float64) {
 		counters[mrViolationKeys[c]] = v
 	}
 	counters["mr_violations"] = mrTotal
-	gauges["outstanding_ops"] = float64(st.OpsPosted - st.OpsCompleted)
+	gauges["outstanding_ops"] = float64(s.roce.OpsPosted - s.roce.OpsCompleted)
 	n.stack.EachActiveQP(func(qpn uint32) {
 		k, ok := h.qpKeys[qpn]
 		if !ok {
@@ -272,9 +269,11 @@ func (n *NIC) Health() (map[string]uint64, map[string]float64) {
 	return counters, gauges
 }
 
-// nicHealth is the Health scrape's reused state: the two report maps and
-// the per-QP metric names, formatted once per queue pair.
+// nicHealth is the Health scrape's reused state: the counter snapshot,
+// the two report maps and the per-QP metric names, formatted once per
+// queue pair.
 type nicHealth struct {
+	counts   counts
 	counters map[string]uint64
 	gauges   map[string]float64
 	qpKeys   map[uint32]qpHealthKeys

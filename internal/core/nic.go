@@ -45,23 +45,25 @@ func MachineIdentity(i int) (roce.Identity, error) {
 // "negligible latency while not impacting throughput" (§3.2).
 const kernelPipelineCycles = 6
 
+// memoryPages is a machine's host DRAM capacity in 2 MB huge pages.
+const memoryPages = 2048
+
 // Config assembles the component configurations of one machine: NIC
 // clocking, host interconnect and host CPU.
 type Config struct {
-	Roce        roce.Config
-	PCIe        pcie.Config
-	Host        cpu.Model
-	MemoryPages int // host DRAM capacity in 2 MB huge pages
+	Roce roce.Config
+	PCIe pcie.Config
+	Host cpu.Model
 }
 
 // Profile10G is the paper's 10 G testbed machine (§6.1).
 func Profile10G() Config {
-	return Config{Roce: roce.Config10G(), PCIe: pcie.Gen3x8(), Host: cpu.Platform10G(), MemoryPages: 2048}
+	return Config{Roce: roce.Config10G(), PCIe: pcie.Gen3x8(), Host: cpu.Platform10G()}
 }
 
 // Profile100G is the paper's 100 G testbed machine (§7).
 func Profile100G() Config {
-	return Config{Roce: roce.Config100G(), PCIe: pcie.Gen3x16(), Host: cpu.Platform100G(), MemoryPages: 2048}
+	return Config{Roce: roce.Config100G(), PCIe: pcie.Gen3x16(), Host: cpu.Platform100G()}
 }
 
 // NICStats counts StRoM-layer activity.
@@ -143,7 +145,7 @@ func NewNIC(eng *sim.Engine, cfg Config, id roce.Identity) *NIC {
 	n := &NIC{
 		eng:      eng,
 		cfg:      cfg,
-		mem:      hostmem.New(cfg.MemoryPages),
+		mem:      hostmem.New(memoryPages),
 		tlb:      tlb.New(0),
 		kernels:  make(map[uint64]*deployment),
 		doorbell: sim.NewSerializer(eng),

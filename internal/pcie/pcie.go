@@ -125,27 +125,11 @@ const (
 	traceTidC2H = 9 // DMA writes (card-to-host stream)
 )
 
-// AttachTelemetry wires the DMA engine into the observability layer
-// under pid: the registry mirrors the Stats counters and link
-// utilisation via a collect callback; the trace buffer receives one
-// complete span per DMA command on the H2C/C2H tracks. Either argument
-// may be nil.
-func (e *Engine) AttachTelemetry(reg *telemetry.Registry, tb *telemetry.TraceBuffer, pid uint32, nicName string) {
-	nic := telemetry.L("nic", nicName)
-	if reg != nil {
-		reg.OnCollect(func() {
-			reg.Counter("pcie_dma_read_commands", nic).Set(e.st.ReadCommands)
-			reg.Counter("pcie_dma_write_commands", nic).Set(e.st.WriteCommands)
-			reg.Counter("pcie_dma_read_bytes", nic).Set(e.st.ReadBytes)
-			reg.Counter("pcie_dma_write_bytes", nic).Set(e.st.WriteBytes)
-			reg.Counter("pcie_dma_split_segments", nic).Set(e.st.SplitSegments)
-			reg.Counter("pcie_dma_stalled_commands", nic).Set(e.st.StalledCmds)
-			reg.Counter("pcie_dma_stall_ps", nic).Set(uint64(e.st.StallTime))
-			h2c, c2h := e.Utilisation()
-			reg.Gauge("pcie_h2c_utilisation", nic).Set(h2c)
-			reg.Gauge("pcie_c2h_utilisation", nic).Set(c2h)
-		})
-	}
+// AttachTelemetry wires the DMA engine into structured tracing: the
+// trace buffer receives one complete span per DMA command on the H2C/C2H
+// tracks under pid (tb may be nil). Stats and Utilisation reach the
+// metrics registry through the NIC's counter table (internal/core).
+func (e *Engine) AttachTelemetry(tb *telemetry.TraceBuffer, pid uint32) {
 	if tb != nil {
 		tb.NameThread(pid, traceTidH2C, "pcie:h2c")
 		tb.NameThread(pid, traceTidC2H, "pcie:c2h")

@@ -42,13 +42,17 @@ type Config struct {
 	RetransTimeout sim.Duration
 	// MaxRetries bounds retransmission attempts before a request fails.
 	MaxRetries int
-	// RxFixedCycles covers header parsing, the 5-cycle PSN check and the
-	// RETH/AETH FSM on the receive path.
-	RxFixedCycles int
-	// TxFixedCycles covers the request handler and header generation on
-	// the transmit path.
-	TxFixedCycles int
 }
+
+// Fixed pipeline latencies, the same at 10 G and 100 G.
+const (
+	// rxFixedCycles covers header parsing, the 5-cycle PSN check and the
+	// RETH/AETH FSM on the receive path.
+	rxFixedCycles = 35
+	// txFixedCycles covers the request handler and header generation on
+	// the transmit path.
+	txFixedCycles = 25
+)
 
 // Config10G returns the 10 Gbit/s configuration (Alpha Data 7V3).
 func Config10G() Config {
@@ -63,8 +67,6 @@ func Config10G() Config {
 		MultiQueuePool: 1024,
 		RetransTimeout: 500 * sim.Microsecond,
 		MaxRetries:     16,
-		RxFixedCycles:  35,
-		TxFixedCycles:  25,
 	}
 }
 
@@ -83,8 +85,6 @@ func Config100G() Config {
 		MultiQueuePool: 4096,
 		RetransTimeout: 250 * sim.Microsecond,
 		MaxRetries:     16,
-		RxFixedCycles:  35,
-		TxFixedCycles:  25,
 	}
 }
 

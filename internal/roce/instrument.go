@@ -2,7 +2,6 @@ package roce
 
 import (
 	"fmt"
-	"strconv"
 
 	"strom/internal/packet"
 	"strom/internal/telemetry"
@@ -18,47 +17,11 @@ const (
 	traceTidLog     = 4
 )
 
-// AttachTelemetry wires the stack into the observability layer: the
-// registry receives every Stats counter labelled by NIC (mirrored by a
-// collect callback, so the data path is untouched), and the trace buffer
-// receives one instant event per packet on the TX/RX/reliability tracks
-// under pid. Either argument may be nil.
-func (s *Stack) AttachTelemetry(reg *telemetry.Registry, tb *telemetry.TraceBuffer, pid uint32) {
-	nic := telemetry.L("nic", s.id.IP.String())
-	if reg != nil {
-		reg.OnCollect(func() {
-			st := s.stats
-			reg.Counter("roce_tx_packets", nic).Set(st.TxPackets)
-			reg.Counter("roce_tx_bytes", nic).Set(st.TxBytes)
-			reg.Counter("roce_rx_packets", nic).Set(st.RxPackets)
-			reg.Counter("roce_rx_bytes", nic).Set(st.RxBytes)
-			reg.Counter("roce_rx_discarded", nic).Set(st.RxDiscarded)
-			reg.Counter("roce_rx_duplicates", nic).Set(st.RxDuplicates)
-			reg.Counter("roce_rx_out_of_order", nic).Set(st.RxOutOfOrder)
-			reg.Counter("roce_acks_sent", nic).Set(st.AcksSent)
-			reg.Counter("roce_naks_sent", nic).Set(st.NaksSent)
-			reg.Counter("roce_nak_remote_access", nic).Set(st.NaksRemoteAccess)
-			reg.Counter("roce_acks_received", nic).Set(st.AcksReceived)
-			reg.Counter("roce_naks_received", nic).Set(st.NaksReceived)
-			reg.Counter("roce_retransmissions", nic).Set(st.Retransmissions)
-			reg.Counter("roce_timeouts", nic).Set(st.Timeouts)
-			reg.Counter("roce_dup_read_cache_hits", nic).Set(st.DupReadCacheHits)
-			reg.Counter("roce_dup_read_cache_misses", nic).Set(st.DupReadCacheMiss)
-			reg.Counter("roce_qp_errors", nic).Set(st.QPErrors)
-			reg.Counter("roce_qp_resets", nic).Set(st.QPResets)
-			reg.Counter("roce_deadline_expired", nic).Set(st.DeadlineExpired)
-			reg.Counter("roce_ops_posted", nic).Set(st.OpsPosted)
-			reg.Counter("roce_ops_completed", nic).Set(st.OpsCompleted)
-			reg.Counter("roce_ecn_marked_rx", nic).Set(st.EcnMarkedRx)
-			reg.Counter("roce_cnps_sent", nic).Set(st.CnpsSent)
-			reg.Counter("roce_cnps_received", nic).Set(st.CnpsReceived)
-			reg.Counter("roce_paced_frames", nic).Set(st.PacedFrames)
-			s.EachActiveQP(func(qpn uint32) {
-				reg.Gauge("roce_qp_state", nic,
-					telemetry.L("qp", strconv.Itoa(int(qpn)))).Set(float64(s.st.qps[qpn].state))
-			})
-		})
-	}
+// AttachTelemetry wires the stack into structured tracing: the trace
+// buffer receives one instant event per packet on the TX/RX/reliability
+// tracks under pid (tb may be nil). Stats reaches the metrics registry
+// through the NIC's counter table (internal/core).
+func (s *Stack) AttachTelemetry(tb *telemetry.TraceBuffer, pid uint32) {
 	if tb != nil {
 		tb.NameThread(pid, traceTidTx, "roce:tx")
 		tb.NameThread(pid, traceTidRx, "roce:rx")
@@ -101,12 +64,12 @@ func (s *Stack) PendingPackets(qpn uint32) int {
 
 // Observer receives protocol-level events from a stack, synchronously
 // from the data path. It is the hook the chaos invariant checker
-// (internal/chaos) sits on: where AttachTelemetry mirrors aggregate
-// counters, the Observer sees the per-packet facts correctness proofs
-// need — PSNs, retransmission decisions, responder executions, verb
-// lifecycles. All methods are called with the engine's run token held;
-// implementations must not re-enter the stack. A nil observer (the
-// default) costs one pointer compare per event.
+// (internal/chaos) sits on: where Stats holds aggregate counters, the
+// Observer sees the per-packet facts correctness proofs need — PSNs,
+// retransmission decisions, responder executions, verb lifecycles. All
+// methods are called with the engine's run token held; implementations
+// must not re-enter the stack. A nil observer (the default) costs one
+// pointer compare per event.
 type Observer interface {
 	// PostedOp records a verb accepted by a Post* call. opID is unique
 	// per stack and strictly increasing.

@@ -353,7 +353,7 @@ func (s *Stack) sendFrame(st *qpState, frame []byte, words int, transient bool) 
 // a frame pacing delayed still books txq in order.
 func (s *Stack) dispatchFrame(st *qpState, frame []byte, words int) {
 	end := s.txPath.Reserve(s.cfg.Cycles(words))
-	s.txq.PushAt(end.Add(s.cfg.Cycles(s.cfg.TxFixedCycles)), txDone{st: st, frame: frame})
+	s.txq.PushAt(end.Add(s.cfg.Cycles(txFixedCycles)), txDone{st: st, frame: frame})
 }
 
 // drainTx completes a TX-pipeline reservation: the frame leaves.
@@ -722,7 +722,7 @@ func (s *Stack) RemoteRKey(qpn uint32) uint32 {
 // unless the consumer of its payload took it (TakeRxFrame).
 func (s *Stack) DeliverFrame(frame []byte) {
 	end := s.rxPath.Reserve(s.cfg.Cycles(s.words(frame)))
-	s.rxq.PushAt(end.Add(s.cfg.Cycles(s.cfg.RxFixedCycles)), frame)
+	s.rxq.PushAt(end.Add(s.cfg.Cycles(rxFixedCycles)), frame)
 }
 
 // TakeRxFrame hands the frame being received over to the caller, which

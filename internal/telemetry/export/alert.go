@@ -12,18 +12,18 @@ import (
 type RuleKind uint8
 
 const (
-	// Threshold compares the metric's current value against Value and
-	// fires once the comparison has held continuously for For.
+	// Threshold fires once the metric's current value has been above
+	// Value continuously for For.
 	Threshold RuleKind = iota
-	// Rate compares the metric's increase rate — events per millisecond
-	// of simulated time, measured over the trailing For window —
-	// against Value, and fires as soon as a full window exceeds it.
+	// Rate fires as soon as the metric's increase rate — events per
+	// millisecond of simulated time, measured over a full trailing For
+	// window — is above Value.
 	Rate
 	// NoProgress is the watchdog: it fires when the metric has not
 	// advanced for For while the While gauge (or counter) is non-zero.
 	NoProgress
-	// Quantile compares a histogram's Q-quantile against Value, with
-	// the same hold-For semantics as Threshold. Histograms live in
+	// Quantile fires once a histogram's Q-quantile has been above Value
+	// for For, as Threshold does. Histograms live in
 	// metrics registries, not health reports, so Quantile rules are
 	// evaluated at registry scrapes (Recorder.Registry) and Metric
 	// matches histogram keys (globs welcome: "kv_op_latency_ps*"
@@ -51,9 +51,6 @@ func (k RuleKind) String() string {
 type Rule struct {
 	// Name identifies the rule in alert events and summaries.
 	Name string
-	// Object restricts the rule to one source object ("" = any source
-	// whose report contains Metric).
-	Object string
 	// Metric is the health counter or gauge the rule watches (for
 	// Quantile rules, the registry histogram key). A single '*'
 	// wildcard matches any substring — "qp*_retransmissions" watches
@@ -62,11 +59,9 @@ type Rule struct {
 	Metric string
 	// Kind selects the condition class.
 	Kind RuleKind
-	// Op is the comparison for Threshold and Rate rules: "gt" (the
-	// default when empty), "ge", "lt", "le" or "eq".
-	Op string
-	// Value is the comparison threshold. For Rate rules it is in
-	// events per millisecond of simulated time.
+	// Value is the threshold Threshold, Rate and Quantile rules fire
+	// above. For Rate rules it is in events per millisecond of
+	// simulated time.
 	Value float64
 	// For is the hold duration: Threshold fires after the condition
 	// held this long, Rate measures over this trailing window, and
@@ -87,54 +82,37 @@ type Rule struct {
 // requesters, crash cycles, blackholes) provably fires.
 func DefaultRules() []Rule {
 	return []Rule{
-		{Name: "out-discards", Metric: "out_discards", Kind: Rate, Op: "gt", Value: 2, For: 500 * sim.Microsecond},
+		{Name: "out-discards", Metric: "out_discards", Kind: Rate, Value: 2, For: 500 * sim.Microsecond},
 		// link-flap watches the drop-cause breakdown rather than the
 		// aggregate: any burst of frames dying inside a link-down window
 		// fires it, even when total discards stay under the out-discards
 		// rate. A clean link never increments the _flap cause, so the
 		// rule is structurally silent without an outage.
-		{Name: "link-flap", Metric: "out_discards_flap", Kind: Rate, Op: "gt", Value: 0.5, For: 500 * sim.Microsecond},
-		{Name: "fcs-err", Metric: "fcs_err", Kind: Rate, Op: "gt", Value: 1, For: 500 * sim.Microsecond},
-		{Name: "pfc-pause", Metric: "pfc_pause_tx", Kind: Rate, Op: "gt", Value: 1, For: 500 * sim.Microsecond},
-		{Name: "ecn-marked", Metric: "ecn_marked", Kind: Rate, Op: "gt", Value: 2, For: 500 * sim.Microsecond},
-		{Name: "remote-access", Metric: "remote_access_naks", Kind: Threshold, Op: "gt", Value: 0},
-		{Name: "qp-errors", Metric: "qp_errors", Kind: Threshold, Op: "gt", Value: 0},
+		{Name: "link-flap", Metric: "out_discards_flap", Kind: Rate, Value: 0.5, For: 500 * sim.Microsecond},
+		{Name: "fcs-err", Metric: "fcs_err", Kind: Rate, Value: 1, For: 500 * sim.Microsecond},
+		{Name: "pfc-pause", Metric: "pfc_pause_tx", Kind: Rate, Value: 1, For: 500 * sim.Microsecond},
+		{Name: "ecn-marked", Metric: "ecn_marked", Kind: Rate, Value: 2, For: 500 * sim.Microsecond},
+		{Name: "remote-access", Metric: "remote_access_naks", Kind: Threshold, Value: 0},
+		{Name: "qp-errors", Metric: "qp_errors", Kind: Threshold, Value: 0},
 		{Name: "watchdog", Metric: "ops_completed", Kind: NoProgress, For: 2 * sim.Millisecond, While: "outstanding_ops"},
 		// retry-storm watches every per-QP retransmission counter the
 		// NIC health report exposes, one alert state per QP: a sustained
 		// go-back-N storm on one connection fires without the aggregate
 		// retransmissions counter having to cross anything.
-		{Name: "retry-storm", Metric: "qp*_retransmissions", Kind: Rate, Op: "gt", Value: 20, For: 500 * sim.Microsecond},
+		{Name: "retry-storm", Metric: "qp*_retransmissions", Kind: Rate, Value: 20, For: 500 * sim.Microsecond},
 		// op-latency-p99 is the histogram-quantile rule: it watches the
 		// KV dataplane's client-level op latency histograms (registry
 		// metrics, evaluated at registry scrapes) and fires when the
 		// trailing p99 exceeds 2 ms of simulated time — crash failover
 		// and incast storms push it over, a clean run stays far under.
-		{Name: "op-latency-p99", Metric: "kv_op_latency_ps*", Kind: Quantile, Q: 0.99, Op: "gt", Value: 2e9},
+		{Name: "op-latency-p99", Metric: "kv_op_latency_ps*", Kind: Quantile, Q: 0.99, Value: 2e9},
 		// torn-read watches the KV client's torn-read detections (CRC
 		// mismatch or slot/extent version skew on a spilled value). The
 		// counter only moves when the consistency kernel catches a read
 		// racing an in-place extent overwrite, so one detection inside
 		// the window fires it and a clean run stays silent.
-		{Name: "torn-read", Metric: "kv_torn_detected", Kind: Rate, Op: "gt", Value: 0.5, For: 500 * sim.Microsecond},
+		{Name: "torn-read", Metric: "kv_torn_detected", Kind: Rate, Value: 0.5, For: 500 * sim.Microsecond},
 	}
-}
-
-// compare applies the rule's operator.
-func (r *Rule) compare(v float64) bool {
-	switch r.Op {
-	case "", "gt":
-		return v > r.Value
-	case "ge":
-		return v >= r.Value
-	case "lt":
-		return v < r.Value
-	case "le":
-		return v <= r.Value
-	case "eq":
-		return v == r.Value
-	}
-	return false
 }
 
 // rateSample is one point of a Rate rule's trailing window.
@@ -280,9 +258,6 @@ func (a *alerter) bind(src *source) {
 	}
 	for i := range a.rules {
 		r := &a.rules[i]
-		if r.Object != "" && r.Object != src.object {
-			continue
-		}
 		if r.Kind == Quantile {
 			continue
 		}
@@ -325,7 +300,7 @@ func (st *alertState) advance(now sim.Time, object, metric string, v float64, ga
 	val := v
 	switch r.Kind {
 	case Threshold, Quantile:
-		cond = r.compare(v)
+		cond = v > r.Value
 		if cond && !st.pending {
 			st.pending, st.pendingSince = true, now
 		}
@@ -349,7 +324,7 @@ func (st *alertState) advance(now sim.Time, object, metric string, v float64, ga
 			span := now.Sub(w[0].at)
 			if span >= r.For && span > 0 {
 				val = float64(cv-w[0].v) / (float64(span) / float64(sim.Millisecond))
-				cond = r.compare(val)
+				cond = val > r.Value
 			}
 		}
 		st.window = append(w, rateSample{at: now, v: cv})
@@ -380,9 +355,6 @@ func (a *alerter) evalQuantile(now sim.Time, object, key string, q func(float64)
 	for i := range a.rules {
 		r := &a.rules[i]
 		if r.Kind != Quantile || !metricMatch(r.Metric, key) {
-			continue
-		}
-		if r.Object != "" && r.Object != object {
 			continue
 		}
 		a.state(i, object, key).advance(now, object, key, q(r.Q), true, emit)

@@ -34,7 +34,7 @@ func scrape(a *alerter, src *source, at sim.Time, c map[string]uint64, g map[str
 }
 
 func TestThresholdFiresAfterHold(t *testing.T) {
-	rule := Rule{Name: "qp-stuck", Metric: "qp1_state", Kind: Threshold, Op: "eq", Value: 1, For: 1 * sim.Millisecond}
+	rule := Rule{Name: "qp-stuck", Metric: "qp1_state", Kind: Threshold, Value: 0, For: 1 * sim.Millisecond}
 	us := func(n int64) sim.Time { return sim.Time(sim.Duration(n) * sim.Microsecond) }
 	got := evalSeries(t, rule, []struct {
 		at sim.Time
@@ -139,21 +139,20 @@ func TestNoProgressWatchdog(t *testing.T) {
 	}
 }
 
-func TestRuleObjectFilterAndMissingMetric(t *testing.T) {
+func TestRuleMissingMetric(t *testing.T) {
 	a := newAlerter([]Rule{
-		{Name: "only-b", Object: "b", Metric: "x", Kind: Threshold, Value: 0},
+		{Name: "x-nonzero", Metric: "x", Kind: Threshold, Value: 0},
 	})
 	var fired []string
 	emit := func(typ string, p alertPayload) { fired = append(fired, p.Object) }
 	srcA, srcB := &source{object: "a"}, &source{object: "b"}
-	scrape(a, srcA, 0, map[string]uint64{"x": 5}, nil, emit) // wrong object
-	scrape(a, srcB, 0, map[string]uint64{"y": 5}, nil, emit) // metric missing
+	scrape(a, srcA, 0, map[string]uint64{"y": 5}, nil, emit) // metric missing
 	scrape(a, srcB, 0, map[string]uint64{"x": 5}, nil, emit) // fires
 	if len(fired) != 1 || fired[0] != "b" {
 		t.Fatalf("fired %v, want exactly [b]", fired)
 	}
 	// Only (rule, object) pairs that were actually evaluated get a
-	// summary: object "a" never matched the rule's Object filter.
+	// summary: object "a" never carried the rule's metric.
 	sums := a.summaries([]string{"a", "b"})
 	if len(sums) != 1 || sums[0].Object != "b" || sums[0].Fired != 1 {
 		t.Fatalf("summaries %+v, want exactly one entry for b with fired=1", sums)
@@ -166,7 +165,7 @@ func TestRuleObjectFilterAndMissingMetric(t *testing.T) {
 // alert. Summaries fold the per-metric states into one (rule, object)
 // tally.
 func TestGlobRulePerMetricState(t *testing.T) {
-	rule := Rule{Name: "retry-storm", Metric: "qp*_retransmissions", Kind: Rate, Op: "gt", Value: 2, For: 500 * sim.Microsecond}
+	rule := Rule{Name: "retry-storm", Metric: "qp*_retransmissions", Kind: Rate, Value: 2, For: 500 * sim.Microsecond}
 	a := newAlerter([]Rule{rule})
 	us := func(n int64) sim.Time { return sim.Time(sim.Duration(n) * sim.Microsecond) }
 	var events []string
@@ -206,7 +205,7 @@ func TestGlobRulePerMetricState(t *testing.T) {
 // scrapes: it fires when the quantile crosses the threshold, resolves
 // when it comes back, and ignores histograms outside its glob.
 func TestQuantileRuleFiresAndResolves(t *testing.T) {
-	rule := Rule{Name: "op-latency-p99", Metric: "kv_op_latency_ps*", Kind: Quantile, Q: 0.99, Op: "gt", Value: 1000}
+	rule := Rule{Name: "op-latency-p99", Metric: "kv_op_latency_ps*", Kind: Quantile, Q: 0.99, Value: 1000}
 	a := newAlerter([]Rule{rule})
 	var events []string
 	emit := func(typ string, p alertPayload) { events = append(events, typ+":"+p.Metric) }

@@ -10,32 +10,13 @@ package export
 // aggregate. The canonical names, and what the simulated stack maps
 // into them, are:
 //
-// NIC port (core.NIC.Health — one report per machine):
-//
-//	in_frames/out_frames,            roce Rx/TxPackets
-//	in_bytes/out_bytes               roce Rx/TxBytes
-//	fcs_err              ⇐ roce RxDiscarded: undecodable frames (bad
-//	                       ICRC after wire corruption — the FCS-Err
-//	                       analogue)
-//	in_discards          ⇐ core FramesDroppedDown: frames arriving
-//	                       while the machine is crashed/offline
-//	stomped_crc          ⇐ roce DupReadCacheMiss: duplicate READs
-//	                       outside the recent-read cache, whose payload
-//	                       identity can no longer be proven (corruption
-//	                       detected beyond this hop)
-//	rcv_dup, rcv_ooo     ⇐ roce RxDuplicates / RxOutOfOrder
-//	acks_tx/rx, naks_tx/rx, retransmissions, timeouts, deadline_expired
-//	remote_access_naks   ⇐ roce NaksRemoteAccess (NAK 0x62 sent)
-//	mr_violations        ⇐ mr.Table total validation failures, plus
-//	mr_violation_<class>   one counter per violation class
-//	qp_errors, qp_resets ⇐ roce QP lifecycle transitions
-//	kernel_faults        ⇐ core KernelMRFaults (sandboxed kernel DMA)
-//	kernel_aborts        ⇐ core KernelAborts (FSMs killed by a crash)
-//	dma_stalled          ⇐ pcie StalledCmds
-//	ops_posted, ops_completed ⇐ roce verb lifecycle counters
-//
-// and gauges `outstanding_ops` (posted − completed) and `qp<N>_state`
-// (0 RTS, 1 ERROR, 2 RESET) per active queue pair.
+// NIC port (core.NIC.Health — one report per machine): every row of
+// the NIC's counter table (nicCounters in internal/core) that names a
+// health key — the rows of fcs_err, in_discards and stomped_crc say what
+// the switch-style classes count here — plus mr_violations with one
+// mr_violation_<class> counter per violation class, per active queue
+// pair qp<N>_retransmissions, and gauges `outstanding_ops` (posted −
+// completed) and `qp<N>_state` (0 RTS, 1 ERROR, 2 RESET).
 //
 // Link direction (fabric.Link.HealthAtoB/HealthBtoA — one report per
 // direction):
