@@ -82,7 +82,9 @@ kv-large:
 # resets, every shard running its cross-shard
 # events in (timestamp, source shard, posting order) and never in the
 # window that posted them, backlog items firing in the order of a
-# textbook heap holding one event per item, switch arbitration conservation
+# textbook heap holding one event per item, every DMA commit and chunk
+# firing where one plain event per booking would under stall and offline
+# windows, switch arbitration conservation
 # under random arrival interleavings, extent codec round-trip with any
 # single-bit flip detected as torn, the health-payload encoder byte for
 # byte against encoding/json, host memory backed up to each buffer's end
@@ -95,6 +97,7 @@ fuzz:
 	$(GO) test ./internal/roce -fuzz=FuzzDupReadTableMatchesMap -fuzztime=10s
 	$(GO) test ./internal/sim -fuzz=FuzzShardSchedule -fuzztime=10s
 	$(GO) test ./internal/sim -fuzz=FuzzBacklogMatchesReference -fuzztime=10s
+	$(GO) test ./internal/pcie -fuzz=FuzzDMAQueueMatchesPlainEvents -fuzztime=10s
 	$(GO) test ./internal/telemetry/export -fuzz=FuzzEnvelopeRoundTrip -fuzztime=10s
 	$(GO) test ./internal/telemetry/export -fuzz=FuzzHealthEncodeMatchesJSON -fuzztime=10s
 	$(GO) test ./internal/fabric -fuzz=FuzzSwitchArbitration -fuzztime=10s
@@ -116,8 +119,10 @@ soak:
 
 # bench runs the microbenchmarks (macro benches plus the scheduler, a
 # 4 096-item backlog burst (BenchmarkBacklogDeep) and the process switch, telemetry, the scrape tick, the completion poll, packet,
-# crc, the switch's forwarding path, pcie (incl. the 47-chunk streamed
-# read), roce and NIC hot paths, and, with their simulated latency as
+# crc, one frame buffer's round trip through the free list
+# (BenchmarkFrameBuf), the switch's forwarding path, pcie (incl. the
+# 47-chunk streamed read and a 4 096-command burst per stream,
+# BenchmarkDMABurst), roce and NIC hot paths, and, with their simulated latency as
 # sim-us/op beside ns/op, the 64 KiB
 # bulk WRITE/READ on the 100 G pair and the KV client's Put/PutLarge/Get)
 # and one quick chaos-recovery sweep.

@@ -1,6 +1,11 @@
 package packet
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"strom/internal/raceflag"
+)
 
 // The encode/decode scratch paths are the per-packet core of the
 // simulator: every simulated frame goes through them, so a single
@@ -69,8 +74,9 @@ func TestAllocsReadResponseFill(t *testing.T) {
 }
 
 func TestAllocsBufPool(t *testing.T) {
-	// The pool wraps slices so neither Get nor Put boxes a slice header.
-	// Warm the pool first: steady-state recycling must be allocation-free.
+	// The free list stores slices in a slice, so neither Get nor Put
+	// boxes a slice header. Warm it first: steady-state recycling must be
+	// allocation-free.
 	PutBuf(make([]byte, 0, 2048))
 	allocs := testing.AllocsPerRun(1000, func() {
 		b := GetBuf()
@@ -79,5 +85,40 @@ func TestAllocsBufPool(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("buffer pool allocates %v times per get/put cycle, want 0", allocs)
+	}
+}
+
+// TestAllocsFramePoolSurvivesGC pins what a sync.Pool could not give
+// the frame free list: buffers stay listed across collections and a
+// change of GOMAXPROCS (which moves the simulation goroutine to other
+// Ps), so a warm process takes every frame from the list. Each benchmark
+// round runs the collector first; a pool emptied by it, or regrowing its
+// per-P rings, allocated 294-582 B per warm 64 KiB verb.
+func TestAllocsFramePoolSurvivesGC(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race-runtime instrumentation allocates; allocation counts are only meaningful without -race")
+	}
+	const n = 256
+	bufs := make([][]byte, n)
+	for i := range bufs {
+		bufs[i] = GetBuf()
+	}
+	for _, b := range bufs {
+		PutBuf(b)
+	}
+	runtime.GC()
+	runtime.GC()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1 + runtime.GOMAXPROCS(0)%2))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range bufs {
+		bufs[i] = GetBuf()
+	}
+	for _, b := range bufs {
+		PutBuf(append(b, 1))
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Errorf("%d GetBuf/PutBuf cycles after two collections and a GOMAXPROCS change allocate %d times, want 0", n, got)
 	}
 }

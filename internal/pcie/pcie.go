@@ -104,8 +104,8 @@ type Engine struct {
 	mem     *hostmem.Memory
 	tlb     *tlb.TLB
 	cfg     Config
-	h2c     *sim.Serializer // host-to-card (DMA reads)
-	c2h     *sim.Serializer // card-to-host (DMA writes)
+	h2c     stream          // host-to-card (DMA reads)
+	c2h     stream          // card-to-host (DMA writes)
 	mmio    *sim.Serializer // register path
 	st      Stats
 	stall   StallFn // nil when no stall injection is attached
@@ -117,6 +117,28 @@ type Engine struct {
 	// Structured tracing (nil when telemetry is disabled).
 	tb  *telemetry.TraceBuffer
 	pid uint32
+}
+
+// stream is one DMA direction: the link its commands' segments are
+// booked on and the queue their first commits wait in (DESIGN.md §1.3).
+// A command booked for a time earlier than the one booked on the queue
+// before it — a stall window has pushed that one past it — is a plain
+// event instead, so the queue's times never go back and every commit
+// fires at the (time, sequence) a plain event would.
+type stream struct {
+	link *sim.Serializer
+	q    *sim.Backlog[*command]
+	last sim.Time // the time of the latest command booked on q
+}
+
+// book arms c's first commit for t.
+func (s *stream) book(eng *sim.Engine, t sim.Time, c *command) {
+	if t < s.last {
+		eng.ScheduleAt(t, c.commit)
+		return
+	}
+	s.last = t
+	s.q.PushAt(t, c)
 }
 
 // Trace track (tid) layout inside the DMA engine's process (pid).
@@ -145,10 +167,15 @@ func NewEngine(eng *sim.Engine, mem *hostmem.Memory, t *tlb.TLB, cfg Config) *En
 		mem:  mem,
 		tlb:  t,
 		cfg:  cfg,
-		h2c:  sim.NewSerializer(eng),
-		c2h:  sim.NewSerializer(eng),
+		h2c:  newStream(eng),
+		c2h:  newStream(eng),
 		mmio: sim.NewSerializer(eng),
 	}
+}
+
+// newStream returns an idle DMA direction on eng.
+func newStream(eng *sim.Engine) stream {
+	return stream{link: sim.NewSerializer(eng), q: sim.NewBacklog(eng, (*command).run)}
 }
 
 // SetStall installs a stall hook consulted once per DMA command (nil
@@ -181,28 +208,30 @@ func (e *Engine) Stats() Stats { return e.st }
 // flight still complete — the data left the device before power was cut.
 func (e *Engine) SetOffline(off bool) { e.offline = off }
 
-// command is one in-flight DMA command: everything its commit event
-// needs — the physical segments, the staged bytes, the caller's
+// command is one in-flight DMA command: everything its commits
+// need — the physical segments, the staged bytes, the caller's
 // callback — in a single record the engine recycles, so a command in
 // steady state allocates nothing but the result of an owned read.
 //
 // Ownership: a record is taken in a Read*/WriteHost call, is referenced
-// only by its own scheduled commit event, and goes back to its free list
-// at the end of its last commit event, after the callback has returned.
-// A read delivers its result in chunks (one chunk for ReadHost and
-// ReadHostBorrowed): each commit event delivers one and re-arms the same
-// bound commit for the next, so a chunk costs one event and no
-// allocation. segs and stage keep their capacity across uses. stage
-// holds WriteHost's copy of a payload until the commit, and a borrowed
-// read's current chunk for the length of its callback; it is never
-// handed out otherwise.
+// only by its stream's queue until its first commit (or by a plain event,
+// when a stall puts it out of order; see stream), then by its own
+// re-armed commit event, and goes back to its free list at the end of its
+// last commit, after the callback has returned. The heap holds a queued
+// command only while it is its stream's head. A read delivers its result
+// in chunks (one chunk for ReadHost and ReadHostBorrowed): each commit
+// delivers one and re-arms the bound commit as a plain event for the
+// next, so a chunk costs one event and no allocation. segs and stage
+// keep their capacity across uses. stage holds WriteHost's copy of a
+// payload until the commit, and a borrowed read's current chunk for the
+// length of its callback; it is never handed out otherwise.
 type command struct {
 	e         *Engine
 	home      *[]*command // the free list this record lives on
 	segs      []tlb.Segment
 	stage     []byte
 	data      []byte   // write: the bytes the commit writes, in stage or in frame
-	frame     []byte   // write: WriteHostFrame's frame, returned to the pool at the commit
+	frame     []byte   // write: WriteHostFrame's frame, returned to packet's free list at the commit
 	n         int      // read: result length
 	chunk     int      // read: bytes per delivery (n unless streamed)
 	off       int      // read: bytes delivered so far
@@ -212,7 +241,7 @@ type command struct {
 	mode      readMode // read: who owns a delivered chunk
 	readDone  func([]byte, error)
 	writeDone func(error)
-	commit    func() // c.run, bound once so scheduling never allocates
+	commit    func() // c.run, bound once so a plain event never allocates
 }
 
 // readMode says what a read's callback is handed.
@@ -264,20 +293,20 @@ func (c *command) release() {
 	}
 }
 
-// reserve books every segment of c on stream and returns the command's
+// reserve books every segment of c on link and returns the command's
 // completion time after latency and any injected stall.
-func (e *Engine) reserve(c *command, stream *sim.Serializer, latency sim.Duration) sim.Time {
+func (e *Engine) reserve(c *command, link *sim.Serializer, latency sim.Duration) sim.Time {
 	var finish sim.Time
 	for _, s := range c.segs {
-		finish = stream.Reserve(e.cfg.CommandOverhead + sim.BytesAt(s.Len, e.cfg.BandwidthGbps))
+		finish = link.Reserve(e.cfg.CommandOverhead + sim.BytesAt(s.Len, e.cfg.BandwidthGbps))
 	}
 	return e.stalled(finish.Add(latency))
 }
 
-// run is the commit event: the bytes move between host memory and the
-// card at the instant they have crossed the link — for a write and a
-// one-chunk read that is the command's completion, for a streamed read
-// each chunk's own arrival.
+// run is the commit, fired by the stream's queue or by a plain event:
+// the bytes move between host memory and the card at the instant they
+// have crossed the link — for a write and a one-chunk read that is the
+// command's completion, for a streamed read each chunk's own arrival.
 func (c *command) run() {
 	if c.readDone != nil {
 		if c.readChunk() {
@@ -414,12 +443,12 @@ func (e *Engine) readHost(va hostmem.Addr, n, chunk int, done func([]byte, error
 	e.st.SplitSegments += uint64(len(segs) - 1)
 	e.st.ReadBytes += uint64(n)
 	// Data lands after the request round trip plus streaming time.
-	c.finish = e.reserve(c, e.h2c, e.cfg.ReadLatency)
+	c.finish = e.reserve(c, e.h2c.link, e.cfg.ReadLatency)
 	if e.tb != nil {
 		now := e.eng.Now()
 		e.tb.Complete(e.pid, traceTidH2C, "dma", "DMA_READ", now, c.finish.Sub(now), fmt.Sprintf("va=%#x n=%d segs=%d", uint64(va), n, len(segs)))
 	}
-	e.eng.ScheduleAt(c.due(), c.commit)
+	e.h2c.book(e.eng, c.due(), c)
 }
 
 // WriteHost DMA-writes data to virtual address va and calls done once the
@@ -434,9 +463,9 @@ func (e *Engine) WriteHost(va hostmem.Addr, data []byte, done func(error)) {
 // WriteHostFrame is WriteHost for a payload that lies in a received frame
 // the caller hands over with it: data aliases frame, and nothing is
 // copied. The commit writes data straight out of the frame and returns
-// the frame to packet's pool; a write that fails before it moves a byte
-// (device offline, unmapped address) returns it when done is called. A
-// nil frame makes it WriteHost.
+// the frame to packet's free list; a write that fails before it moves a
+// byte (device offline, unmapped address) returns it when done is
+// called. A nil frame makes it WriteHost.
 func (e *Engine) WriteHostFrame(va hostmem.Addr, data, frame []byte, done func(error)) {
 	e.writeHost(va, data, frame, done)
 }
@@ -467,12 +496,12 @@ func (e *Engine) writeHost(va hostmem.Addr, data, frame []byte, done func(error)
 	e.st.WriteCommands++
 	e.st.SplitSegments += uint64(len(segs) - 1)
 	e.st.WriteBytes += uint64(n)
-	at := e.reserve(c, e.c2h, e.cfg.WriteLatency)
+	at := e.reserve(c, e.c2h.link, e.cfg.WriteLatency)
 	if e.tb != nil {
 		now := e.eng.Now()
 		e.tb.Complete(e.pid, traceTidC2H, "dma", "DMA_WRITE", now, at.Sub(now), fmt.Sprintf("va=%#x n=%d segs=%d", uint64(va), n, len(segs)))
 	}
-	e.eng.ScheduleAt(at, c.commit)
+	e.c2h.book(e.eng, at, c)
 }
 
 // writeFailed completes a write that moves no bytes after the posting
@@ -493,7 +522,7 @@ func (e *Engine) MMIORead(fn func() uint64, done func(uint64)) {
 
 // Utilisation returns h2c and c2h link utilisation since time zero.
 func (e *Engine) Utilisation() (h2c, c2h float64) {
-	return e.h2c.Utilisation(), e.c2h.Utilisation()
+	return e.h2c.link.Utilisation(), e.c2h.link.Utilisation()
 }
 
 // String describes the link.
