@@ -117,7 +117,8 @@ soak:
 	$(GO) run ./cmd/strombench -quick -scenario kv -jsonl SOAK_kv.jsonl > /dev/null
 	$(GO) run ./cmd/strombench -quick -scenario kvlarge -jsonl SOAK_kvlarge.jsonl > /dev/null
 
-# bench runs the microbenchmarks (macro benches plus the scheduler, a
+# bench runs the microbenchmarks (macro benches plus the scheduler, the
+# KV beds' timer-heavy heap shape (BenchmarkEngineTimers), a
 # 4 096-item backlog burst (BenchmarkBacklogDeep) and the process switch, telemetry, the scrape tick, the completion poll, packet,
 # crc, one frame buffer's round trip through the free list
 # (BenchmarkFrameBuf), the switch's forwarding path, pcie (incl. the

@@ -100,8 +100,8 @@ func TestBacklogArmsOnlyItsHead(t *testing.T) {
 		b.PushAt(t1, i)
 		want = append(want, i)
 	}
-	if len(e.heap) != 1 {
-		t.Fatalf("%d items at one instant hold %d heap entries, want 1", n, len(e.heap))
+	if queued(e) != 1 {
+		t.Fatalf("%d items at one instant hold %d heap entries, want 1", n, queued(e))
 	}
 	want = append(want, -1)
 	plain := 0
@@ -114,8 +114,8 @@ func TestBacklogArmsOnlyItsHead(t *testing.T) {
 		b.PushAt(t2, i)
 		want = append(want, i)
 	}
-	if len(e.heap) != 1+plain {
-		t.Fatalf("heap holds %d entries, want the head and %d plain events", len(e.heap), plain)
+	if queued(e) != 1+plain {
+		t.Fatalf("heaps hold %d entries, want the head and %d plain events", queued(e), plain)
 	}
 	e.Run()
 	if !slices.Equal(got, want) {

@@ -6,19 +6,20 @@ import (
 	"math/rand"
 )
 
-// event is the heap-internal representation of a scheduled callback.
+// event is a scheduled callback queued in one of the engine's two heaps.
 // Structs are recycled through the engine's free list once they fire or
-// are compacted away, so steady-state scheduling does not allocate;
-// outstanding Event handles are invalidated by the generation counter.
+// are cancelled, so steady-state scheduling does not allocate;
+// outstanding Event handles are invalidated by the generation counter,
+// so a struct is queued exactly while some handle to it is valid.
 type event struct {
 	at     Time
 	seq    uint64
 	fn     func()
 	eng    *Engine
 	gen    uint32
-	idx    int32 // position in the heap, -1 when not queued
-	dead   bool
-	daemon bool // background event: never keeps the simulation alive
+	idx    int32 // position in its heap
+	far    bool  // queued in the far heap
+	daemon bool  // background event: never keeps the simulation alive
 }
 
 // Event is a generation-checked handle to a scheduled callback. Handles
@@ -35,27 +36,19 @@ type Event struct {
 // valid reports whether the handle still names its original event.
 func (ev Event) valid() bool { return ev.e != nil && ev.e.gen == ev.gen }
 
-// Cancel prevents a pending event from firing. Cancelling an event that
-// already fired (or was already cancelled) is a no-op. The event stays
-// queued but inert until the run loop skips it or a compaction sweep
-// reclaims it.
+// Cancel prevents a pending event from firing: it takes the event out of
+// its heap at once, in O(log n), and recycles it. Cancelling an event
+// that already fired (or was already cancelled) is a no-op.
 func (ev Event) Cancel() {
-	e := ev.e
-	if e == nil || e.gen != ev.gen || e.dead || e.idx < 0 {
+	if !ev.valid() {
 		return
 	}
-	e.dead = true
-	eng := e.eng
-	eng.ndead++
+	e, eng := ev.e, ev.e.eng
 	if e.daemon {
-		e.daemon = false
 		eng.ndaemon--
 	}
-	// Compact when over half the queue is dead so mass cancellation
-	// cannot grow the heap unboundedly.
-	if eng.ndead*2 > len(eng.heap) {
-		eng.compact()
-	}
+	eng.heapOf(e).remove(e)
+	eng.recycle(e)
 }
 
 // At reports the simulated time the event is scheduled for (zero for a
@@ -67,14 +60,25 @@ func (ev Event) At() Time {
 	return ev.e.at
 }
 
-// Pending reports whether the event is still queued and not cancelled.
-func (ev Event) Pending() bool {
-	return ev.valid() && !ev.e.dead && ev.e.idx >= 0
-}
+// Pending reports whether the event is still queued: neither fired nor
+// cancelled.
+func (ev Event) Pending() bool { return ev.valid() }
 
 // maxFreeEvents bounds the engine's event free list; beyond this, fired
 // events are left for the garbage collector.
 const maxFreeEvents = 1 << 16
+
+// farAfter is the booking distance beyond which an event waits in the far
+// heap: above every pipeline, PCIe and wire delay, below the heartbeat
+// (50 µs), retransmission (250–500 µs) and verb deadline (600 µs)
+// timers, which rarely fire. The order events fire in does not depend on
+// it (see top).
+const farAfter = 10 * Microsecond
+
+// heapCap is each heap's starting capacity, above the depths the
+// benchmark's test beds reach, so a fresh engine's heaps do not regrow
+// while it runs.
+const heapCap = 32
 
 // Engine is a deterministic discrete-event simulator.
 //
@@ -87,10 +91,10 @@ const maxFreeEvents = 1 << 16
 type Engine struct {
 	now     Time
 	seq     uint64
-	heap    []*event // 4-ary min-heap ordered by (at, seq)
-	ndead   int      // cancelled events still occupying heap slots
-	ndaemon int      // live queued daemon events
-	free    []*event // recycled event structs
+	near    eventHeap // events booked at most farAfter ahead
+	far     eventHeap // events booked further ahead: mostly timers
+	ndaemon int       // queued daemon events
+	free    []*event  // recycled event structs
 	rng     *rand.Rand
 	fired   uint64
 	limit   Time // the horizon; noHorizon when none is set
@@ -111,7 +115,12 @@ type Engine struct {
 // NewEngine returns an engine at time zero with a deterministic RNG seeded
 // by seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), limit: noHorizon}
+	return &Engine{
+		near:  make(eventHeap, 0, heapCap),
+		far:   make(eventHeap, 0, heapCap),
+		rng:   rand.New(rand.NewSource(seed)),
+		limit: noHorizon,
+	}
 }
 
 // noHorizon is the limit of an engine without a horizon: no event is
@@ -166,11 +175,13 @@ func (e *Engine) book(t Time) (Time, uint64) {
 	return t, e.seq
 }
 
-// arm puts fn in the heap at (t, seq), a place book handed out.
+// arm queues fn at (t, seq), a place book handed out: in the far heap
+// when t is more than farAfter ahead of now, in the near heap otherwise.
 func (e *Engine) arm(t Time, seq uint64, fn func()) *event {
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn, ev.dead = t, seq, fn, false
-	e.push(ev)
+	ev.at, ev.seq, ev.fn = t, seq, fn
+	ev.far = t.Sub(e.now) > farAfter
+	e.heapOf(ev).push(ev)
 	return ev
 }
 
@@ -204,7 +215,7 @@ func (e *Engine) alloc() *event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &event{eng: e, idx: -1}
+	return &event{eng: e}
 }
 
 // recycle invalidates outstanding handles and returns the struct to the
@@ -212,8 +223,6 @@ func (e *Engine) alloc() *event {
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
-	ev.idx = -1
-	ev.dead = false
 	ev.daemon = false
 	if len(e.free) < maxFreeEvents {
 		e.free = append(e.free, ev)
@@ -225,42 +234,73 @@ func eventLess(a, b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// push inserts ev into the 4-ary heap.
-func (e *Engine) push(ev *event) {
-	i := len(e.heap)
-	e.heap = append(e.heap, ev)
+// eventHeap is a 4-ary min-heap ordered by (at, seq), with the sift
+// loops inlined over that key; each event's idx is its slot.
+type eventHeap []*event
+
+// heapOf returns the heap ev is queued in, or is to be.
+func (e *Engine) heapOf(ev *event) *eventHeap {
+	if ev.far {
+		return &e.far
+	}
+	return &e.near
+}
+
+// top returns the heap whose head is the earliest queued event, or nil
+// when both are empty. The heads are compared under the heaps' own
+// (at, seq) key, so events fire in the one total order that key defines
+// whichever heap farAfter put them in.
+func (e *Engine) top() *eventHeap {
+	if len(e.far) > 0 && (len(e.near) == 0 || eventLess(e.far[0], e.near[0])) {
+		return &e.far
+	}
+	if len(e.near) > 0 {
+		return &e.near
+	}
+	return nil
+}
+
+// push inserts ev.
+func (h *eventHeap) push(ev *event) {
+	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
+}
+
+// remove takes ev out: the last event fills its slot and sifts up or
+// down from there.
+func (h *eventHeap) remove(ev *event) {
+	old := *h
+	n := len(old) - 1
+	last := old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i := int(ev.idx); i < n {
+		if i > 0 && eventLess(last, old[(i-1)>>2]) {
+			h.up(i, last)
+		} else {
+			h.down(i, last)
+		}
+	}
+}
+
+// up places ev at index i or above it, restoring the heap property.
+func (h eventHeap) up(i int, ev *event) {
 	for i > 0 {
 		pi := (i - 1) >> 2
-		p := e.heap[pi]
+		p := h[pi]
 		if !eventLess(ev, p) {
 			break
 		}
-		e.heap[i] = p
+		h[i] = p
 		p.idx = int32(i)
 		i = pi
 	}
-	e.heap[i] = ev
+	h[i] = ev
 	ev.idx = int32(i)
 }
 
-// pop removes and returns the minimum event.
-func (e *Engine) pop() *event {
-	h := e.heap
-	top := h[0]
-	top.idx = -1
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	e.heap = h[:n]
-	if n > 0 {
-		e.siftDown(0, last)
-	}
-	return top
-}
-
-// siftDown places ev at index i and restores the heap property below it.
-func (e *Engine) siftDown(i int, ev *event) {
-	h := e.heap
+// down places ev at index i or below it, restoring the heap property.
+func (h eventHeap) down(i int, ev *event) {
 	n := len(h)
 	for {
 		c := i<<2 + 1
@@ -286,32 +326,6 @@ func (e *Engine) siftDown(i int, ev *event) {
 	}
 	h[i] = ev
 	ev.idx = int32(i)
-}
-
-// compact rebuilds the heap without its cancelled events, recycling them.
-// Pop order is unchanged: the heap shape differs but the (at, seq) total
-// order that Run follows is the same.
-func (e *Engine) compact() {
-	h := e.heap
-	live := h[:0]
-	for _, ev := range h {
-		if ev.dead {
-			e.recycle(ev)
-		} else {
-			live = append(live, ev)
-		}
-	}
-	for i := len(live); i < len(h); i++ {
-		h[i] = nil
-	}
-	e.heap = live
-	e.ndead = 0
-	for i := range live {
-		live[i].idx = int32(i)
-	}
-	for i := (len(live) - 2) >> 2; i >= 0; i-- {
-		e.siftDown(i, live[i])
-	}
 }
 
 // SetHorizon aborts Run once simulated time would pass t (a safety net
@@ -351,26 +365,20 @@ func (e *Engine) RunUntil(t Time) Time {
 
 // run is the loop of Run and RunUntil. They differ only in when it
 // stops: Run once no foreground event is left, RunUntil (bounded) once
-// the next live event is after t.
+// the next event is after t.
 func (e *Engine) run(t Time, bounded bool) {
 	if e.group != nil {
 		panic(errShardRun)
 	}
-	for len(e.heap) > 0 {
-		ev := e.heap[0]
-		if ev.dead {
-			e.pop()
-			e.ndead--
-			e.recycle(ev)
-			continue
-		}
+	for h := e.top(); h != nil; h = e.top() {
+		ev := (*h)[0]
 		if bounded && ev.at > t || !bounded && e.Pending() == 0 {
 			return
 		}
 		if ev.at > e.limit {
 			panic(fmt.Sprintf("sim: horizon %v exceeded (event at %v after %d events)", e.limit, ev.at, e.fired))
 		}
-		e.pop()
+		h.remove(ev)
 		if ev.daemon {
 			e.ndaemon--
 		}
@@ -382,11 +390,11 @@ func (e *Engine) run(t Time, bounded bool) {
 	}
 }
 
-// Pending reports the number of live queued foreground events in O(1):
-// the heap length minus cancelled-but-unreclaimed entries and daemon
-// events. Daemons are excluded because Pending answers "is there work
-// that keeps the simulation alive?" — the question Run, the shard
+// Pending reports the number of queued foreground events in O(1): both
+// heaps' lengths minus the daemon events (a cancelled event has left its
+// heap already). Daemons are excluded because Pending answers "is there
+// work that keeps the simulation alive?" — the question Run, the shard
 // barrier loop and self-limiting probes all ask.
 func (e *Engine) Pending() int {
-	return len(e.heap) - e.ndead - e.ndaemon
+	return len(e.near) + len(e.far) - e.ndaemon
 }

@@ -51,8 +51,8 @@ func BenchmarkProcessSwitch(b *testing.B) {
 
 // BenchmarkScheduleCancel is a deadline that never fires: one far-future
 // Schedule and its Cancel against a 15-event heap, the depth the KV test
-// beds run at. Cancelled events stay queued until a compaction sweeps
-// them, whose cost is amortised over the cancels.
+// beds run at. The deadline goes to the far heap and Cancel takes it out
+// again at once.
 func BenchmarkScheduleCancel(b *testing.B) {
 	e := NewEngine(1)
 	nop := func() {}
@@ -63,6 +63,30 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(Millisecond, nop).Cancel()
+	}
+}
+
+// BenchmarkEngineTimers is the KV beds' heap shape: about 1 000 timers
+// pending (retransmission timers and heartbeats that fire after the run)
+// behind a pipeline whose events fire one at a time. Each op fires one
+// near event, books two 600 µs deadlines and cancels the two booked one
+// op earlier, as a verb's two deadlines are cancelled at its completion.
+func BenchmarkEngineTimers(b *testing.B) {
+	e := NewEngine(1)
+	nop := func() {}
+	for i := range 1000 {
+		e.Schedule(10*Second+Duration(i)*Microsecond, nop)
+	}
+	var prev [2]Event
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(Nanosecond, nop)
+		e.RunUntil(e.Now().Add(Nanosecond))
+		next := [2]Event{e.Schedule(600*Microsecond, nop), e.Schedule(600*Microsecond, nop)}
+		prev[0].Cancel()
+		prev[1].Cancel()
+		prev = next
 	}
 }
 

@@ -279,17 +279,10 @@ func (e *Engine) CrossSchedule(dst *Engine, d Duration, fn func()) {
 	e.CrossScheduleAt(dst, e.now.Add(d), fn)
 }
 
-// peek returns the time of the earliest live event, lazily reclaiming
-// cancelled entries sitting on top of the heap.
+// peek returns the time of the earliest queued event.
 func (e *Engine) peek() (Time, bool) {
-	for len(e.heap) > 0 {
-		top := e.heap[0]
-		if !top.dead {
-			return top.at, true
-		}
-		e.pop()
-		e.ndead--
-		e.recycle(top)
+	if h := e.top(); h != nil {
+		return (*h)[0].at, true
 	}
 	return 0, false
 }
@@ -299,14 +292,8 @@ func (e *Engine) peek() (Time, bool) {
 // runs.
 func (e *Engine) runBefore(w Time) {
 	e.closed = false
-	for len(e.heap) > 0 {
-		ev := e.heap[0]
-		if ev.dead {
-			e.pop()
-			e.ndead--
-			e.recycle(ev)
-			continue
-		}
+	for h := e.top(); h != nil; h = e.top() {
+		ev := (*h)[0]
 		if ev.at >= w {
 			break
 		}
@@ -316,7 +303,7 @@ func (e *Engine) runBefore(w Time) {
 		if ev.at > e.limit {
 			panic(fmt.Sprintf("sim: horizon %v exceeded (event at %v after %d events)", e.limit, ev.at, e.fired))
 		}
-		e.pop()
+		h.remove(ev)
 		if ev.daemon {
 			e.ndaemon--
 		} else {
