@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race cover recovery protect determinism fuzz bench lines golden ab soak kv kv-large
+.PHONY: check vet build test race cover recovery protect determinism fuzz bench lines golden ab same soak kv kv-large
 
 # check is the everyday gate: build plus the full -race suite, which
 # includes the determinism tests (the -j harness in internal/experiments
@@ -168,9 +168,12 @@ BASE ?= HEAD
 WORKLOAD ?= $(shell sed -n 's/^ *"name": "\([a-z]*-[a-z]*\)",$$/\1/p' BENCHMARK.json)
 PAIRS ?= 10
 AB_DIR ?= $(CURDIR)/ab.out
+define ab_base_clone
+	git clone --quiet --shared --no-checkout . $(AB_DIR)/base && git -C $(AB_DIR)/base checkout --quiet --detach $$(git rev-parse $(BASE))
+endef
 ab:
 	rm -rf $(AB_DIR) && mkdir -p $(AB_DIR)
-	git clone --quiet --shared --no-checkout . $(AB_DIR)/base && git -C $(AB_DIR)/base checkout --quiet --detach $$(git rev-parse $(BASE))
+	$(ab_base_clone)
 	set -e; \
 	(cd $(AB_DIR)/base && $(GO) build -o $(AB_DIR)/bench.base ./benchmark); \
 	$(GO) build -o $(AB_DIR)/bench.head ./benchmark; \
@@ -182,5 +185,35 @@ ab:
 			if [ $$((i % 2)) -eq 1 ]; then run_base $$i; run_head $$i; else run_head $$i; run_base $$i; fi; \
 		done; \
 		$(AB_DIR)/bench.head -compare $(AB_DIR)/base.$$w.json $(AB_DIR)/head.$$w.json || status=1; \
+	done; \
+	exit $$status
+
+# same checks that a change moved no output: it builds strombench at BASE
+# (in the shared clone `make ab` uses) and in this tree, runs each of the
+# five scenarios at -quick -seed 1 with -metrics, -trace and -jsonl on
+# both, and cmps the 20 files (stdout and the three exports of each
+# scenario) and the five exit codes. It fails on any difference and
+# deletes the JSONL streams as it goes (incast's is ~170 MB); the rest
+# stays under $(AB_DIR)/same for a look at what moved.
+#   make same BASE=HEAD~1
+SCENARIOS = clean chaos incast kv kvlarge
+same:
+	rm -rf $(AB_DIR)/base $(AB_DIR)/same && mkdir -p $(AB_DIR)/same
+	$(ab_base_clone)
+	set -e; \
+	(cd $(AB_DIR)/base && $(GO) build -o $(AB_DIR)/sb.base ./cmd/strombench); \
+	$(GO) build -o $(AB_DIR)/sb.head ./cmd/strombench; \
+	status=0; \
+	for s in $(SCENARIOS); do \
+		for side in base head; do \
+			o=$(AB_DIR)/same/$$side.$$s; \
+			rc=0; $(AB_DIR)/sb.$$side -quick -seed 1 -scenario $$s -metrics $$o.metrics.json -trace $$o.trace.json -jsonl $$o.jsonl > $$o.stdout 2>/dev/null || rc=$$?; \
+			echo $$rc > $$o.exit; \
+		done; \
+		for f in stdout metrics.json trace.json jsonl exit; do \
+			cmp $(AB_DIR)/same/base.$$s.$$f $(AB_DIR)/same/head.$$s.$$f || status=1; \
+		done; \
+		rm -f $(AB_DIR)/same/*.$$s.jsonl; \
+		echo "$$s: exit $$(cat $(AB_DIR)/same/head.$$s.exit)"; \
 	done; \
 	exit $$status

@@ -206,7 +206,7 @@ func (c *Context) Respond(qpn uint32, remoteVA uint64, value []byte, size int, s
 // RDMARPC lets a kernel invoke a kernel on the peer NIC — the mechanism
 // behind send-receive kernel combinations (§3.5).
 func (c *Context) RDMARPC(qpn uint32, rpcOp uint64, params []byte, done func(error)) {
-	if err := c.nic.stack.PostRPC(qpn, rpcOp, params, 0, done); err != nil && done != nil {
+	if _, err := c.nic.stack.PostRPC(qpn, rpcOp, params, done); err != nil && done != nil {
 		done(err)
 	}
 }

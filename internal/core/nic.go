@@ -116,7 +116,6 @@ type NIC struct {
 	stats    NICStats
 	// writeLanded is onWriteLanded as a func value, made once.
 	writeLanded func(error)
-	fetchFree   []*fetch      // recycled payload fetches (see fetch)
 	verbFree    []*verb       // recycled verb records (see verb)
 	tel         *nicTelemetry // nil when telemetry is disabled
 	health      nicHealth     // Health's reused report
@@ -409,73 +408,6 @@ func (n *NIC) ringDoorbell(fn func()) {
 	n.stats.Doorbells++
 	end := n.doorbell.Reserve(n.cfg.Host.DoorbellInterval)
 	n.commands.PushAt(end.Add(n.cfg.PCIe.MMIOWriteLatency), fn)
-}
-
-// fetch is the payload of one WRITE or RPC WRITE on its way from host
-// memory to the wire. The request handler fetches it with one DMA command
-// (§4.1) that delivers an MTU payload at a time: the first chunk posts
-// the message, which reserves its PSNs, and every later one is fed to it
-// (roce.WriteStream), so a segment leaves as soon as its bytes have
-// crossed PCIe. Nothing in the data path holds a whole message. Records
-// are recycled, their chunk callback bound once.
-type fetch struct {
-	n        *NIC
-	rpc      bool // RPC WRITE: target is the op-code
-	qpn      uint32
-	rkey     uint32
-	target   uint64 // remote VA, or the RPC op-code
-	nbytes   int
-	got      int // bytes the DMA engine has delivered
-	deadline sim.Time
-	done     func(error)
-	ws       *roce.WriteStream // the posted message; nil before the first chunk, and if the post failed
-	onChunk  func([]byte, error)
-}
-
-// fetchPayload starts the DMA read behind a posted WRITE or RPC WRITE.
-func (n *NIC) fetchPayload(rpc bool, qpn uint32, localVA, target uint64, rkey uint32, nbytes int, deadline sim.Time, done func(error)) {
-	var f *fetch
-	if k := len(n.fetchFree); k > 0 {
-		f, n.fetchFree = n.fetchFree[k-1], n.fetchFree[:k-1]
-	} else {
-		f = &fetch{n: n}
-		f.onChunk = f.chunk
-	}
-	f.rpc, f.qpn, f.target, f.rkey, f.nbytes, f.deadline, f.done = rpc, qpn, target, rkey, nbytes, deadline, done
-	n.observeDMA(mr.AccessLocal, localVA, nbytes)
-	n.dma.ReadHostStream(hostmem.Addr(localVA), nbytes, n.cfg.Roce.MTUPayload, f.onChunk)
-}
-
-// chunk receives the next MTU payload of the fetch, borrowed from the
-// DMA engine: the stack has encoded it into a frame when Feed returns.
-func (f *fetch) chunk(data []byte, err error) {
-	n := f.n
-	switch {
-	case err != nil:
-		if f.ws != nil {
-			f.ws.Abort(err)
-		} else if f.got == 0 {
-			n.completeErr(f.done, err)
-		}
-		f.got = f.nbytes // the engine ends a failed stream
-	case f.got == 0:
-		if f.rpc {
-			f.ws, err = n.stack.PostRPCWriteStream(f.qpn, f.target, f.nbytes, data, f.deadline, f.done)
-		} else {
-			f.ws, err = n.stack.PostWriteStream(f.qpn, f.target, f.rkey, f.nbytes, data, f.deadline, f.done)
-		}
-		if err != nil {
-			n.completeErr(f.done, err)
-		}
-	case f.ws != nil:
-		f.ws.Feed(data)
-	}
-	if f.got += len(data); f.got >= f.nbytes {
-		f.done, f.ws, f.got = nil, nil, 0
-		if len(n.fetchFree) < freeListCap {
-			n.fetchFree = append(n.fetchFree, f)
-		}
-	}
 }
 
 // InvokeLocal posts an RPC to the local NIC ("StRoM kernels can also be

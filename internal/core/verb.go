@@ -30,9 +30,10 @@ var ErrUnknownOp = errors.New("strom: unknown verb op")
 // fields: zero means the QP's SetRemoteRKey key (the wildcard key when
 // none was exchanged) and no deadline. Deadline is an absolute sim-time:
 // a verb not acknowledged by then completes with an error wrapping
-// sim.ErrDeadlineExceeded, whether it is stuck behind a stalled doorbell
-// or DMA stage (the NIC's guard, see verb) or waiting for an ACK
-// (the stack's own deadline event), while the frames already on the wire
+// sim.ErrDeadlineExceeded, wherever it is stuck — behind a stalled
+// doorbell or DMA stage, or waiting for an ACK. The NIC's guard (see
+// verb) is the verb's one timer: it tells the caller and expires the
+// posted message (roce.Message.Expire), whose frames already on the wire
 // keep draining through go-back-N — cancellation decouples the caller
 // from the transport without disturbing the PSN space.
 type Verb struct {
@@ -120,14 +121,15 @@ func (n *NIC) RPCWriteSync(p *sim.Process, qpn uint32, rpcOp uint64, localVA uin
 //
 // A record is recycled only at the call that makes it unreachable. Its
 // holders are counted in refs: the transport, until it calls complete
-// (the stack, and the fetch of a WRITE's payload, complete a verb exactly
-// once); the deadline guard, until it fires or complete cancels it; a
-// READ's sink, until its last response chunk has landed; and a process
-// in Do, until it has read the result. The guard covers the doorbell and
-// DMA stages that run before the stack's own deadline event exists, so a
-// verb posted against a stalled interconnect still times out; the
-// transport's late completion then finds the record still held and is
-// swallowed. A READ flushed before its last chunk never releases its
+// (the stack, and the DMA fetch of a WRITE's payload, complete a verb
+// exactly once); the deadline guard, until it fires or complete cancels
+// it; a WRITE's or RPC WRITE's payload stream, until its last chunk has
+// arrived; a READ's sink, until its last response chunk has landed; and
+// a process in Do, until it has read the result. The guard is the verb's
+// only timer. When it fires, the caller is told and the posted message
+// is expired, which completes the transport at once; a verb still
+// behind a stalled doorbell or DMA stage is expired as soon as the stack
+// accepts it. A READ flushed before its last chunk never releases its
 // sink's hold: its record is left to the garbage collector, because a
 // chunk still crossing PCIe would land on it.
 type verb struct {
@@ -141,10 +143,12 @@ type verb struct {
 	params  []byte // RPC: the copy of v.Params
 
 	refs      int
-	delivered bool      // the caller has been told
-	guard     sim.Event // the deadline guard, while it is pending
-	chunks    int       // READ: response chunks not yet landed in host memory
-	ack       func()    // READ: the stack's acknowledgement of a landed chunk
+	delivered bool          // the caller has been told
+	guard     sim.Event     // the deadline guard, while it is pending
+	msg       *roce.Message // the posted message; nil until the stack accepts the verb
+	got       int           // WRITE, RPC WRITE: payload bytes the DMA engine has delivered
+	chunks    int           // READ: response chunks not yet landed in host memory
+	ack       func()        // READ: the stack's acknowledgement of a landed chunk
 
 	// Instrumentation (tel non-nil only when telemetry was attached at
 	// post time): the span's start, trace lane and latency histogram.
@@ -154,9 +158,10 @@ type verb struct {
 	hist  *telemetry.Histogram
 
 	// Bound once per record.
-	complete func(error) // the transport's completion
-	expire   func()      // the deadline guard
-	ring     func()      // the doorbell
+	complete func(error)         // the transport's completion
+	expire   func()              // the deadline guard
+	ring     func()              // the doorbell
+	fetched  func([]byte, error) // a WRITE's or RPC WRITE's payload chunk
 	sink     roce.ReadSink
 	landed   func(error) // a READ chunk's DMA write completion
 }
@@ -176,7 +181,7 @@ func (n *NIC) post(qpn uint32, v Verb, done func(error), waiting bool) *verb {
 		r, n.verbFree = n.verbFree[k-1], n.verbFree[:k-1]
 	} else {
 		r = &verb{n: n}
-		r.complete, r.expire, r.ring = r.transportDone, r.guardFired, r.doorbell
+		r.complete, r.expire, r.ring, r.fetched = r.transportDone, r.guardFired, r.doorbell, r.payload
 		r.sink, r.landed = r.chunk, r.chunkLanded
 	}
 	// Every field but Params, which is copied below and never kept: a
@@ -207,22 +212,68 @@ func (n *NIC) post(qpn uint32, v Verb, done func(error), waiting bool) *verb {
 func (r *verb) doorbell() {
 	n, v := r.n, &r.v
 	switch v.Op {
-	case OpWrite:
-		n.fetchPayload(false, r.qpn, v.LocalVA, v.RemoteVA, v.RKey, v.Len, v.Deadline, r.complete)
-	case OpRPCWrite:
-		n.fetchPayload(true, r.qpn, v.LocalVA, v.RPCOp, 0, v.Len, v.Deadline, r.complete)
+	case OpWrite, OpRPCWrite:
+		// The request handler fetches the payload with one DMA command
+		// (§4.1) that delivers an MTU payload at a time (see payload).
+		r.refs++
+		n.observeDMA(mr.AccessLocal, v.LocalVA, v.Len)
+		n.dma.ReadHostStream(hostmem.Addr(v.LocalVA), v.Len, n.cfg.Roce.MTUPayload, r.fetched)
 	case OpRead:
 		// done fires when the final chunk's DMA write has landed.
 		r.refs++
 		r.chunks = packet.NumSegments(v.Len, n.cfg.Roce.MTUPayload)
-		if err := n.stack.PostRead(r.qpn, v.RemoteVA, v.RKey, v.Len, v.Deadline, r.sink, r.complete); err != nil {
+		m, err := n.stack.PostRead(r.qpn, v.RemoteVA, v.RKey, v.Len, r.sink, r.complete)
+		if err != nil {
 			r.release() // the sink was never handed out
-			n.completeErr(r.complete, err)
 		}
+		r.posted(m, err)
 	case OpRPC:
-		if err := n.stack.PostRPC(r.qpn, v.RPCOp, r.params, v.Deadline, r.complete); err != nil {
+		r.posted(n.stack.PostRPC(r.qpn, v.RPCOp, r.params, r.complete))
+	}
+}
+
+// posted takes the stack's answer to the verb's post. A refused verb
+// completes with the error. An accepted one whose guard has already
+// fired (the caller was told while the verb sat behind a stalled
+// doorbell or DMA stage) is expired at once.
+func (r *verb) posted(m *roce.Message, err error) {
+	if err != nil {
+		r.n.completeErr(r.complete, err)
+		return
+	}
+	r.msg = m
+	if r.delivered {
+		m.Expire()
+	}
+}
+
+// payload receives the next MTU payload of a WRITE or RPC WRITE, borrowed
+// from the DMA engine: the first chunk posts the message, which reserves
+// its PSNs, and every later one is fed to it (roce.Message.Feed), so a
+// segment leaves as soon as its bytes have crossed PCIe and nothing in
+// the data path holds a whole message. The stack has encoded the chunk
+// into a frame when the post or Feed returns.
+func (r *verb) payload(data []byte, err error) {
+	n, v := r.n, &r.v
+	switch {
+	case err != nil:
+		if r.msg != nil {
+			r.msg.Abort(err)
+		} else if r.got == 0 {
 			n.completeErr(r.complete, err)
 		}
+		r.got = v.Len // the engine ends a failed stream
+	case r.got == 0:
+		if v.Op == OpRPCWrite {
+			r.posted(n.stack.PostRPCWriteStream(r.qpn, v.RPCOp, v.Len, data, r.complete))
+		} else {
+			r.posted(n.stack.PostWriteStream(r.qpn, v.RemoteVA, v.RKey, v.Len, data, r.complete))
+		}
+	case r.msg != nil:
+		r.msg.Feed(data)
+	}
+	if r.got += len(data); r.got >= v.Len {
+		r.release() // the payload stream's hold
 	}
 }
 
@@ -260,11 +311,15 @@ func (r *verb) transportDone(err error) {
 	r.release()
 }
 
-// guardFired is the deadline guard: the caller is told now, and the
-// transport's completion, when it comes, is swallowed.
+// guardFired is the deadline guard: the caller is told now, then the
+// posted message is expired, which completes the transport; a verb the
+// stack has not accepted yet is expired when it is (see posted).
 func (r *verb) guardFired() {
 	r.guard = sim.Event{}
 	r.deliver(fmt.Errorf("strom: verb canceled: %w", sim.ErrDeadlineExceeded))
+	if r.msg != nil {
+		r.msg.Expire()
+	}
 	r.release()
 }
 
@@ -293,7 +348,7 @@ func (r *verb) release() {
 		return
 	}
 	n := r.n
-	r.done, r.ack, r.tel, r.hist = nil, nil, nil, nil
+	r.done, r.ack, r.tel, r.hist, r.msg, r.got = nil, nil, nil, nil, nil, 0
 	r.wait, r.delivered = sim.Completion[struct{}]{}, false
 	if len(n.verbFree) < freeListCap {
 		n.verbFree = append(n.verbFree, r)

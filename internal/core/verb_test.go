@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"strom/internal/fabric"
+	"strom/internal/packet"
 	"strom/internal/roce"
 	"strom/internal/sim"
 )
@@ -15,6 +16,7 @@ type verbCase struct {
 	verb  func(r *rig) Verb
 	plain func(r *rig, done func(error))
 	keyed bool // the op carries an rkey
+	dma   bool // the op's payload crosses PCIe before the stack sees it
 }
 
 const (
@@ -28,22 +30,22 @@ func verbCases() []verbCase {
 			return Verb{Op: OpWrite, LocalVA: uint64(r.bufA.Base()), RemoteVA: uint64(r.bufB.Base()), Len: 3000}
 		}, func(r *rig, done func(error)) {
 			r.a.PostWrite(1, uint64(r.bufA.Base()), uint64(r.bufB.Base()), 3000, done)
-		}, true},
+		}, true, true},
 		{"read", func(r *rig) Verb {
 			return Verb{Op: OpRead, LocalVA: uint64(r.bufA.Base()), RemoteVA: uint64(r.bufB.Base()), Len: 3000}
 		}, func(r *rig, done func(error)) {
 			r.a.PostRead(1, uint64(r.bufB.Base()), uint64(r.bufA.Base()), 3000, done)
-		}, true},
+		}, true, false},
 		{"rpc", func(r *rig) Verb {
 			return Verb{Op: OpRPC, RPCOp: verbEchoOp, Params: echoParams(uint64(r.bufB.Base()), 64, uint64(r.bufA.Base()))}
 		}, func(r *rig, done func(error)) {
 			r.a.PostRPC(1, verbEchoOp, echoParams(uint64(r.bufB.Base()), 64, uint64(r.bufA.Base())), done)
-		}, false},
+		}, false, false},
 		{"rpc-write", func(r *rig) Verb {
 			return Verb{Op: OpRPCWrite, RPCOp: verbCountOp, LocalVA: uint64(r.bufA.Base()), Len: 3000}
 		}, func(r *rig, done func(error)) {
 			r.a.PostRPCWrite(1, verbCountOp, uint64(r.bufA.Base()), 3000, done)
-		}, false},
+		}, false, true},
 	}
 }
 
@@ -106,31 +108,76 @@ func TestVerbEqualsPlainMethod(t *testing.T) {
 	}
 }
 
+// acceptWatch is a stack observer that runs check in an event of its own
+// at the instant the stack accepts a verb, right after the post that
+// accepted it has returned.
+type acceptWatch struct {
+	eng   *sim.Engine
+	check func()
+}
+
+func (w *acceptWatch) PostedOp(uint32, uint64, string)                     { w.eng.Schedule(0, w.check) }
+func (*acceptWatch) CompletedOp(uint32, uint64, error)                     {}
+func (*acceptWatch) TxRequest(uint32, uint32, uint32, packet.Opcode, bool) {}
+func (*acceptWatch) RespExec(uint32, uint32, uint32, packet.Opcode, bool)  {}
+func (*acceptWatch) RespReadData(uint32, uint32, uint64, int)              {}
+func (*acceptWatch) Timeout(uint32, int, int)                              {}
+func (*acceptWatch) QPStateChange(uint32, roce.QPState, error)             {}
+
 // A deadline fires exactly once wherever the verb is stuck: behind a
-// stalled doorbell, where the stack has not seen it yet and only the
-// NIC's own guard can fire, and on the wire, where the ACK never comes
-// and the stack's deadline event fires too and is swallowed.
+// stalled doorbell, or a stalled DMA read of a WRITE's payload, where
+// the stack has not seen it yet when the NIC's guard fires, and on the
+// wire, where the ACK never comes. A verb the guard fired for before the
+// stack accepted it is expired by the time the post returns.
 func TestVerbDeadline(t *testing.T) {
 	const deadline = sim.Time(50 * sim.Microsecond)
+	stalled := func(t *testing.T, tc verbCase, cfg Config, stall func(r *rig)) {
+		r := verbRig(t, cfg)
+		stall(r)
+		var c completion
+		accepted := false
+		r.a.Stack().SetObserver(&acceptWatch{eng: r.eng, check: func() {
+			accepted = true
+			st := r.a.Stack().Stats()
+			if st.DeadlineExpired != 1 || st.OpsCompleted != st.OpsPosted {
+				t.Errorf("as the stack accepted the verb: %d deadlines expired, %d of %d verbs completed; want it expired at once",
+					st.DeadlineExpired, st.OpsCompleted, st.OpsPosted)
+			}
+		}})
+		r.eng.Schedule(0, func() {
+			v := tc.verb(r)
+			v.Deadline = deadline
+			r.a.Post(1, v, c.done(r))
+		})
+		r.eng.Run()
+		if c.n != 1 || !errors.Is(c.err, sim.ErrDeadlineExceeded) || c.at != deadline {
+			t.Fatalf("completed %d times, at %v with %v; want once, at %v, with ErrDeadlineExceeded", c.n, c.at, c.err, deadline)
+		}
+		if c.posted != 0 {
+			t.Errorf("the stack had accepted %d verbs at the deadline: not a stalled verb", c.posted)
+		}
+		if !accepted {
+			t.Error("the stack never accepted the verb")
+		}
+	}
 	for _, tc := range verbCases() {
 		t.Run(tc.name+"/doorbell-stalled", func(t *testing.T) {
 			cfg := Profile10G()
 			cfg.Host.DoorbellInterval = sim.Millisecond
-			r := verbRig(t, cfg)
-			var c completion
-			r.eng.Schedule(0, func() {
-				v := tc.verb(r)
-				v.Deadline = deadline
-				r.a.Post(1, v, c.done(r))
-			})
-			r.eng.Run()
-			if c.n != 1 || !errors.Is(c.err, sim.ErrDeadlineExceeded) || c.at != deadline {
-				t.Fatalf("completed %d times, at %v with %v; want once, at %v, with ErrDeadlineExceeded", c.n, c.at, c.err, deadline)
-			}
-			if c.posted != 0 {
-				t.Errorf("the stack had accepted %d verbs at the deadline: not the NIC-level guard that fired", c.posted)
-			}
+			stalled(t, tc, cfg, func(*rig) {})
 		})
+		if tc.dma {
+			t.Run(tc.name+"/dma-stalled", func(t *testing.T) {
+				stalled(t, tc, Profile10G(), func(r *rig) {
+					r.a.DMA().SetStall(func(now sim.Time) sim.Duration {
+						if now < deadline {
+							return sim.Duration(2 * deadline)
+						}
+						return 0
+					})
+				})
+			})
+		}
 		t.Run(tc.name+"/no-ack", func(t *testing.T) {
 			r := verbRig(t, Profile10G())
 			r.link.SetOfflineAtoB(true)
@@ -146,6 +193,65 @@ func TestVerbDeadline(t *testing.T) {
 			}
 			if st := r.a.Stack().Stats(); c.posted != 1 || st.DeadlineExpired != 1 {
 				t.Errorf("stack: %d verbs posted, %d deadlines expired; want 1 and 1", c.posted, st.DeadlineExpired)
+			}
+		})
+	}
+}
+
+// The NIC's guard is a verb's only timer: a post with a deadline books
+// exactly one event more than the same post without one, whether the
+// verb is still with the NIC or already with the stack.
+func TestVerbDeadlineBooksOneTimer(t *testing.T) {
+	for _, tc := range verbCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			pending := func(deadline sim.Time) (withNIC, withStack int) {
+				r := verbRig(t, Profile10G())
+				r.link.SetOfflineAtoB(true) // the verb stays outstanding
+				r.eng.Schedule(0, func() {
+					v := tc.verb(r)
+					v.Deadline = deadline
+					r.a.Post(1, v, nil)
+					withNIC = r.eng.Pending()
+				})
+				r.eng.RunUntil(sim.Time(20 * sim.Microsecond))
+				if r.a.Stack().Stats().OpsPosted != 1 {
+					t.Fatal("the stack has not accepted the verb after 20 us")
+				}
+				return withNIC, r.eng.Pending()
+			}
+			nicBare, stackBare := pending(0)
+			nicDL, stackDL := pending(sim.Time(sim.Millisecond))
+			if d := nicDL - nicBare; d != 1 {
+				t.Errorf("at the doorbell a deadline adds %d pending events, want 1", d)
+			}
+			if d := stackDL - stackBare; d != 1 {
+				t.Errorf("with the stack a deadline adds %d pending events, want 1", d)
+			}
+		})
+	}
+}
+
+// A verb that completes in time cancels its one timer: the deadline
+// never counts as expired and does not hold the engine open.
+func TestDeadlineCanceledOnSuccess(t *testing.T) {
+	for _, tc := range verbCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			r := verbRig(t, Profile10G())
+			var c completion
+			r.eng.Schedule(0, func() {
+				v := tc.verb(r)
+				v.Deadline = sim.Time(sim.Second)
+				r.a.Post(1, v, c.done(r))
+			})
+			end := r.eng.Run()
+			if c.n != 1 || c.err != nil {
+				t.Fatalf("completed %d times, err %v", c.n, c.err)
+			}
+			if st := r.a.Stack().Stats(); st.DeadlineExpired != 0 {
+				t.Errorf("DeadlineExpired = %d", st.DeadlineExpired)
+			}
+			if sim.Duration(end) > 100*sim.Millisecond {
+				t.Errorf("engine drained at %v: the deadline was not cancelled", end)
 			}
 		})
 	}

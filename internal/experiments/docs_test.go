@@ -668,6 +668,22 @@ func sectionFindings(design, doc, text string) (findings []string, checked int) 
 	return findings, checked
 }
 
+// designMaxBytes bounds DESIGN.md: a document that states each contract
+// once stays short enough to be read whole.
+const designMaxBytes = 50_000
+
+// DESIGN.md stays under designMaxBytes, so a change that adds to it makes
+// room by saying something else more briefly.
+func TestDesignSize(t *testing.T) {
+	fi, err := os.Stat(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() >= designMaxBytes {
+		t.Errorf("DESIGN.md is %d B, want under %d", fi.Size(), designMaxBytes)
+	}
+}
+
 // Every reference to a DESIGN.md section, from the docs, ROADMAP.md and
 // any Go comment, names a heading DESIGN.md has, so a renumbering that
 // leaves a reader pointed at the wrong section fails here.

@@ -38,6 +38,7 @@ func FuzzQPStateMachine(f *testing.F) {
 				counts[len(counts)-1] = -1
 			}
 		}
+		acceptMsg := func(_ *Message, err error) { accept(err) }
 
 		blackhole := false
 		for _, op := range program {
@@ -47,9 +48,9 @@ func FuzzQPStateMachine(f *testing.F) {
 			case 1:
 				accept(p.a.PostWrite(1, 0, make([]byte, 4<<10), track()))
 			case 2:
-				accept(p.a.PostRead(1, 0, 0, 2048, 0, func(off int, chunk []byte, ack func()) { ack() }, track()))
+				acceptMsg(p.a.PostRead(1, 0, 0, 2048, func(off int, chunk []byte, ack func()) { ack() }, track()))
 			case 3:
-				accept(p.a.PostRPC(1, uint64(op), []byte("params"), 0, track()))
+				acceptMsg(p.a.PostRPC(1, uint64(op), []byte("params"), track()))
 			case 4:
 				blackhole = !blackhole
 				p.link.SetOfflineAtoB(blackhole)

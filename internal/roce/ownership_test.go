@@ -203,7 +203,7 @@ func TestReadReRequestAfterEntryRetiredKeepsItsBytes(t *testing.T) {
 			copy(got[off:], chunk)
 			ack()
 		}
-		if err := w.a.PostRead(1, 0, 0, n, 0, sink, func(err error) { readErr = err; readDone++ }); err != nil {
+		if _, err := w.a.PostRead(1, 0, 0, n, sink, func(err error) { readErr = err; readDone++ }); err != nil {
 			t.Fatal(err)
 		}
 		err := w.a.PostWrite(1, 1<<20, make([]byte, 64), func(err error) {

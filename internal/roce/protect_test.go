@@ -29,6 +29,21 @@ func (h *validatingHandler) ValidateRemote(qpn uint32, op packet.Opcode, reth pa
 	return nil
 }
 
+// postExpiring posts with post and books the message's Expire at
+// deadline, cancelled when the message completes first: the one deadline
+// a NIC keeps for a verb. done sees the completion.
+func postExpiring(eng *sim.Engine, deadline sim.Time, done func(error), post func(done func(error)) (*Message, error)) error {
+	var ev sim.Event
+	m, err := post(func(err error) {
+		ev.Cancel()
+		done(err)
+	})
+	if err == nil {
+		ev = eng.ScheduleAt(deadline, m.Expire)
+	}
+	return err
+}
+
 // vpair is a testbed whose responder (B) validates against an MR table
 // with a full-access region, a read-only region and a write-only region.
 type vpair struct {
@@ -118,14 +133,12 @@ func TestResponderNAKMatrix(t *testing.T) {
 			completions := 0
 			p.eng.Schedule(0, func() {
 				deadline := p.eng.Now().Add(2 * sim.Millisecond)
-				done := func(err error) { opErr = err; completions++ }
-				var err error
-				if f.read {
-					sink := func(off int, chunk []byte, ack func()) { ack() }
-					err = p.a.PostRead(1, f.va, f.rkey, f.n, deadline, sink, done)
-				} else {
-					_, err = p.a.PostWriteStream(1, f.va, f.rkey, f.n, make([]byte, f.n), deadline, done)
-				}
+				err := postExpiring(p.eng, deadline, func(err error) { opErr = err; completions++ }, func(done func(error)) (*Message, error) {
+					if f.read {
+						return p.a.PostRead(1, f.va, f.rkey, f.n, func(off int, chunk []byte, ack func()) { ack() }, done)
+					}
+					return p.a.PostWriteStream(1, f.va, f.rkey, f.n, make([]byte, f.n), done)
+				})
 				if err != nil {
 					t.Errorf("post: %v", err)
 				}
@@ -172,7 +185,9 @@ func TestResponderNAKMatrix(t *testing.T) {
 			}
 			var okErr error = errors.New("never completed")
 			p.eng.Schedule(0, func() {
-				_, err := p.a.PostWriteStream(1, p.rw.Base(), p.rw.RKey(), 5, []byte("legit"), p.eng.Now().Add(2*sim.Millisecond), func(err error) { okErr = err })
+				err := postExpiring(p.eng, p.eng.Now().Add(2*sim.Millisecond), func(err error) { okErr = err }, func(done func(error)) (*Message, error) {
+					return p.a.PostWriteStream(1, p.rw.Base(), p.rw.RKey(), 5, []byte("legit"), done)
+				})
 				if err != nil {
 					t.Errorf("post after reconnect: %v", err)
 				}
@@ -198,11 +213,13 @@ func TestDupReadCacheRevalidates(t *testing.T) {
 	readDone := 0
 	p.eng.Schedule(0, func() {
 		sink := func(off int, chunk []byte, ack func()) { ack() }
-		err := p.a.PostRead(1, p.rw.Base(), p.rw.RKey(), 64, p.eng.Now().Add(2*sim.Millisecond), sink, func(err error) {
+		err := postExpiring(p.eng, p.eng.Now().Add(2*sim.Millisecond), func(err error) {
 			if err != nil {
 				t.Errorf("read: %v", err)
 			}
 			readDone++
+		}, func(done func(error)) (*Message, error) {
+			return p.a.PostRead(1, p.rw.Base(), p.rw.RKey(), 64, sink, done)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -252,14 +269,12 @@ func FuzzRETHValidation(f *testing.F) {
 		var opErr error
 		p.eng.Schedule(0, func() {
 			deadline := p.eng.Now().Add(5 * sim.Millisecond)
-			done := func(err error) { opErr = err; completions++ }
-			var err error
-			if read {
-				sink := func(off int, chunk []byte, ack func()) { ack() }
-				err = p.a.PostRead(1, va, rkey, nb, deadline, sink, done)
-			} else {
-				_, err = p.a.PostWriteStream(1, va, rkey, nb, make([]byte, nb), deadline, done)
-			}
+			err := postExpiring(p.eng, deadline, func(err error) { opErr = err; completions++ }, func(done func(error)) (*Message, error) {
+				if read {
+					return p.a.PostRead(1, va, rkey, nb, func(off int, chunk []byte, ack func()) { ack() }, done)
+				}
+				return p.a.PostWriteStream(1, va, rkey, nb, make([]byte, nb), done)
+			})
 			if err != nil {
 				// Rejected at post time: no completion will come.
 				completions = -1

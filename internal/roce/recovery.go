@@ -10,8 +10,8 @@ import (
 // This file is the stack's failure-recovery layer: the explicit per-QP
 // lifecycle state machine (RTS -> ERROR -> RESET -> RTS), the flush
 // semantics that guarantee every posted verb completes exactly once even
-// when its QP dies, verb-level deadlines, and whole-stack freeze/restart
-// for machine crash simulation.
+// when its QP dies, and whole-stack freeze/restart for machine crash
+// simulation.
 //
 // The state machine follows the IB verbs model: a QP starts Ready-To-Send,
 // a transport-fatal condition (retry exhaustion, a remote access error on
@@ -97,7 +97,7 @@ func (s *Stack) sendable(st *qpState) error {
 // flushQP cancels the QP's retransmission timer and completes every
 // outstanding operation — all unacknowledged request packets and every
 // Multi-Queue READ — with err. Completion is idempotent per message, so
-// multi-packet messages complete once and already-expired deadlines stay
+// multi-packet messages complete once and already-expired verbs stay
 // settled.
 func (s *Stack) flushQP(qpn uint32, st *qpState, err error) {
 	s.timers[qpn].ev.Cancel()
@@ -223,68 +223,4 @@ func (s *Stack) noteState(qpn uint32, state QPState, cause error) {
 	if s.obs != nil {
 		s.obs.QPStateChange(qpn, state, cause)
 	}
-}
-
-// --- verb deadlines ---------------------------------------------------------
-
-// armDeadline schedules the message's cancellation at an absolute sim
-// time (zero disables). Expiry completes the verb with an error wrapping
-// sim.ErrDeadlineExceeded; the frames already on the wire keep draining
-// through the normal acknowledgement/retransmission machinery so the PSN
-// space stays contiguous — cancellation decouples the application from
-// the transport, it does not punch holes in go-back-N.
-func (s *Stack) armDeadline(msg *outMessage, deadline sim.Time) {
-	if deadline == 0 {
-		return
-	}
-	var d *verbDeadline
-	if k := len(s.dlFree); k > 0 {
-		d, s.dlFree = s.dlFree[k-1], s.dlFree[:k-1]
-	} else {
-		d = &verbDeadline{s: s}
-		d.expire = d.fire
-	}
-	d.msg, msg.dl = msg, d
-	msg.refs++
-	d.ev = s.eng.ScheduleAt(deadline, d.expire)
-}
-
-// verbDeadline is one verb's pending cancellation. Records are recycled,
-// their expiry bound once. A record is unreachable once its event has
-// fired, or once finish has cancelled it: a cancelled event never fires,
-// so the record may serve a new verb while the dead event still sits in
-// the queue.
-type verbDeadline struct {
-	s      *Stack
-	msg    *outMessage
-	ev     sim.Event
-	expire func()
-}
-
-// fire completes the verb if nothing has yet, then recycles the record.
-func (d *verbDeadline) fire() {
-	s, msg := d.s, d.msg
-	if !msg.done {
-		s.stats.DeadlineExpired++
-		msg.finish(fmt.Errorf("roce: verb canceled: %w", sim.ErrDeadlineExceeded))
-	}
-	s.freeDeadline(d)
-}
-
-// cancel stops a deadline that has not fired and recycles it. One that is
-// firing (finish called from fire) is left to fire.
-func (d *verbDeadline) cancel() {
-	if d.ev.Pending() {
-		d.ev.Cancel()
-		d.s.freeDeadline(d)
-	}
-}
-
-func (s *Stack) freeDeadline(d *verbDeadline) {
-	m := d.msg
-	d.msg, d.ev = nil, sim.Event{}
-	if len(s.dlFree) < freeListCap {
-		s.dlFree = append(s.dlFree, d)
-	}
-	s.releaseMsg(m)
 }

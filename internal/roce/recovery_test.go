@@ -133,14 +133,15 @@ func TestDeadlineExpiryUnderBlackhole(t *testing.T) {
 	count := 0
 	var at sim.Time
 	p.eng.Schedule(0, func() {
-		deadline := p.eng.Now().Add(20 * sim.Microsecond)
-		if _, err := p.a.PostWriteStream(1, 0, 0, 3, []byte{1, 2, 3}, deadline, func(err error) {
+		m, err := p.a.PostWriteStream(1, 0, 0, 3, []byte{1, 2, 3}, func(err error) {
 			got = err
 			count++
 			at = p.eng.Now()
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		p.eng.ScheduleAt(p.eng.Now().Add(20*sim.Microsecond), m.Expire)
 	})
 	p.eng.Run()
 	if count != 1 {
@@ -154,35 +155,6 @@ func TestDeadlineExpiryUnderBlackhole(t *testing.T) {
 	}
 	if p.a.Stats().DeadlineExpired != 1 {
 		t.Errorf("DeadlineExpired = %d", p.a.Stats().DeadlineExpired)
-	}
-}
-
-// TestDeadlineCanceledOnSuccess: a verb that completes in time must not
-// fire its deadline.
-func TestDeadlineCanceledOnSuccess(t *testing.T) {
-	p := newPair(t, 1, Config10G(), fabric.DirectCable10G())
-	var got error
-	count := 0
-	p.eng.Schedule(0, func() {
-		deadline := p.eng.Now().Add(sim.Duration(sim.Second))
-		if _, err := p.a.PostWriteStream(1, 0, 0, 7, []byte("on time"), deadline, func(err error) {
-			got = err
-			count++
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	end := p.eng.Run()
-	if count != 1 || got != nil {
-		t.Fatalf("count=%d err=%v", count, got)
-	}
-	if p.a.Stats().DeadlineExpired != 0 {
-		t.Errorf("DeadlineExpired = %d", p.a.Stats().DeadlineExpired)
-	}
-	// The canceled deadline event must not hold the engine open for the
-	// full second.
-	if sim.Duration(end) > 100*sim.Millisecond {
-		t.Errorf("engine drained at %v — deadline event not canceled", end)
 	}
 }
 
@@ -215,7 +187,7 @@ func TestFatalReadNakMovesToError(t *testing.T) {
 	var got error
 	count := 0
 	eng.Schedule(0, func() {
-		err := a.PostRead(1, 0, 0, 512, 0, func(off int, chunk []byte, ack func()) { ack() }, func(err error) {
+		_, err := a.PostRead(1, 0, 0, 512, func(off int, chunk []byte, ack func()) { ack() }, func(err error) {
 			got = err
 			count++
 		})
@@ -243,7 +215,7 @@ func TestRPCNakStaysPerOp(t *testing.T) {
 	p.hb.rpcErr = errors.New("no kernel")
 	var rpcErr error
 	p.eng.Schedule(0, func() {
-		if err := p.a.PostRPC(1, 7, []byte("params"), 0, func(err error) { rpcErr = err }); err != nil {
+		if _, err := p.a.PostRPC(1, 7, []byte("params"), func(err error) { rpcErr = err }); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -382,10 +354,11 @@ func TestDeadlineLeavesPSNSpaceIntact(t *testing.T) {
 	second := []byte("follows the canceled one")
 	var firstErr, secondErr error
 	p.eng.Schedule(0, func() {
-		deadline := p.eng.Now().Add(20 * sim.Microsecond)
-		if _, err := p.a.PostWriteStream(1, 0, 0, len(first), first, deadline, func(err error) { firstErr = err }); err != nil {
+		m, err := p.a.PostWriteStream(1, 0, 0, len(first), first, func(err error) { firstErr = err })
+		if err != nil {
 			t.Fatal(err)
 		}
+		p.eng.ScheduleAt(p.eng.Now().Add(20*sim.Microsecond), m.Expire)
 		if err := p.a.PostWrite(1, 4096, second, func(err error) { secondErr = err }); err != nil {
 			t.Fatal(err)
 		}

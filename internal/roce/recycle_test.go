@@ -13,7 +13,7 @@ func readOnce(t *testing.T, p *pair, n int) {
 	t.Helper()
 	done := false
 	p.eng.Schedule(0, func() {
-		err := p.a.PostRead(1, 0, 0, n, 0, func(off int, chunk []byte, ack func()) { ack() }, func(err error) {
+		_, err := p.a.PostRead(1, 0, 0, n, func(off int, chunk []byte, ack func()) { ack() }, func(err error) {
 			if err != nil {
 				t.Error(err)
 			}
@@ -51,7 +51,7 @@ func TestReadRecyclesPendingEntry(t *testing.T) {
 	// both entries return to the free list.
 	p.eng.Schedule(0, func() {
 		sink := func(off int, chunk []byte, ack func()) { ack() }
-		if err := p.a.PostRead(1, 0, 0, 64, 0, sink, nil); err != nil {
+		if _, err := p.a.PostRead(1, 0, 0, 64, sink, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.a.PostWrite(1, 0, make([]byte, 64), nil); err != nil {
@@ -92,7 +92,7 @@ func TestFlushedReadLateAckSparesNextRead(t *testing.T) {
 	var oldErr error
 	newDone := 0
 	p.eng.Schedule(0, func() {
-		err := p.a.PostRead(1, 0, 0, 4*cfg.MTUPayload, 0, func(off int, chunk []byte, ack func()) {
+		_, err := p.a.PostRead(1, 0, 0, 4*cfg.MTUPayload, func(off int, chunk []byte, ack func()) {
 			oldAcks = append(oldAcks, ack)
 			if len(oldAcks) > 1 {
 				return
@@ -102,7 +102,7 @@ func TestFlushedReadLateAckSparesNextRead(t *testing.T) {
 			p.eng.Schedule(0, func() {
 				p.reconnect(t)
 				p.hb.pieceGap = 0
-				err := p.a.PostRead(1, 0, 0, 64, 0, func(off int, chunk []byte, ack func()) {
+				_, err := p.a.PostRead(1, 0, 0, 64, func(off int, chunk []byte, ack func()) {
 					newAcks = append(newAcks, ack)
 				}, func(err error) {
 					if err != nil {

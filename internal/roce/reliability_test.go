@@ -129,7 +129,7 @@ func TestDuplicateReadReExecuted(t *testing.T) {
 	var got []byte
 	ok := false
 	p.eng.Schedule(0, func() {
-		p.a.PostRead(1, 64, 0, 8, 0, func(off int, chunk []byte, ack func()) {
+		p.a.PostRead(1, 64, 0, 8, func(off int, chunk []byte, ack func()) {
 			got = append(got, chunk...)
 			ack()
 		}, func(err error) { ok = err == nil })
@@ -204,7 +204,7 @@ func TestOutstandingReadsReported(t *testing.T) {
 	p := newPair(t, 11, Config10G(), fabric.DirectCable10G())
 	p.eng.Schedule(0, func() {
 		for i := 0; i < 5; i++ {
-			if err := p.a.PostRead(1, 0, 0, 64, 0, nil, nil); err != nil {
+			if _, err := p.a.PostRead(1, 0, 0, 64, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -350,7 +350,7 @@ func TestReadRecoveryDropSchedule(t *testing.T) {
 			completions := 0
 			var cerr error
 			p.eng.Schedule(0, func() {
-				err := p.a.PostRead(1, 4096, 0, n, 0, func(off int, chunk []byte, ack func()) {
+				_, err := p.a.PostRead(1, 4096, 0, n, func(off int, chunk []byte, ack func()) {
 					got = append(got, chunk...)
 					ack()
 				}, func(err error) {

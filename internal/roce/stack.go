@@ -161,14 +161,11 @@ type Stack struct {
 	// Free lists, each bounded by freeListCap: pendingPacket entries,
 	// recycled when an entry leaves its QP's pending list (acknowledged,
 	// answered, refused or flushed); messages, recycled when their last
-	// hold goes (see outMessage); verb deadlines, recycled when their
-	// event has fired or been cancelled; Multi-Queue elements, recycled
-	// when popped and fully acknowledged (retireRead); and the
-	// responder's READ servings, recycled when their last piece has been
-	// sent.
+	// hold goes (see outMessage); Multi-Queue elements, recycled when
+	// popped and fully acknowledged (retireRead); and the responder's
+	// READ servings, recycled when their last piece has been sent.
 	ppFree  []*pendingPacket
 	msgFree []*outMessage
-	dlFree  []*verbDeadline
 	mqFree  []*mqElement
 	rsFree  []*readServing
 
@@ -419,21 +416,21 @@ func (s *Stack) instrumentMsg(opID uint64, kind string, msg *outMessage) {
 // --- requester verbs ------------------------------------------------------
 
 // PostWrite issues an RDMA WRITE of data to remoteVA under the QP's
-// exchanged rkey, with no deadline: PostWriteStream with the whole
-// payload as its first piece. done fires when the remote NIC
-// acknowledges the last packet. Every frame is encoded before PostWrite
-// returns (retransmissions resend the stored frames), so the caller may
-// reuse data as soon as it does; the same holds for every segmented post
-// below and for WriteStream.Feed.
+// exchanged rkey: PostWriteStream with the whole payload as its first
+// piece. done fires when the remote NIC acknowledges the last packet.
+// Every frame is encoded before PostWrite returns (retransmissions resend
+// the stored frames), so the caller may reuse data as soon as it does;
+// the same holds for every segmented post below and for Message.Feed.
 func (s *Stack) PostWrite(qpn uint32, remoteVA uint64, data []byte, done func(error)) error {
-	_, err := s.PostWriteStream(qpn, remoteVA, 0, len(data), data, 0, done)
+	_, err := s.PostWriteStream(qpn, remoteVA, 0, len(data), data, done)
 	return err
 }
 
-// WriteStream is a posted WRITE or RPC WRITE whose payload is still
-// arriving (see PostWriteStream). The message owns its PSNs from the
-// post on; Feed turns each further piece into frames.
-type WriteStream outMessage
+// Message is a posted verb, the handle every post returns. The message
+// owns its PSNs from the post on. A WRITE or RPC WRITE whose payload is
+// still arriving (see PostWriteStream) is fed through it; any verb may be
+// expired through it while it is outstanding.
+type Message outMessage
 
 // PostWriteStream posts an RDMA WRITE of n bytes to remoteVA whose
 // payload may still be crossing PCIe: first holds the bytes that have
@@ -444,28 +441,26 @@ type WriteStream outMessage
 // must be a whole number of MTU payloads.
 //
 // rkey 0 stamps the QP's exchanged key (SetRemoteRKey), itself 0 — the
-// wildcard key — unless one was exchanged. deadline is an absolute
-// sim-time (zero: none): if the remote acknowledgement has not arrived
-// by then, done fires with an error wrapping sim.ErrDeadlineExceeded
-// while the frames already on the wire keep draining through go-back-N,
-// leaving the PSN space whole. Every post below takes the same two.
-func (s *Stack) PostWriteStream(qpn uint32, remoteVA uint64, rkey uint32, n int, first []byte, deadline sim.Time, done func(error)) (*WriteStream, error) {
-	return s.postSegmented(qpn, packet.KindWrite, packet.RETH{VirtualAddress: remoteVA, RKey: rkey, DMALength: uint32(n)}, first, deadline, done)
+// wildcard key — unless one was exchanged; PostRead takes the same. A
+// post has no deadline of its own: the caller that keeps one calls
+// Message.Expire when it passes.
+func (s *Stack) PostWriteStream(qpn uint32, remoteVA uint64, rkey uint32, n int, first []byte, done func(error)) (*Message, error) {
+	return s.postSegmented(qpn, packet.KindWrite, packet.RETH{VirtualAddress: remoteVA, RKey: rkey, DMALength: uint32(n)}, first, done)
 }
 
 // PostRPCWriteStream posts an RDMA RPC WRITE: n bytes streamed to the
 // remote kernel selected by rpcOp (§5.1), fed like PostWriteStream.
-func (s *Stack) PostRPCWriteStream(qpn uint32, rpcOp uint64, n int, first []byte, deadline sim.Time, done func(error)) (*WriteStream, error) {
-	return s.postSegmented(qpn, packet.KindRPCWrite, packet.RETH{VirtualAddress: rpcOp, DMALength: uint32(n)}, first, deadline, done)
+func (s *Stack) PostRPCWriteStream(qpn uint32, rpcOp uint64, n int, first []byte, done func(error)) (*Message, error) {
+	return s.postSegmented(qpn, packet.KindRPCWrite, packet.RETH{VirtualAddress: rpcOp, DMALength: uint32(n)}, first, done)
 }
 
 // Feed hands the stream its next piece. A piece for a message the QP has
 // flushed meanwhile (reset, error, crash) is dropped: nothing of a
-// flushed message leaves. One whose verb merely timed out is still sent,
-// like the frames a deadline leaves on the wire, to keep the PSN space
+// flushed message leaves. One whose verb merely expired is still sent,
+// like the frames an expiry leaves on the wire, to keep the PSN space
 // whole.
-func (w *WriteStream) Feed(data []byte) {
-	m := (*outMessage)(w)
+func (h *Message) Feed(data []byte) {
+	m := (*outMessage)(h)
 	m.owner.feed(&m.owner.st.qps[m.qpn], m, packet.RETH{}, data)
 }
 
@@ -478,15 +473,30 @@ func (w *WriteStream) Feed(data []byte) {
 // The stream is the caller's until its last piece is fed; after that the
 // message record belongs to the stack again, which recycles it, and
 // neither Feed nor Abort may be called.
-func (w *WriteStream) Abort(cause error) {
-	m := (*outMessage)(w)
+func (h *Message) Abort(cause error) {
+	m := (*outMessage)(h)
 	s, st := m.owner, &m.owner.st.qps[m.qpn]
 	if s.unfed(st, m) < len(st.pending) {
 		s.moveToError(m.qpn, st, fmt.Errorf("payload fetch failed: %w", cause))
 	}
 }
 
-func (s *Stack) postSegmented(qpn uint32, kind packet.MessageKind, reth packet.RETH, first []byte, deadline sim.Time, done func(error)) (*WriteStream, error) {
+// Expire is the verb's deadline passing: a message that has not
+// completed counts in DeadlineExpired and completes now with an error
+// wrapping sim.ErrDeadlineExceeded. The frames already on the wire keep
+// draining through go-back-N, so the PSN space stays whole: expiry
+// decouples the caller from the transport, it does not punch holes in
+// it. Expire may be called until done has fired; after that the record
+// may serve another verb.
+func (h *Message) Expire() {
+	m := (*outMessage)(h)
+	if !m.done {
+		m.owner.stats.DeadlineExpired++
+		m.finish(fmt.Errorf("roce: verb canceled: %w", sim.ErrDeadlineExceeded))
+	}
+}
+
+func (s *Stack) postSegmented(qpn uint32, kind packet.MessageKind, reth packet.RETH, first []byte, done func(error)) (*Message, error) {
 	st, err := s.st.get(qpn)
 	if err != nil {
 		return nil, err
@@ -500,7 +510,7 @@ func (s *Stack) postSegmented(qpn uint32, kind packet.MessageKind, reth packet.R
 		reth.RKey = st.remoteRKey
 	}
 	// Validate before creating any message state so invalid segmentation
-	// parameters leave no observer or deadline state behind.
+	// parameters leave no observer state behind.
 	if err := packet.ValidateSegmentation(kind, s.cfg.MTUPayload); err != nil {
 		return nil, err
 	}
@@ -510,7 +520,6 @@ func (s *Stack) postSegmented(qpn uint32, kind packet.MessageKind, reth packet.R
 	msg.refs++ // the stream's, until its last piece is fed
 	s.stats.OpsPosted++
 	s.instrumentMsg(opID, kindName(kind), msg)
-	s.armDeadline(msg, deadline)
 	// The message takes its place in the PSN order now, one entry per
 	// segment; feed fills the entries in as the payload arrives.
 	for i := 0; i < nseg; i++ {
@@ -522,7 +531,7 @@ func (s *Stack) postSegmented(qpn uint32, kind packet.MessageKind, reth packet.R
 	st.nextPSN = psnAdd(st.nextPSN, uint32(nseg))
 	s.feed(st, msg, reth, first)
 	s.armTimer(qpn, st)
-	return (*WriteStream)(msg), nil
+	return (*Message)(msg), nil
 }
 
 // unfed returns the index in st.pending of m's first segment still
@@ -548,7 +557,7 @@ func (s *Stack) feed(st *qpState, m *outMessage, reth packet.RETH, data []byte) 
 	mtu := s.cfg.MTUPayload
 	for ; ; i++ {
 		if m.seg == m.nseg {
-			panic("roce: WriteStream fed past its posted length")
+			panic("roce: Message fed past its posted length")
 		}
 		seg := data[:min(mtu, len(data))]
 		data = data[len(seg):]
@@ -628,27 +637,26 @@ func (s *Stack) releaseMsg(m *outMessage) {
 
 // PostRPC issues an RDMA RPC: a single Params packet carrying the kernel
 // op-code (in the RETH address field) and its parameters.
-func (s *Stack) PostRPC(qpn uint32, rpcOp uint64, params []byte, deadline sim.Time, done func(error)) error {
+func (s *Stack) PostRPC(qpn uint32, rpcOp uint64, params []byte, done func(error)) (*Message, error) {
 	st, err := s.st.get(qpn)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := s.sendable(st); err != nil {
-		return err
+		return nil, err
 	}
 	opID := s.newOp(st)
 	pkt, err := packet.FillRPCParams(&s.txPkt, st.remoteQPN, st.nextPSN, rpcOp, params, s.cfg.MTUPayload)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	msg := s.newMsg(outMessage{owner: s, complete: done, qpn: qpn})
 	s.stats.OpsPosted++
 	s.instrumentMsg(opID, "RPC", msg)
-	s.armDeadline(msg, deadline)
 	st.nextPSN = psnAdd(st.nextPSN, 1)
 	s.enqueue(qpn, st, pkt, 1, msg)
 	s.armTimer(qpn, st)
-	return nil
+	return (*Message)(msg), nil
 }
 
 // PostRead issues an RDMA READ of n bytes at remoteVA. Response chunks
@@ -657,13 +665,13 @@ func (s *Stack) PostRPC(qpn uint32, rpcOp uint64, params []byte, deadline sim.Ti
 // one PSN per expected response packet ("an RDMA READ operation requires
 // the length of the response in advance to pre-calculate the number of
 // expected packets and their sequence numbers", §5.1).
-func (s *Stack) PostRead(qpn uint32, remoteVA uint64, rkey uint32, n int, deadline sim.Time, sink ReadSink, done func(error)) error {
+func (s *Stack) PostRead(qpn uint32, remoteVA uint64, rkey uint32, n int, sink ReadSink, done func(error)) (*Message, error) {
 	st, err := s.st.get(qpn)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := s.sendable(st); err != nil {
-		return err
+		return nil, err
 	}
 	if rkey == 0 {
 		rkey = st.remoteRKey
@@ -675,19 +683,18 @@ func (s *Stack) PostRead(qpn uint32, remoteVA uint64, rkey uint32, n int, deadli
 	elem.Length, elem.Sink = n, sink
 	if err := s.mq.push(qpn, elem); err != nil {
 		s.freeElem(elem)
-		return fmt.Errorf("%w: %v", ErrTooManyReads, err)
+		return nil, fmt.Errorf("%w: %v", ErrTooManyReads, err)
 	}
 	msg := s.newMsg(outMessage{isRead: true, owner: s, complete: done, qpn: qpn})
 	elem.Msg = msg
 	msg.refs++
 	s.stats.OpsPosted++
 	s.instrumentMsg(opID, "READ", msg)
-	s.armDeadline(msg, deadline)
 	pkt := packet.FillReadRequest(&s.txPkt, st.remoteQPN, st.nextPSN, packet.RETH{VirtualAddress: remoteVA, RKey: rkey, DMALength: uint32(n)})
 	st.nextPSN = psnAdd(st.nextPSN, npsn)
 	elem.ReqFrame = s.enqueue(qpn, st, pkt, npsn, msg).frame
 	s.armTimer(qpn, st)
-	return nil
+	return (*Message)(msg), nil
 }
 
 // SetRemoteRKey installs the default rkey stamped on this QP's posted

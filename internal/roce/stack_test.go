@@ -207,7 +207,7 @@ func TestReadSinglePacket(t *testing.T) {
 	var got []byte
 	completed := false
 	p.eng.Schedule(0, func() {
-		err := p.a.PostRead(1, 512, 0, len(want), 0, func(off int, chunk []byte, ack func()) {
+		_, err := p.a.PostRead(1, 512, 0, len(want), func(off int, chunk []byte, ack func()) {
 			if off != len(got) {
 				t.Errorf("offset %d, want %d", off, len(got))
 			}
@@ -241,7 +241,7 @@ func TestReadMultiPacket(t *testing.T) {
 	got := make([]byte, 0, n)
 	completed := false
 	p.eng.Schedule(0, func() {
-		p.a.PostRead(1, 0, 0, n, 0, func(off int, chunk []byte, ack func()) {
+		p.a.PostRead(1, 0, 0, n, func(off int, chunk []byte, ack func()) {
 			got = append(got, chunk...)
 			ack()
 		}, func(err error) { completed = err == nil })
@@ -262,7 +262,7 @@ func TestMultipleOutstandingReads(t *testing.T) {
 	p.eng.Schedule(0, func() {
 		for i := 0; i < 8; i++ {
 			i := i
-			err := p.a.PostRead(1, uint64(i*100), 0, 1, 0, func(off int, chunk []byte, ack func()) {
+			_, err := p.a.PostRead(1, uint64(i*100), 0, 1, func(off int, chunk []byte, ack func()) {
 				results = append(results, chunk[0])
 				ack()
 			}, func(err error) {
@@ -294,11 +294,11 @@ func TestReadDepthLimit(t *testing.T) {
 	p := newPair(t, 1, cfg, fabric.DirectCable10G())
 	p.eng.Schedule(0, func() {
 		for i := 0; i < 2; i++ {
-			if err := p.a.PostRead(1, 0, 0, 1, 0, nil, nil); err != nil {
+			if _, err := p.a.PostRead(1, 0, 0, 1, nil, nil); err != nil {
 				t.Fatalf("read %d: %v", i, err)
 			}
 		}
-		if err := p.a.PostRead(1, 0, 0, 1, 0, nil, nil); !errors.Is(err, ErrTooManyReads) {
+		if _, err := p.a.PostRead(1, 0, 0, 1, nil, nil); !errors.Is(err, ErrTooManyReads) {
 			t.Errorf("third read err = %v", err)
 		}
 	})
@@ -309,7 +309,7 @@ func TestRPCParamsDelivery(t *testing.T) {
 	p := newPair(t, 1, Config10G(), fabric.DirectCable10G())
 	ok := false
 	p.eng.Schedule(0, func() {
-		p.a.PostRPC(1, 42, []byte("get key=7"), 0, func(err error) {
+		p.a.PostRPC(1, 42, []byte("get key=7"), func(err error) {
 			if err != nil {
 				t.Errorf("rpc: %v", err)
 			}
@@ -331,7 +331,7 @@ func TestRPCNoKernelNAK(t *testing.T) {
 	var got error
 	done := false
 	p.eng.Schedule(0, func() {
-		p.a.PostRPC(1, 99, []byte("x"), 0, func(err error) { got = err; done = true })
+		p.a.PostRPC(1, 99, []byte("x"), func(err error) { got = err; done = true })
 	})
 	p.eng.Run()
 	if !done {
@@ -349,7 +349,7 @@ func TestRPCWriteStreaming(t *testing.T) {
 	rand.New(rand.NewSource(4)).Read(data)
 	ok := false
 	p.eng.Schedule(0, func() {
-		p.a.PostRPCWriteStream(1, 7, len(data), data, 0, func(err error) { ok = err == nil })
+		p.a.PostRPCWriteStream(1, 7, len(data), data, func(err error) { ok = err == nil })
 	})
 	p.eng.Run()
 	if !ok {
@@ -402,7 +402,7 @@ func TestLossRecoveryRead(t *testing.T) {
 	var hi int
 	ok := false
 	p.eng.Schedule(0, func() {
-		p.a.PostRead(1, 0, 0, n, 0, func(off int, chunk []byte, ack func()) {
+		p.a.PostRead(1, 0, 0, n, func(off int, chunk []byte, ack func()) {
 			copy(got[off:], chunk)
 			if off+len(chunk) > hi {
 				hi = off + len(chunk)
@@ -520,7 +520,7 @@ func TestStackDeterminism(t *testing.T) {
 		data := make([]byte, Config10G().MTUPayload*8)
 		p.eng.Schedule(0, func() {
 			p.a.PostWrite(1, 0, data, nil)
-			p.a.PostRead(1, 0, 0, 4096, 0, func(off int, chunk []byte, ack func()) { ack() }, nil)
+			p.a.PostRead(1, 0, 0, 4096, func(off int, chunk []byte, ack func()) { ack() }, nil)
 		})
 		p.eng.Run()
 		return p.a.Stats(), p.b.Stats()
@@ -553,10 +553,10 @@ func TestPostToUnknownQPFails(t *testing.T) {
 	if err := p.a.PostWrite(55, 0, []byte{1}, nil); !errors.Is(err, ErrQPNotCreated) {
 		t.Errorf("err = %v", err)
 	}
-	if err := p.a.PostRead(55, 0, 0, 1, 0, nil, nil); !errors.Is(err, ErrQPNotCreated) {
+	if _, err := p.a.PostRead(55, 0, 0, 1, nil, nil); !errors.Is(err, ErrQPNotCreated) {
 		t.Errorf("err = %v", err)
 	}
-	if err := p.a.PostRPC(55, 1, nil, 0, nil); !errors.Is(err, ErrQPNotCreated) {
+	if _, err := p.a.PostRPC(55, 1, nil, nil); !errors.Is(err, ErrQPNotCreated) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -572,7 +572,7 @@ func TestReadLatencyAboveWriteLatency(t *testing.T) {
 	})
 	p.eng.Schedule(sim.Millisecond, func() {
 		start := p.eng.Now()
-		p.a.PostRead(1, 0, 0, 64, 0, func(off int, chunk []byte, ack func()) { ack() },
+		p.a.PostRead(1, 0, 0, 64, func(off int, chunk []byte, ack func()) { ack() },
 			func(error) { rLat = p.eng.Now().Sub(start) })
 	})
 	p.eng.Run()

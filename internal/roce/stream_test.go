@@ -18,7 +18,7 @@ import (
 // hands the NIC a payload that is still crossing PCIe.
 type feeder struct {
 	p           *pair
-	ws          *WriteStream
+	ws          *Message
 	data        []byte
 	fed         int
 	gap         sim.Duration
@@ -26,11 +26,11 @@ type feeder struct {
 	err         error
 }
 
-func startFeed(t *testing.T, p *pair, va uint64, data []byte, gap sim.Duration, deadline sim.Time) *feeder {
+func startFeed(t *testing.T, p *pair, va uint64, data []byte, gap sim.Duration) *feeder {
 	t.Helper()
 	f := &feeder{p: p, data: data, gap: gap}
 	mtu := p.a.Config().MTUPayload
-	ws, err := p.a.PostWriteStream(1, va, 0, len(data), data[:min(mtu, len(data))], deadline, func(err error) {
+	ws, err := p.a.PostWriteStream(1, va, 0, len(data), data[:min(mtu, len(data))], func(err error) {
 		f.completions++
 		f.err = err
 	})
@@ -68,7 +68,7 @@ func TestWriteStreamLeavesWhileFed(t *testing.T) {
 	p := newPair(t, 1, cfg, fabric.DirectCable10G())
 	data := randomBytes(3, 10*cfg.MTUPayload+77)
 	var f *feeder
-	p.eng.Schedule(0, func() { f = startFeed(t, p, 4096, data, 3*sim.Microsecond, 0) })
+	p.eng.Schedule(0, func() { f = startFeed(t, p, 4096, data, 3*sim.Microsecond) })
 	p.eng.RunUntil(sim.Time(20 * sim.Microsecond))
 	if f.fed == len(data) {
 		t.Fatal("test is vacuous: the whole payload was fed already")
@@ -112,15 +112,15 @@ func TestPostsBehindHalfFedWriteKeepPSNOrder(t *testing.T) {
 		}
 	}
 	p.eng.Schedule(0, func() {
-		f = startFeed(t, p, 0, data, 30*sim.Microsecond, 0)
+		f = startFeed(t, p, 0, data, 30*sim.Microsecond)
 		sink := func(off int, chunk []byte, ack func()) { got = append(got, chunk...); ack() }
-		if err := p.a.PostRead(1, 1<<20, 0, len(remote), 0, sink, note("read")); err != nil {
+		if _, err := p.a.PostRead(1, 1<<20, 0, len(remote), sink, note("read")); err != nil {
 			t.Error(err)
 		}
 		if err := p.a.PostWrite(1, 2<<20, small, note("write")); err != nil {
 			t.Error(err)
 		}
-		if err := p.a.PostRPC(1, 7, []byte("p"), 0, note("rpc")); err != nil {
+		if _, err := p.a.PostRPC(1, 7, []byte("p"), note("rpc")); err != nil {
 			t.Error(err)
 		}
 	})
@@ -154,7 +154,7 @@ func TestLossMidStreamReplaysOnlyWhatWasSent(t *testing.T) {
 	p.link.SetFaultsAtoB(killNth(3, false))
 	data := randomBytes(7, 12*cfg.MTUPayload)
 	var f *feeder
-	p.eng.Schedule(0, func() { f = startFeed(t, p, 0, data, 2*sim.Microsecond, 0) })
+	p.eng.Schedule(0, func() { f = startFeed(t, p, 0, data, 2*sim.Microsecond) })
 	p.eng.Run()
 	if f.completions != 1 || f.err != nil {
 		t.Fatalf("completions=%d err=%v", f.completions, f.err)
@@ -193,7 +193,7 @@ func TestFlushedStreamSendsNothingMore(t *testing.T) {
 			p := newPair(t, 1, cfg, fabric.DirectCable10G())
 			data := randomBytes(9, 16*cfg.MTUPayload)
 			var f *feeder
-			p.eng.Schedule(0, func() { f = startFeed(t, p, 0, data, 2*sim.Microsecond, 0) })
+			p.eng.Schedule(0, func() { f = startFeed(t, p, 0, data, 2*sim.Microsecond) })
 			var txAtFlush uint64
 			p.eng.Schedule(9*sim.Microsecond, func() {
 				tc.flush(p)
@@ -226,7 +226,10 @@ func TestDeadlineMidStreamKeepsPSNSpaceWhole(t *testing.T) {
 	p := newPair(t, 1, cfg, fabric.DirectCable10G())
 	data := randomBytes(11, 8*cfg.MTUPayload)
 	var f *feeder
-	p.eng.Schedule(0, func() { f = startFeed(t, p, 0, data, 3*sim.Microsecond, sim.Time(10*sim.Microsecond)) })
+	p.eng.Schedule(0, func() {
+		f = startFeed(t, p, 0, data, 3*sim.Microsecond)
+		p.eng.ScheduleAt(sim.Time(10*sim.Microsecond), f.ws.Expire)
+	})
 	next := 0
 	p.eng.Schedule(12*sim.Microsecond, func() {
 		if f.completions != 1 || !errors.Is(f.err, sim.ErrDeadlineExceeded) {
@@ -261,11 +264,11 @@ func TestAbortMidStreamMovesQPToError(t *testing.T) {
 	p := newPair(t, 1, cfg, fabric.DirectCable10G())
 	data := randomBytes(13, 8*cfg.MTUPayload)
 	cause := errors.New("dma fetch failed")
-	var ws *WriteStream
+	var ws *Message
 	var errs []error
 	p.eng.Schedule(0, func() {
 		var err error
-		ws, err = p.a.PostWriteStream(1, 0, 0, len(data), data[:2*cfg.MTUPayload], 0, func(err error) { errs = append(errs, err) })
+		ws, err = p.a.PostWriteStream(1, 0, 0, len(data), data[:2*cfg.MTUPayload], func(err error) { errs = append(errs, err) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,12 +301,12 @@ func TestRefusedStreamStillSendsItsTail(t *testing.T) {
 	p := newPair(t, 1, cfg, fabric.DirectCable10G())
 	p.hb.rpcErr = errors.New("no kernel")
 	data := randomBytes(15, 6*cfg.MTUPayload)
-	var ws *WriteStream
+	var ws *Message
 	var errs []error
 	fed := cfg.MTUPayload
 	p.eng.Schedule(0, func() {
 		var err error
-		ws, err = p.a.PostRPCWriteStream(1, 9, len(data), data[:fed], 0, func(err error) { errs = append(errs, err) })
+		ws, err = p.a.PostRPCWriteStream(1, 9, len(data), data[:fed], func(err error) { errs = append(errs, err) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +320,7 @@ func TestRefusedStreamStillSendsItsTail(t *testing.T) {
 	next := 0
 	p.eng.Schedule(100*sim.Microsecond, func() {
 		p.hb.rpcErr = nil
-		if err := p.a.PostRPC(1, 9, []byte("again"), 0, func(err error) {
+		if _, err := p.a.PostRPC(1, 9, []byte("again"), func(err error) {
 			if err != nil {
 				t.Errorf("next verb: %v", err)
 			}
@@ -359,7 +362,7 @@ func TestReadServedInPieces(t *testing.T) {
 	completions := 0
 	p.eng.Schedule(0, func() {
 		sink := func(off int, chunk []byte, ack func()) { got = append(got, chunk...); ack() }
-		if err := p.a.PostRead(1, 8192, 0, len(remote), 0, sink, func(err error) {
+		if _, err := p.a.PostRead(1, 8192, 0, len(remote), sink, func(err error) {
 			if err != nil {
 				t.Errorf("read: %v", err)
 			}
@@ -389,7 +392,7 @@ func TestReadServingFailsMidway(t *testing.T) {
 	var errs []error
 	p.eng.Schedule(0, func() {
 		sink := func(off int, chunk []byte, ack func()) { ack() }
-		if err := p.a.PostRead(1, 0, 0, 5*mtu, 0, sink, func(err error) { errs = append(errs, err) }); err != nil {
+		if _, err := p.a.PostRead(1, 0, 0, 5*mtu, sink, func(err error) { errs = append(errs, err) }); err != nil {
 			t.Error(err)
 		}
 	})
@@ -416,7 +419,7 @@ func TestAllocsStreamPerPiece(t *testing.T) {
 		p := newPair(t, 1, cfg, fabric.DirectCable10G())
 		completed := 0
 		done := func(error) { completed++ }
-		var ws *WriteStream
+		var ws *Message
 		off := 0
 		var feed func()
 		feed = func() {
@@ -430,7 +433,7 @@ func TestAllocsStreamPerPiece(t *testing.T) {
 			if pieces {
 				first = cfg.MTUPayload
 			}
-			ws, _ = p.a.PostWriteStream(1, 0, 0, len(data), data[:first], 0, done)
+			ws, _ = p.a.PostWriteStream(1, 0, 0, len(data), data[:first], done)
 			if off = first; pieces {
 				p.eng.Schedule(sim.Microsecond, feed)
 			}

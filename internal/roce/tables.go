@@ -134,11 +134,12 @@ func (p *pendingPacket) endPSN() uint32 { return psnAdd(p.psn, p.npsn-1) }
 // recycled at the call that makes them unreachable: refs counts the
 // holds on one, each of which may still call finish or Feed — one per
 // pending entry, until the entry leaves its QP's pending list; a READ's
-// Multi-Queue element, until it is retired; the deadline, until it fires
-// or is cancelled; and a WriteStream, until its last piece is fed. finish
-// is only ever called through a hold, so a message outlives its own
-// completion; a flushed stream never gets its last piece and so is left
-// to the garbage collector, because the caller may still Feed it.
+// Multi-Queue element, until it is retired; and a streamed WRITE's
+// Message, until its last piece is fed. A record is recycled only once
+// it is done, so the poster may also finish it through Message.Expire
+// until its completion has fired; a message therefore outlives its own
+// completion, and a flushed stream never gets its last piece and so is
+// left to the garbage collector, because the caller may still Feed it.
 type outMessage struct {
 	kind     packet.MessageKind
 	isRead   bool
@@ -146,11 +147,6 @@ type outMessage struct {
 	complete func(error)
 	done     bool
 	refs     int
-
-	// dl is the verb's pending cancellation (nil when the verb was posted
-	// without a deadline, and once it has fired or been cancelled; see
-	// Stack.armDeadline).
-	dl *verbDeadline
 
 	qpn uint32
 	// Segmented messages: how many of the nseg segments have been fed
@@ -168,10 +164,6 @@ func (m *outMessage) finish(err error) {
 		return
 	}
 	m.done = true
-	if d := m.dl; d != nil {
-		m.dl = nil
-		d.cancel()
-	}
 	if m.owner != nil {
 		m.owner.stats.OpsCompleted++
 	}
