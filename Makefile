@@ -86,8 +86,9 @@ kv-large:
 # firing where one plain event per booking would under stall and offline
 # windows, switch arbitration conservation
 # under random arrival interleavings, extent codec round-trip with any
-# single-bit flip detected as torn, the health-payload encoder byte for
-# byte against encoding/json, host memory backed up to each buffer's end
+# single-bit flip detected as torn, the recorder's counter deltas against
+# a per-key map, every JSONL line the recorder writes decoding and
+# re-encoding to the same bytes, host memory backed up to each buffer's end
 # reading, writing and watching as if every page were backed whole).
 fuzz:
 	$(GO) test ./internal/packet -fuzz=FuzzHeaderRoundTrip -fuzztime=10s
@@ -99,7 +100,7 @@ fuzz:
 	$(GO) test ./internal/sim -fuzz=FuzzBacklogMatchesReference -fuzztime=10s
 	$(GO) test ./internal/pcie -fuzz=FuzzDMAQueueMatchesPlainEvents -fuzztime=10s
 	$(GO) test ./internal/telemetry/export -fuzz=FuzzEnvelopeRoundTrip -fuzztime=10s
-	$(GO) test ./internal/telemetry/export -fuzz=FuzzHealthEncodeMatchesJSON -fuzztime=10s
+	$(GO) test ./internal/telemetry/export -fuzz=FuzzDeltasMatchMap -fuzztime=10s
 	$(GO) test ./internal/fabric -fuzz=FuzzSwitchArbitration -fuzztime=10s
 	$(GO) test ./internal/kvserve -fuzz=FuzzExtentCodec -fuzztime=10s
 	$(GO) test ./internal/hostmem -fuzz=FuzzMemoryMatchesFlatModel -fuzztime=10s
@@ -119,7 +120,8 @@ soak:
 
 # bench runs the microbenchmarks (macro benches plus the scheduler, the
 # KV beds' timer-heavy heap shape (BenchmarkEngineTimers), a
-# 4 096-item backlog burst (BenchmarkBacklogDeep) and the process switch, telemetry, the scrape tick, the completion poll, packet,
+# 4 096-item backlog burst (BenchmarkBacklogDeep) and the process switch, telemetry, the scrape tick
+# (with a reader each kept event is one json.Marshal; without one, rules only), the completion poll, packet,
 # crc, one frame buffer's round trip through the free list
 # (BenchmarkFrameBuf), the switch's forwarding path, pcie (incl. the
 # 47-chunk streamed read and a 4 096-command burst per stream,
@@ -144,16 +146,25 @@ lines:
 	@$(GO) test -count=1 -v -run '^TestExportedIdentifiersHaveCallers$$' ./internal/experiments | sed -n 's/.*\(exported identifiers under internal\/.*\)/\1/p'
 	@echo "$$(wc -c < DESIGN.md) bytes in DESIGN.md"
 
-# golden re-records the three committed records of the figures, the
-# stdout of the default and of the -quick suite run and of the -quick
-# chaos sweep, which TestGoldens (internal/experiments) compares
-# byte for byte. Figure values are deterministic at seed 1, so on a clean
-# tree it leaves `git diff --exit-code` clean; after a change that moves a
-# value, the diff of the text files is what gets reviewed.
+# golden re-records the committed records of the figures, the stdout of
+# the default and of the -quick suite run and of the -quick chaos sweep,
+# which TestGoldens (internal/experiments) compares byte for byte, and the
+# SHA-256 of every scenario's -metrics, -trace and -jsonl export at -quick
+# -seed 1 (table1 is named so that no sweep runs beside the export),
+# which TestScenarios compares. Figure values are deterministic at seed
+# 1, so on a clean tree it leaves `git diff --exit-code` clean; after a
+# change that moves a value, the diff of the text files is what gets
+# reviewed, and `make same` shows which export bytes moved.
 golden:
 	$(GO) run ./cmd/strombench > internal/experiments/testdata/figures.golden
 	$(GO) run ./cmd/strombench -quick > internal/experiments/testdata/quick.golden
 	$(GO) run ./cmd/strombench -quick -scenario chaos > internal/experiments/testdata/chaos-quick.golden
+	set -e; d=$$(mktemp -d); trap 'rm -rf $$d' EXIT; \
+	$(GO) build -o $$d/sb ./cmd/strombench; \
+	for s in $(SCENARIOS); do \
+		$$d/sb -quick -seed 1 -scenario $$s -metrics $$d/$$s.metrics.json -trace $$d/$$s.trace.json -jsonl $$d/$$s.jsonl table1 > /dev/null; \
+		(cd $$d && sha256sum $$s.metrics.json $$s.trace.json $$s.jsonl); \
+	done > internal/experiments/testdata/exports.sha256
 
 # ab measures a claimed gain — or shows that nothing moved — the way
 # choosing-metrics §8 asks: for every workload in WORKLOAD (default: the
@@ -190,13 +201,16 @@ ab:
 
 # same checks that a change moved no output: it builds strombench at BASE
 # (in the shared clone `make ab` uses) and in this tree, runs each of the
-# five scenarios at -quick -seed 1 with -metrics, -trace and -jsonl on
-# both, and cmps the 20 files (stdout and the three exports of each
-# scenario) and the five exit codes. It fails on any difference and
+# five scenarios at -quick at every seed of SEEDS with -metrics, -trace
+# and -jsonl on both, and cmps the files (stdout and the three exports of
+# each scenario) and the exit codes. A file missing on both sides counts
+# as equal (a run that fails its gate before exporting writes none); one
+# missing on one side is a difference. It fails on any difference and
 # deletes the JSONL streams as it goes (incast's is ~170 MB); the rest
 # stays under $(AB_DIR)/same for a look at what moved.
-#   make same BASE=HEAD~1
+#   make same BASE=HEAD~1 SEEDS="1 2 3"
 SCENARIOS = clean chaos incast kv kvlarge
+SEEDS ?= 1
 same:
 	rm -rf $(AB_DIR)/base $(AB_DIR)/same && mkdir -p $(AB_DIR)/same
 	$(ab_base_clone)
@@ -204,16 +218,19 @@ same:
 	(cd $(AB_DIR)/base && $(GO) build -o $(AB_DIR)/sb.base ./cmd/strombench); \
 	$(GO) build -o $(AB_DIR)/sb.head ./cmd/strombench; \
 	status=0; \
-	for s in $(SCENARIOS); do \
-		for side in base head; do \
-			o=$(AB_DIR)/same/$$side.$$s; \
-			rc=0; $(AB_DIR)/sb.$$side -quick -seed 1 -scenario $$s -metrics $$o.metrics.json -trace $$o.trace.json -jsonl $$o.jsonl > $$o.stdout 2>/dev/null || rc=$$?; \
-			echo $$rc > $$o.exit; \
+	for n in $(SEEDS); do \
+		for s in $(SCENARIOS); do \
+			for side in base head; do \
+				o=$(AB_DIR)/same/$$side.$$s.$$n; \
+				rc=0; $(AB_DIR)/sb.$$side -quick -seed $$n -scenario $$s -metrics $$o.metrics.json -trace $$o.trace.json -jsonl $$o.jsonl > $$o.stdout 2>/dev/null || rc=$$?; \
+				echo $$rc > $$o.exit; \
+			done; \
+			for f in stdout metrics.json trace.json jsonl exit; do \
+				b=$(AB_DIR)/same/base.$$s.$$n.$$f; h=$(AB_DIR)/same/head.$$s.$$n.$$f; \
+				if [ -e $$b ] || [ -e $$h ]; then cmp $$b $$h || status=1; fi; \
+			done; \
+			rm -f $(AB_DIR)/same/*.$$s.$$n.jsonl; \
+			echo "$$s seed $$n: exit $$(cat $(AB_DIR)/same/head.$$s.$$n.exit)"; \
 		done; \
-		for f in stdout metrics.json trace.json jsonl exit; do \
-			cmp $(AB_DIR)/same/base.$$s.$$f $(AB_DIR)/same/head.$$s.$$f || status=1; \
-		done; \
-		rm -f $(AB_DIR)/same/*.$$s.jsonl; \
-		echo "$$s: exit $$(cat $(AB_DIR)/same/head.$$s.exit)"; \
 	done; \
 	exit $$status

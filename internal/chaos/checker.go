@@ -32,6 +32,9 @@ type qpCheck struct {
 	// Responder: the next PSN a fresh execution must carry.
 	epsn     uint32
 	epsnSeen bool
+	// pins are the PSNs of this QP's entries in Checker.reads, oldest
+	// first, so that they age out in order as epsn advances.
+	pins []uint32
 	// Retransmission-timer discipline.
 	lastTimeout sim.Time
 	timeoutSeen bool
@@ -68,6 +71,10 @@ type readServing struct {
 //     written that range since the first serving. Workloads that race
 //     writes against their own reads relax this to length-only via
 //     SetVolatileReads, because racing content may legitimately differ.
+//     The responder re-executes a duplicate only within its window of
+//     8*ReadDepthPerQP PSNs behind the expected PSN, so a pin is dropped
+//     once it falls out of that window, and a duplicate READ re-executed
+//     outside it is a violation.
 //  6. Retry counts respect the RetransTimeout pacing and MaxRetries cap,
 //     and a timeout with outstanding work is followed by an actual
 //     retransmission.
@@ -191,6 +198,9 @@ func (c *Checker) RespExec(qpn uint32, psn, npsn uint32, op packet.Opcode, dup b
 	if dup {
 		if op != packet.OpReadRequest {
 			c.violate("qp %d: duplicate-region re-execution of non-idempotent %v at PSN %d", qpn, op, psn)
+		} else if c.aged(q, psn) {
+			c.violate("qp %d: duplicate READ at PSN %d re-executed %d PSNs behind ePSN %d, outside the re-execution window of %d",
+				qpn, psn, psnDiff(q.epsn, psn), q.epsn, c.readWindow())
 		}
 		return
 	}
@@ -199,6 +209,21 @@ func (c *Checker) RespExec(qpn uint32, psn, npsn uint32, op packet.Opcode, dup b
 	}
 	q.epsn = psnAdd(psn, npsn)
 	q.epsnSeen = true
+	for len(q.pins) > 0 && c.aged(q, q.pins[0]) {
+		delete(c.reads, readKey{qpn: qpn, psn: q.pins[0]})
+		q.pins = q.pins[1:]
+	}
+}
+
+// readWindow is how far behind the expected PSN the responder still
+// re-executes a duplicate READ: eight times the reads a QP may have
+// outstanding, as the stack's recent-read table keeps them.
+func (c *Checker) readWindow() int32 { return int32(8 * c.cfg.ReadDepthPerQP) }
+
+// aged reports whether a READ anchored at psn lies outside the
+// re-execution window behind q's expected PSN.
+func (c *Checker) aged(q *qpCheck, psn uint32) bool {
+	return q.epsnSeen && psnDiff(q.epsn, psn) > c.readWindow()
 }
 
 // SetVolatileReads relaxes invariant 5 to length-only: the responder
@@ -223,7 +248,12 @@ func (c *Checker) RespReadData(qpn uint32, psn uint32, sum uint64, n int) {
 		}
 		return
 	}
+	q := c.qp(qpn)
+	if c.aged(q, psn) {
+		return // no duplicate of it may be re-executed (RespExec)
+	}
 	c.reads[k] = readServing{sum: sum, n: n}
+	q.pins = append(q.pins, psn)
 }
 
 // Timeout implements roce.Observer.
@@ -267,11 +297,10 @@ func (c *Checker) QPStateChange(qpn uint32, state roce.QPState, cause error) {
 		q.epsnSeen = false
 		q.timeoutSeen = false
 		q.awaitResend = false
-		for k := range c.reads {
-			if k.qpn == qpn {
-				delete(c.reads, k)
-			}
+		for _, psn := range q.pins {
+			delete(c.reads, readKey{qpn: qpn, psn: psn})
 		}
+		q.pins = q.pins[:0]
 	}
 }
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -21,7 +23,31 @@ import (
 type scenarioRun struct {
 	metrics, trace []byte
 	tail           *export.Tail
-	err            error // the export failed, the re-run differed, or the stream broke its alert contract
+	digests        map[string]string // export file suffix -> hex SHA-256 of the first run's bytes
+	err            error             // the export failed, the re-run differed, or the stream broke its alert contract
+}
+
+// exportSuffixes name a scenario's three exports as `make golden` and
+// `make same` name their files: <scenario>.<suffix>.
+var exportSuffixes = []string{"metrics.json", "trace.json", "jsonl"}
+
+// recordedDigests reads testdata/exports.sha256, the sha256sum listing
+// `make golden` writes of every scenario's exports at -quick -seed 1.
+func recordedDigests(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "exports.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		sum, file, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("testdata/exports.sha256: malformed line %q", line)
+		}
+		out[file] = sum
+	}
+	return out
 }
 
 var (
@@ -83,10 +109,17 @@ func runScenario(t *testing.T, name string) *scenarioRun {
 	r := &scenarioRun{}
 	scenarioRuns[name] = r
 	var m, tr bytes.Buffer
-	if r.err = sc.Export(Quick(), Exports{Metrics: &m, Trace: &tr, JSONL: stream}); r.err != nil {
+	streamSum := sha256.New()
+	if r.err = sc.Export(Quick(), Exports{Metrics: &m, Trace: &tr, JSONL: io.MultiWriter(stream, streamSum)}); r.err != nil {
 		return r
 	}
 	r.metrics, r.trace = m.Bytes(), tr.Bytes()
+	msum, tsum := sha256.Sum256(r.metrics), sha256.Sum256(r.trace)
+	r.digests = map[string]string{
+		"metrics.json": hex.EncodeToString(msum[:]),
+		"trace.json":   hex.EncodeToString(tsum[:]),
+		"jsonl":        hex.EncodeToString(streamSum.Sum(nil)),
+	}
 	if r.tail, r.err = export.ReadAll(rewind()); r.err != nil {
 		return r
 	}
@@ -109,10 +142,11 @@ func runScenario(t *testing.T, name string) *scenarioRun {
 }
 
 // Every registry entry's exports are pure functions of Options — byte
-// for byte the same on a second run — and its
-// stream keeps its alert contract: every Require rule fired, nothing
-// outside Allow did.
+// for byte the same on a second run and as testdata/exports.sha256
+// recorded them — and its stream keeps its alert contract: every Require
+// rule fired, nothing outside Allow did.
 func TestScenarios(t *testing.T) {
+	recorded := recordedDigests(t)
 	runnable := map[string]bool{}
 	for name := range tables {
 		runnable[name] = true
@@ -135,8 +169,17 @@ func TestScenarios(t *testing.T) {
 					t.Errorf("Sweep names %q, which strombench cannot run", name)
 				}
 			}
-			if r := runScenario(t, sc.Name); r.err != nil {
+			r := runScenario(t, sc.Name)
+			if r.err != nil {
 				t.Error(r.err)
+				return
+			}
+			for _, suffix := range exportSuffixes {
+				file := sc.Name + "." + suffix
+				if got, want := r.digests[suffix], recorded[file]; got != want {
+					t.Errorf("%s export of %s has sha256 %s, testdata/exports.sha256 records %q: `make same BASE=<rev>` shows what moved; `make golden` re-records it after a change meant to move it",
+						suffix, sc.Name, got, want)
+				}
 			}
 		})
 	}

@@ -13,7 +13,7 @@ import (
 func (r *Recorder) kept() int {
 	n := 0
 	for _, s := range r.scrapers {
-		n += s.nevents
+		n += len(s.events)
 	}
 	return n
 }

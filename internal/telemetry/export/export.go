@@ -7,11 +7,12 @@
 //
 // The package has three layers:
 //
-//   - Envelope (Event, Encode, Decode): one JSONL line per event with a
+//   - Envelope (Event, Decode): one JSONL line per event with a
 //     simulated timestamp, host, subsystem, message type, per-segment
-//     sequence number and a JSON payload. Encoding is deterministic
-//     (struct field order, sorted map keys), so same-seed runs emit
-//     byte-identical streams.
+//     sequence number and a JSON payload. The recorder encodes each kept
+//     event once, with encoding/json, when it is emitted; the encoding is
+//     deterministic (struct field order, sorted map keys), so same-seed
+//     runs emit byte-identical streams.
 //
 //   - Recorder: a DES-driven periodic scraper. Health sources (the
 //     per-port/per-link surfaces of core.NIC and fabric.Link) and
@@ -29,7 +30,7 @@
 //
 // Determinism contract: all scrape times come from the owning engines'
 // clocks, sources are scraped in registration order, rules are
-// evaluated in declaration order, and every encoder sorts its keys.
+// evaluated in declaration order, and encoding/json sorts map keys.
 package export
 
 import (
@@ -59,18 +60,6 @@ type Event struct {
 	Type string `json:"type"`
 	// Data is the payload, canonical JSON (sorted keys).
 	Data json.RawMessage `json:"data,omitempty"`
-}
-
-// Encode renders the event as one JSON line, newline-terminated. The
-// encoding is deterministic: envelope fields appear in declaration
-// order and Data is embedded verbatim (payloads built by this package
-// are canonical already).
-func Encode(ev Event) ([]byte, error) {
-	out, err := json.Marshal(ev)
-	if err != nil {
-		return nil, fmt.Errorf("export: encode: %w", err)
-	}
-	return append(out, '\n'), nil
 }
 
 // Decode parses one JSONL line back into an Event. Blank lines and

@@ -64,12 +64,14 @@ package export
 // ScrapeFunc returns a point-in-time health report: named counters
 // (cumulative) and gauges. Implementations must read only state owned
 // by the engine the source was registered on (the shard contract). The
-// recorder copies a report into its own sorted form before it calls the
-// source again, so a source keeps two maps and overwrites them on every
-// call; one whose key set can shrink clears them first.
+// recorder copies a report into its own sorted form, and encodes it when
+// a reader is declared, before it calls the source again, so a source
+// keeps two maps and overwrites them on every call; one whose key set
+// can shrink clears them first.
 type ScrapeFunc func() (counters map[string]uint64, gauges map[string]float64)
 
-// healthPayload is the JSON payload of a "health" event.
+// healthPayload is the JSON payload of a "health" event: a nil counters
+// map encodes as null, empty delta and gauges are omitted.
 type healthPayload struct {
 	Object   string             `json:"object"`
 	Counters map[string]uint64  `json:"counters"`

@@ -2,7 +2,9 @@ package export
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -56,9 +58,8 @@ func (s *MemorySink) Emit(line []byte) error {
 
 // report is one scrape of a health source, key-sorted (see kv).
 type report struct {
-	counters    []kv[uint64]
-	gauges      []kv[float64]
-	nilCounters bool // the source returned a nil counters map (JSON null)
+	counters []kv[uint64]
+	gauges   []kv[float64]
 }
 
 // metricRef locates one metric in a report.
@@ -106,7 +107,6 @@ type source struct {
 func (src *source) load(counters map[string]uint64, gauges map[string]float64) {
 	src.cur, src.prev = src.prev, src.cur
 	r := &src.cur
-	r.nilCounters = counters == nil
 	r.counters = r.counters[:0]
 	for k, v := range counters {
 		r.counters = append(r.counters, kv[uint64]{k, v})
@@ -123,21 +123,28 @@ func (src *source) load(counters map[string]uint64, gauges map[string]float64) {
 }
 
 // origin is where an event comes from and what it is: the envelope's
-// host, subsystem and type. A health source emits every scrape from one
-// origin, so retained events point at theirs instead of carrying three
-// strings each.
+// host, subsystem and type.
 type origin struct {
 	host, subsystem, typ string
 }
 
-// segEvent is one retained event of a segment, in the compact form it
-// is held in until Drain: its sequence number is its position in the
-// segment.
+// eventJSON is Event as the recorder writes it: the same fields and
+// tags, with the payload as a value, so that one json.Marshal encodes
+// the whole line.
+type eventJSON struct {
+	TS        int64  `json:"ts_ps"`
+	Seq       uint64 `json:"seq"`
+	Host      string `json:"host"`
+	Subsystem string `json:"subsystem"`
+	Type      string `json:"type"`
+	Data      any    `json:"data,omitempty"`
+}
+
+// segEvent is one retained event of a segment, encoded, until Drain.
 type segEvent struct {
 	ts   sim.Time
-	org  *origin
-	data []byte // canonical JSON payload, a slice of a payload chunk
 	fin  bool   // end-of-run event: sorts after same-timestamp scrapes
+	line []byte // the event's JSONL line, newline-terminated
 }
 
 // regEntry is one registered registry (or registry scope) scraped by a
@@ -160,28 +167,11 @@ type scraper struct {
 	sources []*source
 	regs    []*regEntry // optional registry scrapes, in registration order
 	alerts  *alerter
-	nevents int
-	// events holds the segment's events in blocks of eventBlock, so a
-	// stream retained until Drain is never copied by a regrowth.
-	events [][]segEvent
-	// chunk is the payload buffer: every event's Data is a slice of a
-	// chunk, encoded in place. A full chunk is left to the events that
-	// alias it and a fresh one started, so retained payloads are never
-	// copied again.
-	chunk []byte
-	delta []kv[uint64] // scratch: one scrape's counter deltas
+	events  []segEvent   // the segment's kept events; Seq is the index
+	delta   []kv[uint64] // scratch: one scrape's counter deltas
+	// deltaMap is scratch too: delta as a health payload carries it.
+	deltaMap map[string]uint64
 }
-
-const (
-	// eventBlock is the number of events in one block of a segment.
-	eventBlock = 256
-	// payloadChunk is the size of a fresh payload chunk.
-	payloadChunk = 64 << 10
-	// payloadRoom is the free space below which a chunk counts as full.
-	// A payload that outgrows its chunk is still correct: append moves the
-	// chunk, earlier events keep the old array.
-	payloadRoom = 1 << 10
-)
 
 // Recorder assembles the stream: per-engine scrapers (segments), the
 // shared rule set, and the deterministic merge. Zero-value construction
@@ -262,7 +252,7 @@ func (r *Recorder) scraperFor(eng *sim.Engine) *scraper {
 			return s
 		}
 	}
-	s := &scraper{rec: r, eng: eng, seg: len(r.scrapers), alerts: newAlerter(r.rules)}
+	s := &scraper{rec: r, eng: eng, seg: len(r.scrapers), alerts: newAlerter(r.rules), deltaMap: map[string]uint64{}}
 	r.scrapers = append(r.scrapers, s)
 	return r.scrapers[len(r.scrapers)-1]
 }
@@ -324,25 +314,16 @@ func (r *Recorder) Start(every sim.Duration) {
 	}
 }
 
-// payload returns the chunk to encode the next payload onto.
-func (s *scraper) payload() []byte {
-	if cap(s.chunk)-len(s.chunk) < payloadRoom {
-		s.chunk = make([]byte, 0, payloadChunk)
+// emit encodes one event and appends it to the segment. A payload with
+// no JSON form (a NaN or infinite gauge) is a programming error.
+func (s *scraper) emit(now sim.Time, fin bool, org origin, data any) {
+	line, err := json.Marshal(eventJSON{
+		TS: int64(now), Seq: uint64(len(s.events)), Host: org.host, Subsystem: org.subsystem, Type: org.typ, Data: data,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("export: %s %s event: %v", org.subsystem, org.typ, err))
 	}
-	return s.chunk
-}
-
-// emit appends one event to the segment. b is the chunk with the event's
-// payload encoded onto its end.
-func (s *scraper) emit(now sim.Time, fin bool, org *origin, b []byte) {
-	data := b[len(s.chunk):len(b):len(b)]
-	s.chunk = b
-	if s.nevents%eventBlock == 0 {
-		s.events = append(s.events, make([]segEvent, 0, eventBlock))
-	}
-	blk := &s.events[len(s.events)-1]
-	*blk = append(*blk, segEvent{ts: now, org: org, data: data, fin: fin})
-	s.nevents++
+	s.events = append(s.events, segEvent{ts: now, fin: fin, line: append(line, '\n')})
 }
 
 // keeps reports whether the scraper encodes and keeps its events: only
@@ -352,7 +333,7 @@ func (s *scraper) keeps() bool { return s.rec.reader != nil }
 // emitAlert emits one fire/resolve transition and tells the observers.
 func (s *scraper) emitAlert(now sim.Time, fin bool, host, typ string, p alertPayload) {
 	if s.keeps() {
-		s.emit(now, fin, &origin{host, "alert", typ}, appendAlert(s.payload(), p))
+		s.emit(now, fin, origin{host, "alert", typ}, p)
 	}
 	s.rec.notify(now, typ, p)
 }
@@ -369,12 +350,19 @@ func (s *scraper) tick(now sim.Time) {
 }
 
 // scrapeSource scrapes one source, emits its health event when the
-// stream is kept and runs the alert rules over the fresh report.
+// stream is kept and runs the alert rules over the fresh report. The
+// event is encoded from the source's own maps before the source is
+// called again.
 func (s *scraper) scrapeSource(now sim.Time, fin bool, src *source) {
-	src.load(src.scrape())
+	counters, gauges := src.scrape()
+	src.load(counters, gauges)
 	if s.keeps() {
 		s.delta = appendDeltas(s.delta[:0], src.cur.counters, src.prev.counters)
-		s.emit(now, fin, &src.org, appendHealth(s.payload(), src.object, &src.cur, s.delta))
+		clear(s.deltaMap)
+		for _, d := range s.delta {
+			s.deltaMap[d.key] = d.val
+		}
+		s.emit(now, fin, src.org, healthPayload{Object: src.object, Counters: counters, Delta: s.deltaMap, Gauges: gauges})
 	}
 	s.alerts.eval(now, src, func(typ string, p alertPayload) {
 		s.emitAlert(now, fin, src.org.host, typ, p)
@@ -384,7 +372,7 @@ func (s *scraper) scrapeSource(now sim.Time, fin bool, src *source) {
 // scrapeRegistry collects one registry, runs the Quantile rules over its
 // histograms and, when the stream is kept, emits one "metrics" event per
 // subsystem, in sorted subsystem order. The registry iterates in key
-// order, so each subsystem's lists come out key-sorted.
+// order, so the delta base comes out key-sorted.
 func (s *scraper) scrapeRegistry(now sim.Time, fin bool, e *regEntry) {
 	e.reg.Collect()
 	if !s.keeps() {
@@ -400,7 +388,10 @@ func (s *scraper) scrapeRegistry(now sim.Time, fin bool, e *regEntry) {
 		sub := subsystemOf(key)
 		p := bySub[sub]
 		if p == nil {
-			p = &metricsPayload{}
+			p = &metricsPayload{
+				Counters: map[string]uint64{}, Delta: map[string]uint64{},
+				Gauges: map[string]float64{}, Histograms: map[string]histDigest{},
+			}
 			bySub[sub] = p
 		}
 		return p
@@ -408,25 +399,21 @@ func (s *scraper) scrapeRegistry(now sim.Time, fin bool, e *regEntry) {
 	e.cur, e.prev = e.prev[:0], e.cur
 	e.reg.EachCounter(func(key string, v uint64) {
 		e.cur = append(e.cur, kv[uint64]{key, v})
-		p := get(key)
-		p.counters = append(p.counters, kv[uint64]{key, v})
+		get(key).Counters[key] = v
 	})
 	s.delta = appendDeltas(s.delta[:0], e.cur, e.prev)
 	for _, d := range s.delta {
-		p := get(d.key)
-		p.delta = append(p.delta, d)
+		get(d.key).Delta[d.key] = d.val
 	}
 	e.reg.EachGauge(func(key string, v float64) {
-		p := get(key)
-		p.gauges = append(p.gauges, kv[float64]{key, v})
+		get(key).Gauges[key] = v
 	})
 	quantiles := s.alerts.hasQuantile()
 	e.reg.EachHistogram(func(key string, h *telemetry.Histogram) {
-		p := get(key)
-		p.hists = append(p.hists, kv[histDigest]{key, histDigest{
+		get(key).Histograms[key] = histDigest{
 			Count: h.Count(), Sum: h.Sum(),
 			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
-		}})
+		}
 		if quantiles {
 			s.evalQuantile(now, fin, e.host, key, h)
 		}
@@ -437,7 +424,7 @@ func (s *scraper) scrapeRegistry(now sim.Time, fin bool, e *regEntry) {
 	}
 	sort.Strings(subs)
 	for _, sub := range subs {
-		s.emit(now, fin, &origin{e.host, sub, "metrics"}, appendMetrics(s.payload(), bySub[sub]))
+		s.emit(now, fin, origin{e.host, sub, "metrics"}, bySub[sub])
 	}
 }
 
@@ -498,9 +485,8 @@ func (r *Recorder) Finish() {
 		if !s.keeps() {
 			continue
 		}
-		summary := &origin{"testbed", "alert", "summary"}
 		for _, sum := range s.alerts.summaries(s.objects()) {
-			s.emit(now, true, summary, appendSummary(s.payload(), sum))
+			s.emit(now, true, origin{"testbed", "alert", "summary"}, sum)
 		}
 	}
 }
@@ -541,18 +527,14 @@ func (r *Recorder) Drain() error {
 	type ranked struct {
 		segEvent
 		seg int
-		seq uint64
 	}
 	var all []ranked
 	for _, s := range r.scrapers {
-		seq := uint64(0)
-		for _, blk := range s.events {
-			for _, e := range blk {
-				all = append(all, ranked{e, s.seg, seq})
-				seq++
-			}
+		for _, e := range s.events {
+			all = append(all, ranked{e, s.seg})
 		}
 	}
+	// Stable: within a segment, sequence order breaks the remaining ties.
 	sort.SliceStable(all, func(a, b int) bool {
 		x, y := &all[a], &all[b]
 		if x.ts != y.ts {
@@ -561,20 +543,10 @@ func (r *Recorder) Drain() error {
 		if x.fin != y.fin {
 			return !x.fin
 		}
-		if x.seg != y.seg {
-			return x.seg < y.seg
-		}
-		return x.seq < y.seq
+		return x.seg < y.seg
 	})
 	for _, e := range all {
-		line, err := Encode(Event{
-			TS: int64(e.ts), Seq: e.seq, Host: e.org.host, Subsystem: e.org.subsystem,
-			Type: e.org.typ, Data: e.data,
-		})
-		if err != nil {
-			return err
-		}
-		if err := sink.Emit(line); err != nil {
+		if err := sink.Emit(e.line); err != nil {
 			return err
 		}
 	}

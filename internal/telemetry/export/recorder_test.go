@@ -3,6 +3,7 @@ package export
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"strom/internal/sim"
@@ -191,5 +192,123 @@ func TestOnAlertObserver(t *testing.T) {
 	}
 	if ev.Now < sim.Time(5*sim.Microsecond) {
 		t.Fatalf("alert at %v, before the NAK at 5us", ev.Now)
+	}
+}
+
+// healthData scrapes a source reporting prev, then cur and gauges,
+// through a recorder with a reader and returns the payload of the second
+// health line as written.
+func healthData(t testing.TB, object string, prev, cur map[string]uint64, gauges map[string]float64) []byte {
+	t.Helper()
+	eng := sim.NewEngine(1)
+	rec := NewRecorder(nil)
+	scrapes := 0
+	rec.Source(eng, "A", "port", object, func() (map[string]uint64, map[string]float64) {
+		if scrapes++; scrapes == 1 {
+			return prev, nil
+		}
+		return cur, gauges
+	})
+	rec.StreamTo(&lineSink{})
+	s := rec.scrapers[0]
+	s.tick(0)
+	s.tick(1)
+	ev, err := Decode(s.events[1].line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev.Data
+}
+
+// The health line's payload is encoding/json of the reference payload:
+// the source's own maps, with the delta computed the way the recorder
+// did before it kept scrapes sorted (one map lookup per counter). The
+// literal cases pin the shapes a reader relies on: nil counters encode
+// as null, empty gauges and a delta with no movers are omitted, keys are
+// sorted.
+func TestHealthEncodeMatchesJSON(t *testing.T) {
+	cases := []struct {
+		name        string
+		object      string
+		prev, cur   map[string]uint64
+		gauges      map[string]float64
+		wantLiteral string // also pinned as text where the shape is the point
+	}{
+		{name: "nil maps", object: "nic:A", wantLiteral: `{"object":"nic:A","counters":null}`},
+		{name: "empty maps", object: "nic:A", cur: map[string]uint64{}, gauges: map[string]float64{},
+			wantLiteral: `{"object":"nic:A","counters":{}}`},
+		{name: "no movement omits delta", object: "a-to-b",
+			prev: map[string]uint64{"out_frames": 7}, cur: map[string]uint64{"out_frames": 7},
+			wantLiteral: `{"object":"a-to-b","counters":{"out_frames":7}}`},
+		{name: "sorted keys, delta of the movers only", object: "kvcli",
+			prev:        map[string]uint64{"z": 1, "a": 2, "m": 3},
+			cur:         map[string]uint64{"z": 1, "a": 5, "m": 3, "b": 9},
+			gauges:      map[string]float64{"util": 0.25, "depth": 3},
+			wantLiteral: `{"object":"kvcli","counters":{"a":5,"b":9,"m":3,"z":1},"delta":{"a":3,"b":9},"gauges":{"depth":3,"util":0.25}}`},
+		{name: "counter vanished and another appeared", object: "o",
+			prev: map[string]uint64{"gone": 4, "kept": 1}, cur: map[string]uint64{"kept": 2, "new": 8}},
+		{name: "large counters and wrap-around delta", object: "o",
+			prev: map[string]uint64{"big": math.MaxUint64, "down": 10, "half": 1 << 63},
+			cur:  map[string]uint64{"big": math.MaxUint64, "down": 3, "half": 1<<63 + 1<<53 + 1}},
+		{name: "fractional and exponent-range gauges", object: "o", cur: map[string]uint64{"c": 1},
+			gauges: map[string]float64{
+				"zero": 0, "negzero": math.Copysign(0, -1), "one": 1, "neg": -17, "third": 1.0 / 3,
+				"tiny": 1e-7, "edge_small": 1e-6, "below_edge": 9.99e-7, "denormal": 5e-324,
+				"edge_big": 1e21, "below_big": 1e20, "just_below": 999999999999999868928,
+				"huge": math.MaxFloat64, "neghuge": -math.MaxFloat64, "e-10": 1.5e-10, "e+100": 2.5e100,
+				"int53": 1 << 53, "past53": 1<<53 + 2, "frac_big": 123456789.125, "negfrac": -0.000123,
+			}},
+		{name: "keys and object that need escaping", object: "nic:\"A\"\\<b>&\u2028\x00\x1f\x7f",
+			cur: map[string]uint64{
+				`kv_op_latency_ps{op="get"}`: 1, "tab\there": 2, "nl\nhere": 3, "bs\bff\fcr\r": 4,
+				"héllo wörld ☃": 5, "bad\xffutf8\xc3": 6, "ls\u2028ps\u2029": 7, "<script>&amp;": 8, "": 9,
+			},
+			gauges: map[string]float64{"a<b": 1.5, "": 2}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := healthData(t, c.object, c.prev, c.cur, c.gauges)
+			refDelta := make(map[string]uint64)
+			for k, v := range c.cur {
+				if d := v - c.prev[k]; d != 0 {
+					refDelta[k] = d
+				}
+			}
+			want, err := json.Marshal(healthPayload{Object: c.object, Counters: c.cur, Delta: refDelta, Gauges: c.gauges})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("health payload differs from the reference:\n got %s\nwant %s", got, want)
+			}
+			if c.wantLiteral != "" && string(got) != c.wantLiteral {
+				t.Fatalf("payload\n got %s\nwant %s", got, c.wantLiteral)
+			}
+		})
+	}
+}
+
+// A NaN or infinite gauge has no JSON form: a recorder that encodes it
+// for a reader panics, as json.Marshal refuses it. Without a reader
+// nothing is encoded and the scrape goes on.
+func TestRecorderRejectsNonFiniteGauge(t *testing.T) {
+	for _, g := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, reader := range []bool{true, false} {
+			rec := NewRecorder(nil)
+			rec.Source(sim.NewEngine(1), "A", "port", "nic:A", func() (map[string]uint64, map[string]float64) {
+				return map[string]uint64{"out_frames": 1}, map[string]float64{"utilisation": g}
+			})
+			if reader {
+				rec.StreamTo(&lineSink{})
+			}
+			func() {
+				defer func() {
+					if p := recover(); (p != nil) != reader {
+						t.Errorf("gauge %v, reader %v: panic %v", g, reader, p)
+					}
+				}()
+				rec.Finish()
+			}()
+		}
 	}
 }
